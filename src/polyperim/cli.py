@@ -411,7 +411,13 @@ def _cmd_smooth(args: argparse.Namespace, out: Path) -> int:
     return EXIT_OK
 
 
+def _require_points(args: argparse.Namespace) -> None:
+    if args.points < 1:
+        raise ValidationError(f"--points must be at least 1, got {args.points}")
+
+
 def _cmd_profile(args: argparse.Namespace, out: Path) -> int:
+    _require_points(args)
     manifest = _manifest(args)
     if args.model == "cone":
         if args.omega is None:
@@ -562,6 +568,7 @@ def _cmd_gallery(args: argparse.Namespace, out: Path) -> int:
         print(f"hypercube vertex link: {_g(rep.hypercube_link)}")
         print(f"q beats cone point: {_fmt(rep.q_wins)}")
     else:  # cube-competitors
+        _require_points(args)
         grid = np.geomspace(args.vmin, args.vmax, args.points)
         reports = competitor_table(grid)
         names = [e.name for e in reports[0].entries]

@@ -5,6 +5,14 @@ uniform 4-to-1 midpoint subdivision.  All triangles stay inside their flat
 facet, so facet areas are preserved exactly at every level.  Mesh positions
 start with the polytope vertices, so polytope vertex ``i`` is mesh position
 ``i``.
+
+Numbering is part of the contract, because solver results depend on it.  The
+centroid of facet ``f`` follows the vertices in facet order, and its fan
+triangles follow the facet's ring order.  Each refinement round numbers the
+new midpoints in first-visit order: triangle by triangle, edges ``ab``,
+``bc``, ``ca``.  Triangle ``(a, b, c)`` becomes ``(a, ab, ca)``,
+``(ab, b, bc)``, ``(ca, bc, c)``, ``(ab, bc, ca)`` in that order.  Edges are
+sorted vertex pairs in lexicographic order.
 """
 
 from __future__ import annotations
@@ -59,30 +67,29 @@ class SurfaceMesh:
 
     def _build_edges(self) -> None:
         t = self.triangles
-        raw = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-        raw.sort(axis=1)
-        edges, inverse = np.unique(raw, axis=0, return_inverse=True)
-        self.edges = edges
+        count = len(self.positions)
+        half = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
+        keys, inverse = np.unique(_edge_keys(half, count), return_inverse=True)
+        self.edges = np.stack([keys // count, keys % count], axis=1)
         self.tri_edges = inverse.reshape(3, -1).T.copy()
-        ecount = len(edges)
-        edge_tri = np.full((ecount, 2), -1, dtype=np.int64)
-        tri_ids = np.tile(np.arange(len(t)), 3)
-        for eid, tid in zip(inverse, tri_ids):
-            if edge_tri[eid, 0] < 0:
-                edge_tri[eid, 0] = tid
-            elif edge_tri[eid, 1] < 0:
-                edge_tri[eid, 1] = tid
-            else:
-                raise ValueError(f"edge {eid} belongs to more than two triangles")
+        # triangles of each edge in half-edge order: all ab, then bc, then ca
+        per_edge = np.bincount(inverse, minlength=len(keys))
+        if per_edge.max(initial=0) > 2:
+            eid = int(np.argmax(per_edge > 2))
+            raise ValueError(f"edge {eid} belongs to more than two triangles")
+        order = np.argsort(inverse, kind="stable")
+        tri_of_half = np.tile(np.arange(len(t)), 3)[order]
+        first = np.cumsum(per_edge) - per_edge
+        edge_tri = np.full((len(keys), 2), -1, dtype=np.int64)
+        edge_tri[:, 0] = tri_of_half[first]
+        shared = per_edge == 2
+        edge_tri[shared, 1] = tri_of_half[first[shared] + 1]
         self.edge_triangles = edge_tri
-        d = self.positions[edges[:, 0]] - self.positions[edges[:, 1]]
+        d = self.positions[self.edges[:, 0]] - self.positions[self.edges[:, 1]]
         self.edge_lengths = np.linalg.norm(d, axis=1)
-        nb = np.full((len(t), 3), -1, dtype=np.int64)
-        for ti in range(len(t)):
-            for slot, eid in enumerate(self.tri_edges[ti]):
-                a, b = edge_tri[eid]
-                nb[ti, slot] = b if a == ti else a
-        self.tri_neighbors = nb
+        ends = edge_tri[self.tri_edges]
+        own = np.arange(len(t))[:, None]
+        self.tri_neighbors = np.where(ends[..., 0] == own, ends[..., 1], ends[..., 0])
 
     # -- queries ----------------------------------------------------------
 
@@ -109,43 +116,49 @@ def subdivide(polytope: Polytope, level: int) -> SurfaceMesh:
     if not 0 <= level <= MAX_LEVEL:
         raise ValueError(f"subdivision level must be in [0, {MAX_LEVEL}]")
 
-    positions = [row for row in polytope.vertices]
-    triangles: list[tuple[int, int, int]] = []
-    facet_of: list[int] = []
-    for fi in range(len(polytope.facets)):
-        ring = polytope.facet_ring(fi)
-        center = polytope.vertices[ring].mean(axis=0)
-        ci = len(positions)
-        positions.append(center)
-        for a, b in zip(ring, np.roll(ring, -1)):
-            triangles.append((ci, int(a), int(b)))
-            facet_of.append(fi)
+    rings = [polytope.facet_ring(fi) for fi in range(len(polytope.facets))]
+    first_center = len(polytope.vertices)
+    centers = np.array([polytope.vertices[ring].mean(axis=0) for ring in rings])
+    positions = np.concatenate([polytope.vertices, centers])
+    triangles = np.concatenate([
+        np.column_stack([np.full(len(ring), first_center + fi), ring, np.roll(ring, -1)])
+        for fi, ring in enumerate(rings)
+    ])
+    facet_of = np.repeat(np.arange(len(rings)), [len(ring) for ring in rings])
 
     for _ in range(level):
-        midpoint: dict[tuple[int, int], int] = {}
-
-        def mid(a: int, b: int) -> int:
-            key = (a, b) if a < b else (b, a)
-            idx = midpoint.get(key)
-            if idx is None:
-                idx = len(positions)
-                positions.append(0.5 * (positions[a] + positions[b]))
-                midpoint[key] = idx
-            return idx
-
-        new_tris: list[tuple[int, int, int]] = []
-        new_facets: list[int] = []
-        for (a, b, c), fi in zip(triangles, facet_of):
-            ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
-            new_tris.extend([(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)])
-            new_facets.extend([fi, fi, fi, fi])
-        triangles = new_tris
-        facet_of = new_facets
+        # half-edges ab, bc, ca of each triangle in visit order
+        half = triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+        _, first, inverse = np.unique(
+            _edge_keys(half, len(positions)), return_index=True, return_inverse=True
+        )
+        visit = np.argsort(first, kind="stable")
+        number = np.empty(len(first), dtype=np.int64)
+        number[visit] = len(positions) + np.arange(len(first))
+        ends = half[first[visit]]
+        positions = np.concatenate(
+            [positions, 0.5 * (positions[ends[:, 0]] + positions[ends[:, 1]])]
+        )
+        ab, bc, ca = number[inverse].reshape(-1, 3).T
+        a, b, c = triangles.T
+        triangles = np.stack(
+            [a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca], axis=1
+        ).reshape(-1, 3)
+        facet_of = np.repeat(facet_of, 4)
 
     return SurfaceMesh(
-        np.array(positions),
-        np.array(triangles, dtype=np.int64),
-        np.array(facet_of, dtype=np.int64),
+        positions,
+        triangles,
+        facet_of,
         subdivision_level=level,
         polytope=polytope,
     )
+
+
+def _edge_keys(pairs: np.ndarray, count: int) -> np.ndarray:
+    """Key ``lo * count + hi`` of each undirected edge given as index pairs.
+
+    Keys sort like the sorted pairs do, so ``np.unique`` on keys orders edges
+    lexicographically without a structured-dtype sort.
+    """
+    return pairs.min(axis=1) * count + pairs.max(axis=1)

@@ -5,23 +5,23 @@ A :class:`Polytope` is the boundary surface of a compact convex body in
 list per facet.  Documents are plain JSON objects with fields ``dim``,
 ``vertices``, optional ``facets`` and optional ``name``; indices are 0-based.
 
-Facet enumeration is exhaustive: every d-subset of vertices that spans a
-supporting hyperplane contributes its maximal coplanar vertex set.  This is
-quadratic-ish and perfectly adequate at desk scale (the 4-cube needs 1820
-candidate planes).
-
-Measures (facet areas, cell volumes) use the recursive cone-from-centroid
-decomposition ``|P| = (1/k) * sum_F |F| * dist(centroid, aff F)``, which
-bottoms out at segment lengths and never needs an external hull library.
+Facets and measures come from Qhull (``scipy.spatial.ConvexHull``).  A facet
+is the maximal set of vertices within the tolerance of one of Qhull's facet
+planes, so coplanar hull triangles collapse into one polygon and a point on
+a face, or inside the hull, belongs to fewer than ``d`` facets and fails the
+incidence check.  A given facet list must equal that enumeration, so a list
+with a facet missing is rejected instead of leaving the surface open.
+Measures (facet areas, cell volumes) are hull volumes in the affine span of
+the points.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 from .errors import (
     BadDocument,
@@ -44,36 +44,6 @@ MAX_DIM = 4
 # ---------------------------------------------------------------------------
 # low-level geometry helpers
 # ---------------------------------------------------------------------------
-
-def _normal_through(pts: np.ndarray) -> np.ndarray | None:
-    """Unit normal of the hyperplane through ``d`` points in R^d.
-
-    Returns None when the points do not span a hyperplane.
-    """
-    d = pts.shape[1]
-    if d == 2:
-        v = pts[1] - pts[0]
-        n = np.array([-v[1], v[0]])
-    elif d == 3:
-        n = np.cross(pts[1] - pts[0], pts[2] - pts[0])
-    elif d == 4:
-        u, v, w = pts[1] - pts[0], pts[2] - pts[0], pts[3] - pts[0]
-        m = np.stack([u, v, w])
-        n = np.empty(4)
-        cols = [0, 1, 2, 3]
-        sign = 1.0
-        for i in range(4):
-            minor = m[:, [c for c in cols if c != i]]
-            n[i] = sign * np.linalg.det(minor)
-            sign = -sign
-    else:
-        raise DimensionTooHigh(f"ambient dimension {d} > {MAX_DIM}")
-    norm = np.linalg.norm(n)
-    scale = max(1.0, float(np.abs(pts).max()))
-    if norm <= TOL * scale:
-        return None
-    return n / norm
-
 
 def affine_span(points: np.ndarray, tol: float = TOL):
     """Origin, orthonormal basis and rank of the affine span of ``points``."""
@@ -112,12 +82,18 @@ def fit_plane(points: np.ndarray, tol: float = TOL):
     return normal, float(normal @ origin)
 
 
-def enumerate_facets(vertices: np.ndarray, tol: float = TOL) -> list[tuple[int, ...]]:
-    """Facets of the convex hull of points in convex position, d <= 4.
+def _hull(points: np.ndarray) -> ConvexHull:
+    try:
+        return ConvexHull(points)
+    except QhullError as exc:
+        raise NotFullDimensional(f"Qhull rejected the points: {exc}") from None
 
-    Each d-subset spanning a supporting hyperplane yields the maximal set of
-    vertices on that plane.  Output is a lexicographically sorted list of
-    sorted index tuples.
+
+def enumerate_facets(vertices: np.ndarray, tol: float = TOL) -> list[tuple[int, ...]]:
+    """Facets of the convex hull of points, 2 <= d <= 4.
+
+    Each Qhull facet plane yields the set of points within ``tol * scale`` of
+    it.  Output is a lexicographically sorted list of sorted index tuples.
     """
     verts = np.asarray(vertices, dtype=float)
     if verts.ndim != 2:
@@ -125,30 +101,17 @@ def enumerate_facets(vertices: np.ndarray, tol: float = TOL) -> list[tuple[int, 
     m, d = verts.shape
     if d > MAX_DIM:
         raise DimensionTooHigh(f"ambient dimension {d} > {MAX_DIM}")
-    if d < 1:
-        raise NotFullDimensional("ambient dimension must be at least 1")
+    if d < 2:
+        raise NotFullDimensional("ambient dimension must be at least 2")
     _, _, rank = affine_span(verts, tol)
     if rank < d or m < d + 1:
         raise NotFullDimensional(
             f"{m} vertices span {rank} dimensions, expected {d}"
         )
+    planes = _hull(verts).equations
     scale = max(1.0, float(np.abs(verts).max()))
-    found: set[tuple[int, ...]] = set()
-    for combo in itertools.combinations(range(m), d):
-        normal = _normal_through(verts[list(combo)])
-        if normal is None:
-            continue
-        offset = float(normal @ verts[combo[0]])
-        side = verts @ normal - offset
-        if (side <= tol * scale).all():
-            pass
-        elif (side >= -tol * scale).all():
-            side = -side
-        else:
-            continue
-        members = tuple(int(i) for i in np.nonzero(np.abs(side) <= tol * scale)[0])
-        found.add(members)
-    return sorted(found)
+    near = np.abs(verts @ planes[:, :-1].T + planes[:, -1]) <= tol * scale
+    return sorted({tuple(np.flatnonzero(col).tolist()) for col in near.T})
 
 
 def order_polygon(points: np.ndarray) -> np.ndarray:
@@ -162,31 +125,19 @@ def order_polygon(points: np.ndarray) -> np.ndarray:
 
 
 def polytope_measure(points: np.ndarray, tol: float = TOL) -> float:
-    """k-dimensional measure of the convex hull of points in convex position.
+    """k-dimensional measure of the convex hull of points.
 
-    The dimension k is the affine rank of the point set; the recursion
-    ``|P| = (1/k) * sum |facet| * height`` runs entirely in local coordinates.
+    The dimension k is the affine rank of the point set; the hull is measured
+    in local coordinates of that span.
     """
     pts = np.asarray(points, dtype=float)
     origin, basis, rank = affine_span(pts, tol)
     if rank == 0:
         return 0.0
     local = project_to_span(pts, origin, basis)
-    return _measure_full(local, tol)
-
-
-def _measure_full(pts: np.ndarray, tol: float) -> float:
-    k = pts.shape[1]
-    if k == 1:
-        return float(pts.max() - pts.min())
-    centroid = pts.mean(axis=0)
-    total = 0.0
-    for facet in enumerate_facets(pts, tol):
-        fpts = pts[list(facet)]
-        normal, offset = fit_plane(fpts, tol)
-        height = abs(float(normal @ centroid) - offset)
-        total += polytope_measure(fpts, tol) * height
-    return total / k
+    if rank == 1:
+        return float(local.max() - local.min())
+    return float(_hull(local).volume)
 
 
 # ---------------------------------------------------------------------------
@@ -244,9 +195,14 @@ class Polytope:
                 f"vertices span {rank} dimensions, expected {d}"
             )
         self._fit_facet_planes()
-        self._check_convexity()
-        self._check_coplanarity()
+        # signed vertex-plane residuals, shared by every check below
+        side = self.vertices @ self.facet_normals.T - self.facet_offsets
+        limit = self.tol * max(1.0, float(np.abs(self.vertices).max()))
+        self._check_convexity(side, limit)
+        self._check_coplanarity(side, limit)
+        self._on_facet = np.abs(side) <= limit
         self._check_incidence()
+        self._check_closure()
         self._ordered_cache: dict[int, np.ndarray] = {}
 
     # -- validation pieces ------------------------------------------------
@@ -264,39 +220,40 @@ class Polytope:
         self.facet_normals = np.array(normals)
         self.facet_offsets = np.array(offsets)
 
-    def _check_convexity(self) -> None:
-        scale = max(1.0, float(np.abs(self.vertices).max()))
-        side = self.vertices @ self.facet_normals.T - self.facet_offsets
+    def _check_convexity(self, side: np.ndarray, limit: float) -> None:
         worst = side.max()
-        if worst > self.tol * scale:
+        if worst > limit:
             v, f = np.unravel_index(np.argmax(side), side.shape)
             raise NonConvex(
                 f"vertex {v} lies {worst:.3g} outside the plane of facet {f}"
             )
 
-    def _check_coplanarity(self) -> None:
-        scale = max(1.0, float(np.abs(self.vertices).max()))
+    def _check_coplanarity(self, side: np.ndarray, limit: float) -> None:
         for fi, f in enumerate(self.facets):
-            resid = np.abs(
-                self.vertices[list(f)] @ self.facet_normals[fi]
-                - self.facet_offsets[fi]
-            ).max()
-            if resid > self.tol * scale:
+            resid = np.abs(side[list(f), fi]).max()
+            if resid > limit:
                 raise DegenerateFacet(
                     f"facet {fi} vertices deviate {resid:.3g} from their plane"
                 )
 
     def _check_incidence(self) -> None:
         d = self.dim
-        counts = np.zeros(len(self.vertices), dtype=int)
-        for fi in range(len(self.facets)):
-            on = self.vertex_on_facet(fi)
-            counts += on
+        counts = self._on_facet.sum(axis=1)
         short = np.nonzero(counts < d)[0]
         if len(short):
             raise InvalidPolytope(
                 f"vertex {short[0]} lies on {counts[short[0]]} facets, "
                 f"expected at least {d} (not in convex position?)"
+            )
+
+    def _check_closure(self) -> None:
+        hull = enumerate_facets(self.vertices, self.tol)
+        if list(self.facets) != hull:
+            missing = sorted(set(hull) - set(self.facets))
+            raise InvalidPolytope(
+                f"the {len(self.facets)} facets given do not close up the "
+                f"surface: the hull has {len(hull)} facets"
+                + (f", including {missing[0]}" if missing else "")
             )
 
     # -- basic queries ----------------------------------------------------
@@ -315,12 +272,7 @@ class Polytope:
 
     def vertex_on_facet(self, facet_index: int) -> np.ndarray:
         """Boolean mask of vertices lying on the given facet plane."""
-        scale = max(1.0, float(np.abs(self.vertices).max()))
-        resid = np.abs(
-            self.vertices @ self.facet_normals[facet_index]
-            - self.facet_offsets[facet_index]
-        )
-        return resid <= self.tol * scale
+        return self._on_facet[:, facet_index]
 
     def incident_facets(self, vertex_index: int) -> list[int]:
         return [fi for fi, f in enumerate(self.facets) if vertex_index in f]
@@ -358,7 +310,10 @@ class Polytope:
         name: str | None = None,
     ) -> "Polytope":
         """Build from coordinates, enumerating facets when none are given."""
-        verts = _dedupe(np.asarray(vertices, dtype=float))
+        verts = np.asarray(vertices, dtype=float)
+        if verts.ndim != 2:
+            raise NotFullDimensional("vertex array must be 2-dimensional")
+        verts, _ = _dedupe_with_map(verts)
         if facets is None:
             facets = enumerate_facets(verts)
         return cls(verts, tuple(tuple(f) for f in facets), name=name)
@@ -433,25 +388,20 @@ class Polytope:
             handle.write("\n")
 
 
-def _dedupe(verts: np.ndarray) -> np.ndarray:
-    out, _ = _dedupe_with_map(verts)
-    return out
-
-
 def _dedupe_with_map(verts: np.ndarray):
-    """Merge vertices closer than MERGE_TOL; returns (unique, index map)."""
-    m = len(verts)
-    remap = np.full(m, -1, dtype=int)
-    kept: list[int] = []
-    for i in range(m):
-        for slot, j in enumerate(kept):
-            if np.linalg.norm(verts[i] - verts[j]) < MERGE_TOL:
-                remap[i] = slot
-                break
-        else:
-            remap[i] = len(kept)
-            kept.append(i)
-    return verts[kept], remap
+    """Merge vertices within MERGE_TOL; returns (unique, index map).
+
+    A vertex merges into the first earlier vertex that was kept, so the kept
+    vertices stay in their input order.
+    """
+    pairs = cKDTree(verts).query_pairs(MERGE_TOL, output_type="ndarray")
+    target = np.arange(len(verts))
+    for i, j in pairs[np.lexsort((pairs[:, 0], pairs[:, 1]))]:
+        if target[j] == j and target[i] == i:
+            target[j] = i
+    kept = target == np.arange(len(verts))
+    slot = np.cumsum(kept) - 1
+    return verts[kept], slot[target]
 
 
 def load_polytope(source) -> Polytope:

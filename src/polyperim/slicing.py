@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import ConvexHull
 
-from .errors import DimensionTooHigh, EmptyPiece, UnsupportedDimension
+from .errors import DimensionTooHigh, EmptyPiece, NumericalError, UnsupportedDimension
 
 MATCH_TOL = 1e-9
 MAX_N = 4
@@ -67,7 +67,7 @@ def _frame_vectors(n: int) -> np.ndarray:
     gram = frame @ frame.T
     target = (n + 1) * np.eye(n + 1) - np.ones((n + 1, n + 1))
     if not np.allclose(gram, target, atol=1e-9):
-        raise AssertionError("frame construction lost the Gram identity")
+        raise NumericalError("frame construction lost the Gram identity")
     return frame
 
 
@@ -273,7 +273,7 @@ def classify_pieces(pieces: list[SlicePiece]) -> list[ShapeClassSummary]:
         rep = group[0]
         for other in group[1:]:
             if not congruent_shape(rep, other):
-                raise AssertionError(
+                raise NumericalError(
                     f"pieces {rep.index} and {other.index} share level "
                     f"{level} but are not translates"
                 )

@@ -35,7 +35,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import OriginNotInterior, RootNotBracketed, UnsupportedDimension
+from .errors import (
+    NumericalError,
+    OriginNotInterior,
+    RootNotBracketed,
+    UnsupportedDimension,
+)
 from .polytope import Polytope
 from .profiles import sphere_measure
 
@@ -160,7 +165,7 @@ class Mollifier:
         true_mass = radial * sphere_measure(dim - 1)
         err = abs(mass / true_mass - 1.0)
         if err > MASS_TOL:
-            raise AssertionError(
+            raise NumericalError(
                 f"kernel quadrature mass error {err:.3e} exceeds {MASS_TOL}"
             )
         return cls(

@@ -236,6 +236,35 @@ def test_validation_exit_code(tmp_path, capsys):
     assert code == 2
 
 
+def test_analyze_rejects_facet_list_that_does_not_close_up(tmp_path, capsys):
+    doc = shapes.octahedron().serialize()
+    del doc["facets"][0]
+    path = tmp_path / "open.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(
+        capsys, "analyze", "--polytope", str(path), "--out", str(tmp_path / "out")
+    )
+    assert code == 2
+    assert "InvalidPolytope" in err and "close up" in err
+    assert not (tmp_path / "out" / "analysis.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["profile", "--model", "euclidean", "--n", "2", "--vmin", "0.01",
+         "--vmax", "1.0", "--svg"],
+        ["gallery", "cube-competitors", "--svg"],
+    ],
+    ids=["profile", "gallery"],
+)
+@pytest.mark.parametrize("points", ["0", "-1"])
+def test_points_below_one_are_rejected(tmp_path, capsys, argv, points):
+    code, _, err = run(capsys, *argv, "--points", points, "--out", str(tmp_path))
+    assert code == 2
+    assert "ValidationError" in err and "--points" in err
+
+
 def test_numerical_exit_code(tmp_path, capsys):
     # mollification radius at half the inradius cannot bracket the level set
     code, _, err = run(

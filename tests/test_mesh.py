@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from polyperim import shapes
 from polyperim.errors import UnsupportedDimension
-from polyperim.mesh import subdivide
+from polyperim.mesh import SurfaceMesh, subdivide
 
 
 @pytest.mark.parametrize("level", [0, 1, 2, 3])
@@ -67,3 +68,57 @@ def test_subdivide_rejects_wrong_dimension_and_level():
         subdivide(shapes.cube(), -1)
     with pytest.raises(ValueError):
         subdivide(shapes.cube(), 9)
+
+
+# Recorded from the dict-and-loop implementation this vectorized one
+# replaced; solver results depend on this numbering.
+NUMBERING_DIGESTS = {
+    "cube": ("dc91a2cf2ab6a037", "a4d347ff156dd581", "afe969614dce2a0d", "a0470916541a4ae3"),
+    "tetrahedron": ("c5ee81e976ee155f", "44c2825e276b447f", "28c757ad23274cb4", "d58ff15ac0700796"),
+    "square_pyramid": ("960f0a2649212090", "07499ea646710df8", "8ed287edb1e2119f", "a25c9dc67c6e1121"),
+}
+
+
+def _numbering_digest(mesh):
+    h = hashlib.sha256()
+    for name, dtype in (
+        ("positions", "<f8"),
+        ("triangles", "<i8"),
+        ("edges", "<i8"),
+        ("tri_neighbors", "<i8"),
+    ):
+        h.update(np.ascontiguousarray(getattr(mesh, name), dtype=dtype).tobytes())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name", sorted(NUMBERING_DIGESTS))
+def test_mesh_numbering_is_pinned(name):
+    poly = getattr(shapes, name)()
+    for level, expected in enumerate(NUMBERING_DIGESTS[name]):
+        assert _numbering_digest(subdivide(poly, level)) == expected, level
+
+
+def test_midpoints_are_numbered_in_first_visit_order():
+    poly = shapes.tetrahedron()
+    coarse = subdivide(poly, 1)
+    fine = subdivide(poly, 2)
+    seen = {}
+    for a, b, c in coarse.triangles:
+        for u, v in ((a, b), (b, c), (c, a)):
+            seen.setdefault((min(u, v), max(u, v)), len(coarse.positions) + len(seen))
+    for (u, v), idx in seen.items():
+        midpoint = 0.5 * (coarse.positions[u] + coarse.positions[v])
+        assert np.array_equal(fine.positions[idx], midpoint)
+    assert len(fine.positions) == len(coarse.positions) + len(seen)
+    a, b, c = coarse.triangles[0]
+    ab, bc, ca = (seen[(min(u, v), max(u, v))] for u, v in ((a, b), (b, c), (c, a)))
+    assert fine.triangles[:4].tolist() == [
+        [a, ab, ca], [ab, b, bc], [ca, bc, c], [ab, bc, ca]
+    ]
+
+
+def test_edge_on_three_triangles_is_rejected():
+    positions = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1]])
+    triangles = [[0, 1, 2], [1, 0, 3], [0, 1, 4]]
+    with pytest.raises(ValueError, match="more than two triangles"):
+        SurfaceMesh(positions, triangles, [0, 0, 0], subdivision_level=0)

@@ -137,6 +137,22 @@ def test_nonconvex_and_orphan_vertices():
         Polytope(np.array(square + [[1.0, 1.0]]), facets=facets)
 
 
+@pytest.mark.parametrize(
+    "shape, edit",
+    [
+        ("octahedron", lambda facets: facets[1:]),  # one facet removed
+        ("octahedron", lambda facets: facets + facets[:1]),  # one listed twice
+        ("cube", lambda facets: facets + [facets[0][:3]]),  # a piece of a facet
+    ],
+    ids=["missing", "duplicate", "partial"],
+)
+def test_facet_list_must_close_up(shape, edit):
+    doc = getattr(shapes, shape)().serialize()
+    doc["facets"] = edit(doc["facets"])
+    with pytest.raises(InvalidPolytope, match="close up"):
+        Polytope.from_document(doc)
+
+
 def test_dedupe_merges_repeated_vertices():
     poly = Polytope.from_vertices(
         [[0, 0], [1, 0], [1, 0], [1, 1], [0, 1], [0.0, 1.0]]

@@ -4,7 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from polyperim.errors import DimensionTooHigh, EmptyPiece, UnsupportedDimension
+from polyperim.errors import (
+    DimensionTooHigh,
+    EmptyPiece,
+    NumericalError,
+    UnsupportedDimension,
+)
 from polyperim.slicing import (
     SlicePiece,
     build_frame,
@@ -198,3 +203,13 @@ def test_piece_vertex_counts_match_hull_structure():
         assert p.vertex_count == 3
     counts = sorted({p.vertex_count for p in enumerate_pieces(3, 2)})
     assert counts == [4, 6]
+
+
+def test_classify_rejects_same_level_pieces_that_are_not_translates():
+    tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    pieces = [
+        SlicePiece(index=(1, 1, -1), vertices=tri, volume=0.5),
+        SlicePiece(index=(2, 0, -1), vertices=-tri, volume=0.5),
+    ]
+    with pytest.raises(NumericalError, match="not translates"):
+        classify_pieces(pieces)
