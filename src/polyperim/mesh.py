@@ -69,25 +69,24 @@ class SurfaceMesh:
         t = self.triangles
         count = len(self.positions)
         half = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-        keys, inverse = np.unique(_edge_keys(half, count), return_inverse=True)
+        keys, first, inverse, per_edge = np.unique(
+            _edge_keys(half, count),
+            return_index=True, return_inverse=True, return_counts=True,
+        )
         self.edges = np.stack([keys // count, keys % count], axis=1)
         self.tri_edges = inverse.reshape(3, -1).T.copy()
-        # triangles of each edge in half-edge order: all ab, then bc, then ca
-        per_edge = np.bincount(inverse, minlength=len(keys))
         if per_edge.max(initial=0) > 2:
             eid = int(np.argmax(per_edge > 2))
             raise ValueError(f"edge {eid} belongs to more than two triangles")
-        order = np.argsort(inverse, kind="stable")
-        tri_of_half = np.tile(np.arange(len(t)), 3)[order]
-        first = np.cumsum(per_edge) - per_edge
-        edge_tri = np.full((len(keys), 2), -1, dtype=np.int64)
-        edge_tri[:, 0] = tri_of_half[first]
-        shared = per_edge == 2
-        edge_tri[shared, 1] = tri_of_half[first[shared] + 1]
-        self.edge_triangles = edge_tri
+        # half-edge i lies on triangle i % T; an edge's triangles are listed
+        # in half-edge order (all ab, then bc, then ca), -1 on an open edge
+        last = np.argsort(inverse, kind="stable")[np.cumsum(per_edge) - 1]
+        self.edge_triangles = np.stack(
+            [first % len(t), np.where(per_edge == 2, last % len(t), -1)], axis=1
+        )
         d = self.positions[self.edges[:, 0]] - self.positions[self.edges[:, 1]]
         self.edge_lengths = np.linalg.norm(d, axis=1)
-        ends = edge_tri[self.tri_edges]
+        ends = self.edge_triangles[self.tri_edges]
         own = np.arange(len(t))[:, None]
         self.tri_neighbors = np.where(ends[..., 0] == own, ends[..., 1], ends[..., 0])
 
