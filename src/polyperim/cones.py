@@ -32,6 +32,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import ConvexHull
 
 from .errors import UnsupportedDimension, VolumeTooLarge
 from .polytope import (
@@ -119,58 +120,20 @@ def _facet_angle(poly: Polytope, facet_index: int, vertex: int) -> float:
     return math.atan2(float(cr), float(u1 @ u2))
 
 
-def _cell_vertex_rays(local: np.ndarray, apex: int) -> list[int]:
-    """Edge-neighbors of ``apex`` in a 3-polytope, in cyclic order.
-
-    Walks the cycle of faces around the apex: each incident face contributes
-    the two apex-adjacent vertices of its polygon, and consecutive faces share
-    one of them.
-    """
-    faces = enumerate_facets(local)
-    pairs: dict[int, tuple[int, int]] = {}
-    for fid, face in enumerate(faces):
-        if apex not in face:
-            continue
-        fpts = local[list(face)]
-        ring = np.array(face, dtype=int)[order_polygon(fpts)]
-        pos = int(np.nonzero(ring == apex)[0][0])
-        pairs[fid] = (int(ring[pos - 1]), int(ring[(pos + 1) % len(ring)]))
-    if not pairs:
-        raise ValueError("apex not on any face of its cell")
-    face_ids = sorted(pairs)
-    start = face_ids[0]
-    order = [pairs[start][0], pairs[start][1]]
-    used = {start}
-    while True:
-        current = order[-1]
-        nxt = None
-        for fid in face_ids:
-            if fid in used:
-                continue
-            a, b = pairs[fid]
-            if a == current:
-                nxt = b
-            elif b == current:
-                nxt = a
-            if nxt is not None:
-                used.add(fid)
-                break
-        if nxt is None or nxt == order[0]:
-            break
-        order.append(nxt)
-    return order
-
-
 def _cell_solid_angle(points: np.ndarray, apex: int) -> float:
     """Interior solid angle of a 3-polytope (given in local 3D coords) at a
-    vertex, via fan triangulation of the vertex figure."""
-    rays_idx = _cell_vertex_rays(points, apex)
-    rays = points[rays_idx] - points[apex]
-    rays = rays / np.linalg.norm(rays, axis=1)[:, None]
-    total = 0.0
-    for i in range(1, len(rays) - 1):
-        total += tet_solid_angle(rays[0], rays[i], rays[i + 1])
-    return total
+    vertex.
+
+    The hull of the apex and the unit rays to the other vertices is the
+    vertex cone cut off by a cap; the cap's hull triangles (those without
+    the apex) tile the cone's directions, one trihedral cone each.
+    """
+    others = np.delete(points, apex, axis=0) - points[apex]
+    rays = others / np.linalg.norm(others, axis=1)[:, None]
+    hull = ConvexHull(np.vstack([np.zeros(3), rays]))
+    return math.fsum(
+        tet_solid_angle(*hull.points[tri]) for tri in hull.simplices if 0 not in tri
+    )
 
 
 def _point_segment_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:

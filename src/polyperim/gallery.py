@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ProjectionDegenerate, VolumeOutOfRange
+from .errors import ProjectionDegenerate, ValidationError, VolumeOutOfRange
 from .profiles import cone_profile
 
 CUBE_SURFACE_AREA = 6.0
@@ -131,9 +131,13 @@ def double_pyramid_report(
     """
     if not 0.0 < theta < 2.0 * math.pi - 1e-9:
         raise ValueError(f"apex link {theta} outside (0, 2*pi)")
-    if volume <= 0.0:
-        raise VolumeOutOfRange("volume must be positive")
+    if base_link is not None and not 0.0 < base_link < 2.0 * math.pi:
+        raise ValueError(f"base link {base_link} outside (0, 2*pi)")
+    if not 0.0 < volume < math.inf:
+        raise VolumeOutOfRange(f"volume must be positive and finite, got {volume}")
     one_sided = math.sqrt(2.0 * theta * volume)
+    if one_sided == 0.0:
+        raise VolumeOutOfRange(f"theta * volume = {theta} * {volume} underflows")
     glued = math.sqrt(4.0 * theta * volume)
     beats = None if base_link is None else theta < base_link
     return DoublePyramidReport(
@@ -168,6 +172,8 @@ def projection_area_of_triangle(
     Centroid quadrature on a barycentric grid of ``subdivisions^2`` equal
     parameter cells; the integrand is the exact Jacobian of x -> x/|x|.
     """
+    if subdivisions < 1:
+        raise ValidationError(f"subdivisions must be at least 1, got {subdivisions}")
     a = np.asarray(a, float)
     b = np.asarray(b, float)
     c = np.asarray(c, float)

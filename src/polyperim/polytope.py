@@ -69,14 +69,15 @@ def fit_plane(points: np.ndarray, tol: float = TOL):
     """
     pts = np.asarray(points, dtype=float)
     d = pts.shape[1]
-    origin, basis, rank = affine_span(pts, tol)
+    origin = pts.mean(axis=0)
+    # For exactly coplanar points this is the exact plane; for warped input it
+    # is the least-squares plane, and convexity checks report the violation.
+    _, sv, vt = np.linalg.svd(pts - origin, full_matrices=True)
+    rank = int((sv > tol * max(1.0, sv[0])).sum())
     if rank < d - 1:
         raise DegenerateFacet(
             f"facet spans only {rank} dimensions, expected {d - 1}"
         )
-    # For exactly coplanar points this is the exact plane; for warped input it
-    # is the least-squares plane, and convexity checks report the violation.
-    _, _, vt = np.linalg.svd(pts - origin, full_matrices=True)
     normal = vt[-1]
     normal = normal / np.linalg.norm(normal)
     return normal, float(normal @ origin)

@@ -72,8 +72,8 @@ def cone_profile(omega: float, n: int, volume: float) -> float:
         raise ValueError("dimension must be at least 1")
     if not 0 < omega <= sphere_measure(n - 1) + 1e-12:
         raise ValueError(f"link measure {omega} outside (0, |S^{n-1}|]")
-    if volume <= 0:
-        raise VolumeOutOfRange("volume must be positive")
+    if not 0 < volume < math.inf:
+        raise VolumeOutOfRange(f"volume must be positive and finite, got {volume}")
     if n == 1:
         return float(omega)
     return omega ** (1.0 / n) * (n * volume) ** ((n - 1.0) / n)
@@ -164,8 +164,8 @@ class Profile:
 
     @classmethod
     def _sampled(cls, n, fn, vmin, vmax, points, label, total=math.inf) -> "Profile":
-        if not 0 < vmin < vmax:
-            raise VolumeOutOfRange("need 0 < vmin < vmax")
+        if not 0 < vmin < vmax < math.inf:
+            raise VolumeOutOfRange("need 0 < vmin < vmax < inf")
         grid = np.geomspace(vmin, vmax, points)
         areas = np.array([fn(v) for v in grid])
         return cls(n, grid, areas, label=label, total_volume=total, evaluator=fn)

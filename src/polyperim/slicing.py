@@ -1,7 +1,6 @@
 """Slicing space by the hyperplane arrangement of a regular-simplex frame.
 
-A frame is a set of n+1 unit-sum... no: a set of n+1 vectors a_1..a_{n+1} in
-R^n with
+A frame is a set of n+1 vectors a_1..a_{n+1} in R^n with
 
     a_i . a_i = n,   a_i . a_j = -1 (i != j),   sum_i a_i = 0,
 
@@ -20,11 +19,11 @@ nonemptiness criterion and the translation structure are read off there:
 * translating x by a_i shifts k by the generator row g_i = (1,..,-n,..,1)
   with -n in slot i (so sum(k) is preserved).
 
-Each bounded piece is a convex polytope with at most 2^n * (n+1) candidate
-vertices: a vertex is a point where n of the 2(n+1) wall constraints are
-active, i.e. choose which frame direction stays slack and clamp the rest to
-either wall.  Coordinates come back through the pseudoinverse x = A^T y /
-(n+1), exact because A A^T = (n+1) I - J acts as (n+1) I on sum-zero y.
+In y-space each bounded piece is a hypersimplex shifted by -k: with
+z = y + k its vertices are the 0/1 vectors z with sum(z) = sum(k) (Stanley,
+*Eulerian partitions of a unit hypercube*, 1977).  Coordinates come back
+through the pseudoinverse x = A^T y / (n+1), exact because
+A A^T = (n+1) I - J acts as (n+1) I on sum-zero y.
 """
 
 from __future__ import annotations
@@ -130,33 +129,15 @@ class SlicePiece:
 
 
 def _piece_vertices(frame: RegularSimplexFrame, k) -> np.ndarray:
-    """Vertices of S_k: clamp n of the n+1 coordinates to a wall, solve the
-    sum-zero condition for the free one, keep points inside all walls."""
+    """Vertices of S_k: z = (sum(k) - sum(c), c) for c in {0,1}^n whose first
+    entry is 0 or 1, mapped back through y = z - k."""
     n = frame.n
     k = np.asarray(k, dtype=float)
-    lo = -k
-    hi = -k + 1.0
-    found: list[np.ndarray] = []
-    for free in range(n + 1):
-        others = [i for i in range(n + 1) if i != free]
-        for choice in itertools.product((0, 1), repeat=n):
-            y = np.empty(n + 1)
-            for i, c in zip(others, choice):
-                y[i] = hi[i] if c else lo[i]
-            y[free] = -np.sum(y[others])
-            if y[free] < lo[free] - MATCH_TOL or y[free] > hi[free] + MATCH_TOL:
-                continue
-            found.append(y)
-    if not found:
-        raise EmptyPiece(f"piece {tuple(int(m) for m in k)} has no vertices")
-    arr = np.array(found)
-    # Dedupe in y-space (coordinates are exact multiples of 1/(n+1) shifts).
-    keep: list[int] = []
-    for i in range(len(arr)):
-        if all(np.linalg.norm(arr[i] - arr[j]) > MATCH_TOL for j in keep):
-            keep.append(i)
-    arr = arr[keep]
-    return arr @ frame.vectors / (frame.n + 1)
+    tail = np.array(list(itertools.product((0.0, 1.0), repeat=n)))
+    head = k.sum() - tail.sum(axis=1)
+    keep = (head >= 0.0) & (head <= 1.0)
+    z = np.column_stack([head[keep], tail[keep]])
+    return (z - k) @ frame.vectors / (n + 1)
 
 
 def make_piece(frame: RegularSimplexFrame, k) -> SlicePiece:

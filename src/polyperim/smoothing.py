@@ -99,34 +99,14 @@ def _ball_quadrature(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Product nodes/weights for integrals over the unit ball.
 
     Radial: Gauss-Legendre on [0, 1] with the r^(dim-1) factor folded into
-    the weights.  Angular: uniform circle (dim 2) or Gauss-Legendre in
-    cos(theta) times a uniform azimuth (dim 3).  Both angular sets have an
-    even point count, so nodes come in exact antipodal pairs.
+    the weights.  Angular: ``sphere_quadrature`` with 64 circle directions
+    (dim 2) or 12 x 24 sphere directions (dim 3), so nodes come in exact
+    antipodal pairs.
     """
     rx, rw = np.polynomial.legendre.leggauss(RADIAL_NODES)
     r = 0.5 * (rx + 1.0)
     rw = 0.5 * rw * r ** (dim - 1)
-    if dim == 2:
-        m = 64
-        theta = 2.0 * math.pi * (np.arange(m) + 0.5) / m
-        dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        aw = np.full(m, 2.0 * math.pi / m)
-    elif dim == 3:
-        n_theta, n_phi = 12, 24
-        cx, cw = np.polynomial.legendre.leggauss(n_theta)
-        phi = 2.0 * math.pi * (np.arange(n_phi) + 0.5) / n_phi
-        sin_t = np.sqrt(1.0 - cx**2)
-        dirs = np.stack(
-            [
-                np.outer(sin_t, np.cos(phi)).ravel(),
-                np.outer(sin_t, np.sin(phi)).ravel(),
-                np.outer(cx, np.ones(n_phi)).ravel(),
-            ],
-            axis=1,
-        )
-        aw = np.outer(cw, np.full(n_phi, 2.0 * math.pi / n_phi)).ravel()
-    else:
-        raise UnsupportedDimension(f"no ball quadrature for dimension {dim}")
+    dirs, aw = sphere_quadrature(dim, 32 if dim == 2 else 12)
     nodes = (r[:, None, None] * dirs[None, :, :]).reshape(-1, dim)
     weights = (rw[:, None] * aw[None, :]).ravel()
     return nodes, weights

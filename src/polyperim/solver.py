@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cones import link_volume
-from .errors import NoFeasibleRegion, VolumeOutOfRange, VolumeTooLarge
+from .errors import NoFeasibleRegion, ValidationError, VolumeOutOfRange, VolumeTooLarge
 from .mesh import SurfaceMesh
 
 FEASIBILITY_FRACTION = 0.02
@@ -124,6 +124,12 @@ class SolverConfig:
     cooling: float = 0.99995
     mu: float = 100.0
 
+    def __post_init__(self):
+        if self.iterations < 1:
+            raise ValidationError(f"iterations must be at least 1, got {self.iterations}")
+        if self.restarts < 1:
+            raise ValidationError(f"restarts must be at least 1, got {self.restarts}")
+
 
 def default_config(
     mesh: SurfaceMesh,
@@ -173,9 +179,12 @@ def vertex_ball_region(mesh: SurfaceMesh, vertex: int, volume: float) -> Region:
     unfolding beyond the facet itself: a centroid on an incident facet is
     coplanar with the vertex, so the straight ambient segment lies in the
     facet and realizes the geodesic.  Triangles of non-incident facets are
-    farther than r_max >= r and are excluded outright.  Membership is then
-    adjusted in centroid-distance order so the region area lands within one
-    triangle-area of V (the raw radius cut can be several triangles off).
+    farther than r_max >= r and are excluded outright.  The raw radius cut
+    can miss V by several triangles, so the region is a prefix of the star
+    triangles in stable centroid-distance order: the shortest one of area
+    >= V if the cut is smaller, else the longest one within the cut of area
+    <= V + the largest triangle area.  Either way the area lands within one
+    triangle-area of V.
     """
     if not 0 <= vertex < len(mesh.polytope.vertices):
         raise ValueError(f"vertex index {vertex} out of range")
@@ -189,26 +198,18 @@ def vertex_ball_region(mesh: SurfaceMesh, vertex: int, volume: float) -> Region:
         )
     r = math.sqrt(2.0 * volume / cone.link_volume)
     p = mesh.positions[vertex]
-    incident = {f for f, _ in cone.facet_contributions}
-    on_star = np.isin(mesh.facet_of, sorted(incident))
-    dist = np.linalg.norm(mesh.centroids - p, axis=1)
-    mask = on_star & (dist <= r)
-    # the raw centroid rule can miss the target area by several triangles;
-    # grow or trim in centroid-distance order until one triangle-area away
-    order = np.argsort(np.where(on_star, dist, np.inf), kind="stable")
-    area = float(mesh.areas[mask].sum())
-    grow = iter([t for t in order if on_star[t] and not mask[t]])
-    trim = iter([t for t in reversed(order) if mask[t]])
-    while area < volume:
-        t = next(grow, -1)
-        if t < 0:
-            break
-        mask[t] = True
-        area += float(mesh.areas[t])
-    while area - volume > float(mesh.areas.max()):
-        t = next(trim)
-        mask[t] = False
-        area -= float(mesh.areas[t])
+    incident = [f for f, _ in cone.facet_contributions]
+    star = np.flatnonzero(np.isin(mesh.facet_of, incident))
+    dist = np.linalg.norm(mesh.centroids[star] - p, axis=1)
+    order = np.argsort(dist, kind="stable")
+    cut = int(np.searchsorted(dist[order], r, side="right"))
+    prefix_area = np.cumsum(mesh.areas[star[order]])
+    size = int(np.searchsorted(prefix_area, volume, side="left")) + 1
+    if size <= cut:
+        slack = volume + float(mesh.areas.max())
+        size = int(np.searchsorted(prefix_area[:cut], slack, side="right"))
+    mask = np.zeros(mesh.triangle_count, dtype=bool)
+    mask[star[order[:size]]] = True
     return Region(mesh=mesh, mask=mask)
 
 

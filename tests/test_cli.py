@@ -2,9 +2,11 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyperim import shapes
-from polyperim.cli import dispatch, main
+from polyperim.cli import BUILTIN_SHAPES, dispatch, main
 
 
 def run(capsys, *argv):
@@ -300,3 +302,98 @@ def test_reruns_are_byte_identical(tmp_path, capsys):
 def test_main_entry_point(tmp_path, capsys):
     assert main(["analyze", "--polytope", "square", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gallery", "spiked-cone", "--subdivisions", "0"], "subdivisions"),
+        (["gallery", "spiked-cone", "--volume", "nan"], "VolumeOutOfRange"),
+        (["gallery", "double-pyramid", "--volume", "nan"], "VolumeOutOfRange"),
+        (["gallery", "double-pyramid", "--volume", "inf"], "VolumeOutOfRange"),
+        (["gallery", "double-pyramid", "--base-link", "nan"], "base link"),
+        (["gallery", "cube-competitors", "--vmin=-1"], "VolumeOutOfRange"),
+        (["profile", "--model", "euclidean", "--n", "2", "--vmin", "0.1",
+          "--vmax", "inf"], "VolumeOutOfRange"),
+        (["gallery", "double-pyramid", "--theta", "1e-300", "--volume", "1e-300"],
+         "underflows"),
+        (["solve", "--polytope", "cube", "--volume", "0.1", "--level", "1",
+          "--restarts", "0"], "restarts must be at least 1"),
+        (["solve", "--polytope", "cube", "--volume", "0.1", "--level", "1",
+          "--iters", "-5"], "iterations must be at least 1"),
+    ],
+    ids=["subdivisions-0", "spike-volume-nan", "volume-nan", "volume-inf",
+         "base-link-nan", "competitors-vmin-negative", "profile-vmax-inf",
+         "underflow", "restarts-0", "iters-negative"],
+)
+def test_out_of_range_values_are_rejected(tmp_path, capsys, argv, message):
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path))
+    assert code == 2
+    assert message in err
+    assert out == "" and not list(tmp_path.iterdir())
+
+
+def test_solve_bound_check_is_na_beyond_the_star_range(tmp_path, capsys):
+    # a cube corner ball stays in its star only up to 3*pi/4 ~ 2.356
+    code, out, _ = run(
+        capsys,
+        "solve",
+        "--polytope", "cube",
+        "--volume", "3",
+        "--level", "2",
+        "--iters", "2000",
+        "--restarts", "1",
+        "--out", str(tmp_path),
+    )
+    assert code == 0
+    assert "bound check: n/a" in out
+
+
+_FLOATS = st.sampled_from(
+    ["nan", "inf", "-inf", "-1", "0", "1e-300", "0.001", "0.05", "0.5", "3", "1e300"]
+)
+_INTS = st.sampled_from(["-1", "0", "1", "2", "3"])
+_SHAPES = st.sampled_from(sorted(BUILTIN_SHAPES))
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(
+        ["analyze", "slice", "smooth", "profile", "solve", "double-pyramid",
+         "spiked-cone", "cube-competitors"]
+    ))
+    if command == "analyze":
+        return [command, f"--polytope={draw(_SHAPES)}"]
+    if command == "slice":
+        return [command, f"--n={draw(_INTS)}", f"--N={draw(_INTS)}"]
+    if command == "smooth":
+        # cheap shapes keep the 4096-trial convexity probe fast
+        shape = draw(st.sampled_from(["square", "triangle", "cube"]))
+        dirs = draw(st.sampled_from(["-1", "0", "8"]))
+        return [command, f"--polytope={shape}", f"--eps={draw(_FLOATS)}", f"--dirs={dirs}"]
+    if command == "profile":
+        model = draw(st.sampled_from(["euclidean", "sphere", "cone"]))
+        return [command, f"--model={model}", f"--n={draw(_INTS)}",
+                f"--omega={draw(_FLOATS)}", f"--vmin={draw(_FLOATS)}",
+                f"--vmax={draw(_FLOATS)}", f"--points={draw(_INTS)}"]
+    if command == "solve":
+        level = draw(st.sampled_from(["-1", "0", "1", "2", "9"]))
+        iters = draw(st.sampled_from(["-5", "0", "1", "300"]))
+        return [command, f"--polytope={draw(_SHAPES)}", f"--volume={draw(_FLOATS)}",
+                f"--level={level}", f"--iters={iters}", f"--restarts={draw(_INTS)}"]
+    if command == "double-pyramid":
+        return ["gallery", command, f"--theta={draw(_FLOATS)}",
+                f"--volume={draw(_FLOATS)}", f"--base-link={draw(_FLOATS)}"]
+    if command == "spiked-cone":
+        return ["gallery", command, f"--half-angle={draw(_FLOATS)}",
+                f"--spike-height={draw(_FLOATS)}", f"--subdivisions={draw(_INTS)}",
+                f"--volume={draw(_FLOATS)}"]
+    return ["gallery", command, f"--vmin={draw(_FLOATS)}", f"--vmax={draw(_FLOATS)}",
+            f"--points={draw(_INTS)}"]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(argv=_argv())
+def test_fuzzed_flags_end_in_a_documented_exit_code(tmp_path_factory, argv):
+    out = tmp_path_factory.mktemp("fuzz")
+    assert dispatch(argv + ["--out", str(out)]) in (0, 2, 3), argv

@@ -97,6 +97,12 @@ def test_hypercube_vertex_link():
     assert cone.link_volume == pytest.approx(2 * math.pi, abs=1e-6)
 
 
+def test_regular_4_simplex_vertex_link():
+    # four regular-tetrahedron corners, each of solid angle arccos(23/27)
+    cone = link_volume(shapes.simplex4(), 0)
+    assert cone.link_volume == pytest.approx(4 * math.acos(23 / 27), abs=1e-12)
+
+
 def test_square_vertex_link_counts_two_points():
     # the link of a corner of a boundary curve is a pair of points,
     # so its 0-dimensional measure is simply 2

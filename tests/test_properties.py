@@ -8,10 +8,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
-from polyperim.cones import deficit_sum
+from polyperim.cones import _cell_solid_angle, deficit_sum, link_volume
 from polyperim.errors import InvalidPolytope
 from polyperim.mesh import subdivide
 from polyperim.polytope import MERGE_TOL, Polytope
+from polyperim.solver import vertex_ball_region
 
 
 def sphere_points(m: int, seed: int) -> np.ndarray:
@@ -54,3 +55,42 @@ def test_random_hull_identities(m, seed):
     merged = Polytope.from_vertices(np.insert(points, k + 1, points[k] + nudge, axis=0))
     assert np.array_equal(merged.vertices, points)
     assert merged.facets == poly.facets
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(m=st.integers(5, 120), seed=st.integers(0, 2**32 - 1))
+def test_vertex_solid_angles_satisfy_brianchon_gram(m, seed):
+    # sum_v Omega_v = 2 sum_e theta_e - 2 pi F + 4 pi, with interior solid
+    # angles Omega_v and interior dihedral angles theta_e
+    poly = Polytope.from_vertices(sphere_points(m, seed))
+    facets_of_edge = {}
+    for fi in range(len(poly.facets)):
+        ring = poly.facet_ring(fi).tolist()
+        for e in zip(ring, ring[1:] + ring[:1]):
+            facets_of_edge.setdefault(frozenset(e), []).append(fi)
+    normals = poly.facet_normals
+    dihedral = [
+        math.pi - math.acos(np.clip(normals[f] @ normals[g], -1.0, 1.0))
+        for f, g in facets_of_edge.values()
+    ]
+    solid = [_cell_solid_angle(poly.vertices, v) for v in range(len(poly.vertices))]
+    expected = 2.0 * math.fsum(dihedral) - 2.0 * math.pi * len(poly.facets) + 4.0 * math.pi
+    assert math.fsum(solid) == pytest.approx(expected, abs=1e-10)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(
+    m=st.integers(5, 40),
+    seed=st.integers(0, 2**32 - 1),
+    level=st.integers(1, 3),
+    fraction=st.floats(1e-3, 1.0),
+)
+def test_vertex_ball_area_is_within_one_triangle(m, seed, level, fraction):
+    poly = Polytope.from_vertices(sphere_points(m, seed))
+    mesh = subdivide(poly, level)
+    vertex = seed % len(poly.vertices)
+    volume = fraction * link_volume(poly, vertex).valid_volume_max
+    region = vertex_ball_region(mesh, vertex, volume)
+    assert abs(region.area - volume) <= mesh.areas.max() + 1e-12
+    incident = poly.incident_facets(vertex)
+    assert np.isin(mesh.facet_of[region.mask], incident).all()

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -12,6 +13,7 @@ from polyperim.errors import (
 )
 from polyperim.slicing import (
     SlicePiece,
+    _piece_vertices,
     build_frame,
     classify_pieces,
     congruent_shape,
@@ -213,3 +215,36 @@ def test_classify_rejects_same_level_pieces_that_are_not_translates():
     ]
     with pytest.raises(NumericalError, match="not translates"):
         classify_pieces(pieces)
+
+
+# Recorded from the earlier implementation, which clamped every choice of
+# n walls and deduplicated the candidates; values and row order are pinned.
+PIECE_VERTEX_DIGESTS = {
+    1: "6eb3fb5109a9dfd5",
+    2: "63fc4e012417504f",
+    3: "1241c96ec1dbdcc6",
+    4: "d414ca1eeb9e4d94",
+}
+
+
+@pytest.mark.parametrize("n", sorted(PIECE_VERTEX_DIGESTS))
+def test_piece_vertices_are_pinned(n):
+    frame = build_frame(n)
+    h = hashlib.sha256()
+    for piece in enumerate_pieces(n, 3):
+        verts = _piece_vertices(frame, piece.index)
+        h.update(np.int64(len(verts)).tobytes())
+        h.update(np.ascontiguousarray(verts, "<f8").tobytes())
+    assert h.hexdigest()[:16] == PIECE_VERTEX_DIGESTS[n]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_piece_vertices_are_the_shifted_hypersimplex(n):
+    frame = build_frame(n)
+    for k in itertools.product(range(-1, 3), repeat=n + 1):
+        if not piece_is_nonempty(k, n):
+            continue
+        z = frame.coordinates(_piece_vertices(frame, k)) + np.asarray(k)
+        corners = [c for c in itertools.product((0, 1), repeat=n + 1) if sum(c) == sum(k)]
+        assert sorted(map(tuple, np.round(z).astype(int))) == corners
+        assert np.allclose(z, np.round(z), atol=1e-12)

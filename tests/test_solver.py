@@ -1,10 +1,17 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from polyperim import shapes
-from polyperim.errors import NoFeasibleRegion, VolumeOutOfRange, VolumeTooLarge
+from polyperim.cones import link_volume
+from polyperim.errors import (
+    NoFeasibleRegion,
+    ValidationError,
+    VolumeOutOfRange,
+    VolumeTooLarge,
+)
 from polyperim.mesh import SurfaceMesh, subdivide
 from polyperim.solver import (
     Region,
@@ -88,12 +95,54 @@ def test_vertex_ball_region_guards():
         vertex_ball_region(mesh, 99, 0.1)
 
 
+# Recorded from the earlier implementation, which grew or trimmed the raw
+# radius cut one triangle at a time; one digest per mesh level 3, 4, 5.
+BALL_MASK_DIGESTS = {
+    "cube": ("4ebaf838d2e4ed3f", "49af882d8dad6e7e", "9c60986aecbd3534"),
+    "tetrahedron": ("ae604453ca06e185", "096c577ab5e78dcc", "7606fe32fac46712"),
+    "square_pyramid": ("ba73746adc963511", "329dafe33c53267b", "500d176b604bed7d"),
+}
+
+
+def _ball_digest(mesh, cases):
+    h = hashlib.sha256()
+    for vertex, volume in cases:
+        mask = vertex_ball_region(mesh, vertex, float(volume)).mask
+        h.update(np.packbits(mask).tobytes())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name", sorted(BALL_MASK_DIGESTS))
+def test_vertex_ball_masks_are_pinned(name):
+    poly = getattr(shapes, name)()
+    cases = [
+        (v, f * link_volume(poly, v).valid_volume_max)
+        for v in range(len(poly.vertices))
+        for f in np.geomspace(1e-3, 1.0, 25)
+    ]
+    for level, expected in zip((3, 4, 5), BALL_MASK_DIGESTS[name]):
+        assert _ball_digest(subdivide(poly, level), cases) == expected, level
+
+
+def test_vertex_ball_masks_are_pinned_on_the_level7_cube():
+    mesh = subdivide(shapes.cube(), 7)
+    cases = [(0, v) for v in np.geomspace(0.01, 0.2, 16)]
+    assert _ball_digest(mesh, cases) == "5b15d0af3d7063e7"
+
+
 def test_default_config_scales_to_mesh():
     mesh = subdivide(shapes.cube(), 2)
     cfg = default_config(mesh, seed=5, iterations=1000, restarts=3)
     assert cfg.seed == 5 and cfg.restarts == 3
     assert cfg.mu == pytest.approx(30.0 * mesh.max_edge_length() / mesh.areas.min())
     assert cfg.cooling**1000 == pytest.approx(1e-3, rel=1e-9)
+
+
+@pytest.mark.parametrize("iterations, restarts", [(1000, 0), (0, 3), (-5, 3)])
+def test_default_config_rejects_empty_runs(iterations, restarts):
+    mesh = subdivide(shapes.cube(), 1)
+    with pytest.raises(ValidationError):
+        default_config(mesh, iterations=iterations, restarts=restarts)
 
 
 def test_minimize_perimeter_quick_run_is_deterministic():
