@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, shapes
-from .cones import apex_ball_profile, deficit_sum, optimal_vertex, vertex_cones
+from .cones import apex_ball_profile, rank_by_link, vertex_cones
 from .errors import BadDocument, NumericalError, ValidationError, VolumeOutOfRange
 from .gallery import (
     competitor_table,
@@ -317,7 +317,7 @@ def _cmd_analyze(args: argparse.Namespace, out: Path) -> int:
     poly, digest = _load_polytope_arg(args)
     manifest = _manifest(args, digest)
     cones = vertex_cones(poly)
-    best_index, _ = optimal_vertex(poly)
+    best_index = rank_by_link(cones)[0].vertex_index
     rows = []
     for cone in cones:
         prof = apex_ball_profile(cone)
@@ -350,8 +350,9 @@ def _cmd_analyze(args: argparse.Namespace, out: Path) -> int:
             f"alternate convention (n-2)/(n-1) = {_g(variant)}"
         )
     if poly.dim == 3:
+        deficits = sum(2.0 * math.pi - c.link_volume for c in cones)
         print(
-            f"link deficit sum: {_g(deficit_sum(poly))} "
+            f"link deficit sum: {_g(deficits)} "
             f"(4*pi = {_g(4.0 * math.pi)})"
         )
     return EXIT_OK
@@ -442,7 +443,7 @@ def _cmd_solve(args: argparse.Namespace, out: Path) -> int:
     poly, digest = _load_polytope_arg(args)
     manifest = _manifest(args, digest)
     mesh = subdivide(poly, args.level)
-    ranked = sorted(vertex_cones(poly), key=lambda c: (c.link_volume, c.vertex_index))
+    ranked = rank_by_link(vertex_cones(poly))
     bound = math.sqrt(2.0 * ranked[0].link_volume * args.volume)
     kappa = anisotropy_bound(mesh)
     config = default_config(

@@ -44,6 +44,8 @@ from .polytope import (
 )
 from .profiles import sphere_measure
 
+LINK_RTOL = 1e-12  # relative; links this close count as equal
+
 
 @dataclass(frozen=True)
 class VertexCone:
@@ -277,11 +279,21 @@ def apex_ball_profile(cone: VertexCone) -> PowerLawProfile:
     return PowerLawProfile(c, (n - 1.0) / n, cone.valid_volume_max, omega, n)
 
 
+def rank_by_link(cones: list[VertexCone]) -> list[VertexCone]:
+    """Cones by increasing link, each ranked as the smallest link within
+    LINK_RTOL (relative) below its own and ties going to the lowest vertex
+    index, so rounding never orders equal links (the hypercube's 2*pi)."""
+    links = np.sort([c.link_volume for c in cones])
+    return sorted(cones, key=lambda c: (
+        links[np.searchsorted(links, c.link_volume / (1.0 + LINK_RTOL))],
+        c.vertex_index,
+    ))
+
+
 def optimal_vertex(poly: Polytope) -> tuple[int, PowerLawProfile]:
-    """Vertex of smallest link measure (lowest index wins ties)."""
-    cones = vertex_cones(poly)
-    best = min(range(len(cones)), key=lambda i: (cones[i].link_volume, i))
-    return best, apex_ball_profile(cones[best])
+    """Vertex of smallest link measure, by the rule of ``rank_by_link``."""
+    best = rank_by_link(vertex_cones(poly))[0]
+    return best.vertex_index, apex_ball_profile(best)
 
 
 @dataclass(frozen=True)
@@ -306,15 +318,15 @@ def single_ball_allocation(volume: float, cones: list[VertexCone]) -> BallAlloca
         raise ValueError("need at least one cone")
     if len({c.surface_dim for c in cones}) != 1:
         raise ValueError("cones must share the surface dimension")
-    best = min(range(len(cones)), key=lambda i: (cones[i].link_volume, i))
-    profile = apex_ball_profile(cones[best])
+    best = rank_by_link(cones)[0]
+    profile = apex_ball_profile(best)
     if volume > profile.valid_volume_max * (1 + 1e-12):
         raise VolumeTooLarge(
             f"volume {volume} exceeds validity bound "
             f"{profile.valid_volume_max} of the chosen cone"
         )
     return BallAllocation(
-        vertex_index=cones[best].vertex_index,
+        vertex_index=best.vertex_index,
         volume=volume,
         perimeter=profile.area(volume),
         profile=profile,
@@ -325,10 +337,7 @@ def deficit_sum(poly: Polytope) -> float:
     """Sum of angle deficits 2*pi - omega over all vertices of a 3-polytope."""
     if poly.dim != 3:
         raise UnsupportedDimension("deficit sum is defined for d = 3")
-    return float(
-        sum(2.0 * math.pi - link_volume(poly, v).link_volume
-            for v in range(len(poly.vertices)))
-    )
+    return float(sum(2.0 * math.pi - c.link_volume for c in vertex_cones(poly)))
 
 
 def renormalize_link(cone: VertexCone) -> float:

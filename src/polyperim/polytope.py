@@ -204,6 +204,11 @@ class Polytope:
         self._on_facet = np.abs(side) <= limit
         self._check_incidence()
         self._check_closure()
+        incident: list[list[int]] = [[] for _ in range(len(self.vertices))]
+        for fi, f in enumerate(self.facets):
+            for v in f:
+                incident[v].append(fi)
+        self._incident = tuple(tuple(fis) for fis in incident)
         self._ordered_cache: dict[int, np.ndarray] = {}
 
     # -- validation pieces ------------------------------------------------
@@ -275,8 +280,9 @@ class Polytope:
         """Boolean mask of vertices lying on the given facet plane."""
         return self._on_facet[:, facet_index]
 
-    def incident_facets(self, vertex_index: int) -> list[int]:
-        return [fi for fi, f in enumerate(self.facets) if vertex_index in f]
+    def incident_facets(self, vertex_index: int) -> tuple[int, ...]:
+        """Indices of the facets containing a vertex, in increasing order."""
+        return self._incident[vertex_index]
 
     def facet_points(self, facet_index: int) -> np.ndarray:
         return self.vertices[list(self.facets[facet_index])]

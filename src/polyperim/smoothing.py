@@ -22,6 +22,12 @@ continuum construction hold *exactly* for the discrete object:
 * monotonicity — antipodal node pairs make eps -> F_eps(x) even and convex,
   hence nondecreasing for eps >= 0, so Q_eps only shrinks as eps grows.
 
+Containment has a converse: F is (1/r_in)-Lipschitz (unit facet normals,
+offsets at least the inradius r_in) and every node lies in the open unit
+ball, so F <= F_eps < F + eps / r_in.  Along a direction u with plain radius
+rho(u) = 1 / F(u), the boundary radius of Q_eps therefore lies in the bracket
+[(1 - eps / r_in) rho(u), rho(u)], where ``smoothed_body`` starts bisecting.
+
 The quadrature itself is accurate: with 32 radial Gauss-Legendre nodes the
 raw kernel mass matches the true integral of the bump to ~1e-9 (recorded as
 ``Mollifier.mass_error`` and required below MASS_TOL).
@@ -47,16 +53,8 @@ from .profiles import sphere_measure
 MASS_TOL = 1e-8
 RADIAL_NODES = 32
 BISECT_ITERS = 48
+INSIDE_TOL = 1e-12
 _CHUNK = 1 << 21
-
-
-def _bump(r: np.ndarray) -> np.ndarray:
-    """Unnormalized smooth bump exp(-1/(1-r^2)) on [0, 1)."""
-    r = np.asarray(r, float)
-    out = np.zeros_like(r)
-    inside = r < 1.0
-    out[inside] = np.exp(-1.0 / (1.0 - r[inside] ** 2))
-    return out
 
 
 @dataclass(frozen=True)
@@ -89,10 +87,6 @@ class GaugeFunction:
         x = np.asarray(x, float) - self.origin
         vals = (x @ self.normals.T) / self.offsets
         return vals.max(axis=-1)
-
-
-def gauge(poly: Polytope, origin: np.ndarray | None, x: np.ndarray) -> np.ndarray:
-    return GaugeFunction.from_polytope(poly, origin)(x)
 
 
 def _ball_quadrature(dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -130,10 +124,11 @@ class Mollifier:
 
     @classmethod
     def build(cls, dim: int, epsilon: float) -> "Mollifier":
-        if epsilon <= 0:
+        if not epsilon > 0:
             raise ValueError("epsilon must be positive")
         nodes, base = _ball_quadrature(dim)
-        raw = base * _bump(np.linalg.norm(nodes, axis=1))
+        # the bump exp(-1/(1-r^2)); every node lies in the open unit ball
+        raw = base * np.exp(-1.0 / (1.0 - np.linalg.norm(nodes, axis=1) ** 2))
         mass = float(raw.sum())
         radial, _ = quad(
             lambda s: math.exp(-1.0 / (1.0 - s * s)) * s ** (dim - 1),
@@ -249,62 +244,30 @@ class SmoothedBody:
     def level(self, x: np.ndarray) -> np.ndarray:
         return mollify(self.gauge_fn, self.mollifier, x)
 
-    def contains(self, x: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    def contains(self, x: np.ndarray, tol: float = INSIDE_TOL) -> np.ndarray:
         return self.level(x) <= 1.0 + tol
 
 
-def _default_resolution(dim: int) -> int:
-    return 96 if dim == 2 else 24
-
-
 def smoothed_body(
-    poly: Polytope,
-    epsilon: float,
-    resolution: int | None = None,
-    mollifier: Mollifier | None = None,
-    origin: np.ndarray | None = None,
+    poly: Polytope, epsilon: float, resolution: int | None = None
 ) -> SmoothedBody:
-    """Compute { F_eps <= 1 } by per-direction bisection on the radius."""
-    fn = GaugeFunction.from_polytope(poly, origin)
+    """Compute { F_eps <= 1 } about the origin by per-direction bisection,
+    each radius starting in the bracket [(1 - eps / r_in) rho(u), rho(u)]."""
+    fn = GaugeFunction.from_polytope(poly)
     if epsilon >= 0.5 * fn.inradius:
         raise RootNotBracketed(
             f"epsilon {epsilon} is not below half the inradius "
-            f"{fn.inradius} about the chosen origin"
+            f"{fn.inradius} about the origin"
         )
-    if mollifier is None:
-        mollifier = Mollifier.build(poly.dim, epsilon)
-    if mollifier.dim != poly.dim or mollifier.epsilon != epsilon:
-        raise ValueError("mollifier does not match the polytope/epsilon")
+    mollifier = Mollifier.build(poly.dim, epsilon)
     if resolution is None:
-        resolution = _default_resolution(poly.dim)
+        resolution = 96 if poly.dim == 2 else 24
     dirs, w = sphere_quadrature(poly.dim, resolution)
-    center = mollify(fn, mollifier, fn.origin[None, :])[0]
-    if center >= 1.0:
-        raise RootNotBracketed(
-            f"mollified gauge is {center:.6g} >= 1 at the origin; "
-            "epsilon too large for this body"
-        )
-    points = lambda t: fn.origin + t[:, None] * dirs  # noqa: E731
-    lo = np.zeros(len(dirs))
-    circum = float(
-        np.linalg.norm(poly.vertices - fn.origin, axis=1).max()
-    )
-    hi = np.full(len(dirs), circum + epsilon + 1.0)
-    vals_hi = mollify(fn, mollifier, points(hi))
-    for _ in range(60):
-        bad = vals_hi <= 1.0
-        if not bad.any():
-            break
-        hi[bad] *= 2.0
-        vals_hi[bad] = mollify(
-            fn, mollifier, fn.origin + hi[bad, None] * dirs[bad]
-        )
-    else:
-        raise RootNotBracketed("could not bracket the unit level set")
+    hi = 1.0 / fn(dirs)
+    lo = (1.0 - epsilon / fn.inradius) * hi
     for _ in range(BISECT_ITERS):
         mid = 0.5 * (lo + hi)
-        vals = mollify(fn, mollifier, points(mid))
-        below = vals < 1.0
+        below = mollify(fn, mollifier, mid[:, None] * dirs) < 1.0
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     return SmoothedBody(
@@ -343,24 +306,22 @@ def convexity_probe(body: SmoothedBody, trials: int = 10_000, seed: int = 0) -> 
     d = body.polytope.dim
     lo = body.polytope.vertices.min(axis=0)
     hi = body.polytope.vertices.max(axis=0)
-    chunks: list[np.ndarray] = []
     need = 2 * trials
-    have = 0
-    while have < need:
+    pts, f = np.empty((0, d)), np.empty(0)
+    while len(pts) < need:
         cand = rng.uniform(lo, hi, size=(2 * need, d))
-        keep = cand[body.contains(cand)]
-        chunks.append(keep)
-        have += len(keep)
-    pts = np.concatenate(chunks)[:need]
+        level = body.level(cand)
+        keep = level <= 1.0 + INSIDE_TOL
+        pts, f = np.vstack([pts, cand[keep]]), np.concatenate([f, level[keep]])
+    pts, f = pts[:need], f[:need]
     x, y = pts[:trials], pts[trials:]
+    fx, fy = f[:trials], f[trials:]
     lam = rng.uniform(0.0, 1.0, size=trials)
-    fx = body.level(x)
-    fy = body.level(y)
     mix = body.level(lam[:, None] * x + (1.0 - lam[:, None]) * y)
     mid = body.level(0.5 * (x + y))
     violation = float(np.max(mix - (lam * fx + (1.0 - lam) * fy)))
     mid_violation = float(np.max(mid - 0.5 * (fx + fy)))
-    gap = float(np.max(body.gauge_fn(pts) - np.concatenate([fx, fy])))
+    gap = float(np.max(body.gauge_fn(pts) - f))
     return ConvexityReport(
         trials=trials,
         max_violation=violation,

@@ -280,6 +280,29 @@ def test_numerical_exit_code(tmp_path, capsys):
     assert "RootNotBracketed" in err
 
 
+def test_nan_epsilon_is_a_validation_error(tmp_path, capsys):
+    code, _, err = run(
+        capsys,
+        "smooth",
+        "--polytope", "square",
+        "--eps", "nan",
+        "--out", str(tmp_path),
+    )
+    assert code == 2
+    assert "epsilon must be positive" in err
+
+
+def test_analyze_hypercube_marks_vertex_zero(tmp_path, capsys):
+    # all sixteen links are 2*pi up to rounding, so the lowest index wins
+    code, out, _ = run(
+        capsys, "analyze", "--polytope", "hypercube", "--out", str(tmp_path)
+    )
+    assert code == 0
+    _, _, rows = read_artifact(tmp_path / "analysis.csv")
+    assert [r[6] for r in rows] == ["true"] + ["false"] * 15
+    assert "optimal vertex: 0 " in out
+
+
 def test_reruns_are_byte_identical(tmp_path, capsys):
     argv = [
         "profile",

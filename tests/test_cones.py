@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from polyperim.cones import (
     deficit_sum,
     link_volume,
     optimal_vertex,
+    rank_by_link,
     renormalize_link,
     single_ball_allocation,
     tet_solid_angle,
@@ -160,6 +162,26 @@ def test_optimal_vertex_prefers_sharpest_corner():
     assert profile.link_volume == pytest.approx(
         _corner_angle_oracle(poly, 4), abs=LINK_TOL
     )
+
+
+def test_hypercube_smallest_link_is_vertex_zero():
+    # all sixteen links are 2*pi, vertex 0's sum lands a few ulps above it
+    cones = vertex_cones(shapes.hypercube())
+    assert cones[0].link_volume != min(c.link_volume for c in cones)
+    assert optimal_vertex(shapes.hypercube())[0] == 0
+    assert single_ball_allocation(1e-3, cones).vertex_index == 0
+
+
+def test_rank_by_link_treats_links_within_tolerance_as_equal():
+    base = link_volume(shapes.cube(), 0)
+    links = [2.0, 1.0 + 4e-13, 1.0, 2.0 - 1e-15, 1.5, 1.0 + 1e-9]
+    cones = [
+        dataclasses.replace(base, vertex_index=i, link_volume=omega)
+        for i, omega in enumerate(links)
+    ]
+    order = [c.vertex_index for c in rank_by_link(cones)]
+    assert order == [1, 2, 5, 4, 0, 3]
+    assert single_ball_allocation(1e-3, cones[::-1]).vertex_index == 1
 
 
 def test_single_ball_allocation():

@@ -12,6 +12,7 @@ from polyperim.cones import _cell_solid_angle, deficit_sum, link_volume
 from polyperim.errors import InvalidPolytope
 from polyperim.mesh import subdivide
 from polyperim.polytope import MERGE_TOL, Polytope
+from polyperim.smoothing import GaugeFunction, convexity_probe, smoothed_body
 from polyperim.solver import vertex_ball_region
 
 
@@ -36,6 +37,9 @@ def test_random_hull_identities(m, seed):
     assert len(poly.vertices) - len(edges) + facet_count == 2
 
     assert deficit_sum(poly) == pytest.approx(4.0 * math.pi, abs=1e-9)
+    for v in range(len(points)):
+        scan = tuple(fi for fi, f in enumerate(poly.facets) if v in f)
+        assert poly.incident_facets(v) == scan
     measures = np.array([poly.facet_measure(fi) for fi in range(facet_count)])
     assert measures.sum() == pytest.approx(ConvexHull(points).area, rel=1e-12)
 
@@ -94,3 +98,37 @@ def test_vertex_ball_area_is_within_one_triangle(m, seed, level, fraction):
     assert abs(region.area - volume) <= mesh.areas.max() + 1e-12
     incident = poly.incident_facets(vertex)
     assert np.isin(mesh.facet_of[region.mask], incident).all()
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    dim=st.sampled_from([2, 3]),
+    m=st.integers(5, 10),
+    seed=st.integers(0, 2**32 - 1),
+    fraction=st.floats(0.01, 0.99),
+)
+def test_smoothed_body_lies_in_its_proven_bracket(dim, m, seed, fraction):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(m, dim))
+    x /= np.linalg.norm(x, axis=1)[:, None]
+    verts = x[ConvexHull(x).vertices]
+    poly = Polytope.from_vertices(verts - verts.mean(axis=0))
+    fn = GaugeFunction.from_polytope(poly)
+    eps = fraction * 0.5 * fn.inradius
+    body = smoothed_body(poly, eps, resolution=16 if dim == 2 else 4)
+
+    rho = body.plain_radii()
+    assert np.all((1.0 - eps / fn.inradius) * rho <= body.radii)
+    assert np.all(body.radii <= rho)
+    assert np.abs(body.level(body.boundary_points) - 1.0).max() <= 1e-9
+
+    # F <= F_eps < F + eps / r_in, the two bounds behind the bracket
+    pts = rng.uniform(-1.5, 1.5, size=(100, dim))
+    plain, smooth = fn(pts), body.level(pts)
+    assert np.all(smooth >= plain - 1e-12)
+    assert np.all(smooth <= plain + eps / fn.inradius + 1e-12)
+
+    probe = convexity_probe(body, trials=32, seed=seed % 1000)
+    assert probe.max_violation <= 1e-9
+    assert probe.max_midpoint_violation <= 1e-9
+    assert probe.max_gauge_gap <= 1e-9

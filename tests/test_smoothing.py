@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +16,6 @@ from polyperim.smoothing import (
     GaugeFunction,
     Mollifier,
     convexity_probe,
-    gauge,
     mollify,
     smoothed_body,
     sphere_quadrature,
@@ -44,9 +45,7 @@ def test_gauge_origin_must_be_interior():
         GaugeFunction.from_polytope(shapes.square(), origin=[2.0, 0.5])
     shifted = GaugeFunction.from_polytope(shapes.square(), origin=[0.5, 0.0])
     assert shifted.inradius == pytest.approx(0.5, abs=1e-12)
-    assert gauge(shapes.square(), [0.5, 0.0], np.array([[1.0, 0.0]])) == (
-        pytest.approx(1.0, abs=1e-12)
-    )
+    assert shifted(np.array([[1.0, 0.0]])) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -64,6 +63,13 @@ def test_mollifier_rejects_bad_input():
         Mollifier.build(2, 0.0)
     with pytest.raises(UnsupportedDimension):
         Mollifier.build(4, 0.1)
+
+
+def test_nan_epsilon_is_rejected_as_not_positive():
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        Mollifier.build(2, math.nan)
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        smoothed_body(shapes.square(), math.nan)
 
 
 def test_mollify_is_exact_on_linear_functions():
@@ -149,8 +155,6 @@ def test_smoothed_cube_quick():
 def test_smoothed_body_epsilon_guard():
     with pytest.raises(RootNotBracketed):
         smoothed_body(shapes.square(), 0.5)  # half the inradius exactly
-    with pytest.raises(ValueError):
-        smoothed_body(shapes.square(), 0.1, mollifier=Mollifier.build(2, 0.2))
 
 
 def test_convexity_probe_on_square():
@@ -162,3 +166,23 @@ def test_convexity_probe_on_square():
     assert report.max_gauge_gap <= 1e-9
     with pytest.raises(ValueError):
         convexity_probe(body, trials=0)
+
+
+#: Radii recorded before the bisection started from its proven bracket:
+#: criterion 7's bodies at the default resolution and the benchmark's bodies.
+PINNED_RADII = json.loads(
+    (Path(__file__).parent / "data" / "smoothed_radii.json").read_text()
+)
+PINNED_SHAPES = {
+    "square": shapes.square,
+    "cube2": lambda: shapes.cube(side=2.0),
+    "octahedron": shapes.octahedron,
+}
+
+
+@pytest.mark.parametrize("key", list(PINNED_RADII))
+def test_smoothed_radii_are_pinned(key):
+    shape, eps, res = key.split("-")
+    resolution = None if res == "rdefault" else int(res[1:])
+    body = smoothed_body(PINNED_SHAPES[shape](), float(eps[3:]), resolution=resolution)
+    assert np.abs(body.radii - PINNED_RADII[key]).max() <= 1e-13
