@@ -388,6 +388,8 @@ def _cmd_slice(args: argparse.Namespace, out: Path) -> int:
 
 
 def _cmd_smooth(args: argparse.Namespace, out: Path) -> int:
+    if args.dirs < 1:
+        raise ValidationError(f"--dirs must be at least 1, got {args.dirs}")
     poly, digest = _load_polytope_arg(args)
     manifest = _manifest(args, digest)
     d = poly.dim
@@ -505,26 +507,20 @@ def _cmd_gallery(args: argparse.Namespace, out: Path) -> int:
     manifest = _manifest(args)
     if args.exhibit == "double-pyramid":
         rep = double_pyramid_report(args.theta, args.volume, args.base_link)
+        columns = (
+            "theta",
+            "volume",
+            "one_sided_area",
+            "glued_ball_area",
+            "ratio",
+            "metric_ball_minimizing",
+        )
         _emit_csv(
             out,
             "double_pyramid.csv",
             manifest,
-            [
-                "theta",
-                "volume",
-                "one_sided_area",
-                "glued_ball_area",
-                "ratio",
-                "metric_ball_minimizing",
-            ],
-            [[
-                _fmt(rep.theta),
-                _fmt(rep.volume),
-                _fmt(rep.one_sided_area),
-                _fmt(rep.glued_ball_area),
-                _fmt(rep.ratio),
-                _fmt(rep.metric_ball_minimizing),
-            ]],
+            columns,
+            [[_fmt(getattr(rep, c)) for c in columns]],
         )
         print(f"ratio: {_g(rep.ratio)} (sqrt(2) = {_g(math.sqrt(2.0))})")
         print("metric ball minimizing: false")
@@ -541,30 +537,22 @@ def _cmd_gallery(args: argparse.Namespace, out: Path) -> int:
             subdivisions=args.subdivisions,
             reference_volume=args.volume,
         )
+        columns = (
+            "theta_p",
+            "q_link",
+            "apex_link",
+            "hypercube_link",
+            "q_wins",
+            "reference_volume",
+            "q_perimeter",
+            "apex_perimeter",
+        )
         _emit_csv(
             out,
             "spiked_cone.csv",
             manifest,
-            [
-                "theta_p",
-                "q_link",
-                "apex_link",
-                "hypercube_link",
-                "q_wins",
-                "reference_volume",
-                "q_perimeter",
-                "apex_perimeter",
-            ],
-            [[
-                _fmt(rep.theta_p),
-                _fmt(rep.q_link),
-                _fmt(rep.apex_link),
-                _fmt(rep.hypercube_link),
-                _fmt(rep.q_wins),
-                _fmt(rep.reference_volume),
-                _fmt(rep.q_perimeter),
-                _fmt(rep.apex_perimeter),
-            ]],
+            columns,
+            [[_fmt(getattr(rep, c)) for c in columns]],
         )
         print(f"spike apex link: {_g(rep.theta_p)}")
         print(f"q link 2*theta_p: {_g(rep.q_link)}")

@@ -152,14 +152,15 @@ class Polytope:
     Attributes
     ----------
     vertices : (m, d) float array
-    facets : tuple of sorted vertex-index tuples, lexicographically sorted
+    facets : tuple of sorted vertex-index tuples, lexicographically sorted;
+        pass None to take the facets of the vertices' convex hull
     facet_normals : (F, d) outward unit normals
     facet_offsets : (F,) plane offsets, so a facet plane is {a . x = b}
     name : optional label carried through serialization
     """
 
     vertices: np.ndarray
-    facets: tuple[tuple[int, ...], ...]
+    facets: tuple[tuple[int, ...], ...] | None
     name: str | None = None
     tol: float = TOL
     facet_normals: np.ndarray = field(init=False)
@@ -174,6 +175,9 @@ class Polytope:
             raise DimensionTooHigh(f"ambient dimension {d} > {MAX_DIM}")
         if d < 2:
             raise NotFullDimensional("ambient dimension must be at least 2")
+        hull = None
+        if self.facets is None:
+            hull = self.facets = enumerate_facets(self.vertices, self.tol)
         m = len(self.vertices)
         canon = []
         for f in self.facets:
@@ -203,7 +207,7 @@ class Polytope:
         self._check_coplanarity(side, limit)
         self._on_facet = np.abs(side) <= limit
         self._check_incidence()
-        self._check_closure()
+        self._check_closure(hull)
         incident: list[list[int]] = [[] for _ in range(len(self.vertices))]
         for fi, f in enumerate(self.facets):
             for v in f:
@@ -252,8 +256,9 @@ class Polytope:
                 f"expected at least {d} (not in convex position?)"
             )
 
-    def _check_closure(self) -> None:
-        hull = enumerate_facets(self.vertices, self.tol)
+    def _check_closure(self, hull: list[tuple[int, ...]] | None) -> None:
+        if hull is None:
+            hull = enumerate_facets(self.vertices, self.tol)
         if list(self.facets) != hull:
             missing = sorted(set(hull) - set(self.facets))
             raise InvalidPolytope(
@@ -321,9 +326,9 @@ class Polytope:
         if verts.ndim != 2:
             raise NotFullDimensional("vertex array must be 2-dimensional")
         verts, _ = _dedupe_with_map(verts)
-        if facets is None:
-            facets = enumerate_facets(verts)
-        return cls(verts, tuple(tuple(f) for f in facets), name=name)
+        if facets is not None:
+            facets = tuple(tuple(f) for f in facets)
+        return cls(verts, facets, name=name)
 
     @classmethod
     def from_document(cls, doc: dict) -> "Polytope":
@@ -358,9 +363,7 @@ class Polytope:
                 facets = [tuple(sorted({remap[int(i)] for i in f})) for f in raw_facets]
             except (TypeError, ValueError, IndexError) as exc:
                 raise BadDocument(f"bad facet index list: {exc}") from None
-        if facets is None:
-            facets = enumerate_facets(verts)
-        return cls(verts, tuple(facets), name=name)
+        return cls(verts, facets, name=name)
 
     @classmethod
     def loads(cls, text: str) -> "Polytope":

@@ -74,13 +74,6 @@ class Region:
         a = self.mesh.areas[self.mask]
         return (a[:, None] * self.mesh.centroids[self.mask]).sum(axis=0) / a.sum()
 
-    def complement(self) -> "Region":
-        return Region(mesh=self.mesh, mask=~self.mask)
-
-    def boundary_edges(self) -> np.ndarray:
-        et = self.mesh.edge_triangles
-        return np.nonzero(self.mask[et[:, 0]] != self.mask[et[:, 1]])[0]
-
 
 def anisotropy_bound(mesh: SurfaceMesh) -> float:
     """Worst-case discrete-to-straight length ratio over mesh triangles."""
@@ -217,6 +210,11 @@ def vertex_ball_region(mesh: SurfaceMesh, vertex: int, volume: float) -> Region:
 # annealing internals (python lists for speed in the flip loop)
 # ---------------------------------------------------------------------------
 
+def _running_sum(values: np.ndarray) -> float:
+    """Left-to-right float sum, as a Python loop adds (``np.sum`` is pairwise)."""
+    return float(np.cumsum(np.append(0.0, values))[-1])
+
+
 class _State:
     """Mutable flip-state shared by the annealing and polish phases."""
 
@@ -225,28 +223,24 @@ class _State:
         "cand", "pos", "volume",
     )
 
-    def __init__(self, nbrs, lens, areas, init_mask, volume):
+    def __init__(self, mesh, nbrs, lens, areas, init_mask, volume):
+        mask = np.asarray(init_mask, dtype=bool)
+        cut = mask[mesh.tri_neighbors] != mask[:, None]
+        # boundary triangles in increasing order: moves are drawn by position
+        cand = np.flatnonzero(cut.any(axis=1))
+        pos = np.full(len(mask), -1)
+        pos[cand] = np.arange(len(cand))
         self.nbrs = nbrs
         self.lens = lens
         self.areas = areas
-        self.mask = list(init_mask)
+        self.mask = mask.tolist()
         self.volume = volume
-        self.cand: list[int] = []
-        self.pos = [-1] * len(areas)
-        self.count = sum(self.mask)
-        self.area = 0.0
-        self.perimeter = 0.0
-        for t, inc in enumerate(self.mask):
-            if inc:
-                self.area += areas[t]
-        for t in range(len(areas)):
-            s = self.mask[t]
-            for u, l in zip(self.nbrs[t], self.lens[t]):
-                if self.mask[u] != s:
-                    self.perimeter += l
-        self.perimeter *= 0.5
-        for t in range(len(areas)):
-            self._refresh(t)
+        self.cand = cand.tolist()
+        self.pos = pos.tolist()
+        self.count = int(mask.sum())
+        self.area = _running_sum(mesh.areas[mask])
+        # every cut edge is seen from both of its triangles
+        self.perimeter = _running_sum(mesh.edge_lengths[mesh.tri_edges][cut]) * 0.5
 
     def _refresh(self, t: int) -> None:
         s = self.mask[t]
@@ -282,6 +276,19 @@ class _State:
         self._refresh(t)
         for u in self.nbrs[t]:
             self._refresh(u)
+
+    def cheapest_flip(self, inside: bool) -> tuple[int, float, float]:
+        """(t, dp, da) of the boundary triangle on the given side whose flip
+        adds the least perimeter, the first one on ties; t = -1 if none."""
+        best_t, best_dp, best_da = -1, math.inf, 0.0
+        m = self.mask
+        for t in self.cand:
+            if m[t] != inside:
+                continue
+            dp, da = self.deltas(t)
+            if dp < best_dp:
+                best_t, best_dp, best_da = t, dp, da
+        return best_t, best_dp, best_da
 
 
 def _random_blob(rng, nbrs, areas, volume: float) -> list[bool]:
@@ -336,44 +343,36 @@ def _anneal(
         cand = state.cand
         if not cand:
             break
-        kind = block[bi]
-        t1 = cand[int(block[bi + 1] * len(cand))]
+        swap = block[bi] >= 0.5
+        t = cand[int(block[bi + 1] * len(cand))]
         r2 = block[bi + 2]
         r_acc = block[bi + 3]
         bi += 4
-        dp1, da1 = state.deltas(t1)
+        dp, da = state.deltas(t)
+        move_dp = dp
         base_gap = abs(state.area - volume)
-        if kind < 0.5:
-            new_gap = abs(state.area + da1 - volume)
-            dcost = dp1 + mu * (new_gap - base_gap)
-            if dcost <= 0.0 or (temp > 1e-300 and r_acc < exp(-dcost / temp)):
-                state.flip(t1, dp1, da1)
-                if new_gap <= feas and state.count > 0:
-                    cost = state.perimeter + mu * new_gap
-                    if cost < best_cost:
-                        best_cost = cost
-                        best_mask = list(state.mask)
-        else:
+        if swap:
+            t1, dp1, da1 = t, dp, da
             state.flip(t1, dp1, da1)
             cand = state.cand
             if not cand:
                 state.flip(t1, -dp1, -da1)
-            else:
-                t2 = cand[int(r2 * len(cand))]
-                dp2, da2 = state.deltas(t2)
-                new_gap = abs(state.area + da2 - volume)
-                dcost = dp1 + dp2 + mu * (new_gap - base_gap)
-                if dcost <= 0.0 or (
-                    temp > 1e-300 and r_acc < exp(-dcost / temp)
-                ):
-                    state.flip(t2, dp2, da2)
-                    if new_gap <= feas and state.count > 0:
-                        cost = state.perimeter + mu * new_gap
-                        if cost < best_cost:
-                            best_cost = cost
-                            best_mask = list(state.mask)
-                else:
-                    state.flip(t1, -dp1, -da1)
+                temp *= cooling
+                continue
+            t = cand[int(r2 * len(cand))]
+            dp, da = state.deltas(t)
+            move_dp = dp1 + dp
+        new_gap = abs(state.area + da - volume)
+        dcost = move_dp + mu * (new_gap - base_gap)
+        if dcost <= 0.0 or (temp > 1e-300 and r_acc < exp(-dcost / temp)):
+            state.flip(t, dp, da)
+            if new_gap <= feas and state.count > 0:
+                cost = state.perimeter + mu * new_gap
+                if cost < best_cost:
+                    best_cost = cost
+                    best_mask = list(state.mask)
+        elif swap:
+            state.flip(t1, -dp1, -da1)
         temp *= cooling
     return best_cost, best_mask
 
@@ -401,24 +400,13 @@ def _polish(state: _State, cfg: SolverConfig, max_moves: int = 5000) -> None:
             state.flip(best_t, best_dp, best_da)
             continue
         # no single flip helps; slide the boundary by one triangle
-        add_t, add_dp, add_da = -1, math.inf, 0.0
-        for t in state.cand:
-            if state.mask[t]:
-                continue
-            dp, da = state.deltas(t)
-            if dp < add_dp:
-                add_t, add_dp, add_da = t, dp, da
+        add_t, add_dp, add_da = state.cheapest_flip(False)
         if add_t < 0:
             break
+        # the addition leaves at least two triangles inside, so the removal
+        # below never empties the region
         state.flip(add_t, add_dp, add_da)
-        rem_t, rem_dp, rem_da = -1, math.inf, 0.0
-        if state.count > 1:
-            for t in state.cand:
-                if not state.mask[t]:
-                    continue
-                dp, da = state.deltas(t)
-                if dp < rem_dp:
-                    rem_t, rem_dp, rem_da = t, dp, da
+        rem_t, rem_dp, rem_da = state.cheapest_flip(True)
         net = add_dp + rem_dp + mu * (
             abs(state.area + rem_da - volume) - gap
         )
@@ -428,13 +416,7 @@ def _polish(state: _State, cfg: SolverConfig, max_moves: int = 5000) -> None:
             state.flip(add_t, -add_dp, -add_da)
             break
     while state.area < volume:
-        best_t, best_dp, best_da = -1, math.inf, 0.0
-        for t in state.cand:
-            if state.mask[t]:
-                continue
-            dp, da = state.deltas(t)
-            if dp < best_dp:
-                best_t, best_dp, best_da = t, dp, da
+        best_t, best_dp, best_da = state.cheapest_flip(False)
         if best_t < 0:
             break
         state.flip(best_t, best_dp, best_da)
@@ -456,33 +438,30 @@ def minimize_perimeter(
         )
     cfg = config if config is not None else default_config(mesh)
     feas = FEASIBILITY_FRACTION * volume
-    nbrs = [tuple(int(u) for u in row) for row in mesh.tri_neighbors]
-    lens = [
-        tuple(float(mesh.edge_lengths[e]) for e in row)
-        for row in mesh.tri_edges
-    ]
-    areas = [float(a) for a in mesh.areas]
+    nbrs = mesh.tri_neighbors.tolist()
+    lens = mesh.edge_lengths[mesh.tri_edges].tolist()
+    areas = mesh.areas.tolist()
     warm = list(warm_starts) if warm_starts else []
 
     outcomes: list[tuple[float, int, np.ndarray]] = []
     per_restart: list[float] = []
     for r in range(cfg.restarts):
         rng = np.random.default_rng([cfg.seed, r])
-        finalists: list[list[bool]] = []
+        finalists: list[np.ndarray | list[bool]] = []
         if r < len(warm):
-            init = [bool(b) for b in warm[r].mask]
+            init = warm[r].mask
             # polish the warm region directly too, in case annealing
             # wanders off without finding anything feasible
-            finalists.append(list(init))
+            finalists.append(init)
         else:
             init = _random_blob(rng, nbrs, areas, volume)
-        state = _State(nbrs, lens, areas, init, volume)
+        state = _State(mesh, nbrs, lens, areas, init, volume)
         _, best_mask = _anneal(state, cfg, rng, feas)
         if best_mask is not None:
             finalists.append(best_mask)
         best_here: tuple[float, np.ndarray] | None = None
         for mask in finalists:
-            st = _State(nbrs, lens, areas, mask, volume)
+            st = _State(mesh, nbrs, lens, areas, mask, volume)
             _polish(st, cfg)
             if abs(st.area - volume) > feas or st.count == 0:
                 continue

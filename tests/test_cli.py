@@ -344,10 +344,14 @@ def test_main_entry_point(tmp_path, capsys):
           "--restarts", "0"], "restarts must be at least 1"),
         (["solve", "--polytope", "cube", "--volume", "0.1", "--level", "1",
           "--iters", "-5"], "iterations must be at least 1"),
+        (["smooth", "--polytope", "cube", "--eps", "0.1", "--dirs", "-5"],
+         "--dirs must be at least 1"),
+        (["smooth", "--polytope", "square", "--eps", "0.1", "--dirs", "0"],
+         "--dirs must be at least 1"),
     ],
     ids=["subdivisions-0", "spike-volume-nan", "volume-nan", "volume-inf",
          "base-link-nan", "competitors-vmin-negative", "profile-vmax-inf",
-         "underflow", "restarts-0", "iters-negative"],
+         "underflow", "restarts-0", "iters-negative", "dirs-negative", "dirs-0"],
 )
 def test_out_of_range_values_are_rejected(tmp_path, capsys, argv, message):
     code, out, err = run(capsys, *argv, "--out", str(tmp_path))
