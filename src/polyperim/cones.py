@@ -24,6 +24,10 @@ Link measures:
 ``r_max`` is the conservative star-containment radius: the smallest distance
 from v to a boundary face of its star, measured inside each incident facet
 (facets are flat, so in-facet straight lines are intrinsic geodesics).
+
+Links and star radii are gathered per facet: each facet is measured once at
+all of its vertices, and a vertex's cone collects its facets' contributions
+in increasing facet order and the smallest of their distances.
 """
 
 from __future__ import annotations
@@ -106,21 +110,8 @@ def tet_solid_angle(a, b, c) -> float:
 
 
 # ---------------------------------------------------------------------------
-# link contributions per ambient dimension
+# per-facet corner data
 # ---------------------------------------------------------------------------
-
-def _facet_angle(poly: Polytope, facet_index: int, vertex: int) -> float:
-    """Interior angle of a polygonal facet at one of its vertices (d = 3)."""
-    ring = poly.facet_ring(facet_index)
-    pos = int(np.nonzero(ring == vertex)[0][0])
-    v = poly.vertices[vertex]
-    prev_pt = poly.vertices[ring[pos - 1]]
-    next_pt = poly.vertices[ring[(pos + 1) % len(ring)]]
-    u1 = prev_pt - v
-    u2 = next_pt - v
-    cr = np.linalg.norm(np.cross(u1, u2))
-    return math.atan2(float(cr), float(u1 @ u2))
-
 
 def _cell_solid_angle(points: np.ndarray, apex: int) -> float:
     """Interior solid angle of a 3-polytope (given in local 3D coords) at a
@@ -175,46 +166,77 @@ def _point_polygon_distance(p: np.ndarray, poly_pts: np.ndarray) -> float:
     )
 
 
-def _star_radius(poly: Polytope, vertex: int) -> float:
-    """Distance from a vertex to the boundary of its facet star."""
+def _facet_corners(poly: Polytope, fi: int) -> dict[int, tuple[float, float]]:
+    """Link contribution and star distance of facet ``fi`` at each of its
+    vertices.
+
+    The distance runs from the vertex to the part of the facet's boundary
+    away from it: the other end of an edge (d = 2), the ring edges not
+    touching the vertex (d = 3), the cell's 2-faces not containing it
+    (d = 4).  This is the only place that branches on the dimension.
+    """
     d = poly.dim
-    v = poly.vertices[vertex]
-    best = math.inf
-    for fi in poly.incident_facets(vertex):
-        if d == 2:
-            (a, b) = poly.facets[fi]
-            other = b if a == vertex else a
-            best = min(best, float(np.linalg.norm(poly.vertices[other] - v)))
-        elif d == 3:
-            ring = poly.facet_ring(fi)
-            k = len(ring)
-            pos = int(np.nonzero(ring == vertex)[0][0])
-            for i in range(k):
-                j = (i + 1) % k
-                if pos in (i, j):
-                    continue
-                best = min(
-                    best,
-                    _point_segment_distance(
-                        v, poly.vertices[ring[i]], poly.vertices[ring[j]]
-                    ),
-                )
-        else:
-            cell = poly.facets[fi]
-            cell_pts = poly.vertices[list(cell)]
-            origin, basis, rank = affine_span(cell_pts)
-            if rank != 3:
-                raise UnsupportedDimension("cell is not 3-dimensional")
-            local = project_to_span(cell_pts, origin, basis)
-            vloc = project_to_span(v[None, :], origin, basis)[0]
-            apex = cell.index(vertex)
-            for face in enumerate_facets(local):
-                if apex in face:
-                    continue
-                best = min(
-                    best, _point_polygon_distance(vloc, local[list(face)])
-                )
-    return best
+    pts = poly.vertices
+    if d == 2:
+        a, b = poly.facets[fi]
+        return {
+            a: (1.0, float(np.linalg.norm(pts[b] - pts[a]))),
+            b: (1.0, float(np.linalg.norm(pts[a] - pts[b]))),
+        }
+    corners = {}
+    if d == 3:
+        ring = poly.facet_ring(fi)
+        k = len(ring)
+        for i in range(k):
+            v = pts[ring[i]]
+            u1 = pts[ring[i - 1]] - v
+            u2 = pts[ring[(i + 1) % k]] - v
+            cr = np.linalg.norm(np.cross(u1, u2))
+            dist = min(
+                _point_segment_distance(v, pts[ring[j]], pts[ring[(j + 1) % k]])
+                for j in range(k)
+                if i not in (j, (j + 1) % k)
+            )
+            corners[int(ring[i])] = (math.atan2(float(cr), float(u1 @ u2)), dist)
+        return corners
+    cell = poly.facets[fi]
+    cell_pts = pts[list(cell)]
+    origin, basis, rank = affine_span(cell_pts)
+    if rank != 3:
+        raise UnsupportedDimension("cell is not 3-dimensional")
+    local = project_to_span(cell_pts, origin, basis)
+    faces = enumerate_facets(local)
+    for apex, vertex in enumerate(cell):
+        vloc = project_to_span(pts[vertex][None, :], origin, basis)[0]
+        dist = min(
+            _point_polygon_distance(vloc, local[list(face)])
+            for face in faces
+            if apex not in face
+        )
+        corners[vertex] = (_cell_solid_angle(local, apex), dist)
+    return corners
+
+
+def _cone(
+    poly: Polytope, vertex: int, contributions: list[tuple[int, float]], r_max: float
+) -> VertexCone:
+    n = poly.surface_dim
+    # left to right, as ``sum`` adds floats before Python 3.12 (later
+    # versions compensate, which would move links by an ulp)
+    omega = 0.0
+    for _, c in contributions:
+        omega += c
+    if n >= 2 and not 0.0 < omega < sphere_measure(n - 1) + 1e-9:
+        raise ValueError(
+            f"vertex {vertex}: link measure {omega} outside (0, |S^{n-1}|)"
+        )
+    return VertexCone(
+        vertex_index=vertex,
+        surface_dim=n,
+        link_volume=omega,
+        r_max=r_max,
+        facet_contributions=tuple(contributions),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -225,42 +247,24 @@ def link_volume(poly: Polytope, vertex: int) -> VertexCone:
     """Measure the vertex link and star radius; see the module docstring."""
     if not 0 <= vertex < len(poly.vertices):
         raise ValueError(f"vertex index {vertex} out of range")
-    d = poly.dim
-    n = poly.surface_dim
-    contributions: list[tuple[int, float]] = []
-    if d == 2:
-        for fi in poly.incident_facets(vertex):
-            contributions.append((fi, 1.0))
-    elif d == 3:
-        for fi in poly.incident_facets(vertex):
-            contributions.append((fi, _facet_angle(poly, fi, vertex)))
-    elif d == 4:
-        for fi in poly.incident_facets(vertex):
-            cell = poly.facets[fi]
-            cell_pts = poly.vertices[list(cell)]
-            origin, basis, _ = affine_span(cell_pts)
-            local = project_to_span(cell_pts, origin, basis)
-            contributions.append(
-                (fi, _cell_solid_angle(local, cell.index(vertex)))
-            )
-    else:
-        raise UnsupportedDimension(f"no link measure for d = {d}")
-    omega = float(sum(c for _, c in contributions))
-    if n >= 2 and not 0.0 < omega < sphere_measure(n - 1) + 1e-9:
-        raise ValueError(
-            f"vertex {vertex}: link measure {omega} outside (0, |S^{n-1}|)"
-        )
-    return VertexCone(
-        vertex_index=vertex,
-        surface_dim=n,
-        link_volume=omega,
-        r_max=_star_radius(poly, vertex),
-        facet_contributions=tuple(contributions),
-    )
+    contributions = []
+    r_max = math.inf
+    for fi in poly.incident_facets(vertex):
+        contribution, dist = _facet_corners(poly, fi)[vertex]
+        contributions.append((fi, contribution))
+        r_max = min(r_max, dist)
+    return _cone(poly, vertex, contributions, r_max)
 
 
 def vertex_cones(poly: Polytope) -> list[VertexCone]:
-    return [link_volume(poly, v) for v in range(len(poly.vertices))]
+    """Every vertex's cone, from one walk over the facets in index order."""
+    contributions: list[list[tuple[int, float]]] = [[] for _ in poly.vertices]
+    r_max = [math.inf] * len(poly.vertices)
+    for fi in range(len(poly.facets)):
+        for vertex, (contribution, dist) in _facet_corners(poly, fi).items():
+            contributions[vertex].append((fi, contribution))
+            r_max[vertex] = min(r_max[vertex], dist)
+    return [_cone(poly, v, contributions[v], r_max[v]) for v in range(len(r_max))]
 
 
 def apex_ball_profile(cone: VertexCone) -> PowerLawProfile:
@@ -338,10 +342,3 @@ def deficit_sum(poly: Polytope) -> float:
     if poly.dim != 3:
         raise UnsupportedDimension("deficit sum is defined for d = 3")
     return float(sum(2.0 * math.pi - c.link_volume for c in vertex_cones(poly)))
-
-
-def renormalize_link(cone: VertexCone) -> float:
-    """Density factor making the link measure match the round sphere."""
-    if cone.surface_dim < 2:
-        raise UnsupportedDimension("renormalization needs surface dimension >= 2")
-    return sphere_measure(cone.surface_dim - 1) / cone.link_volume

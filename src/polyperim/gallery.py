@@ -38,6 +38,8 @@ from .profiles import cone_profile
 
 CUBE_SURFACE_AREA = 6.0
 ORIGIN_TOL = 1e-9
+SUSPENSION_NODES = 64  # Gauss-Legendre nodes in the suspension parameter s
+CUBE_LIFT = 1.0  # x4 of the spiked cube's hyperplane
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +210,7 @@ def radial_projection_area(triangles, subdivisions: int = 32) -> float:
     )
 
 
-def suspension_area(curve: np.ndarray, s_nodes: int = 64) -> float:
+def suspension_area(curve: np.ndarray) -> float:
     """Area of the spherical suspension of a closed curve on S^2.
 
     The curve is a closed polyline of unit vectors w_j; the suspension in
@@ -224,7 +226,7 @@ def suspension_area(curve: np.ndarray, s_nodes: int = 64) -> float:
     nxt = np.roll(w, -1, axis=0)
     mid = 0.5 * (w + nxt)
     dw = nxt - w
-    sx, sw = np.polynomial.legendre.leggauss(s_nodes)
+    sx, sw = np.polynomial.legendre.leggauss(SUSPENSION_NODES)
     s = 0.5 * math.pi * (sx + 1.0)
     ws = 0.5 * math.pi * sw
     total = 0.0
@@ -285,12 +287,10 @@ def _annulus_triangles(outer: np.ndarray, inner: np.ndarray) -> list[np.ndarray]
     return tris
 
 
-def modified_cube_faces(
-    rho: float, spike_height: float, lift: float = 1.0
-) -> list[np.ndarray]:
+def modified_cube_faces(rho: float, spike_height: float) -> list[np.ndarray]:
     """Triangulated cube surface with a spike replacing a top-face triangle.
 
-    The unit cube [-1/2, 1/2]^3 sits in the hyperplane x4 = lift.  The top
+    The unit cube [-1/2, 1/2]^3 sits in the hyperplane x4 = CUBE_LIFT.  The top
     face loses an inscribed equilateral triangle of circumradius rho, whose
     rim is joined to the spike apex at height 1/2 + spike_height.  Returns
     a list of 4D triangles (rows are vertices).
@@ -321,9 +321,7 @@ def modified_cube_faces(
     apex = np.array([0.0, 0.0, h + spike_height])
     for i in range(3):
         tris3.append(np.stack([base3[i], base3[(i + 1) % 3], apex]))
-    return [
-        np.column_stack([t, np.full(3, lift)]) for t in tris3
-    ]
+    return [np.column_stack([t, np.full(3, CUBE_LIFT)]) for t in tris3]
 
 
 @dataclass(frozen=True)

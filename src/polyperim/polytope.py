@@ -45,7 +45,7 @@ MAX_DIM = 4
 # low-level geometry helpers
 # ---------------------------------------------------------------------------
 
-def affine_span(points: np.ndarray, tol: float = TOL):
+def affine_span(points: np.ndarray):
     """Origin, orthonormal basis and rank of the affine span of ``points``."""
     pts = np.asarray(points, dtype=float)
     origin = pts.mean(axis=0)
@@ -53,7 +53,7 @@ def affine_span(points: np.ndarray, tol: float = TOL):
     if len(pts) == 1:
         return origin, np.zeros((0, pts.shape[1])), 0
     _, sv, vt = np.linalg.svd(centered, full_matrices=False)
-    cutoff = tol * max(1.0, sv[0] if len(sv) else 1.0)
+    cutoff = TOL * max(1.0, sv[0] if len(sv) else 1.0)
     rank = int((sv > cutoff).sum())
     return origin, vt[:rank], rank
 
@@ -62,7 +62,7 @@ def project_to_span(points: np.ndarray, origin: np.ndarray, basis: np.ndarray) -
     return (np.asarray(points, dtype=float) - origin) @ basis.T
 
 
-def fit_plane(points: np.ndarray, tol: float = TOL):
+def fit_plane(points: np.ndarray):
     """Best-fit hyperplane ``(normal, offset)`` through d-or-more points.
 
     Raises DegenerateFacet when the points are not (d-1)-dimensional.
@@ -73,7 +73,7 @@ def fit_plane(points: np.ndarray, tol: float = TOL):
     # For exactly coplanar points this is the exact plane; for warped input it
     # is the least-squares plane, and convexity checks report the violation.
     _, sv, vt = np.linalg.svd(pts - origin, full_matrices=True)
-    rank = int((sv > tol * max(1.0, sv[0])).sum())
+    rank = int((sv > TOL * max(1.0, sv[0])).sum())
     if rank < d - 1:
         raise DegenerateFacet(
             f"facet spans only {rank} dimensions, expected {d - 1}"
@@ -90,10 +90,10 @@ def _hull(points: np.ndarray) -> ConvexHull:
         raise NotFullDimensional(f"Qhull rejected the points: {exc}") from None
 
 
-def enumerate_facets(vertices: np.ndarray, tol: float = TOL) -> list[tuple[int, ...]]:
+def enumerate_facets(vertices: np.ndarray) -> list[tuple[int, ...]]:
     """Facets of the convex hull of points, 2 <= d <= 4.
 
-    Each Qhull facet plane yields the set of points within ``tol * scale`` of
+    Each Qhull facet plane yields the set of points within ``TOL * scale`` of
     it.  Output is a lexicographically sorted list of sorted index tuples.
     """
     verts = np.asarray(vertices, dtype=float)
@@ -104,14 +104,14 @@ def enumerate_facets(vertices: np.ndarray, tol: float = TOL) -> list[tuple[int, 
         raise DimensionTooHigh(f"ambient dimension {d} > {MAX_DIM}")
     if d < 2:
         raise NotFullDimensional("ambient dimension must be at least 2")
-    _, _, rank = affine_span(verts, tol)
+    _, _, rank = affine_span(verts)
     if rank < d or m < d + 1:
         raise NotFullDimensional(
             f"{m} vertices span {rank} dimensions, expected {d}"
         )
     planes = _hull(verts).equations
     scale = max(1.0, float(np.abs(verts).max()))
-    near = np.abs(verts @ planes[:, :-1].T + planes[:, -1]) <= tol * scale
+    near = np.abs(verts @ planes[:, :-1].T + planes[:, -1]) <= TOL * scale
     return sorted({tuple(np.flatnonzero(col).tolist()) for col in near.T})
 
 
@@ -125,14 +125,14 @@ def order_polygon(points: np.ndarray) -> np.ndarray:
     return np.argsort(angles, kind="stable")
 
 
-def polytope_measure(points: np.ndarray, tol: float = TOL) -> float:
+def polytope_measure(points: np.ndarray) -> float:
     """k-dimensional measure of the convex hull of points.
 
     The dimension k is the affine rank of the point set; the hull is measured
     in local coordinates of that span.
     """
     pts = np.asarray(points, dtype=float)
-    origin, basis, rank = affine_span(pts, tol)
+    origin, basis, rank = affine_span(pts)
     if rank == 0:
         return 0.0
     local = project_to_span(pts, origin, basis)
@@ -162,7 +162,6 @@ class Polytope:
     vertices: np.ndarray
     facets: tuple[tuple[int, ...], ...] | None
     name: str | None = None
-    tol: float = TOL
     facet_normals: np.ndarray = field(init=False)
     facet_offsets: np.ndarray = field(init=False)
 
@@ -177,7 +176,7 @@ class Polytope:
             raise NotFullDimensional("ambient dimension must be at least 2")
         hull = None
         if self.facets is None:
-            hull = self.facets = enumerate_facets(self.vertices, self.tol)
+            hull = self.facets = enumerate_facets(self.vertices)
         m = len(self.vertices)
         canon = []
         for f in self.facets:
@@ -194,7 +193,7 @@ class Polytope:
         self.facets = tuple(sorted(canon))
         if not self.facets:
             raise InvalidPolytope("polytope has no facets")
-        _, _, rank = affine_span(self.vertices, self.tol)
+        _, _, rank = affine_span(self.vertices)
         if rank < d:
             raise NotFullDimensional(
                 f"vertices span {rank} dimensions, expected {d}"
@@ -202,11 +201,10 @@ class Polytope:
         self._fit_facet_planes()
         # signed vertex-plane residuals, shared by every check below
         side = self.vertices @ self.facet_normals.T - self.facet_offsets
-        limit = self.tol * max(1.0, float(np.abs(self.vertices).max()))
+        limit = TOL * max(1.0, float(np.abs(self.vertices).max()))
         self._check_convexity(side, limit)
         self._check_coplanarity(side, limit)
-        self._on_facet = np.abs(side) <= limit
-        self._check_incidence()
+        self._check_incidence(side, limit)
         self._check_closure(hull)
         incident: list[list[int]] = [[] for _ in range(len(self.vertices))]
         for fi, f in enumerate(self.facets):
@@ -222,7 +220,7 @@ class Polytope:
         offsets = []
         centroid = self.vertices.mean(axis=0)
         for f in self.facets:
-            normal, offset = fit_plane(self.vertices[list(f)], self.tol)
+            normal, offset = fit_plane(self.vertices[list(f)])
             if normal @ centroid > offset:
                 normal, offset = -normal, -offset
             normals.append(normal)
@@ -246,9 +244,9 @@ class Polytope:
                     f"facet {fi} vertices deviate {resid:.3g} from their plane"
                 )
 
-    def _check_incidence(self) -> None:
+    def _check_incidence(self, side: np.ndarray, limit: float) -> None:
         d = self.dim
-        counts = self._on_facet.sum(axis=1)
+        counts = (np.abs(side) <= limit).sum(axis=1)
         short = np.nonzero(counts < d)[0]
         if len(short):
             raise InvalidPolytope(
@@ -258,7 +256,7 @@ class Polytope:
 
     def _check_closure(self, hull: list[tuple[int, ...]] | None) -> None:
         if hull is None:
-            hull = enumerate_facets(self.vertices, self.tol)
+            hull = enumerate_facets(self.vertices)
         if list(self.facets) != hull:
             missing = sorted(set(hull) - set(self.facets))
             raise InvalidPolytope(
@@ -281,10 +279,6 @@ class Polytope:
     def centroid(self) -> np.ndarray:
         return self.vertices.mean(axis=0)
 
-    def vertex_on_facet(self, facet_index: int) -> np.ndarray:
-        """Boolean mask of vertices lying on the given facet plane."""
-        return self._on_facet[:, facet_index]
-
     def incident_facets(self, vertex_index: int) -> tuple[int, ...]:
         """Indices of the facets containing a vertex, in increasing order."""
         return self._incident[vertex_index]
@@ -303,11 +297,7 @@ class Polytope:
         return cached
 
     def facet_measure(self, facet_index: int) -> float:
-        return polytope_measure(self.facet_points(facet_index), self.tol)
-
-    def surface_area(self) -> float:
-        """Total (d-1)-measure of the boundary."""
-        return float(sum(self.facet_measure(fi) for fi in range(len(self.facets))))
+        return polytope_measure(self.facet_points(facet_index))
 
     def scaled(self, factor: float) -> "Polytope":
         return Polytope(self.vertices * float(factor), self.facets, name=self.name)
@@ -391,11 +381,6 @@ class Polytope:
 
     def dumps(self) -> str:
         return json.dumps(self.serialize(), indent=2, sort_keys=True)
-
-    def dump(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.dumps())
-            handle.write("\n")
 
 
 def _dedupe_with_map(verts: np.ndarray):

@@ -193,12 +193,6 @@ class Profile:
             f"cone-{n}-w{omega:.6g}",
         )
 
-    @classmethod
-    def power_law(cls, c, t, vmin, vmax, n=0, points=DEFAULT_GRID_POINTS) -> "Profile":
-        return cls._sampled(
-            n, lambda v: c * v ** t, vmin, vmax, points, f"power-{c:.6g}-{t:.6g}"
-        )
-
 
 @dataclass(frozen=True)
 class DominationResult:

@@ -81,16 +81,6 @@ class RegularSimplexFrame:
         """y_i = a_i . x for each frame vector."""
         return np.asarray(x, float) @ self.vectors.T
 
-    def point_from_coordinates(self, y: np.ndarray) -> np.ndarray:
-        return self.vectors.T @ np.asarray(y, float) / (self.n + 1)
-
-    def index_of(self, x: np.ndarray) -> tuple[int, ...]:
-        """Label k of the piece containing x (x must avoid the walls)."""
-        y = self.coordinates(x)
-        if np.any(np.abs(y - np.round(y)) < 1e-9):
-            raise ValueError("point lies on a slicing wall")
-        return tuple(int(m) for m in np.floor(-y) + 1)
-
     def generator(self, i: int) -> np.ndarray:
         """Index shift caused by translating x by frame vector a_i."""
         g = np.ones(self.n + 1, dtype=int)
@@ -195,7 +185,7 @@ def _diameter(points: np.ndarray) -> float:
     return float(np.sqrt((diff**2).sum(axis=2)).max())
 
 
-def congruent_shape(a: SlicePiece, b: SlicePiece, tol: float = MATCH_TOL) -> bool:
+def congruent_shape(a: SlicePiece, b: SlicePiece) -> bool:
     """True when the pieces agree up to translation and positive homothety.
 
     Centers both vertex sets on their centroids, rescales to unit diameter,
@@ -215,7 +205,7 @@ def congruent_shape(a: SlicePiece, b: SlicePiece, tol: float = MATCH_TOL) -> boo
         dist = np.linalg.norm(pb - p, axis=1)
         dist[used] = np.inf
         j = int(np.argmin(dist))
-        if dist[j] > tol:
+        if dist[j] > MATCH_TOL:
             return False
         used[j] = True
     return bool(used.all())

@@ -47,7 +47,7 @@ from .errors import (
     RootNotBracketed,
     UnsupportedDimension,
 )
-from .polytope import Polytope
+from .polytope import TOL, Polytope
 from .profiles import sphere_measure
 
 MASS_TOL = 1e-8
@@ -73,7 +73,7 @@ class GaugeFunction:
             origin = np.zeros(poly.dim)
         origin = np.asarray(origin, float)
         offsets = poly.facet_offsets - poly.facet_normals @ origin
-        if np.any(offsets <= poly.tol):
+        if np.any(offsets <= TOL):
             raise OriginNotInterior(
                 "gauge origin must lie strictly inside the polytope"
             )
@@ -244,9 +244,6 @@ class SmoothedBody:
     def level(self, x: np.ndarray) -> np.ndarray:
         return mollify(self.gauge_fn, self.mollifier, x)
 
-    def contains(self, x: np.ndarray, tol: float = INSIDE_TOL) -> np.ndarray:
-        return self.level(x) <= 1.0 + tol
-
 
 def smoothed_body(
     poly: Polytope, epsilon: float, resolution: int | None = None
@@ -310,10 +307,11 @@ def convexity_probe(body: SmoothedBody, trials: int = 10_000, seed: int = 0) -> 
     pts, f = np.empty((0, d)), np.empty(0)
     while len(pts) < need:
         cand = rng.uniform(lo, hi, size=(2 * need, d))
+        # F_eps >= F, so the exact gauge discards points outside K cheaply
+        cand = cand[body.gauge_fn(cand) <= 1.0 + INSIDE_TOL][: need - len(pts)]
         level = body.level(cand)
         keep = level <= 1.0 + INSIDE_TOL
         pts, f = np.vstack([pts, cand[keep]]), np.concatenate([f, level[keep]])
-    pts, f = pts[:need], f[:need]
     x, y = pts[:trials], pts[trials:]
     fx, fy = f[:trials], f[trials:]
     lam = rng.uniform(0.0, 1.0, size=trials)

@@ -40,6 +40,7 @@ from .errors import NoFeasibleRegion, ValidationError, VolumeOutOfRange, VolumeT
 from .mesh import SurfaceMesh
 
 FEASIBILITY_FRACTION = 0.02
+POLISH_MOVES = 5000  # cap on steepest-descent flips in one polish
 
 
 @dataclass(frozen=True)
@@ -377,14 +378,14 @@ def _anneal(
     return best_cost, best_mask
 
 
-def _polish(state: _State, cfg: SolverConfig, max_moves: int = 5000) -> None:
+def _polish(state: _State, cfg: SolverConfig) -> None:
     """Steepest-descent flips to a local minimum of the penalized cost,
     then try boundary slides (cheapest addition plus cheapest removal),
     then top up the area to at least the target volume."""
     mu = cfg.mu
     volume = state.volume
     moves = 0
-    while moves < max_moves:
+    while moves < POLISH_MOVES:
         moves += 1
         best_t, best_dp, best_da = -1, 0.0, 0.0
         best_d = -1e-12

@@ -37,7 +37,7 @@ from polyperim.slicing import (
     congruent_shape,
     enumerate_pieces,
 )
-from polyperim.smoothing import convexity_probe, smoothed_body
+from polyperim.smoothing import convexity_probe
 from polyperim.solver import (
     anisotropy_bound,
     default_config,
@@ -212,14 +212,14 @@ def test_criterion_06_measured_exponent(capsys):
     )
 
 
-def test_criterion_07_smoothing(capsys):
+def test_criterion_07_smoothing(capsys, smoothed_bodies):
     ok = True
     notes = []
-    for poly, label in ((shapes.square(), "square"), (shapes.cube(side=2.0), "cube")):
-        reference = polytope_measure(poly.vertices)
+    for shape, label in (("square", "square"), ("cube2", "cube")):
         previous = math.inf
         for eps in (0.2, 0.1, 0.05):
-            body = smoothed_body(poly, eps)
+            body = smoothed_bodies(shape, eps, None)
+            reference = polytope_measure(body.polytope.vertices)
             ok &= bool(np.all(body.radii <= body.plain_radii() + 1e-9))
             deficit = reference - body.volume
             ok &= 0.0 < deficit < previous

@@ -1,10 +1,12 @@
 import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from polyperim import shapes
+from polyperim import Polytope, shapes
 from polyperim.cones import (
     BallAllocation,
     apex_ball_profile,
@@ -12,7 +14,6 @@ from polyperim.cones import (
     link_volume,
     optimal_vertex,
     rank_by_link,
-    renormalize_link,
     single_ball_allocation,
     tet_solid_angle,
     vertex_cones,
@@ -198,13 +199,6 @@ def test_single_ball_allocation():
         single_ball_allocation(0.1, [])
 
 
-def test_renormalize_link_cube():
-    factor = renormalize_link(link_volume(shapes.cube(), 0))
-    assert factor == pytest.approx(2 * math.pi / (1.5 * math.pi), abs=1e-12)
-    with pytest.raises(UnsupportedDimension):
-        renormalize_link(link_volume(shapes.square(), 0))
-
-
 def test_link_volume_rotation_invariant():
     rng = np.random.default_rng(7)
     base = shapes.tetrahedron()
@@ -226,3 +220,35 @@ def test_r_max_shrinks_with_scale():
     assert big.valid_volume_max == pytest.approx(
         1.5 * math.pi * 9.0 / 2.0, abs=1e-8
     )
+
+
+#: Cones recorded before links and star radii were gathered per facet.  Keys
+#: name a builtin shape or a seeded unit-sphere hull, sphere-d<dim>-n<points>-s<seed>.
+PINNED_CONES = json.loads(
+    (Path(__file__).parent / "data" / "vertex_cones.json").read_text()
+)
+
+
+def _pinned_polytope(key):
+    if not key.startswith("sphere-"):
+        return getattr(shapes, key)()
+    _, dim, points, seed = key.split("-")
+    pts = np.random.default_rng(int(seed[1:])).normal(size=(int(points[1:]), int(dim[1:])))
+    return Polytope.from_vertices(pts / np.linalg.norm(pts, axis=1, keepdims=True))
+
+
+def _cone_record(cone):
+    return {
+        "link_volume": cone.link_volume.hex(),
+        "r_max": cone.r_max.hex(),
+        "facet_contributions": [[fi, c.hex()] for fi, c in cone.facet_contributions],
+    }
+
+
+@pytest.mark.parametrize("key", list(PINNED_CONES))
+def test_vertex_cones_are_pinned(key):
+    poly = _pinned_polytope(key)
+    cones = vertex_cones(poly)
+    assert [_cone_record(c) for c in cones] == PINNED_CONES[key]
+    for v in range(0, len(cones), max(1, len(cones) // 4)):
+        assert link_volume(poly, v) == cones[v]

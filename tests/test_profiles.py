@@ -144,13 +144,6 @@ def test_fit_power_law_guards():
         fit_power_law(v, -np.ones(12))
 
 
-def test_power_law_profile_factory():
-    prof = Profile.power_law(2.0, 0.5, 0.01, 1.0)
-    assert prof.evaluate([0.25])[0] == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(VolumeOutOfRange):
-        Profile.power_law(1.0, 0.5, 1.0, 0.5)
-
-
 def test_profile_rejects_unsorted_volumes():
     with pytest.raises(ValueError):
         Profile(2, np.array([1.0, 1.0, 2.0]), np.array([1.0, 1.0, 2.0]))

@@ -12,6 +12,7 @@ from polyperim.errors import (
     UnsupportedDimension,
 )
 from polyperim.smoothing import (
+    INSIDE_TOL,
     MASS_TOL,
     GaugeFunction,
     Mollifier,
@@ -139,8 +140,8 @@ def test_smoothed_square_is_contained_and_loses_volume():
         deficits.append(4.0 - body.volume)
         inside = np.array([[0.0, 0.0], [0.5, -0.5]])
         outside = np.array([[1.2, 1.2], [0.99, 0.99]])
-        assert body.contains(inside).all()
-        assert not body.contains(outside).any()
+        assert (body.level(inside) <= 1.0 + INSIDE_TOL).all()
+        assert not (body.level(outside) <= 1.0 + INSIDE_TOL).any()
     assert deficits[0] > deficits[1] > 0.0
 
 
@@ -168,21 +169,32 @@ def test_convexity_probe_on_square():
         convexity_probe(body, trials=0)
 
 
+def test_convexity_probe_smooths_only_the_points_it_keeps(monkeypatch, smoothed_bodies):
+    """F_eps runs on 2T sample points, the few that fall between Q_eps and
+    K, and the 2T combinations; the box corners outside K never reach it."""
+    body = smoothed_bodies("octahedron", 0.2, 10)
+    evaluated = []
+    level = type(body).level
+
+    def counted(self, x):
+        evaluated.append(len(x))
+        return level(self, x)
+
+    monkeypatch.setattr(type(body), "level", counted)
+    convexity_probe(body, trials=500, seed=1)
+    assert 4 * 500 <= sum(evaluated) <= 4.2 * 500
+
+
 #: Radii recorded before the bisection started from its proven bracket:
 #: criterion 7's bodies at the default resolution and the benchmark's bodies.
 PINNED_RADII = json.loads(
     (Path(__file__).parent / "data" / "smoothed_radii.json").read_text()
 )
-PINNED_SHAPES = {
-    "square": shapes.square,
-    "cube2": lambda: shapes.cube(side=2.0),
-    "octahedron": shapes.octahedron,
-}
 
 
 @pytest.mark.parametrize("key", list(PINNED_RADII))
-def test_smoothed_radii_are_pinned(key):
+def test_smoothed_radii_are_pinned(key, smoothed_bodies):
     shape, eps, res = key.split("-")
     resolution = None if res == "rdefault" else int(res[1:])
-    body = smoothed_body(PINNED_SHAPES[shape](), float(eps[3:]), resolution=resolution)
+    body = smoothed_bodies(shape, float(eps[3:]), resolution)
     assert np.abs(body.radii - PINNED_RADII[key]).max() <= 1e-13
