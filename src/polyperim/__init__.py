@@ -20,8 +20,6 @@ from .cones import (
     apex_ball_profile,
     deficit_sum,
     link_volume,
-    optimal_vertex,
-    single_ball_allocation,
     vertex_cones,
 )
 from .slicing import (
@@ -45,7 +43,6 @@ from .smoothing import (
 from .profiles import (
     Profile,
     cone_profile,
-    dominates,
     euclidean_profile,
     fit_power_law,
     sphere_measure,
@@ -88,8 +85,6 @@ __all__ = [
     "link_volume",
     "vertex_cones",
     "apex_ball_profile",
-    "optimal_vertex",
-    "single_ball_allocation",
     "deficit_sum",
     "RegularSimplexFrame",
     "SlicePiece",
@@ -110,7 +105,6 @@ __all__ = [
     "cone_profile",
     "sphere_profile",
     "sphere_measure",
-    "dominates",
     "fit_power_law",
     "SurfaceMesh",
     "subdivide",

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.spatial import ConvexHull
 
 from . import __version__, shapes
 from .cones import apex_ball_profile, rank_by_link, vertex_cones
@@ -43,7 +44,7 @@ from .gallery import (
 )
 from .mesh import subdivide
 from .polytope import Polytope, load_polytope, polytope_measure
-from .profiles import Profile
+from .profiles import Profile, cone_profile
 from .slicing import classify_pieces, enumerate_pieces
 from .smoothing import convexity_probe, smoothed_body
 from .solver import (
@@ -406,10 +407,16 @@ def _cmd_smooth(args: argparse.Namespace, out: Path) -> int:
     header = [f"u{i + 1}" for i in range(d)] + ["rho_plain", "rho_smooth"]
     _emit_csv(out, "boundary.csv", manifest, header, rows)
     vol_poly = polytope_measure(poly.vertices)
+    # the body is convex, so the hull of its boundary samples lies inside it
+    vol_hull = ConvexHull(body.boundary_points).volume
     report = convexity_probe(body, trials=4096, seed=args.seed)
     print(f"directions: {len(body.directions)}")
     print(f"volume: {_g(body.volume)} (polytope {_g(vol_poly)})")
     print(f"volume deficit: {_g(vol_poly - body.volume)}")
+    print(
+        f"volume lower bound (hull of boundary points): {_g(vol_hull)} "
+        f"(deficit {_g(vol_poly - vol_hull)})"
+    )
     print(f"max convexity violation: {_g(report.max_violation)}")
     return EXIT_OK
 
@@ -446,7 +453,7 @@ def _cmd_solve(args: argparse.Namespace, out: Path) -> int:
     manifest = _manifest(args, digest)
     mesh = subdivide(poly, args.level)
     ranked = rank_by_link(vertex_cones(poly))
-    bound = math.sqrt(2.0 * ranked[0].link_volume * args.volume)
+    bound = cone_profile(ranked[0].link_volume, 2, args.volume)
     kappa = anisotropy_bound(mesh)
     config = default_config(
         mesh, seed=args.seed, iterations=args.iters, restarts=args.restarts

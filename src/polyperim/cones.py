@@ -4,7 +4,7 @@ At a vertex v of a polytope surface the nearby geometry is a metric cone over
 the vertex link.  The link measure ``omega`` determines the apex-ball profile
 
     V(r) = omega * r^n / n,   A(r) = omega * r^(n-1)
-    =>  A(V) = c * V^t,  c = omega^(1/n) * n^((n-1)/n),  t = (n-1)/n,
+    =>  A(V) = c * V^t,  c = cone_profile(omega, n, 1),  t = (n-1)/n,
 
 where n = d-1 is the surface dimension.  Note the exponent: eliminating r
 from the pair above forces t = (n-1)/n.  The variant (n-2)/(n-1) that
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import ConvexHull
 
-from .errors import UnsupportedDimension, VolumeTooLarge
+from .errors import UnsupportedDimension
 from .polytope import (
     Polytope,
     affine_span,
@@ -46,7 +46,7 @@ from .polytope import (
     order_polygon,
     project_to_span,
 )
-from .profiles import sphere_measure
+from .profiles import cone_profile, sphere_measure
 
 LINK_RTOL = 1e-12  # relative; links this close count as equal
 
@@ -73,22 +73,6 @@ class PowerLawProfile:
 
     coefficient: float
     exponent: float
-    valid_volume_max: float
-    link_volume: float
-    surface_dim: int
-
-    def area(self, volume: float) -> float:
-        if volume <= 0:
-            raise VolumeTooLarge("volume must be positive")
-        if volume > self.valid_volume_max * (1 + 1e-12):
-            raise VolumeTooLarge(
-                f"volume {volume} exceeds validity bound {self.valid_volume_max}"
-            )
-        return self.coefficient * volume**self.exponent
-
-    def radius(self, volume: float) -> float:
-        n = self.surface_dim
-        return (n * volume / self.link_volume) ** (1.0 / n)
 
 
 def tet_solid_angle(a, b, c) -> float:
@@ -268,19 +252,14 @@ def vertex_cones(poly: Polytope) -> list[VertexCone]:
 
 
 def apex_ball_profile(cone: VertexCone) -> PowerLawProfile:
-    """Power-law profile of balls about the cone apex.
+    """Power-law profile of balls about the cone apex: ``cone_profile`` at
+    unit volume, with exponent (n-1)/n.
 
     For n = 1 the boundary is two points whatever the volume, so the profile
     degenerates to the constant 2 (exponent 0).
     """
     n = cone.surface_dim
-    if n not in (1, 2, 3):
-        raise UnsupportedDimension(f"no apex profile for surface dimension {n}")
-    omega = cone.link_volume
-    if n == 1:
-        return PowerLawProfile(2.0, 0.0, cone.valid_volume_max, omega, n)
-    c = omega ** (1.0 / n) * n ** ((n - 1.0) / n)
-    return PowerLawProfile(c, (n - 1.0) / n, cone.valid_volume_max, omega, n)
+    return PowerLawProfile(cone_profile(cone.link_volume, n, 1.0), (n - 1.0) / n)
 
 
 def rank_by_link(cones: list[VertexCone]) -> list[VertexCone]:
@@ -292,49 +271,6 @@ def rank_by_link(cones: list[VertexCone]) -> list[VertexCone]:
         links[np.searchsorted(links, c.link_volume / (1.0 + LINK_RTOL))],
         c.vertex_index,
     ))
-
-
-def optimal_vertex(poly: Polytope) -> tuple[int, PowerLawProfile]:
-    """Vertex of smallest link measure, by the rule of ``rank_by_link``."""
-    best = rank_by_link(vertex_cones(poly))[0]
-    return best.vertex_index, apex_ball_profile(best)
-
-
-@dataclass(frozen=True)
-class BallAllocation:
-    """Placement of a whole volume budget as a single apex ball."""
-
-    vertex_index: int
-    volume: float
-    perimeter: float
-    profile: PowerLawProfile
-
-
-def single_ball_allocation(volume: float, cones: list[VertexCone]) -> BallAllocation:
-    """Allocate all of ``volume`` to the minimum-link cone.
-
-    Concavity of V^t makes any split across several cones at least as
-    expensive, so a single ball at the smallest link is optimal.
-    """
-    if volume <= 0:
-        raise VolumeTooLarge("volume must be positive")
-    if not cones:
-        raise ValueError("need at least one cone")
-    if len({c.surface_dim for c in cones}) != 1:
-        raise ValueError("cones must share the surface dimension")
-    best = rank_by_link(cones)[0]
-    profile = apex_ball_profile(best)
-    if volume > profile.valid_volume_max * (1 + 1e-12):
-        raise VolumeTooLarge(
-            f"volume {volume} exceeds validity bound "
-            f"{profile.valid_volume_max} of the chosen cone"
-        )
-    return BallAllocation(
-        vertex_index=best.vertex_index,
-        volume=volume,
-        perimeter=profile.area(volume),
-        profile=profile,
-    )
 
 
 def deficit_sum(poly: Polytope) -> float:

@@ -37,7 +37,8 @@ class InvalidPolytope(ValidationError):
 
 
 class DimensionTooHigh(ValidationError):
-    """Ambient dimension above the supported limit (four)."""
+    """Ambient dimension above four, or a profile dimension whose unit-ball
+    volume underflows."""
 
 
 class NotFullDimensional(ValidationError):
@@ -58,10 +59,6 @@ class VolumeTooLarge(ValidationError):
 
 class VolumeOutOfRange(ValidationError):
     """Requested volume outside the admissible open interval."""
-
-
-class GridMismatch(ValidationError):
-    """Profiles cannot be compared on the requested volume grid."""
 
 
 class InsufficientSamples(ValidationError):

@@ -158,10 +158,8 @@ class SolverResult:
     region: Region
     perimeter: float
     area: float
-    target_volume: float
     best_restart: int
     restart_perimeters: tuple[float, ...]
-    config: SolverConfig
 
 
 def vertex_ball_region(mesh: SurfaceMesh, vertex: int, volume: float) -> Region:
@@ -484,8 +482,6 @@ def minimize_perimeter(
         region=region,
         perimeter=region.cut_perimeter,
         area=region.area,
-        target_volume=volume,
         best_restart=best_r,
         restart_perimeters=tuple(per_restart),
-        config=cfg,
     )

@@ -348,10 +348,22 @@ def test_main_entry_point(tmp_path, capsys):
          "--dirs must be at least 1"),
         (["smooth", "--polytope", "square", "--eps", "0.1", "--dirs", "0"],
          "--dirs must be at least 1"),
+        (["profile", "--model", "euclidean", "--n", "3000", "--vmin", "0.1",
+          "--vmax", "1"], "DimensionTooHigh"),
+        (["profile", "--model", "cone", "--n", "3000", "--omega", "1",
+          "--vmin", "0.1", "--vmax", "1"], "DimensionTooHigh"),
+        (["profile", "--model", "euclidean", "--n", "900", "--vmin", "0.1",
+          "--vmax", "1", "--svg"], "DimensionTooHigh"),
+        (["profile", "--model", "sphere", "--n", "436", "--vmin", "1e-300",
+          "--vmax", "2e-300"], "DimensionTooHigh"),
+        (["solve", "--polytope", "cube", "--volume", "-1", "--level", "1"],
+         "VolumeOutOfRange"),
     ],
     ids=["subdivisions-0", "spike-volume-nan", "volume-nan", "volume-inf",
          "base-link-nan", "competitors-vmin-negative", "profile-vmax-inf",
-         "underflow", "restarts-0", "iters-negative", "dirs-negative", "dirs-0"],
+         "underflow", "restarts-0", "iters-negative", "dirs-negative", "dirs-0",
+         "profile-n-3000", "cone-n-3000", "profile-n-900-svg", "sphere-n-436",
+         "solve-volume-negative"],
 )
 def test_out_of_range_values_are_rejected(tmp_path, capsys, argv, message):
     code, out, err = run(capsys, *argv, "--out", str(tmp_path))
@@ -380,6 +392,7 @@ _FLOATS = st.sampled_from(
     ["nan", "inf", "-inf", "-1", "0", "1e-300", "0.001", "0.05", "0.5", "3", "1e300"]
 )
 _INTS = st.sampled_from(["-1", "0", "1", "2", "3"])
+_DIMS = st.sampled_from(["-1", "0", "1", "2", "3", "900", "3000"])
 _SHAPES = st.sampled_from(sorted(BUILTIN_SHAPES))
 
 
@@ -400,7 +413,7 @@ def _argv(draw):
         return [command, f"--polytope={shape}", f"--eps={draw(_FLOATS)}", f"--dirs={dirs}"]
     if command == "profile":
         model = draw(st.sampled_from(["euclidean", "sphere", "cone"]))
-        return [command, f"--model={model}", f"--n={draw(_INTS)}",
+        return [command, f"--model={model}", f"--n={draw(_DIMS)}",
                 f"--omega={draw(_FLOATS)}", f"--vmin={draw(_FLOATS)}",
                 f"--vmax={draw(_FLOATS)}", f"--points={draw(_INTS)}"]
     if command == "solve":

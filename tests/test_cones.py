@@ -8,17 +8,15 @@ import pytest
 
 from polyperim import Polytope, shapes
 from polyperim.cones import (
-    BallAllocation,
     apex_ball_profile,
     deficit_sum,
     link_volume,
-    optimal_vertex,
     rank_by_link,
-    single_ball_allocation,
     tet_solid_angle,
     vertex_cones,
 )
-from polyperim.errors import UnsupportedDimension, VolumeTooLarge
+from polyperim.errors import UnsupportedDimension
+from polyperim.profiles import cone_profile
 
 LINK_TOL = 1e-9
 
@@ -137,16 +135,15 @@ def test_tet_solid_angle_monte_carlo():
 
 
 def test_apex_ball_profile_cube():
-    profile = apex_ball_profile(link_volume(shapes.cube(), 0))
-    assert profile.exponent == pytest.approx(0.5, abs=1e-15)
-    assert profile.area(0.1) == pytest.approx(math.sqrt(3 * math.pi * 0.1), abs=1e-12)
-    assert profile.radius(0.08) == pytest.approx(
-        math.sqrt(2 * 0.08 / (1.5 * math.pi)), abs=1e-12
+    cone = link_volume(shapes.cube(), 0)
+    profile = apex_ball_profile(cone)
+    assert profile.coefficient == cone_profile(cone.link_volume, 2, 1.0)
+    assert profile.coefficient == pytest.approx(math.sqrt(3 * math.pi), abs=1e-12)
+    assert profile.exponent == 0.5
+    v = 0.1
+    assert profile.coefficient * v**profile.exponent == pytest.approx(
+        math.sqrt(3 * math.pi * v), abs=1e-12
     )
-    with pytest.raises(VolumeTooLarge):
-        profile.area(0.75 * math.pi + 1e-6)
-    with pytest.raises(VolumeTooLarge):
-        profile.area(0.0)
 
 
 def test_apex_ball_profile_exponents_by_dimension():
@@ -158,9 +155,9 @@ def test_apex_ball_profile_exponents_by_dimension():
 
 def test_optimal_vertex_prefers_sharpest_corner():
     poly = shapes.square_pyramid()
-    best, profile = optimal_vertex(poly)
-    assert best == 4
-    assert profile.link_volume == pytest.approx(
+    best = rank_by_link(vertex_cones(poly))[0]
+    assert best.vertex_index == 4
+    assert best.link_volume == pytest.approx(
         _corner_angle_oracle(poly, 4), abs=LINK_TOL
     )
 
@@ -169,8 +166,7 @@ def test_hypercube_smallest_link_is_vertex_zero():
     # all sixteen links are 2*pi, vertex 0's sum lands a few ulps above it
     cones = vertex_cones(shapes.hypercube())
     assert cones[0].link_volume != min(c.link_volume for c in cones)
-    assert optimal_vertex(shapes.hypercube())[0] == 0
-    assert single_ball_allocation(1e-3, cones).vertex_index == 0
+    assert rank_by_link(cones)[0].vertex_index == 0
 
 
 def test_rank_by_link_treats_links_within_tolerance_as_equal():
@@ -182,21 +178,7 @@ def test_rank_by_link_treats_links_within_tolerance_as_equal():
     ]
     order = [c.vertex_index for c in rank_by_link(cones)]
     assert order == [1, 2, 5, 4, 0, 3]
-    assert single_ball_allocation(1e-3, cones[::-1]).vertex_index == 1
-
-
-def test_single_ball_allocation():
-    cones = vertex_cones(shapes.cube())
-    alloc = single_ball_allocation(0.25, cones)
-    assert isinstance(alloc, BallAllocation)
-    assert alloc.perimeter == pytest.approx(math.sqrt(3 * math.pi * 0.25), abs=1e-12)
-    assert alloc.vertex_index == 0
-    with pytest.raises(VolumeTooLarge):
-        single_ball_allocation(0.75 * math.pi * 1.01, cones)
-    with pytest.raises(VolumeTooLarge):
-        single_ball_allocation(-1.0, cones)
-    with pytest.raises(ValueError):
-        single_ball_allocation(0.1, [])
+    assert [c.vertex_index for c in rank_by_link(cones[::-1])] == order
 
 
 def test_link_volume_rotation_invariant():

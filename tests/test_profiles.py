@@ -1,13 +1,13 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from polyperim.errors import GridMismatch, InsufficientSamples, VolumeOutOfRange
+from polyperim.errors import DimensionTooHigh, InsufficientSamples, VolumeOutOfRange
 from polyperim.profiles import (
     Profile,
     cone_profile,
-    dominates,
     euclidean_profile,
     fit_power_law,
     sphere_measure,
@@ -21,6 +21,10 @@ def test_unit_ball_volumes():
     assert unit_ball_volume(2) == pytest.approx(math.pi, abs=1e-15)
     assert unit_ball_volume(3) == pytest.approx(4 * math.pi / 3, abs=1e-15)
     assert unit_ball_volume(4) == pytest.approx(math.pi**2 / 2, abs=1e-15)
+    assert unit_ball_volume(435) >= sys.float_info.min
+    for n in (436, 900, 3000):
+        with pytest.raises(DimensionTooHigh):
+            unit_ball_volume(n)
 
 
 def test_sphere_measures():
@@ -85,44 +89,38 @@ def test_sphere_small_caps_look_euclidean():
         )
 
 
+def test_sphere_caps_match_closed_forms():
+    # S^2: a cap of area V has boundary length sqrt(V (4 pi - V)), from the
+    # tiniest caps through the hemisphere to their complements
+    total = 4 * math.pi
+    for v in total * np.geomspace(1e-12, 0.5, 200):
+        for cap in (v, total - v):
+            exact = math.sqrt(cap * (total - cap))
+            assert sphere_profile(2, cap) == pytest.approx(exact, rel=1e-13)
+    # S^3: colatitude theta gives V = 2 pi (theta - sin theta cos theta) and
+    # A = 4 pi sin^2 theta (kept off the poles, where V cancels)
+    for theta in np.linspace(0.1, math.pi - 0.1, 50):
+        cap = 2 * math.pi * (theta - math.sin(theta) * math.cos(theta))
+        exact = 4 * math.pi * math.sin(theta) ** 2
+        assert sphere_profile(3, cap) == pytest.approx(exact, rel=1e-12)
+
+
 def test_profile_sampling_and_interpolation():
     prof = Profile.euclidean(2, 0.01, 10.0)
-    grid = np.geomspace(0.02, 9.0, 17)
-    assert np.allclose(prof.evaluate(grid), 2 * np.sqrt(math.pi * grid), atol=1e-10)
-    sampled_only = Profile(2, prof.volumes, prof.areas)
+    assert prof.volumes[0] == 0.01 and prof.volumes[-1] == pytest.approx(10.0)
+    assert len(prof.volumes) == 256
+    assert np.allclose(prof.areas, 2 * np.sqrt(math.pi * prof.volumes), atol=1e-10)
+    cap = Profile.sphere(2, 0.1, 4 * math.pi - 0.1, points=9)
     assert np.allclose(
-        sampled_only.evaluate(grid), 2 * np.sqrt(math.pi * grid), rtol=1e-5
+        cap.areas, np.sqrt(cap.volumes * (4 * math.pi - cap.volumes)), rtol=1e-13
     )
-    with pytest.raises(GridMismatch):
-        sampled_only.evaluate([20.0])
 
 
-def test_dominates_cone_under_euclidean():
-    """A smaller link can only lower the profile."""
-    flat = Profile.euclidean(2, 0.01, 1.0)
-    corner = Profile.cone(1.5 * math.pi, 2, 0.01, 1.0)
-    res = dominates(flat, corner)
-    assert res.holds
-    assert res.min_margin >= 0.0
-    rev = dominates(corner, flat)
-    assert not rev.holds
-    assert rev.min_margin < -1e-3
-
-
-def test_dominates_is_reflexive_within_slack():
-    prof = Profile.cone(math.pi, 2, 0.05, 0.5)
-    res = dominates(prof, prof)
-    assert res.holds
-    assert res.min_margin == pytest.approx(0.0, abs=1e-15)
-
-
-def test_dominates_dimension_mismatch():
-    with pytest.raises(GridMismatch):
-        dominates(Profile.euclidean(2, 0.1, 1.0), Profile.euclidean(3, 0.1, 1.0))
-    with pytest.raises(GridMismatch):
-        dominates(
-            Profile.euclidean(2, 0.1, 1.0), Profile.euclidean(2, 5.0, 9.0)
-        )
+def test_smaller_link_gives_smaller_profile():
+    """A link below the full circle can only lower the profile."""
+    for omega in (0.5, math.pi, 1.5 * math.pi, 2 * math.pi - 1e-3):
+        for v in np.geomspace(0.01, 1.0, 64):
+            assert cone_profile(omega, 2, v) < euclidean_profile(2, v)
 
 
 def test_fit_power_law_recovers_exact_data():
