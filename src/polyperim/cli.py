@@ -418,6 +418,9 @@ def _cmd_smooth(args: argparse.Namespace, out: Path) -> int:
         f"(deficit {_g(vol_poly - vol_hull)})"
     )
     print(f"max convexity violation: {_g(report.max_violation)}")
+    steps = body.newton_steps
+    print(f"newton steps per direction: max {steps.max()}, mean {_g(steps.mean())}")
+    print(f"kernel mass error: {_g(body.mollifier.mass_error)}")
     return EXIT_OK
 
 

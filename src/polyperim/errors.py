@@ -72,7 +72,8 @@ class EmptyPiece(ValidationError):
 # --- numerical ------------------------------------------------------------
 
 class RootNotBracketed(NumericalError):
-    """Level-set bisection could not bracket a root (mollification too wide)."""
+    """Mollification too wide: epsilon is not below half the inradius about
+    the gauge origin, so the smoothed body's radii have no proven bound."""
 
 
 class NoFeasibleRegion(NumericalError):

@@ -24,9 +24,24 @@ continuum construction hold *exactly* for the discrete object:
 
 Containment has a converse: F is (1/r_in)-Lipschitz (unit facet normals,
 offsets at least the inradius r_in) and every node lies in the open unit
-ball, so F <= F_eps < F + eps / r_in.  Along a direction u with plain radius
-rho(u) = 1 / F(u), the boundary radius of Q_eps therefore lies in the bracket
-[(1 - eps / r_in) rho(u), rho(u)], where ``smoothed_body`` starts bisecting.
+ball, so F <= F_eps < F + eps / r_in.  With eps < r_in / 2 this gives
+F_eps(o) < 1/2.
+
+Along a direction u with plain radius rho(u) = 1 / F(u), the function
+g(r) = F_eps(o + r u) is convex with g(0) < 1 <= g(rho(u)) (as F_eps >= F),
+so it has one root in (0, rho(u)] and rises past it.  Writing
+c_f = b_f - a_f . o, a subgradient at r is
+s = sum_q p_q (u . a_f*(q)) / c_f*(q), with f*(q) the facet that wins at
+node q.  Convexity puts the root at or below r - (g(r) - 1) / s, so
+``smoothed_body`` runs Newton's method from rho(u): each step lowers r
+without crossing the root, and no bracket or fallback is needed.
+
+Each evaluation screens its points exactly.  With d_f = a_f . (x - o) / c_f
+and e_qf = eps a_f . z_q / c_f, facet g can win at some node only if
+d_g - min_q e_qg >= max_f (d_f - max_q e_qf).  A point with a single
+surviving facet f* has F_eps = d_f* sum_q p_q - sum_q p_q e_qf* in closed
+form; ties keep both facets, and points with two or more survivors take the
+dense running maximum over all Q nodes and their surviving facets.
 
 The quadrature itself is accurate: with 32 radial Gauss-Legendre nodes the
 raw kernel mass matches the true integral of the bump to ~1e-9 (recorded as
@@ -52,7 +67,7 @@ from .profiles import sphere_measure
 
 MASS_TOL = 1e-8
 RADIAL_NODES = 32
-BISECT_ITERS = 48
+NEWTON_ITERS = 48
 INSIDE_TOL = 1e-12
 _CHUNK = 1 << 21
 
@@ -152,33 +167,52 @@ class Mollifier:
         )
 
 
-def mollify(fn: GaugeFunction, m: Mollifier, x: np.ndarray) -> np.ndarray:
-    """Evaluate the mollified gauge at a batch of points.
+def mollify(
+    fn: GaugeFunction, m: Mollifier, x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate the mollified gauge and its radial slope at a batch of points.
 
-    For the piecewise-linear gauge the facet dot products of points and
-    nodes factor apart, so the (points x nodes) evaluation reduces to a
-    running maximum of rank-one sums over the facets; any other callable
-    falls back to evaluating on the shifted point cloud directly.
+    Returns F_eps(x) and grad F_eps(x) . (x - o), the derivative of
+    t -> F_eps(o + t (x - o)) at t = 1 (a subgradient where F_eps has a
+    kink).  Points that one facet wins at every node take the closed form;
+    the rest take a running maximum of rank-one sums over the facets that
+    survive the screen for them.
     """
     x = np.atleast_2d(np.asarray(x, float))
-    npts, q = len(x), len(m.nodes)
+    d = ((x - fn.origin) @ fn.normals.T) / fn.offsets
+    e = ((m.epsilon * m.nodes) @ fn.normals.T) / fn.offsets
+    mass = m.weights.sum()
+    # facet g can win at some node only if d_g - min_q e_qg reaches the
+    # floor max_f (d_f - max_q e_qf) that every node attains
+    floor = (d - e.max(axis=0)).max(axis=1, keepdims=True)
+    alive = d - e.min(axis=0) >= floor
+    win = alive.argmax(axis=1)
+    d_win = np.take_along_axis(d, win[:, None], axis=1)[:, 0]
+    value = d_win * mass - (m.weights @ e)[win]
+    radial = d_win * mass
+    # points with several survivors run over those facets only, grouped by
+    # survivor set; the others never win, so the maximum is unchanged
+    many = np.flatnonzero(alive.sum(axis=1) > 1)
+    patterns, group = np.unique(alive[many], axis=0, return_inverse=True)
+    q = len(m.nodes)
     step = max(1, _CHUNK // q)
-    out = np.empty(npts)
-    if isinstance(fn, GaugeFunction):
-        d = ((x - fn.origin) @ fn.normals.T) / fn.offsets
-        e = ((m.epsilon * m.nodes) @ fn.normals.T) / fn.offsets
-        for lo in range(0, npts, step):
-            dc = d[lo : lo + step]
-            acc = dc[:, None, 0] - e[None, :, 0]
-            for f in range(1, d.shape[1]):
-                np.maximum(acc, dc[:, None, f] - e[None, :, f], out=acc)
-            out[lo : lo + step] = acc @ m.weights
-        return out
-    for lo in range(0, npts, step):
-        block = x[lo : lo + step]
-        shifted = block[:, None, :] - m.epsilon * m.nodes[None, :, :]
-        out[lo : lo + step] = fn(shifted) @ m.weights
-    return out
+    for k, pattern in enumerate(patterns):
+        facets = np.flatnonzero(pattern)
+        members = many[group == k]
+        for lo in range(0, len(members), step):
+            rows = members[lo : lo + step]
+            dc, ec = d[np.ix_(rows, facets)], e[:, facets]
+            acc = dc[:, None, 0] - ec[None, :, 0]
+            lin = np.repeat(dc[:, :1], q, axis=1)
+            cand, wins = np.empty_like(acc), np.empty(acc.shape, bool)
+            for j in range(1, len(facets)):
+                np.subtract(dc[:, None, j], ec[None, :, j], out=cand)
+                np.greater(cand, acc, out=wins)
+                np.copyto(lin, dc[:, None, j], where=wins)
+                np.maximum(acc, cand, out=acc)
+            value[rows] = acc @ m.weights
+            radial[rows] = lin @ m.weights
+    return value, radial
 
 
 def sphere_quadrature(dim: int, resolution: int) -> tuple[np.ndarray, np.ndarray]:
@@ -223,6 +257,8 @@ class SmoothedBody:
     directions: np.ndarray
     direction_weights: np.ndarray
     radii: np.ndarray
+    #: Newton steps each direction took from its plain radius.
+    newton_steps: np.ndarray
 
     @property
     def epsilon(self) -> float:
@@ -242,14 +278,21 @@ class SmoothedBody:
         return 1.0 / self.gauge_fn(self.directions + self.gauge_fn.origin)
 
     def level(self, x: np.ndarray) -> np.ndarray:
-        return mollify(self.gauge_fn, self.mollifier, x)
+        return mollify(self.gauge_fn, self.mollifier, x)[0]
 
 
 def smoothed_body(
     poly: Polytope, epsilon: float, resolution: int | None = None
 ) -> SmoothedBody:
-    """Compute { F_eps <= 1 } about the origin by per-direction bisection,
-    each radius starting in the bracket [(1 - eps / r_in) rho(u), rho(u)]."""
+    """Compute { F_eps <= 1 } about the origin by Newton's method along each
+    direction u, started at the plain radius rho(u) = 1 / F(u).
+
+    g(r) = F_eps(r u) is convex with g(rho(u)) >= 1, so every step
+    r <- r - (g - 1) / g' stays at or above the root while it lowers r.  A
+    direction stops when the step no longer lowers r, which includes every
+    g <= 1; one still moving after NEWTON_ITERS evaluations raises
+    NumericalError.
+    """
     fn = GaugeFunction.from_polytope(poly)
     if epsilon >= 0.5 * fn.inradius:
         raise RootNotBracketed(
@@ -260,20 +303,33 @@ def smoothed_body(
     if resolution is None:
         resolution = 96 if poly.dim == 2 else 24
     dirs, w = sphere_quadrature(poly.dim, resolution)
-    hi = 1.0 / fn(dirs)
-    lo = (1.0 - epsilon / fn.inradius) * hi
-    for _ in range(BISECT_ITERS):
-        mid = 0.5 * (lo + hi)
-        below = mollify(fn, mollifier, mid[:, None] * dirs) < 1.0
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
+    radii = 1.0 / fn(dirs)
+    steps = np.zeros(len(dirs), dtype=int)
+    active = np.arange(len(dirs))
+    for _ in range(NEWTON_ITERS):
+        r = radii[active]
+        g, radial = mollify(fn, mollifier, r[:, None] * dirs[active])
+        # radial = r g'(r), so the Newton step scales r by 1 - (g - 1) / radial
+        nxt = r * (1.0 - (g - 1.0) / radial)
+        moving = nxt < r
+        active = active[moving]
+        radii[active] = nxt[moving]
+        steps[active] += 1
+        if not len(active):
+            break
+    else:
+        raise NumericalError(
+            f"Newton's method left {len(active)} smoothed radii unconverged "
+            f"after {NEWTON_ITERS} steps"
+        )
     return SmoothedBody(
         polytope=poly,
         gauge_fn=fn,
         mollifier=mollifier,
         directions=dirs,
         direction_weights=w,
-        radii=0.5 * (lo + hi),
+        radii=radii,
+        newton_steps=steps,
     )
 
 

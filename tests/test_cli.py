@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyperim import shapes
+from polyperim import shapes, smoothing
 from polyperim.cli import BUILTIN_SHAPES, dispatch, main
 
 
@@ -98,6 +98,8 @@ def test_smooth_square(tmp_path, capsys):
     for row in rows:
         assert float(row[3]) <= float(row[2]) + 1e-9
     assert "volume deficit:" in out
+    assert "newton steps per direction: max " in out
+    assert "kernel mass error: " in out
     deficit = float(out.split("volume deficit:")[1].split()[0])
     assert deficit > 0.0
 
@@ -268,7 +270,7 @@ def test_points_below_one_are_rejected(tmp_path, capsys, argv, points):
 
 
 def test_numerical_exit_code(tmp_path, capsys):
-    # mollification radius at half the inradius cannot bracket the level set
+    # at half the inradius the smoothed radii have no proven bound
     code, _, err = run(
         capsys,
         "smooth",
@@ -278,6 +280,18 @@ def test_numerical_exit_code(tmp_path, capsys):
     )
     assert code == 3
     assert "RootNotBracketed" in err
+
+
+def test_unconverged_newton_is_a_numerical_error(tmp_path, capsys, monkeypatch):
+    # directions near the square's corners at eps 0.2 need Newton steps, so a
+    # cap of one evaluation leaves them moving
+    monkeypatch.setattr(smoothing, "NEWTON_ITERS", 1)
+    code, _, err = run(
+        capsys, "smooth", "--polytope", "square", "--eps", "0.2",
+        "--out", str(tmp_path),
+    )
+    assert code == 3
+    assert "NumericalError" in err and "unconverged" in err
 
 
 def test_nan_epsilon_is_a_validation_error(tmp_path, capsys):

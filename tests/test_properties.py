@@ -121,6 +121,8 @@ def test_smoothed_body_lies_in_its_proven_bracket(dim, m, seed, fraction):
     assert np.all((1.0 - eps / fn.inradius) * rho <= body.radii)
     assert np.all(body.radii <= rho)
     assert np.abs(body.level(body.boundary_points) - 1.0).max() <= 1e-9
+    assert np.abs(body.level(body.boundary_points) - 1.0).max() <= 1e-12
+    assert body.newton_steps.max() <= 12
 
     # F <= F_eps < F + eps / r_in, the two bounds behind the bracket
     pts = rng.uniform(-1.5, 1.5, size=(100, dim))

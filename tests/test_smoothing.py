@@ -73,6 +73,12 @@ def test_nan_epsilon_is_rejected_as_not_positive():
         smoothed_body(shapes.square(), math.nan)
 
 
+def brute_mollify(fn, m, x):
+    """F_eps by direct evaluation on every shifted node, the reference that
+    ``mollify`` is checked against."""
+    return fn(x[:, None, :] - m.epsilon * m.nodes) @ m.weights
+
+
 def test_mollify_is_exact_on_linear_functions():
     """A symmetric kernel reproduces affine functions exactly."""
     rng = np.random.default_rng(8)
@@ -80,18 +86,31 @@ def test_mollify_is_exact_on_linear_functions():
     a = np.array([0.7, -1.3])
     fn = lambda pts: pts @ a + 0.25  # noqa: E731
     x = rng.normal(size=(40, 2))
-    assert np.allclose(mollify(fn, m, x), fn(x), atol=1e-13)
+    assert np.allclose(brute_mollify(fn, m, x), fn(x), atol=1e-13)
 
 
 def test_mollify_fast_path_matches_generic():
+    """Screened and dense points both match direct evaluation, values and
+    radial slopes alike."""
     rng = np.random.default_rng(9)
-    for poly in (shapes.square(), shapes.cube(side=2.0)):
+    for poly in (shapes.square(), shapes.cube(side=2.0), shapes.octahedron()):
         fn = GaugeFunction.from_polytope(poly)
         m = Mollifier.build(poly.dim, 0.12)
         x = rng.uniform(-1.4, 1.4, size=(50, poly.dim))
-        fast = mollify(fn, m, x)
-        slow = mollify(lambda pts: fn(pts), m, x)
-        assert np.allclose(fast, slow, atol=1e-13)
+        value, radial = mollify(fn, m, x)
+        assert np.abs(value - brute_mollify(fn, m, x)).max() <= 1e-13
+
+        # the slope is the weighted facet value d_f* of each node's winner
+        d = ((x - fn.origin) @ fn.normals.T) / fn.offsets
+        shifted = x[:, None, :] - m.epsilon * m.nodes - fn.origin
+        win = ((shifted @ fn.normals.T) / fn.offsets).argmax(axis=-1)
+        d_win = np.take_along_axis(d, win, axis=1)
+        assert np.abs(radial - d_win @ m.weights).max() <= 1e-13
+
+        e = ((m.epsilon * m.nodes) @ fn.normals.T) / fn.offsets
+        floor = (d - e.max(axis=0)).max(axis=1, keepdims=True)
+        screened = (d - e.min(axis=0) >= floor).sum(axis=1) == 1
+        assert screened.any() and not screened.all()
 
 
 def test_mollified_gauge_dominates_gauge():
@@ -99,7 +118,7 @@ def test_mollified_gauge_dominates_gauge():
     fn = GaugeFunction.from_polytope(shapes.square())
     m = Mollifier.build(2, 0.2)
     x = rng.uniform(-1.5, 1.5, size=(200, 2))
-    assert np.all(mollify(fn, m, x) >= fn(x) - 1e-12)
+    assert np.all(mollify(fn, m, x)[0] >= fn(x) - 1e-12)
 
 
 def test_mollified_gauge_untouched_away_from_corners():
@@ -108,7 +127,7 @@ def test_mollified_gauge_untouched_away_from_corners():
     fn = GaugeFunction.from_polytope(shapes.square())
     m = Mollifier.build(2, 0.2)
     x = np.array([[0.9, 0.0], [0.0, -0.6], [1.1, 0.0]])
-    assert np.allclose(mollify(fn, m, x), [0.9, 0.6, 1.1], atol=1e-13)
+    assert np.allclose(mollify(fn, m, x)[0], [0.9, 0.6, 1.1], atol=1e-13)
 
 
 @pytest.mark.parametrize("dim, expected", [(2, 2 * math.pi), (3, 4 * math.pi)])
@@ -156,6 +175,16 @@ def test_smoothed_cube_quick():
 def test_smoothed_body_epsilon_guard():
     with pytest.raises(RootNotBracketed):
         smoothed_body(shapes.square(), 0.5)  # half the inradius exactly
+
+
+@pytest.mark.parametrize("shape", ["square", "cube2", "octahedron"])
+@pytest.mark.parametrize("eps", [1e-4, 0.2])
+def test_newton_converges_in_few_steps(shape, eps, smoothed_bodies):
+    body = smoothed_bodies(shape, eps, None)
+    assert body.newton_steps.max() <= 12
+    # a direction keeps its plain radius exactly when it took no step
+    unmoved = body.radii == body.plain_radii()
+    assert np.array_equal(unmoved, body.newton_steps == 0)
 
 
 def test_convexity_probe_on_square():
