@@ -510,6 +510,15 @@ def _cmd_solve(args: argparse.Namespace, out: Path) -> int:
         print(f"bound check: n/a (volume exceeds {_g(ranked[0].valid_volume_max)})")
     else:
         print(f"bound check: {'PASS' if ok else 'FAIL'}")
+    print(
+        "moves per restart (accepted/proposed): "
+        + "; ".join(
+            f"flips {m.flips_accepted}/{m.flips_proposed}, "
+            f"swaps {m.swaps_accepted}/{m.swaps_proposed}, "
+            f"snapshots {m.snapshots}, polish flips {m.polish_flips}"
+            for m in result.moves
+        )
+    )
     return EXIT_OK
 
 

@@ -352,6 +352,18 @@ def spiked_cone_report(
     """
     if not 0.0 < theta_p < math.pi:
         raise ValueError(f"spike apex link {theta_p} outside (0, pi)")
+    if not 0.0 < reference_volume < math.inf:
+        raise VolumeOutOfRange(
+            f"volume must be positive and finite, got {reference_volume}"
+        )
+    # the projection squares the norm of every face vertex; the spike apex
+    # (0, 0, 1/2 + spike_height, CUBE_LIFT) has the largest
+    top = 0.5 + spike_height
+    if not math.isfinite(top * top + CUBE_LIFT * CUBE_LIFT):
+        raise ValueError(
+            f"spike height {spike_height} out of range: the squared norm "
+            "of the spike apex must be finite"
+        )
     alpha = theta_p / 3.0
     gamma = math.asin(2.0 * math.sin(alpha / 2.0) / math.sqrt(3.0))
     rho = spike_height * math.tan(gamma)

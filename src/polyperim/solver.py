@@ -6,7 +6,10 @@ solver looks for a region of prescribed area and small cut perimeter with
 simulated annealing over single-triangle flips:
 
 * the candidate set holds every triangle touching the current boundary
-  (indexed list, O(1) uniform sampling and updates);
+  (indexed list, O(1) uniform sampling and updates); each triangle keeps
+  the count of its cut edges, and one ``toggle`` flips a triangle, moves
+  its own and its neighbours' counts and adds or removes exactly those
+  whose count left or reached zero;
 * moves are scored by the penalized cost  perimeter + mu * |area - V|  and
   accepted by the Metropolis rule under a geometric cooling schedule;
 * whenever the state is volume-feasible (area within 2% of V) the best
@@ -18,7 +21,9 @@ simulated annealing over single-triangle flips:
 
 Restarts use independent RNG streams seeded by (seed, restart index); warm
 starts (typically vertex balls) occupy the first restarts, the rest begin
-from random connected blobs.
+from random connected blobs.  Each restart reports its move counts
+(``MoveCounts``): flips and swaps proposed, accepted and rejected, feasible
+snapshots and the flips polishing kept.
 
 ``anisotropy_bound`` returns the mesh constant kappa >= 1 comparing discrete
 cut lengths to Euclidean lengths: a straight segment rendered as a staircase
@@ -154,12 +159,29 @@ def default_config(
 
 
 @dataclass(frozen=True)
+class MoveCounts:
+    """What one restart did: annealing moves by kind and outcome, feasible
+    snapshots taken (a feasible start counts as one), and the flips that
+    polishing kept.  Deterministic for a given mesh, volume and config."""
+
+    flips_proposed: int
+    flips_accepted: int
+    flips_rejected: int
+    swaps_proposed: int
+    swaps_accepted: int
+    swaps_rejected: int
+    snapshots: int
+    polish_flips: int
+
+
+@dataclass(frozen=True)
 class SolverResult:
     region: Region
     perimeter: float
     area: float
     best_restart: int
     restart_perimeters: tuple[float, ...]
+    moves: tuple[MoveCounts, ...]
 
 
 def vertex_ball_region(mesh: SurfaceMesh, vertex: int, volume: float) -> Region:
@@ -215,24 +237,31 @@ def _running_sum(values: np.ndarray) -> float:
 
 
 class _State:
-    """Mutable flip-state shared by the annealing and polish phases."""
+    """Mutable flip-state shared by the annealing and polish phases.
+
+    ``cuts[t]`` counts the cut edges of triangle t; t is in the candidate
+    list ``cand``, at index ``pos[t]``, exactly when ``cuts[t] > 0``
+    (``pos[t] = -1`` otherwise).
+    """
 
     __slots__ = (
-        "nbrs", "lens", "areas", "mask", "area", "perimeter", "count",
+        "nbrs", "lens", "areas", "mask", "cuts", "area", "perimeter", "count",
         "cand", "pos", "volume",
     )
 
     def __init__(self, mesh, nbrs, lens, areas, init_mask, volume):
         mask = np.asarray(init_mask, dtype=bool)
         cut = mask[mesh.tri_neighbors] != mask[:, None]
+        cuts = cut.sum(axis=1)
         # boundary triangles in increasing order: moves are drawn by position
-        cand = np.flatnonzero(cut.any(axis=1))
+        cand = np.flatnonzero(cuts)
         pos = np.full(len(mask), -1)
         pos[cand] = np.arange(len(cand))
         self.nbrs = nbrs
         self.lens = lens
         self.areas = areas
         self.mask = mask.tolist()
+        self.cuts = cuts.tolist()
         self.volume = volume
         self.cand = cand.tolist()
         self.pos = pos.tolist()
@@ -241,21 +270,34 @@ class _State:
         # every cut edge is seen from both of its triangles
         self.perimeter = _running_sum(mesh.edge_lengths[mesh.tri_edges][cut]) * 0.5
 
-    def _refresh(self, t: int) -> None:
-        s = self.mask[t]
-        u0, u1, u2 = self.nbrs[t]
+    def toggle(self, t: int) -> None:
+        """Move triangle t to the other side: update the cut counts, then
+        append to or swap-remove from ``cand`` t and its neighbours, in
+        that order, wherever their boundary membership changed."""
         m = self.mask
-        want = (m[u0] != s) or (m[u1] != s) or (m[u2] != s)
-        p = self.pos[t]
-        if want and p < 0:
-            self.pos[t] = len(self.cand)
-            self.cand.append(t)
-        elif not want and p >= 0:
-            last = self.cand[-1]
-            self.cand[p] = last
-            self.pos[last] = p
-            self.cand.pop()
-            self.pos[t] = -1
+        cuts = self.cuts
+        s = not m[t]
+        m[t] = s
+        cuts[t] = 3 - cuts[t]
+        u0, u1, u2 = self.nbrs[t]
+        # the edge to a neighbour on t's new side is no longer cut
+        cuts[u0] += -1 if m[u0] == s else 1
+        cuts[u1] += -1 if m[u1] == s else 1
+        cuts[u2] += -1 if m[u2] == s else 1
+        cand = self.cand
+        pos = self.pos
+        for x in (t, u0, u1, u2):
+            p = pos[x]
+            if cuts[x]:
+                if p < 0:
+                    pos[x] = len(cand)
+                    cand.append(x)
+            elif p >= 0:
+                last = cand[-1]
+                cand[p] = last
+                pos[last] = p
+                cand.pop()
+                pos[x] = -1
 
     def deltas(self, t: int) -> tuple[float, float]:
         """(perimeter change, signed area change) of flipping triangle t."""
@@ -268,13 +310,10 @@ class _State:
         return dp, da
 
     def flip(self, t: int, dp: float, da: float) -> None:
-        self.mask[t] = not self.mask[t]
         self.count += 1 if da > 0 else -1
         self.area += da
         self.perimeter += dp
-        self._refresh(t)
-        for u in self.nbrs[t]:
-            self._refresh(u)
+        self.toggle(t)
 
     def cheapest_flip(self, inside: bool) -> tuple[int, float, float]:
         """(t, dp, da) of the boundary triangle on the given side whose flip
@@ -314,8 +353,10 @@ def _random_blob(rng, nbrs, areas, volume: float) -> list[bool]:
 
 def _anneal(
     state: _State, cfg: SolverConfig, rng, feas: float
-) -> tuple[float, list[bool] | None]:
-    """Run one annealing pass; return best feasible (cost, mask).
+) -> tuple[list[bool] | None, tuple[int, ...]]:
+    """Run one annealing pass; return the best feasible mask and the move
+    counts (flips proposed, accepted, rejected; swaps proposed, accepted,
+    rejected; snapshots).
 
     Each iteration proposes either a single boundary flip or a swap (one
     flip, then a second drawn from the updated boundary).  On equal-area
@@ -327,19 +368,25 @@ def _anneal(
     temp = cfg.t_initial
     cooling = cfg.cooling
     volume = state.volume
+    mask, cand, nbrs, lens, areas = (
+        state.mask, state.cand, state.nbrs, state.lens, state.areas
+    )
+    toggle = state.toggle
+    area, perimeter, count = state.area, state.perimeter, state.count
+    flips = flips_rej = swaps = swaps_rej = accepted = swaps_acc = snapshots = 0
     best_cost = math.inf
     best_mask: list[bool] | None = None
-    gap0 = abs(state.area - volume)
-    if gap0 <= feas and state.count > 0:
+    gap0 = abs(area - volume)
+    if gap0 <= feas and count > 0:
         # a feasible starting region (e.g. a vertex ball) is already a
         # snapshot; annealing can then only improve on it
-        best_cost = state.perimeter + mu * gap0
-        best_mask = list(state.mask)
+        best_cost = perimeter + mu * gap0
+        best_mask = list(mask)
+        snapshots += 1
     exp = math.exp
     block = rng.random(4 * cfg.iterations).tolist()
     bi = 0
     for _ in range(cfg.iterations):
-        cand = state.cand
         if not cand:
             break
         swap = block[bi] >= 0.5
@@ -347,42 +394,84 @@ def _anneal(
         r2 = block[bi + 2]
         r_acc = block[bi + 3]
         bi += 4
-        dp, da = state.deltas(t)
+        # the perimeter and area change of flipping t, summed as deltas() does
+        s = mask[t]
+        u0, u1, u2 = nbrs[t]
+        l0, l1, l2 = lens[t]
+        dp = 0.0
+        dp += l0 if mask[u0] == s else -l0
+        dp += l1 if mask[u1] == s else -l1
+        dp += l2 if mask[u2] == s else -l2
+        da = -areas[t] if s else areas[t]
         move_dp = dp
-        base_gap = abs(state.area - volume)
+        base_gap = abs(area - volume)
         if swap:
+            swaps += 1
             t1, dp1, da1 = t, dp, da
-            state.flip(t1, dp1, da1)
-            cand = state.cand
+            toggle(t1)
+            area += da1
+            perimeter += dp1
+            count += 1 if da1 > 0 else -1
             if not cand:
-                state.flip(t1, -dp1, -da1)
+                toggle(t1)
+                area -= da1
+                perimeter -= dp1
+                count -= 1 if da1 > 0 else -1
+                swaps_rej += 1
                 temp *= cooling
                 continue
             t = cand[int(r2 * len(cand))]
-            dp, da = state.deltas(t)
+            s = mask[t]
+            u0, u1, u2 = nbrs[t]
+            l0, l1, l2 = lens[t]
+            dp = 0.0
+            dp += l0 if mask[u0] == s else -l0
+            dp += l1 if mask[u1] == s else -l1
+            dp += l2 if mask[u2] == s else -l2
+            da = -areas[t] if s else areas[t]
             move_dp = dp1 + dp
-        new_gap = abs(state.area + da - volume)
+        else:
+            flips += 1
+        new_gap = abs(area + da - volume)
         dcost = move_dp + mu * (new_gap - base_gap)
         if dcost <= 0.0 or (temp > 1e-300 and r_acc < exp(-dcost / temp)):
-            state.flip(t, dp, da)
-            if new_gap <= feas and state.count > 0:
-                cost = state.perimeter + mu * new_gap
+            accepted += 1
+            swaps_acc += swap
+            toggle(t)
+            area += da
+            perimeter += dp
+            count += 1 if da > 0 else -1
+            if new_gap <= feas and count > 0:
+                cost = perimeter + mu * new_gap
                 if cost < best_cost:
                     best_cost = cost
-                    best_mask = list(state.mask)
+                    best_mask = list(mask)
+                    snapshots += 1
         elif swap:
-            state.flip(t1, -dp1, -da1)
+            toggle(t1)
+            area -= da1
+            perimeter -= dp1
+            count -= 1 if da1 > 0 else -1
+            swaps_rej += 1
+        else:
+            flips_rej += 1
         temp *= cooling
-    return best_cost, best_mask
+    state.area, state.perimeter, state.count = area, perimeter, count
+    counts = (
+        flips, accepted - swaps_acc, flips_rej, swaps, swaps_acc, swaps_rej, snapshots
+    )
+    return best_mask, counts
 
 
-def _polish(state: _State, cfg: SolverConfig) -> None:
+def _polish(state: _State, cfg: SolverConfig) -> int:
     """Steepest-descent flips to a local minimum of the penalized cost,
     then try boundary slides (cheapest addition plus cheapest removal),
-    then top up the area to at least the target volume."""
+    then top up the area to at least the target volume.  Return the
+    number of flips kept (a slide is two)."""
     mu = cfg.mu
     volume = state.volume
     moves = 0
+    kept = 0
     while moves < POLISH_MOVES:
         moves += 1
         best_t, best_dp, best_da = -1, 0.0, 0.0
@@ -397,6 +486,7 @@ def _polish(state: _State, cfg: SolverConfig) -> None:
                 best_d, best_t, best_dp, best_da = d, t, dp, da
         if best_t >= 0:
             state.flip(best_t, best_dp, best_da)
+            kept += 1
             continue
         # no single flip helps; slide the boundary by one triangle
         add_t, add_dp, add_da = state.cheapest_flip(False)
@@ -411,6 +501,7 @@ def _polish(state: _State, cfg: SolverConfig) -> None:
         )
         if rem_t >= 0 and net < -1e-12:
             state.flip(rem_t, rem_dp, rem_da)
+            kept += 2
         else:
             state.flip(add_t, -add_dp, -add_da)
             break
@@ -419,6 +510,8 @@ def _polish(state: _State, cfg: SolverConfig) -> None:
         if best_t < 0:
             break
         state.flip(best_t, best_dp, best_da)
+        kept += 1
+    return kept
 
 
 def minimize_perimeter(
@@ -444,6 +537,7 @@ def minimize_perimeter(
 
     outcomes: list[tuple[float, int, np.ndarray]] = []
     per_restart: list[float] = []
+    moves: list[MoveCounts] = []
     for r in range(cfg.restarts):
         rng = np.random.default_rng([cfg.seed, r])
         finalists: list[np.ndarray | list[bool]] = []
@@ -455,18 +549,20 @@ def minimize_perimeter(
         else:
             init = _random_blob(rng, nbrs, areas, volume)
         state = _State(mesh, nbrs, lens, areas, init, volume)
-        _, best_mask = _anneal(state, cfg, rng, feas)
+        best_mask, counts = _anneal(state, cfg, rng, feas)
         if best_mask is not None:
             finalists.append(best_mask)
         best_here: tuple[float, np.ndarray] | None = None
+        polished = 0
         for mask in finalists:
             st = _State(mesh, nbrs, lens, areas, mask, volume)
-            _polish(st, cfg)
+            polished += _polish(st, cfg)
             if abs(st.area - volume) > feas or st.count == 0:
                 continue
             if best_here is None or st.perimeter < best_here[0]:
                 best_here = (st.perimeter, np.array(st.mask, dtype=bool))
         per_restart.append(math.inf if best_here is None else best_here[0])
+        moves.append(MoveCounts(*counts, polished))
         if best_here is not None:
             outcomes.append((best_here[0], r, best_here[1]))
 
@@ -484,4 +580,5 @@ def minimize_perimeter(
         area=region.area,
         best_restart=best_r,
         restart_perimeters=tuple(per_restart),
+        moves=tuple(moves),
     )

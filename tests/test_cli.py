@@ -163,6 +163,7 @@ def test_solve_quick(tmp_path, capsys):
     assert abs(area - 0.375) <= 0.02 * 0.375
     assert bound - 1e-9 <= perimeter <= ceiling
     assert "bound check: PASS" in out
+    assert out.count("snapshots ") == 2  # one move-count entry per restart
     _, _, region_rows = read_artifact(tmp_path / "region.csv")
     assert len(region_rows) >= 1
 
@@ -372,12 +373,16 @@ def test_main_entry_point(tmp_path, capsys):
           "--vmax", "2e-300"], "DimensionTooHigh"),
         (["solve", "--polytope", "cube", "--volume", "-1", "--level", "1"],
          "VolumeOutOfRange"),
+        (["gallery", "spiked-cone", "--half-angle=1e-300", "--spike-height=1e300",
+          "--subdivisions=1", "--volume=nan"], "VolumeOutOfRange"),
+        (["gallery", "spiked-cone", "--half-angle=1e-300", "--spike-height=1e300",
+          "--subdivisions=1", "--volume=0.001"], "spike height"),
     ],
     ids=["subdivisions-0", "spike-volume-nan", "volume-nan", "volume-inf",
          "base-link-nan", "competitors-vmin-negative", "profile-vmax-inf",
          "underflow", "restarts-0", "iters-negative", "dirs-negative", "dirs-0",
          "profile-n-3000", "cone-n-3000", "profile-n-900-svg", "sphere-n-436",
-         "solve-volume-negative"],
+         "solve-volume-negative", "spike-overflow-volume-nan", "spike-overflow"],
 )
 def test_out_of_range_values_are_rejected(tmp_path, capsys, argv, message):
     code, out, err = run(capsys, *argv, "--out", str(tmp_path))

@@ -157,6 +157,24 @@ def test_minimize_perimeter_quick_run_is_deterministic():
     )
 
 
+def test_move_counts_are_deterministic_and_add_up():
+    mesh = subdivide(shapes.cube(), 3)
+    volume = 0.1
+    cfg = default_config(mesh, seed=2, iterations=3000, restarts=2)
+    ball = vertex_ball_region(mesh, 0, volume)
+    first = minimize_perimeter(mesh, volume, cfg, warm_starts=[ball])
+    second = minimize_perimeter(mesh, volume, cfg, warm_starts=[ball])
+    assert first.moves == second.moves and len(first.moves) == 2
+    for m in first.moves:
+        assert m.flips_proposed == m.flips_accepted + m.flips_rejected
+        assert m.swaps_proposed == m.swaps_accepted + m.swaps_rejected
+        assert m.flips_proposed + m.swaps_proposed == cfg.iterations
+        assert min(m.flips_accepted, m.flips_rejected) > 0
+        assert min(m.swaps_accepted, m.swaps_rejected) > 0
+    # the feasible warm ball is the warm restart's first snapshot
+    assert first.moves[0].snapshots >= 1
+
+
 def test_minimize_perimeter_warm_start_quality():
     mesh = subdivide(shapes.cube(), 3)
     volume = 0.1
@@ -216,6 +234,55 @@ def test_flip_state_matches_a_loop_reference():
         assert state.cand == cand
         assert [state.pos[t] for t in cand] == list(range(len(cand)))
         assert state.pos.count(-1) == len(flags) - len(cand)
+        assert state.cuts == [sum(flags[u] != inside for u in nbrs[t])
+                              for t, inside in enumerate(flags)]
+
+    # 10k seeded flips and undos, each checked against a freshly built state
+    # and against a candidate list kept by the loop rule: after flipping t,
+    # refresh t and then each neighbour, appending a triangle that gained a
+    # cut edge and swap-removing one that lost its last
+    flags = masks[2].tolist()
+    state = _State(mesh, nbrs, lens, areas, flags, 0.1)
+    ref_cand = list(state.cand)
+    ref_pos = {t: i for i, t in enumerate(ref_cand)}
+
+    def refresh(t):
+        want = any(flags[u] != flags[t] for u in nbrs[t])
+        if want and t not in ref_pos:
+            ref_pos[t] = len(ref_cand)
+            ref_cand.append(t)
+        elif not want and t in ref_pos:
+            p = ref_pos.pop(t)
+            last = ref_cand.pop()
+            if last != t:
+                ref_cand[p] = last
+                ref_pos[last] = p
+
+    last = None
+    for step in range(10_000):
+        kind = rng.random()
+        if last is not None and kind < 0.3:
+            t, dp, da = last
+            state.flip(t, -dp, -da)
+            last = None
+        else:
+            pool = state.cand if kind < 0.8 else range(len(areas))
+            t = pool[int(rng.integers(len(pool)))]
+            dp, da = state.deltas(t)
+            state.flip(t, dp, da)
+            last = (t, dp, da)
+        flags[t] = not flags[t]
+        for x in (t, *nbrs[t]):
+            refresh(x)
+        fresh = _State(mesh, nbrs, lens, areas, flags, 0.1)
+        assert state.mask == flags and state.count == fresh.count, step
+        assert state.cuts == fresh.cuts, step
+        assert state.cand == ref_cand, step
+        assert sorted(state.cand) == fresh.cand, step
+        assert [state.pos[t] for t in state.cand] == list(range(len(state.cand)))
+        assert state.pos.count(-1) == fresh.pos.count(-1), step
+        assert state.area == pytest.approx(fresh.area, rel=1e-12, abs=0), step
+        assert state.perimeter == pytest.approx(fresh.perimeter, rel=1e-12, abs=0), step
 
 
 #: Results recorded before the annealing state was built from the mesh
