@@ -553,7 +553,6 @@ def _cmd_gallery(args: argparse.Namespace, out: Path) -> int:
         rep = spiked_cone_report(
             theta_p,
             spike_height=args.spike_height,
-            subdivisions=args.subdivisions,
             reference_volume=args.volume,
         )
         columns = (
@@ -689,7 +688,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--half-angle", type=float, default=5.0, help="spike half-angle in degrees"
     )
     p.add_argument("--spike-height", type=float, default=3.0)
-    p.add_argument("--subdivisions", type=int, default=32)
     p.add_argument("--vmin", type=float, default=0.01)
     p.add_argument("--vmax", type=float, default=5.99)
     p.add_argument("--points", type=int, default=120)

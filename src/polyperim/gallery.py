@@ -20,10 +20,14 @@ Three exhibits:
   radial projection of the modified cube surface to S^3.  q undercuts 0
   exactly when 2*theta_p < |K-hat|.
 
-The projection areas are computed by the exact differential of x -> x/|x|:
-for a parametrized face, the spherical area element is |P x_u ^ P x_v| /
-|x|^2 with P = I - unit(x) unit(x)^T, integrated by centroid quadrature on
-a barycentric grid.
+The projection areas are exact.  The radial projection of a flat triangle
+(a, b, c) is a geodesic triangle on the great 2-sphere of span{a, b, c},
+and its area is the solid angle of the cone over (a, b, c): written in an
+orthonormal basis of that span, it is ``tet_solid_angle``'s arctangent
+formula.  The projection is one-to-one on each flat face, so area adds up
+over a face's pieces, and the top face minus the spike base costs
+Omega(top square) - Omega(base triangle) with no triangulation of the
+annulus between them.
 """
 
 from __future__ import annotations
@@ -33,7 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ProjectionDegenerate, ValidationError, VolumeOutOfRange
+from .cones import tet_solid_angle
+from .errors import ProjectionDegenerate, VolumeOutOfRange
 from .profiles import cone_profile
 
 CUBE_SURFACE_AREA = 6.0
@@ -166,48 +171,31 @@ def _wedge_norm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(aa * bb - ab * ab, 0.0))
 
 
-def projection_area_of_triangle(
-    a, b, c, subdivisions: int = 32
-) -> float:
+def projection_area_of_triangle(a, b, c) -> float:
     """Spherical area of the radial projection of a flat triangle.
 
-    Centroid quadrature on a barycentric grid of ``subdivisions^2`` equal
-    parameter cells; the integrand is the exact Jacobian of x -> x/|x|.
+    The solid angle of the cone over (a, b, c), with the rays written in an
+    orthonormal basis of their span.  A triangle whose plane passes through
+    the center, but not the triangle itself, projects to an arc of area 0.
     """
-    if subdivisions < 1:
-        raise ValidationError(f"subdivisions must be at least 1, got {subdivisions}")
-    a = np.asarray(a, float)
-    b = np.asarray(b, float)
-    c = np.asarray(c, float)
-    if min(np.linalg.norm(p) for p in (a, b, c)) < ORIGIN_TOL:
-        raise ProjectionDegenerate("face vertex at the projection center")
-    xu = b - a
-    xv = c - a
-    n = subdivisions
-    cents = []
-    for i in range(n):
-        for j in range(n - i):
-            # upward cell (i, j) and its downward partner when present
-            cents.append(((i + 1 / 3) / n, (j + 1 / 3) / n))
-            if j < n - i - 1:
-                cents.append(((i + 2 / 3) / n, (j + 2 / 3) / n))
-    uv = np.array(cents)
-    x = a + uv[:, :1] * xu + uv[:, 1:] * xv
-    norms = np.linalg.norm(x, axis=1)
+    rays = np.array([a, b, c], dtype=float)
+    norms = np.linalg.norm(rays, axis=1)
     if norms.min() < ORIGIN_TOL:
+        raise ProjectionDegenerate("face vertex at the projection center")
+    # the columns of coords are the unit rays in that orthonormal basis
+    _, coords = np.linalg.qr((rays / norms[:, None]).T)
+    gram = coords.T @ coords
+    if (
+        abs(np.linalg.det(coords)) < ORIGIN_TOL
+        and 1.0 + gram[0, 1] + gram[0, 2] + gram[1, 2] <= 0.0
+    ):
+        # dependent rays around the center: tet_solid_angle would read 2*pi
         raise ProjectionDegenerate("face passes through the projection center")
-    unit = x / norms[:, None]
-    pu = xu - unit * (unit @ xu)[:, None]
-    pv = xv - unit * (unit @ xv)[:, None]
-    weights = 0.5 / n**2
-    return float(np.sum(_wedge_norm(pu, pv) / norms**2) * weights)
+    return tet_solid_angle(*coords.T)
 
 
-def radial_projection_area(triangles, subdivisions: int = 32) -> float:
-    return sum(
-        projection_area_of_triangle(t[0], t[1], t[2], subdivisions)
-        for t in triangles
-    )
+def radial_projection_area(triangles) -> float:
+    return sum(projection_area_of_triangle(*t) for t in triangles)
 
 
 def suspension_area(curve: np.ndarray) -> float:
@@ -252,76 +240,45 @@ def spike_link_from_half_angle(gamma: float) -> float:
     return 3.0 * 2.0 * math.asin(math.sqrt(3.0) / 2.0 * math.sin(gamma))
 
 
-def _annulus_triangles(outer: np.ndarray, inner: np.ndarray) -> list[np.ndarray]:
-    """Triangulate the region between two convex star-shaped polygons.
-
-    Merges the two vertex cycles by angle about the common center; each
-    merge event tents one triangle over the other cycle's current vertex,
-    giving len(outer) + len(inner) pieces in total.
-    """
-    center = outer.mean(axis=0)
-
-    def ordered(points):
-        angles = np.arctan2(*(points - center).T[::-1])
-        order = np.argsort(angles, kind="stable")
-        return points[order], angles[order]
-
-    outer, ao = ordered(outer)
-    inner, ai = ordered(inner)
-    events = sorted(
-        [(a, "O", i) for i, a in enumerate(ao)]
-        + [(a, "I", i) for i, a in enumerate(ai)]
-    )
-    # before the first event each cycle sits at its angularly last vertex
-    cur = {"O": len(ao) - 1, "I": len(ai) - 1}
-    cycle = {"O": outer, "I": inner}
-    tris: list[np.ndarray] = []
-    for _, kind, idx in events:
-        other = "I" if kind == "O" else "O"
-        tris.append(np.stack([
-            cycle[kind][cur[kind]],
-            cycle[kind][idx],
-            cycle[other][cur[other]],
-        ]))
-        cur[kind] = idx
-    return tris
-
-
-def modified_cube_faces(rho: float, spike_height: float) -> list[np.ndarray]:
-    """Triangulated cube surface with a spike replacing a top-face triangle.
+def modified_cube_faces(
+    rho: float, spike_height: float
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Cube surface with a spike replacing a top-face triangle.
 
     The unit cube [-1/2, 1/2]^3 sits in the hyperplane x4 = CUBE_LIFT.  The top
     face loses an inscribed equilateral triangle of circumradius rho, whose
     rim is joined to the spike apex at height 1/2 + spike_height.  Returns
-    a list of 4D triangles (rows are vertices).
+    the added faces (the cube's 12 triangles and the 3 spike faces) and the
+    subtracted spike base, as 4D triangles (rows are vertices).
     """
     if not 0.0 < rho < 0.5:
         raise ValueError("spike base must fit inside the top face")
     h = 0.5
-    squares = []
-    # bottom (z = -h) and the four side faces
-    squares.append([(-h, -h, -h), (h, -h, -h), (h, h, -h), (-h, h, -h)])
-    squares.append([(-h, -h, -h), (h, -h, -h), (h, -h, h), (-h, -h, h)])
-    squares.append([(h, -h, -h), (h, h, -h), (h, h, h), (h, -h, h)])
-    squares.append([(h, h, -h), (-h, h, -h), (-h, h, h), (h, h, h)])
-    squares.append([(-h, h, -h), (-h, -h, -h), (-h, -h, h), (-h, h, h)])
+    squares = [
+        [(-h, -h, -h), (h, -h, -h), (h, h, -h), (-h, h, -h)],
+        [(-h, -h, h), (h, -h, h), (h, h, h), (-h, h, h)],
+        [(-h, -h, -h), (h, -h, -h), (h, -h, h), (-h, -h, h)],
+        [(h, -h, -h), (h, h, -h), (h, h, h), (h, -h, h)],
+        [(h, h, -h), (-h, h, -h), (-h, h, h), (h, h, h)],
+        [(-h, h, -h), (-h, -h, -h), (-h, -h, h), (-h, h, h)],
+    ]
     tris3: list[np.ndarray] = []
     for sq in squares:
         p = np.asarray(sq, float)
         tris3.append(p[[0, 1, 2]])
         tris3.append(p[[0, 2, 3]])
-    # top face minus the spike base
-    corners = np.array([(h, h), (-h, h), (-h, -h), (h, -h)])
-    base_angles = np.array([math.pi / 2, math.pi * 7 / 6, math.pi * 11 / 6])
-    base2 = rho * np.stack([np.cos(base_angles), np.sin(base_angles)], axis=1)
-    for t in _annulus_triangles(corners, base2):
-        tris3.append(np.column_stack([t, np.full(3, h)]))
-    # spike faces
-    base3 = np.column_stack([base2, np.full(3, h)])
+    angles = np.array([math.pi / 2, math.pi * 7 / 6, math.pi * 11 / 6])
+    base = np.column_stack(
+        [rho * np.cos(angles), rho * np.sin(angles), np.full(3, h)]
+    )
     apex = np.array([0.0, 0.0, h + spike_height])
     for i in range(3):
-        tris3.append(np.stack([base3[i], base3[(i + 1) % 3], apex]))
-    return [np.column_stack([t, np.full(3, CUBE_LIFT)]) for t in tris3]
+        tris3.append(np.stack([base[i], base[(i + 1) % 3], apex]))
+
+    def lift(t):
+        return np.column_stack([t, np.full(3, CUBE_LIFT)])
+
+    return [lift(t) for t in tris3], lift(base)
 
 
 @dataclass(frozen=True)
@@ -339,7 +296,6 @@ class SpikedConeReport:
 def spiked_cone_report(
     theta_p: float,
     spike_height: float = 3.0,
-    subdivisions: int = 32,
     reference_volume: float = 1e-3,
 ) -> SpikedConeReport:
     """Compare the link at q (over the spike apex) with the cone point.
@@ -356,8 +312,8 @@ def spiked_cone_report(
         raise VolumeOutOfRange(
             f"volume must be positive and finite, got {reference_volume}"
         )
-    # the projection squares the norm of every face vertex; the spike apex
-    # (0, 0, 1/2 + spike_height, CUBE_LIFT) has the largest
+    # the projection normalizes every face vertex, and the norm of the spike
+    # apex (0, 0, 1/2 + spike_height, CUBE_LIFT) overflows first
     top = 0.5 + spike_height
     if not math.isfinite(top * top + CUBE_LIFT * CUBE_LIFT):
         raise ValueError(
@@ -367,8 +323,8 @@ def spiked_cone_report(
     alpha = theta_p / 3.0
     gamma = math.asin(2.0 * math.sin(alpha / 2.0) / math.sqrt(3.0))
     rho = spike_height * math.tan(gamma)
-    faces = modified_cube_faces(rho, spike_height)
-    apex_link = radial_projection_area(faces, subdivisions)
+    added, base = modified_cube_faces(rho, spike_height)
+    apex_link = radial_projection_area(added) - projection_area_of_triangle(*base)
     q_link = 2.0 * theta_p
     return SpikedConeReport(
         theta_p=theta_p,

@@ -344,15 +344,21 @@ class Polytope:
         if name is not None and not isinstance(name, str):
             raise BadDocument("field 'name' must be a string")
         raw_facets = doc.get("facets")
+        m = len(verts)
         verts, remap = _dedupe_with_map(verts)
         facets = None
         if raw_facets is not None:
             if not isinstance(raw_facets, list):
                 raise BadDocument("field 'facets' must be a list of index lists")
-            try:
-                facets = [tuple(sorted({remap[int(i)] for i in f})) for f in raw_facets]
-            except (TypeError, ValueError, IndexError) as exc:
-                raise BadDocument(f"bad facet index list: {exc}") from None
+            for fi, f in enumerate(raw_facets):
+                if not isinstance(f, list) or not all(
+                    isinstance(i, int) and not isinstance(i, bool) and 0 <= i < m
+                    for i in f
+                ):
+                    raise BadDocument(
+                        f"facet {fi} must list vertex indices in [0, {m})"
+                    )
+            facets = [tuple(sorted({remap[i] for i in f})) for f in raw_facets]
         return cls(verts, facets, name=name)
 
     @classmethod

@@ -29,7 +29,11 @@ snapshots and the flips polishing kept.
 cut lengths to Euclidean lengths: a straight segment rendered as a staircase
 of triangle edges is at most kappa times longer, where for each triangle
 kappa_tri = 1 / cos(gap/2) and gap is the largest angular gap between its
-edge directions (mod pi).  Right isosceles triangles give sqrt(2),
+edge directions (mod pi).  That gap is the triangle's largest interior
+angle: the three edge lines meet pairwise at the three vertices, so the
+gaps between their directions are the interior angles, which sum to pi.
+kappa is therefore 1 / cos(A/2) for the largest interior angle A over the
+mesh, read off the edge lengths.  Right isosceles triangles give sqrt(2),
 equilateral ones 2/sqrt(3).
 """
 
@@ -83,35 +87,11 @@ class Region:
 
 def anisotropy_bound(mesh: SurfaceMesh) -> float:
     """Worst-case discrete-to-straight length ratio over mesh triangles."""
-    pos = mesh.positions
-    tris = mesh.triangles
-    edges = np.stack(
-        [
-            pos[tris[:, 1]] - pos[tris[:, 0]],
-            pos[tris[:, 2]] - pos[tris[:, 1]],
-            pos[tris[:, 0]] - pos[tris[:, 2]],
-        ],
-        axis=1,
-    )
-    normal = np.cross(edges[:, 0], edges[:, 1])
-    normal = normal / np.linalg.norm(normal, axis=1)[:, None]
-    u = edges[:, 0] / np.linalg.norm(edges[:, 0], axis=1)[:, None]
-    w = np.cross(normal, u)
-    ang = np.arctan2(
-        np.einsum("tjk,tk->tj", edges, w), np.einsum("tjk,tk->tj", edges, u)
-    )
-    ang = np.mod(ang, math.pi)
-    ang.sort(axis=1)
-    gaps = np.stack(
-        [
-            ang[:, 1] - ang[:, 0],
-            ang[:, 2] - ang[:, 1],
-            math.pi - ang[:, 2] + ang[:, 0],
-        ],
-        axis=1,
-    )
-    worst = float(gaps.max())
-    return 1.0 / math.cos(worst / 2.0)
+    a, b, c = np.sort(mesh.edge_lengths[mesh.tri_edges], axis=1).T
+    # half-angle form for the angle C opposite the longest edge c:
+    # cos^2(C/2) = (a + b - c)(a + b + c) / (4ab)
+    cos_sq = (a + b - c) * (a + b + c) / (4.0 * a * b)
+    return 1.0 / math.sqrt(float(cos_sq.min()))
 
 
 @dataclass(frozen=True)
@@ -202,7 +182,7 @@ def vertex_ball_region(mesh: SurfaceMesh, vertex: int, volume: float) -> Region:
     """
     if not 0 <= vertex < len(mesh.polytope.vertices):
         raise ValueError(f"vertex index {vertex} out of range")
-    if volume <= 0:
+    if not volume > 0:
         raise VolumeTooLarge("volume must be positive")
     cone = link_volume(mesh.polytope, vertex)
     if volume > cone.valid_volume_max * (1 + 1e-12):
@@ -527,6 +507,12 @@ def minimize_perimeter(
     if not 0.0 < volume < total:
         raise VolumeOutOfRange(
             f"volume {volume} outside (0, {total}) for this mesh"
+        )
+    smallest = float(mesh.areas.min())
+    if (1.0 + FEASIBILITY_FRACTION) * volume < smallest:
+        raise VolumeOutOfRange(
+            f"volume {volume} is out of reach: the smallest triangle has "
+            f"area {smallest}"
         )
     cfg = config if config is not None else default_config(mesh)
     feas = FEASIBILITY_FRACTION * volume

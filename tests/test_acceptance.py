@@ -312,7 +312,7 @@ CLI_CASES = [
         "--iters", "20000", "--restarts", "2", "--seed", "7",
     ],
     ["gallery", "double-pyramid", "--theta", "0.5", "--base-link", "0.7"],
-    ["gallery", "spiked-cone", "--half-angle", "5.0", "--subdivisions", "16"],
+    ["gallery", "spiked-cone", "--half-angle", "5.0"],
     ["gallery", "cube-competitors", "--points", "40", "--svg"],
 ]
 

@@ -191,7 +191,6 @@ def test_gallery_spiked_cone(tmp_path, capsys):
         capsys,
         "gallery", "spiked-cone",
         "--half-angle", "5.0",
-        "--subdivisions", "16",
         "--out", str(tmp_path),
     )
     assert code == 0
@@ -251,6 +250,19 @@ def test_analyze_rejects_facet_list_that_does_not_close_up(tmp_path, capsys):
     )
     assert code == 2
     assert "InvalidPolytope" in err and "close up" in err
+    assert not (tmp_path / "out" / "analysis.csv").exists()
+
+
+def test_analyze_rejects_facet_index_out_of_range(tmp_path, capsys):
+    doc = shapes.tetrahedron().serialize()
+    doc["facets"][-1] = [1, 2, -1]
+    path = tmp_path / "wrapped.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(
+        capsys, "analyze", "--polytope", str(path), "--out", str(tmp_path / "out")
+    )
+    assert code == 2
+    assert "BadDocument" in err and "facet 3" in err
     assert not (tmp_path / "out" / "analysis.csv").exists()
 
 
@@ -345,7 +357,6 @@ def test_main_entry_point(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["gallery", "spiked-cone", "--subdivisions", "0"], "subdivisions"),
         (["gallery", "spiked-cone", "--volume", "nan"], "VolumeOutOfRange"),
         (["gallery", "double-pyramid", "--volume", "nan"], "VolumeOutOfRange"),
         (["gallery", "double-pyramid", "--volume", "inf"], "VolumeOutOfRange"),
@@ -373,16 +384,19 @@ def test_main_entry_point(tmp_path, capsys):
           "--vmax", "2e-300"], "DimensionTooHigh"),
         (["solve", "--polytope", "cube", "--volume", "-1", "--level", "1"],
          "VolumeOutOfRange"),
+        (["solve", "--polytope", "cube", "--volume", "1e-300", "--level", "1"],
+         "smallest triangle has area"),
         (["gallery", "spiked-cone", "--half-angle=1e-300", "--spike-height=1e300",
-          "--subdivisions=1", "--volume=nan"], "VolumeOutOfRange"),
+          "--volume=nan"], "VolumeOutOfRange"),
         (["gallery", "spiked-cone", "--half-angle=1e-300", "--spike-height=1e300",
-          "--subdivisions=1", "--volume=0.001"], "spike height"),
+          "--volume=0.001"], "spike height"),
     ],
-    ids=["subdivisions-0", "spike-volume-nan", "volume-nan", "volume-inf",
+    ids=["spike-volume-nan", "volume-nan", "volume-inf",
          "base-link-nan", "competitors-vmin-negative", "profile-vmax-inf",
          "underflow", "restarts-0", "iters-negative", "dirs-negative", "dirs-0",
          "profile-n-3000", "cone-n-3000", "profile-n-900-svg", "sphere-n-436",
-         "solve-volume-negative", "spike-overflow-volume-nan", "spike-overflow"],
+         "solve-volume-negative", "solve-volume-unreachable",
+         "spike-overflow-volume-nan", "spike-overflow"],
 )
 def test_out_of_range_values_are_rejected(tmp_path, capsys, argv, message):
     code, out, err = run(capsys, *argv, "--out", str(tmp_path))
@@ -445,8 +459,7 @@ def _argv(draw):
                 f"--volume={draw(_FLOATS)}", f"--base-link={draw(_FLOATS)}"]
     if command == "spiked-cone":
         return ["gallery", command, f"--half-angle={draw(_FLOATS)}",
-                f"--spike-height={draw(_FLOATS)}", f"--subdivisions={draw(_INTS)}",
-                f"--volume={draw(_FLOATS)}"]
+                f"--spike-height={draw(_FLOATS)}", f"--volume={draw(_FLOATS)}"]
     return ["gallery", command, f"--vmin={draw(_FLOATS)}", f"--vmax={draw(_FLOATS)}",
             f"--points={draw(_INTS)}"]
 

@@ -94,7 +94,39 @@ def test_double_pyramid_base_comparison():
 
 def test_projection_of_octant_triangle():
     area = projection_area_of_triangle([1, 0, 0], [0, 1, 0], [0, 0, 1])
-    assert area == pytest.approx(math.pi / 2, rel=2e-3)
+    assert area == pytest.approx(math.pi / 2, abs=1e-15)
+
+
+def test_projection_of_cube_about_origin_is_whole_sphere():
+    h = 0.5
+    squares = [
+        [(-h, -h, -h), (h, -h, -h), (h, h, -h), (-h, h, -h)],
+        [(-h, -h, h), (h, -h, h), (h, h, h), (-h, h, h)],
+        [(-h, -h, -h), (h, -h, -h), (h, -h, h), (-h, -h, h)],
+        [(h, -h, -h), (h, h, -h), (h, h, h), (h, -h, h)],
+        [(h, h, -h), (-h, h, -h), (-h, h, h), (h, h, h)],
+        [(-h, h, -h), (-h, -h, -h), (-h, -h, h), (-h, h, h)],
+    ]
+    tris = []
+    for sq in squares:
+        p = np.asarray(sq, float)
+        tris += [p[[0, 1, 2]], p[[0, 2, 3]]]
+    assert radial_projection_area(tris) == pytest.approx(4 * math.pi, abs=1e-12)
+
+
+def test_projection_area_survives_rotation_into_r4():
+    rng = np.random.default_rng(11)
+    tri = rng.normal(size=(3, 3)) + 1.5
+    rotation, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+    lifted = np.column_stack([tri, np.zeros(3)]) @ rotation.T
+    assert projection_area_of_triangle(*lifted) == pytest.approx(
+        projection_area_of_triangle(*tri), abs=1e-12
+    )
+
+
+def test_projection_of_triangle_in_a_plane_through_the_center():
+    # the plane z = 0 holds the center, the triangle misses it: an arc
+    assert projection_area_of_triangle([1, 0, 0], [2, 1, 0], [2, -1, 0]) == 0.0
 
 
 def test_projection_matches_spherical_cap():
@@ -107,7 +139,7 @@ def test_projection_matches_spherical_cap():
     )
     tris = [np.stack([[0.0, 0.0, 1.0], rim[i], rim[i + 1]]) for i in range(n)]
     cap = 2 * math.pi * (1 - 1 / math.sqrt(1 + radius**2))
-    assert radial_projection_area(tris, subdivisions=16) == pytest.approx(
+    assert radial_projection_area(tris) == pytest.approx(
         cap, rel=2e-3
     )
 
@@ -115,8 +147,8 @@ def test_projection_matches_spherical_cap():
 def test_projection_scale_invariance():
     rng = np.random.default_rng(4)
     tri = rng.normal(size=(3, 4)) + 2.0
-    a = projection_area_of_triangle(*tri, subdivisions=8)
-    b = projection_area_of_triangle(*(3.5 * tri), subdivisions=8)
+    a = projection_area_of_triangle(*tri)
+    b = projection_area_of_triangle(*(3.5 * tri))
     assert a == pytest.approx(b, rel=1e-12)
 
 
@@ -174,16 +206,16 @@ def test_spike_link_roundtrip():
 
 def test_modified_cube_faces_area_budget():
     rho, spike = 0.2, 1.5
-    faces = modified_cube_faces(rho, spike)
-    assert len(faces) == 20
-    assert all(f.shape == (3, 4) for f in faces)
-    assert all(np.allclose(f[:, 3], 1.0) for f in faces)
-    total = 0.0
-    for f in faces:
+    added, base = modified_cube_faces(rho, spike)
+    assert len(added) == 15
+    assert all(f.shape == (3, 4) for f in added + [base])
+    assert all(np.allclose(f[:, 3], 1.0) for f in added + [base])
+
+    def flat_area(f):
         v = f[:, :3]
-        total += 0.5 * np.linalg.norm(
-            np.cross(v[1] - v[0], v[2] - v[0])
-        )
+        return 0.5 * np.linalg.norm(np.cross(v[1] - v[0], v[2] - v[0]))
+
+    total = sum(flat_area(f) for f in added) - flat_area(base)
     side = rho * math.sqrt(3.0)
     slant = math.sqrt(spike**2 + (rho / 2.0) ** 2)
     expected = (
@@ -209,3 +241,15 @@ def test_spiked_cone_report_small_half_angle():
         spiked_cone_report(0.0)
     with pytest.raises(ValueError):
         spiked_cone_report(math.pi)
+
+
+@pytest.mark.parametrize(
+    "degrees, limit",
+    # Richardson limits of the earlier centroid quadrature (64 and 128
+    # subdivisions per face), independent of the closed form
+    [(5.0, 4.480344826), (3.0, 4.313629015), (1.0, 4.122926385)],
+)
+def test_spiked_cone_apex_link_is_exact(degrees, limit):
+    rep = spiked_cone_report(spike_link_from_half_angle(math.radians(degrees)))
+    assert rep.apex_link == pytest.approx(limit, abs=1e-8)
+    assert rep.q_wins

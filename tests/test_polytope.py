@@ -116,6 +116,18 @@ def test_document_validation_errors():
         Polytope.loads("not json")
 
 
+@pytest.mark.parametrize(
+    "last_facet",
+    [[1, 2, -1], [0, 2, 3.7], [True, 2, 3], ["1", 2, 3]],
+    ids=["negative", "fractional", "bool", "string"],
+)
+def test_document_facet_indices_must_be_vertex_indices(last_facet):
+    doc = shapes.tetrahedron().serialize()
+    doc["facets"][-1] = last_facet
+    with pytest.raises(BadDocument, match="facet 3"):
+        Polytope.from_document(doc)
+
+
 def test_construction_errors():
     sq = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
     sq_facets = ((0, 1), (1, 2), (2, 3), (0, 3))

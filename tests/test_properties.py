@@ -13,7 +13,7 @@ from polyperim.errors import InvalidPolytope
 from polyperim.mesh import subdivide
 from polyperim.polytope import MERGE_TOL, Polytope
 from polyperim.smoothing import GaugeFunction, convexity_probe, smoothed_body
-from polyperim.solver import vertex_ball_region
+from polyperim.solver import anisotropy_bound, vertex_ball_region
 
 
 def sphere_points(m: int, seed: int) -> np.ndarray:
@@ -98,6 +98,28 @@ def test_vertex_ball_area_is_within_one_triangle(m, seed, level, fraction):
     assert abs(region.area - volume) <= mesh.areas.max() + 1e-12
     incident = poly.incident_facets(vertex)
     assert np.isin(mesh.facet_of[region.mask], incident).all()
+
+
+def kappa_by_edge_directions(mesh) -> float:
+    """Reference: the largest gap between a triangle's edge directions mod pi."""
+    worst = 0.0
+    for tri in mesh.positions[mesh.triangles]:
+        edges = tri[[1, 2, 0]] - tri
+        normal = np.cross(edges[0], edges[1])
+        u = edges[0] / np.linalg.norm(edges[0])
+        w = np.cross(normal / np.linalg.norm(normal), u)
+        ang = sorted(math.atan2(e @ w, e @ u) % math.pi for e in edges)
+        worst = max(worst, ang[1] - ang[0], ang[2] - ang[1], math.pi - ang[2] + ang[0])
+    return 1.0 / math.cos(worst / 2.0)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(m=st.integers(5, 40), seed=st.integers(0, 2**32 - 1), level=st.integers(1, 2))
+def test_anisotropy_bound_is_largest_edge_direction_gap(m, seed, level):
+    mesh = subdivide(Polytope.from_vertices(sphere_points(m, seed)), level)
+    assert anisotropy_bound(mesh) == pytest.approx(
+        kappa_by_edge_directions(mesh), rel=1e-12
+    )
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)

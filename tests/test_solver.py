@@ -83,6 +83,8 @@ def test_vertex_ball_region_guards():
         vertex_ball_region(mesh, 0, 0.75 * math.pi * 1.01)
     with pytest.raises(VolumeTooLarge):
         vertex_ball_region(mesh, 0, 0.0)
+    with pytest.raises(VolumeTooLarge, match="volume must be positive"):
+        vertex_ball_region(mesh, 0, math.nan)
     with pytest.raises(ValueError):
         vertex_ball_region(mesh, 99, 0.1)
 
