@@ -4,9 +4,12 @@ Three exhibits:
 
 * ``cube_competitors`` — closed-form competitor families on the unit-cube
   surface (total area 6): vertex balls, flat discs (interior or across an
-  edge, which unfolds flat), bands around four faces, and the complements
-  of all three.  Winners over a volume grid locate the empirical crossover
-  from vertex balls to bands.
+  edge, which unfolds flat), bands around four faces, one face plus a
+  collar on its four neighbours, and the complements of the first three
+  (the face-collar family is its own complement).  Winners over a volume
+  grid locate the crossovers from vertex balls to face collars at
+  V = 16/(3 pi) and from face collars to vertex-ball complements at
+  V = 6 - 16/(3 pi).
 
 * ``double_pyramid_report`` — two skinny cones glued at their apices.  A
   metric ball about the glued point (link 2*theta) costs sqrt(2) times the
@@ -66,12 +69,15 @@ class CompetitorReport:
 
 
 _FAMILIES = (
-    # name, perimeter(V), validity(V)
+    # name, perimeter(V), validity(V), its own complement
     ("vertex-ball", lambda v: math.sqrt(3.0 * math.pi * v),
-     lambda v: v <= 3.0 * math.pi / 4.0),
+     lambda v: v <= 3.0 * math.pi / 4.0, False),
     ("flat-disc", lambda v: math.sqrt(4.0 * math.pi * v),
-     lambda v: v <= math.pi / 4.0),
-    ("band", lambda v: 8.0, lambda v: 0.0 < v < 4.0),
+     lambda v: v <= math.pi / 4.0, False),
+    ("band", lambda v: 8.0, lambda v: 0.0 < v < 4.0, False),
+    # a face and a collar of height (V - 1) / 4 on its neighbours, cut off by
+    # a unit-square loop; the rest is the opposite face with a collar
+    ("face-collar", lambda v: 4.0, lambda v: 1.0 <= v <= 5.0, True),
 )
 
 
@@ -82,13 +88,14 @@ def cube_competitors(volume: float) -> CompetitorReport:
             f"volume {volume} outside (0, {CUBE_SURFACE_AREA})"
         )
     entries: list[CompetitorEntry] = []
-    for name, area, valid in _FAMILIES:
+    for name, area, valid, _ in _FAMILIES:
         entries.append(CompetitorEntry(name, area(volume), valid(volume)))
     co_volume = CUBE_SURFACE_AREA - volume
-    for name, area, valid in _FAMILIES:
-        entries.append(
-            CompetitorEntry(name + "-complement", area(co_volume), valid(co_volume))
-        )
+    for name, area, valid, own_complement in _FAMILIES:
+        if not own_complement:
+            entries.append(
+                CompetitorEntry(name + "-complement", area(co_volume), valid(co_volume))
+            )
     winner = min(
         (e for e in entries if e.valid),
         key=lambda e: e.perimeter,

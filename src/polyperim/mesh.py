@@ -13,6 +13,9 @@ new midpoints in first-visit order: triangle by triangle, edges ``ab``,
 ``bc``, ``ca``.  Triangle ``(a, b, c)`` becomes ``(a, ab, ca)``,
 ``(ab, b, bc)``, ``(ca, bc, c)``, ``(ab, bc, ca)`` in that order.  Edges are
 sorted vertex pairs in lexicographic order.
+
+A mesh is immutable: every array is read-only once built, and each vertex's
+star order (``SurfaceMesh.vertex_star``) is computed on first use and kept.
 """
 
 from __future__ import annotations
@@ -21,10 +24,26 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .cones import VertexCone, link_volume
 from .errors import UnsupportedDimension
 from .polytope import Polytope
 
 MAX_LEVEL = 8
+
+
+@dataclass(frozen=True)
+class VertexStar:
+    """Triangles of the facets incident to a polytope vertex, nearest first.
+
+    ``triangles`` are in stable order of their centroids' distance to the
+    vertex, ``distances`` are those distances (ascending) and
+    ``prefix_area`` is the ``np.cumsum`` of the triangle areas in that order.
+    """
+
+    cone: VertexCone
+    triangles: np.ndarray
+    distances: np.ndarray
+    prefix_area: np.ndarray
 
 
 @dataclass(eq=False)
@@ -53,6 +72,7 @@ class SurfaceMesh:
     tri_neighbors: np.ndarray = field(init=False)
     areas: np.ndarray = field(init=False)
     centroids: np.ndarray = field(init=False)
+    _stars: dict[int, VertexStar] = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self) -> None:
         self.positions = np.asarray(self.positions, dtype=float)
@@ -64,6 +84,16 @@ class SurfaceMesh:
         cross = np.cross(p[t[:, 1]] - p[t[:, 0]], p[t[:, 2]] - p[t[:, 0]])
         self.areas = 0.5 * np.linalg.norm(cross, axis=1)
         self.centroids = p[t].mean(axis=1)
+        # copies, so freezing them never freezes the caller's arrays; made
+        # last, when the temporaries above are gone
+        self.positions = self.positions.copy()
+        self.triangles = self.triangles.copy()
+        self.facet_of = self.facet_of.copy()
+        _freeze(
+            self.positions, self.triangles, self.facet_of, self.edges,
+            self.edge_lengths, self.edge_triangles, self.tri_edges,
+            self.tri_neighbors, self.areas, self.centroids,
+        )
 
     def _build_edges(self) -> None:
         t = self.triangles
@@ -104,6 +134,22 @@ class SurfaceMesh:
 
     def max_edge_length(self) -> float:
         return float(self.edge_lengths.max())
+
+    def vertex_star(self, vertex: int) -> VertexStar:
+        """The star of polytope vertex ``vertex`` in centroid-distance order,
+        computed on the first call for that vertex and kept on the mesh."""
+        star = self._stars.get(vertex)
+        if star is None:
+            cone = link_volume(self.polytope, vertex)
+            incident = [f for f, _ in cone.facet_contributions]
+            tris = np.flatnonzero(np.isin(self.facet_of, incident))
+            dist = np.linalg.norm(self.centroids[tris] - self.positions[vertex], axis=1)
+            order = np.argsort(dist, kind="stable")
+            tris = tris[order]
+            star = VertexStar(cone, tris, dist[order], np.cumsum(self.areas[tris]))
+            _freeze(star.triangles, star.distances, star.prefix_area)
+            self._stars[vertex] = star
+        return star
 
 
 def subdivide(polytope: Polytope, level: int) -> SurfaceMesh:
@@ -152,6 +198,11 @@ def subdivide(polytope: Polytope, level: int) -> SurfaceMesh:
         subdivision_level=level,
         polytope=polytope,
     )
+
+
+def _freeze(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        a.flags.writeable = False
 
 
 def _edge_keys(pairs: np.ndarray, count: int) -> np.ndarray:

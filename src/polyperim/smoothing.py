@@ -40,8 +40,15 @@ Each evaluation screens its points exactly.  With d_f = a_f . (x - o) / c_f
 and e_qf = eps a_f . z_q / c_f, facet g can win at some node only if
 d_g - min_q e_qg >= max_f (d_f - max_q e_qf).  A point with a single
 surviving facet f* has F_eps = d_f* sum_q p_q - sum_q p_q e_qf* in closed
-form; ties keep both facets, and points with two or more survivors take the
-dense running maximum over all Q nodes and their surviving facets.
+form; ties keep both facets.  A point with exactly two survivors f < g is
+closed too: g wins node q exactly when s_q = e_qg - e_qf < c = d_g - d_f.
+The s_q do not depend on the point, so they are sorted once per gauge and
+facet pair (the mollifier keeps them, with prefix sums W of p_q and S of
+p_q s_q), and a point finds the j nodes below c by binary search: F_eps is
+f's closed form plus c W_j - S_j, and its radial slope gains c W_j.  The
+comparison is strict, so f keeps the ties, as the dense loop does.  Points
+with three or more survivors take the dense running maximum over all Q
+nodes and their surviving facets.
 
 The quadrature itself is accurate: with 32 radial Gauss-Legendre nodes the
 raw kernel mass matches the true integral of the bump to ~1e-9 (recorded as
@@ -51,7 +58,7 @@ raw kernel mass matches the true integral of the bump to ~1e-9 (recorded as
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import quad
@@ -72,13 +79,20 @@ INSIDE_TOL = 1e-12
 _CHUNK = 1 << 21
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaugeFunction:
-    """Piecewise-linear gauge of a polytope about an interior origin."""
+    """Piecewise-linear gauge of a polytope about an interior origin.
+
+    Its arrays are read-only copies, so what a mollifier keeps for this
+    gauge (see ``mollify``) never goes stale; gauges compare by identity.
+    """
 
     normals: np.ndarray
     offsets: np.ndarray
     origin: np.ndarray
+
+    def __post_init__(self) -> None:
+        _freeze_fields(self, "normals", "offsets", "origin")
 
     @classmethod
     def from_polytope(
@@ -128,7 +142,8 @@ class Mollifier:
     ``nodes`` live on the unit ball and are scaled by ``epsilon`` at use
     time; ``weights`` are renormalized to sum to exactly 1; ``mass_error``
     is the relative error of the raw quadrature mass against the true
-    kernel integral (adaptive reference).
+    kernel integral (adaptive reference).  ``nodes`` and ``weights`` are
+    read-only copies.
     """
 
     dim: int
@@ -136,6 +151,12 @@ class Mollifier:
     nodes: np.ndarray
     weights: np.ndarray
     mass_error: float
+    #: (gauge, f, g) -> s_q = e_qg - e_qf sorted, and prefix sums of p_q and
+    #: p_q s_q in that order, each made by ``mollify`` on first use
+    _pair_sums: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        _freeze_fields(self, "nodes", "weights")
 
     @classmethod
     def build(cls, dim: int, epsilon: float) -> "Mollifier":
@@ -174,7 +195,7 @@ def mollify(
 
     Returns F_eps(x) and grad F_eps(x) . (x - o), the derivative of
     t -> F_eps(o + t (x - o)) at t = 1 (a subgradient where F_eps has a
-    kink).  Points that one facet wins at every node take the closed form;
+    kink).  Points with one or two surviving facets take the closed forms;
     the rest take a running maximum of rank-one sums over the facets that
     survive the screen for them.
     """
@@ -199,6 +220,27 @@ def mollify(
     for k, pattern in enumerate(patterns):
         facets = np.flatnonzero(pattern)
         members = many[group == k]
+        if len(facets) == 2:
+            # f = facets[0] already holds the base; g adds c - s_q on the
+            # nodes with s_q < c, a prefix of the sorted s
+            f, g = facets
+            key = (fn, f, g)
+            if key not in m._pair_sums:
+                s = e[:, g] - e[:, f]
+                order = np.argsort(s, kind="stable")
+                s = s[order]
+                w = m.weights[order]
+                m._pair_sums[key] = (
+                    s,
+                    np.concatenate([[0.0], np.cumsum(w)]),
+                    np.concatenate([[0.0], np.cumsum(w * s)]),
+                )
+            s, cum_w, cum_ws = m._pair_sums[key]
+            c = d[members, g] - d[members, f]
+            below = np.searchsorted(s, c, side="left")
+            value[members] += c * cum_w[below] - cum_ws[below]
+            radial[members] += c * cum_w[below]
+            continue
         for lo in range(0, len(members), step):
             rows = members[lo : lo + step]
             dc, ec = d[np.ix_(rows, facets)], e[:, facets]
@@ -213,6 +255,15 @@ def mollify(
             value[rows] = acc @ m.weights
             radial[rows] = lin @ m.weights
     return value, radial
+
+
+def _freeze_fields(obj, *names: str) -> None:
+    """Replace each array field of a frozen dataclass by a read-only copy,
+    leaving the caller's array writable."""
+    for name in names:
+        a = np.array(getattr(obj, name), dtype=float)
+        a.flags.writeable = False
+        object.__setattr__(obj, name, a)
 
 
 def sphere_quadrature(dim: int, resolution: int) -> tuple[np.ndarray, np.ndarray]:

@@ -44,7 +44,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import link_volume
 from .errors import NoFeasibleRegion, ValidationError, VolumeOutOfRange, VolumeTooLarge
 from .mesh import SurfaceMesh
 
@@ -179,31 +178,31 @@ def vertex_ball_region(mesh: SurfaceMesh, vertex: int, volume: float) -> Region:
     >= V if the cut is smaller, else the longest one within the cut of area
     <= V + the largest triangle area.  Either way the area lands within one
     triangle-area of V.
+
+    The star order depends only on the mesh and the vertex, so
+    ``SurfaceMesh.vertex_star`` computes it on the first query and keeps it
+    on the mesh; a later query about that vertex takes binary searches in it
+    and one mask write.
     """
     if not 0 <= vertex < len(mesh.polytope.vertices):
         raise ValueError(f"vertex index {vertex} out of range")
     if not volume > 0:
         raise VolumeTooLarge("volume must be positive")
-    cone = link_volume(mesh.polytope, vertex)
+    star = mesh.vertex_star(vertex)
+    cone = star.cone
     if volume > cone.valid_volume_max * (1 + 1e-12):
         raise VolumeTooLarge(
             f"volume {volume} exceeds the star-contained bound "
             f"{cone.valid_volume_max} at vertex {vertex}"
         )
     r = math.sqrt(2.0 * volume / cone.link_volume)
-    p = mesh.positions[vertex]
-    incident = [f for f, _ in cone.facet_contributions]
-    star = np.flatnonzero(np.isin(mesh.facet_of, incident))
-    dist = np.linalg.norm(mesh.centroids[star] - p, axis=1)
-    order = np.argsort(dist, kind="stable")
-    cut = int(np.searchsorted(dist[order], r, side="right"))
-    prefix_area = np.cumsum(mesh.areas[star[order]])
-    size = int(np.searchsorted(prefix_area, volume, side="left")) + 1
+    cut = int(np.searchsorted(star.distances, r, side="right"))
+    size = int(np.searchsorted(star.prefix_area, volume, side="left")) + 1
     if size <= cut:
         slack = volume + float(mesh.areas.max())
-        size = int(np.searchsorted(prefix_area[:cut], slack, side="right"))
+        size = int(np.searchsorted(star.prefix_area[:cut], slack, side="right"))
     mask = np.zeros(mesh.triangle_count, dtype=bool)
-    mask[star[order[:size]]] = True
+    mask[star.triangles[:size]] = True
     return Region(mesh=mesh, mask=mask)
 
 

@@ -17,7 +17,8 @@ from polyperim.gallery import (
     winner_crossovers,
 )
 
-VB_MAX = 3.0 * math.pi / 4.0
+#: where the vertex ball's perimeter sqrt(3 pi V) reaches the face collar's 4
+VB_COLLAR = 16.0 / (3.0 * math.pi)
 
 
 def test_competitors_small_volume():
@@ -27,7 +28,8 @@ def test_competitors_small_volume():
         math.sqrt(0.3 * math.pi), abs=1e-12
     )
     names = [e.name for e in report.entries]
-    assert len(names) == 6 and len(set(names)) == 6
+    assert len(names) == 7 and len(set(names)) == 7
+    assert "face-collar-complement" not in names
     flat = next(e for e in report.entries if e.name == "flat-disc")
     assert flat.valid and flat.perimeter == pytest.approx(
         math.sqrt(0.4 * math.pi), abs=1e-12
@@ -36,18 +38,29 @@ def test_competitors_small_volume():
 
 def test_competitors_band_regime():
     report = cube_competitors(3.0)
-    assert report.winner.name == "band"
-    assert report.winner.perimeter == 8.0
+    assert report.winner.name == "face-collar"
+    assert report.winner.perimeter == 4.0
+    band = next(e for e in report.entries if e.name == "band")
+    assert band.valid and band.perimeter == 8.0
     assert not any(
         e.valid for e in report.entries if e.name.startswith("vertex-ball")
     )
 
 
+def test_competitors_face_collar_range():
+    for v, valid in ((0.99, False), (1.0, True), (5.0, True), (5.01, False)):
+        collar = next(e for e in cube_competitors(v).entries if e.name == "face-collar")
+        assert collar.valid == valid and collar.perimeter == 4.0
+
+
 def test_competitors_complement_symmetry():
-    for v in (0.3, 1.0, 2.0):
+    for v, own_complement in ((0.3, False), (1.0, False), (2.0, True)):
         a = cube_competitors(v)
         b = cube_competitors(6.0 - v)
-        assert b.winner.name == a.winner.name + "-complement"
+        if own_complement:
+            assert a.winner.name == b.winner.name == "face-collar"
+        else:
+            assert b.winner.name == a.winner.name + "-complement"
         assert b.winner.perimeter == pytest.approx(a.winner.perimeter, abs=1e-12)
 
 
@@ -63,10 +76,10 @@ def test_winner_crossovers_bracket_the_transitions():
     crossings = winner_crossovers(competitor_table(grid))
     assert len(crossings) == 2
     (lo1, hi1, from1, to1), (lo2, hi2, from2, to2) = crossings
-    assert (from1, to1) == ("vertex-ball", "band")
-    assert (from2, to2) == ("band", "vertex-ball-complement")
-    assert lo1 < VB_MAX <= hi1
-    assert lo2 < 6.0 - VB_MAX <= hi2
+    assert (from1, to1) == ("vertex-ball", "face-collar")
+    assert (from2, to2) == ("face-collar", "vertex-ball-complement")
+    assert lo1 < VB_COLLAR <= hi1
+    assert lo2 < 6.0 - VB_COLLAR <= hi2
 
 
 def test_double_pyramid_ratio_is_sqrt2():

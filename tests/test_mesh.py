@@ -122,3 +122,26 @@ def test_edge_on_three_triangles_is_rejected():
     triangles = [[0, 1, 2], [1, 0, 3], [0, 1, 4]]
     with pytest.raises(ValueError, match="more than two triangles"):
         SurfaceMesh(positions, triangles, [0, 0, 0], subdivision_level=0)
+
+
+def test_mesh_arrays_are_read_only_and_inputs_stay_writable():
+    tet = shapes.tetrahedron()
+    positions = tet.vertices.copy()
+    triangles = np.array([list(f) for f in tet.facets])
+    facet_of = np.arange(4)
+    mesh = SurfaceMesh(positions, triangles, facet_of, subdivision_level=0, polytope=tet)
+    star = mesh.vertex_star(0)
+    frozen = [
+        getattr(mesh, name)
+        for name in (
+            "positions", "triangles", "facet_of", "edges", "edge_lengths",
+            "edge_triangles", "tri_edges", "tri_neighbors", "areas", "centroids",
+        )
+    ] + [star.triangles, star.distances, star.prefix_area]
+    for array in frozen:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    for array in (positions, triangles, facet_of):
+        assert array.flags.writeable
+    positions[0] = 7.0
+    assert np.array_equal(mesh.positions[0], tet.vertices[0])

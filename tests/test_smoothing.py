@@ -89,28 +89,87 @@ def test_mollify_is_exact_on_linear_functions():
     assert np.allclose(brute_mollify(fn, m, x), fn(x), atol=1e-13)
 
 
+def _survivors_matching_brute(fn, m, x):
+    """Check ``mollify`` against direct evaluation, values and radial slopes
+    alike, and return each point's number of facets surviving the screen."""
+    value, radial = mollify(fn, m, x)
+    assert np.abs(value - brute_mollify(fn, m, x)).max() <= 1e-13
+    # the slope is the weighted facet value d_f* of each node's winner, the
+    # lowest facet index among equal values
+    d = ((x - fn.origin) @ fn.normals.T) / fn.offsets
+    shifted = x[:, None, :] - m.epsilon * m.nodes - fn.origin
+    win = ((shifted @ fn.normals.T) / fn.offsets).argmax(axis=-1)
+    d_win = np.take_along_axis(d, win, axis=1)
+    assert np.abs(radial - d_win @ m.weights).max() <= 1e-13
+    e = ((m.epsilon * m.nodes) @ fn.normals.T) / fn.offsets
+    floor = (d - e.max(axis=0)).max(axis=1, keepdims=True)
+    return (d - e.min(axis=0) >= floor).sum(axis=1)
+
+
+def _dyadic_mollifier(dim):
+    """Kernel on the grid (Z/8)^dim inside the unit ball with epsilon 1/8, so
+    every node offset, every s_q and every tie below is exact in floating
+    point and no comparison is decided by rounding."""
+    ticks = np.arange(-7, 8) / 8.0
+    grid = np.stack(np.meshgrid(*[ticks] * dim, indexing="ij"), -1).reshape(-1, dim)
+    nodes = grid[(grid**2).sum(axis=1) < 1.0]
+    w = 1.0 - (nodes**2).sum(axis=1)
+    return Mollifier(dim, 0.125, nodes, w / w.sum(), mass_error=0.0)
+
+
 def test_mollify_fast_path_matches_generic():
-    """Screened and dense points both match direct evaluation, values and
-    radial slopes alike."""
+    """Points with one, two and three or more surviving facets all match
+    direct evaluation, also where c = d_g - d_f equals some s_q = e_qg - e_qf
+    exactly: there the lower facet f keeps node q."""
     rng = np.random.default_rng(9)
     for poly in (shapes.square(), shapes.cube(side=2.0), shapes.octahedron()):
         fn = GaugeFunction.from_polytope(poly)
         m = Mollifier.build(poly.dim, 0.12)
-        x = rng.uniform(-1.4, 1.4, size=(50, poly.dim))
-        value, radial = mollify(fn, m, x)
-        assert np.abs(value - brute_mollify(fn, m, x)).max() <= 1e-13
+        x = rng.uniform(-1.4, 1.4, size=(200, poly.dim))
+        # on a symmetry axis two facets share d exactly (c = 0)
+        axis = np.zeros(poly.dim)
+        axis[:2] = 1.0
+        x = np.vstack([x, np.outer([0.3, 0.7, 0.8, 0.9], axis)])
+        survivors = _survivors_matching_brute(fn, m, x)
+        assert (survivors == 1).any() and (survivors == 2).any()
+        assert (survivors >= 3).any()
 
-        # the slope is the weighted facet value d_f* of each node's winner
-        d = ((x - fn.origin) @ fn.normals.T) / fn.offsets
-        shifted = x[:, None, :] - m.epsilon * m.nodes - fn.origin
-        win = ((shifted @ fn.normals.T) / fn.offsets).argmax(axis=-1)
-        d_win = np.take_along_axis(d, win, axis=1)
-        assert np.abs(radial - d_win @ m.weights).max() <= 1e-13
-
+    # the square's and the cube's facets with normals +x and +y (f < g by
+    # index) have unit normals and offsets: d_f = a and d_g = a + s_q tie
+    # node q exactly, and on the diagonal (c = 0) every node with z_x = z_y
+    # ties
+    for poly in (shapes.square(), shapes.cube(side=2.0)):
+        fn = GaugeFunction.from_polytope(poly)
+        m = _dyadic_mollifier(poly.dim)
+        axis = np.zeros(poly.dim)
+        axis[:2] = 1.0
+        f, g = np.sort(np.argsort(fn.normals @ axis)[-2:])
         e = ((m.epsilon * m.nodes) @ fn.normals.T) / fn.offsets
-        floor = (d - e.max(axis=0)).max(axis=1, keepdims=True)
-        screened = (d - e.min(axis=0) >= floor).sum(axis=1) == 1
-        assert screened.any() and not screened.all()
+        s = np.unique(e[:, g] - e[:, f])
+        x = 0.75 * fn.normals[f] + (0.75 + s[:, None]) * fn.normals[g]
+        assert (s == 0.0).any()
+        assert (_survivors_matching_brute(fn, m, x) == 2).all()
+
+
+def test_mollifier_keeps_pair_sums_per_gauge():
+    """Two gauges sharing a mollifier keep their own sorted pair sums, and
+    neither the gauge's nor the mollifier's arrays can change under them."""
+    m = Mollifier.build(2, 0.2)
+    centered = GaugeFunction.from_polytope(shapes.square())
+    origin = np.array([0.25, 0.0])
+    shifted = GaugeFunction.from_polytope(shapes.square(), origin=origin)
+    x = np.array([[0.9, 0.95], [0.95, 0.9], [-0.92, 0.9]])
+    first = mollify(centered, m, x)
+    assert {key[0] for key in m._pair_sums} == {centered}
+    for fn in (shifted, centered):
+        value, _ = mollify(fn, m, x)
+        assert np.abs(value - brute_mollify(fn, m, x)).max() <= 1e-13
+    assert {key[0] for key in m._pair_sums} == {centered, shifted}
+    assert np.array_equal(mollify(centered, m, x)[1], first[1])
+    for array in (centered.normals, centered.offsets, shifted.origin, m.nodes, m.weights):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.5
+    assert origin.flags.writeable
 
 
 def test_mollified_gauge_dominates_gauge():

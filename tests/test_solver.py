@@ -124,6 +124,28 @@ def test_vertex_ball_masks_are_pinned_on_the_level7_cube():
     assert _ball_digest(mesh, cases) == "5b15d0af3d7063e7"
 
 
+@pytest.mark.parametrize("name, level", [("cube", 5), ("tetrahedron", 4)])
+def test_vertex_ball_memo_matches_fresh_meshes(name, level):
+    """Volumes queried in shuffled order, vertices interleaved, give the
+    masks of a fresh mesh, and each mesh keeps its own star orders."""
+    poly = getattr(shapes, name)()
+    cases = [
+        (v, f * link_volume(poly, v).valid_volume_max)
+        for v in range(len(poly.vertices))
+        for f in (1e-3, 0.1, 0.6, 1.0)
+    ]
+    mesh, other = subdivide(poly, level), subdivide(poly, level)
+    for i in np.random.default_rng(11).permutation(len(cases)):
+        vertex, volume = cases[i]
+        fresh = vertex_ball_region(subdivide(poly, level), vertex, volume).mask
+        assert np.array_equal(vertex_ball_region(mesh, vertex, volume).mask, fresh)
+    assert sorted(mesh._stars) == list(range(len(poly.vertices)))
+    assert other._stars == {}
+    star, twin = mesh.vertex_star(1), other.vertex_star(1)
+    assert mesh.vertex_star(1) is star and twin is not star
+    assert np.array_equal(twin.triangles, star.triangles)
+
+
 def test_default_config_scales_to_mesh():
     mesh = subdivide(shapes.cube(), 2)
     cfg = default_config(mesh, seed=5, iterations=1000, restarts=3)
