@@ -24,6 +24,22 @@ z = y + k its vertices are the 0/1 vectors z with sum(z) = sum(k) (Stanley,
 *Eulerian partitions of a unit hypercube*, 1977).  Coordinates come back
 through the pseudoinverse x = A^T y / (n+1), exact because
 A A^T = (n+1) I - J acts as (n+1) I on sum-zero y.
+
+Pieces are therefore built one level at a time.  :func:`enumerate_pieces`
+lists the nonempty indices of its window k_i in [1, N] (i <= n),
+k_{n+1} in [1 - N, 0] as one integer array, builds the level-s template
+z_s once, maps every index of that level with one matrix product, and gives
+all of them the Qhull volume of the level's first piece.
+:func:`classify_pieces` checks each level against its first piece in blocks.
+Two closed forms describe the window:
+
+* level s holds C(N + s - 1, n) pieces, so the window holds
+  sum_s C(N + s - 1, n) (:func:`piece_count`);
+* a level-s piece has A(n, s - 1) times the volume of the level-n simplex,
+  A being the Eulerian numbers (1:4:1 for n = 3, 1:11:11:1 for n = 4).
+
+Windows of more than ``MAX_PIECES`` pieces are rejected from the count alone,
+before any array is built.
 """
 
 from __future__ import annotations
@@ -35,10 +51,20 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import ConvexHull
 
-from .errors import DimensionTooHigh, EmptyPiece, NumericalError, UnsupportedDimension
+from .errors import (
+    DimensionTooHigh,
+    EmptyPiece,
+    NumericalError,
+    UnsupportedDimension,
+    ValidationError,
+)
 
 MATCH_TOL = 1e-9
 MAX_N = 4
+MAX_PIECES = 100_000
+# Pieces per block of the batched congruence check: a block of level-2
+# pieces at n = 4 (10 vertices each) needs about 55 MB of temporaries.
+CHECK_CHUNK = 4096
 
 
 def _frame_vectors(n: int) -> np.ndarray:
@@ -97,6 +123,12 @@ def piece_is_nonempty(k, n: int) -> bool:
     return 0 < s < n + 1
 
 
+def piece_count(n: int, slices: int) -> int:
+    """Number of nonempty pieces in the window of :func:`enumerate_pieces`:
+    sum over levels s = 1..n of C(slices + s - 1, n)."""
+    return sum(math.comb(slices + s - 1, n) for s in range(1, n + 1))
+
+
 @dataclass(frozen=True)
 class SlicePiece:
     """One bounded cell of the arrangement."""
@@ -119,15 +151,29 @@ class SlicePiece:
 
 
 def _piece_vertices(frame: RegularSimplexFrame, k) -> np.ndarray:
-    """Vertices of S_k: z = (sum(k) - sum(c), c) for c in {0,1}^n whose first
-    entry is 0 or 1, mapped back through y = z - k."""
+    """Vertices of S_k for one index k (shape (n+1,), giving (v, n)) or for a
+    stack of indices of one level (shape (m, n+1), giving (m, v, n)).
+
+    The level-s template z_s lists z = (s - sum(c), c) for c in {0,1}^n whose
+    first entry is 0 or 1; each piece is z_s - k mapped back to x-space.
+    """
     n = frame.n
     k = np.asarray(k, dtype=float)
+    sums = k.sum(axis=-1)
+    level = sums.flat[0]
+    if np.any(sums != level):
+        raise ValueError("a stack of indices must share one level")
     tail = np.array(list(itertools.product((0.0, 1.0), repeat=n)))
-    head = k.sum() - tail.sum(axis=1)
+    head = level - tail.sum(axis=1)
     keep = (head >= 0.0) & (head <= 1.0)
     z = np.column_stack([head[keep], tail[keep]])
-    return (z - k) @ frame.vectors / (n + 1)
+    return (z - k[..., None, :]) @ frame.vectors / (n + 1)
+
+
+def _volume(vertices: np.ndarray) -> float:
+    if vertices.shape[1] == 1:
+        return float(vertices.max() - vertices.min())
+    return float(ConvexHull(vertices).volume)
 
 
 def make_piece(frame: RegularSimplexFrame, k) -> SlicePiece:
@@ -140,33 +186,56 @@ def make_piece(frame: RegularSimplexFrame, k) -> SlicePiece:
             f"piece {k} is empty: level {sum(k)} not in (0, {frame.n + 1})"
         )
     verts = _piece_vertices(frame, k)
-    if frame.n == 1:
-        vol = float(verts.max() - verts.min())
-    else:
-        vol = float(ConvexHull(verts).volume)
-    return SlicePiece(index=k, vertices=verts, volume=vol)
+    return SlicePiece(index=k, vertices=verts, volume=_volume(verts))
+
+
+def _nonempty_indices(n: int, slices: int) -> np.ndarray:
+    """The nonempty indices of the window as rows, in lexicographic order.
+
+    A head (k_1..k_n) with sum h >= n takes the last entries
+    max(1 - slices, 1 - h) .. n - h, in increasing order.
+    """
+    heads = np.indices((slices,) * n).reshape(n, -1).T + 1
+    h = heads.sum(axis=1)
+    first = np.maximum(1 - slices, 1 - h)
+    runs = np.maximum(n - h - first + 1, 0)
+    starts = np.cumsum(runs) - runs
+    step = np.arange(runs.sum()) - np.repeat(starts, runs)
+    return np.column_stack([np.repeat(heads, runs, axis=0), np.repeat(first, runs) + step])
 
 
 def enumerate_pieces(n: int, slices: int) -> list[SlicePiece]:
     """All nonempty pieces S_k with k_i in [1, slices] for i <= n and
-    k_{n+1} in [1 - slices, 0].
+    k_{n+1} in [1 - slices, 0], in lexicographic order of k.
 
     This index window is exactly the dissection of the enlarged simplex
     ``slices * S_(1,..,1,0)``: the pieces partition it without gaps (checked
     by the volume-sum tests), and every level in {1, ..., n} eventually
-    appears as ``slices`` grows.
+    appears as ``slices`` grows.  Each level is built in one batch and all
+    its pieces share the volume of its first piece.  Windows of more than
+    ``MAX_PIECES`` pieces are rejected before anything is built.
     """
     if slices < 2:
         raise ValueError("need at least 2 slices per direction")
     frame = build_frame(n)
-    pieces: list[SlicePiece] = []
-    head = itertools.product(range(1, slices + 1), repeat=n)
-    for ks in head:
-        for last in range(1 - slices, 1):
-            k = ks + (last,)
-            if piece_is_nonempty(k, n):
-                pieces.append(make_piece(frame, k))
-    pieces.sort(key=lambda p: p.index)
+    count = piece_count(n, slices)
+    if count > MAX_PIECES:
+        raise ValidationError(
+            f"--N {slices} gives {count} pieces at n = {n}, "
+            f"above the limit of {MAX_PIECES}"
+        )
+    index = _nonempty_indices(n, slices)
+    level = index.sum(axis=1)
+    rows = index.tolist()
+    pieces: list = [None] * len(rows)
+    for s in range(1, n + 1):
+        at = np.flatnonzero(level == s)
+        if not len(at):
+            continue
+        verts = _piece_vertices(frame, index[at])
+        vol = _volume(verts[0])
+        for j, v in zip(at.tolist(), verts):
+            pieces[j] = SlicePiece(index=tuple(rows[j]), vertices=v, volume=vol)
     return pieces
 
 
@@ -180,35 +249,46 @@ def translate_piece(frame: RegularSimplexFrame, piece: SlicePiece, i: int) -> Sl
     )
 
 
-def _diameter(points: np.ndarray) -> float:
-    diff = points[:, None, :] - points[None, :, :]
-    return float(np.sqrt((diff**2).sum(axis=2)).max())
+def _normalized(vertices: np.ndarray) -> np.ndarray:
+    """A stack of vertex sets (m, v, n), each centred on its centroid and
+    scaled to unit diameter (a set of diameter 0 is only centred)."""
+    centred = vertices - vertices.mean(axis=1, keepdims=True)
+    diff = vertices[:, :, None, :] - vertices[:, None, :, :]
+    diameter = np.sqrt((diff**2).sum(axis=3)).max(axis=(1, 2))
+    return centred / np.where(diameter > 0.0, diameter, 1.0)[:, None, None]
+
+
+def _translates(ref: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """For each vertex set in ``stack`` (m, v, n), whether it equals ``ref``
+    (v, n) up to translation and positive homothety.
+
+    After :func:`_normalized`, join each vertex of ``ref`` to the vertices of
+    the set within ``MATCH_TOL``.  The sets match when every vertex of ``ref``
+    has a partner and both ends of every join have equal degree: each
+    component is then regular, so a one-to-one match exists (Hall).  When
+    distinct vertices lie more than 2 * MATCH_TOL apart, that is also
+    necessary.
+    """
+    a = _normalized(ref[None])[0]
+    b = _normalized(stack)
+    close = ((a[None, :, None, :] - b[:, None, :, :]) ** 2).sum(axis=3) <= MATCH_TOL**2
+    deg_a = close.sum(axis=2)
+    deg_b = close.sum(axis=1)
+    uneven = (close & (deg_a[:, :, None] != deg_b[:, None, :])).any(axis=(1, 2))
+    return (deg_a > 0).all(axis=1) & ~uneven
 
 
 def congruent_shape(a: SlicePiece, b: SlicePiece) -> bool:
     """True when the pieces agree up to translation and positive homothety.
 
     Centers both vertex sets on their centroids, rescales to unit diameter,
-    and greedily matches points; rotations and reflections are deliberately
-    not granted, so inverted pieces form their own class.  Pieces are small
-    (<= a few dozen vertices), so the quadratic scan is fine.
+    and requires a one-to-one vertex match within ``MATCH_TOL``; rotations
+    and reflections are deliberately not granted, so inverted pieces form
+    their own class.
     """
     if a.vertex_count != b.vertex_count:
         return False
-    pa = a.vertices - a.centroid
-    pb = b.vertices - b.centroid
-    if a.vertex_count > 1:
-        pa = pa / _diameter(a.vertices)
-        pb = pb / _diameter(b.vertices)
-    used = np.zeros(len(pb), dtype=bool)
-    for p in pa:
-        dist = np.linalg.norm(pb - p, axis=1)
-        dist[used] = np.inf
-        j = int(np.argmin(dist))
-        if dist[j] > MATCH_TOL:
-            return False
-        used[j] = True
-    return bool(used.all())
+    return bool(_translates(a.vertices, b.vertices[None])[0])
 
 
 def shape_class(piece: SlicePiece) -> int:
@@ -234,7 +314,11 @@ class ShapeClassSummary:
 
 
 def classify_pieces(pieces: list[SlicePiece]) -> list[ShapeClassSummary]:
-    """Group pieces by congruence class and verify the translate property."""
+    """Group pieces by congruence class and verify the translate property.
+
+    Each level's pieces are checked against its first piece (in index order)
+    in blocks of ``CHECK_CHUNK``; the first piece that fails is named.
+    """
     by_level: dict[int, list[SlicePiece]] = {}
     for p in pieces:
         by_level.setdefault(p.level, []).append(p)
@@ -242,8 +326,15 @@ def classify_pieces(pieces: list[SlicePiece]) -> list[ShapeClassSummary]:
     for level in sorted(by_level):
         group = sorted(by_level[level], key=lambda p: p.index)
         rep = group[0]
-        for other in group[1:]:
-            if not congruent_shape(rep, other):
+        for start in range(1, len(group), CHECK_CHUNK):
+            block = group[start : start + CHECK_CHUNK]
+            ok = np.zeros(len(block), dtype=bool)
+            sized = [j for j, p in enumerate(block) if p.vertex_count == rep.vertex_count]
+            if sized:
+                stack = np.stack([block[j].vertices for j in sized])
+                ok[sized] = _translates(rep.vertices, stack)
+            if not ok.all():
+                other = block[int(np.argmin(ok))]
                 raise NumericalError(
                     f"pieces {rep.index} and {other.index} share level "
                     f"{level} but are not translates"

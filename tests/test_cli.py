@@ -1,5 +1,8 @@
 import json
 import math
+import subprocess
+import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -352,6 +355,28 @@ def test_reruns_are_byte_identical(tmp_path, capsys):
 def test_main_entry_point(tmp_path, capsys):
     assert main(["analyze", "--polytope", "square", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "polyperim", "slice", "--n", "2", "--N", "3",
+         "--out", str(tmp_path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "pieces: 9" in proc.stdout
+    _, _, rows = read_artifact(tmp_path / "pieces.csv")
+    assert len(rows) == 9
+
+
+def test_slice_rejects_oversized_windows_at_once(tmp_path, capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "slice", "--n", "4", "--N", "200", "--out", str(tmp_path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert "ValidationError: --N 200 gives 266700000 pieces" in err
+    assert out == "" and not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize(

@@ -5,13 +5,16 @@ import math
 import numpy as np
 import pytest
 
+from polyperim import slicing
 from polyperim.errors import (
     DimensionTooHigh,
     EmptyPiece,
     NumericalError,
     UnsupportedDimension,
+    ValidationError,
 )
 from polyperim.slicing import (
+    MAX_PIECES,
     SlicePiece,
     _piece_vertices,
     build_frame,
@@ -19,6 +22,7 @@ from polyperim.slicing import (
     congruent_shape,
     enumerate_pieces,
     make_piece,
+    piece_count,
     piece_is_nonempty,
     shape_class,
     translate_piece,
@@ -231,3 +235,94 @@ def test_piece_vertices_are_the_shifted_hypersimplex(n):
         corners = [c for c in itertools.product((0, 1), repeat=n + 1) if sum(c) == sum(k)]
         assert sorted(map(tuple, np.round(z).astype(int))) == corners
         assert np.allclose(z, np.round(z), atol=1e-12)
+
+
+def _eulerian(n: int, m: int) -> int:
+    """A(n, m): permutations of n elements with m descents."""
+    return sum((-1) ** j * math.comb(n + 1, j) * (m + 1 - j) ** n for j in range(m + 1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_level_counts_and_volumes_follow_the_closed_forms(n):
+    """Level s holds C(N+s-1, n) pieces, and its pieces are hypersimplices
+    whose volume is A(n, s-1) times that of the level-n simplex."""
+    for slices in range(2, 11):
+        pieces = enumerate_pieces(n, slices)
+        assert len(pieces) == piece_count(n, slices)
+        by_level = {}
+        for p in pieces:
+            by_level.setdefault(p.level, []).append(p.volume)
+        unit = by_level[n][0]
+        for s in range(1, n + 1):
+            assert len(by_level.get(s, [])) == math.comb(slices + s - 1, n)
+            for volume in by_level.get(s, []):
+                assert volume / unit == pytest.approx(_eulerian(n, s - 1), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_batched_vertices_equal_single_piece_vertices(n):
+    frame = build_frame(n)
+    for slices in (2, 5):
+        pieces = enumerate_pieces(n, slices)
+        indices = [p.index for p in pieces]
+        assert indices == sorted(set(indices))
+        for p in pieces:
+            single = _piece_vertices(frame, p.index)
+            assert single.dtype == p.vertices.dtype and single.shape == p.vertices.shape
+            assert single.tobytes() == p.vertices.tobytes()
+            assert make_piece(frame, p.index).vertices.tobytes() == single.tobytes()
+
+
+def test_piece_vertices_stack_must_share_a_level():
+    with pytest.raises(ValueError, match="one level"):
+        _piece_vertices(build_frame(2), [(1, 1, -1), (1, 1, 0)])
+
+
+def test_oversized_windows_are_rejected_before_building():
+    assert piece_count(4, 27) <= MAX_PIECES < piece_count(4, 28)
+    with pytest.raises(ValidationError, match=r"--N 200 gives 266700000 pieces"):
+        enumerate_pieces(4, 200)
+    with pytest.raises(ValidationError, match=r"--N 100001 gives 100001 pieces"):
+        enumerate_pieces(1, MAX_PIECES + 1)
+
+
+def _level_group(n, slices, level):
+    return [p for p in enumerate_pieces(n, slices) if p.level == level]
+
+
+@pytest.mark.parametrize("chunk", [None, 3])
+def test_classify_names_a_reflected_piece_inside_a_level(monkeypatch, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(slicing, "CHECK_CHUNK", chunk)
+    group = _level_group(2, 4, 2)
+    assert len(group) >= 3
+    mid = len(group) // 2
+    bad = group[mid]
+    group[mid] = SlicePiece(index=bad.index, vertices=-bad.vertices, volume=bad.volume)
+    with pytest.raises(NumericalError) as err:
+        classify_pieces(group)
+    assert f"pieces {group[0].index} and {bad.index} share level 2" in str(err.value)
+
+
+def test_classify_accepts_permuted_translated_and_rescaled_copies():
+    group = _level_group(3, 3, 2)
+    assert len(group) >= 3
+    rep = group[0]
+    first, second = group[1], group[2]
+    rows = np.random.default_rng(7).permutation(first.vertex_count)
+    assert list(rows) != sorted(rows)
+    group[1] = SlicePiece(first.index, first.vertices[rows], first.volume)
+    group[2] = SlicePiece(second.index, 2.5 * second.vertices + [0.75, -3.0, 1.5], second.volume)
+    for piece in group[1:3]:
+        assert congruent_shape(rep, piece)
+    (summary,) = classify_pieces(group)
+    assert summary.count == len(group) and summary.representative is rep
+
+
+def test_congruence_needs_a_one_to_one_match():
+    # Same support, centroid and diameter, but 0 is a triple vertex in one
+    # set and -1 and 1 are double vertices in the other.
+    a = SlicePiece((1, 0), np.array([[-1.0], [0.0], [0.0], [0.0], [1.0]]), 2.0)
+    b = SlicePiece((1, 0), np.array([[-1.0], [-1.0], [0.0], [1.0], [1.0]]), 2.0)
+    assert not congruent_shape(a, b) and not congruent_shape(b, a)
+    assert congruent_shape(a, SlicePiece((1, 0), a.vertices[::-1] + 4.0, 2.0))
