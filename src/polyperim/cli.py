@@ -15,6 +15,10 @@ can check which invocation produced a file.  Identical invocations produce
 byte-identical artifacts, including the optional SVG plots; all floats are
 printed with ``%.12g`` and negative zero is normalized.
 
+``analyze`` and ``solve`` take ``--timings``, which prints the seconds of
+each stage (build, subdivide, cones, minimize) to stderr.  The flag is left
+out of the manifest, so artifacts are the same with and without it.
+
 Exit codes: 0 success, 2 validation error, 3 numerical failure, 64 unknown
 command.
 """
@@ -26,6 +30,8 @@ import hashlib
 import json
 import math
 import sys
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -124,12 +130,12 @@ class RunManifest:
 
 
 def _manifest(args: argparse.Namespace, input_digest: str = "-") -> RunManifest:
-    # --out is a pure artifact sink: excluding it keeps outputs byte-identical
-    # when the same run is pointed at a different directory.
+    # --out is a pure artifact sink and --timings only writes to stderr:
+    # excluding them keeps outputs byte-identical with or without them.
     flags = {
         k: v
         for k, v in vars(args).items()
-        if k not in ("command", "out", "func")
+        if k not in ("command", "out", "func", "timings")
     }
     return RunManifest(
         command=args.command,
@@ -164,6 +170,27 @@ def _load_polytope_arg(args: argparse.Namespace) -> tuple[Polytope, str]:
         blob = path.read_bytes()
         poly = load_polytope(path)
     return poly, hashlib.sha256(blob).hexdigest()
+
+
+class _Stages:
+    """Wall seconds per named stage, printed to stderr under --timings."""
+
+    def __init__(self, enabled: bool):
+        self.enabled = enabled
+        self.seconds: dict[str, float] = {}
+
+    @contextmanager
+    def __call__(self, name: str):
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.seconds[name] = time.perf_counter() - start
+
+    def report(self) -> None:
+        if self.enabled:
+            for name, seconds in self.seconds.items():
+                print(f"timing {name}: {seconds:.6f} s", file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -315,10 +342,13 @@ def _emit_svg_pieces(out: Path, name: str, manifest: RunManifest, pieces) -> Pat
 # ---------------------------------------------------------------------------
 
 def _cmd_analyze(args: argparse.Namespace, out: Path) -> int:
-    poly, digest = _load_polytope_arg(args)
+    timer = _Stages(args.timings)
+    with timer("build"):
+        poly, digest = _load_polytope_arg(args)
     manifest = _manifest(args, digest)
-    cones = vertex_cones(poly)
-    best_index = rank_by_link(cones)[0].vertex_index
+    with timer("cones"):
+        cones = vertex_cones(poly)
+        best_index = rank_by_link(cones)[0].vertex_index
     rows = []
     for cone in cones:
         prof = apex_ball_profile(cone)
@@ -356,6 +386,7 @@ def _cmd_analyze(args: argparse.Namespace, out: Path) -> int:
             f"link deficit sum: {_g(deficits)} "
             f"(4*pi = {_g(4.0 * math.pi)})"
         )
+    timer.report()
     return EXIT_OK
 
 
@@ -452,22 +483,28 @@ def _cmd_profile(args: argparse.Namespace, out: Path) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace, out: Path) -> int:
-    poly, digest = _load_polytope_arg(args)
+    timer = _Stages(args.timings)
+    with timer("build"):
+        poly, digest = _load_polytope_arg(args)
     manifest = _manifest(args, digest)
-    mesh = subdivide(poly, args.level)
-    ranked = rank_by_link(vertex_cones(poly))
+    with timer("subdivide"):
+        mesh = subdivide(poly, args.level)
+    with timer("cones"):
+        ranked = rank_by_link(vertex_cones(poly))
     bound = cone_profile(ranked[0].link_volume, 2, args.volume)
     kappa = anisotropy_bound(mesh)
     config = default_config(
         mesh, seed=args.seed, iterations=args.iters, restarts=args.restarts
     )
-    warm = []
-    for cone in ranked:
-        if len(warm) >= args.restarts:
-            break
-        if args.volume <= cone.valid_volume_max:
-            warm.append(vertex_ball_region(mesh, cone.vertex_index, args.volume))
-    result = minimize_perimeter(mesh, args.volume, config, warm_starts=warm)
+    # warm starts are built inside the minimize stage
+    with timer("minimize"):
+        warm = []
+        for cone in ranked:
+            if len(warm) >= args.restarts:
+                break
+            if args.volume <= cone.valid_volume_max:
+                warm.append(vertex_ball_region(mesh, cone.vertex_index, args.volume))
+        result = minimize_perimeter(mesh, args.volume, config, warm_starts=warm)
     _emit_csv(
         out,
         "region.csv",
@@ -519,6 +556,7 @@ def _cmd_solve(args: argparse.Namespace, out: Path) -> int:
             for m in result.moves
         )
     )
+    timer.report()
     return EXIT_OK
 
 
@@ -643,7 +681,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", parents=[common], help="per-vertex cone analysis")
+    timings = argparse.ArgumentParser(add_help=False)
+    timings.add_argument(
+        "--timings", action="store_true",
+        help="print seconds per stage to stderr (artifacts are unchanged)",
+    )
+
+    p = sub.add_parser(
+        "analyze", parents=[common, timings], help="per-vertex cone analysis"
+    )
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("slice", parents=[common], help="simplex slab slicing")
@@ -669,7 +715,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=256)
     p.set_defaults(func=_cmd_profile)
 
-    p = sub.add_parser("solve", parents=[common], help="discrete minimization")
+    p = sub.add_parser(
+        "solve", parents=[common, timings], help="discrete minimization"
+    )
     p.add_argument("--volume", type=float, required=True, help="target volume")
     p.add_argument("--level", type=int, default=4, help="subdivision level")
     p.add_argument("--iters", type=int, default=200_000)

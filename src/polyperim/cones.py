@@ -27,7 +27,8 @@ from v to a boundary face of its star, measured inside each incident facet
 
 Links and star radii are gathered per facet: each facet is measured once at
 all of its vertices, and a vertex's cone collects its facets' contributions
-in increasing facet order and the smallest of their distances.
+in increasing facet order and the smallest of their distances.  Polygon
+facets (d = 3) are measured together, one batch per ring length.
 """
 
 from __future__ import annotations
@@ -113,11 +114,18 @@ def _cell_solid_angle(points: np.ndarray, apex: int) -> float:
     )
 
 
-def _point_segment_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Dot products over the last axis, each one bit for bit ``x_i @ y_i``
+    (a batched matmul runs the same BLAS dot per pair)."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
+def _segment_distances(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distances from points ``p`` to segments ``ab``, over the leading axes."""
     ab = b - a
-    t = float((p - a) @ ab) / float(ab @ ab)
-    t = min(1.0, max(0.0, t))
-    return float(np.linalg.norm(p - (a + t * ab)))
+    t = np.clip(_dot(p - a, ab) / _dot(ab, ab), 0.0, 1.0)
+    r = p - (a + t[..., None] * ab)
+    return np.sqrt(_dot(r, r))
 
 
 def _point_polygon_distance(p: np.ndarray, poly_pts: np.ndarray) -> float:
@@ -144,15 +152,12 @@ def _point_polygon_distance(p: np.ndarray, poly_pts: np.ndarray) -> float:
         normal = np.cross(poly_pts[1] - poly_pts[0], poly_pts[2] - poly_pts[0])
         normal = normal / np.linalg.norm(normal)
         return abs(float((p - poly_pts[0]) @ normal))
-    return min(
-        _point_segment_distance(p, pts[i], pts[(i + 1) % len(pts)])
-        for i in range(len(pts))
-    )
+    return float(_segment_distances(p, pts, np.roll(pts, -1, axis=0)).min())
 
 
-def _facet_corners(poly: Polytope, fi: int) -> dict[int, tuple[float, float]]:
-    """Link contribution and star distance of facet ``fi`` at each of its
-    vertices.
+def _facet_corners(poly: Polytope, facets) -> list[dict[int, tuple[float, float]]]:
+    """Link contribution and star distance of each facet in ``facets`` at
+    each of its vertices.
 
     The distance runs from the vertex to the part of the facet's boundary
     away from it: the other end of an edge (d = 2), the ring edges not
@@ -162,34 +167,53 @@ def _facet_corners(poly: Polytope, fi: int) -> dict[int, tuple[float, float]]:
     d = poly.dim
     pts = poly.vertices
     if d == 2:
-        a, b = poly.facets[fi]
-        return {
-            a: (1.0, float(np.linalg.norm(pts[b] - pts[a]))),
-            b: (1.0, float(np.linalg.norm(pts[a] - pts[b]))),
-        }
-    corners = {}
+        return [
+            {
+                a: (1.0, float(np.linalg.norm(pts[b] - pts[a]))),
+                b: (1.0, float(np.linalg.norm(pts[a] - pts[b]))),
+            }
+            for a, b in (poly.facets[fi] for fi in facets)
+        ]
     if d == 3:
-        ring = poly.facet_ring(fi)
-        k = len(ring)
-        for i in range(k):
-            v = pts[ring[i]]
-            u1 = pts[ring[i - 1]] - v
-            u2 = pts[ring[(i + 1) % k]] - v
-            cr = np.linalg.norm(np.cross(u1, u2))
-            dist = min(
-                _point_segment_distance(v, pts[ring[j]], pts[ring[(j + 1) % k]])
-                for j in range(k)
-                if i not in (j, (j + 1) % k)
-            )
-            corners[int(ring[i])] = (math.atan2(float(cr), float(u1 @ u2)), dist)
-        return corners
-    cell = poly.facets[fi]
+        return _ring_corners(pts, [poly.facet_ring(fi) for fi in facets])
+    return [_cell_corners(pts, poly.facets[fi]) for fi in facets]
+
+
+def _ring_corners(pts: np.ndarray, rings: list) -> list[dict[int, tuple[float, float]]]:
+    """Corner angles and star distances of polygons, one batch per ring
+    length; every product and dot is taken row by row, as for one corner."""
+    corners: list = [None] * len(rings)
+    by_length: dict[int, list[int]] = {}
+    for n, ring in enumerate(rings):
+        by_length.setdefault(len(ring), []).append(n)
+    for k, members in by_length.items():
+        ring = np.array([rings[n] for n in members])
+        v = pts[ring]
+        u1 = np.roll(v, 1, axis=1) - v
+        u2 = np.roll(v, -1, axis=1) - v
+        cr = np.cross(u1, u2)
+        wedges = np.sqrt(_dot(cr, cr)).tolist()
+        inners = _dot(u1, u2).tolist()
+        # corner i against the ring edges j -> j + 1 that miss it
+        j = (np.arange(k)[:, None] + np.arange(1, k - 1)) % k
+        dists = _segment_distances(v[:, :, None], v[:, j], v[:, (j + 1) % k]).min(axis=2)
+        for n, *columns in zip(members, ring.tolist(), wedges, inners, dists.tolist()):
+            corners[n] = {
+                vertex: (math.atan2(wedge, inner), dist)
+                for vertex, wedge, inner, dist in zip(*columns)
+            }
+    return corners
+
+
+def _cell_corners(pts: np.ndarray, cell) -> dict[int, tuple[float, float]]:
+    """Solid angle and star distance of a 3-cell at each of its vertices."""
     cell_pts = pts[list(cell)]
     origin, basis, rank = affine_span(cell_pts)
     if rank != 3:
         raise UnsupportedDimension("cell is not 3-dimensional")
     local = project_to_span(cell_pts, origin, basis)
     faces = enumerate_facets(local)
+    corners = {}
     for apex, vertex in enumerate(cell):
         vloc = project_to_span(pts[vertex][None, :], origin, basis)[0]
         dist = min(
@@ -233,8 +257,9 @@ def link_volume(poly: Polytope, vertex: int) -> VertexCone:
         raise ValueError(f"vertex index {vertex} out of range")
     contributions = []
     r_max = math.inf
-    for fi in poly.incident_facets(vertex):
-        contribution, dist = _facet_corners(poly, fi)[vertex]
+    facets = poly.incident_facets(vertex)
+    for fi, corners in zip(facets, _facet_corners(poly, facets)):
+        contribution, dist = corners[vertex]
         contributions.append((fi, contribution))
         r_max = min(r_max, dist)
     return _cone(poly, vertex, contributions, r_max)
@@ -244,8 +269,8 @@ def vertex_cones(poly: Polytope) -> list[VertexCone]:
     """Every vertex's cone, from one walk over the facets in index order."""
     contributions: list[list[tuple[int, float]]] = [[] for _ in poly.vertices]
     r_max = [math.inf] * len(poly.vertices)
-    for fi in range(len(poly.facets)):
-        for vertex, (contribution, dist) in _facet_corners(poly, fi).items():
+    for fi, corners in enumerate(_facet_corners(poly, range(len(poly.facets)))):
+        for vertex, (contribution, dist) in corners.items():
             contributions[vertex].append((fi, contribution))
             r_max[vertex] = min(r_max[vertex], dist)
     return [_cone(poly, v, contributions[v], r_max[v]) for v in range(len(r_max))]

@@ -14,6 +14,19 @@ new midpoints in first-visit order: triangle by triangle, edges ``ab``,
 ``(ab, b, bc)``, ``(ca, bc, c)``, ``(ab, bc, ca)`` in that order.  Edges are
 sorted vertex pairs in lexicographic order.
 
+Edge ids are carried through refinement instead of being found again by
+sorting at every level.  The fan gets its edge table from one ``np.unique``
+of half-edge keys; each round then derives the next table in O(T).  Of
+``E`` edges, edge ``e`` with ends ``lo < hi`` and midpoint ``m`` splits
+into ``2e = (lo, m)`` and ``2e + 1 = (hi, m)``; triangle ``t`` adds the
+interior edges ``2E + 3t + 0, 1, 2``, which are ``(ab, bc)``, ``(bc, ca)``,
+``(ca, ab)``; and the children's edges follow from the corner order above.
+An edge is first visited at its smaller half-edge ``3t + j``, which two
+scatters find.  Only the finished mesh relabels its edges lexicographically,
+by one argsort of the keys ``lo * P + hi`` (``SurfaceMesh._finish``).  The
+public ``SurfaceMesh`` constructor, for arbitrary triangles, takes its edge
+ids from one ``np.unique`` and ends in the same ``_finish``.
+
 A mesh is immutable: every array is read-only once built, and each vertex's
 star order (``SurfaceMesh.vertex_star``) is computed on first use and kept.
 """
@@ -75,50 +88,73 @@ class SurfaceMesh:
     _stars: dict[int, VertexStar] = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self) -> None:
-        self.positions = np.asarray(self.positions, dtype=float)
-        self.triangles = np.asarray(self.triangles, dtype=np.int64)
-        self.facet_of = np.asarray(self.facet_of, dtype=np.int64)
-        self._build_edges()
+        # copies, so freezing them never freezes the caller's arrays
+        self.positions = np.array(self.positions, dtype=float)
+        self.triangles = np.array(self.triangles, dtype=np.int64)
+        self.facet_of = np.array(self.facet_of, dtype=np.int64)
+        self._finish(*_edge_table(self.triangles, len(self.positions)))
+
+    @classmethod
+    def _refined(
+        cls, positions, triangles, facet_of, level, polytope, ends, tri_edges
+    ) -> SurfaceMesh:
+        """A mesh that takes ownership of ``subdivide``'s arrays and edges."""
+        mesh = cls.__new__(cls)
+        mesh.positions = positions
+        mesh.triangles = triangles
+        mesh.facet_of = facet_of
+        mesh.subdivision_level = level
+        mesh.polytope = polytope
+        mesh._stars = {}
+        mesh._finish(ends, tri_edges)
+        return mesh
+
+    def _finish(self, ends: np.ndarray, tri_edges: np.ndarray) -> None:
+        """Relabel edges lexicographically and build every derived array.
+
+        ``ends`` holds each edge's sorted vertex pair and ``tri_edges`` each
+        triangle's edges ``ab``, ``bc``, ``ca``, in any one edge numbering;
+        both are relabelled in place and kept.
+        """
         p = self.positions
         t = self.triangles
-        cross = np.cross(p[t[:, 1]] - p[t[:, 0]], p[t[:, 2]] - p[t[:, 0]])
-        self.areas = 0.5 * np.linalg.norm(cross, axis=1)
-        self.centroids = p[t].mean(axis=1)
-        # copies, so freezing them never freezes the caller's arrays; made
-        # last, when the temporaries above are gone
-        self.positions = self.positions.copy()
-        self.triangles = self.triangles.copy()
-        self.facet_of = self.facet_of.copy()
+        order = np.argsort(ends[:, 0] * len(p) + ends[:, 1])
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        ends[:] = ends.take(order, axis=0)
+        tri_edges[:] = rank[tri_edges]
+        self.edges = ends
+        self.tri_edges = tri_edges
+        del order, rank
+        # half-edge j*T + t is side j of triangle t: all ab, then bc, then ca
+        first, last = _half_edge_pairs(tri_edges.T.ravel(), len(ends))
+        self.edge_triangles = np.stack(
+            [first % len(t), np.where(first == last, -1, last % len(t))], axis=1
+        )
+        del first, last
+        d = p.take(ends[:, 0], axis=0) - p.take(ends[:, 1], axis=0)
+        self.edge_lengths = np.linalg.norm(d, axis=1)
+        del d
+        sides = self.edge_triangles.take(tri_edges, axis=0)
+        own = np.arange(len(t))[:, None]
+        self.tri_neighbors = np.where(sides[..., 0] == own, sides[..., 1], sides[..., 0])
+        del sides, own
+        a, b, c = (p.take(t[:, k], axis=0) for k in range(3))
+        self.centroids = (a + b + c) / 3.0
+        b -= a
+        c -= a
+        del a
+        # the cross product and its norm by components, bit for bit as
+        # np.cross and np.linalg.norm give them, without their copies
+        (bx, by, bz), (cx, cy, cz) = b.T, c.T
+        x, y, z = by * cz - bz * cy, bz * cx - bx * cz, bx * cy - by * cx
+        del b, c, bx, by, bz, cx, cy, cz
+        self.areas = 0.5 * np.sqrt(x * x + y * y + z * z)
         _freeze(
             self.positions, self.triangles, self.facet_of, self.edges,
             self.edge_lengths, self.edge_triangles, self.tri_edges,
             self.tri_neighbors, self.areas, self.centroids,
         )
-
-    def _build_edges(self) -> None:
-        t = self.triangles
-        count = len(self.positions)
-        half = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-        keys, first, inverse, per_edge = np.unique(
-            _edge_keys(half, count),
-            return_index=True, return_inverse=True, return_counts=True,
-        )
-        self.edges = np.stack([keys // count, keys % count], axis=1)
-        self.tri_edges = inverse.reshape(3, -1).T.copy()
-        if per_edge.max(initial=0) > 2:
-            eid = int(np.argmax(per_edge > 2))
-            raise ValueError(f"edge {eid} belongs to more than two triangles")
-        # half-edge i lies on triangle i % T; an edge's triangles are listed
-        # in half-edge order (all ab, then bc, then ca), -1 on an open edge
-        last = np.argsort(inverse, kind="stable")[np.cumsum(per_edge) - 1]
-        self.edge_triangles = np.stack(
-            [first % len(t), np.where(per_edge == 2, last % len(t), -1)], axis=1
-        )
-        d = self.positions[self.edges[:, 0]] - self.positions[self.edges[:, 1]]
-        self.edge_lengths = np.linalg.norm(d, axis=1)
-        ends = self.edge_triangles[self.tri_edges]
-        own = np.arange(len(t))[:, None]
-        self.tri_neighbors = np.where(ends[..., 0] == own, ends[..., 1], ends[..., 0])
 
     # -- queries ----------------------------------------------------------
 
@@ -171,33 +207,56 @@ def subdivide(polytope: Polytope, level: int) -> SurfaceMesh:
     ])
     facet_of = np.repeat(np.arange(len(rings)), [len(ring) for ring in rings])
 
+    ends, tri_edges = _edge_table(triangles, len(positions))
     for _ in range(level):
-        # half-edges ab, bc, ca of each triangle in visit order
-        half = triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-        _, first, inverse = np.unique(
-            _edge_keys(half, len(positions)), return_index=True, return_inverse=True
+        positions, triangles, ends, tri_edges = _refine(
+            positions, triangles, ends, tri_edges
         )
-        visit = np.argsort(first, kind="stable")
-        number = np.empty(len(first), dtype=np.int64)
-        number[visit] = len(positions) + np.arange(len(first))
-        ends = half[first[visit]]
-        positions = np.concatenate(
-            [positions, 0.5 * (positions[ends[:, 0]] + positions[ends[:, 1]])]
-        )
-        ab, bc, ca = number[inverse].reshape(-1, 3).T
-        a, b, c = triangles.T
-        triangles = np.stack(
-            [a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca], axis=1
-        ).reshape(-1, 3)
         facet_of = np.repeat(facet_of, 4)
-
-    return SurfaceMesh(
-        positions,
-        triangles,
-        facet_of,
-        subdivision_level=level,
-        polytope=polytope,
+    return SurfaceMesh._refined(
+        positions, triangles, facet_of, level, polytope, ends, tri_edges
     )
+
+
+def _refine(positions, triangles, ends, tri_edges):
+    """One round of 4-to-1 subdivision, carrying the edge table along (see
+    the module docstring); half-edge 3t + j is side j of triangle t."""
+    count = len(positions)
+    edge_of = tri_edges.ravel()
+    visited = np.zeros(len(edge_of), dtype=bool)
+    visited[_half_edge_pairs(edge_of, len(ends))[0]] = True
+    visit = edge_of[visited]
+    mid = np.empty(len(ends), dtype=np.int64)
+    mid[visit] = np.arange(count, count + len(visit))
+    lo, hi = ends.take(visit, axis=0).T
+    midpoints = 0.5 * (positions.take(lo, axis=0) + positions.take(hi, axis=0))
+    positions = np.concatenate([positions, midpoints])
+
+    sides = mid[tri_edges]
+    ab, bc, ca = sides.T
+    a, b, c = triangles.T
+    triangles = np.stack(
+        [a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca], axis=1
+    ).reshape(-1, 3)
+
+    e_ab, e_bc, e_ca = 2 * tri_edges.T
+    inner = 2 * len(ends) + 3 * np.arange(len(a))
+    tri_edges = np.stack([
+        e_ab + (a > b), inner + 2, e_ca + (a > c),
+        e_ab + (b > a), e_bc + (b > c), inner,
+        inner + 1, e_bc + (c > b), e_ca + (c > a),
+        inner, inner + 1, inner + 2,
+    ], axis=1).reshape(-1, 3)
+    # rows 2e and 2e + 1 are (lo, mid) and (hi, mid)
+    split = np.empty((len(ends), 2, 2), dtype=np.int64)
+    split[:, :, 0] = ends
+    split[:, :, 1] = mid[:, None]
+    turned = sides[:, [1, 2, 0]]
+    ends = np.concatenate([
+        split.reshape(-1, 2),
+        np.stack([np.minimum(sides, turned), np.maximum(sides, turned)], axis=2).reshape(-1, 2),
+    ])
+    return positions, triangles, ends, tri_edges
 
 
 def _freeze(*arrays: np.ndarray) -> None:
@@ -205,10 +264,37 @@ def _freeze(*arrays: np.ndarray) -> None:
         a.flags.writeable = False
 
 
-def _edge_keys(pairs: np.ndarray, count: int) -> np.ndarray:
-    """Key ``lo * count + hi`` of each undirected edge given as index pairs.
+def _edge_table(triangles: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted vertex pairs of the edges, lexicographic, and each triangle's
+    edges ``ab``, ``bc``, ``ca``, from one ``np.unique`` of the half-edges.
 
-    Keys sort like the sorted pairs do, so ``np.unique`` on keys orders edges
-    lexicographically without a structured-dtype sort.
+    An edge's key ``lo * count + hi`` sorts like its vertex pair does.
     """
-    return pairs.min(axis=1) * count + pairs.max(axis=1)
+    t = triangles
+    half = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
+    keys, inverse = np.unique(
+        half.min(axis=1) * count + half.max(axis=1), return_inverse=True
+    )
+    ends = np.stack([keys // count, keys % count], axis=1)
+    return ends, inverse.reshape(3, -1).T.copy()
+
+
+def _half_edge_pairs(edge_of: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Smaller and larger half-edge index of each of ``count`` edges, given
+    the edge of every half-edge; an open edge gives its one half-edge twice.
+
+    One scatter keeps one half-edge per edge; the half-edges it did not keep
+    are the other ends of their edges, so no sort is needed.
+    Raises ``ValueError`` if an edge has more than two half-edges.
+    """
+    index = np.arange(len(edge_of))
+    kept = np.empty(count, dtype=np.int64)
+    kept[edge_of] = index
+    rest = kept[edge_of] != index
+    other = kept.copy()
+    other[edge_of[rest]] = index[rest]
+    extra = other[edge_of[rest]] != index[rest]
+    if extra.any():
+        eid = int(edge_of[rest][extra].min())
+        raise ValueError(f"edge {eid} belongs to more than two triangles")
+    return np.minimum(kept, other), np.maximum(kept, other)

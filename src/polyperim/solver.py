@@ -70,9 +70,18 @@ class Region:
 
     @property
     def cut_perimeter(self) -> float:
-        et = self.mesh.edge_triangles
-        cut = self.mask[et[:, 0]] != self.mask[et[:, 1]]
-        return float(self.mesh.edge_lengths[cut].sum())
+        """Length of the edges between the region and the rest of the mesh,
+        summed in edge order; an open edge never counts.
+
+        The cut edges are read off the smaller side's own triangles.
+        """
+        mesh = self.mesh
+        side = self.mask if 2 * self.mask.sum() <= len(self.mask) else ~self.mask
+        tris = np.flatnonzero(side)
+        nbrs = mesh.tri_neighbors.take(tris, axis=0)
+        cut = (nbrs >= 0) & ~side[nbrs]
+        edges = np.sort(mesh.tri_edges.take(tris, axis=0)[cut])
+        return float(mesh.edge_lengths[edges].sum())
 
     @property
     def triangle_count(self) -> int:

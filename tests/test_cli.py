@@ -352,6 +352,30 @@ def test_reruns_are_byte_identical(tmp_path, capsys):
     assert (a / "profile.svg").read_bytes() == (b / "profile.svg").read_bytes()
 
 
+@pytest.mark.parametrize("argv, stages", [
+    (["analyze", "--polytope", "cube"], ["build", "cones"]),
+    (
+        ["solve", "--polytope", "cube", "--volume", "0.15", "--level", "3",
+         "--iters", "2000", "--restarts", "2", "--seed", "7"],
+        ["build", "subdivide", "cones", "minimize"],
+    ),
+])
+def test_timings_go_to_stderr_and_leave_artifacts_alone(tmp_path, capsys, argv, stages):
+    plain, timed = tmp_path / "plain", tmp_path / "timed"
+    code, out_plain, err = run(capsys, *argv, "--out", str(plain))
+    assert code == 0 and "timing" not in err
+    code, out_timed, err = run(capsys, *argv, "--timings", "--out", str(timed))
+    assert code == 0
+    assert out_timed == out_plain
+    lines = err.splitlines()
+    assert [line.split(":")[0] for line in lines] == [f"timing {s}" for s in stages]
+    assert all(float(line.split()[-2]) >= 0.0 for line in lines)
+    names = sorted(path.name for path in plain.iterdir())
+    assert names == sorted(path.name for path in timed.iterdir()) and names
+    for name in names:
+        assert (plain / name).read_bytes() == (timed / name).read_bytes(), name
+
+
 def test_main_entry_point(tmp_path, capsys):
     assert main(["analyze", "--polytope", "square", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
@@ -452,6 +476,7 @@ _FLOATS = st.sampled_from(
 _INTS = st.sampled_from(["-1", "0", "1", "2", "3"])
 _DIMS = st.sampled_from(["-1", "0", "1", "2", "3", "900", "3000"])
 _SHAPES = st.sampled_from(sorted(BUILTIN_SHAPES))
+_TIMINGS = st.sampled_from([[], ["--timings"]])
 
 
 @st.composite
@@ -461,7 +486,7 @@ def _argv(draw):
          "spiked-cone", "cube-competitors"]
     ))
     if command == "analyze":
-        return [command, f"--polytope={draw(_SHAPES)}"]
+        return [command, f"--polytope={draw(_SHAPES)}"] + draw(_TIMINGS)
     if command == "slice":
         return [command, f"--n={draw(_INTS)}", f"--N={draw(_INTS)}"]
     if command == "smooth":
@@ -478,7 +503,8 @@ def _argv(draw):
         level = draw(st.sampled_from(["-1", "0", "1", "2", "9"]))
         iters = draw(st.sampled_from(["-5", "0", "1", "300"]))
         return [command, f"--polytope={draw(_SHAPES)}", f"--volume={draw(_FLOATS)}",
-                f"--level={level}", f"--iters={iters}", f"--restarts={draw(_INTS)}"]
+                f"--level={level}", f"--iters={iters}", f"--restarts={draw(_INTS)}",
+                *draw(_TIMINGS)]
     if command == "double-pyramid":
         return ["gallery", command, f"--theta={draw(_FLOATS)}",
                 f"--volume={draw(_FLOATS)}", f"--base-link={draw(_FLOATS)}"]

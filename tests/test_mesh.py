@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyperim import shapes
 from polyperim.errors import UnsupportedDimension
 from polyperim.mesh import SurfaceMesh, subdivide
+from polyperim.polytope import Polytope
 
 
 @pytest.mark.parametrize("level", [0, 1, 2, 3])
@@ -96,6 +99,64 @@ def test_mesh_numbering_is_pinned(name):
     poly = getattr(shapes, name)()
     for level, expected in enumerate(NUMBERING_DIGESTS[name]):
         assert _numbering_digest(subdivide(poly, level)) == expected, level
+
+
+MESH_ARRAYS = (
+    "positions", "triangles", "facet_of", "edges", "edge_lengths",
+    "edge_triangles", "tri_edges", "tri_neighbors", "areas", "centroids",
+)
+
+# Every mesh array at levels 4 and 5, recorded from the mesh built by
+# re-sorting half-edges each round, before edge ids were carried through
+# refinement.
+MESH_DIGESTS = {
+    "cube": ("a16eeb91d2be120f", "975796341a2ab0ea"),
+    "octahedron": ("e939fe7ae74a354b", "bdc76ce64ad417f5"),
+    "square_pyramid": ("d19a51dd16129d30", "23210fcaa0e8cdc4"),
+    "tetrahedron": ("4f47616a831069ed", "52ee4cbc518f9210"),
+    "triangular_prism": ("facb54abe42cf62b", "46f8cab867ca30df"),
+}
+CUBE_LEVEL7_DIGEST = "a798e2f989cecf85"
+
+
+def _mesh_digest(mesh):
+    h = hashlib.sha256()
+    for name in MESH_ARRAYS:
+        array = getattr(mesh, name)
+        dtype = "<f8" if array.dtype.kind == "f" else "<i8"
+        h.update(repr(array.shape).encode())
+        h.update(np.ascontiguousarray(array, dtype=dtype).tobytes())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name", sorted(MESH_DIGESTS))
+def test_every_mesh_array_is_pinned(name):
+    poly = getattr(shapes, name)()
+    for level, expected in zip((4, 5), MESH_DIGESTS[name]):
+        assert _mesh_digest(subdivide(poly, level)) == expected, level
+
+
+def test_level7_cube_arrays_are_pinned():
+    assert _mesh_digest(subdivide(shapes.cube(), 7)) == CUBE_LEVEL7_DIGEST
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(m=st.integers(4, 60), seed=st.integers(0, 2**32 - 1), level=st.integers(0, 3))
+def test_subdivide_tables_equal_the_constructors(m, seed, level):
+    x = np.random.default_rng(seed).normal(size=(m, 3))
+    poly = Polytope.from_vertices(x / np.linalg.norm(x, axis=1)[:, None])
+    mesh = subdivide(poly, level)
+    reference = SurfaceMesh(
+        mesh.positions, mesh.triangles, mesh.facet_of, subdivision_level=level,
+        polytope=poly,
+    )
+    for name in MESH_ARRAYS:
+        array = getattr(mesh, name)
+        expected = getattr(reference, name)
+        assert array.dtype == expected.dtype, name
+        assert array.shape == expected.shape, name
+        assert array.tobytes() == expected.tobytes(), name
+        assert not array.flags.writeable, name
 
 
 def test_midpoints_are_numbered_in_first_visit_order():

@@ -31,6 +31,36 @@ def test_region_rejects_bad_mask():
         Region(mesh=mesh, mask=np.ones(5, dtype=bool))
 
 
+def test_open_edges_never_count_as_cut():
+    # two triangles of a unit square share the diagonal; the rest is open
+    strip = SurfaceMesh(
+        positions=np.array([[0.0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]]),
+        triangles=np.array([[0, 1, 2], [0, 2, 3]]),
+        facet_of=np.array([0, 0]),
+        subdivision_level=0,
+    )
+    assert not strip.is_closed()
+    for mask, expected in (
+        ([True, False], math.sqrt(2.0)),
+        ([False, True], math.sqrt(2.0)),
+        ([True, True], 0.0),
+        ([False, False], 0.0),
+    ):
+        assert Region(strip, np.array(mask)).cut_perimeter == expected, mask
+
+
+def test_cut_perimeter_sums_the_edges_between_the_sides():
+    mesh = subdivide(shapes.tetrahedron(), 3)
+    rng = np.random.default_rng(3)
+    for p in (0.0, 0.1, 0.5, 0.9, 1.0):
+        mask = rng.random(mesh.triangle_count) < p
+        et = mesh.edge_triangles
+        cut = mask[et[:, 0]] != mask[et[:, 1]]
+        expected = float(mesh.edge_lengths[cut].sum())
+        assert Region(mesh, mask).cut_perimeter == expected
+        assert Region(mesh, ~mask).cut_perimeter == expected
+
+
 def test_anisotropy_bound_cube_is_sqrt2():
     """Fan triangles of a square are right isosceles at every level."""
     for level in (1, 2, 3):
