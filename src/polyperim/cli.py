@@ -496,7 +496,6 @@ def _cmd_solve(args: argparse.Namespace, out: Path) -> int:
     config = default_config(
         mesh, seed=args.seed, iterations=args.iters, restarts=args.restarts
     )
-    # warm starts are built inside the minimize stage
     with timer("minimize"):
         warm = []
         for cone in ranked:

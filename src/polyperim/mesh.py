@@ -116,6 +116,8 @@ class SurfaceMesh:
         triangle's edges ``ab``, ``bc``, ``ca``, in any one edge numbering;
         both are relabelled in place and kept.
         """
+        # temporaries are dropped as soon as they are used up: on fine
+        # meshes they, not the kept arrays, would set the peak memory
         p = self.positions
         t = self.triangles
         order = np.argsort(ends[:, 0] * len(p) + ends[:, 1])
@@ -291,10 +293,11 @@ def _half_edge_pairs(edge_of: np.ndarray, count: int) -> tuple[np.ndarray, np.nd
     kept = np.empty(count, dtype=np.int64)
     kept[edge_of] = index
     rest = kept[edge_of] != index
+    loose, at = edge_of[rest], index[rest]
     other = kept.copy()
-    other[edge_of[rest]] = index[rest]
-    extra = other[edge_of[rest]] != index[rest]
+    other[loose] = at
+    extra = other[loose] != at
     if extra.any():
-        eid = int(edge_of[rest][extra].min())
+        eid = int(loose[extra].min())
         raise ValueError(f"edge {eid} belongs to more than two triangles")
     return np.minimum(kept, other), np.maximum(kept, other)
