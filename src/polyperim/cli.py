@@ -10,10 +10,11 @@ Subcommands map one-to-one onto the library modules:
 * ``gallery``  — analytic competitor exhibits
 
 Every CSV artifact begins with two comment lines carrying the run manifest
-(command, flags, seed, version, input digest) and its sha256, so a consumer
-can check which invocation produced a file.  Identical invocations produce
-byte-identical artifacts, including the optional SVG plots; all floats are
-printed with ``%.12g`` and negative zero is normalized.
+(command, flags, version, input digest) and its sha256, so a consumer can
+check which invocation produced a file.  A command accepts only the flags it
+reads, so the manifest's flags are those that shape the output.  Identical
+invocations produce byte-identical artifacts, including the optional SVG
+plots; all floats are printed with ``%.12g`` and negative zero is normalized.
 
 ``analyze`` and ``solve`` take ``--timings``, which prints the seconds of
 each stage (build, subdivide, cones, minimize) to stderr.  The flag is left
@@ -49,7 +50,7 @@ from .gallery import (
     winner_crossovers,
 )
 from .mesh import subdivide
-from .polytope import Polytope, load_polytope, polytope_measure
+from .polytope import Polytope, polytope_measure
 from .profiles import Profile, cone_profile
 from .slicing import classify_pieces, enumerate_pieces
 from .smoothing import convexity_probe, smoothed_body
@@ -105,7 +106,6 @@ def _fmt(value) -> str:
 class RunManifest:
     command: str
     flags: dict
-    seed: int
     version: str
     input_digest: str
 
@@ -114,7 +114,6 @@ class RunManifest:
             "command": self.command,
             "flags": self.flags,
             "input_digest": self.input_digest,
-            "seed": self.seed,
             "version": self.version,
         }
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
@@ -140,7 +139,6 @@ def _manifest(args: argparse.Namespace, input_digest: str = "-") -> RunManifest:
     return RunManifest(
         command=args.command,
         flags=flags,
-        seed=getattr(args, "seed", 0),
         version=__version__,
         input_digest=input_digest,
     )
@@ -156,19 +154,21 @@ def _emit_csv(out: Path, name: str, manifest: RunManifest, header, rows) -> Path
 
 
 def _load_polytope_arg(args: argparse.Namespace) -> tuple[Polytope, str]:
-    """Resolve --polytope as a builtin name or a JSON document path."""
-    value = getattr(args, "polytope", None)
+    """Resolve --polytope as a builtin name or a JSON document path.
+
+    A document is read once, so the digest describes the bytes parsed."""
+    value = args.polytope
     if not value:
         raise BadDocument(f"{args.command} requires --polytope")
     if value in BUILTIN_SHAPES:
         poly = BUILTIN_SHAPES[value]()
         blob = json.dumps(poly.serialize(), sort_keys=True).encode("utf-8")
     else:
-        path = Path(value)
-        if not path.exists():
-            raise BadDocument(f"polytope file not found: {value}")
-        blob = path.read_bytes()
-        poly = load_polytope(path)
+        try:
+            blob = Path(value).read_bytes()
+        except OSError as exc:
+            raise BadDocument(f"--polytope {value}: {exc.strerror}") from None
+        poly = Polytope.loads(blob.decode("utf-8"))
     return poly, hashlib.sha256(blob).hexdigest()
 
 
@@ -465,7 +465,7 @@ def _cmd_profile(args: argparse.Namespace, out: Path) -> int:
     manifest = _manifest(args)
     if args.model == "cone":
         if args.omega is None:
-            raise BadDocument("--model cone requires --omega")
+            raise ValidationError("--model cone requires --omega")
         prof = Profile.cone(args.omega, args.n, args.vmin, args.vmax, args.points)
     elif args.model == "sphere":
         prof = Profile.sphere(args.n, args.vmin, args.vmax, args.points)
@@ -658,19 +658,26 @@ def _cmd_gallery(args: argparse.Namespace, out: Path) -> int:
 # parser and dispatch
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--polytope",
-        help="builtin shape name (%s) or path to a polytope JSON document"
-        % ", ".join(sorted(BUILTIN_SHAPES)),
-    )
-    common.add_argument("--out", default="./out", help="artifact directory")
-    common.add_argument("--seed", type=int, default=0, help="RNG seed")
-    common.add_argument(
-        "--svg", action="store_true", help="also write SVG plots where supported"
-    )
+#: flags that several commands share; every command takes --out and only the
+#: others its ``_cmd_*`` function reads
+_SHARED_FLAGS = {
+    "--out": dict(default="./out", help="artifact directory"),
+    "--polytope": dict(help="builtin shape name (%s) or path to a polytope JSON "
+                       "document" % ", ".join(sorted(BUILTIN_SHAPES))),
+    "--seed": dict(type=int, default=0, help="RNG seed"),
+    "--svg": dict(action="store_true", help="also write SVG plots"),
+    "--timings": dict(action="store_true", help="print seconds per stage to stderr"),
+}
 
+
+def _add_command(sub, name: str, summary: str, *shared: str):
+    p = sub.add_parser(name, help=summary)
+    for flag in ("--out",) + shared:
+        p.add_argument(flag, **_SHARED_FLAGS[flag])
+    return p
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polyperim",
         description="perimeter-minimizing regions on polytope surfaces and cones",
@@ -680,33 +687,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    timings = argparse.ArgumentParser(add_help=False)
-    timings.add_argument(
-        "--timings", action="store_true",
-        help="print seconds per stage to stderr (artifacts are unchanged)",
-    )
-
-    p = sub.add_parser(
-        "analyze", parents=[common, timings], help="per-vertex cone analysis"
-    )
+    p = _add_command(sub, "analyze", "vertex cone analysis", "--polytope", "--timings")
     p.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser("slice", parents=[common], help="simplex slab slicing")
+    p = _add_command(sub, "slice", "simplex slab slicing", "--svg")
     p.add_argument("--n", type=int, required=True, help="simplex dimension")
     p.add_argument("--N", type=int, required=True, help="slices per direction")
     p.set_defaults(func=_cmd_slice)
 
-    p = sub.add_parser("smooth", parents=[common], help="mollified gauge body")
+    p = _add_command(sub, "smooth", "mollified gauge body", "--polytope", "--seed")
     p.add_argument("--eps", type=float, required=True, help="mollification radius")
     p.add_argument(
         "--dirs", type=int, default=192, help="approximate boundary direction count"
     )
     p.set_defaults(func=_cmd_smooth)
 
-    p = sub.add_parser("profile", parents=[common], help="isoperimetric profiles")
-    p.add_argument(
-        "--model", choices=("euclidean", "sphere", "cone"), required=True
-    )
+    p = _add_command(sub, "profile", "isoperimetric profiles", "--svg")
+    p.add_argument("--model", choices=("euclidean", "sphere", "cone"), required=True)
     p.add_argument("--n", type=int, required=True, help="manifold dimension")
     p.add_argument("--omega", type=float, help="cone link measure")
     p.add_argument("--vmin", type=float, required=True)
@@ -714,8 +711,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=256)
     p.set_defaults(func=_cmd_profile)
 
-    p = sub.add_parser(
-        "solve", parents=[common, timings], help="discrete minimization"
+    p = _add_command(
+        sub, "solve", "discrete minimization", "--polytope", "--seed", "--timings"
     )
     p.add_argument("--volume", type=float, required=True, help="target volume")
     p.add_argument("--level", type=int, default=4, help="subdivision level")
@@ -723,22 +720,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=8)
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("gallery", parents=[common], help="competitor exhibits")
-    p.add_argument(
-        "exhibit",
-        choices=("double-pyramid", "spiked-cone", "cube-competitors"),
-    )
-    p.add_argument("--theta", type=float, default=0.5, help="apex link (double pyramid)")
-    p.add_argument("--volume", type=float, default=1e-3, help="comparison volume")
-    p.add_argument("--base-link", type=float, default=None)
-    p.add_argument(
+    p = sub.add_parser("gallery", help="competitor exhibits")
+    p.set_defaults(func=_cmd_gallery)
+    exhibits = p.add_subparsers(dest="exhibit", required=True)
+    e = _add_command(exhibits, "double-pyramid", "double pyramid ball areas")
+    e.add_argument("--theta", type=float, default=0.5, help="apex link")
+    e.add_argument("--volume", type=float, default=1e-3, help="comparison volume")
+    e.add_argument("--base-link", type=float, default=None)
+    e = _add_command(exhibits, "spiked-cone", "spiked cone links")
+    e.add_argument(
         "--half-angle", type=float, default=5.0, help="spike half-angle in degrees"
     )
-    p.add_argument("--spike-height", type=float, default=3.0)
-    p.add_argument("--vmin", type=float, default=0.01)
-    p.add_argument("--vmax", type=float, default=5.99)
-    p.add_argument("--points", type=int, default=120)
-    p.set_defaults(func=_cmd_gallery)
+    e.add_argument("--spike-height", type=float, default=3.0)
+    e.add_argument("--volume", type=float, default=1e-3, help="comparison volume")
+    e = _add_command(exhibits, "cube-competitors", "cube competitors", "--svg")
+    e.add_argument("--vmin", type=float, default=0.01)
+    e.add_argument("--vmax", type=float, default=5.99)
+    e.add_argument("--points", type=int, default=120)
     return parser
 
 
@@ -746,11 +744,13 @@ def dispatch(argv: list[str]) -> int:
     if argv and not argv[0].startswith("-") and argv[0] not in COMMANDS:
         print(f"polyperim: unknown command '{argv[0]}'", file=sys.stderr)
         return EXIT_UNKNOWN_COMMAND
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     try:
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ValidationError(f"--out {out}: {exc.strerror}") from None
         return args.func(args, out)
     except ValidationError as exc:
         print(f"polyperim: error: {type(exc).__name__}: {exc}", file=sys.stderr)

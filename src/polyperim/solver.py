@@ -49,6 +49,9 @@ from .mesh import SurfaceMesh
 
 FEASIBILITY_FRACTION = 0.02
 POLISH_MOVES = 5000  # cap on steepest-descent flips in one polish
+# iterations per batch of uniform draws: memory stays flat in the iteration
+# count, and a Generator's stream does not depend on how draws are batched
+DRAW_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -339,6 +342,14 @@ def _random_blob(rng, nbrs, areas, volume: float) -> list[bool]:
     return mask
 
 
+def _draws(rng, iterations: int):
+    """Four uniforms per annealing iteration, drawn DRAW_BLOCK iterations at
+    a time."""
+    for start in range(0, iterations, DRAW_BLOCK):
+        block = rng.random(4 * min(DRAW_BLOCK, iterations - start)).tolist()
+        yield from zip(block[0::4], block[1::4], block[2::4], block[3::4])
+
+
 def _anneal(
     state: _State, cfg: SolverConfig, rng, feas: float
 ) -> tuple[list[bool] | None, tuple[int, ...]]:
@@ -372,16 +383,11 @@ def _anneal(
         best_mask = list(mask)
         snapshots += 1
     exp = math.exp
-    block = rng.random(4 * cfg.iterations).tolist()
-    bi = 0
-    for _ in range(cfg.iterations):
+    for r_swap, r_pick, r2, r_acc in _draws(rng, cfg.iterations):
         if not cand:
             break
-        swap = block[bi] >= 0.5
-        t = cand[int(block[bi + 1] * len(cand))]
-        r2 = block[bi + 2]
-        r_acc = block[bi + 3]
-        bi += 4
+        swap = r_swap >= 0.5
+        t = cand[int(r_pick * len(cand))]
         # the perimeter and area change of flipping t, summed as deltas() does
         s = mask[t]
         u0, u1, u2 = nbrs[t]

@@ -1,15 +1,17 @@
+import argparse
 import json
 import math
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyperim import shapes, smoothing
-from polyperim.cli import BUILTIN_SHAPES, dispatch, main
+from polyperim.cli import BUILTIN_SHAPES, build_parser, dispatch, main
 
 
 def run(capsys, *argv):
@@ -439,19 +441,94 @@ def test_slice_rejects_oversized_windows_at_once(tmp_path, capsys):
           "--volume=nan"], "VolumeOutOfRange"),
         (["gallery", "spiked-cone", "--half-angle=1e-300", "--spike-height=1e300",
           "--volume=0.001"], "spike height"),
+        (["analyze", "--polytope", str(Path(__file__).parent)],
+         "BadDocument: --polytope"),
+        (["analyze", "--polytope", "cube", "--out", __file__],
+         "ValidationError: --out"),
     ],
     ids=["spike-volume-nan", "volume-nan", "volume-inf",
          "base-link-nan", "competitors-vmin-negative", "profile-vmax-inf",
          "underflow", "restarts-0", "iters-negative", "dirs-negative", "dirs-0",
          "profile-n-3000", "cone-n-3000", "profile-n-900-svg", "sphere-n-436",
          "solve-volume-negative", "solve-volume-unreachable",
-         "spike-overflow-volume-nan", "spike-overflow"],
+         "spike-overflow-volume-nan", "spike-overflow", "polytope-is-a-directory",
+         "out-is-a-file"],
 )
 def test_out_of_range_values_are_rejected(tmp_path, capsys, argv, message):
-    code, out, err = run(capsys, *argv, "--out", str(tmp_path))
+    if "--out" not in argv:
+        argv = [*argv, "--out", str(tmp_path)]
+    code, out, err = run(capsys, *argv)
     assert code == 2
     assert message in err
     assert out == "" and not list(tmp_path.iterdir())
+
+
+# a cheap run of each command path, the flags that path accepts, and a flag
+# another path takes that this one must reject
+COMMAND_PATHS = [
+    (["analyze", "--polytope", "cube"], ["--out", "--polytope", "--timings"],
+     "--svg"),
+    (["slice", "--n", "2", "--N", "3"], ["--out", "--svg", "--n", "--N"],
+     "--polytope=cube"),
+    (["smooth", "--polytope", "square", "--eps", "0.2", "--dirs", "16"],
+     ["--out", "--polytope", "--seed", "--eps", "--dirs"], "--svg"),
+    (["profile", "--model", "euclidean", "--n", "2", "--vmin", "0.1", "--vmax", "1"],
+     ["--out", "--svg", "--model", "--n", "--omega", "--vmin", "--vmax", "--points"],
+     "--seed=1"),
+    (["solve", "--polytope", "cube", "--volume", "0.375", "--level", "1",
+      "--iters", "200", "--restarts", "1"],
+     ["--out", "--polytope", "--seed", "--timings", "--volume", "--level", "--iters",
+      "--restarts"], "--svg"),
+    (["gallery", "double-pyramid"], ["--out", "--theta", "--volume", "--base-link"],
+     "--seed=5"),
+    (["gallery", "spiked-cone"],
+     ["--out", "--half-angle", "--spike-height", "--volume"], "--points=3"),
+    (["gallery", "cube-competitors", "--points", "4"],
+     ["--out", "--svg", "--vmin", "--vmax", "--points"], "--volume=0.1"),
+]
+
+
+def _path(argv):
+    return argv[:2] if argv[0] == "gallery" else argv[:1]
+
+
+_PATH_IDS = ["-".join(_path(argv)) for argv, _, _ in COMMAND_PATHS]
+
+
+@pytest.mark.parametrize("argv, flags, foreign", COMMAND_PATHS, ids=_PATH_IDS)
+def test_each_command_path_accepts_only_the_flags_it_reads(
+    tmp_path, capsys, argv, flags, foreign
+):
+    parser = build_parser()
+    for name in _path(argv):
+        (sub,) = [
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        parser = sub.choices[name]
+    accepted = [s for a in parser._actions for s in a.option_strings]
+    assert accepted == ["-h", "--help"] + flags
+    with pytest.raises(SystemExit) as exc:
+        dispatch([*argv, foreign, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {foreign}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, flags, foreign", COMMAND_PATHS, ids=_PATH_IDS)
+def test_manifest_records_the_flags_that_shape_the_output(
+    tmp_path, capsys, argv, flags, foreign
+):
+    code, _, _ = run(capsys, *argv, "--out", str(tmp_path))
+    assert code == 0
+    expected = {f[2:].replace("-", "_") for f in flags} - {"out", "timings"}
+    if argv[0] == "gallery":
+        expected.add("exhibit")
+    artifacts = sorted(tmp_path.glob("*.csv"))
+    assert artifacts
+    for artifact in artifacts:
+        manifest, _, _ = read_artifact(artifact)
+        assert set(manifest) == {"command", "flags", "input_digest", "version"}
+        assert set(manifest["flags"]) == expected, artifact.name
 
 
 def test_solve_bound_check_is_na_beyond_the_star_range(tmp_path, capsys):

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polyperim import shapes
+from polyperim import shapes, solver
 from polyperim.cones import link_volume, rank_by_link, vertex_cones
 from polyperim.errors import (
     NoFeasibleRegion,
@@ -227,6 +227,42 @@ def test_move_counts_are_deterministic_and_add_up():
         assert min(m.swaps_accepted, m.swaps_rejected) > 0
     # the feasible warm ball is the warm restart's first snapshot
     assert first.moves[0].snapshots >= 1
+
+
+class _RecordingRng:
+    """A seeded Generator that records the size of every uniform draw."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.sizes = []
+
+    def random(self, size):
+        self.sizes.append(size)
+        return self.rng.random(size)
+
+
+def test_annealing_draws_are_bounded_and_batching_leaves_the_run_alone(monkeypatch):
+    mesh = subdivide(shapes.cube(), 3)
+    nbrs = mesh.tri_neighbors.tolist()
+    lens = mesh.edge_lengths[mesh.tri_edges].tolist()
+    areas = mesh.areas.tolist()
+    volume = 0.1
+    init = vertex_ball_region(mesh, 0, volume).mask
+    cfg = default_config(mesh, seed=0, iterations=2 * solver.DRAW_BLOCK + 5)
+
+    def anneal():
+        rng = _RecordingRng(5)
+        state = _State(mesh, nbrs, lens, areas, init, volume)
+        return rng.sizes, solver._anneal(state, cfg, rng, 0.02 * volume)
+
+    sizes, result = anneal()
+    assert result[0] is not None  # the feasible warm ball is a snapshot
+    assert max(sizes) <= 4 * solver.DRAW_BLOCK
+    assert sum(sizes) == 4 * cfg.iterations
+    monkeypatch.setattr(solver, "DRAW_BLOCK", 7)
+    small_sizes, small_result = anneal()
+    assert max(small_sizes) == 28
+    assert small_result == result
 
 
 def test_minimize_perimeter_warm_start_quality():
