@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .errors import NumericalError, PolyperimError, ValidationError
-from .polytope import Polytope, load_polytope
+from .polytope import Polytope
 from .shapes import (
     cube,
     hypercube,
@@ -28,9 +28,6 @@ from .slicing import (
     build_frame,
     classify_pieces,
     enumerate_pieces,
-    make_piece,
-    shape_class,
-    translate_piece,
 )
 from .smoothing import (
     GaugeFunction,
@@ -71,7 +68,6 @@ __all__ = [
     "ValidationError",
     "NumericalError",
     "Polytope",
-    "load_polytope",
     "cube",
     "hypercube",
     "tetrahedron",
@@ -89,10 +85,7 @@ __all__ = [
     "RegularSimplexFrame",
     "SlicePiece",
     "build_frame",
-    "make_piece",
     "enumerate_pieces",
-    "translate_piece",
-    "shape_class",
     "classify_pieces",
     "GaugeFunction",
     "Mollifier",

@@ -159,7 +159,7 @@ def _load_polytope_arg(args: argparse.Namespace) -> tuple[Polytope, str]:
     A document is read once, so the digest describes the bytes parsed."""
     value = args.polytope
     if not value:
-        raise BadDocument(f"{args.command} requires --polytope")
+        raise ValidationError(f"{args.command} requires --polytope")
     if value in BUILTIN_SHAPES:
         poly = BUILTIN_SHAPES[value]()
         blob = json.dumps(poly.serialize(), sort_keys=True).encode("utf-8")
@@ -168,7 +168,13 @@ def _load_polytope_arg(args: argparse.Namespace) -> tuple[Polytope, str]:
             blob = Path(value).read_bytes()
         except OSError as exc:
             raise BadDocument(f"--polytope {value}: {exc.strerror}") from None
-        poly = Polytope.loads(blob.decode("utf-8"))
+        try:
+            text = blob.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise BadDocument(
+                f"--polytope {value}: not UTF-8 ({exc.reason} at byte {exc.start})"
+            ) from None
+        poly = Polytope.loads(text)
     return poly, hashlib.sha256(blob).hexdigest()
 
 

@@ -65,10 +65,6 @@ class InsufficientSamples(ValidationError):
     """Too few samples, or samples span less than a decade."""
 
 
-class EmptyPiece(ValidationError):
-    """Slab index vector selects an empty piece."""
-
-
 # --- numerical ------------------------------------------------------------
 
 class RootNotBracketed(NumericalError):

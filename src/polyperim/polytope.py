@@ -1,18 +1,18 @@
-"""Convex polytopes given by vertices and facet incidence lists.
+"""Convex polytopes given by their vertices.
 
 A :class:`Polytope` is the boundary surface of a compact convex body in
 ``R^d`` (``2 <= d <= 4``), stored as vertex coordinates plus one vertex-index
 list per facet.  Documents are plain JSON objects with fields ``dim``,
 ``vertices``, optional ``facets`` and optional ``name``; indices are 0-based.
 
-Facets and measures come from Qhull (``scipy.spatial.ConvexHull``).  A facet
-is the maximal set of vertices within the tolerance of one of Qhull's facet
-planes, so coplanar hull triangles collapse into one polygon and a point on
-a face, or inside the hull, belongs to fewer than ``d`` facets and fails the
-incidence check.  A given facet list must equal that enumeration, so a list
-with a facet missing is rejected instead of leaving the surface open.
-Measures (facet areas, cell volumes) are hull volumes in the affine span of
-the points.
+The vertices fix the surface, so facets and measures come from Qhull
+(``scipy.spatial.ConvexHull``).  A facet is the maximal set of vertices within
+the tolerance of one of Qhull's facet planes, so coplanar hull triangles
+collapse into one polygon and a point on a face, or inside the hull, belongs
+to fewer than ``d`` facets and fails the incidence check.  A document's facet
+list, when given, must list the hull's facets in any order, so a list with a
+facet missing is rejected instead of leaving the surface open.  Measures
+(facet areas, cell volumes) are hull volumes in the affine span of the points.
 """
 
 from __future__ import annotations
@@ -152,52 +152,22 @@ class Polytope:
     Attributes
     ----------
     vertices : (m, d) float array
+    name : optional label carried through serialization
     facets : tuple of sorted vertex-index tuples, lexicographically sorted;
-        pass None to take the facets of the vertices' convex hull
+        the facets of the vertices' convex hull
     facet_normals : (F, d) outward unit normals
     facet_offsets : (F,) plane offsets, so a facet plane is {a . x = b}
-    name : optional label carried through serialization
     """
 
     vertices: np.ndarray
-    facets: tuple[tuple[int, ...], ...] | None
     name: str | None = None
+    facets: tuple[tuple[int, ...], ...] = field(init=False)
     facet_normals: np.ndarray = field(init=False)
     facet_offsets: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         self.vertices = np.asarray(self.vertices, dtype=float)
-        if self.vertices.ndim != 2:
-            raise BadDocument("vertices must be a list of coordinate rows")
-        d = self.dim
-        if d > MAX_DIM:
-            raise DimensionTooHigh(f"ambient dimension {d} > {MAX_DIM}")
-        if d < 2:
-            raise NotFullDimensional("ambient dimension must be at least 2")
-        hull = None
-        if self.facets is None:
-            hull = self.facets = enumerate_facets(self.vertices)
-        m = len(self.vertices)
-        canon = []
-        for f in self.facets:
-            idx = tuple(sorted(int(i) for i in f))
-            if len(set(idx)) != len(idx):
-                raise InvalidPolytope(f"facet {f} repeats a vertex")
-            if idx and (idx[0] < 0 or idx[-1] >= m):
-                raise InvalidPolytope(f"facet {f} references a missing vertex")
-            if len(idx) < d:
-                raise DegenerateFacet(
-                    f"facet {idx} has {len(idx)} vertices, needs at least {d}"
-                )
-            canon.append(idx)
-        self.facets = tuple(sorted(canon))
-        if not self.facets:
-            raise InvalidPolytope("polytope has no facets")
-        _, _, rank = affine_span(self.vertices)
-        if rank < d:
-            raise NotFullDimensional(
-                f"vertices span {rank} dimensions, expected {d}"
-            )
+        self.facets = tuple(enumerate_facets(self.vertices))
         self._fit_facet_planes()
         # signed vertex-plane residuals, shared by every check below
         side = self.vertices @ self.facet_normals.T - self.facet_offsets
@@ -205,7 +175,6 @@ class Polytope:
         self._check_convexity(side, limit)
         self._check_coplanarity(side, limit)
         self._check_incidence(side, limit)
-        self._check_closure(hull)
         incident: list[list[int]] = [[] for _ in range(len(self.vertices))]
         for fi, f in enumerate(self.facets):
             for v in f:
@@ -254,17 +223,6 @@ class Polytope:
                 f"expected at least {d} (not in convex position?)"
             )
 
-    def _check_closure(self, hull: list[tuple[int, ...]] | None) -> None:
-        if hull is None:
-            hull = enumerate_facets(self.vertices)
-        if list(self.facets) != hull:
-            missing = sorted(set(hull) - set(self.facets))
-            raise InvalidPolytope(
-                f"the {len(self.facets)} facets given do not close up the "
-                f"surface: the hull has {len(hull)} facets"
-                + (f", including {missing[0]}" if missing else "")
-            )
-
     # -- basic queries ----------------------------------------------------
 
     @property
@@ -274,10 +232,6 @@ class Polytope:
     @property
     def surface_dim(self) -> int:
         return self.dim - 1
-
-    @property
-    def centroid(self) -> np.ndarray:
-        return self.vertices.mean(axis=0)
 
     def incident_facets(self, vertex_index: int) -> tuple[int, ...]:
         """Indices of the facets containing a vertex, in increasing order."""
@@ -299,26 +253,16 @@ class Polytope:
     def facet_measure(self, facet_index: int) -> float:
         return polytope_measure(self.facet_points(facet_index))
 
-    def scaled(self, factor: float) -> "Polytope":
-        return Polytope(self.vertices * float(factor), self.facets, name=self.name)
-
     # -- document I/O -----------------------------------------------------
 
     @classmethod
-    def from_vertices(
-        cls,
-        vertices,
-        facets=None,
-        name: str | None = None,
-    ) -> "Polytope":
-        """Build from coordinates, enumerating facets when none are given."""
+    def from_vertices(cls, vertices, name: str | None = None) -> "Polytope":
+        """Build from coordinates, merging vertices within MERGE_TOL."""
         verts = np.asarray(vertices, dtype=float)
         if verts.ndim != 2:
             raise NotFullDimensional("vertex array must be 2-dimensional")
         verts, _ = _dedupe_with_map(verts)
-        if facets is not None:
-            facets = tuple(tuple(f) for f in facets)
-        return cls(verts, facets, name=name)
+        return cls(verts, name=name)
 
     @classmethod
     def from_document(cls, doc: dict) -> "Polytope":
@@ -345,8 +289,6 @@ class Polytope:
             raise BadDocument("field 'name' must be a string")
         raw_facets = doc.get("facets")
         m = len(verts)
-        verts, remap = _dedupe_with_map(verts)
-        facets = None
         if raw_facets is not None:
             if not isinstance(raw_facets, list):
                 raise BadDocument("field 'facets' must be a list of index lists")
@@ -358,8 +300,18 @@ class Polytope:
                     raise BadDocument(
                         f"facet {fi} must list vertex indices in [0, {m})"
                     )
-            facets = [tuple(sorted({remap[i] for i in f})) for f in raw_facets]
-        return cls(verts, facets, name=name)
+        verts, remap = _dedupe_with_map(verts)
+        poly = cls(verts, name=name)
+        if raw_facets is not None:
+            given = sorted(tuple(sorted({int(remap[i]) for i in f})) for f in raw_facets)
+            if given != list(poly.facets):
+                missing = sorted(set(poly.facets) - set(given))
+                raise InvalidPolytope(
+                    f"the {len(given)} facets given do not close up the "
+                    f"surface: the hull has {len(poly.facets)} facets"
+                    + (f", including {missing[0]}" if missing else "")
+                )
+        return poly
 
     @classmethod
     def loads(cls, text: str) -> "Polytope":
@@ -368,11 +320,6 @@ class Polytope:
         except json.JSONDecodeError as exc:
             raise BadDocument(f"not valid JSON: {exc}") from None
         return cls.from_document(doc)
-
-    @classmethod
-    def load(cls, path) -> "Polytope":
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.loads(handle.read())
 
     def serialize(self) -> dict:
         """Canonical document: facet indices sorted, facets sorted."""
@@ -384,9 +331,6 @@ class Polytope:
         if self.name is not None:
             doc["name"] = self.name
         return doc
-
-    def dumps(self) -> str:
-        return json.dumps(self.serialize(), indent=2, sort_keys=True)
 
 
 def _dedupe_with_map(verts: np.ndarray):
@@ -404,11 +348,3 @@ def _dedupe_with_map(verts: np.ndarray):
     slot = np.cumsum(kept) - 1
     return verts[kept], slot[target]
 
-
-def load_polytope(source) -> Polytope:
-    """Load a polytope document from a dict, JSON string, or file path."""
-    if isinstance(source, dict):
-        return Polytope.from_document(source)
-    if isinstance(source, str) and source.lstrip().startswith("{"):
-        return Polytope.loads(source)
-    return Polytope.load(source)

@@ -13,22 +13,14 @@ def cube(side: float = 1.0) -> Polytope:
     """Axis-aligned cube centered at the origin."""
     h = side / 2.0
     verts = np.array(list(itertools.product((-h, h), repeat=3)))
-    facets = []
-    for axis in range(3):
-        for sign in (-h, h):
-            facets.append(tuple(i for i, v in enumerate(verts) if v[axis] == sign))
-    return Polytope(verts, tuple(facets), name="cube")
+    return Polytope(verts, name="cube")
 
 
 def hypercube(side: float = 1.0) -> Polytope:
     """4-cube centered at the origin; facets are its eight cubical cells."""
     h = side / 2.0
     verts = np.array(list(itertools.product((-h, h), repeat=4)))
-    facets = []
-    for axis in range(4):
-        for sign in (-h, h):
-            facets.append(tuple(i for i, v in enumerate(verts) if v[axis] == sign))
-    return Polytope(verts, tuple(facets), name="hypercube")
+    return Polytope(verts, name="hypercube")
 
 
 def tetrahedron(edge: float = 1.0) -> Polytope:
@@ -37,8 +29,7 @@ def tetrahedron(edge: float = 1.0) -> Polytope:
         [[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float
     )
     verts = raw * (edge / (2.0 * np.sqrt(2.0)))
-    facets = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
-    return Polytope(verts, facets, name="tetrahedron")
+    return Polytope(verts, name="tetrahedron")
 
 
 def octahedron(circumradius: float = 1.0) -> Polytope:
@@ -46,7 +37,7 @@ def octahedron(circumradius: float = 1.0) -> Polytope:
     verts = np.array(
         [[r, 0, 0], [-r, 0, 0], [0, r, 0], [0, -r, 0], [0, 0, r], [0, 0, -r]]
     )
-    return Polytope.from_vertices(verts, name="octahedron")
+    return Polytope(verts, name="octahedron")
 
 
 def square_pyramid(height: float = 5.0, base: float = 1.0) -> Polytope:
@@ -58,8 +49,7 @@ def square_pyramid(height: float = 5.0, base: float = 1.0) -> Polytope:
     verts = np.array(
         [[-h, -h, 0], [h, -h, 0], [h, h, 0], [-h, h, 0], [0, 0, height]]
     )
-    facets = ((0, 1, 2, 3), (0, 1, 4), (1, 2, 4), (2, 3, 4), (0, 3, 4))
-    return Polytope(verts, facets, name="square-pyramid")
+    return Polytope(verts, name="square-pyramid")
 
 
 def triangular_prism(side: float = 1.0, height: float = 1.0) -> Polytope:
@@ -68,22 +58,18 @@ def triangular_prism(side: float = 1.0, height: float = 1.0) -> Polytope:
     verts = np.vstack(
         [np.column_stack([tri, np.zeros(3)]), np.column_stack([tri, np.full(3, height)])]
     )
-    facets = ((0, 1, 2), (3, 4, 5), (0, 1, 3, 4), (1, 2, 4, 5), (0, 2, 3, 5))
-    return Polytope(verts, facets, name="triangular-prism")
+    return Polytope(verts, name="triangular-prism")
 
 
 def square(half: float = 1.0) -> Polytope:
     """Square [-half, half]^2 as a 2-polytope (facets are its edges)."""
     h = half
     verts = np.array([[-h, -h], [h, -h], [h, h], [-h, h]])
-    facets = ((0, 1), (1, 2), (2, 3), (0, 3))
-    return Polytope(verts, facets, name="square")
+    return Polytope(verts, name="square")
 
 
 def triangle(points=((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))) -> Polytope:
-    verts = np.asarray(points, dtype=float)
-    facets = ((0, 1), (1, 2), (0, 2))
-    return Polytope(verts, facets, name="triangle")
+    return Polytope(points, name="triangle")
 
 
 def simplex4(edge: float = 1.0) -> Polytope:
@@ -92,4 +78,4 @@ def simplex4(edge: float = 1.0) -> Polytope:
     raw = np.vstack([np.eye(4), np.full(4, (1.0 - np.sqrt(5.0)) / 4.0)])
     raw -= raw.mean(axis=0)
     raw *= edge / np.linalg.norm(raw[0] - raw[1])
-    return Polytope.from_vertices(raw, name="simplex4")
+    return Polytope(raw, name="simplex4")

@@ -53,7 +53,6 @@ from scipy.spatial import ConvexHull
 
 from .errors import (
     DimensionTooHigh,
-    EmptyPiece,
     NumericalError,
     UnsupportedDimension,
     ValidationError,
@@ -103,10 +102,6 @@ class RegularSimplexFrame:
     n: int
     vectors: np.ndarray
 
-    def coordinates(self, x: np.ndarray) -> np.ndarray:
-        """y_i = a_i . x for each frame vector."""
-        return np.asarray(x, float) @ self.vectors.T
-
     def generator(self, i: int) -> np.ndarray:
         """Index shift caused by translating x by frame vector a_i."""
         g = np.ones(self.n + 1, dtype=int)
@@ -116,11 +111,6 @@ class RegularSimplexFrame:
 
 def build_frame(n: int) -> RegularSimplexFrame:
     return RegularSimplexFrame(n=n, vectors=_frame_vectors(n))
-
-
-def piece_is_nonempty(k, n: int) -> bool:
-    s = int(sum(k))
-    return 0 < s < n + 1
 
 
 def piece_count(n: int, slices: int) -> int:
@@ -144,10 +134,6 @@ class SlicePiece:
     @property
     def vertex_count(self) -> int:
         return len(self.vertices)
-
-    @property
-    def centroid(self) -> np.ndarray:
-        return self.vertices.mean(axis=0)
 
 
 def _piece_vertices(frame: RegularSimplexFrame, k) -> np.ndarray:
@@ -174,19 +160,6 @@ def _volume(vertices: np.ndarray) -> float:
     if vertices.shape[1] == 1:
         return float(vertices.max() - vertices.min())
     return float(ConvexHull(vertices).volume)
-
-
-def make_piece(frame: RegularSimplexFrame, k) -> SlicePiece:
-    """Construct S_k with its vertex set and volume."""
-    k = tuple(int(m) for m in k)
-    if len(k) != frame.n + 1:
-        raise ValueError(f"index must have {frame.n + 1} entries")
-    if not piece_is_nonempty(k, frame.n):
-        raise EmptyPiece(
-            f"piece {k} is empty: level {sum(k)} not in (0, {frame.n + 1})"
-        )
-    verts = _piece_vertices(frame, k)
-    return SlicePiece(index=k, vertices=verts, volume=_volume(verts))
 
 
 def _nonempty_indices(n: int, slices: int) -> np.ndarray:
@@ -239,16 +212,6 @@ def enumerate_pieces(n: int, slices: int) -> list[SlicePiece]:
     return pieces
 
 
-def translate_piece(frame: RegularSimplexFrame, piece: SlicePiece, i: int) -> SlicePiece:
-    """Image of a piece under translation by frame vector a_i."""
-    k = np.asarray(piece.index, dtype=int) + frame.generator(i)
-    return SlicePiece(
-        index=tuple(int(m) for m in k),
-        vertices=piece.vertices + frame.vectors[i],
-        volume=piece.volume,
-    )
-
-
 def _normalized(vertices: np.ndarray) -> np.ndarray:
     """A stack of vertex sets (m, v, n), each centred on its centroid and
     scaled to unit diameter (a set of diameter 0 is only centred)."""
@@ -289,19 +252,6 @@ def congruent_shape(a: SlicePiece, b: SlicePiece) -> bool:
     if a.vertex_count != b.vertex_count:
         return False
     return bool(_translates(a.vertices, b.vertices[None])[0])
-
-
-def shape_class(piece: SlicePiece) -> int:
-    """Congruence class of a piece: its level sum(k).
-
-    Same level means exact translate (box-slice argument in y-space); the
-    level-n piece is the upright simplex normalized as S_(1,..,1,0).
-    """
-    s = piece.level
-    n = len(piece.index) - 1
-    if not 0 < s < n + 1:
-        raise EmptyPiece(f"piece {piece.index} is empty (level {s})")
-    return s
 
 
 @dataclass(frozen=True)

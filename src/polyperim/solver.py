@@ -199,7 +199,7 @@ def vertex_ball_region(mesh: SurfaceMesh, vertex: int, volume: float) -> Region:
     if not 0 <= vertex < len(mesh.polytope.vertices):
         raise ValueError(f"vertex index {vertex} out of range")
     if not volume > 0:
-        raise VolumeTooLarge("volume must be positive")
+        raise VolumeOutOfRange("volume must be positive")
     star = mesh.vertex_star(vertex)
     cone = star.cone
     if volume > cone.valid_volume_max * (1 + 1e-12):

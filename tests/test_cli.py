@@ -271,6 +271,16 @@ def test_analyze_rejects_facet_index_out_of_range(tmp_path, capsys):
     assert not (tmp_path / "out" / "analysis.csv").exists()
 
 
+def test_analyze_rejects_a_document_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + json.dumps({"dim": 2}).encode("utf-16-le"))
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, "analyze", "--polytope", str(path), "--out", str(out_dir))
+    assert code == 2
+    assert f"BadDocument: --polytope {path}: not UTF-8" in err
+    assert out == "" and not list(out_dir.iterdir())
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -445,6 +455,9 @@ def test_slice_rejects_oversized_windows_at_once(tmp_path, capsys):
          "BadDocument: --polytope"),
         (["analyze", "--polytope", "cube", "--out", __file__],
          "ValidationError: --out"),
+        (["analyze"], "ValidationError: analyze requires --polytope"),
+        (["smooth", "--eps", "0.1"], "ValidationError: smooth requires --polytope"),
+        (["solve", "--volume", "0.1"], "ValidationError: solve requires --polytope"),
     ],
     ids=["spike-volume-nan", "volume-nan", "volume-inf",
          "base-link-nan", "competitors-vmin-negative", "profile-vmax-inf",
@@ -452,7 +465,8 @@ def test_slice_rejects_oversized_windows_at_once(tmp_path, capsys):
          "profile-n-3000", "cone-n-3000", "profile-n-900-svg", "sphere-n-436",
          "solve-volume-negative", "solve-volume-unreachable",
          "spike-overflow-volume-nan", "spike-overflow", "polytope-is-a-directory",
-         "out-is-a-file"],
+         "out-is-a-file", "analyze-no-polytope", "smooth-no-polytope",
+         "solve-no-polytope"],
 )
 def test_out_of_range_values_are_rejected(tmp_path, capsys, argv, message):
     if "--out" not in argv:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -10,7 +11,6 @@ from polyperim.errors import (
     DegenerateFacet,
     DimensionTooHigh,
     InvalidPolytope,
-    NonConvex,
     NotFullDimensional,
 )
 from polyperim.polytope import (
@@ -18,7 +18,6 @@ from polyperim.polytope import (
     Polytope,
     enumerate_facets,
     fit_plane,
-    load_polytope,
     order_polygon,
     polytope_measure,
 )
@@ -78,26 +77,24 @@ def test_outward_normals():
     cube = shapes.cube()
     for fi in range(len(cube.facets)):
         n, b = cube.facet_normals[fi], cube.facet_offsets[fi]
-        assert n @ cube.centroid < b
+        assert n @ cube.vertices.mean(axis=0) < b
         assert np.linalg.norm(n) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_serialization_roundtrip(tmp_path):
+def test_serialization_roundtrip():
     for poly in (shapes.cube(), shapes.square_pyramid(), shapes.square()):
         doc = poly.serialize()
         back = Polytope.from_document(doc)
         assert np.allclose(back.vertices, poly.vertices)
         assert back.facets == poly.facets
-        path = tmp_path / "p.json"
-        path.write_text(poly.dumps(), encoding="utf-8")
-        again = load_polytope(str(path))
+        again = Polytope.loads(json.dumps(doc))
         assert np.allclose(again.vertices, poly.vertices)
 
 
 def test_load_polytope_from_dict_and_string():
     doc = shapes.tetrahedron().serialize()
-    a = load_polytope(doc)
-    b = load_polytope(json.dumps(doc))
+    a = Polytope.from_document(doc)
+    b = Polytope.loads(json.dumps(doc))
     assert np.allclose(a.vertices, b.vertices)
 
 
@@ -130,28 +127,33 @@ def test_document_facet_indices_must_be_vertex_indices(last_facet):
 
 def test_construction_errors():
     sq = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
-    sq_facets = ((0, 1), (1, 2), (2, 3), (0, 3))
+
+    def square_doc(facets):
+        return {"dim": 2, "vertices": sq, "facets": facets}
+
     with pytest.raises(NotFullDimensional):
         Polytope.from_vertices([[0, 0], [1, 0], [2, 0]])
     with pytest.raises(DimensionTooHigh):
-        Polytope(np.eye(5), facets=((0, 1, 2, 3, 4),))
+        Polytope(np.eye(5))
     with pytest.raises(InvalidPolytope):
-        Polytope(np.array(sq), facets=())
-    with pytest.raises(DegenerateFacet):
-        Polytope(np.array(sq), facets=((0,), (1, 2), (2, 3), (0, 3)))
-    assert _surface_area(Polytope(np.array(sq), facets=sq_facets)) == pytest.approx(
-        4.0, abs=1e-12
-    )
+        Polytope.from_document(square_doc([]))
+    with pytest.raises(InvalidPolytope):
+        Polytope.from_document(square_doc([[0], [1, 2], [2, 3], [0, 3]]))
+    poly = Polytope.from_document(square_doc([[0, 1], [1, 2], [2, 3], [0, 3]]))
+    assert _surface_area(poly) == pytest.approx(4.0, abs=1e-12)
 
 
 def test_nonconvex_and_orphan_vertices():
     square = [[0.0, 0.0], [2.0, 0.0], [2.0, 2.0], [0.0, 2.0]]
-    facets = ((0, 1), (1, 2), (2, 3), (0, 3))
-    with pytest.raises(NonConvex):
-        Polytope(np.array(square + [[3.0, 1.0]]), facets=facets)
+    facets = [[0, 1], [1, 2], [2, 3], [0, 3]]
+    # with (3, 1) the five points bound a pentagon, so the square's four
+    # facets leave its surface open
+    with pytest.raises(InvalidPolytope, match="close up"):
+        Polytope.from_document({"dim": 2, "vertices": square + [[3.0, 1.0]], "facets": facets})
+    assert len(Polytope.from_vertices(square + [[3.0, 1.0]]).facets) == 5
     with pytest.raises(InvalidPolytope):
         # a strictly interior point is on no facet at all
-        Polytope(np.array(square + [[1.0, 1.0]]), facets=facets)
+        Polytope.from_document({"dim": 2, "vertices": square + [[1.0, 1.0]], "facets": facets})
 
 
 @pytest.mark.parametrize(
@@ -180,6 +182,8 @@ def test_dedupe_merges_repeated_vertices():
 def test_fit_plane_and_measures():
     normal, offset = fit_plane(np.array([[1.0, 0, 0], [1, 1, 0], [1, 0, 1]]))
     assert abs(normal @ [1, 0, 0]) == pytest.approx(abs(offset), abs=1e-12)
+    with pytest.raises(DegenerateFacet):
+        fit_plane(np.array([[0.0, 0, 0], [1, 1, 1], [2, 2, 2]]))
     assert polytope_measure(np.array([[0.0, 0], [2, 0], [0, 2]])) == pytest.approx(
         2.0, abs=1e-12
     )
@@ -202,12 +206,6 @@ def test_order_polygon_walks_cyclically():
         assert rolled.tolist() == list(range(7))
 
 
-def test_scaled_polytope():
-    big = shapes.cube().scaled(3.0)
-    assert _surface_area(big) == pytest.approx(54.0, abs=1e-9)
-    assert np.allclose(big.vertices, shapes.cube().vertices * 3.0)
-
-
 def test_incident_facets_of_cube_vertex():
     cube = shapes.cube()
     for v in range(8):
@@ -220,3 +218,55 @@ def test_vertex_on_facet_consistency():
         side = poly.vertices @ poly.facet_normals[fi] - poly.facet_offsets[fi]
         on = set(np.flatnonzero(np.abs(side) <= TOL))
         assert on == set(f)
+
+
+_BUILTINS = (
+    shapes.cube, shapes.hypercube, shapes.tetrahedron, shapes.octahedron,
+    shapes.square_pyramid, shapes.triangular_prism, shapes.square,
+    shapes.triangle, shapes.simplex4,
+)
+
+
+def _bits(polys) -> str:
+    h = hashlib.sha256()
+    for poly in polys:
+        h.update(repr(poly.facets).encode())
+        for array in (poly.facet_normals, poly.facet_offsets, poly.vertices):
+            h.update(array.tobytes())
+    return h.hexdigest()
+
+
+def _unit_sphere_hull(m, d, seed):
+    x = np.random.default_rng(seed).normal(size=(m, d))
+    return Polytope.from_vertices(x / np.linalg.norm(x, axis=1)[:, None])
+
+
+def _without_facets(doc):
+    return {k: v for k, v in doc.items() if k != "facets"}
+
+
+def _facets_reversed(doc):
+    return dict(doc, facets=[f[::-1] for f in doc["facets"][::-1]])
+
+
+_BUILTIN_BITS = "581387cabd41b60d4934d627b686ca34ef1562d215f007e74f61f497630c2e3d"
+
+
+@pytest.mark.parametrize(
+    "document",
+    [None, lambda doc: doc, _without_facets, _facets_reversed],
+    ids=["shapes", "document", "document-no-facets", "document-reversed"],
+)
+def test_builtin_polytopes_are_pinned_bit_for_bit(document):
+    """Facets, planes and vertices of the nine builtin shapes, built directly
+    or read back from their documents in three forms."""
+    polys = [make() for make in _BUILTINS]
+    if document is not None:
+        polys = [Polytope.from_document(document(p.serialize())) for p in polys]
+    assert _bits(polys) == _BUILTIN_BITS
+
+
+def test_sphere_hulls_are_pinned_bit_for_bit():
+    hulls = [_unit_sphere_hull(40, 3, seed=7), _unit_sphere_hull(24, 4, seed=11)]
+    assert [len(h.facets) for h in hulls] == [76, 105]
+    assert _bits(hulls) == "a4eaedb8ee266805cd2ab7ea4b734ef80c2f6695664782cbe8f7dcd73665f9d4"

@@ -4,11 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
 from polyperim import slicing
 from polyperim.errors import (
     DimensionTooHigh,
-    EmptyPiece,
     NumericalError,
     UnsupportedDimension,
     ValidationError,
@@ -21,11 +21,7 @@ from polyperim.slicing import (
     classify_pieces,
     congruent_shape,
     enumerate_pieces,
-    make_piece,
     piece_count,
-    piece_is_nonempty,
-    shape_class,
-    translate_piece,
 )
 
 
@@ -54,7 +50,7 @@ def test_translation_shifts_index_by_generator(n):
     while done < 40:
         x = rng.uniform(-2, 2, size=n)
         i = int(rng.integers(0, n + 1))
-        y = frame.coordinates(np.stack([x, x + frame.vectors[i]]))
+        y = np.stack([x, x + frame.vectors[i]]) @ frame.vectors.T
         if np.any(np.abs(y - np.round(y)) < 1e-9):
             continue  # a point fell on a wall; draw again
         # S_k holds x exactly when -k_i < y_i < -k_i + 1
@@ -110,21 +106,9 @@ def test_all_levels_appear_for_three_slices():
 @pytest.mark.parametrize("n, slices", [(2, 2), (2, 4), (3, 2), (3, 3), (4, 2)])
 def test_volumes_fill_the_enlarged_simplex(n, slices):
     frame = build_frame(n)
-    unit = make_piece(frame, (1,) * n + (0,)).volume
+    unit = ConvexHull(_piece_vertices(frame, (1,) * n + (0,))).volume
     total = sum(p.volume for p in enumerate_pieces(n, slices))
     assert total == pytest.approx(slices**n * unit, rel=1e-9)
-
-
-def test_translate_piece_matches_remake():
-    frame = build_frame(2)
-    piece = make_piece(frame, (1, 1, -1))
-    moved = translate_piece(frame, piece, 0)
-    assert moved.index == (-1, 2, 0)
-    remade = make_piece(frame, moved.index)
-    a = np.array(sorted(map(tuple, np.round(moved.vertices, 12))))
-    b = np.array(sorted(map(tuple, np.round(remade.vertices, 12))))
-    assert np.allclose(a, b, atol=1e-12)
-    assert moved.volume == pytest.approx(remade.volume, abs=1e-12)
 
 
 def test_translates_within_level_3d():
@@ -141,8 +125,7 @@ def test_translates_within_level_3d():
 
 
 def test_congruence_rejects_rotation():
-    frame = build_frame(2)
-    tri = make_piece(frame, (1, 1, 0))
+    tri = next(p for p in enumerate_pieces(2, 2) if p.index == (1, 1, 0))
     c, s = math.cos(math.pi / 2), math.sin(math.pi / 2)
     rot = np.array([[c, -s], [s, c]])
     spun = SlicePiece(index=tri.index, vertices=tri.vertices @ rot.T, volume=tri.volume)
@@ -154,26 +137,10 @@ def test_congruence_rejects_rotation():
 
 
 def test_empty_piece_errors():
-    frame = build_frame(2)
-    with pytest.raises(EmptyPiece):
-        make_piece(frame, (0, 0, 0))
-    with pytest.raises(EmptyPiece):
-        make_piece(frame, (1, 1, 1))
-    with pytest.raises(ValueError):
-        make_piece(frame, (1, 1))
     with pytest.raises(ValueError):
         enumerate_pieces(2, 1)
-    assert not piece_is_nonempty((2, 1, 0), 2)
-    assert piece_is_nonempty((1, 1, 0), 2)
-
-
-def test_shape_class_is_level():
-    frame = build_frame(3)
-    for k in [(1, 1, 1, 0), (1, 1, 1, -1), (2, 1, 1, -1)]:
-        assert shape_class(make_piece(frame, k)) == sum(k)
-    hollow = SlicePiece(index=(0, 0, 0, 0), vertices=np.zeros((1, 3)), volume=0.0)
-    with pytest.raises(EmptyPiece):
-        shape_class(hollow)
+    for n in (2, 3):
+        assert {p.level for p in enumerate_pieces(n, 3)} == set(range(1, n + 1))
 
 
 def test_generators_have_expected_pattern():
@@ -229,9 +196,9 @@ def test_piece_vertices_are_pinned(n):
 def test_piece_vertices_are_the_shifted_hypersimplex(n):
     frame = build_frame(n)
     for k in itertools.product(range(-1, 3), repeat=n + 1):
-        if not piece_is_nonempty(k, n):
+        if not 0 < sum(k) < n + 1:
             continue
-        z = frame.coordinates(_piece_vertices(frame, k)) + np.asarray(k)
+        z = _piece_vertices(frame, k) @ frame.vectors.T + np.asarray(k)
         corners = [c for c in itertools.product((0, 1), repeat=n + 1) if sum(c) == sum(k)]
         assert sorted(map(tuple, np.round(z).astype(int))) == corners
         assert np.allclose(z, np.round(z), atol=1e-12)
@@ -270,7 +237,6 @@ def test_batched_vertices_equal_single_piece_vertices(n):
             single = _piece_vertices(frame, p.index)
             assert single.dtype == p.vertices.dtype and single.shape == p.vertices.shape
             assert single.tobytes() == p.vertices.tobytes()
-            assert make_piece(frame, p.index).vertices.tobytes() == single.tobytes()
 
 
 def test_piece_vertices_stack_must_share_a_level():

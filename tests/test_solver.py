@@ -111,9 +111,9 @@ def test_vertex_ball_region_guards():
     mesh = subdivide(shapes.cube(), 2)
     with pytest.raises(VolumeTooLarge):
         vertex_ball_region(mesh, 0, 0.75 * math.pi * 1.01)
-    with pytest.raises(VolumeTooLarge):
+    with pytest.raises(VolumeOutOfRange):
         vertex_ball_region(mesh, 0, 0.0)
-    with pytest.raises(VolumeTooLarge, match="volume must be positive"):
+    with pytest.raises(VolumeOutOfRange, match="volume must be positive"):
         vertex_ball_region(mesh, 0, math.nan)
     with pytest.raises(ValueError):
         vertex_ball_region(mesh, 99, 0.1)
