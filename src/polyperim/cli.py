@@ -17,8 +17,9 @@ invocations produce byte-identical artifacts, including the optional SVG
 plots; all floats are printed with ``%.12g`` and negative zero is normalized.
 
 ``analyze`` and ``solve`` take ``--timings``, which prints the seconds of
-each stage (build, subdivide, cones, minimize) to stderr.  The flag is left
-out of the manifest, so artifacts are the same with and without it.
+each stage (build, subdivide, cones, minimize) and then the peak resident
+memory of the process to stderr.  The flag is left out of the manifest, so
+artifacts are the same with and without it.
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure, 64 unknown
 command.
@@ -179,7 +180,8 @@ def _load_polytope_arg(args: argparse.Namespace) -> tuple[Polytope, str]:
 
 
 class _Stages:
-    """Wall seconds per named stage, printed to stderr under --timings."""
+    """Wall seconds per named stage and the peak resident memory, printed
+    to stderr under --timings."""
 
     def __init__(self, enabled: bool):
         self.enabled = enabled
@@ -197,6 +199,13 @@ class _Stages:
         if self.enabled:
             for name, seconds in self.seconds.items():
                 print(f"timing {name}: {seconds:.6f} s", file=sys.stderr)
+            # resource is Unix-only, so only --timings needs it; ru_maxrss
+            # counts KiB on Linux and bytes on macOS
+            import resource
+
+            peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            peak /= 2**20 if sys.platform == "darwin" else 2**10
+            print(f"peak memory: {peak:.1f} MiB", file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------

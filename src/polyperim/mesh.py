@@ -27,6 +27,14 @@ by one argsort of the keys ``lo * P + hi`` (``SurfaceMesh._finish``).  The
 public ``SurfaceMesh`` constructor, for arbitrary triangles, takes its edge
 ids from one ``np.unique`` and ends in the same ``_finish``.
 
+Every index array is int32: ``triangles``, ``facet_of``, ``edges``,
+``edge_triangles``, ``tri_edges`` and ``tri_neighbors``, so a mesh keeps 120
+bytes per triangle on a closed surface (``P ≈ T/2`` positions and
+``E = 3T/2`` edges).  Only the edge sort keys ``lo * P + hi`` are int64.  A
+mesh whose ``3T`` half-edge ids would not fit int32 is rejected before it is
+built.  ``centroids``, ``areas`` and ``edge_lengths`` are computed in blocks of
+rows, so no full-size float temporary is made.
+
 A mesh is immutable: every array is read-only once built, and each vertex's
 star order (``SurfaceMesh.vertex_star``) is computed on first use and kept.
 """
@@ -42,6 +50,11 @@ from .errors import UnsupportedDimension
 from .polytope import Polytope
 
 MAX_LEVEL = 8
+
+# int32 holds the 3T half-edge ids of a mesh of at most this many triangles
+_MAX_TRIANGLES = (np.iinfo(np.int32).max + 1) // 3
+# rows per block of the float arrays built in ``SurfaceMesh._finish``
+_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -66,10 +79,19 @@ class SurfaceMesh:
     Attributes
     ----------
     positions : (P, 3) float array
-    triangles : (T, 3) int array of position indices
-    facet_of : (T,) index of the source polytope facet per triangle
+    triangles : (T, 3) int32 array of position indices, each in [0, P)
+    facet_of : (T,) int32 index of the source polytope facet per triangle
     subdivision_level : number of 4-to-1 refinement rounds applied
     polytope : the source polytope (positions 0..m-1 are its vertices)
+    edges : (E, 2) int32 sorted vertex pairs, lexicographic
+    edge_lengths : (E,) float
+    edge_triangles : (E, 2) int32 triangles on each edge, -1 for none
+    tri_edges : (T, 3) int32 edges ``ab``, ``bc``, ``ca`` of each triangle
+    tri_neighbors : (T, 3) int32 triangle across each of those edges, or -1
+    areas : (T,) float
+    centroids : (T, 3) float
+
+    On a closed surface that is 120 bytes per triangle.
     """
 
     positions: np.ndarray
@@ -90,8 +112,8 @@ class SurfaceMesh:
     def __post_init__(self) -> None:
         # copies, so freezing them never freezes the caller's arrays
         self.positions = np.array(self.positions, dtype=float)
-        self.triangles = np.array(self.triangles, dtype=np.int64)
-        self.facet_of = np.array(self.facet_of, dtype=np.int64)
+        self.triangles = _index_triangles(self.triangles, len(self.positions))
+        self.facet_of = np.array(self.facet_of, dtype=np.int32)
         self._finish(*_edge_table(self.triangles, len(self.positions)))
 
     @classmethod
@@ -120,9 +142,10 @@ class SurfaceMesh:
         # meshes they, not the kept arrays, would set the peak memory
         p = self.positions
         t = self.triangles
-        order = np.argsort(ends[:, 0] * len(p) + ends[:, 1])
-        rank = np.empty_like(order)
-        rank[order] = np.arange(len(order))
+        # int64 keys: lo * P overflows int32 from about P = 46341
+        order = np.argsort(ends[:, 0].astype(np.int64) * len(p) + ends[:, 1])
+        rank = np.empty(len(order), dtype=np.int32)
+        rank[order] = np.arange(len(order), dtype=np.int32)
         ends[:] = ends.take(order, axis=0)
         tri_edges[:] = rank[tri_edges]
         self.edges = ends
@@ -134,24 +157,23 @@ class SurfaceMesh:
             [first % len(t), np.where(first == last, -1, last % len(t))], axis=1
         )
         del first, last
-        d = p.take(ends[:, 0], axis=0) - p.take(ends[:, 1], axis=0)
-        self.edge_lengths = np.linalg.norm(d, axis=1)
-        del d
-        sides = self.edge_triangles.take(tri_edges, axis=0)
-        own = np.arange(len(t))[:, None]
-        self.tri_neighbors = np.where(sides[..., 0] == own, sides[..., 1], sides[..., 0])
-        del sides, own
-        a, b, c = (p.take(t[:, k], axis=0) for k in range(3))
-        self.centroids = (a + b + c) / 3.0
-        b -= a
-        c -= a
-        del a
-        # the cross product and its norm by components, bit for bit as
-        # np.cross and np.linalg.norm give them, without their copies
-        (bx, by, bz), (cx, cy, cz) = b.T, c.T
-        x, y, z = by * cz - bz * cy, bz * cx - bx * cz, bx * cy - by * cx
-        del b, c, bx, by, bz, cx, cy, cz
-        self.areas = 0.5 * np.sqrt(x * x + y * y + z * z)
+        self.edge_lengths = np.empty(len(ends))
+        for rows in _blocks(len(ends)):
+            lo, hi = ends[rows].T
+            d = p.take(lo, axis=0) - p.take(hi, axis=0)
+            self.edge_lengths[rows] = np.linalg.norm(d, axis=1)
+        self.tri_neighbors = np.empty_like(t)
+        self.centroids = np.empty((len(t), 3))
+        self.areas = np.empty(len(t))
+        for rows in _blocks(len(t)):
+            sides = self.edge_triangles.take(tri_edges[rows], axis=0)
+            own = np.arange(rows.start, rows.stop, dtype=np.int32)[:, None]
+            self.tri_neighbors[rows] = np.where(
+                sides[..., 0] == own, sides[..., 1], sides[..., 0]
+            )
+            a, b, c = (p.take(t[rows, k], axis=0) for k in range(3))
+            self.centroids[rows] = (a + b + c) / 3.0
+            self.areas[rows] = 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
         _freeze(
             self.positions, self.triangles, self.facet_of, self.edges,
             self.edge_lengths, self.edge_triangles, self.tri_edges,
@@ -198,6 +220,7 @@ def subdivide(polytope: Polytope, level: int) -> SurfaceMesh:
         )
     if not 0 <= level <= MAX_LEVEL:
         raise ValueError(f"subdivision level must be in [0, {MAX_LEVEL}]")
+    _check_triangle_count(sum(len(f) for f in polytope.facets) * 4**level)
 
     rings = [polytope.facet_ring(fi) for fi in range(len(polytope.facets))]
     first_center = len(polytope.vertices)
@@ -206,8 +229,10 @@ def subdivide(polytope: Polytope, level: int) -> SurfaceMesh:
     triangles = np.concatenate([
         np.column_stack([np.full(len(ring), first_center + fi), ring, np.roll(ring, -1)])
         for fi, ring in enumerate(rings)
-    ])
-    facet_of = np.repeat(np.arange(len(rings)), [len(ring) for ring in rings])
+    ]).astype(np.int32)
+    facet_of = np.repeat(
+        np.arange(len(rings), dtype=np.int32), [len(ring) for ring in rings]
+    )
 
     ends, tri_edges = _edge_table(triangles, len(positions))
     for _ in range(level):
@@ -228,8 +253,8 @@ def _refine(positions, triangles, ends, tri_edges):
     visited = np.zeros(len(edge_of), dtype=bool)
     visited[_half_edge_pairs(edge_of, len(ends))[0]] = True
     visit = edge_of[visited]
-    mid = np.empty(len(ends), dtype=np.int64)
-    mid[visit] = np.arange(count, count + len(visit))
+    mid = np.empty(len(ends), dtype=np.int32)
+    mid[visit] = np.arange(count, count + len(visit), dtype=np.int32)
     lo, hi = ends.take(visit, axis=0).T
     midpoints = 0.5 * (positions.take(lo, axis=0) + positions.take(hi, axis=0))
     positions = np.concatenate([positions, midpoints])
@@ -242,7 +267,7 @@ def _refine(positions, triangles, ends, tri_edges):
     ).reshape(-1, 3)
 
     e_ab, e_bc, e_ca = 2 * tri_edges.T
-    inner = 2 * len(ends) + 3 * np.arange(len(a))
+    inner = 2 * len(ends) + 3 * np.arange(len(a), dtype=np.int32)
     tri_edges = np.stack([
         e_ab + (a > b), inner + 2, e_ca + (a > c),
         e_ab + (b > a), e_bc + (b > c), inner,
@@ -250,7 +275,7 @@ def _refine(positions, triangles, ends, tri_edges):
         inner, inner + 1, inner + 2,
     ], axis=1).reshape(-1, 3)
     # rows 2e and 2e + 1 are (lo, mid) and (hi, mid)
-    split = np.empty((len(ends), 2, 2), dtype=np.int64)
+    split = np.empty((len(ends), 2, 2), dtype=np.int32)
     split[:, :, 0] = ends
     split[:, :, 1] = mid[:, None]
     turned = sides[:, [1, 2, 0]]
@@ -266,19 +291,50 @@ def _freeze(*arrays: np.ndarray) -> None:
         a.flags.writeable = False
 
 
+def _blocks(count: int):
+    """Slices of at most ``_BLOCK`` rows covering ``range(count)``."""
+    return (slice(lo, min(lo + _BLOCK, count)) for lo in range(0, count, _BLOCK))
+
+
+def _check_triangle_count(count: int) -> None:
+    if count > _MAX_TRIANGLES:
+        raise ValueError(
+            f"a mesh of {count} triangles has {3 * count} half-edges; "
+            f"int32 ids allow at most {3 * _MAX_TRIANGLES}"
+        )
+
+
+def _index_triangles(triangles, count: int) -> np.ndarray:
+    """``triangles`` as an int32 (T, 3) copy, after checking that every index
+    lies in ``[0, count)`` and that the half-edge ids fit int32."""
+    t = np.asarray(triangles)
+    if t.ndim != 2 or t.shape[1] != 3:
+        raise ValueError(f"triangles must be a (T, 3) index array, got shape {t.shape}")
+    _check_triangle_count(len(t))
+    bad = np.flatnonzero(((t < 0) | (t >= count)).any(axis=1))
+    if len(bad):
+        raise ValueError(
+            f"triangle {bad[0]} {t[bad[0]].tolist()} has an index outside [0, {count})"
+        )
+    return t.astype(np.int32)
+
+
 def _edge_table(triangles: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
     """Sorted vertex pairs of the edges, lexicographic, and each triangle's
-    edges ``ab``, ``bc``, ``ca``, from one ``np.unique`` of the half-edges.
+    edges ``ab``, ``bc``, ``ca``, from one ``np.unique`` of the half-edges;
+    both int32.
 
-    An edge's key ``lo * count + hi`` sorts like its vertex pair does.
+    An edge's key ``lo * count + hi``, in int64, sorts like its vertex pair
+    does.
     """
     t = triangles
     half = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
     keys, inverse = np.unique(
-        half.min(axis=1) * count + half.max(axis=1), return_inverse=True
+        half.min(axis=1).astype(np.int64) * count + half.max(axis=1),
+        return_inverse=True,
     )
-    ends = np.stack([keys // count, keys % count], axis=1)
-    return ends, inverse.reshape(3, -1).T.copy()
+    ends = np.stack([keys // count, keys % count], axis=1).astype(np.int32)
+    return ends, inverse.reshape(3, -1).T.astype(np.int32, order="C")
 
 
 def _half_edge_pairs(edge_of: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -289,8 +345,8 @@ def _half_edge_pairs(edge_of: np.ndarray, count: int) -> tuple[np.ndarray, np.nd
     are the other ends of their edges, so no sort is needed.
     Raises ``ValueError`` if an edge has more than two half-edges.
     """
-    index = np.arange(len(edge_of))
-    kept = np.empty(count, dtype=np.int64)
+    index = np.arange(len(edge_of), dtype=edge_of.dtype)
+    kept = np.empty(count, dtype=edge_of.dtype)
     kept[edge_of] = index
     rest = kept[edge_of] != index
     loose, at = edge_of[rest], index[rest]

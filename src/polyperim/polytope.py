@@ -40,6 +40,10 @@ MERGE_TOL = 1e-9
 
 MAX_DIM = 4
 
+# facet planes per block of the vertex-plane residual matrix: its full m x F
+# size is 1.6 GB at 10^4 points on a sphere, one block is m x 256
+_PLANE_BLOCK = 256
+
 
 # ---------------------------------------------------------------------------
 # low-level geometry helpers
@@ -68,17 +72,30 @@ def fit_plane(points: np.ndarray):
     Raises DegenerateFacet when the points are not (d-1)-dimensional.
     """
     pts = np.asarray(points, dtype=float)
-    d = pts.shape[1]
-    origin = pts.mean(axis=0)
+    origin, normal, rank = _plane_fits(pts[None])
+    _check_facet_rank(int(rank[0]), pts.shape[1])
+    return _unit_plane(normal[0], origin[0])
+
+
+def _plane_fits(stack: np.ndarray):
+    """Centroids, unnormalized normals and ranks of a (k, n, d) stack of
+    point sets, from one batched SVD."""
+    origin = stack.mean(axis=1)
     # For exactly coplanar points this is the exact plane; for warped input it
     # is the least-squares plane, and convexity checks report the violation.
-    _, sv, vt = np.linalg.svd(pts - origin, full_matrices=True)
-    rank = int((sv > TOL * max(1.0, sv[0])).sum())
+    _, sv, vt = np.linalg.svd(stack - origin[:, None], full_matrices=True)
+    rank = (sv > TOL * np.maximum(1.0, sv[:, :1])).sum(axis=1)
+    return origin, vt[:, -1], rank
+
+
+def _check_facet_rank(rank: int, d: int) -> None:
     if rank < d - 1:
         raise DegenerateFacet(
             f"facet spans only {rank} dimensions, expected {d - 1}"
         )
-    normal = vt[-1]
+
+
+def _unit_plane(normal: np.ndarray, origin: np.ndarray):
     normal = normal / np.linalg.norm(normal)
     return normal, float(normal @ origin)
 
@@ -95,6 +112,8 @@ def enumerate_facets(vertices: np.ndarray) -> list[tuple[int, ...]]:
 
     Each Qhull facet plane yields the set of points within ``TOL * scale`` of
     it.  Output is a lexicographically sorted list of sorted index tuples.
+    The point-plane residuals are computed for ``_PLANE_BLOCK`` planes at a
+    time, so memory grows with the number of points, not points x planes.
     """
     verts = np.asarray(vertices, dtype=float)
     if verts.ndim != 2:
@@ -111,8 +130,20 @@ def enumerate_facets(vertices: np.ndarray) -> list[tuple[int, ...]]:
         )
     planes = _hull(verts).equations
     scale = max(1.0, float(np.abs(verts).max()))
-    near = np.abs(verts @ planes[:, :-1].T + planes[:, -1]) <= TOL * scale
-    return sorted({tuple(np.flatnonzero(col).tolist()) for col in near.T})
+    facets = set()
+    for lo in range(0, len(planes), _PLANE_BLOCK):
+        block = planes[lo : lo + _PLANE_BLOCK]
+        resid = verts @ block[:, :-1].T
+        resid += block[:, -1]
+        near = np.abs(resid, out=resid) <= TOL * scale
+        vertex, plane = np.divmod(np.flatnonzero(near), len(block))
+        # each plane's vertices, ascending, one run per plane
+        runs = np.split(
+            vertex[np.argsort(plane, kind="stable")],
+            np.cumsum(np.bincount(plane, minlength=len(block)))[:-1],
+        )
+        facets.update(tuple(run.tolist()) for run in runs)
+    return sorted(facets)
 
 
 def order_polygon(points: np.ndarray) -> np.ndarray:
@@ -149,6 +180,15 @@ def polytope_measure(points: np.ndarray) -> float:
 class Polytope:
     """Boundary surface of a compact convex body, with validated incidences.
 
+    Validation checks, in this order, that no vertex lies outside a facet
+    plane (``NonConvex``, naming the largest residual, first in vertex-major
+    order on ties), that each facet's vertices lie on its fitted plane
+    (``DegenerateFacet``, naming the first facet that fails) and that each
+    vertex lies on at least ``d`` facets (``InvalidPolytope``).  The signed
+    vertex-plane residuals are computed for ``_PLANE_BLOCK`` facets at a
+    time and the three checks accumulate across the blocks, so no m x F
+    matrix is held.
+
     Attributes
     ----------
     vertices : (m, d) float array
@@ -169,12 +209,7 @@ class Polytope:
         self.vertices = np.asarray(self.vertices, dtype=float)
         self.facets = tuple(enumerate_facets(self.vertices))
         self._fit_facet_planes()
-        # signed vertex-plane residuals, shared by every check below
-        side = self.vertices @ self.facet_normals.T - self.facet_offsets
-        limit = TOL * max(1.0, float(np.abs(self.vertices).max()))
-        self._check_convexity(side, limit)
-        self._check_coplanarity(side, limit)
-        self._check_incidence(side, limit)
+        self._check_residuals()
         incident: list[list[int]] = [[] for _ in range(len(self.vertices))]
         for fi, f in enumerate(self.facets):
             for v in f:
@@ -185,11 +220,23 @@ class Polytope:
     # -- validation pieces ------------------------------------------------
 
     def _fit_facet_planes(self) -> None:
+        # one batched SVD per facet size; the first facet that is not
+        # (d-1)-dimensional is reported, as a facet-by-facet fit would
+        sizes = np.array([len(f) for f in self.facets])
+        origins = np.empty((len(sizes), self.dim))
+        directions = np.empty((len(sizes), self.dim))
+        ranks = np.empty(len(sizes), dtype=np.int64)
+        for size in np.unique(sizes):
+            group = np.flatnonzero(sizes == size)
+            stack = self.vertices[np.array([self.facets[fi] for fi in group])]
+            origins[group], directions[group], ranks[group] = _plane_fits(stack)
+        for rank in ranks:
+            _check_facet_rank(int(rank), self.dim)
         normals = []
         offsets = []
         centroid = self.vertices.mean(axis=0)
-        for f in self.facets:
-            normal, offset = fit_plane(self.vertices[list(f)])
+        for direction, origin in zip(directions, origins):
+            normal, offset = _unit_plane(direction, origin)
             if normal @ centroid > offset:
                 normal, offset = -normal, -offset
             normals.append(normal)
@@ -197,30 +244,43 @@ class Polytope:
         self.facet_normals = np.array(normals)
         self.facet_offsets = np.array(offsets)
 
-    def _check_convexity(self, side: np.ndarray, limit: float) -> None:
-        worst = side.max()
-        if worst > limit:
+    def _check_residuals(self) -> None:
+        """Convexity, coplanarity and incidence checks (see the class
+        docstring), over blocks of ``_PLANE_BLOCK`` facets."""
+        verts = self.vertices
+        limit = TOL * max(1.0, float(np.abs(verts).max()))
+        worst, worst_at, flat = -np.inf, (0, 0), None
+        counts = np.zeros(len(verts), dtype=np.int64)
+        for lo in range(0, len(self.facets), _PLANE_BLOCK):
+            hi = min(lo + _PLANE_BLOCK, len(self.facets))
+            side = verts @ self.facet_normals[lo:hi].T
+            side -= self.facet_offsets[lo:hi]
+            # a tie with an earlier block keeps the earlier (v, f) unless v
+            # is smaller here: row-major order over the whole matrix
             v, f = np.unravel_index(np.argmax(side), side.shape)
+            if side[v, f] > worst or (side[v, f] == worst and v < worst_at[0]):
+                worst, worst_at = side[v, f], (int(v), lo + int(f))
+            # the first facet off its own plane, in facet order
+            for fi in range(lo, hi if flat is None else lo):
+                resid = np.abs(side[list(self.facets[fi]), fi - lo]).max()
+                if resid > limit:
+                    flat = fi, resid
+                    break
+            counts += (np.abs(side) <= limit).sum(axis=1)
+        if worst > limit:
             raise NonConvex(
-                f"vertex {v} lies {worst:.3g} outside the plane of facet {f}"
+                f"vertex {worst_at[0]} lies {worst:.3g} outside the plane "
+                f"of facet {worst_at[1]}"
             )
-
-    def _check_coplanarity(self, side: np.ndarray, limit: float) -> None:
-        for fi, f in enumerate(self.facets):
-            resid = np.abs(side[list(f), fi]).max()
-            if resid > limit:
-                raise DegenerateFacet(
-                    f"facet {fi} vertices deviate {resid:.3g} from their plane"
-                )
-
-    def _check_incidence(self, side: np.ndarray, limit: float) -> None:
-        d = self.dim
-        counts = (np.abs(side) <= limit).sum(axis=1)
-        short = np.nonzero(counts < d)[0]
+        if flat is not None:
+            raise DegenerateFacet(
+                f"facet {flat[0]} vertices deviate {flat[1]:.3g} from their plane"
+            )
+        short = np.flatnonzero(counts < self.dim)
         if len(short):
             raise InvalidPolytope(
                 f"vertex {short[0]} lies on {counts[short[0]]} facets, "
-                f"expected at least {d} (not in convex position?)"
+                f"expected at least {self.dim} (not in convex position?)"
             )
 
     # -- basic queries ----------------------------------------------------

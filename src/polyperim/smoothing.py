@@ -76,7 +76,9 @@ MASS_TOL = 1e-8
 RADIAL_NODES = 32
 NEWTON_ITERS = 48
 INSIDE_TOL = 1e-12
-_CHUNK = 1 << 21
+# elements per row block of the dense mollifier loop; larger blocks make its
+# temporaries, not the mesh or the body, the peak memory of a run
+_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)

@@ -380,8 +380,11 @@ def test_timings_go_to_stderr_and_leave_artifacts_alone(tmp_path, capsys, argv, 
     assert code == 0
     assert out_timed == out_plain
     lines = err.splitlines()
-    assert [line.split(":")[0] for line in lines] == [f"timing {s}" for s in stages]
-    assert all(float(line.split()[-2]) >= 0.0 for line in lines)
+    assert [line.split(":")[0] for line in lines] == [
+        f"timing {s}" for s in stages
+    ] + ["peak memory"]
+    assert all(float(line.split()[-2]) >= 0.0 for line in lines[:-1])
+    assert lines[-1].endswith(" MiB") and float(lines[-1].split()[-2]) > 0.0
     names = sorted(path.name for path in plain.iterdir())
     assert names == sorted(path.name for path in timed.iterdir()) and names
     for name in names:

@@ -1,11 +1,14 @@
 import hashlib
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyperim import mesh as mesh_module
 from polyperim import shapes
 from polyperim.errors import UnsupportedDimension
 from polyperim.mesh import SurfaceMesh, subdivide
@@ -206,3 +209,55 @@ def test_mesh_arrays_are_read_only_and_inputs_stay_writable():
         assert array.flags.writeable
     positions[0] = 7.0
     assert np.array_equal(mesh.positions[0], tet.vertices[0])
+
+
+
+def test_triangle_indices_outside_the_positions_are_rejected():
+    positions = shapes.tetrahedron().vertices
+    # a negative index used to wrap around to triangle (1, 2, 3)
+    for last in ([1, 2, -1], [1, 2, 4]):
+        triangles = [[0, 1, 2], [0, 1, 3], [0, 2, 3], last]
+        message = f"triangle 3 {last} has an index outside [0, 4)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SurfaceMesh(positions, triangles, [0, 1, 2, 3], subdivision_level=0)
+
+
+def test_meshes_beyond_int32_half_edge_ids_are_rejected_before_building():
+    # zero-stride rows: 716 million triangles that take no memory
+    count = mesh_module._MAX_TRIANGLES + 1
+    huge = np.broadcast_to(np.array([0, 1, 2]), (count, 3))
+    with pytest.raises(ValueError, match=f"a mesh of {count} triangles"):
+        SurfaceMesh(np.eye(3), huge, np.broadcast_to(0, (count,)), subdivision_level=0)
+    # 3996 facets fan into 11988 triangles, 786 million at level 8
+    x = np.random.default_rng(0).normal(size=(2000, 3))
+    poly = Polytope.from_vertices(x / np.linalg.norm(x, axis=1)[:, None])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="a mesh of 785645568 triangles"):
+            subdivide(poly, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+INDEX_ARRAYS = (
+    "triangles", "facet_of", "edges", "edge_triangles", "tri_edges", "tri_neighbors",
+)
+
+
+def test_level6_cube_memory_and_index_dtypes():
+    cube = shapes.cube()
+    tracemalloc.start()
+    try:
+        mesh = subdivide(cube, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 15.2 MiB with int32 indices and blockwise float arrays; int64 indices
+    # and full-size float temporaries took 24 MiB
+    assert peak < 19 * 2**20
+    built = SurfaceMesh(mesh.positions, mesh.triangles, mesh.facet_of, subdivision_level=6)
+    for name in INDEX_ARRAYS:
+        assert getattr(mesh, name).dtype == np.int32, name
+        assert getattr(built, name).dtype == np.int32, name

@@ -1,17 +1,20 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from polyperim import shapes
+from polyperim import polytope, shapes
 from polyperim.errors import (
     BadDocument,
     DegenerateFacet,
     DimensionTooHigh,
     InvalidPolytope,
+    NonConvex,
     NotFullDimensional,
+    ValidationError,
 )
 from polyperim.polytope import (
     TOL,
@@ -270,3 +273,126 @@ def test_sphere_hulls_are_pinned_bit_for_bit():
     hulls = [_unit_sphere_hull(40, 3, seed=7), _unit_sphere_hull(24, 4, seed=11)]
     assert [len(h.facets) for h in hulls] == [76, 105]
     assert _bits(hulls) == "a4eaedb8ee266805cd2ab7ea4b734ef80c2f6695664782cbe8f7dcd73665f9d4"
+
+
+def test_sphere_hull_memory_does_not_grow_with_points_times_facets():
+    x = np.random.default_rng(0).normal(size=(2000, 3))
+    x /= np.linalg.norm(x, axis=1)[:, None]
+    Polytope.from_vertices(x[:100])  # first-call set-up, untraced
+    tracemalloc.start()
+    try:
+        poly = Polytope.from_vertices(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(poly.facets) == 3996
+    # blocks of planes peak at 9.4 MiB here; the dense 2000 x 3996 residual
+    # matrices of the whole hull took 130 MiB
+    assert peak < 12 * 2**20
+
+
+_SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
+_SQUARE2 = [[0.0, 0.0], [2.0, 0.0], [2.0, 2.0], [0.0, 2.0]]
+_SQUARE_FACETS = [[0, 1], [1, 2], [2, 3], [0, 3]]
+
+
+def _edited(shape, edit):
+    doc = getattr(shapes, shape)().serialize()
+    return dict(doc, facets=edit(doc["facets"]))
+
+
+# every way a polytope is rejected in the tests above, plus interior points
+# of random clouds, which fail the incidence check
+_REJECTED = {
+    "collinear": lambda: Polytope.from_vertices([[0, 0], [1, 0], [2, 0]]),
+    "5-d": lambda: Polytope(np.eye(5)),
+    "no-facets": lambda: Polytope.from_document({"dim": 2, "vertices": _SQUARE, "facets": []}),
+    "short-facet": lambda: Polytope.from_document(
+        {"dim": 2, "vertices": _SQUARE, "facets": [[0], [1, 2], [2, 3], [0, 3]]}
+    ),
+    "pentagon": lambda: Polytope.from_document(
+        {"dim": 2, "vertices": _SQUARE2 + [[3.0, 1.0]], "facets": _SQUARE_FACETS}
+    ),
+    "interior": lambda: Polytope.from_document(
+        {"dim": 2, "vertices": _SQUARE2 + [[1.0, 1.0]], "facets": _SQUARE_FACETS}
+    ),
+    "missing": lambda: Polytope.from_document(_edited("octahedron", lambda f: f[1:])),
+    "duplicate": lambda: Polytope.from_document(
+        _edited("octahedron", lambda f: f + f[:1])
+    ),
+    "partial": lambda: Polytope.from_document(
+        _edited("cube", lambda f: f + [f[0][:3]])
+    ),
+    **{
+        f"cloud-{d}d": (
+            lambda d=d: Polytope.from_vertices(np.random.default_rng(d).normal(size=(40, d)))
+        )
+        for d in (2, 3, 4)
+    },
+}
+
+
+def _outcomes():
+    """Facets of seeded random hulls and the class and message of every
+    rejection in ``_REJECTED``."""
+    facets = [
+        enumerate_facets(np.random.default_rng(seed).normal(size=(m, d)))
+        for seed, (m, d) in enumerate([(50, 2), (80, 3), (60, 4)])
+    ]
+    hulls = [_unit_sphere_hull(40, 3, seed=7), _unit_sphere_hull(24, 4, seed=11)]
+    failures = {}
+    for name, build in _REJECTED.items():
+        with pytest.raises(ValidationError) as err:
+            build()
+        failures[name] = (type(err.value), str(err.value))
+    return facets, _bits(hulls), failures
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_plane_blocks_change_no_facet_and_no_rejection(monkeypatch, block):
+    monkeypatch.setattr(polytope, "_PLANE_BLOCK", 10**6)
+    dense = _outcomes()
+    assert [len(f) for f in dense[0]] == [8, 30, 145]
+    monkeypatch.setattr(polytope, "_PLANE_BLOCK", block)
+    assert _outcomes() == dense
+
+
+def _first_failure(poly):
+    with pytest.raises(ValidationError) as err:
+        poly._check_residuals()
+    return type(err.value), str(err.value)
+
+
+def _shifted(poly, offsets, flip=()):
+    """``poly`` with its facet offsets moved and the planes in ``flip``
+    turned around."""
+    sign = np.where(np.isin(np.arange(len(poly.facets)), flip), -1.0, 1.0)
+    poly.facet_normals = poly.facet_normals * sign[:, None]
+    poly.facet_offsets = (poly.facet_offsets + offsets) * sign
+    return poly
+
+
+@pytest.mark.parametrize("block", [1, 2, 7, 10**6])
+def test_blockwise_checks_name_the_dense_first_failure(monkeypatch, block):
+    monkeypatch.setattr(polytope, "_PLANE_BLOCK", block)
+    outside = [
+        # each vertex 0.5 outside its three planes: 24 tied residuals
+        _shifted(shapes.cube(), -0.5),
+        # facets 0 and 5 turned around: the vertices off each tie at 1, and
+        # vertex 0, off facet 5 only, comes first in row-major order
+        _shifted(shapes.cube(), 0.0, flip=[0, 5]),
+        # the largest residual lies past the first blocks
+        _shifted(_unit_sphere_hull(40, 3, seed=7), -0.01 * np.arange(76) / 76),
+    ]
+    for poly, first in zip(outside, [(0, 0), (0, 5), None]):
+        side = poly.vertices @ poly.facet_normals.T - poly.facet_offsets
+        v, f = np.unravel_index(np.argmax(side), side.shape)
+        assert first is None and f > 7 or (v, f) == first
+        assert _first_failure(poly) == (
+            NonConvex, f"vertex {v} lies {side.max():.3g} outside the plane of facet {f}"
+        )
+    # planes moved out: no vertex outside, facets 3 and 5 off their vertices
+    cube = _shifted(shapes.cube(), np.isin(np.arange(6), [3, 5]) * 1e-3)
+    assert _first_failure(cube) == (
+        DegenerateFacet, "facet 3 vertices deviate 0.001 from their plane"
+    )
