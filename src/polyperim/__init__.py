@@ -17,9 +17,7 @@ from .shapes import (
 )
 from .cones import (
     VertexCone,
-    apex_ball_profile,
     deficit_sum,
-    link_volume,
     vertex_cones,
 )
 from .slicing import (
@@ -78,9 +76,7 @@ __all__ = [
     "triangle",
     "simplex4",
     "VertexCone",
-    "link_volume",
     "vertex_cones",
-    "apex_ball_profile",
     "deficit_sum",
     "RegularSimplexFrame",
     "SlicePiece",

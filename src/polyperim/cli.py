@@ -41,10 +41,10 @@ import numpy as np
 from scipy.spatial import ConvexHull
 
 from . import __version__, shapes
-from .cones import apex_ball_profile, rank_by_link, vertex_cones
-from .errors import BadDocument, NumericalError, ValidationError, VolumeOutOfRange
+from .cones import rank_by_link, vertex_cones
+from .errors import BadDocument, NumericalError, ValidationError
 from .gallery import (
-    competitor_table,
+    cube_competitors,
     double_pyramid_report,
     spike_link_from_half_angle,
     spiked_cone_report,
@@ -52,7 +52,7 @@ from .gallery import (
 )
 from .mesh import subdivide
 from .polytope import Polytope, polytope_measure
-from .profiles import Profile, cone_profile
+from .profiles import Profile, cone_profile, volume_grid
 from .slicing import classify_pieces, enumerate_pieces
 from .smoothing import convexity_probe, smoothed_body
 from .solver import (
@@ -364,15 +364,16 @@ def _cmd_analyze(args: argparse.Namespace, out: Path) -> int:
     with timer("cones"):
         cones = vertex_cones(poly)
         best_index = rank_by_link(cones)[0].vertex_index
+    # apex balls: A(V) = c * V^t with c the unit-volume perimeter
+    n = poly.surface_dim
     rows = []
     for cone in cones:
-        prof = apex_ball_profile(cone)
         rows.append([
             _fmt(cone.vertex_index),
             _fmt(cone.link_volume),
             _fmt(cone.r_max),
-            _fmt(prof.coefficient),
-            _fmt(prof.exponent),
+            _fmt(cone_profile(cone.link_volume, n, 1.0)),
+            _fmt((n - 1.0) / n),
             _fmt(cone.valid_volume_max),
             _fmt(cone.vertex_index == best_index),
         ])
@@ -383,7 +384,6 @@ def _cmd_analyze(args: argparse.Namespace, out: Path) -> int:
         ["vertex_index", "omega", "r_max", "c", "t", "valid_volume_max", "is_optimal"],
         rows,
     )
-    n = poly.surface_dim
     print(f"vertices: {len(cones)}")
     print(
         f"optimal vertex: {best_index} "
@@ -470,13 +470,7 @@ def _cmd_smooth(args: argparse.Namespace, out: Path) -> int:
     return EXIT_OK
 
 
-def _require_points(args: argparse.Namespace) -> None:
-    if args.points < 1:
-        raise ValidationError(f"--points must be at least 1, got {args.points}")
-
-
 def _cmd_profile(args: argparse.Namespace, out: Path) -> int:
-    _require_points(args)
     manifest = _manifest(args)
     if args.model == "cone":
         if args.omega is None:
@@ -630,11 +624,8 @@ def _cmd_gallery(args: argparse.Namespace, out: Path) -> int:
         print(f"hypercube vertex link: {_g(rep.hypercube_link)}")
         print(f"q beats cone point: {_fmt(rep.q_wins)}")
     else:  # cube-competitors
-        _require_points(args)
-        if not (0.0 < args.vmin < math.inf and 0.0 < args.vmax < math.inf):
-            raise VolumeOutOfRange("need finite positive vmin and vmax")
-        grid = np.geomspace(args.vmin, args.vmax, args.points)
-        reports = competitor_table(grid)
+        grid = volume_grid(args.vmin, args.vmax, args.points)
+        reports = [cube_competitors(float(v)) for v in grid]
         names = [e.name for e in reports[0].entries]
         rows = []
         for rep in reports:

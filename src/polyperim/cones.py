@@ -1,4 +1,4 @@
-"""Tangent cones at polytope vertices and apex-ball perimeter profiles.
+"""Tangent cones at polytope vertices.
 
 At a vertex v of a polytope surface the nearby geometry is a metric cone over
 the vertex link.  The link measure ``omega`` determines the apex-ball profile
@@ -10,7 +10,8 @@ where n = d-1 is the surface dimension.  Note the exponent: eliminating r
 from the pair above forces t = (n-1)/n.  The variant (n-2)/(n-1) that
 sometimes appears in print fails the elimination (for n = 2 it would make
 apex balls have volume-independent perimeter) and is reported alongside the
-working exponent by the CLI, not used.
+working exponent by the CLI, not used.  For n = 1 the boundary is two points
+whatever the volume, so the profile degenerates to the constant 2 (t = 0).
 
 Link measures:
 
@@ -47,7 +48,7 @@ from .polytope import (
     order_polygon,
     project_to_span,
 )
-from .profiles import cone_profile, sphere_measure
+from .profiles import sphere_measure
 
 LINK_RTOL = 1e-12  # relative; links this close count as equal
 
@@ -66,14 +67,6 @@ class VertexCone:
     def valid_volume_max(self) -> float:
         n = self.surface_dim
         return self.link_volume * self.r_max**n / n
-
-
-@dataclass(frozen=True)
-class PowerLawProfile:
-    """Apex-ball profile ``A(V) = coefficient * V^exponent``."""
-
-    coefficient: float
-    exponent: float
 
 
 def tet_solid_angle(a, b, c) -> float:
@@ -155,9 +148,9 @@ def _point_polygon_distance(p: np.ndarray, poly_pts: np.ndarray) -> float:
     return float(_segment_distances(p, pts, np.roll(pts, -1, axis=0)).min())
 
 
-def _facet_corners(poly: Polytope, facets) -> list[dict[int, tuple[float, float]]]:
-    """Link contribution and star distance of each facet in ``facets`` at
-    each of its vertices.
+def _facet_corners(poly: Polytope) -> list[dict[int, tuple[float, float]]]:
+    """Link contribution and star distance of each facet at each of its
+    vertices, in facet order.
 
     The distance runs from the vertex to the part of the facet's boundary
     away from it: the other end of an edge (d = 2), the ring edges not
@@ -172,11 +165,12 @@ def _facet_corners(poly: Polytope, facets) -> list[dict[int, tuple[float, float]
                 a: (1.0, float(np.linalg.norm(pts[b] - pts[a]))),
                 b: (1.0, float(np.linalg.norm(pts[a] - pts[b]))),
             }
-            for a, b in (poly.facets[fi] for fi in facets)
+            for a, b in poly.facets
         ]
     if d == 3:
-        return _ring_corners(pts, [poly.facet_ring(fi) for fi in facets])
-    return [_cell_corners(pts, poly.facets[fi]) for fi in facets]
+        rings = [poly.facet_ring(fi) for fi in range(len(poly.facets))]
+        return _ring_corners(pts, rings)
+    return [_cell_corners(pts, cell) for cell in poly.facets]
 
 
 def _ring_corners(pts: np.ndarray, rings: list) -> list[dict[int, tuple[float, float]]]:
@@ -251,40 +245,15 @@ def _cone(
 # public operations
 # ---------------------------------------------------------------------------
 
-def link_volume(poly: Polytope, vertex: int) -> VertexCone:
-    """Measure the vertex link and star radius; see the module docstring."""
-    if not 0 <= vertex < len(poly.vertices):
-        raise ValueError(f"vertex index {vertex} out of range")
-    contributions = []
-    r_max = math.inf
-    facets = poly.incident_facets(vertex)
-    for fi, corners in zip(facets, _facet_corners(poly, facets)):
-        contribution, dist = corners[vertex]
-        contributions.append((fi, contribution))
-        r_max = min(r_max, dist)
-    return _cone(poly, vertex, contributions, r_max)
-
-
 def vertex_cones(poly: Polytope) -> list[VertexCone]:
     """Every vertex's cone, from one walk over the facets in index order."""
     contributions: list[list[tuple[int, float]]] = [[] for _ in poly.vertices]
     r_max = [math.inf] * len(poly.vertices)
-    for fi, corners in enumerate(_facet_corners(poly, range(len(poly.facets)))):
+    for fi, corners in enumerate(_facet_corners(poly)):
         for vertex, (contribution, dist) in corners.items():
             contributions[vertex].append((fi, contribution))
             r_max[vertex] = min(r_max[vertex], dist)
     return [_cone(poly, v, contributions[v], r_max[v]) for v in range(len(r_max))]
-
-
-def apex_ball_profile(cone: VertexCone) -> PowerLawProfile:
-    """Power-law profile of balls about the cone apex: ``cone_profile`` at
-    unit volume, with exponent (n-1)/n.
-
-    For n = 1 the boundary is two points whatever the volume, so the profile
-    degenerates to the constant 2 (exponent 0).
-    """
-    n = cone.surface_dim
-    return PowerLawProfile(cone_profile(cone.link_volume, n, 1.0), (n - 1.0) / n)
 
 
 def rank_by_link(cones: list[VertexCone]) -> list[VertexCone]:

@@ -103,10 +103,6 @@ def cube_competitors(volume: float) -> CompetitorReport:
     return CompetitorReport(volume=volume, entries=tuple(entries), winner=winner)
 
 
-def competitor_table(volumes) -> list[CompetitorReport]:
-    return [cube_competitors(float(v)) for v in volumes]
-
-
 def winner_crossovers(reports: list[CompetitorReport]) -> list[tuple[float, float, str, str]]:
     """Volume brackets where the winning family changes between grid points."""
     out = []

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cones import VertexCone, link_volume
+from .cones import VertexCone, vertex_cones
 from .errors import UnsupportedDimension
 from .polytope import Polytope
 
@@ -80,7 +80,8 @@ class SurfaceMesh:
     ----------
     positions : (P, 3) float array
     triangles : (T, 3) int32 array of position indices, each in [0, P)
-    facet_of : (T,) int32 index of the source polytope facet per triangle
+    facet_of : (T,) int32 index of the source polytope facet per triangle,
+        each in [0, F) for a polytope of F facets
     subdivision_level : number of 4-to-1 refinement rounds applied
     polytope : the source polytope (positions 0..m-1 are its vertices)
     edges : (E, 2) int32 sorted vertex pairs, lexicographic
@@ -108,12 +109,13 @@ class SurfaceMesh:
     areas: np.ndarray = field(init=False)
     centroids: np.ndarray = field(init=False)
     _stars: dict[int, VertexStar] = field(init=False, repr=False, default_factory=dict)
+    _cones: list[VertexCone] | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self) -> None:
         # copies, so freezing them never freezes the caller's arrays
         self.positions = np.array(self.positions, dtype=float)
         self.triangles = _index_triangles(self.triangles, len(self.positions))
-        self.facet_of = np.array(self.facet_of, dtype=np.int32)
+        self.facet_of = _index_facets(self.facet_of, len(self.triangles), self.polytope)
         self._finish(*_edge_table(self.triangles, len(self.positions)))
 
     @classmethod
@@ -128,6 +130,7 @@ class SurfaceMesh:
         mesh.subdivision_level = level
         mesh.polytope = polytope
         mesh._stars = {}
+        mesh._cones = None
         mesh._finish(ends, tri_edges)
         return mesh
 
@@ -197,10 +200,18 @@ class SurfaceMesh:
 
     def vertex_star(self, vertex: int) -> VertexStar:
         """The star of polytope vertex ``vertex`` in centroid-distance order,
-        computed on the first call for that vertex and kept on the mesh."""
+        computed on the first call for that vertex and kept on the mesh.
+
+        The first call also measures every vertex's cone in one
+        ``vertex_cones`` walk and keeps them for the later calls.
+        """
         star = self._stars.get(vertex)
         if star is None:
-            cone = link_volume(self.polytope, vertex)
+            if not 0 <= vertex < len(self.polytope.vertices):
+                raise ValueError(f"vertex index {vertex} out of range")
+            if self._cones is None:
+                self._cones = vertex_cones(self.polytope)
+            cone = self._cones[vertex]
             incident = [f for f, _ in cone.facet_contributions]
             tris = np.flatnonzero(np.isin(self.facet_of, incident))
             dist = np.linalg.norm(self.centroids[tris] - self.positions[vertex], axis=1)
@@ -306,17 +317,43 @@ def _check_triangle_count(count: int) -> None:
 
 def _index_triangles(triangles, count: int) -> np.ndarray:
     """``triangles`` as an int32 (T, 3) copy, after checking that every index
-    lies in ``[0, count)`` and that the half-edge ids fit int32."""
+    is a whole number in ``[0, count)`` and that the half-edge ids fit int32."""
     t = np.asarray(triangles)
     if t.ndim != 2 or t.shape[1] != 3:
         raise ValueError(f"triangles must be a (T, 3) index array, got shape {t.shape}")
     _check_triangle_count(len(t))
-    bad = np.flatnonzero(((t < 0) | (t >= count)).any(axis=1))
-    if len(bad):
-        raise ValueError(
-            f"triangle {bad[0]} {t[bad[0]].tolist()} has an index outside [0, {count})"
-        )
+    bad = _first_bad_index(t, count)
+    if bad:
+        raise ValueError(f"triangle {bad[0]} {t[bad[0]].tolist()} has {bad[1]}")
     return t.astype(np.int32)
+
+
+def _index_facets(facet_of, count: int, polytope: Polytope | None) -> np.ndarray:
+    """``facet_of`` as an int32 copy, after checking that it has one entry per
+    triangle and that each is a whole number in ``[0, F)`` for a polytope of
+    F facets (without a polytope, that it fits int32)."""
+    f = np.asarray(facet_of)
+    if f.shape != (count,):
+        raise ValueError(f"facet_of must have shape ({count},), got {f.shape}")
+    facets = np.iinfo(np.int32).max + 1 if polytope is None else len(polytope.facets)
+    bad = _first_bad_index(f, facets)
+    if bad:
+        raise ValueError(f"triangle {bad[0]} has facet_of {f[bad[0]].tolist()}, {bad[1]}")
+    return f.astype(np.int32)
+
+
+def _first_bad_index(values: np.ndarray, count: int) -> tuple[int, str] | None:
+    """The first row of ``values`` with an entry that is not a whole number
+    in ``[0, count)``, and what is wrong with it; ``None`` if there is none."""
+    rows = values.reshape(len(values), -1)
+    outside = ((rows < 0) | (rows >= count)).any(axis=1)
+    fractional = rows.dtype.kind == "f" and (rows != np.floor(rows)).any(axis=1)
+    bad = np.flatnonzero(outside | fractional)
+    if not len(bad):
+        return None
+    row = int(bad[0])
+    return row, (f"an index outside [0, {count})" if outside[row]
+                 else "an index that is not a whole number")
 
 
 def _edge_table(triangles: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:

@@ -210,11 +210,6 @@ class Polytope:
         self.facets = tuple(enumerate_facets(self.vertices))
         self._fit_facet_planes()
         self._check_residuals()
-        incident: list[list[int]] = [[] for _ in range(len(self.vertices))]
-        for fi, f in enumerate(self.facets):
-            for v in f:
-                incident[v].append(fi)
-        self._incident = tuple(tuple(fis) for fis in incident)
         self._ordered_cache: dict[int, np.ndarray] = {}
 
     # -- validation pieces ------------------------------------------------
@@ -292,10 +287,6 @@ class Polytope:
     @property
     def surface_dim(self) -> int:
         return self.dim - 1
-
-    def incident_facets(self, vertex_index: int) -> tuple[int, ...]:
-        """Indices of the facets containing a vertex, in increasing order."""
-        return self._incident[vertex_index]
 
     def facet_points(self, facet_index: int) -> np.ndarray:
         return self.vertices[list(self.facets[facet_index])]

@@ -20,7 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .errors import DimensionTooHigh, InsufficientSamples, VolumeOutOfRange
+from .errors import (
+    DimensionTooHigh,
+    InsufficientSamples,
+    ValidationError,
+    VolumeOutOfRange,
+)
 
 DEFAULT_GRID_POINTS = 256
 
@@ -104,6 +109,15 @@ def sphere_profile(n: int, volume: float) -> float:
 # sampled profiles
 # ---------------------------------------------------------------------------
 
+def volume_grid(vmin: float, vmax: float, points: int) -> np.ndarray:
+    """``points`` volumes from ``vmin`` to ``vmax``, evenly spaced in log."""
+    if not 0 < vmin < vmax < math.inf:
+        raise VolumeOutOfRange("need 0 < vmin < vmax < inf")
+    if points < 1:
+        raise ValidationError(f"--points must be at least 1, got {points}")
+    return np.geomspace(vmin, vmax, points)
+
+
 @dataclass(eq=False)
 class Profile:
     """An isoperimetric profile sampled on a volume grid."""
@@ -123,9 +137,7 @@ class Profile:
 
     @classmethod
     def _sampled(cls, n, fn, vmin, vmax, points, label) -> "Profile":
-        if not 0 < vmin < vmax < math.inf:
-            raise VolumeOutOfRange("need 0 < vmin < vmax < inf")
-        grid = np.geomspace(vmin, vmax, points)
+        grid = volume_grid(vmin, vmax, points)
         areas = np.array([fn(v) for v in grid])
         return cls(n, grid, areas, label=label)
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from polyperim import shapes
-from polyperim.cones import link_volume, vertex_cones
+from polyperim.cones import vertex_cones
 from polyperim.gallery import (
     double_pyramid_report,
     spike_link_from_half_angle,
@@ -106,13 +106,13 @@ def test_criterion_02_inventories(capsys):
 def test_criterion_03_link_volumes(capsys):
     ok = True
     checks = []
-    cube_w = link_volume(shapes.cube(), 0).link_volume
+    cube_w = vertex_cones(shapes.cube())[0].link_volume
     ok &= abs(cube_w - CUBE_LINK) <= 1e-9
     checks.append(f"cube {cube_w:.9f}")
-    tet_w = link_volume(shapes.tetrahedron(), 0).link_volume
+    tet_w = vertex_cones(shapes.tetrahedron())[0].link_volume
     ok &= abs(tet_w - math.pi) <= 1e-9
     checks.append(f"tet {tet_w:.9f}")
-    hyper_w = link_volume(shapes.hypercube(), 0).link_volume
+    hyper_w = vertex_cones(shapes.hypercube())[0].link_volume
     ok &= abs(hyper_w - 2 * math.pi) <= 1e-6
     checks.append(f"4-cube {hyper_w:.7f}")
     deficits = []
@@ -123,11 +123,7 @@ def test_criterion_03_link_volumes(capsys):
         shapes.square_pyramid,
         shapes.triangular_prism,
     ):
-        poly = factory()
-        total = sum(
-            2 * math.pi - link_volume(poly, v).link_volume
-            for v in range(len(poly.vertices))
-        )
+        total = sum(2 * math.pi - c.link_volume for c in vertex_cones(factory()))
         deficits.append(total)
         ok &= abs(total - 4 * math.pi) <= 1e-9
     _report(
@@ -274,7 +270,7 @@ def test_criterion_08_gallery(capsys):
 
 
 def test_criterion_09_single_ball_concavity(capsys):
-    apex = link_volume(shapes.square_pyramid(), 4).link_volume
+    apex = vertex_cones(shapes.square_pyramid())[4].link_volume
     links = (CUBE_LINK, math.pi, apex, 4 * math.pi / 3)
     ok = True
     worst = math.inf

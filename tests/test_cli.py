@@ -47,6 +47,28 @@ def test_analyze_cube(tmp_path, capsys):
     assert "link deficit sum" in out
 
 
+@pytest.mark.parametrize(
+    "shape, c, t",
+    [
+        # n = 1: the boundary near a corner is two points at every volume
+        ("square", 2.0, 0.0),
+        # n = 2: A = sqrt(2 * omega * V) with omega = 3 pi / 2
+        ("cube", math.sqrt(3.0 * math.pi), 0.5),
+        # n = 3: A = omega^(1/3) (3 V)^(2/3) with omega = 2 pi
+        ("hypercube", (2.0 * math.pi) ** (1.0 / 3.0) * 3.0 ** (2.0 / 3.0), 2.0 / 3.0),
+    ],
+    ids=["square", "cube", "hypercube"],
+)
+def test_analyze_writes_the_apex_ball_profile(tmp_path, capsys, shape, c, t):
+    code, _, _ = run(capsys, "analyze", "--polytope", shape, "--out", str(tmp_path))
+    assert code == 0
+    _, header, rows = read_artifact(tmp_path / "analysis.csv")
+    assert header[3:5] == ["c", "t"]
+    for row in rows:
+        assert float(row[3]) == pytest.approx(c, abs=1e-10)
+        assert float(row[4]) == pytest.approx(t, abs=1e-12)
+
+
 def test_analyze_accepts_json_document(tmp_path, capsys):
     doc = tmp_path / "poly.json"
     doc.write_text(json.dumps(shapes.octahedron().serialize()))
@@ -426,6 +448,10 @@ def test_slice_rejects_oversized_windows_at_once(tmp_path, capsys):
         (["gallery", "double-pyramid", "--volume", "inf"], "VolumeOutOfRange"),
         (["gallery", "double-pyramid", "--base-link", "nan"], "base link"),
         (["gallery", "cube-competitors", "--vmin=-1"], "VolumeOutOfRange"),
+        (["gallery", "cube-competitors", "--vmin", "5", "--vmax", "1"],
+         "need 0 < vmin < vmax < inf"),
+        (["gallery", "cube-competitors", "--vmin", "1", "--vmax", "1", "--points", "5"],
+         "need 0 < vmin < vmax < inf"),
         (["profile", "--model", "euclidean", "--n", "2", "--vmin", "0.1",
           "--vmax", "inf"], "VolumeOutOfRange"),
         (["gallery", "double-pyramid", "--theta", "1e-300", "--volume", "1e-300"],
@@ -463,7 +489,8 @@ def test_slice_rejects_oversized_windows_at_once(tmp_path, capsys):
         (["solve", "--volume", "0.1"], "ValidationError: solve requires --polytope"),
     ],
     ids=["spike-volume-nan", "volume-nan", "volume-inf",
-         "base-link-nan", "competitors-vmin-negative", "profile-vmax-inf",
+         "base-link-nan", "competitors-vmin-negative", "competitors-reversed",
+         "competitors-empty", "profile-vmax-inf",
          "underflow", "restarts-0", "iters-negative", "dirs-negative", "dirs-0",
          "profile-n-3000", "cone-n-3000", "profile-n-900-svg", "sphere-n-436",
          "solve-volume-negative", "solve-volume-unreachable",

@@ -8,24 +8,26 @@ import pytest
 
 from polyperim import Polytope, shapes
 from polyperim.cones import (
-    apex_ball_profile,
     deficit_sum,
-    link_volume,
     rank_by_link,
     tet_solid_angle,
     vertex_cones,
 )
 from polyperim.errors import UnsupportedDimension
-from polyperim.profiles import cone_profile
 
 LINK_TOL = 1e-9
+
+
+def _incident(poly, vertex):
+    """Indices of the facets containing a vertex, by a scan of the facets."""
+    return [fi for fi, f in enumerate(poly.facets) if vertex in f]
 
 
 def _corner_angle_oracle(poly, vertex):
     """Sum of facet-interior angles at a vertex of a 3-polytope, by plain trig."""
     total = 0.0
     apex = poly.vertices[vertex]
-    for fi in poly.incident_facets(vertex):
+    for fi in _incident(poly, vertex):
         ring = list(poly.facet_ring(fi))
         k = ring.index(vertex)
         u = poly.vertices[ring[(k + 1) % len(ring)]] - apex
@@ -36,7 +38,7 @@ def _corner_angle_oracle(poly, vertex):
 
 
 def test_cube_vertex_link():
-    cone = link_volume(shapes.cube(), 0)
+    cone = vertex_cones(shapes.cube())[0]
     assert cone.link_volume == pytest.approx(1.5 * math.pi, abs=LINK_TOL)
     assert cone.r_max == pytest.approx(1.0, abs=1e-12)
     assert cone.valid_volume_max == pytest.approx(0.75 * math.pi, abs=LINK_TOL)
@@ -62,17 +64,16 @@ def test_links_match_trig_oracle():
         shapes.triangular_prism(),
         shapes.square_pyramid(height=0.7, base=2.0),
     ):
-        for v in range(len(poly.vertices)):
+        for v, cone in enumerate(vertex_cones(poly)):
             oracle = _corner_angle_oracle(poly, v)
-            assert link_volume(poly, v).link_volume == pytest.approx(
-                oracle, abs=LINK_TOL
-            )
+            assert cone.link_volume == pytest.approx(oracle, abs=LINK_TOL)
 
 
 def test_facet_contributions_sum_to_link():
-    cone = link_volume(shapes.triangular_prism(), 2)
+    poly = shapes.triangular_prism()
+    cone = vertex_cones(poly)[2]
     parts = dict(cone.facet_contributions)
-    assert set(parts) == set(shapes.triangular_prism().incident_facets(2))
+    assert list(parts) == _incident(poly, 2)
     assert sum(parts.values()) == pytest.approx(cone.link_volume, abs=LINK_TOL)
 
 
@@ -91,8 +92,7 @@ def test_deficit_sums():
 
 
 def test_hypercube_vertex_link():
-    poly = shapes.hypercube()
-    cone = link_volume(poly, 0)
+    cone = vertex_cones(shapes.hypercube())[0]
     assert cone.surface_dim == 3
     # four cubical corners, each an octant of the 2-sphere
     assert cone.link_volume == pytest.approx(2 * math.pi, abs=1e-6)
@@ -100,14 +100,14 @@ def test_hypercube_vertex_link():
 
 def test_regular_4_simplex_vertex_link():
     # four regular-tetrahedron corners, each of solid angle arccos(23/27)
-    cone = link_volume(shapes.simplex4(), 0)
+    cone = vertex_cones(shapes.simplex4())[0]
     assert cone.link_volume == pytest.approx(4 * math.acos(23 / 27), abs=1e-12)
 
 
 def test_square_vertex_link_counts_two_points():
     # the link of a corner of a boundary curve is a pair of points,
     # so its 0-dimensional measure is simply 2
-    cone = link_volume(shapes.square(), 1)
+    cone = vertex_cones(shapes.square())[1]
     assert cone.surface_dim == 1
     assert cone.link_volume == pytest.approx(2.0, abs=LINK_TOL)
 
@@ -134,25 +134,6 @@ def test_tet_solid_angle_monte_carlo():
     assert abs(hits / samples - frac) < 4 * sigma + 1e-12
 
 
-def test_apex_ball_profile_cube():
-    cone = link_volume(shapes.cube(), 0)
-    profile = apex_ball_profile(cone)
-    assert profile.coefficient == cone_profile(cone.link_volume, 2, 1.0)
-    assert profile.coefficient == pytest.approx(math.sqrt(3 * math.pi), abs=1e-12)
-    assert profile.exponent == 0.5
-    v = 0.1
-    assert profile.coefficient * v**profile.exponent == pytest.approx(
-        math.sqrt(3 * math.pi * v), abs=1e-12
-    )
-
-
-def test_apex_ball_profile_exponents_by_dimension():
-    assert apex_ball_profile(link_volume(shapes.square(), 0)).exponent == 0.0
-    assert apex_ball_profile(
-        link_volume(shapes.hypercube(), 0)
-    ).exponent == pytest.approx(2.0 / 3.0, abs=1e-15)
-
-
 def test_optimal_vertex_prefers_sharpest_corner():
     poly = shapes.square_pyramid()
     best = rank_by_link(vertex_cones(poly))[0]
@@ -170,7 +151,7 @@ def test_hypercube_smallest_link_is_vertex_zero():
 
 
 def test_rank_by_link_treats_links_within_tolerance_as_equal():
-    base = link_volume(shapes.cube(), 0)
+    base = vertex_cones(shapes.cube())[0]
     links = [2.0, 1.0 + 4e-13, 1.0, 2.0 - 1e-15, 1.5, 1.0 + 1e-9]
     cones = [
         dataclasses.replace(base, vertex_index=i, link_volume=omega)
@@ -184,20 +165,20 @@ def test_rank_by_link_treats_links_within_tolerance_as_equal():
 def test_link_volume_rotation_invariant():
     rng = np.random.default_rng(7)
     base = shapes.tetrahedron()
-    reference = link_volume(base, 0).link_volume
+    reference = vertex_cones(base)[0].link_volume
     for _ in range(12):
         q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
         if np.linalg.det(q) < 0:
             q[:, 0] = -q[:, 0]
         rotated = base.vertices @ q.T
         poly = type(base)(rotated, base.facets)
-        assert link_volume(poly, 0).link_volume == pytest.approx(
+        assert vertex_cones(poly)[0].link_volume == pytest.approx(
             reference, abs=LINK_TOL
         )
 
 
 def test_r_max_shrinks_with_scale():
-    big = link_volume(shapes.cube(side=3.0), 0)
+    big = vertex_cones(shapes.cube(side=3.0))[0]
     assert big.r_max == pytest.approx(3.0, abs=1e-9)
     assert big.valid_volume_max == pytest.approx(
         1.5 * math.pi * 9.0 / 2.0, abs=1e-8
@@ -232,5 +213,3 @@ def test_vertex_cones_are_pinned(key):
     poly = _pinned_polytope(key)
     cones = vertex_cones(poly)
     assert [_cone_record(c) for c in cones] == PINNED_CONES[key]
-    for v in range(0, len(cones), max(1, len(cones) // 4)):
-        assert link_volume(poly, v) == cones[v]

@@ -6,7 +6,6 @@ import pytest
 from polyperim.errors import ProjectionDegenerate, VolumeOutOfRange
 from polyperim.gallery import (
     cube_competitors,
-    competitor_table,
     double_pyramid_report,
     modified_cube_faces,
     projection_area_of_triangle,
@@ -73,7 +72,7 @@ def test_competitors_domain():
 
 def test_winner_crossovers_bracket_the_transitions():
     grid = np.linspace(0.2, 5.8, 113)
-    crossings = winner_crossovers(competitor_table(grid))
+    crossings = winner_crossovers([cube_competitors(float(v)) for v in grid])
     assert len(crossings) == 2
     (lo1, hi1, from1, to1), (lo2, hi2, from2, to2) = crossings
     assert (from1, to1) == ("vertex-ball", "face-collar")

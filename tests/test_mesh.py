@@ -220,6 +220,37 @@ def test_triangle_indices_outside_the_positions_are_rejected():
         message = f"triangle 3 {last} has an index outside [0, 4)"
         with pytest.raises(ValueError, match=re.escape(message)):
             SurfaceMesh(positions, triangles, [0, 1, 2, 3], subdivision_level=0)
+    # a fractional index used to be truncated to triangle (1, 2, 3)
+    for last in ([1, 2, 3.9], [1, 2, math.nan]):
+        triangles = [[0, 1, 2], [0, 1, 3], [0, 2, 3], last]
+        message = f"triangle 3 {[float(i) for i in last]} has an index that is not"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SurfaceMesh(positions, triangles, [0, 1, 2, 3], subdivision_level=0)
+
+
+def test_facet_of_must_name_a_facet_of_the_polytope_per_triangle():
+    tet = shapes.tetrahedron()
+    triangles = [list(f) for f in tet.facets]
+    # one entry for four triangles used to give vertex 0 a one-triangle star
+    for facet_of, message in (
+        ([0], "facet_of must have shape (4,), got (1,)"),
+        ([[0, 1, 2, 3]], "facet_of must have shape (4,), got (1, 4)"),
+        ([0, 1, 2, 9], "triangle 3 has facet_of 9, an index outside [0, 4)"),
+        ([0, -1, 2, 3], "triangle 1 has facet_of -1, an index outside [0, 4)"),
+        ([0, 1, 2.5, 3], "triangle 2 has facet_of 2.5, an index that is not a whole"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SurfaceMesh(tet.vertices, triangles, facet_of, 0, polytope=tet)
+    mesh = SurfaceMesh(tet.vertices, triangles, [0, 1, 2, 3], 0, polytope=tet)
+    assert mesh.vertex_star(0).triangles.tolist() == [0, 1, 2]
+
+
+def test_vertex_star_rejects_a_vertex_outside_the_polytope():
+    mesh = subdivide(shapes.tetrahedron(), 1)
+    for vertex in (-1, 4):
+        with pytest.raises(ValueError, match=f"vertex index {vertex} out of range"):
+            mesh.vertex_star(vertex)
+    assert mesh._stars == {}
 
 
 def test_meshes_beyond_int32_half_edge_ids_are_rejected_before_building():

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
-from polyperim.cones import _cell_solid_angle, deficit_sum, link_volume
+from polyperim.cones import _cell_solid_angle, deficit_sum, vertex_cones
 from polyperim.errors import InvalidPolytope
 from polyperim.mesh import subdivide
 from polyperim.polytope import MERGE_TOL, Polytope
@@ -37,9 +37,9 @@ def test_random_hull_identities(m, seed):
     assert len(poly.vertices) - len(edges) + facet_count == 2
 
     assert deficit_sum(poly) == pytest.approx(4.0 * math.pi, abs=1e-9)
-    for v in range(len(points)):
-        scan = tuple(fi for fi, f in enumerate(poly.facets) if v in f)
-        assert poly.incident_facets(v) == scan
+    for v, cone in enumerate(vertex_cones(poly)):
+        scan = [fi for fi, f in enumerate(poly.facets) if v in f]
+        assert [fi for fi, _ in cone.facet_contributions] == scan
     measures = np.array([poly.facet_measure(fi) for fi in range(facet_count)])
     assert measures.sum() == pytest.approx(ConvexHull(points).area, rel=1e-12)
 
@@ -93,10 +93,10 @@ def test_vertex_ball_area_is_within_one_triangle(m, seed, level, fraction):
     poly = Polytope.from_vertices(sphere_points(m, seed))
     mesh = subdivide(poly, level)
     vertex = seed % len(poly.vertices)
-    volume = fraction * link_volume(poly, vertex).valid_volume_max
+    volume = fraction * vertex_cones(poly)[vertex].valid_volume_max
     region = vertex_ball_region(mesh, vertex, volume)
     assert abs(region.area - volume) <= mesh.areas.max() + 1e-12
-    incident = poly.incident_facets(vertex)
+    incident = [fi for fi, f in enumerate(poly.facets) if vertex in f]
     assert np.isin(mesh.facet_of[region.mask], incident).all()
 
 

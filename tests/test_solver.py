@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from polyperim import shapes, solver
-from polyperim.cones import link_volume, rank_by_link, vertex_cones
+from polyperim.cones import rank_by_link, vertex_cones
 from polyperim.errors import (
     NoFeasibleRegion,
     ValidationError,
@@ -90,7 +90,7 @@ def test_vertex_ball_region_cube():
     region = vertex_ball_region(mesh, 0, volume)
     amax = float(mesh.areas.max())
     assert abs(region.area - volume) <= amax + 1e-12
-    incident = set(mesh.polytope.incident_facets(0))
+    incident = {fi for fi, f in enumerate(mesh.polytope.facets) if 0 in f}
     assert set(np.unique(mesh.facet_of[region.mask])) <= incident
     r = math.sqrt(2 * volume / (1.5 * math.pi))
     spread = np.linalg.norm(region.centroid - mesh.positions[0])
@@ -102,9 +102,9 @@ def test_vertex_ball_region_tetrahedron():
     volume = math.pi / 32.0  # link pi, radius 1/4
     region = vertex_ball_region(mesh, 2, volume)
     assert abs(region.area - volume) <= float(mesh.areas.max()) + 1e-12
-    assert set(np.unique(mesh.facet_of[region.mask])) <= set(
-        mesh.polytope.incident_facets(2)
-    )
+    assert set(np.unique(mesh.facet_of[region.mask])) <= {
+        fi for fi, f in enumerate(mesh.polytope.facets) if 2 in f
+    }
 
 
 def test_vertex_ball_region_guards():
@@ -140,8 +140,8 @@ def _ball_digest(mesh, cases):
 def test_vertex_ball_masks_are_pinned(name):
     poly = getattr(shapes, name)()
     cases = [
-        (v, f * link_volume(poly, v).valid_volume_max)
-        for v in range(len(poly.vertices))
+        (cone.vertex_index, f * cone.valid_volume_max)
+        for cone in vertex_cones(poly)
         for f in np.geomspace(1e-3, 1.0, 25)
     ]
     for level, expected in zip((3, 4, 5), BALL_MASK_DIGESTS[name]):
@@ -160,8 +160,8 @@ def test_vertex_ball_memo_matches_fresh_meshes(name, level):
     masks of a fresh mesh, and each mesh keeps its own star orders."""
     poly = getattr(shapes, name)()
     cases = [
-        (v, f * link_volume(poly, v).valid_volume_max)
-        for v in range(len(poly.vertices))
+        (cone.vertex_index, f * cone.valid_volume_max)
+        for cone in vertex_cones(poly)
         for f in (1e-3, 0.1, 0.6, 1.0)
     ]
     mesh, other = subdivide(poly, level), subdivide(poly, level)
