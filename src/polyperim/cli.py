@@ -81,6 +81,9 @@ BUILTIN_SHAPES = {
     "simplex4": shapes.simplex4,
 }
 
+#: most boundary directions ``smooth --dirs`` may ask for
+MAX_DIRS = 100_000
+
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
 
 
@@ -406,6 +409,8 @@ def _cmd_analyze(args: argparse.Namespace, out: Path) -> int:
 
 
 def _cmd_slice(args: argparse.Namespace, out: Path) -> int:
+    if args.svg and args.n != 2:
+        raise ValidationError(f"--svg plots only --n 2 slices, got --n {args.n}")
     manifest = _manifest(args)
     pieces = enumerate_pieces(args.n, args.N)
     classes = classify_pieces(pieces)
@@ -429,14 +434,16 @@ def _cmd_slice(args: argparse.Namespace, out: Path) -> int:
     print(f"classes: {len(classes)}")
     verdict = "PASS" if len(classes) <= args.n else "FAIL"
     print(f"classes <= {args.n}: {verdict}")
-    if args.svg and args.n == 2:
+    if args.svg:
         _emit_svg_pieces(out, "pieces.svg", manifest, pieces)
     return EXIT_OK
 
 
 def _cmd_smooth(args: argparse.Namespace, out: Path) -> int:
-    if args.dirs < 1:
-        raise ValidationError(f"--dirs must be at least 1, got {args.dirs}")
+    if not 1 <= args.dirs <= MAX_DIRS:
+        raise ValidationError(
+            f"--dirs must be at least 1 and at most {MAX_DIRS}, got {args.dirs}"
+        )
     poly, digest = _load_polytope_arg(args)
     manifest = _manifest(args, digest)
     d = poly.dim
@@ -471,6 +478,10 @@ def _cmd_smooth(args: argparse.Namespace, out: Path) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace, out: Path) -> int:
+    if args.omega is not None and args.model != "cone":
+        raise ValidationError(
+            f"--omega applies only to --model cone, got --model {args.model}"
+        )
     manifest = _manifest(args)
     if args.model == "cone":
         if args.omega is None:

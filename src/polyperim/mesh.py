@@ -1,10 +1,11 @@
 """Triangulated surface meshes for 3-polytopes.
 
-``subdivide`` fan-triangulates every facet from its centroid and then applies
-uniform 4-to-1 midpoint subdivision.  All triangles stay inside their flat
-facet, so facet areas are preserved exactly at every level.  Mesh positions
-start with the polytope vertices, so polytope vertex ``i`` is mesh position
-``i``.
+``subdivide`` is the only builder of a ``SurfaceMesh``.  It fan-triangulates
+every facet from its centroid and then applies uniform 4-to-1 midpoint
+subdivision.  All triangles stay inside their flat facet, so facet areas are
+preserved exactly at every level.  Every mesh is closed: each edge lies on
+exactly two triangles.  Mesh positions start with the polytope vertices, so
+polytope vertex ``i`` is mesh position ``i``.
 
 Numbering is part of the contract, because solver results depend on it.  The
 centroid of facet ``f`` follows the vertices in facet order, and its fan
@@ -16,24 +17,23 @@ sorted vertex pairs in lexicographic order.
 
 Edge ids are carried through refinement instead of being found again by
 sorting at every level.  The fan gets its edge table from one ``np.unique``
-of half-edge keys; each round then derives the next table in O(T).  Of
-``E`` edges, edge ``e`` with ends ``lo < hi`` and midpoint ``m`` splits
-into ``2e = (lo, m)`` and ``2e + 1 = (hi, m)``; triangle ``t`` adds the
-interior edges ``2E + 3t + 0, 1, 2``, which are ``(ab, bc)``, ``(bc, ca)``,
-``(ca, ab)``; and the children's edges follow from the corner order above.
-An edge is first visited at its smaller half-edge ``3t + j``, which two
-scatters find.  Only the finished mesh relabels its edges lexicographically,
-by one argsort of the keys ``lo * P + hi`` (``SurfaceMesh._finish``).  The
-public ``SurfaceMesh`` constructor, for arbitrary triangles, takes its edge
-ids from one ``np.unique`` and ends in the same ``_finish``.
+of half-edge keys (``_edge_table``); each round then derives the next table
+in O(T).  Of ``E`` edges, edge ``e`` with ends ``lo < hi`` and midpoint
+``m`` splits into ``2e = (lo, m)`` and ``2e + 1 = (hi, m)``; triangle ``t``
+adds the interior edges ``2E + 3t + 0, 1, 2``, which are ``(ab, bc)``,
+``(bc, ca)``, ``(ca, ab)``; and the children's edges follow from the corner
+order above.  An edge is first visited at its smaller half-edge ``3t + j``,
+which two scatters find.  Only the finished mesh relabels its edges
+lexicographically, by one argsort of the keys ``lo * P + hi``
+(``SurfaceMesh._refined``).
 
 Every index array is int32: ``triangles``, ``facet_of``, ``edges``,
 ``edge_triangles``, ``tri_edges`` and ``tri_neighbors``, so a mesh keeps 120
-bytes per triangle on a closed surface (``P ≈ T/2`` positions and
-``E = 3T/2`` edges).  Only the edge sort keys ``lo * P + hi`` are int64.  A
-mesh whose ``3T`` half-edge ids would not fit int32 is rejected before it is
-built.  ``centroids``, ``areas`` and ``edge_lengths`` are computed in blocks of
-rows, so no full-size float temporary is made.
+bytes per triangle (``P ≈ T/2`` positions and ``E = 3T/2`` edges).  Only the
+edge sort keys ``lo * P + hi`` are int64.  A mesh whose ``3T`` half-edge ids
+would not fit int32 is rejected before it is built.  ``centroids``,
+``areas`` and ``edge_lengths`` are computed in blocks of rows, so no
+full-size float temporary is made.
 
 A mesh is immutable: every array is read-only once built, and each vertex's
 star order (``SurfaceMesh.vertex_star``) is computed on first use and kept.
@@ -53,7 +53,7 @@ MAX_LEVEL = 8
 
 # int32 holds the 3T half-edge ids of a mesh of at most this many triangles
 _MAX_TRIANGLES = (np.iinfo(np.int32).max + 1) // 3
-# rows per block of the float arrays built in ``SurfaceMesh._finish``
+# rows per block of the float arrays built in ``SurfaceMesh._refined``
 _BLOCK = 1 << 14
 
 
@@ -72,116 +72,108 @@ class VertexStar:
     prefix_area: np.ndarray
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, init=False)
 class SurfaceMesh:
-    """Closed triangle mesh of a polytope boundary.
+    """Closed triangle mesh of a polytope boundary, built by ``subdivide``.
+
+    ``SurfaceMesh(...)`` raises ``TypeError``.  Every edge lies on exactly
+    two triangles.
 
     Attributes
     ----------
     positions : (P, 3) float array
-    triangles : (T, 3) int32 array of position indices, each in [0, P)
-    facet_of : (T,) int32 index of the source polytope facet per triangle,
-        each in [0, F) for a polytope of F facets
+    triangles : (T, 3) int32 array of position indices
+    facet_of : (T,) int32 index of the source polytope facet per triangle
     subdivision_level : number of 4-to-1 refinement rounds applied
     polytope : the source polytope (positions 0..m-1 are its vertices)
     edges : (E, 2) int32 sorted vertex pairs, lexicographic
     edge_lengths : (E,) float
-    edge_triangles : (E, 2) int32 triangles on each edge, -1 for none
+    edge_triangles : (E, 2) int32 the two triangles on each edge
     tri_edges : (T, 3) int32 edges ``ab``, ``bc``, ``ca`` of each triangle
-    tri_neighbors : (T, 3) int32 triangle across each of those edges, or -1
+    tri_neighbors : (T, 3) int32 triangle across each of those edges
     areas : (T,) float
     centroids : (T, 3) float
 
-    On a closed surface that is 120 bytes per triangle.
+    That is 120 bytes per triangle.
     """
 
     positions: np.ndarray
     triangles: np.ndarray
     facet_of: np.ndarray
     subdivision_level: int
-    polytope: Polytope | None = None
+    polytope: Polytope
 
-    edges: np.ndarray = field(init=False)
-    edge_lengths: np.ndarray = field(init=False)
-    edge_triangles: np.ndarray = field(init=False)
-    tri_edges: np.ndarray = field(init=False)
-    tri_neighbors: np.ndarray = field(init=False)
-    areas: np.ndarray = field(init=False)
-    centroids: np.ndarray = field(init=False)
-    _stars: dict[int, VertexStar] = field(init=False, repr=False, default_factory=dict)
-    _cones: list[VertexCone] | None = field(init=False, repr=False, default=None)
+    edges: np.ndarray
+    edge_lengths: np.ndarray
+    edge_triangles: np.ndarray
+    tri_edges: np.ndarray
+    tri_neighbors: np.ndarray
+    areas: np.ndarray
+    centroids: np.ndarray
+    _stars: dict[int, VertexStar] = field(repr=False)
+    _cones: list[VertexCone] | None = field(repr=False)
 
-    def __post_init__(self) -> None:
-        # copies, so freezing them never freezes the caller's arrays
-        self.positions = np.array(self.positions, dtype=float)
-        self.triangles = _index_triangles(self.triangles, len(self.positions))
-        self.facet_of = _index_facets(self.facet_of, len(self.triangles), self.polytope)
-        self._finish(*_edge_table(self.triangles, len(self.positions)))
+    def __init__(self, *args, **kwargs) -> None:
+        raise TypeError("SurfaceMesh has no public constructor; use subdivide")
 
     @classmethod
     def _refined(
         cls, positions, triangles, facet_of, level, polytope, ends, tri_edges
     ) -> SurfaceMesh:
-        """A mesh that takes ownership of ``subdivide``'s arrays and edges."""
+        """A mesh that takes ownership of ``subdivide``'s arrays and edges.
+
+        ``ends`` holds each edge's sorted vertex pair and ``tri_edges`` each
+        triangle's edges ``ab``, ``bc``, ``ca``, in any one edge numbering;
+        both are relabelled lexicographically in place and kept.
+        """
         mesh = cls.__new__(cls)
-        mesh.positions = positions
-        mesh.triangles = triangles
+        mesh.positions = p = positions
+        mesh.triangles = t = triangles
         mesh.facet_of = facet_of
         mesh.subdivision_level = level
         mesh.polytope = polytope
         mesh._stars = {}
         mesh._cones = None
-        mesh._finish(ends, tri_edges)
-        return mesh
-
-    def _finish(self, ends: np.ndarray, tri_edges: np.ndarray) -> None:
-        """Relabel edges lexicographically and build every derived array.
-
-        ``ends`` holds each edge's sorted vertex pair and ``tri_edges`` each
-        triangle's edges ``ab``, ``bc``, ``ca``, in any one edge numbering;
-        both are relabelled in place and kept.
-        """
         # temporaries are dropped as soon as they are used up: on fine
         # meshes they, not the kept arrays, would set the peak memory
-        p = self.positions
-        t = self.triangles
         # int64 keys: lo * P overflows int32 from about P = 46341
         order = np.argsort(ends[:, 0].astype(np.int64) * len(p) + ends[:, 1])
         rank = np.empty(len(order), dtype=np.int32)
         rank[order] = np.arange(len(order), dtype=np.int32)
         ends[:] = ends.take(order, axis=0)
         tri_edges[:] = rank[tri_edges]
-        self.edges = ends
-        self.tri_edges = tri_edges
+        mesh.edges = ends
+        mesh.tri_edges = tri_edges
         del order, rank
         # half-edge j*T + t is side j of triangle t: all ab, then bc, then ca
         first, last = _half_edge_pairs(tri_edges.T.ravel(), len(ends))
-        self.edge_triangles = np.stack(
+        mesh.edge_triangles = np.stack(
             [first % len(t), np.where(first == last, -1, last % len(t))], axis=1
         )
         del first, last
-        self.edge_lengths = np.empty(len(ends))
+        mesh.edge_lengths = np.empty(len(ends))
         for rows in _blocks(len(ends)):
             lo, hi = ends[rows].T
             d = p.take(lo, axis=0) - p.take(hi, axis=0)
-            self.edge_lengths[rows] = np.linalg.norm(d, axis=1)
-        self.tri_neighbors = np.empty_like(t)
-        self.centroids = np.empty((len(t), 3))
-        self.areas = np.empty(len(t))
+            mesh.edge_lengths[rows] = np.linalg.norm(d, axis=1)
+        mesh.tri_neighbors = np.empty_like(t)
+        mesh.centroids = np.empty((len(t), 3))
+        mesh.areas = np.empty(len(t))
         for rows in _blocks(len(t)):
-            sides = self.edge_triangles.take(tri_edges[rows], axis=0)
+            sides = mesh.edge_triangles.take(tri_edges[rows], axis=0)
             own = np.arange(rows.start, rows.stop, dtype=np.int32)[:, None]
-            self.tri_neighbors[rows] = np.where(
+            mesh.tri_neighbors[rows] = np.where(
                 sides[..., 0] == own, sides[..., 1], sides[..., 0]
             )
             a, b, c = (p.take(t[rows, k], axis=0) for k in range(3))
-            self.centroids[rows] = (a + b + c) / 3.0
-            self.areas[rows] = 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
+            mesh.centroids[rows] = (a + b + c) / 3.0
+            mesh.areas[rows] = 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
         _freeze(
-            self.positions, self.triangles, self.facet_of, self.edges,
-            self.edge_lengths, self.edge_triangles, self.tri_edges,
-            self.tri_neighbors, self.areas, self.centroids,
+            mesh.positions, mesh.triangles, mesh.facet_of, mesh.edges,
+            mesh.edge_lengths, mesh.edge_triangles, mesh.tri_edges,
+            mesh.tri_neighbors, mesh.areas, mesh.centroids,
         )
+        return mesh
 
     # -- queries ----------------------------------------------------------
 
@@ -231,7 +223,12 @@ def subdivide(polytope: Polytope, level: int) -> SurfaceMesh:
         )
     if not 0 <= level <= MAX_LEVEL:
         raise ValueError(f"subdivision level must be in [0, {MAX_LEVEL}]")
-    _check_triangle_count(sum(len(f) for f in polytope.facets) * 4**level)
+    count = sum(len(f) for f in polytope.facets) * 4**level
+    if count > _MAX_TRIANGLES:
+        raise ValueError(
+            f"a mesh of {count} triangles has {3 * count} half-edges; "
+            f"int32 ids allow at most {3 * _MAX_TRIANGLES}"
+        )
 
     rings = [polytope.facet_ring(fi) for fi in range(len(polytope.facets))]
     first_center = len(polytope.vertices)
@@ -307,55 +304,6 @@ def _blocks(count: int):
     return (slice(lo, min(lo + _BLOCK, count)) for lo in range(0, count, _BLOCK))
 
 
-def _check_triangle_count(count: int) -> None:
-    if count > _MAX_TRIANGLES:
-        raise ValueError(
-            f"a mesh of {count} triangles has {3 * count} half-edges; "
-            f"int32 ids allow at most {3 * _MAX_TRIANGLES}"
-        )
-
-
-def _index_triangles(triangles, count: int) -> np.ndarray:
-    """``triangles`` as an int32 (T, 3) copy, after checking that every index
-    is a whole number in ``[0, count)`` and that the half-edge ids fit int32."""
-    t = np.asarray(triangles)
-    if t.ndim != 2 or t.shape[1] != 3:
-        raise ValueError(f"triangles must be a (T, 3) index array, got shape {t.shape}")
-    _check_triangle_count(len(t))
-    bad = _first_bad_index(t, count)
-    if bad:
-        raise ValueError(f"triangle {bad[0]} {t[bad[0]].tolist()} has {bad[1]}")
-    return t.astype(np.int32)
-
-
-def _index_facets(facet_of, count: int, polytope: Polytope | None) -> np.ndarray:
-    """``facet_of`` as an int32 copy, after checking that it has one entry per
-    triangle and that each is a whole number in ``[0, F)`` for a polytope of
-    F facets (without a polytope, that it fits int32)."""
-    f = np.asarray(facet_of)
-    if f.shape != (count,):
-        raise ValueError(f"facet_of must have shape ({count},), got {f.shape}")
-    facets = np.iinfo(np.int32).max + 1 if polytope is None else len(polytope.facets)
-    bad = _first_bad_index(f, facets)
-    if bad:
-        raise ValueError(f"triangle {bad[0]} has facet_of {f[bad[0]].tolist()}, {bad[1]}")
-    return f.astype(np.int32)
-
-
-def _first_bad_index(values: np.ndarray, count: int) -> tuple[int, str] | None:
-    """The first row of ``values`` with an entry that is not a whole number
-    in ``[0, count)``, and what is wrong with it; ``None`` if there is none."""
-    rows = values.reshape(len(values), -1)
-    outside = ((rows < 0) | (rows >= count)).any(axis=1)
-    fractional = rows.dtype.kind == "f" and (rows != np.floor(rows)).any(axis=1)
-    bad = np.flatnonzero(outside | fractional)
-    if not len(bad):
-        return None
-    row = int(bad[0])
-    return row, (f"an index outside [0, {count})" if outside[row]
-                 else "an index that is not a whole number")
-
-
 def _edge_table(triangles: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
     """Sorted vertex pairs of the edges, lexicographic, and each triangle's
     edges ``ab``, ``bc``, ``ca``, from one ``np.unique`` of the half-edges;
@@ -380,7 +328,6 @@ def _half_edge_pairs(edge_of: np.ndarray, count: int) -> tuple[np.ndarray, np.nd
 
     One scatter keeps one half-edge per edge; the half-edges it did not keep
     are the other ends of their edges, so no sort is needed.
-    Raises ``ValueError`` if an edge has more than two half-edges.
     """
     index = np.arange(len(edge_of), dtype=edge_of.dtype)
     kept = np.empty(count, dtype=edge_of.dtype)
@@ -389,8 +336,4 @@ def _half_edge_pairs(edge_of: np.ndarray, count: int) -> tuple[np.ndarray, np.nd
     loose, at = edge_of[rest], index[rest]
     other = kept.copy()
     other[loose] = at
-    extra = other[loose] != at
-    if extra.any():
-        eid = int(loose[extra].min())
-        raise ValueError(f"edge {eid} belongs to more than two triangles")
     return np.minimum(kept, other), np.maximum(kept, other)

@@ -28,6 +28,8 @@ from .errors import (
 )
 
 DEFAULT_GRID_POINTS = 256
+#: most volumes a grid may hold; each costs one Python call per profile
+MAX_GRID_POINTS = 100_000
 
 
 def unit_ball_volume(n: int) -> float:
@@ -113,8 +115,10 @@ def volume_grid(vmin: float, vmax: float, points: int) -> np.ndarray:
     """``points`` volumes from ``vmin`` to ``vmax``, evenly spaced in log."""
     if not 0 < vmin < vmax < math.inf:
         raise VolumeOutOfRange("need 0 < vmin < vmax < inf")
-    if points < 1:
-        raise ValidationError(f"--points must be at least 1, got {points}")
+    if not 1 <= points <= MAX_GRID_POINTS:
+        raise ValidationError(
+            f"--points must be at least 1 and at most {MAX_GRID_POINTS}, got {points}"
+        )
     return np.geomspace(vmin, vmax, points)
 
 

@@ -74,7 +74,7 @@ class Region:
     @property
     def cut_perimeter(self) -> float:
         """Length of the edges between the region and the rest of the mesh,
-        summed in edge order; an open edge never counts.
+        summed in edge order.
 
         The cut edges are read off the smaller side's own triangles.
         """
@@ -82,7 +82,7 @@ class Region:
         side = self.mask if 2 * self.mask.sum() <= len(self.mask) else ~self.mask
         tris = np.flatnonzero(side)
         nbrs = mesh.tri_neighbors.take(tris, axis=0)
-        cut = (nbrs >= 0) & ~side[nbrs]
+        cut = ~side[nbrs]
         edges = np.sort(mesh.tri_edges.take(tris, axis=0)[cut])
         return float(mesh.edge_lengths[edges].sum())
 
@@ -515,8 +515,6 @@ def minimize_perimeter(
     warm_starts: list[Region] | None = None,
 ) -> SolverResult:
     """Search for a region of the given area with minimal cut perimeter."""
-    if not mesh.is_closed():
-        raise ValueError("solver needs a closed surface mesh")
     total = mesh.total_area()
     if not 0.0 < volume < total:
         raise VolumeOutOfRange(

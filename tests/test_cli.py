@@ -487,6 +487,21 @@ def test_slice_rejects_oversized_windows_at_once(tmp_path, capsys):
         (["analyze"], "ValidationError: analyze requires --polytope"),
         (["smooth", "--eps", "0.1"], "ValidationError: smooth requires --polytope"),
         (["solve", "--volume", "0.1"], "ValidationError: solve requires --polytope"),
+        (["profile", "--model", "euclidean", "--n", "2", "--vmin", "0.1",
+          "--vmax", "1", "--points", "100000000"],
+         "ValidationError: --points must be at least 1 and at most 100000"),
+        (["gallery", "cube-competitors", "--points", "100001"],
+         "ValidationError: --points must be at least 1 and at most 100000"),
+        (["smooth", "--polytope", "cube", "--eps", "0.1", "--dirs", "1000000000"],
+         "ValidationError: --dirs must be at least 1 and at most 100000"),
+        (["profile", "--model", "sphere", "--n", "2", "--omega", "1.0",
+          "--vmin", "0.1", "--vmax", "1"],
+         "ValidationError: --omega applies only to --model cone, got --model sphere"),
+        (["profile", "--model", "euclidean", "--n", "2", "--omega", "1.0",
+          "--vmin", "0.1", "--vmax", "1"],
+         "ValidationError: --omega applies only to --model cone"),
+        (["slice", "--n", "3", "--N", "3", "--svg"],
+         "ValidationError: --svg plots only --n 2 slices, got --n 3"),
     ],
     ids=["spike-volume-nan", "volume-nan", "volume-inf",
          "base-link-nan", "competitors-vmin-negative", "competitors-reversed",
@@ -496,7 +511,8 @@ def test_slice_rejects_oversized_windows_at_once(tmp_path, capsys):
          "solve-volume-negative", "solve-volume-unreachable",
          "spike-overflow-volume-nan", "spike-overflow", "polytope-is-a-directory",
          "out-is-a-file", "analyze-no-polytope", "smooth-no-polytope",
-         "solve-no-polytope"],
+         "solve-no-polytope", "profile-points-1e8", "competitors-points-100001",
+         "dirs-1e9", "sphere-omega", "euclidean-omega", "slice-n3-svg"],
 )
 def test_out_of_range_values_are_rejected(tmp_path, capsys, argv, message):
     if "--out" not in argv:
@@ -617,9 +633,11 @@ def _argv(draw):
         return [command, f"--polytope={shape}", f"--eps={draw(_FLOATS)}", f"--dirs={dirs}"]
     if command == "profile":
         model = draw(st.sampled_from(["euclidean", "sphere", "cone"]))
-        return [command, f"--model={model}", f"--n={draw(_DIMS)}",
-                f"--omega={draw(_FLOATS)}", f"--vmin={draw(_FLOATS)}",
-                f"--vmax={draw(_FLOATS)}", f"--points={draw(_INTS)}"]
+        # --omega only on the cone model, where it is read (elsewhere it exits 2)
+        omega = [f"--omega={draw(_FLOATS)}"] if model == "cone" else []
+        return [command, f"--model={model}", f"--n={draw(_DIMS)}", *omega,
+                f"--vmin={draw(_FLOATS)}", f"--vmax={draw(_FLOATS)}",
+                f"--points={draw(_INTS)}"]
     if command == "solve":
         level = draw(st.sampled_from(["-1", "0", "1", "2", "9"]))
         iters = draw(st.sampled_from(["-5", "0", "1", "300"]))

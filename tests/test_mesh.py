@@ -1,6 +1,5 @@
 import hashlib
 import math
-import re
 import tracemalloc
 
 import numpy as np
@@ -8,10 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyperim import mesh as mesh_module
 from polyperim import shapes
 from polyperim.errors import UnsupportedDimension
-from polyperim.mesh import SurfaceMesh, subdivide
+from polyperim.mesh import SurfaceMesh, _edge_table, subdivide
 from polyperim.polytope import Polytope
 
 
@@ -146,20 +144,17 @@ def test_level7_cube_arrays_are_pinned():
 @settings(max_examples=10, deadline=None, derandomize=True)
 @given(m=st.integers(4, 60), seed=st.integers(0, 2**32 - 1), level=st.integers(0, 3))
 def test_subdivide_tables_equal_the_constructors(m, seed, level):
+    # the carried O(T) edge table against one np.unique of the final triangles
     x = np.random.default_rng(seed).normal(size=(m, 3))
     poly = Polytope.from_vertices(x / np.linalg.norm(x, axis=1)[:, None])
     mesh = subdivide(poly, level)
-    reference = SurfaceMesh(
-        mesh.positions, mesh.triangles, mesh.facet_of, subdivision_level=level,
-        polytope=poly,
-    )
+    ends, tri_edges = _edge_table(mesh.triangles, len(mesh.positions))
+    for array, expected in ((mesh.edges, ends), (mesh.tri_edges, tri_edges)):
+        assert array.dtype == expected.dtype
+        assert array.shape == expected.shape
+        assert array.tobytes() == expected.tobytes()
     for name in MESH_ARRAYS:
-        array = getattr(mesh, name)
-        expected = getattr(reference, name)
-        assert array.dtype == expected.dtype, name
-        assert array.shape == expected.shape, name
-        assert array.tobytes() == expected.tobytes(), name
-        assert not array.flags.writeable, name
+        assert not getattr(mesh, name).flags.writeable, name
 
 
 def test_midpoints_are_numbered_in_first_visit_order():
@@ -181,68 +176,25 @@ def test_midpoints_are_numbered_in_first_visit_order():
     ]
 
 
-def test_edge_on_three_triangles_is_rejected():
-    positions = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1]])
-    triangles = [[0, 1, 2], [1, 0, 3], [0, 1, 4]]
-    with pytest.raises(ValueError, match="more than two triangles"):
-        SurfaceMesh(positions, triangles, [0, 0, 0], subdivision_level=0)
-
-
 def test_mesh_arrays_are_read_only_and_inputs_stay_writable():
     tet = shapes.tetrahedron()
-    positions = tet.vertices.copy()
-    triangles = np.array([list(f) for f in tet.facets])
-    facet_of = np.arange(4)
-    mesh = SurfaceMesh(positions, triangles, facet_of, subdivision_level=0, polytope=tet)
+    mesh = subdivide(tet, 0)
     star = mesh.vertex_star(0)
-    frozen = [
-        getattr(mesh, name)
-        for name in (
-            "positions", "triangles", "facet_of", "edges", "edge_lengths",
-            "edge_triangles", "tri_edges", "tri_neighbors", "areas", "centroids",
-        )
-    ] + [star.triangles, star.distances, star.prefix_area]
-    for array in frozen:
+    frozen = [getattr(mesh, name) for name in MESH_ARRAYS]
+    for array in frozen + [star.triangles, star.distances, star.prefix_area]:
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
-    for array in (positions, triangles, facet_of):
-        assert array.flags.writeable
-    positions[0] = 7.0
-    assert np.array_equal(mesh.positions[0], tet.vertices[0])
+    assert tet.vertices.flags.writeable
+    tet.vertices[0] = 7.0
+    assert np.array_equal(mesh.positions[0], shapes.tetrahedron().vertices[0])
 
 
-
-def test_triangle_indices_outside_the_positions_are_rejected():
-    positions = shapes.tetrahedron().vertices
-    # a negative index used to wrap around to triangle (1, 2, 3)
-    for last in ([1, 2, -1], [1, 2, 4]):
-        triangles = [[0, 1, 2], [0, 1, 3], [0, 2, 3], last]
-        message = f"triangle 3 {last} has an index outside [0, 4)"
-        with pytest.raises(ValueError, match=re.escape(message)):
-            SurfaceMesh(positions, triangles, [0, 1, 2, 3], subdivision_level=0)
-    # a fractional index used to be truncated to triangle (1, 2, 3)
-    for last in ([1, 2, 3.9], [1, 2, math.nan]):
-        triangles = [[0, 1, 2], [0, 1, 3], [0, 2, 3], last]
-        message = f"triangle 3 {[float(i) for i in last]} has an index that is not"
-        with pytest.raises(ValueError, match=re.escape(message)):
-            SurfaceMesh(positions, triangles, [0, 1, 2, 3], subdivision_level=0)
-
-
-def test_facet_of_must_name_a_facet_of_the_polytope_per_triangle():
+def test_subdivide_is_the_only_builder():
     tet = shapes.tetrahedron()
-    triangles = [list(f) for f in tet.facets]
-    # one entry for four triangles used to give vertex 0 a one-triangle star
-    for facet_of, message in (
-        ([0], "facet_of must have shape (4,), got (1,)"),
-        ([[0, 1, 2, 3]], "facet_of must have shape (4,), got (1, 4)"),
-        ([0, 1, 2, 9], "triangle 3 has facet_of 9, an index outside [0, 4)"),
-        ([0, -1, 2, 3], "triangle 1 has facet_of -1, an index outside [0, 4)"),
-        ([0, 1, 2.5, 3], "triangle 2 has facet_of 2.5, an index that is not a whole"),
-    ):
-        with pytest.raises(ValueError, match=re.escape(message)):
-            SurfaceMesh(tet.vertices, triangles, facet_of, 0, polytope=tet)
-    mesh = SurfaceMesh(tet.vertices, triangles, [0, 1, 2, 3], 0, polytope=tet)
-    assert mesh.vertex_star(0).triangles.tolist() == [0, 1, 2]
+    with pytest.raises(TypeError, match="use subdivide"):
+        SurfaceMesh(tet.vertices, [list(f) for f in tet.facets], [0, 1, 2, 3], 0, tet)
+    with pytest.raises(TypeError, match="use subdivide"):
+        SurfaceMesh()
 
 
 def test_vertex_star_rejects_a_vertex_outside_the_polytope():
@@ -254,11 +206,6 @@ def test_vertex_star_rejects_a_vertex_outside_the_polytope():
 
 
 def test_meshes_beyond_int32_half_edge_ids_are_rejected_before_building():
-    # zero-stride rows: 716 million triangles that take no memory
-    count = mesh_module._MAX_TRIANGLES + 1
-    huge = np.broadcast_to(np.array([0, 1, 2]), (count, 3))
-    with pytest.raises(ValueError, match=f"a mesh of {count} triangles"):
-        SurfaceMesh(np.eye(3), huge, np.broadcast_to(0, (count,)), subdivision_level=0)
     # 3996 facets fan into 11988 triangles, 786 million at level 8
     x = np.random.default_rng(0).normal(size=(2000, 3))
     poly = Polytope.from_vertices(x / np.linalg.norm(x, axis=1)[:, None])
@@ -288,7 +235,5 @@ def test_level6_cube_memory_and_index_dtypes():
     # 15.2 MiB with int32 indices and blockwise float arrays; int64 indices
     # and full-size float temporaries took 24 MiB
     assert peak < 19 * 2**20
-    built = SurfaceMesh(mesh.positions, mesh.triangles, mesh.facet_of, subdivision_level=6)
     for name in INDEX_ARRAYS:
         assert getattr(mesh, name).dtype == np.int32, name
-        assert getattr(built, name).dtype == np.int32, name

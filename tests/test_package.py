@@ -1,8 +1,52 @@
+import ast
+import importlib
+from pathlib import Path
+
 import polyperim
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def test_every_export_resolves_once():
     names = polyperim.__all__
     assert len(set(names)) == len(names), [n for n in names if names.count(n) > 1]
     missing = [n for n in names if not hasattr(polyperim, n)]
+    assert missing == []
+
+
+def _dotted(node: ast.expr) -> list[str] | None:
+    """``["pp", "Polytope", "from_vertices"]`` for ``pp.Polytope.from_vertices``."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return [node.id, *reversed(parts)] if isinstance(node, ast.Name) else None
+
+
+def test_the_benchmark_uses_only_names_that_resolve():
+    # the benchmark harness is frozen, so an API it calls must not go away
+    missing = []
+    for script in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(script.read_text(encoding="utf-8"))
+        roots = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.split(".")[0] == "polyperim":
+                        roots[alias.asname or alias.name] = importlib.import_module(alias.name)
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("polyperim"):
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    if not hasattr(module, alias.name):
+                        importlib.import_module(f"{node.module}.{alias.name}")
+                    roots[alias.asname or alias.name] = getattr(module, alias.name)
+        for node in ast.walk(tree):
+            chain = _dotted(node) if isinstance(node, ast.Attribute) else None
+            if chain and chain[0] in roots:
+                obj = roots[chain[0]]
+                for name in chain[1:]:
+                    if not hasattr(obj, name):
+                        missing.append(f"{script.name}: {'.'.join(chain)}")
+                        break
+                    obj = getattr(obj, name)
     assert missing == []

@@ -4,8 +4,14 @@ import sys
 import numpy as np
 import pytest
 
-from polyperim.errors import DimensionTooHigh, InsufficientSamples, VolumeOutOfRange
+from polyperim.errors import (
+    DimensionTooHigh,
+    InsufficientSamples,
+    ValidationError,
+    VolumeOutOfRange,
+)
 from polyperim.profiles import (
+    MAX_GRID_POINTS,
     Profile,
     cone_profile,
     euclidean_profile,
@@ -13,6 +19,7 @@ from polyperim.profiles import (
     sphere_measure,
     sphere_profile,
     unit_ball_volume,
+    volume_grid,
 )
 
 
@@ -114,6 +121,13 @@ def test_profile_sampling_and_interpolation():
     assert np.allclose(
         cap.areas, np.sqrt(cap.volumes * (4 * math.pi - cap.volumes)), rtol=1e-13
     )
+
+
+def test_volume_grid_holds_at_most_max_grid_points():
+    assert len(volume_grid(0.1, 1.0, MAX_GRID_POINTS)) == MAX_GRID_POINTS
+    for points in (0, MAX_GRID_POINTS + 1):
+        with pytest.raises(ValidationError, match=f"got {points}$"):
+            volume_grid(0.1, 1.0, points)
 
 
 def test_smaller_link_gives_smaller_profile():

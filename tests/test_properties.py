@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
+from polyperim import shapes
 from polyperim.cones import _cell_solid_angle, deficit_sum, vertex_cones
 from polyperim.errors import InvalidPolytope
 from polyperim.mesh import subdivide
@@ -59,6 +60,36 @@ def test_random_hull_identities(m, seed):
     merged = Polytope.from_vertices(np.insert(points, k + 1, points[k] + nudge, axis=0))
     assert np.array_equal(merged.vertices, points)
     assert merged.facets == poly.facets
+
+
+def assert_closed_2_manifold(mesh):
+    """No -1 sentinel, every edge on exactly two triangles, each triangle its
+    neighbour's neighbour across the same edge, and V - E + T = 2."""
+    tri_edges, nbrs = mesh.tri_edges, mesh.tri_neighbors
+    assert (mesh.edge_triangles >= 0).all() and (nbrs >= 0).all()
+    assert (np.bincount(tri_edges.ravel(), minlength=len(mesh.edges)) == 2).all()
+    own = np.arange(mesh.triangle_count)[:, None]
+    assert (nbrs != own).all()
+    # side k of neighbour nbrs[t, j] is edge tri_edges[t, j] for exactly one k
+    across = tri_edges[nbrs] == tri_edges[:, :, None]
+    assert (across.sum(axis=2) == 1).all()
+    assert (nbrs[nbrs][across].reshape(-1, 3) == own).all()
+    assert len(mesh.positions) - len(mesh.edges) + mesh.triangle_count == 2
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(m=st.integers(4, 200), seed=st.integers(0, 2**32 - 1), level=st.integers(0, 3))
+def test_random_hull_meshes_are_closed_2_manifolds(m, seed, level):
+    assert_closed_2_manifold(subdivide(Polytope.from_vertices(sphere_points(m, seed)), level))
+
+
+@pytest.mark.parametrize(
+    "name", ["cube", "octahedron", "square_pyramid", "tetrahedron", "triangular_prism"]
+)
+def test_builtin_meshes_are_closed_2_manifolds(name):
+    poly = getattr(shapes, name)()
+    for level in range(4):
+        assert_closed_2_manifold(subdivide(poly, level))
 
 
 @settings(max_examples=20, deadline=None, derandomize=True)

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from polyperim.errors import (
     VolumeOutOfRange,
     VolumeTooLarge,
 )
-from polyperim.mesh import SurfaceMesh, subdivide
+from polyperim.mesh import _edge_table, subdivide
 from polyperim.solver import (
     Region,
     _State,
@@ -29,24 +30,6 @@ def test_region_rejects_bad_mask():
     mesh = subdivide(shapes.cube(), 1)
     with pytest.raises(ValueError):
         Region(mesh=mesh, mask=np.ones(5, dtype=bool))
-
-
-def test_open_edges_never_count_as_cut():
-    # two triangles of a unit square share the diagonal; the rest is open
-    strip = SurfaceMesh(
-        positions=np.array([[0.0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]]),
-        triangles=np.array([[0, 1, 2], [0, 2, 3]]),
-        facet_of=np.array([0, 0]),
-        subdivision_level=0,
-    )
-    assert not strip.is_closed()
-    for mask, expected in (
-        ([True, False], math.sqrt(2.0)),
-        ([False, True], math.sqrt(2.0)),
-        ([True, True], 0.0),
-        ([False, False], 0.0),
-    ):
-        assert Region(strip, np.array(mask)).cut_perimeter == expected, mask
 
 
 def test_cut_perimeter_sums_the_edges_between_the_sides():
@@ -70,16 +53,13 @@ def test_anisotropy_bound_cube_is_sqrt2():
 
 
 def test_anisotropy_bound_equilateral():
-    # bypass the centroid fan so every mesh triangle is a whole facet
+    # the bound reads only edge lengths and triangle edges, so the facets
+    # themselves can stand in for a mesh without the centroid fan
     tet = shapes.tetrahedron()
-    mesh = SurfaceMesh(
-        positions=tet.vertices,
-        triangles=np.array([list(f) for f in tet.facets]),
-        facet_of=np.arange(4),
-        subdivision_level=0,
-        polytope=tet,
-    )
-    assert anisotropy_bound(mesh) == pytest.approx(2.0 / math.sqrt(3.0), abs=1e-9)
+    ends, tri_edges = _edge_table(np.array(tet.facets), len(tet.vertices))
+    lengths = np.linalg.norm(tet.vertices[ends[:, 0]] - tet.vertices[ends[:, 1]], axis=1)
+    facets = SimpleNamespace(edge_lengths=lengths, tri_edges=tri_edges)
+    assert anisotropy_bound(facets) == pytest.approx(2.0 / math.sqrt(3.0), abs=1e-9)
     # the centroid fan splits each facet into 120-degree isoceles triangles
     assert anisotropy_bound(subdivide(tet, 1)) == pytest.approx(2.0, abs=1e-9)
 
@@ -291,14 +271,6 @@ def test_minimize_perimeter_domain_checks():
         minimize_perimeter(mesh, 7.0)
     with pytest.raises(VolumeOutOfRange):
         minimize_perimeter(mesh, 0.0)
-    lid = SurfaceMesh(
-        positions=np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0]]),
-        triangles=np.array([[0, 1, 2]]),
-        facet_of=np.array([0]),
-        subdivision_level=0,
-    )
-    with pytest.raises(ValueError):
-        minimize_perimeter(lid, 0.1)
 
 
 def test_flip_state_matches_a_loop_reference():
