@@ -606,6 +606,18 @@ def _cmd_gallery(args: argparse.Namespace, out: Path) -> int:
                 f"{_fmt(rep.one_sided_beats_base)}"
             )
     elif args.exhibit == "spiked-cone":
+        # the apex link 6 asin(sqrt(3)/2 sin(half-angle)) must stay below pi
+        widest = math.degrees(math.asin(1.0 / math.sqrt(3.0)))
+        if not 0.0 < args.half_angle < widest:
+            raise ValidationError(
+                f"--half-angle must be in (0, {widest:.8g}) degrees, got {args.half_angle}"
+            )
+        base = args.spike_height * math.tan(math.radians(args.half_angle))
+        if not 0.0 < base < 0.5:
+            raise ValidationError(
+                f"--spike-height {args.spike_height} (in cube sides) x tan(--half-angle) "
+                f"gives a spike base of circumradius {base:.6g}, outside (0, 1/2)"
+            )
         theta_p = spike_link_from_half_angle(math.radians(args.half_angle))
         rep = spiked_cone_report(
             theta_p,

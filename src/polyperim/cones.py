@@ -17,14 +17,16 @@ Link measures:
 
 * n = 1 (polygon boundary): counting measure, always 2.
 * n = 2 (polyhedron): sum of the incident facet angles at v, in radians.
-* n = 3 (4-polytope): sum over incident cells of the interior solid angle at
-  v, each computed inside the cell's 3-dimensional span by triangulating the
-  vertex figure into simplicial cones and applying the arctangent formula
-  for a trihedral cone.
+* n = 3 (4-polytope): sum over incident cells, each a 3-polytope in its own
+  span, of the interior solid angle at v, which by Gauss-Bonnet on the vertex
+  figure is 2*pi less the turning angles atan2(|n_F x n_G|, n_F . n_G)
+  between the faces F and G at each cell edge through v.
 
 ``r_max`` is the conservative star-containment radius: the smallest distance
 from v to a boundary face of its star, measured inside each incident facet
-(facets are flat, so in-facet straight lines are intrinsic geodesics).
+(facets are flat, so in-facet straight lines are intrinsic geodesics): the
+far end of an edge (d = 2), the ring edges missing v (d = 3), or the cell's
+faces missing v (d = 4), at the plane where the foot lies in the face.
 
 Links and star radii are gathered per facet: each facet is measured once at
 all of its vertices, and a vertex's cone collects its facets' contributions
@@ -38,16 +40,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull
 
 from .errors import UnsupportedDimension
-from .polytope import (
-    Polytope,
-    affine_span,
-    enumerate_facets,
-    order_polygon,
-    project_to_span,
-)
+from .polytope import TOL, Polytope, affine_span, project_to_span
 from .profiles import sphere_measure
 
 LINK_RTOL = 1e-12  # relative; links this close count as equal
@@ -76,12 +71,7 @@ def tet_solid_angle(a, b, c) -> float:
     (1 + a.b + a.c + b.c)``, evaluated with atan2 so flat and wide cones are
     handled without branching.
     """
-    a = np.asarray(a, float)
-    b = np.asarray(b, float)
-    c = np.asarray(c, float)
-    a = a / np.linalg.norm(a)
-    b = b / np.linalg.norm(b)
-    c = c / np.linalg.norm(c)
+    a, b, c = (np.asarray(x, float) / np.linalg.norm(x) for x in (a, b, c))
     num = abs(float(np.linalg.det(np.stack([a, b, c]))))
     den = 1.0 + float(a @ b) + float(a @ c) + float(b @ c)
     return 2.0 * math.atan2(num, den)
@@ -90,22 +80,6 @@ def tet_solid_angle(a, b, c) -> float:
 # ---------------------------------------------------------------------------
 # per-facet corner data
 # ---------------------------------------------------------------------------
-
-def _cell_solid_angle(points: np.ndarray, apex: int) -> float:
-    """Interior solid angle of a 3-polytope (given in local 3D coords) at a
-    vertex.
-
-    The hull of the apex and the unit rays to the other vertices is the
-    vertex cone cut off by a cap; the cap's hull triangles (those without
-    the apex) tile the cone's directions, one trihedral cone each.
-    """
-    others = np.delete(points, apex, axis=0) - points[apex]
-    rays = others / np.linalg.norm(others, axis=1)[:, None]
-    hull = ConvexHull(np.vstack([np.zeros(3), rays]))
-    return math.fsum(
-        tet_solid_angle(*hull.points[tri]) for tri in hull.simplices if 0 not in tri
-    )
-
 
 def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Dot products over the last axis, each one bit for bit ``x_i @ y_i``
@@ -119,33 +93,6 @@ def _segment_distances(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarra
     t = np.clip(_dot(p - a, ab) / _dot(ab, ab), 0.0, 1.0)
     r = p - (a + t[..., None] * ab)
     return np.sqrt(_dot(r, r))
-
-
-def _point_polygon_distance(p: np.ndarray, poly_pts: np.ndarray) -> float:
-    """Distance from a point to a convex polygon embedded in 3-space."""
-    origin, basis, rank = affine_span(poly_pts)
-    if rank != 2:
-        raise ValueError("polygon vertices do not span a plane")
-    flat = project_to_span(poly_pts, origin, basis)
-    order = order_polygon(poly_pts)
-    flat = flat[order]
-    pts = poly_pts[order]
-    q = project_to_span(p[None, :], origin, basis)[0]
-    inside = True
-    sign = 0.0
-    for i in range(len(flat)):
-        e = flat[(i + 1) % len(flat)] - flat[i]
-        s = e[0] * (q[1] - flat[i][1]) - e[1] * (q[0] - flat[i][0])
-        if sign == 0.0 and abs(s) > 1e-15:
-            sign = math.copysign(1.0, s)
-        elif s * sign < -1e-12:
-            inside = False
-            break
-    if inside:
-        normal = np.cross(poly_pts[1] - poly_pts[0], poly_pts[2] - poly_pts[0])
-        normal = normal / np.linalg.norm(normal)
-        return abs(float((p - poly_pts[0]) @ normal))
-    return float(_segment_distances(p, pts, np.roll(pts, -1, axis=0)).min())
 
 
 def _facet_corners(poly: Polytope) -> list[dict[int, tuple[float, float]]]:
@@ -200,23 +147,52 @@ def _ring_corners(pts: np.ndarray, rings: list) -> list[dict[int, tuple[float, f
 
 
 def _cell_corners(pts: np.ndarray, cell) -> dict[int, tuple[float, float]]:
-    """Solid angle and star distance of a 3-cell at each of its vertices."""
+    """Solid angle and star distance of a 3-cell at each of its vertices,
+    measured on the cell as a polytope in its own 3-dimensional span."""
     cell_pts = pts[list(cell)]
-    origin, basis, rank = affine_span(cell_pts)
-    if rank != 3:
-        raise UnsupportedDimension("cell is not 3-dimensional")
-    local = project_to_span(cell_pts, origin, basis)
-    faces = enumerate_facets(local)
-    corners = {}
-    for apex, vertex in enumerate(cell):
-        vloc = project_to_span(pts[vertex][None, :], origin, basis)[0]
-        dist = min(
-            _point_polygon_distance(vloc, local[list(face)])
-            for face in faces
-            if apex not in face
-        )
-        corners[vertex] = (_cell_solid_angle(local, apex), dist)
-    return corners
+    origin, basis, _ = affine_span(cell_pts)
+    angles, dists = _solid_corners(Polytope(project_to_span(cell_pts, origin, basis)))
+    return dict(zip(cell, zip(angles.tolist(), dists.tolist())))
+
+
+def _solid_corners(solid: Polytope) -> tuple[np.ndarray, np.ndarray]:
+    """Interior solid angle and star distance of a 3-polytope at each vertex,
+    with the edges and faces at a vertex taken from incidence.
+
+    A point of face f's plane lies in f when it is within ``TOL`` (scaled)
+    of the inner side of each face across an edge of f.  The two faces on an
+    edge missing the vertex meet only in that edge, so one misses the vertex
+    too: the edges missing it are those of the faces missing it.
+    """
+    pts, normals = solid.vertices, solid.facet_normals
+    m = len(pts)
+    rings = [solid.facet_ring(fi) for fi in range(len(solid.facets))]
+    sizes = np.array([len(r) for r in rings])
+    face = np.repeat(np.arange(len(rings)), sizes)
+    tail = np.concatenate(rings)
+    head = np.concatenate([np.roll(r, -1) for r in rings])
+    # an edge lies on two rings: sorted by edge, its two half-edges are adjacent
+    order = np.argsort(np.minimum(tail, head) * m + np.maximum(tail, head), kind="stable")
+    here, there = order[0::2], order[1::2]
+    a, b = tail[here], head[here]
+    nf, ng = normals[face[here]], normals[face[there]]
+    cr = np.cross(nf, ng)
+    turn = np.arctan2(np.sqrt(_dot(cr, cr)), _dot(nf, ng))
+    angles = 2.0 * math.pi - (np.bincount(a, turn, m) + np.bincount(b, turn, m))
+
+    # depth h of each vertex below each face plane; the foot v + h_f n_f of
+    # the perpendicular on face f is on the inner side of face g's plane
+    # when h_f (n_f . n_g) <= h_g
+    depth = solid.facet_offsets - pts @ normals.T
+    across = np.empty_like(face)
+    across[here], across[there] = face[there], face[here]
+    tol = TOL * max(1.0, float(np.abs(pts).max()))
+    outside = depth[:, face] * _dot(normals[face], normals[across]) > depth[:, across] + tol
+    skip = np.logical_or.reduceat(outside, np.cumsum(sizes) - sizes, axis=1)
+    skip[tail, face] = True
+    edge = _segment_distances(pts[:, None], pts[a], pts[b])
+    edge[a, np.arange(len(a))] = edge[b, np.arange(len(b))] = math.inf
+    return angles, np.minimum(np.where(skip, math.inf, depth).min(axis=1), edge.min(axis=1))
 
 
 def _cone(

@@ -65,12 +65,12 @@ class InsufficientSamples(ValidationError):
     """Too few samples, or samples span less than a decade."""
 
 
-# --- numerical ------------------------------------------------------------
-
-class RootNotBracketed(NumericalError):
+class EpsilonTooLarge(ValidationError):
     """Mollification too wide: epsilon is not below half the inradius about
     the gauge origin, so the smoothed body's radii have no proven bound."""
 
+
+# --- numerical ------------------------------------------------------------
 
 class NoFeasibleRegion(NumericalError):
     """Annealing never visited a region within the area tolerance."""

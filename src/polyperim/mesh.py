@@ -84,7 +84,6 @@ class SurfaceMesh:
     positions : (P, 3) float array
     triangles : (T, 3) int32 array of position indices
     facet_of : (T,) int32 index of the source polytope facet per triangle
-    subdivision_level : number of 4-to-1 refinement rounds applied
     polytope : the source polytope (positions 0..m-1 are its vertices)
     edges : (E, 2) int32 sorted vertex pairs, lexicographic
     edge_lengths : (E,) float
@@ -100,7 +99,6 @@ class SurfaceMesh:
     positions: np.ndarray
     triangles: np.ndarray
     facet_of: np.ndarray
-    subdivision_level: int
     polytope: Polytope
 
     edges: np.ndarray
@@ -118,7 +116,7 @@ class SurfaceMesh:
 
     @classmethod
     def _refined(
-        cls, positions, triangles, facet_of, level, polytope, ends, tri_edges
+        cls, positions, triangles, facet_of, polytope, ends, tri_edges
     ) -> SurfaceMesh:
         """A mesh that takes ownership of ``subdivide``'s arrays and edges.
 
@@ -130,7 +128,6 @@ class SurfaceMesh:
         mesh.positions = p = positions
         mesh.triangles = t = triangles
         mesh.facet_of = facet_of
-        mesh.subdivision_level = level
         mesh.polytope = polytope
         mesh._stars = {}
         mesh._cones = None
@@ -248,9 +245,7 @@ def subdivide(polytope: Polytope, level: int) -> SurfaceMesh:
             positions, triangles, ends, tri_edges
         )
         facet_of = np.repeat(facet_of, 4)
-    return SurfaceMesh._refined(
-        positions, triangles, facet_of, level, polytope, ends, tri_edges
-    )
+    return SurfaceMesh._refined(positions, triangles, facet_of, polytope, ends, tri_edges)
 
 
 def _refine(positions, triangles, ends, tri_edges):

@@ -7,12 +7,13 @@ list per facet.  Documents are plain JSON objects with fields ``dim``,
 
 The vertices fix the surface, so facets and measures come from Qhull
 (``scipy.spatial.ConvexHull``).  A facet is the maximal set of vertices within
-the tolerance of one of Qhull's facet planes, so coplanar hull triangles
-collapse into one polygon and a point on a face, or inside the hull, belongs
-to fewer than ``d`` facets and fails the incidence check.  A document's facet
-list, when given, must list the hull's facets in any order, so a list with a
-facet missing is rejected instead of leaving the surface open.  Measures
-(facet areas, cell volumes) are hull volumes in the affine span of the points.
+the tolerance of one of Qhull's facet planes and inside no other such set, so
+coplanar hull triangles collapse into one polygon and a point on a face, or
+inside the hull, belongs to fewer than ``d`` facets and fails the incidence
+check.  A document's facet list, when given, must list the hull's facets in
+any order, so a list with a facet missing is rejected instead of leaving the
+surface open.  Measures (facet areas, cell volumes) are hull volumes in the
+affine span of the points.
 """
 
 from __future__ import annotations
@@ -111,7 +112,8 @@ def enumerate_facets(vertices: np.ndarray) -> list[tuple[int, ...]]:
     """Facets of the convex hull of points, 2 <= d <= 4.
 
     Each Qhull facet plane yields the set of points within ``TOL * scale`` of
-    it.  Output is a lexicographically sorted list of sorted index tuples.
+    it; the sets no other one contains are the facets, as sorted index tuples
+    in lexicographic order.
     The point-plane residuals are computed for ``_PLANE_BLOCK`` planes at a
     time, so memory grows with the number of points, not points x planes.
     """
@@ -143,7 +145,18 @@ def enumerate_facets(vertices: np.ndarray) -> list[tuple[int, ...]]:
             np.cumsum(np.bincount(plane, minlength=len(block)))[:-1],
         )
         facets.update(tuple(run.tolist()) for run in runs)
-    return sorted(facets)
+    return _maximal(sorted(facets))
+
+
+def _maximal(sets: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The index sets no other one contains: distinct facets of a convex body
+    never nest, so a set inside another is a flat Qhull simplex within a real
+    facet (seen on rounded coordinates)."""
+    holding: dict[int, list[set[int]]] = {}
+    for s in map(set, sets):
+        for v in s:
+            holding.setdefault(v, []).append(s)
+    return [s for s in sets if not any(set(s) < t for t in holding[s[0]])]
 
 
 def order_polygon(points: np.ndarray) -> np.ndarray:

@@ -64,9 +64,9 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import (
+    EpsilonTooLarge,
     NumericalError,
     OriginNotInterior,
-    RootNotBracketed,
     UnsupportedDimension,
 )
 from .polytope import TOL, Polytope
@@ -344,11 +344,14 @@ def smoothed_body(
     r <- r - (g - 1) / g' stays at or above the root while it lowers r.  A
     direction stops when the step no longer lowers r, which includes every
     g <= 1; one still moving after NEWTON_ITERS evaluations raises
-    NumericalError.
+    NumericalError.  A polytope of dimension other than 2 or 3 and an
+    epsilon of half the inradius or more are rejected before any of it.
     """
+    if poly.dim not in (2, 3):
+        raise UnsupportedDimension(f"smoothing needs d = 2 or 3, got d = {poly.dim}")
     fn = GaugeFunction.from_polytope(poly)
     if epsilon >= 0.5 * fn.inradius:
-        raise RootNotBracketed(
+        raise EpsilonTooLarge(
             f"epsilon {epsilon} is not below half the inradius "
             f"{fn.inradius} about the origin"
         )

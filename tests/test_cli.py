@@ -319,8 +319,9 @@ def test_points_below_one_are_rejected(tmp_path, capsys, argv, points):
     assert "ValidationError" in err and "--points" in err
 
 
-def test_numerical_exit_code(tmp_path, capsys):
-    # at half the inradius the smoothed radii have no proven bound
+def test_epsilon_of_half_the_inradius_is_a_validation_error(tmp_path, capsys):
+    # at half the inradius the smoothed radii have no proven bound, which is
+    # known before anything is computed
     code, _, err = run(
         capsys,
         "smooth",
@@ -328,8 +329,8 @@ def test_numerical_exit_code(tmp_path, capsys):
         "--eps", "0.5",
         "--out", str(tmp_path),
     )
-    assert code == 3
-    assert "RootNotBracketed" in err
+    assert code == 2
+    assert "EpsilonTooLarge" in err
 
 
 def test_unconverged_newton_is_a_numerical_error(tmp_path, capsys, monkeypatch):
@@ -502,6 +503,21 @@ def test_slice_rejects_oversized_windows_at_once(tmp_path, capsys):
          "ValidationError: --omega applies only to --model cone"),
         (["slice", "--n", "3", "--N", "3", "--svg"],
          "ValidationError: --svg plots only --n 2 slices, got --n 3"),
+        (["smooth", "--polytope", "cube", "--eps", "0.3"],
+         "EpsilonTooLarge: epsilon 0.3 is not below half the inradius"),
+        (["smooth", "--polytope", "hypercube", "--eps", "0.1"],
+         "UnsupportedDimension: smoothing needs d = 2 or 3, got d = 4"),
+        (["gallery", "spiked-cone", "--spike-height", "0"],
+         "ValidationError: --spike-height 0.0 (in cube sides) x tan(--half-angle) "
+         "gives a spike base of circumradius 0, outside (0, 1/2)"),
+        (["gallery", "spiked-cone", "--spike-height", "-0.4"],
+         "ValidationError: --spike-height -0.4 (in cube sides) x tan(--half-angle) "
+         "gives a spike base of circumradius -0.0349955, outside (0, 1/2)"),
+        (["gallery", "spiked-cone", "--half-angle", "90"],
+         "ValidationError: --half-angle must be in (0, 35.26439) degrees, got 90.0"),
+        (["gallery", "spiked-cone", "--half-angle", "30"],
+         "ValidationError: --spike-height 3.0 (in cube sides) x tan(--half-angle) "
+         "gives a spike base of circumradius 1.73205, outside (0, 1/2)"),
     ],
     ids=["spike-volume-nan", "volume-nan", "volume-inf",
          "base-link-nan", "competitors-vmin-negative", "competitors-reversed",
@@ -512,7 +528,9 @@ def test_slice_rejects_oversized_windows_at_once(tmp_path, capsys):
          "spike-overflow-volume-nan", "spike-overflow", "polytope-is-a-directory",
          "out-is-a-file", "analyze-no-polytope", "smooth-no-polytope",
          "solve-no-polytope", "profile-points-1e8", "competitors-points-100001",
-         "dirs-1e9", "sphere-omega", "euclidean-omega", "slice-n3-svg"],
+         "dirs-1e9", "sphere-omega", "euclidean-omega", "slice-n3-svg",
+         "smooth-eps-too-large", "smooth-4-polytope", "spike-height-0",
+         "spike-height-negative", "half-angle-90", "spike-base-too-wide"],
 )
 def test_out_of_range_values_are_rejected(tmp_path, capsys, argv, message):
     if "--out" not in argv:

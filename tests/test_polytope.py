@@ -1,12 +1,15 @@
 import hashlib
+import itertools
 import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.stats import special_ortho_group
 
 from polyperim import polytope, shapes
+from polyperim.cones import vertex_cones
 from polyperim.errors import (
     BadDocument,
     DegenerateFacet,
@@ -61,6 +64,19 @@ def test_hypercube_structure():
     for f in hc.facets:
         assert len(f) == 8  # cubical cells
     assert _surface_area(hc) == pytest.approx(8.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("decimals", [10, 12])
+def test_rounded_rotated_hypercubes_keep_their_eight_cells(decimals):
+    # rounding bends the cubical cells, and Qhull then reports flat simplices
+    # inside some of them: four points of a square face, nested in a cell
+    corners = np.array(list(itertools.product([-0.5, 0.5], repeat=4)))
+    for seed in range(40):
+        rotation = special_ortho_group.rvs(4, random_state=seed)
+        poly = Polytope.from_vertices(np.round(corners @ rotation.T, decimals))
+        assert [len(f) for f in poly.facets] == [8] * 8
+        links = [c.link_volume for c in vertex_cones(poly)]
+        assert np.allclose(links, 2.0 * math.pi, rtol=0.0, atol=10.0 ** (2 - decimals))
 
 
 def test_facet_enumeration_matches_known_counts():

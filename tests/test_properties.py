@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import nnls
 from scipy.spatial import ConvexHull
 
 from polyperim import shapes
-from polyperim.cones import _cell_solid_angle, deficit_sum, vertex_cones
+from polyperim.cones import _solid_corners, deficit_sum, vertex_cones
 from polyperim.errors import InvalidPolytope
 from polyperim.mesh import subdivide
 from polyperim.polytope import MERGE_TOL, Polytope
@@ -92,12 +93,62 @@ def test_builtin_meshes_are_closed_2_manifolds(name):
         assert_closed_2_manifold(subdivide(poly, level))
 
 
+def ray_hull_solid_angle(points: np.ndarray, apex: int) -> float:
+    """Reference: the hull of the apex and the unit rays to the other
+    vertices is the vertex cone cut off by a cap, and the cap's triangles
+    tile the cone's directions, each a trihedral cone measured by the
+    arctangent formula of ``tet_solid_angle``."""
+    others = np.delete(points, apex, axis=0) - points[apex]
+    rays = others / np.linalg.norm(others, axis=1)[:, None]
+    hull = ConvexHull(np.vstack([np.zeros(3), rays]))
+    cap = hull.points[hull.simplices[(hull.simplices != 0).all(axis=1)]]
+    a, b, c = cap[:, 0], cap[:, 1], cap[:, 2]
+    den = 1.0 + (a * b).sum(axis=1) + (a * c).sum(axis=1) + (b * c).sum(axis=1)
+    return math.fsum(2.0 * np.arctan2(np.abs(np.linalg.det(cap)), den))
+
+
+def hull_distance(p: np.ndarray, points: np.ndarray) -> float:
+    """Reference: distance from p to the convex hull of points, by NNLS.
+
+    With q = points - p, minimizing |q^T mu|^2 + (sum(mu) - 1)^2 over
+    mu >= 0 gives mu = lambda / (1 + D) at the convex weights lambda of the
+    nearest point, D being its squared distance, so lambda = mu / sum(mu).
+    """
+    q = points - p
+    mu, _ = nnls(np.vstack([q.T, np.ones(len(q))]), np.r_[np.zeros(len(p)), 1.0])
+    return float(np.linalg.norm(q.T @ (mu / mu.sum())))
+
+
+def star_distance(points: np.ndarray, facets, v: int) -> float:
+    """Reference: distance from vertex v to the facets missing it, by
+    ``hull_distance``.  Facets are visited by increasing distance to their
+    plane, a lower bound, until that bound reaches the best distance found."""
+    away = [f for f in facets if v not in f]
+    corner = points[[f[:3] for f in away]]
+    normal = np.cross(corner[:, 1] - corner[:, 0], corner[:, 2] - corner[:, 0])
+    bound = np.abs(((points[v] - corner[:, 0]) * normal).sum(axis=1))
+    bound /= np.linalg.norm(normal, axis=1)
+    best = math.inf
+    for i in np.argsort(bound):
+        if bound[i] >= best:
+            break
+        best = min(best, hull_distance(points[v], points[list(away[i])]))
+    return best
+
+
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(m=st.integers(5, 120), seed=st.integers(0, 2**32 - 1))
 def test_vertex_solid_angles_satisfy_brianchon_gram(m, seed):
+    poly = Polytope.from_vertices(sphere_points(m, seed))
+    solid, star = _solid_corners(poly)
+    for v in range(len(poly.vertices)):
+        assert solid[v] == pytest.approx(ray_hull_solid_angle(poly.vertices, v), abs=1e-12)
+        assert star[v] == pytest.approx(
+            star_distance(poly.vertices, poly.facets, v), abs=1e-12
+        )
+
     # sum_v Omega_v = 2 sum_e theta_e - 2 pi F + 4 pi, with interior solid
     # angles Omega_v and interior dihedral angles theta_e
-    poly = Polytope.from_vertices(sphere_points(m, seed))
     facets_of_edge = {}
     for fi in range(len(poly.facets)):
         ring = poly.facet_ring(fi).tolist()
@@ -108,7 +159,6 @@ def test_vertex_solid_angles_satisfy_brianchon_gram(m, seed):
         math.pi - math.acos(np.clip(normals[f] @ normals[g], -1.0, 1.0))
         for f, g in facets_of_edge.values()
     ]
-    solid = [_cell_solid_angle(poly.vertices, v) for v in range(len(poly.vertices))]
     expected = 2.0 * math.fsum(dihedral) - 2.0 * math.pi * len(poly.facets) + 4.0 * math.pi
     assert math.fsum(solid) == pytest.approx(expected, abs=1e-10)
 

@@ -7,8 +7,8 @@ import pytest
 
 from polyperim import shapes
 from polyperim.errors import (
+    EpsilonTooLarge,
     OriginNotInterior,
-    RootNotBracketed,
     UnsupportedDimension,
 )
 from polyperim.smoothing import (
@@ -232,7 +232,7 @@ def test_smoothed_cube_quick():
 
 
 def test_smoothed_body_epsilon_guard():
-    with pytest.raises(RootNotBracketed):
+    with pytest.raises(EpsilonTooLarge):
         smoothed_body(shapes.square(), 0.5)  # half the inradius exactly
 
 
