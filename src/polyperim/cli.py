@@ -44,6 +44,7 @@ from . import __version__, shapes
 from .cones import rank_by_link, vertex_cones
 from .errors import BadDocument, NumericalError, ValidationError
 from .gallery import (
+    SPIKE_MAX_HALF_ANGLE,
     cube_competitors,
     double_pyramid_report,
     spike_link_from_half_angle,
@@ -606,8 +607,7 @@ def _cmd_gallery(args: argparse.Namespace, out: Path) -> int:
                 f"{_fmt(rep.one_sided_beats_base)}"
             )
     elif args.exhibit == "spiked-cone":
-        # the apex link 6 asin(sqrt(3)/2 sin(half-angle)) must stay below pi
-        widest = math.degrees(math.asin(1.0 / math.sqrt(3.0)))
+        widest = math.degrees(SPIKE_MAX_HALF_ANGLE)
         if not 0.0 < args.half_angle < widest:
             raise ValidationError(
                 f"--half-angle must be in (0, {widest:.8g}) degrees, got {args.half_angle}"

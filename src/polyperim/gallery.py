@@ -235,12 +235,22 @@ def suspension_area(curve: np.ndarray) -> float:
 # spiked cone construction
 # ---------------------------------------------------------------------------
 
+#: widest spike half-angle (radians): there the apex link
+#: 6 asin(sqrt(3)/2 sin(gamma)) reaches pi, the bound of ``spiked_cone_report``
+SPIKE_MAX_HALF_ANGLE = math.asin(1.0 / math.sqrt(3.0))
+
+
 def spike_link_from_half_angle(gamma: float) -> float:
     """Apex link of a 3-sided spike whose lateral edges make angle gamma
     with the axis: three face angles of 2*asin(sqrt(3)/2 * sin(gamma))."""
-    if not 0.0 < gamma < math.pi / 2.0:
-        raise ValueError("half-angle must be in (0, pi/2)")
-    return 3.0 * 2.0 * math.asin(math.sqrt(3.0) / 2.0 * math.sin(gamma))
+    if 0.0 < gamma < SPIKE_MAX_HALF_ANGLE:
+        link = 3.0 * 2.0 * math.asin(math.sqrt(3.0) / 2.0 * math.sin(gamma))
+        # rounding lifts the link to pi within a few ulps of the bound
+        if link < math.pi:
+            return link
+    raise ValueError(
+        f"half-angle must be in (0, {SPIKE_MAX_HALF_ANGLE:.8g}) radians, got {gamma}"
+    )
 
 
 def modified_cube_faces(

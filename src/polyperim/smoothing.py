@@ -52,7 +52,9 @@ nodes and their surviving facets.
 
 The quadrature itself is accurate: with 32 radial Gauss-Legendre nodes the
 raw kernel mass matches the true integral of the bump to ~1e-9 (recorded as
-``Mollifier.mass_error`` and required below MASS_TOL).
+``Mollifier.mass_error`` and required below MASS_TOL).  The true integral
+uses the bump's radial mass for d = 2 and 3, recorded in BUMP_RADIAL_MASS
+from an adaptive ``scipy.integrate.quad``; the tests recompute it.
 """
 
 from __future__ import annotations
@@ -61,7 +63,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import (
     EpsilonTooLarge,
@@ -73,6 +74,9 @@ from .polytope import TOL, Polytope
 from .profiles import sphere_measure
 
 MASS_TOL = 1e-8
+#: d -> int_0^1 exp(-1/(1-s^2)) s^(d-1) ds, as scipy.integrate.quad gives it
+#: with epsabs=1e-14, epsrel=1e-13 (scipy 1.17.1)
+BUMP_RADIAL_MASS = {2: 0.07424775338796101, 3: 0.0351007383764877}
 RADIAL_NODES = 32
 NEWTON_ITERS = 48
 INSIDE_TOL = 1e-12
@@ -144,8 +148,8 @@ class Mollifier:
     ``nodes`` live on the unit ball and are scaled by ``epsilon`` at use
     time; ``weights`` are renormalized to sum to exactly 1; ``mass_error``
     is the relative error of the raw quadrature mass against the true
-    kernel integral (adaptive reference).  ``nodes`` and ``weights`` are
-    read-only copies.
+    kernel integral (the recorded ``quad`` values in BUMP_RADIAL_MASS,
+    checked in the tests).  ``nodes`` and ``weights`` are read-only copies.
     """
 
     dim: int
@@ -168,14 +172,7 @@ class Mollifier:
         # the bump exp(-1/(1-r^2)); every node lies in the open unit ball
         raw = base * np.exp(-1.0 / (1.0 - np.linalg.norm(nodes, axis=1) ** 2))
         mass = float(raw.sum())
-        radial, _ = quad(
-            lambda s: math.exp(-1.0 / (1.0 - s * s)) * s ** (dim - 1),
-            0.0,
-            1.0,
-            epsabs=1e-14,
-            epsrel=1e-13,
-        )
-        true_mass = radial * sphere_measure(dim - 1)
+        true_mass = BUMP_RADIAL_MASS[dim] * sphere_measure(dim - 1)
         err = abs(mass / true_mass - 1.0)
         if err > MASS_TOL:
             raise NumericalError(

@@ -5,6 +5,7 @@ import pytest
 
 from polyperim.errors import ProjectionDegenerate, VolumeOutOfRange
 from polyperim.gallery import (
+    SPIKE_MAX_HALF_ANGLE,
     cube_competitors,
     double_pyramid_report,
     modified_cube_faces,
@@ -214,6 +215,21 @@ def test_spike_link_roundtrip():
         spike_link_from_half_angle(0.0)
     with pytest.raises(ValueError):
         spike_link_from_half_angle(math.pi / 2)
+    # from asin(1/sqrt(3)) on the link reaches pi, which spiked_cone_report
+    # rejects: 40 degrees would give a link of about 3.54
+    for gamma in (SPIKE_MAX_HALF_ANGLE, math.radians(40.0)):
+        with pytest.raises(ValueError):
+            spike_link_from_half_angle(gamma)
+    # a few ulps below the bound rounding lifts the link to pi; those
+    # half-angles are rejected too, so every accepted link is below pi
+    links, gamma = [], SPIKE_MAX_HALF_ANGLE
+    for _ in range(8):
+        gamma = math.nextafter(gamma, 0.0)
+        try:
+            links.append(spike_link_from_half_angle(gamma))
+        except ValueError:
+            pass
+    assert links and max(links) < math.pi
 
 
 def test_modified_cube_faces_area_budget():

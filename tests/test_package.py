@@ -1,5 +1,8 @@
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import polyperim
@@ -21,6 +24,25 @@ def _dotted(node: ast.expr) -> list[str] | None:
         parts.append(node.attr)
         node = node.value
     return [node.id, *reversed(parts)] if isinstance(node, ast.Name) else None
+
+
+def test_import_loads_no_scipy_integrate_or_optimize():
+    # the kernel's radial mass is recorded, so neither package is needed at
+    # run time; together they are about 180 scipy modules and 14 MiB
+    code = (
+        "import sys, polyperim, polyperim.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.startswith(('scipy.integrate', 'scipy.optimize'))))"
+    )
+    src = str(Path(polyperim.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_the_benchmark_uses_only_names_that_resolve():

@@ -12,6 +12,7 @@ from polyperim.errors import (
     UnsupportedDimension,
 )
 from polyperim.smoothing import (
+    BUMP_RADIAL_MASS,
     INSIDE_TOL,
     MASS_TOL,
     GaugeFunction,
@@ -59,11 +60,35 @@ def test_mollifier_kernel_quadrature(dim):
     assert np.linalg.norm(m.nodes, axis=1).max() < 1.0
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_recorded_bump_radial_mass_matches_quad(dim):
+    # the adaptive integral the recorded constants were taken from
+    from scipy.integrate import quad
+
+    radial, _ = quad(
+        lambda s: math.exp(-1.0 / (1.0 - s * s)) * s ** (dim - 1),
+        0.0,
+        1.0,
+        epsabs=1e-14,
+        epsrel=1e-13,
+    )
+    assert BUMP_RADIAL_MASS[dim] == pytest.approx(radial, rel=1e-13, abs=0.0)
+
+
+def test_recorded_planar_bump_mass_matches_its_closed_form():
+    # s = sqrt(1 - 1/t) turns the d = 2 integral into (e^-1 - E1(1)) / 2
+    from scipy.special import exp1
+
+    closed = (math.exp(-1.0) - float(exp1(1.0))) / 2.0
+    assert BUMP_RADIAL_MASS[2] == pytest.approx(closed, rel=1e-14, abs=0.0)
+
+
 def test_mollifier_rejects_bad_input():
     with pytest.raises(ValueError):
         Mollifier.build(2, 0.0)
-    with pytest.raises(UnsupportedDimension):
-        Mollifier.build(4, 0.1)
+    for dim in (1, 4):
+        with pytest.raises(UnsupportedDimension):
+            Mollifier.build(dim, 0.1)
 
 
 def test_nan_epsilon_is_rejected_as_not_positive():
