@@ -13,7 +13,7 @@ triangles follow the facet's ring order.  Each refinement round numbers the
 new midpoints in first-visit order: triangle by triangle, edges ``ab``,
 ``bc``, ``ca``.  Triangle ``(a, b, c)`` becomes ``(a, ab, ca)``,
 ``(ab, b, bc)``, ``(ca, bc, c)``, ``(ab, bc, ca)`` in that order.  Edges are
-sorted vertex pairs in lexicographic order.
+numbered in the lexicographic order of their sorted vertex pairs.
 
 Edge ids are carried through refinement instead of being found again by
 sorting at every level.  The fan gets its edge table from one ``np.unique``
@@ -22,20 +22,15 @@ in O(T).  Of ``E`` edges, edge ``e`` with ends ``lo < hi`` and midpoint
 ``m`` splits into ``2e = (lo, m)`` and ``2e + 1 = (hi, m)``; triangle ``t``
 adds the interior edges ``2E + 3t + 0, 1, 2``, which are ``(ab, bc)``,
 ``(bc, ca)``, ``(ca, ab)``; and the children's edges follow from the corner
-order above.  An edge is first visited at its smaller half-edge ``3t + j``,
-which two scatters find.  Only the finished mesh relabels its edges
-lexicographically, by one argsort of the keys ``lo * P + hi``
-(``SurfaceMesh._refined``).
+order above.  An edge is first visited at its smaller half-edge ``3t + j``.
+Only the finished mesh relabels its edges lexicographically, by one argsort
+of the int64 keys ``lo * P + hi`` (``_lexicographic``), and measures them.
 
-Every index array is int32: ``triangles``, ``facet_of``, ``edges``,
-``edge_triangles``, ``tri_edges`` and ``tri_neighbors``, so a mesh keeps 120
-bytes per triangle (``P ≈ T/2`` positions and ``E = 3T/2`` edges).  Only the
-edge sort keys ``lo * P + hi`` are int64.  A mesh whose ``3T`` half-edge ids
-would not fit int32 is rejected before it is built.  ``centroids``,
-``areas`` and ``edge_lengths`` are computed in blocks of rows, so no
-full-size float temporary is made.
-
-A mesh is immutable: every array is read-only once built, and each vertex's
+A mesh keeps only what the solver reads, every index array int32 and every
+float array built in blocks of rows: 72 bytes per triangle (``P = T/2 + 2``
+positions, ``E = 3T/2`` edges).  Edge ends and triangle centroids are not
+kept.  A mesh whose ``3T`` half-edge ids would not fit int32 is rejected
+before it is built.  Every array is read-only once built, and each vertex's
 star order (``SurfaceMesh.vertex_star``) is computed on first use and kept.
 """
 
@@ -53,7 +48,7 @@ MAX_LEVEL = 8
 
 # int32 holds the 3T half-edge ids of a mesh of at most this many triangles
 _MAX_TRIANGLES = (np.iinfo(np.int32).max + 1) // 3
-# rows per block of the float arrays built in ``SurfaceMesh._refined``
+# rows per block of the temporaries of a mesh build or a vertex star
 _BLOCK = 1 << 14
 
 
@@ -61,8 +56,8 @@ _BLOCK = 1 << 14
 class VertexStar:
     """Triangles of the facets incident to a polytope vertex, nearest first.
 
-    ``triangles`` are in stable order of their centroids' distance to the
-    vertex, ``distances`` are those distances (ascending) and
+    ``triangles`` (int32) are in stable order of their centroids' distance
+    to the vertex, ``distances`` are those distances (ascending) and
     ``prefix_area`` is the ``np.cumsum`` of the triangle areas in that order.
     """
 
@@ -76,8 +71,7 @@ class VertexStar:
 class SurfaceMesh:
     """Closed triangle mesh of a polytope boundary, built by ``subdivide``.
 
-    ``SurfaceMesh(...)`` raises ``TypeError``.  Every edge lies on exactly
-    two triangles.
+    ``SurfaceMesh(...)`` raises ``TypeError``; every edge lies on two triangles.
 
     Attributes
     ----------
@@ -85,15 +79,13 @@ class SurfaceMesh:
     triangles : (T, 3) int32 array of position indices
     facet_of : (T,) int32 index of the source polytope facet per triangle
     polytope : the source polytope (positions 0..m-1 are its vertices)
-    edges : (E, 2) int32 sorted vertex pairs, lexicographic
-    edge_lengths : (E,) float
-    edge_triangles : (E, 2) int32 the two triangles on each edge
+    edge_lengths : (E,) float, edges in lexicographic order of their ends
     tri_edges : (T, 3) int32 edges ``ab``, ``bc``, ``ca`` of each triangle
     tri_neighbors : (T, 3) int32 triangle across each of those edges
     areas : (T,) float
-    centroids : (T, 3) float
 
-    That is 120 bytes per triangle.
+    That is 72 bytes per triangle.  Centroids are computed on demand by
+    ``triangle_centroids``.
     """
 
     positions: np.ndarray
@@ -101,13 +93,11 @@ class SurfaceMesh:
     facet_of: np.ndarray
     polytope: Polytope
 
-    edges: np.ndarray
     edge_lengths: np.ndarray
-    edge_triangles: np.ndarray
     tri_edges: np.ndarray
     tri_neighbors: np.ndarray
     areas: np.ndarray
-    centroids: np.ndarray
+    _closed: bool = field(repr=False)
     _stars: dict[int, VertexStar] = field(repr=False)
     _cones: list[VertexCone] | None = field(repr=False)
 
@@ -116,63 +106,40 @@ class SurfaceMesh:
 
     @classmethod
     def _refined(
-        cls, positions, triangles, facet_of, polytope, ends, tri_edges
+        cls, positions, triangles, facet_of, polytope, edge_lengths, tri_edges
     ) -> SurfaceMesh:
-        """A mesh that takes ownership of ``subdivide``'s arrays and edges.
-
-        ``ends`` holds each edge's sorted vertex pair and ``tri_edges`` each
-        triangle's edges ``ab``, ``bc``, ``ca``, in any one edge numbering;
-        both are relabelled lexicographically in place and kept.
-        """
+        """A mesh that takes ownership of ``subdivide``'s arrays, with edges
+        numbered lexicographically (``_lexicographic``)."""
         mesh = cls.__new__(cls)
         mesh.positions = p = positions
         mesh.triangles = t = triangles
         mesh.facet_of = facet_of
         mesh.polytope = polytope
+        mesh.edge_lengths = edge_lengths
+        mesh.tri_edges = tri_edges
         mesh._stars = {}
         mesh._cones = None
-        # temporaries are dropped as soon as they are used up: on fine
-        # meshes they, not the kept arrays, would set the peak memory
-        # int64 keys: lo * P overflows int32 from about P = 46341
-        order = np.argsort(ends[:, 0].astype(np.int64) * len(p) + ends[:, 1])
-        rank = np.empty(len(order), dtype=np.int32)
-        rank[order] = np.arange(len(order), dtype=np.int32)
-        ends[:] = ends.take(order, axis=0)
-        tri_edges[:] = rank[tri_edges]
-        mesh.edges = ends
-        mesh.tri_edges = tri_edges
-        del order, rank
-        # half-edge j*T + t is side j of triangle t: all ab, then bc, then ca
-        first, last = _half_edge_pairs(tri_edges.T.ravel(), len(ends))
-        mesh.edge_triangles = np.stack(
-            [first % len(t), np.where(first == last, -1, last % len(t))], axis=1
-        )
-        del first, last
-        mesh.edge_lengths = np.empty(len(ends))
-        for rows in _blocks(len(ends)):
-            lo, hi = ends[rows].T
-            d = p.take(lo, axis=0) - p.take(hi, axis=0)
-            mesh.edge_lengths[rows] = np.linalg.norm(d, axis=1)
-        mesh.tri_neighbors = np.empty_like(t)
-        mesh.centroids = np.empty((len(t), 3))
+        # half-edge 3t + j is side j of triangle t; each edge keeps one
+        # half-edge, and its other half-edge pairs with that one both ways
+        edge_of = tri_edges.reshape(-1)
+        kept = np.empty(len(edge_lengths), dtype=np.int32)
+        for rows in _blocks(len(edge_of)):
+            kept[edge_of[rows]] = np.arange(rows.start, rows.stop, dtype=np.int32)
+        mesh.tri_neighbors = np.full_like(t, -1)
+        across = mesh.tri_neighbors.reshape(-1)
+        for rows in _blocks(len(edge_of)):
+            half, other = np.arange(rows.start, rows.stop, dtype=np.int32), kept[edge_of[rows]]
+            rest = half != other
+            across[half[rest]], across[other[rest]] = other[rest] // 3, half[rest] // 3
+        del kept
+        # 2E = 3T half-edges and none of them unpaired: two on every edge
+        mesh._closed = 2 * len(edge_lengths) == 3 * len(t) and int(across.min()) >= 0
         mesh.areas = np.empty(len(t))
         for rows in _blocks(len(t)):
-            sides = mesh.edge_triangles.take(tri_edges[rows], axis=0)
-            own = np.arange(rows.start, rows.stop, dtype=np.int32)[:, None]
-            mesh.tri_neighbors[rows] = np.where(
-                sides[..., 0] == own, sides[..., 1], sides[..., 0]
-            )
             a, b, c = (p.take(t[rows, k], axis=0) for k in range(3))
-            mesh.centroids[rows] = (a + b + c) / 3.0
             mesh.areas[rows] = 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
-        _freeze(
-            mesh.positions, mesh.triangles, mesh.facet_of, mesh.edges,
-            mesh.edge_lengths, mesh.edge_triangles, mesh.tri_edges,
-            mesh.tri_neighbors, mesh.areas, mesh.centroids,
-        )
+        _freeze(*(v for v in vars(mesh).values() if isinstance(v, np.ndarray)))
         return mesh
-
-    # -- queries ----------------------------------------------------------
 
     @property
     def triangle_count(self) -> int:
@@ -182,10 +149,16 @@ class SurfaceMesh:
         return float(self.areas.sum())
 
     def is_closed(self) -> bool:
-        return bool((self.edge_triangles >= 0).all())
+        """Whether every edge lies on exactly two triangles, checked at build."""
+        return self._closed
 
     def max_edge_length(self) -> float:
         return float(self.edge_lengths.max())
+
+    def triangle_centroids(self, tris: np.ndarray) -> np.ndarray:
+        """(len(tris), 3) centroids of the triangles ``tris``."""
+        a, b, c = (self.positions.take(self.triangles[tris, k], axis=0) for k in range(3))
+        return (a + b + c) / 3.0
 
     def vertex_star(self, vertex: int) -> VertexStar:
         """The star of polytope vertex ``vertex`` in centroid-distance order,
@@ -202,8 +175,11 @@ class SurfaceMesh:
                 self._cones = vertex_cones(self.polytope)
             cone = self._cones[vertex]
             incident = [f for f, _ in cone.facet_contributions]
-            tris = np.flatnonzero(np.isin(self.facet_of, incident))
-            dist = np.linalg.norm(self.centroids[tris] - self.positions[vertex], axis=1)
+            tris = np.flatnonzero(np.isin(self.facet_of, incident)).astype(np.int32)
+            dist = np.empty(len(tris))
+            for rows in _blocks(len(tris)):
+                d = self.triangle_centroids(tris[rows]) - self.positions[vertex]
+                dist[rows] = np.linalg.norm(d, axis=1)
             order = np.argsort(dist, kind="stable")
             tris = tris[order]
             star = VertexStar(cone, tris, dist[order], np.cumsum(self.areas[tris]))
@@ -235,58 +211,57 @@ def subdivide(polytope: Polytope, level: int) -> SurfaceMesh:
         np.column_stack([np.full(len(ring), first_center + fi), ring, np.roll(ring, -1)])
         for fi, ring in enumerate(rings)
     ]).astype(np.int32)
-    facet_of = np.repeat(
-        np.arange(len(rings), dtype=np.int32), [len(ring) for ring in rings]
-    )
+    facet_of = np.repeat(np.arange(len(rings), dtype=np.int32), [len(r) for r in rings])
 
     ends, tri_edges = _edge_table(triangles, len(positions))
     for _ in range(level):
-        positions, triangles, ends, tri_edges = _refine(
-            positions, triangles, ends, tri_edges
-        )
+        positions, triangles, ends, tri_edges = _refine(positions, triangles, ends, tri_edges)
         facet_of = np.repeat(facet_of, 4)
-    return SurfaceMesh._refined(positions, triangles, facet_of, polytope, ends, tri_edges)
+    lengths = _lexicographic(positions, ends, tri_edges)
+    del ends
+    return SurfaceMesh._refined(positions, triangles, facet_of, polytope, lengths, tri_edges)
 
 
 def _refine(positions, triangles, ends, tri_edges):
     """One round of 4-to-1 subdivision, carrying the edge table along (see
-    the module docstring); half-edge 3t + j is side j of triangle t."""
+    the module docstring).  Each output is filled in place."""
     count = len(positions)
     edge_of = tri_edges.ravel()
-    visited = np.zeros(len(edge_of), dtype=bool)
-    visited[_half_edge_pairs(edge_of, len(ends))[0]] = True
-    visit = edge_of[visited]
+    # edges in the order of their smaller half-edge
+    visit = edge_of[np.sort(_half_edge_pairs(edge_of, len(ends))[0])]
     mid = np.empty(len(ends), dtype=np.int32)
     mid[visit] = np.arange(count, count + len(visit), dtype=np.int32)
     lo, hi = ends.take(visit, axis=0).T
-    midpoints = 0.5 * (positions.take(lo, axis=0) + positions.take(hi, axis=0))
-    positions = np.concatenate([positions, midpoints])
+    positions = np.concatenate(
+        [positions, 0.5 * (positions.take(lo, axis=0) + positions.take(hi, axis=0))]
+    )
 
     sides = mid[tri_edges]
     ab, bc, ca = sides.T
     a, b, c = triangles.T
-    triangles = np.stack(
-        [a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca], axis=1
-    ).reshape(-1, 3)
+    children = np.empty((len(a), 12), dtype=np.int32)
+    for k, corner in enumerate((a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca)):
+        children[:, k] = corner
 
     e_ab, e_bc, e_ca = 2 * tri_edges.T
     inner = 2 * len(ends) + 3 * np.arange(len(a), dtype=np.int32)
-    tri_edges = np.stack([
-        e_ab + (a > b), inner + 2, e_ca + (a > c),
-        e_ab + (b > a), e_bc + (b > c), inner,
-        inner + 1, e_bc + (c > b), e_ca + (c > a),
-        inner, inner + 1, inner + 2,
-    ], axis=1).reshape(-1, 3)
-    # rows 2e and 2e + 1 are (lo, mid) and (hi, mid)
-    split = np.empty((len(ends), 2, 2), dtype=np.int32)
-    split[:, :, 0] = ends
-    split[:, :, 1] = mid[:, None]
+    child_edges = np.empty((len(a), 12), dtype=np.int32)
+    # a child's side on edge xy is the half 2e + (x > y) at its corner x
+    for k, e, x, y in ((0, e_ab, a, b), (2, e_ca, a, c), (3, e_ab, b, a),
+                       (4, e_bc, b, c), (7, e_bc, c, b), (8, e_ca, c, a)):
+        np.add(e, x > y, out=child_edges[:, k])
+    for k, j in ((1, 2), (5, 0), (6, 1), (9, 0), (10, 1), (11, 2)):
+        np.add(inner, j, out=child_edges[:, k])
+    # rows 2e and 2e + 1 are (lo, mid) and (hi, mid); then 3 per triangle
+    next_ends = np.empty((2 * len(ends) + 3 * len(a), 2), dtype=np.int32)
+    halves = next_ends[: 2 * len(ends)].reshape(-1, 2, 2)
+    halves[:, :, 0] = ends
+    halves[:, :, 1] = mid[:, None]
     turned = sides[:, [1, 2, 0]]
-    ends = np.concatenate([
-        split.reshape(-1, 2),
-        np.stack([np.minimum(sides, turned), np.maximum(sides, turned)], axis=2).reshape(-1, 2),
-    ])
-    return positions, triangles, ends, tri_edges
+    interior = next_ends[2 * len(ends):].reshape(-1, 3, 2)
+    np.minimum(sides, turned, out=interior[:, :, 0])
+    np.maximum(sides, turned, out=interior[:, :, 1])
+    return positions, children.reshape(-1, 3), next_ends, child_edges.reshape(-1, 3)
 
 
 def _freeze(*arrays: np.ndarray) -> None:
@@ -297,6 +272,31 @@ def _freeze(*arrays: np.ndarray) -> None:
 def _blocks(count: int):
     """Slices of at most ``_BLOCK`` rows covering ``range(count)``."""
     return (slice(lo, min(lo + _BLOCK, count)) for lo in range(0, count, _BLOCK))
+
+
+def _lexicographic(positions, ends, tri_edges) -> np.ndarray:
+    """Relabel ``tri_edges`` in place so that edges are numbered in the
+    lexicographic order of their ends, and return the edge lengths in that
+    order."""
+    # int64 keys: lo * P overflows int32 from about P = 46341.  Temporaries
+    # are dropped once used: on fine meshes they would set the peak memory.
+    keys = ends[:, 0].astype(np.int64)
+    keys *= len(positions)
+    keys += ends[:, 1]
+    order = np.argsort(keys)
+    del keys
+    rank = np.empty(len(order), dtype=np.int32)
+    for rows in _blocks(len(order)):
+        rank[order[rows]] = np.arange(rows.start, rows.stop, dtype=np.int32)
+    for rows in _blocks(len(tri_edges)):
+        tri_edges[rows] = rank.take(tri_edges[rows])
+    del rank
+    lengths = np.empty(len(ends))
+    for rows in _blocks(len(ends)):
+        lo, hi = ends.take(order[rows], axis=0).T
+        d = positions.take(lo, axis=0) - positions.take(hi, axis=0)
+        lengths[rows] = np.linalg.norm(d, axis=1)
+    return lengths
 
 
 def _edge_table(triangles: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:

@@ -7,7 +7,7 @@ simulated annealing over single-triangle flips:
 
 * the candidate set holds every triangle touching the current boundary
   (indexed list, O(1) uniform sampling and updates); each triangle keeps
-  the count of its cut edges, and one ``toggle`` flips a triangle, moves
+  the count of its cut edges, and one ``_toggle`` flips a triangle, moves
   its own and its neighbours' counts and adds or removes exactly those
   whose count left or reached zero;
 * moves are scored by the penalized cost  perimeter + mu * |area - V|  and
@@ -92,8 +92,12 @@ class Region:
 
     @property
     def centroid(self) -> np.ndarray:
-        a = self.mesh.areas[self.mask]
-        return (a[:, None] * self.mesh.centroids[self.mask]).sum(axis=0) / a.sum()
+        """Area-weighted mean of the region's triangle centroids."""
+        tris = np.flatnonzero(self.mask)
+        if len(tris) == 0:
+            raise ValueError("an empty region has no centroid")
+        a = self.mesh.areas[tris]
+        return (a[:, None] * self.mesh.triangle_centroids(tris)).sum(axis=0) / a.sum()
 
 
 def anisotropy_bound(mesh: SurfaceMesh) -> float:
@@ -227,6 +231,65 @@ def _running_sum(values: np.ndarray) -> float:
     return float(np.cumsum(np.append(0.0, values))[-1])
 
 
+def _toggle(mask, cuts, cand, pos, nbrs, t: int) -> None:
+    """Move triangle t to the other side: update the cut counts, then
+    append to or swap-remove from ``cand`` t and its neighbours, in that
+    order, wherever their boundary membership changed.  The four updates
+    are written out: a loop over them costs more in the annealer's hot path."""
+    s = not mask[t]
+    mask[t] = s
+    cuts[t] = 3 - cuts[t]
+    u0, u1, u2 = nbrs[t]
+    # the edge to a neighbour on t's new side is no longer cut
+    cuts[u0] += -1 if mask[u0] == s else 1
+    cuts[u1] += -1 if mask[u1] == s else 1
+    cuts[u2] += -1 if mask[u2] == s else 1
+    p = pos[t]
+    if cuts[t]:
+        if p < 0:
+            pos[t] = len(cand)
+            cand.append(t)
+    elif p >= 0:
+        last = cand[-1]
+        cand[p] = last
+        pos[last] = p
+        cand.pop()
+        pos[t] = -1
+    p = pos[u0]
+    if cuts[u0]:
+        if p < 0:
+            pos[u0] = len(cand)
+            cand.append(u0)
+    elif p >= 0:
+        last = cand[-1]
+        cand[p] = last
+        pos[last] = p
+        cand.pop()
+        pos[u0] = -1
+    p = pos[u1]
+    if cuts[u1]:
+        if p < 0:
+            pos[u1] = len(cand)
+            cand.append(u1)
+    elif p >= 0:
+        last = cand[-1]
+        cand[p] = last
+        pos[last] = p
+        cand.pop()
+        pos[u1] = -1
+    p = pos[u2]
+    if cuts[u2]:
+        if p < 0:
+            pos[u2] = len(cand)
+            cand.append(u2)
+    elif p >= 0:
+        last = cand[-1]
+        cand[p] = last
+        pos[last] = p
+        cand.pop()
+        pos[u2] = -1
+
+
 class _State:
     """Mutable flip-state shared by the annealing and polish phases.
 
@@ -261,35 +324,6 @@ class _State:
         # every cut edge is seen from both of its triangles
         self.perimeter = _running_sum(mesh.edge_lengths[mesh.tri_edges][cut]) * 0.5
 
-    def toggle(self, t: int) -> None:
-        """Move triangle t to the other side: update the cut counts, then
-        append to or swap-remove from ``cand`` t and its neighbours, in
-        that order, wherever their boundary membership changed."""
-        m = self.mask
-        cuts = self.cuts
-        s = not m[t]
-        m[t] = s
-        cuts[t] = 3 - cuts[t]
-        u0, u1, u2 = self.nbrs[t]
-        # the edge to a neighbour on t's new side is no longer cut
-        cuts[u0] += -1 if m[u0] == s else 1
-        cuts[u1] += -1 if m[u1] == s else 1
-        cuts[u2] += -1 if m[u2] == s else 1
-        cand = self.cand
-        pos = self.pos
-        for x in (t, u0, u1, u2):
-            p = pos[x]
-            if cuts[x]:
-                if p < 0:
-                    pos[x] = len(cand)
-                    cand.append(x)
-            elif p >= 0:
-                last = cand[-1]
-                cand[p] = last
-                pos[last] = p
-                cand.pop()
-                pos[x] = -1
-
     def deltas(self, t: int) -> tuple[float, float]:
         """(perimeter change, signed area change) of flipping triangle t."""
         s = self.mask[t]
@@ -304,7 +338,7 @@ class _State:
         self.count += 1 if da > 0 else -1
         self.area += da
         self.perimeter += dp
-        self.toggle(t)
+        _toggle(self.mask, self.cuts, self.cand, self.pos, self.nbrs, t)
 
     def cheapest_flip(self, inside: bool) -> tuple[int, float, float]:
         """(t, dp, da) of the boundary triangle on the given side whose flip
@@ -367,10 +401,10 @@ def _anneal(
     temp = cfg.t_initial
     cooling = cfg.cooling
     volume = state.volume
-    mask, cand, nbrs, lens, areas = (
-        state.mask, state.cand, state.nbrs, state.lens, state.areas
+    mask, cuts, cand, pos, nbrs, lens, areas = (
+        state.mask, state.cuts, state.cand, state.pos, state.nbrs, state.lens,
+        state.areas,
     )
-    toggle = state.toggle
     area, perimeter, count = state.area, state.perimeter, state.count
     flips = flips_rej = swaps = swaps_rej = accepted = swaps_acc = snapshots = 0
     best_cost = math.inf
@@ -402,12 +436,12 @@ def _anneal(
         if swap:
             swaps += 1
             t1, dp1, da1 = t, dp, da
-            toggle(t1)
+            _toggle(mask, cuts, cand, pos, nbrs, t1)
             area += da1
             perimeter += dp1
             count += 1 if da1 > 0 else -1
             if not cand:
-                toggle(t1)
+                _toggle(mask, cuts, cand, pos, nbrs, t1)
                 area -= da1
                 perimeter -= dp1
                 count -= 1 if da1 > 0 else -1
@@ -431,7 +465,7 @@ def _anneal(
         if dcost <= 0.0 or (temp > 1e-300 and r_acc < exp(-dcost / temp)):
             accepted += 1
             swaps_acc += swap
-            toggle(t)
+            _toggle(mask, cuts, cand, pos, nbrs, t)
             area += da
             perimeter += dp
             count += 1 if da > 0 else -1
@@ -442,7 +476,7 @@ def _anneal(
                     best_mask = list(mask)
                     snapshots += 1
         elif swap:
-            toggle(t1)
+            _toggle(mask, cuts, cand, pos, nbrs, t1)
             area -= da1
             perimeter -= dp1
             count -= 1 if da1 > 0 else -1

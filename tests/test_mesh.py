@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 
 from polyperim import shapes
 from polyperim.errors import UnsupportedDimension
-from polyperim.mesh import SurfaceMesh, _edge_table, subdivide
+from polyperim.mesh import (
+    SurfaceMesh,
+    _edge_table,
+    _half_edge_pairs,
+    _lexicographic,
+    subdivide,
+)
 from polyperim.polytope import Polytope
 
 
@@ -35,12 +41,18 @@ def test_mesh_is_closed_and_neighbors_consistent():
         for nb in mesh.tri_neighbors[ti]:
             assert nb >= 0
             assert ti in mesh.tri_neighbors[nb]
+    # closure is checked once, in the build: a lone triangle reads open
+    positions, triangles = np.eye(3), np.array([[0, 1, 2]], dtype=np.int32)
+    ends, tri_edges = _edge_table(triangles, 3)
+    lengths = _lexicographic(positions, ends, tri_edges)
+    lone = SurfaceMesh._refined(positions, triangles, np.zeros(1, np.int32), None, lengths, tri_edges)
+    assert lone.is_closed() is False and mesh.is_closed() is True
 
 
 def test_edge_counts_satisfy_euler_formula():
     mesh = subdivide(shapes.cube(), 1)
     V = len(mesh.positions)
-    E = len(mesh.edges)
+    E = len(_edge_table(mesh.triangles, V)[0])
     F = mesh.triangle_count
     assert V - E + F == 2
 
@@ -83,6 +95,20 @@ NUMBERING_DIGESTS = {
 }
 
 
+def _derived(mesh, name):
+    """A mesh array by name; ``edges``, ``edge_triangles`` and ``centroids``,
+    which a mesh no longer keeps, are derived from the kept ones."""
+    if name == "edges":
+        return _edge_table(mesh.triangles, len(mesh.positions))[0]
+    if name == "edge_triangles":
+        T = mesh.triangle_count
+        first, last = _half_edge_pairs(mesh.tri_edges.T.ravel(), len(mesh.edge_lengths))
+        return np.stack([first % T, last % T], axis=1)
+    if name == "centroids":
+        return mesh.triangle_centroids(np.arange(mesh.triangle_count))
+    return getattr(mesh, name)
+
+
 def _numbering_digest(mesh):
     h = hashlib.sha256()
     for name, dtype in (
@@ -91,7 +117,7 @@ def _numbering_digest(mesh):
         ("edges", "<i8"),
         ("tri_neighbors", "<i8"),
     ):
-        h.update(np.ascontiguousarray(getattr(mesh, name), dtype=dtype).tobytes())
+        h.update(np.ascontiguousarray(_derived(mesh, name), dtype=dtype).tobytes())
     return h.hexdigest()[:16]
 
 
@@ -105,6 +131,10 @@ def test_mesh_numbering_is_pinned(name):
 MESH_ARRAYS = (
     "positions", "triangles", "facet_of", "edges", "edge_lengths",
     "edge_triangles", "tri_edges", "tri_neighbors", "areas", "centroids",
+)
+KEPT_ARRAYS = (
+    "positions", "triangles", "facet_of", "edge_lengths", "tri_edges",
+    "tri_neighbors", "areas",
 )
 
 # Every mesh array at levels 4 and 5, recorded from the mesh built by
@@ -123,7 +153,7 @@ CUBE_LEVEL7_DIGEST = "a798e2f989cecf85"
 def _mesh_digest(mesh):
     h = hashlib.sha256()
     for name in MESH_ARRAYS:
-        array = getattr(mesh, name)
+        array = _derived(mesh, name)
         dtype = "<f8" if array.dtype.kind == "f" else "<i8"
         h.update(repr(array.shape).encode())
         h.update(np.ascontiguousarray(array, dtype=dtype).tobytes())
@@ -149,11 +179,13 @@ def test_subdivide_tables_equal_the_constructors(m, seed, level):
     poly = Polytope.from_vertices(x / np.linalg.norm(x, axis=1)[:, None])
     mesh = subdivide(poly, level)
     ends, tri_edges = _edge_table(mesh.triangles, len(mesh.positions))
-    for array, expected in ((mesh.edges, ends), (mesh.tri_edges, tri_edges)):
+    p = mesh.positions
+    lengths = np.linalg.norm(p[ends[:, 0]] - p[ends[:, 1]], axis=1)
+    for array, expected in ((mesh.edge_lengths, lengths), (mesh.tri_edges, tri_edges)):
         assert array.dtype == expected.dtype
         assert array.shape == expected.shape
         assert array.tobytes() == expected.tobytes()
-    for name in MESH_ARRAYS:
+    for name in KEPT_ARRAYS:
         assert not getattr(mesh, name).flags.writeable, name
 
 
@@ -180,7 +212,7 @@ def test_mesh_arrays_are_read_only_and_inputs_stay_writable():
     tet = shapes.tetrahedron()
     mesh = subdivide(tet, 0)
     star = mesh.vertex_star(0)
-    frozen = [getattr(mesh, name) for name in MESH_ARRAYS]
+    frozen = [getattr(mesh, name) for name in KEPT_ARRAYS]
     for array in frozen + [star.triangles, star.distances, star.prefix_area]:
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
@@ -219,9 +251,7 @@ def test_meshes_beyond_int32_half_edge_ids_are_rejected_before_building():
     assert peak < 2**20
 
 
-INDEX_ARRAYS = (
-    "triangles", "facet_of", "edges", "edge_triangles", "tri_edges", "tri_neighbors",
-)
+INDEX_ARRAYS = ("triangles", "facet_of", "tri_edges", "tri_neighbors")
 
 
 def test_level6_cube_memory_and_index_dtypes():
@@ -232,8 +262,20 @@ def test_level6_cube_memory_and_index_dtypes():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # 15.2 MiB with int32 indices and blockwise float arrays; int64 indices
-    # and full-size float temporaries took 24 MiB
-    assert peak < 19 * 2**20
+    # 10.1 MiB keeping only the arrays the solver reads; 15.2 MiB when edge
+    # ends, edge triangles and centroids were kept too, and 24 MiB with
+    # int64 indices and full-size float temporaries
+    assert peak < 12.5 * 2**20
     for name in INDEX_ARRAYS:
         assert getattr(mesh, name).dtype == np.int32, name
+    assert mesh.vertex_star(0).triangles.dtype == np.int32
+
+
+def test_a_mesh_keeps_72_bytes_per_triangle():
+    mesh = subdivide(shapes.cube(), 6)
+    arrays = {name for name, value in vars(mesh).items() if isinstance(value, np.ndarray)}
+    assert arrays == set(KEPT_ARRAYS)
+    # 72 bytes per triangle, and 48 for the two positions by which
+    # P = T/2 + 2 (Euler) exceeds T/2
+    T = mesh.triangle_count
+    assert sum(getattr(mesh, name).nbytes for name in KEPT_ARRAYS) == 72 * T + 48

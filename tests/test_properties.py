@@ -12,7 +12,7 @@ from scipy.spatial import ConvexHull
 from polyperim import shapes
 from polyperim.cones import _solid_corners, deficit_sum, vertex_cones
 from polyperim.errors import InvalidPolytope
-from polyperim.mesh import subdivide
+from polyperim.mesh import _edge_table, _half_edge_pairs, subdivide
 from polyperim.polytope import MERGE_TOL, Polytope
 from polyperim.smoothing import GaugeFunction, convexity_probe, smoothed_body
 from polyperim.solver import anisotropy_bound, vertex_ball_region
@@ -64,18 +64,23 @@ def test_random_hull_identities(m, seed):
 
 
 def assert_closed_2_manifold(mesh):
-    """No -1 sentinel, every edge on exactly two triangles, each triangle its
-    neighbour's neighbour across the same edge, and V - E + T = 2."""
+    """No unpaired half-edge, every edge on exactly two triangles, each
+    triangle its neighbour's neighbour across the same edge, and
+    V - E + T = 2."""
     tri_edges, nbrs = mesh.tri_edges, mesh.tri_neighbors
-    assert (mesh.edge_triangles >= 0).all() and (nbrs >= 0).all()
-    assert (np.bincount(tri_edges.ravel(), minlength=len(mesh.edges)) == 2).all()
+    edges = _edge_table(mesh.triangles, len(mesh.positions))[0]
+    assert mesh.is_closed()
+    assert len(edges) == len(mesh.edge_lengths)
+    first, last = _half_edge_pairs(tri_edges.T.ravel(), len(edges))
+    assert (first != last).all() and (nbrs >= 0).all()
+    assert (np.bincount(tri_edges.ravel(), minlength=len(edges)) == 2).all()
     own = np.arange(mesh.triangle_count)[:, None]
     assert (nbrs != own).all()
     # side k of neighbour nbrs[t, j] is edge tri_edges[t, j] for exactly one k
     across = tri_edges[nbrs] == tri_edges[:, :, None]
     assert (across.sum(axis=2) == 1).all()
     assert (nbrs[nbrs][across].reshape(-1, 3) == own).all()
-    assert len(mesh.positions) - len(mesh.edges) + mesh.triangle_count == 2
+    assert len(mesh.positions) - len(edges) + mesh.triangle_count == 2
 
 
 @settings(max_examples=12, deadline=None, derandomize=True)

@@ -15,7 +15,7 @@ from polyperim.errors import (
     VolumeOutOfRange,
     VolumeTooLarge,
 )
-from polyperim.mesh import _edge_table, subdivide
+from polyperim.mesh import _edge_table, _half_edge_pairs, subdivide
 from polyperim.solver import (
     Region,
     _State,
@@ -32,13 +32,24 @@ def test_region_rejects_bad_mask():
         Region(mesh=mesh, mask=np.ones(5, dtype=bool))
 
 
+def test_region_centroid_and_the_empty_region():
+    mesh = subdivide(shapes.cube(), 1)
+    mask = np.zeros(mesh.triangle_count, dtype=bool)
+    with pytest.raises(ValueError, match="an empty region has no centroid"):
+        Region(mesh, mask).centroid
+    mask[5] = True
+    corners = mesh.positions[mesh.triangles[5]]
+    assert np.allclose(Region(mesh, mask).centroid, corners.mean(axis=0), rtol=0, atol=1e-15)
+
+
 def test_cut_perimeter_sums_the_edges_between_the_sides():
     mesh = subdivide(shapes.tetrahedron(), 3)
+    T = mesh.triangle_count
+    first, last = _half_edge_pairs(mesh.tri_edges.T.ravel(), len(mesh.edge_lengths))
     rng = np.random.default_rng(3)
     for p in (0.0, 0.1, 0.5, 0.9, 1.0):
-        mask = rng.random(mesh.triangle_count) < p
-        et = mesh.edge_triangles
-        cut = mask[et[:, 0]] != mask[et[:, 1]]
+        mask = rng.random(T) < p
+        cut = mask[first % T] != mask[last % T]
         expected = float(mesh.edge_lengths[cut].sum())
         assert Region(mesh, mask).cut_perimeter == expected
         assert Region(mesh, ~mask).cut_perimeter == expected
@@ -280,7 +291,8 @@ def test_flip_state_matches_a_loop_reference():
     areas = mesh.areas.tolist()
     rng = np.random.default_rng(7)
     masks = [rng.random(len(areas)) < p for p in (0.0, 0.05, 0.5, 1.0)]
-    for mask in masks + [mesh.centroids[:, 2] > 0.2]:
+    centroids = mesh.triangle_centroids(np.arange(len(areas)))
+    for mask in masks + [centroids[:, 2] > 0.2]:
         state = _State(mesh, nbrs, lens, areas, mask, 0.1)
         flags = mask.tolist()
         area = perimeter = 0.0
