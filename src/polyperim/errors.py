@@ -24,16 +24,14 @@ class BadDocument(ValidationError):
     """Polytope document is malformed (missing fields, bad types, bad JSON)."""
 
 
-class NonConvex(ValidationError):
-    """A vertex strictly violates a facet plane."""
-
-
 class DegenerateFacet(ValidationError):
-    """A facet is not (d-1)-dimensional or its vertices are not coplanar."""
+    """A facet polygon's vertices do not span a plane."""
 
 
 class InvalidPolytope(ValidationError):
-    """Vertex/facet incidence structure is inconsistent."""
+    """Vertices and facets do not bound a convex body: a vertex lies on fewer
+    than d facets, facets overlap, or a document's facet list is not the
+    hull's."""
 
 
 class DimensionTooHigh(ValidationError):

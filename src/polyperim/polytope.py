@@ -5,23 +5,27 @@ A :class:`Polytope` is the boundary surface of a compact convex body in
 list per facet.  Documents are plain JSON objects with fields ``dim``,
 ``vertices``, optional ``facets`` and optional ``name``; indices are 0-based.
 
-The vertices fix the surface, so facets and measures come from Qhull
-(``scipy.spatial.ConvexHull``).  A facet is the maximal set of vertices within
-the tolerance of one of Qhull's facet planes and inside no other such set, so
-coplanar hull triangles collapse into one polygon and a point on a face, or
-inside the hull, belongs to fewer than ``d`` facets and fails the incidence
-check.  A document's facet list, when given, must list the hull's facets in
-any order, so a list with a facet missing is rejected instead of leaving the
-surface open.  Measures (facet areas, cell volumes) are hull volumes in the
+The vertices fix the surface, so facets, facet planes and measures come from
+Qhull (``scipy.spatial.ConvexHull``).  A facet is the maximal set of vertices
+within the tolerance of one of Qhull's facet planes and inside no other such
+set, and it keeps that plane, so coplanar hull triangles collapse into one
+polygon.  Two checks follow: facets must not overlap (rounded coordinates can
+leave a bent face near no single plane), and each vertex must lie on at least
+``d`` facets, which a point on a face, or inside the hull, fails.  A
+document's facet list, when given, must list the hull's facets in any order,
+so a list with a facet missing is rejected instead of leaving the surface
+open.  Measures (facet areas, cell volumes) are hull volumes in the
 affine span of the points.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_matrix
 from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 from .errors import (
@@ -29,11 +33,10 @@ from .errors import (
     DegenerateFacet,
     DimensionTooHigh,
     InvalidPolytope,
-    NonConvex,
     NotFullDimensional,
 )
 
-#: Coplanarity / convexity tolerance, in coordinate units.
+#: Vertex-plane tolerance, in coordinate units.
 TOL = 1e-9
 
 #: Vertices closer than this are merged on load.
@@ -41,7 +44,7 @@ MERGE_TOL = 1e-9
 
 MAX_DIM = 4
 
-# facet planes per block of the vertex-plane residual matrix: its full m x F
+# Qhull planes per block of the vertex-plane residual matrix: its full m x F
 # size is 1.6 GB at 10^4 points on a sphere, one block is m x 256
 _PLANE_BLOCK = 256
 
@@ -67,40 +70,6 @@ def project_to_span(points: np.ndarray, origin: np.ndarray, basis: np.ndarray) -
     return (np.asarray(points, dtype=float) - origin) @ basis.T
 
 
-def fit_plane(points: np.ndarray):
-    """Best-fit hyperplane ``(normal, offset)`` through d-or-more points.
-
-    Raises DegenerateFacet when the points are not (d-1)-dimensional.
-    """
-    pts = np.asarray(points, dtype=float)
-    origin, normal, rank = _plane_fits(pts[None])
-    _check_facet_rank(int(rank[0]), pts.shape[1])
-    return _unit_plane(normal[0], origin[0])
-
-
-def _plane_fits(stack: np.ndarray):
-    """Centroids, unnormalized normals and ranks of a (k, n, d) stack of
-    point sets, from one batched SVD."""
-    origin = stack.mean(axis=1)
-    # For exactly coplanar points this is the exact plane; for warped input it
-    # is the least-squares plane, and convexity checks report the violation.
-    _, sv, vt = np.linalg.svd(stack - origin[:, None], full_matrices=True)
-    rank = (sv > TOL * np.maximum(1.0, sv[:, :1])).sum(axis=1)
-    return origin, vt[:, -1], rank
-
-
-def _check_facet_rank(rank: int, d: int) -> None:
-    if rank < d - 1:
-        raise DegenerateFacet(
-            f"facet spans only {rank} dimensions, expected {d - 1}"
-        )
-
-
-def _unit_plane(normal: np.ndarray, origin: np.ndarray):
-    normal = normal / np.linalg.norm(normal)
-    return normal, float(normal @ origin)
-
-
 def _hull(points: np.ndarray) -> ConvexHull:
     try:
         return ConvexHull(points)
@@ -108,14 +77,25 @@ def _hull(points: np.ndarray) -> ConvexHull:
         raise NotFullDimensional(f"Qhull rejected the points: {exc}") from None
 
 
-def enumerate_facets(vertices: np.ndarray) -> list[tuple[int, ...]]:
-    """Facets of the convex hull of points, 2 <= d <= 4.
+def enumerate_facets(
+    vertices: np.ndarray,
+) -> tuple[list[tuple[int, ...]], np.ndarray, np.ndarray]:
+    """Facets of the convex hull of points, 2 <= d <= 4, with their planes.
 
     Each Qhull facet plane yields the set of points within ``TOL * scale`` of
     it; the sets no other one contains are the facets, as sorted index tuples
-    in lexicographic order.
+    in lexicographic order.  Each facet takes the first plane, in Qhull's
+    order, whose set it is; returns ``(facets, normals, offsets)`` with
+    outward unit normals, so a facet plane is {normal . x = offset}.
     The point-plane residuals are computed for ``_PLANE_BLOCK`` planes at a
     time, so memory grows with the number of points, not points x planes.
+
+    Raises InvalidPolytope when facets overlap: when the Qhull simplices
+    that lie in two or more facets measure more than
+    ``sqrt(TOL) * scale**(d-1)`` in all.  A flat simplex on the ridge of two
+    facets measures O(TOL * scale**(d-1)); a facet that is split into
+    overlapping near-planar sets (rounded coordinates) shares simplices of
+    measure O(scale**(d-1)).
     """
     verts = np.asarray(vertices, dtype=float)
     if verts.ndim != 2:
@@ -130,9 +110,10 @@ def enumerate_facets(vertices: np.ndarray) -> list[tuple[int, ...]]:
         raise NotFullDimensional(
             f"{m} vertices span {rank} dimensions, expected {d}"
         )
-    planes = _hull(verts).equations
+    hull = _hull(verts)
+    planes = hull.equations
     scale = max(1.0, float(np.abs(verts).max()))
-    facets = set()
+    first: dict[tuple[int, ...], int] = {}
     for lo in range(0, len(planes), _PLANE_BLOCK):
         block = planes[lo : lo + _PLANE_BLOCK]
         resid = verts @ block[:, :-1].T
@@ -144,8 +125,44 @@ def enumerate_facets(vertices: np.ndarray) -> list[tuple[int, ...]]:
             vertex[np.argsort(plane, kind="stable")],
             np.cumsum(np.bincount(plane, minlength=len(block)))[:-1],
         )
-        facets.update(tuple(run.tolist()) for run in runs)
-    return _maximal(sorted(facets))
+        for p, run in enumerate(runs):
+            first.setdefault(tuple(run.tolist()), lo + p)
+    facets = _maximal(sorted(first))
+    overlap = _shared_measure(verts, hull.simplices, facets)
+    if overlap > math.sqrt(TOL) * scale ** (d - 1):
+        raise InvalidPolytope(
+            f"facets overlap: Qhull simplices of measure {overlap:.3g} lie in "
+            "two or more of them (coordinates rounded off a flat face?)"
+        )
+    chosen = [first[f] for f in facets]
+    return facets, planes[chosen, :-1], -planes[chosen, -1]
+
+
+def _shared_measure(verts, simplices, facets) -> float:
+    """Total (d-1)-measure of the simplices that lie in more than one facet.
+
+    Only facets of more than d vertices can share a simplex: a facet of d
+    vertices is the simplex itself, and facets do not nest.
+    """
+    m, d = verts.shape
+    big = [f for f in facets if len(f) > d]
+    if len(big) < 2:
+        return 0.0
+    # (simplex, facet) entries count shared vertices; d means the facet holds it
+    shared = (_incidence(simplices, m) @ _incidence(big, m).T).tocoo()
+    holders = np.bincount(shared.row[shared.data == d], minlength=len(simplices))
+    edges = verts[simplices[:, 1:]] - verts[simplices[:, :1]]
+    gram = np.abs(np.linalg.det(edges @ edges.transpose(0, 2, 1)))
+    return float(np.sqrt(gram[holders > 1]).sum()) / math.factorial(d - 1)
+
+
+def _incidence(index_lists, width: int) -> csr_matrix:
+    """0/1 matrix whose row i has its ones at the indices in index_lists[i]."""
+    indptr = np.cumsum([0] + [len(row) for row in index_lists])
+    return csr_matrix(
+        (np.ones(indptr[-1]), np.concatenate(index_lists), indptr),
+        shape=(len(index_lists), width),
+    )
 
 
 def _maximal(sets: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -193,14 +210,11 @@ def polytope_measure(points: np.ndarray) -> float:
 class Polytope:
     """Boundary surface of a compact convex body, with validated incidences.
 
-    Validation checks, in this order, that no vertex lies outside a facet
-    plane (``NonConvex``, naming the largest residual, first in vertex-major
-    order on ties), that each facet's vertices lie on its fitted plane
-    (``DegenerateFacet``, naming the first facet that fails) and that each
-    vertex lies on at least ``d`` facets (``InvalidPolytope``).  The signed
-    vertex-plane residuals are computed for ``_PLANE_BLOCK`` facets at a
-    time and the three checks accumulate across the blocks, so no m x F
-    matrix is held.
+    Facets and their planes come from :func:`enumerate_facets`, so Qhull's
+    planes are kept as they are, and the facets are checked not to overlap
+    (``InvalidPolytope``).  Validation then checks that each vertex lies on
+    at least ``d`` facets (``InvalidPolytope``), which fails for a point
+    inside the hull or on a face.
 
     Attributes
     ----------
@@ -208,88 +222,28 @@ class Polytope:
     name : optional label carried through serialization
     facets : tuple of sorted vertex-index tuples, lexicographically sorted;
         the facets of the vertices' convex hull
-    facet_normals : (F, d) outward unit normals
+    facet_normals : (F, d) outward unit normals of Qhull's facet planes
     facet_offsets : (F,) plane offsets, so a facet plane is {a . x = b}
     """
 
     vertices: np.ndarray
-    name: str | None = None
+    name: str | None = field(default=None, kw_only=True)
     facets: tuple[tuple[int, ...], ...] = field(init=False)
     facet_normals: np.ndarray = field(init=False)
     facet_offsets: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         self.vertices = np.asarray(self.vertices, dtype=float)
-        self.facets = tuple(enumerate_facets(self.vertices))
-        self._fit_facet_planes()
-        self._check_residuals()
-        self._ordered_cache: dict[int, np.ndarray] = {}
-
-    # -- validation pieces ------------------------------------------------
-
-    def _fit_facet_planes(self) -> None:
-        # one batched SVD per facet size; the first facet that is not
-        # (d-1)-dimensional is reported, as a facet-by-facet fit would
-        sizes = np.array([len(f) for f in self.facets])
-        origins = np.empty((len(sizes), self.dim))
-        directions = np.empty((len(sizes), self.dim))
-        ranks = np.empty(len(sizes), dtype=np.int64)
-        for size in np.unique(sizes):
-            group = np.flatnonzero(sizes == size)
-            stack = self.vertices[np.array([self.facets[fi] for fi in group])]
-            origins[group], directions[group], ranks[group] = _plane_fits(stack)
-        for rank in ranks:
-            _check_facet_rank(int(rank), self.dim)
-        normals = []
-        offsets = []
-        centroid = self.vertices.mean(axis=0)
-        for direction, origin in zip(directions, origins):
-            normal, offset = _unit_plane(direction, origin)
-            if normal @ centroid > offset:
-                normal, offset = -normal, -offset
-            normals.append(normal)
-            offsets.append(offset)
-        self.facet_normals = np.array(normals)
-        self.facet_offsets = np.array(offsets)
-
-    def _check_residuals(self) -> None:
-        """Convexity, coplanarity and incidence checks (see the class
-        docstring), over blocks of ``_PLANE_BLOCK`` facets."""
-        verts = self.vertices
-        limit = TOL * max(1.0, float(np.abs(verts).max()))
-        worst, worst_at, flat = -np.inf, (0, 0), None
-        counts = np.zeros(len(verts), dtype=np.int64)
-        for lo in range(0, len(self.facets), _PLANE_BLOCK):
-            hi = min(lo + _PLANE_BLOCK, len(self.facets))
-            side = verts @ self.facet_normals[lo:hi].T
-            side -= self.facet_offsets[lo:hi]
-            # a tie with an earlier block keeps the earlier (v, f) unless v
-            # is smaller here: row-major order over the whole matrix
-            v, f = np.unravel_index(np.argmax(side), side.shape)
-            if side[v, f] > worst or (side[v, f] == worst and v < worst_at[0]):
-                worst, worst_at = side[v, f], (int(v), lo + int(f))
-            # the first facet off its own plane, in facet order
-            for fi in range(lo, hi if flat is None else lo):
-                resid = np.abs(side[list(self.facets[fi]), fi - lo]).max()
-                if resid > limit:
-                    flat = fi, resid
-                    break
-            counts += (np.abs(side) <= limit).sum(axis=1)
-        if worst > limit:
-            raise NonConvex(
-                f"vertex {worst_at[0]} lies {worst:.3g} outside the plane "
-                f"of facet {worst_at[1]}"
-            )
-        if flat is not None:
-            raise DegenerateFacet(
-                f"facet {flat[0]} vertices deviate {flat[1]:.3g} from their plane"
-            )
+        facets, self.facet_normals, self.facet_offsets = enumerate_facets(self.vertices)
+        self.facets = tuple(facets)
+        counts = np.bincount(np.concatenate(facets), minlength=len(self.vertices))
         short = np.flatnonzero(counts < self.dim)
         if len(short):
             raise InvalidPolytope(
                 f"vertex {short[0]} lies on {counts[short[0]]} facets, "
                 f"expected at least {self.dim} (not in convex position?)"
             )
+        self._ordered_cache: dict[int, np.ndarray] = {}
 
     # -- basic queries ----------------------------------------------------
 
@@ -320,7 +274,7 @@ class Polytope:
     # -- document I/O -----------------------------------------------------
 
     @classmethod
-    def from_vertices(cls, vertices, name: str | None = None) -> "Polytope":
+    def from_vertices(cls, vertices, *, name: str | None = None) -> "Polytope":
         """Build from coordinates, merging vertices within MERGE_TOL."""
         verts = np.asarray(vertices, dtype=float)
         if verts.ndim != 2:

@@ -1,9 +1,22 @@
 from functools import lru_cache
 
+import numpy as np
 import pytest
 
 from polyperim import shapes
+from polyperim.polytope import TOL
 from polyperim.smoothing import SmoothedBody, smoothed_body
+
+
+def assert_facet_planes_hold(poly):
+    """Each vertex lies within ``TOL * scale`` of its own facets' planes and
+    no more than that outside any facet plane."""
+    limit = TOL * max(1.0, float(np.abs(poly.vertices).max()))
+    side = poly.vertices @ poly.facet_normals.T - poly.facet_offsets
+    assert side.max() <= limit
+    for fi, f in enumerate(poly.facets):
+        assert np.abs(side[list(f), fi]).max() <= limit
+
 
 SMOOTHED_SHAPES = {
     "square": shapes.square,

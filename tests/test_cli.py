@@ -1,4 +1,5 @@
 import argparse
+import itertools
 import json
 import math
 import subprocess
@@ -6,9 +7,11 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import special_ortho_group
 
 from polyperim import shapes, smoothing
 from polyperim.cli import BUILTIN_SHAPES, build_parser, dispatch, main
@@ -277,6 +280,22 @@ def test_analyze_rejects_facet_list_that_does_not_close_up(tmp_path, capsys):
     )
     assert code == 2
     assert "InvalidPolytope" in err and "close up" in err
+    assert not (tmp_path / "out" / "analysis.csv").exists()
+
+
+def test_analyze_rejects_overlapping_facets(tmp_path, capsys):
+    # a rotated hypercube rounded to 9 decimals: overlapping near-planar
+    # subsets of a bent cell would each count as a facet
+    corners = np.array(list(itertools.product([-0.5, 0.5], repeat=4)))
+    rotation = special_ortho_group.rvs(4, random_state=1)
+    doc = {"dim": 4, "vertices": np.round(corners @ rotation.T, 9).tolist()}
+    path = tmp_path / "rounded.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(
+        capsys, "analyze", "--polytope", str(path), "--out", str(tmp_path / "out")
+    )
+    assert code == 2
+    assert "InvalidPolytope" in err and "facets overlap" in err
     assert not (tmp_path / "out" / "analysis.csv").exists()
 
 

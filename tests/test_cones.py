@@ -171,7 +171,7 @@ def test_link_volume_rotation_invariant():
         if np.linalg.det(q) < 0:
             q[:, 0] = -q[:, 0]
         rotated = base.vertices @ q.T
-        poly = type(base)(rotated, base.facets)
+        poly = Polytope(rotated)
         assert vertex_cones(poly)[0].link_volume == pytest.approx(
             reference, abs=LINK_TOL
         )
@@ -187,7 +187,9 @@ def test_r_max_shrinks_with_scale():
 
 #: Cones recorded before links and star radii were gathered per facet; the
 #: d = 4 entries were re-recorded when cells got closed-form corners (links
-#: moved by at most 1.9e-15 relative, star radii by 5.7e-16).  Keys name a
+#: moved by at most 1.9e-15 relative, star radii by 5.7e-16) and again when
+#: facets took Qhull's planes (links 1.0e-15, star radii 3.4e-16, facet
+#: contributions 6.6e-14).  Keys name a
 #: builtin shape or a seeded unit-sphere hull, sphere-d<dim>-n<points>-s<seed>.
 PINNED_CONES = json.loads(
     (Path(__file__).parent / "data" / "vertex_cones.json").read_text()

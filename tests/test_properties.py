@@ -17,6 +17,8 @@ from polyperim.polytope import MERGE_TOL, Polytope
 from polyperim.smoothing import GaugeFunction, convexity_probe, smoothed_body
 from polyperim.solver import anisotropy_bound, vertex_ball_region
 
+from conftest import assert_facet_planes_hold
+
 
 def sphere_points(m: int, seed: int) -> np.ndarray:
     x = np.random.default_rng(seed).normal(size=(m, 3))
@@ -30,6 +32,7 @@ def test_random_hull_identities(m, seed):
     points = sphere_points(m, seed)
     poly = Polytope.from_vertices(points)
     assert np.array_equal(poly.vertices, points)
+    assert_facet_planes_hold(poly)
     facet_count = len(poly.facets)
 
     edges = set()
