@@ -149,13 +149,23 @@ def _manifest(args: argparse.Namespace, input_digest: str = "-") -> RunManifest:
     )
 
 
-def _emit_csv(out: Path, name: str, manifest: RunManifest, header, rows) -> Path:
+def _write(out: Path, name: str, lines: list[str]) -> Path:
+    """Write an artifact, creating --out on the first write, so a rejected
+    run leaves nothing behind; a --out that cannot be written exits 2."""
     path = out / name
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    except OSError as exc:
+        raise ValidationError(f"--out {out}: {exc.strerror}") from None
+    return path
+
+
+def _emit_csv(out: Path, name: str, manifest: RunManifest, header, rows) -> Path:
     lines = manifest.header_lines()
     lines.append(",".join(header))
     lines.extend(",".join(row) for row in rows)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+    return _write(out, name, lines)
 
 
 def _load_polytope_arg(args: argparse.Namespace) -> tuple[Polytope, str]:
@@ -321,9 +331,7 @@ def _emit_svg_loglog(
             f'font-family="monospace">{label}</text>'
         )
     lines.append("</svg>")
-    path = out / name
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+    return _write(out, name, lines)
 
 
 def _emit_svg_pieces(out: Path, name: str, manifest: RunManifest, pieces) -> Path:
@@ -351,9 +359,7 @@ def _emit_svg_pieces(out: Path, name: str, manifest: RunManifest, pieces) -> Pat
             'stroke="black" stroke-width="0.8"/>'
         )
     lines.append("</svg>")
-    path = out / name
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+    return _write(out, name, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -774,13 +780,8 @@ def dispatch(argv: list[str]) -> int:
         print(f"polyperim: unknown command '{argv[0]}'", file=sys.stderr)
         return EXIT_UNKNOWN_COMMAND
     args = build_parser().parse_args(argv)
-    out = Path(args.out)
     try:
-        try:
-            out.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise ValidationError(f"--out {out}: {exc.strerror}") from None
-        return args.func(args, out)
+        return args.func(args, Path(args.out))
     except ValidationError as exc:
         print(f"polyperim: error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

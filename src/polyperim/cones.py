@@ -17,21 +17,24 @@ Link measures:
 
 * n = 1 (polygon boundary): counting measure, always 2.
 * n = 2 (polyhedron): sum of the incident facet angles at v, in radians.
-* n = 3 (4-polytope): sum over incident cells, each a 3-polytope in its own
-  span, of the interior solid angle at v, which by Gauss-Bonnet on the vertex
-  figure is 2*pi less the turning angles atan2(|n_F x n_G|, n_F . n_G)
-  between the faces F and G at each cell edge through v.
+* n = 3 (4-polytope): sum over incident cells of the interior solid angle
+  at v, by Gauss-Bonnet on the vertex figure 2*pi less the turning angles
+  at the cell edges through v.  A cell's 2-faces are the ridges it shares
+  with other facets, read off the vertex-facet incidence (Kaibel-Pfetsch),
+  so no cell is rebuilt as a polytope of its own.
 
 ``r_max`` is the conservative star-containment radius: the smallest distance
 from v to a boundary face of its star, measured inside each incident facet
 (facets are flat, so in-facet straight lines are intrinsic geodesics): the
 far end of an edge (d = 2), the ring edges missing v (d = 3), or the cell's
-faces missing v (d = 4), at the plane where the foot lies in the face.
+2-faces missing v (d = 4, in 4-D coordinates), at the plane where the foot
+lies in the face.
 
 Links and star radii are gathered per facet: each facet is measured once at
 all of its vertices, and a vertex's cone collects its facets' contributions
 in increasing facet order and the smallest of their distances.  Polygon
-facets (d = 3) are measured together, one batch per ring length.
+facets (d = 3) are measured together, one batch per ring length, and the
+cells (d = 4) in one pass over all of their ridges.
 """
 
 from __future__ import annotations
@@ -40,12 +43,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .errors import UnsupportedDimension
-from .polytope import TOL, Polytope, affine_span, project_to_span
+from .polytope import TOL, Polytope, _incidence
 from .profiles import sphere_measure
 
 LINK_RTOL = 1e-12  # relative; links this close count as equal
+
+# columns of the four 3 x 3 minors of a 3 x 4 matrix
+_MINORS = [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]
 
 
 @dataclass(frozen=True)
@@ -102,7 +109,8 @@ def _facet_corners(poly: Polytope) -> list[dict[int, tuple[float, float]]]:
     The distance runs from the vertex to the part of the facet's boundary
     away from it: the other end of an edge (d = 2), the ring edges not
     touching the vertex (d = 3), the cell's 2-faces not containing it
-    (d = 4).  This is the only place that branches on the dimension.
+    (d = 4), which are its ridges with other facets: no cell gets a hull of
+    its own.  This is the only place that branches on the dimension.
     """
     d = poly.dim
     pts = poly.vertices
@@ -117,7 +125,7 @@ def _facet_corners(poly: Polytope) -> list[dict[int, tuple[float, float]]]:
     if d == 3:
         rings = [poly.facet_ring(fi) for fi in range(len(poly.facets))]
         return _ring_corners(pts, rings)
-    return [_cell_corners(pts, cell) for cell in poly.facets]
+    return _cell_corners(poly)
 
 
 def _ring_corners(pts: np.ndarray, rings: list) -> list[dict[int, tuple[float, float]]]:
@@ -146,53 +154,79 @@ def _ring_corners(pts: np.ndarray, rings: list) -> list[dict[int, tuple[float, f
     return corners
 
 
-def _cell_corners(pts: np.ndarray, cell) -> dict[int, tuple[float, float]]:
-    """Solid angle and star distance of a 3-cell at each of its vertices,
-    measured on the cell as a polytope in its own 3-dimensional span."""
-    cell_pts = pts[list(cell)]
-    origin, basis, _ = affine_span(cell_pts)
-    angles, dists = _solid_corners(Polytope(project_to_span(cell_pts, origin, basis)))
-    return dict(zip(cell, zip(angles.tolist(), dists.tolist())))
+def _by_cell(inc: csr_matrix, item_cell: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs (i, j) of each entry i of the cell-vertex incidence ``inc`` with
+    each item j of the same cell, items sorted by cell; cell by cell, and
+    entry-major within a cell."""
+    count = np.bincount(item_cell, minlength=inc.shape[0])
+    size = np.diff(inc.indptr) * count
+    g = np.repeat(np.arange(len(size)), size)
+    j = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
+    return inc.indptr[g] + j // count[g], np.cumsum(count)[g] - count[g] + j % count[g]
 
 
-def _solid_corners(solid: Polytope) -> tuple[np.ndarray, np.ndarray]:
-    """Interior solid angle and star distance of a 3-polytope at each vertex,
-    with the edges and faces at a vertex taken from incidence.
+def _cell_corners(poly: Polytope) -> list[dict[int, tuple[float, float]]]:
+    """Solid angle and star distance of each 3-cell at each of its vertices,
+    from the ridges of the 4-polytope, in one pass over all cells.
 
-    A point of face f's plane lies in f when it is within ``TOL`` (scaled)
-    of the inner side of each face across an edge of f.  The two faces on an
-    edge missing the vertex meet only in that edge, so one misses the vertex
-    too: the edges missing it are those of the faces missing it.
+    A half-ridge (C, G) is the 2-face cell C shares with facet G (three or
+    more common vertices).  Its in-cell unit normal u is the generalized
+    cross product of n_C and two edges of the face, turned so u . n_G > 0
+    (projecting n_G off n_C cancels on near-flat ridges).  Two half-ridges
+    of a cell sharing two vertices meet in a cell edge, where the cell turns
+    by the angle between their normals.  A point of a face's plane lies in
+    the face when it is within ``TOL`` (scaled) of the inner side of each
+    face across an edge of it.  The two faces on an edge missing the vertex
+    meet only in that edge, so one misses the vertex too: the edges missing
+    it are those of the faces missing it.
     """
-    pts, normals = solid.vertices, solid.facet_normals
+    pts, normals = poly.vertices, poly.facet_normals
     m = len(pts)
-    rings = [solid.facet_ring(fi) for fi in range(len(solid.facets))]
-    sizes = np.array([len(r) for r in rings])
-    face = np.repeat(np.arange(len(rings)), sizes)
-    tail = np.concatenate(rings)
-    head = np.concatenate([np.roll(r, -1) for r in rings])
-    # an edge lies on two rings: sorted by edge, its two half-edges are adjacent
-    order = np.argsort(np.minimum(tail, head) * m + np.maximum(tail, head), kind="stable")
-    here, there = order[0::2], order[1::2]
-    a, b = tail[here], head[here]
-    nf, ng = normals[face[here]], normals[face[there]]
-    cr = np.cross(nf, ng)
-    turn = np.arctan2(np.sqrt(_dot(cr, cr)), _dot(nf, ng))
-    angles = 2.0 * math.pi - (np.bincount(a, turn, m) + np.bincount(b, turn, m))
+    inc = _incidence(poly.facets, m)
+    shared = (inc @ inc.T).tocoo()
+    keep = (shared.data >= 3) & (shared.row != shared.col)
+    order = np.lexsort((shared.col[keep], shared.row[keep]))
+    cell, other = shared.row[keep][order], shared.col[keep][order]
+    ridge = inc[cell].multiply(inc[other]).tocsr()
+    first = pts[ridge.indices[ridge.indptr[:-1, None] + np.arange(3)]]
+    rows = np.stack([normals[cell], first[:, 1] - first[:, 0], first[:, 2] - first[:, 0]], 1)
+    u = np.linalg.det(rows[:, :, _MINORS].transpose(0, 2, 1, 3)) * [1.0, -1.0, 1.0, -1.0]
+    u *= np.sign(_dot(u, normals[other]))[:, None] / np.sqrt(_dot(u, u))[:, None]
+    offset = _dot(u, first[:, 0])
 
-    # depth h of each vertex below each face plane; the foot v + h_f n_f of
-    # the perpendicular on face f is on the inner side of face g's plane
-    # when h_f (n_f . n_g) <= h_g
-    depth = solid.facet_offsets - pts @ normals.T
-    across = np.empty_like(face)
-    across[here], across[there] = face[there], face[here]
+    # over columns (cell, vertex), numbered as the entries of inc, the
+    # half-ridges h, k of one cell that share two vertices, both ways round;
+    # they meet in the edge ``ends``
+    key = np.repeat(np.arange(inc.shape[0]), np.diff(inc.indptr)) * m + inc.indices
+    col = np.searchsorted(key, np.repeat(cell, np.diff(ridge.indptr)) * m + ridge.indices)
+    in_cell = csr_matrix((ridge.data, col, ridge.indptr), shape=(len(cell), inc.nnz))
+    meet = (in_cell @ in_cell.T).tocoo()
+    edge = meet.data == 2
+    order = np.lexsort((meet.col[edge], meet.row[edge]))
+    h, k = meet.row[edge][order], meet.col[edge][order]
+    ends = ridge[h].multiply(ridge[k]).indices.reshape(-1, 2)
+    cos = _dot(u[h], u[k])
+    sin = u[h] - cos[:, None] * u[k]
+    turn = np.where(h < k, np.arctan2(np.sqrt(_dot(sin, sin)), cos), 0.0)
+
+    # each cell vertex against each face h of its cell and each neighbour k
+    # of h, across the edge (a, b); the foot on h is inside k when
+    # depth_h (u_h . u_k) <= depth_k
+    i, e = _by_cell(inc, cell[h])
+    vertex, (a, b), hi, ki = inc.indices[i], ends[e].T, h[e], k[e]
+    touch = (vertex == a) | (vertex == b)
+    angles = 2.0 * math.pi - np.bincount(i, np.where(touch, turn[e], 0.0), inc.nnz)
+    span = _segment_distances(pts[vertex], pts[a], pts[b])
+    dist = np.full(inc.nnz, math.inf)
+    np.minimum.at(dist, i, np.where(touch, math.inf, span))
+    depth = offset[hi] - _dot(pts[vertex], u[hi])
     tol = TOL * max(1.0, float(np.abs(pts).max()))
-    outside = depth[:, face] * _dot(normals[face], normals[across]) > depth[:, across] + tol
-    skip = np.logical_or.reduceat(outside, np.cumsum(sizes) - sizes, axis=1)
-    skip[tail, face] = True
-    edge = _segment_distances(pts[:, None], pts[a], pts[b])
-    edge[a, np.arange(len(a))] = edge[b, np.arange(len(b))] = math.inf
-    return angles, np.minimum(np.where(skip, math.inf, depth).min(axis=1), edge.min(axis=1))
+    bad = touch | (depth * cos[e] > offset[ki] - _dot(pts[vertex], u[ki]) + tol)
+    run = np.r_[True, (i[1:] != i[:-1]) | (hi[1:] != hi[:-1])]
+    skip = np.bincount(np.cumsum(run) - 1, bad) > 0
+    np.minimum.at(dist, i[run], np.where(skip, math.inf, depth[run]))
+    corners = list(zip(angles.tolist(), dist.tolist()))
+    return [dict(zip(f, corners[s : s + len(f)])) for f, s in zip(poly.facets, inc.indptr)]
 
 
 def _cone(

@@ -280,23 +280,37 @@ def test_analyze_rejects_facet_list_that_does_not_close_up(tmp_path, capsys):
     )
     assert code == 2
     assert "InvalidPolytope" in err and "close up" in err
-    assert not (tmp_path / "out" / "analysis.csv").exists()
+    assert not (tmp_path / "out").exists()
+
+
+def _rounded_hypercube_document(tmp_path, seed):
+    """A unit hypercube rotated by the seed and rounded to 9 decimals."""
+    corners = np.array(list(itertools.product([-0.5, 0.5], repeat=4)))
+    rotation = special_ortho_group.rvs(4, random_state=seed)
+    path = tmp_path / "rounded.json"
+    path.write_text(json.dumps({"dim": 4, "vertices": np.round(corners @ rotation.T, 9).tolist()}))
+    return str(path)
 
 
 def test_analyze_rejects_overlapping_facets(tmp_path, capsys):
-    # a rotated hypercube rounded to 9 decimals: overlapping near-planar
-    # subsets of a bent cell would each count as a facet
-    corners = np.array(list(itertools.product([-0.5, 0.5], repeat=4)))
-    rotation = special_ortho_group.rvs(4, random_state=1)
-    doc = {"dim": 4, "vertices": np.round(corners @ rotation.T, 9).tolist()}
-    path = tmp_path / "rounded.json"
-    path.write_text(json.dumps(doc))
-    code, _, err = run(
-        capsys, "analyze", "--polytope", str(path), "--out", str(tmp_path / "out")
-    )
+    # overlapping near-planar subsets of a bent cell would each count as a facet
+    path = _rounded_hypercube_document(tmp_path, 1)
+    code, _, err = run(capsys, "analyze", "--polytope", path, "--out", str(tmp_path / "out"))
     assert code == 2
     assert "InvalidPolytope" in err and "facets overlap" in err
-    assert not (tmp_path / "out" / "analysis.csv").exists()
+    assert not (tmp_path / "out").exists()
+
+
+def test_analyze_rounded_hypercube_star_radii(tmp_path, capsys):
+    # its eight bent cubical cells load, and each bent square face is one
+    # 2-face, so every star reaches the far faces of its cells at distance 1
+    # (to nine digits: the rounding moves vertices by up to 5e-10)
+    path = _rounded_hypercube_document(tmp_path, 6)
+    code, _, _ = run(capsys, "analyze", "--polytope", path, "--out", str(tmp_path))
+    assert code == 0
+    _, header, rows = read_artifact(tmp_path / "analysis.csv")
+    assert header[2] == "r_max" and len(rows) == 16
+    assert ["%.8f" % float(row[2]) for row in rows] == ["1.00000000"] * 16
 
 
 def test_analyze_rejects_facet_index_out_of_range(tmp_path, capsys):
@@ -309,7 +323,7 @@ def test_analyze_rejects_facet_index_out_of_range(tmp_path, capsys):
     )
     assert code == 2
     assert "BadDocument" in err and "facet 3" in err
-    assert not (tmp_path / "out" / "analysis.csv").exists()
+    assert not (tmp_path / "out").exists()
 
 
 def test_analyze_rejects_a_document_that_is_not_utf8(tmp_path, capsys):
@@ -319,7 +333,7 @@ def test_analyze_rejects_a_document_that_is_not_utf8(tmp_path, capsys):
     code, out, err = run(capsys, "analyze", "--polytope", str(path), "--out", str(out_dir))
     assert code == 2
     assert f"BadDocument: --polytope {path}: not UTF-8" in err
-    assert out == "" and not list(out_dir.iterdir())
+    assert out == "" and not out_dir.exists()
 
 
 @pytest.mark.parametrize(

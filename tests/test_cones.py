@@ -6,8 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polyperim import Polytope, shapes
+from polyperim import Polytope, polytope, shapes
 from polyperim.cones import (
+    LINK_RTOL,
     deficit_sum,
     rank_by_link,
     tet_solid_angle,
@@ -144,9 +145,10 @@ def test_optimal_vertex_prefers_sharpest_corner():
 
 
 def test_hypercube_smallest_link_is_vertex_zero():
-    # all sixteen links are 2*pi, vertex 0's sum lands an ulp above the smallest
+    # all sixteen links are 2*pi, and ties go to the lowest vertex index
     cones = vertex_cones(shapes.hypercube())
-    assert cones[0].link_volume != min(c.link_volume for c in cones)
+    links = np.array([c.link_volume for c in cones])
+    assert np.allclose(links, links[0], rtol=LINK_RTOL, atol=0.0)
     assert rank_by_link(cones)[0].vertex_index == 0
 
 
@@ -187,10 +189,12 @@ def test_r_max_shrinks_with_scale():
 
 #: Cones recorded before links and star radii were gathered per facet; the
 #: d = 4 entries were re-recorded when cells got closed-form corners (links
-#: moved by at most 1.9e-15 relative, star radii by 5.7e-16) and again when
-#: facets took Qhull's planes (links 1.0e-15, star radii 3.4e-16, facet
-#: contributions 6.6e-14).  Keys name a
-#: builtin shape or a seeded unit-sphere hull, sphere-d<dim>-n<points>-s<seed>.
+#: moved by at most 1.9e-15 relative, star radii by 5.7e-16), when facets
+#: took Qhull's planes (links 1.0e-15, star radii 3.4e-16, facet
+#: contributions 6.6e-14), and when cells were measured from the
+#: 4-polytope's ridges (links 1.2e-15, star radii 8.9e-16, facet
+#: contributions 4.2e-14).  Keys name a builtin shape or a seeded unit-sphere
+#: hull, sphere-d<dim>-n<points>-s<seed>.
 PINNED_CONES = json.loads(
     (Path(__file__).parent / "data" / "vertex_cones.json").read_text()
 )
@@ -217,3 +221,15 @@ def test_vertex_cones_are_pinned(key):
     poly = _pinned_polytope(key)
     cones = vertex_cones(poly)
     assert [_cone_record(c) for c in cones] == PINNED_CONES[key]
+
+
+def test_4d_cones_build_no_hull_of_their_own(monkeypatch):
+    # a cell is measured from the ridges the 4-polytope already holds
+    polys = [shapes.hypercube(), _pinned_polytope("sphere-d4-n40-s8")]
+
+    def no_hull(*args, **kwargs):
+        raise AssertionError("vertex_cones called Qhull")
+
+    monkeypatch.setattr(polytope, "ConvexHull", no_hull)
+    for poly in polys:
+        assert len(vertex_cones(poly)) == len(poly.vertices)

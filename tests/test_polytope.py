@@ -103,8 +103,12 @@ def test_rounded_rotated_hypercubes_load_correctly_or_are_rejected(decimals, ove
             rejected.append(seed)
             continue
         assert_facet_planes_hold(poly)
-        links = [c.link_volume for c in vertex_cones(poly)]
+        cones = vertex_cones(poly)
+        links = [c.link_volume for c in cones]
         assert np.allclose(links, 2.0 * math.pi, rtol=0.0, atol=1e-6)
+        if [len(f) for f in poly.facets] == [8] * 8:
+            # a bent square face is one 2-face of its cell, not two triangles
+            assert np.allclose([c.r_max for c in cones], 1.0, rtol=0.0, atol=1e-6)
         assert _surface_area(poly) == pytest.approx(
             ConvexHull(poly.vertices).area, rel=0.0, abs=1e-6
         )

@@ -10,10 +10,10 @@ from scipy.optimize import nnls
 from scipy.spatial import ConvexHull
 
 from polyperim import shapes
-from polyperim.cones import _solid_corners, deficit_sum, vertex_cones
+from polyperim.cones import _facet_corners, deficit_sum, vertex_cones
 from polyperim.errors import InvalidPolytope
 from polyperim.mesh import _edge_table, _half_edge_pairs, subdivide
-from polyperim.polytope import MERGE_TOL, Polytope
+from polyperim.polytope import MERGE_TOL, Polytope, affine_span, project_to_span
 from polyperim.smoothing import GaugeFunction, convexity_probe, smoothed_body
 from polyperim.solver import anisotropy_bound, vertex_ball_region
 
@@ -148,10 +148,15 @@ def star_distance(points: np.ndarray, facets, v: int) -> float:
 @given(m=st.integers(5, 120), seed=st.integers(0, 2**32 - 1))
 def test_vertex_solid_angles_satisfy_brianchon_gram(m, seed):
     poly = Polytope.from_vertices(sphere_points(m, seed))
-    solid, star = _solid_corners(poly)
-    for v in range(len(poly.vertices)):
+    # poly is the base cell of the 4-D pyramid over it with apex (0, 0, 0, 1)
+    pyramid = Polytope.from_vertices(
+        np.vstack([np.hstack([poly.vertices, np.zeros((m, 1))]), [0.0, 0.0, 0.0, 1.0]])
+    )
+    base = _facet_corners(pyramid)[pyramid.facets.index(tuple(range(m)))]
+    solid = [base[v][0] for v in range(m)]
+    for v in range(m):
         assert solid[v] == pytest.approx(ray_hull_solid_angle(poly.vertices, v), abs=1e-12)
-        assert star[v] == pytest.approx(
+        assert base[v][1] == pytest.approx(
             star_distance(poly.vertices, poly.facets, v), abs=1e-12
         )
 
@@ -169,6 +174,27 @@ def test_vertex_solid_angles_satisfy_brianchon_gram(m, seed):
     ]
     expected = 2.0 * math.fsum(dihedral) - 2.0 * math.pi * len(poly.facets) + 4.0 * math.pi
     assert math.fsum(solid) == pytest.approx(expected, abs=1e-10)
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(m=st.integers(5, 60), seed=st.integers(0, 2**32 - 1))
+def test_cell_corners_match_oracles_on_4d_hulls(m, seed):
+    x = np.random.default_rng(seed).normal(size=(m, 4))
+    poly = Polytope.from_vertices(x / np.linalg.norm(x, axis=1)[:, None])
+    facets = [set(f) for f in poly.facets]
+    for cell, corners in zip(facets, _facet_corners(poly)):
+        ridges = [sorted(cell & g) for g in facets if g != cell and len(cell & g) >= 3]
+        ordered = sorted(cell)
+        points = poly.vertices[ordered]
+        local = project_to_span(points, *affine_span(points)[:2])
+        for j, v in enumerate(ordered):
+            angle, dist = corners[v]
+            assert angle == pytest.approx(ray_hull_solid_angle(local, j), abs=1e-12)
+            assert dist == pytest.approx(
+                min(hull_distance(poly.vertices[v], poly.vertices[r])
+                    for r in ridges if v not in r),
+                abs=1e-12,
+            )
 
 
 @settings(max_examples=12, deadline=None, derandomize=True)
