@@ -16,10 +16,11 @@ reads, so the manifest's flags are those that shape the output.  Identical
 invocations produce byte-identical artifacts, including the optional SVG
 plots; all floats are printed with ``%.12g`` and negative zero is normalized.
 
-``analyze`` and ``solve`` take ``--timings``, which prints the seconds of
-each stage (build, subdivide, cones, minimize) and then the peak resident
-memory of the process to stderr.  The flag is left out of the manifest, so
-artifacts are the same with and without it.
+``analyze``, ``smooth`` and ``solve`` take ``--timings``, which prints the
+seconds of each stage (build, subdivide, cones, minimize; body, probe, hull
+for ``smooth``) and then the peak resident memory of the process to stderr.
+The flag is left out of the manifest, so artifacts are the same with and
+without it.
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure, 64 unknown
 command.
@@ -458,7 +459,9 @@ def _cmd_smooth(args: argparse.Namespace, out: Path) -> int:
         resolution = max(4, (args.dirs + 1) // 2)
     else:
         resolution = max(4, int(round(math.sqrt(args.dirs / 2.0))))
-    body = smoothed_body(poly, args.eps, resolution=resolution)
+    timer = _Stages(args.timings)
+    with timer("body"):
+        body = smoothed_body(poly, args.eps, resolution=resolution)
     rho0 = body.plain_radii()
     rows = [
         [_fmt(c) for c in u] + [_fmt(r0), _fmt(re)]
@@ -467,9 +470,11 @@ def _cmd_smooth(args: argparse.Namespace, out: Path) -> int:
     header = [f"u{i + 1}" for i in range(d)] + ["rho_plain", "rho_smooth"]
     _emit_csv(out, "boundary.csv", manifest, header, rows)
     vol_poly = polytope_measure(poly.vertices)
-    # the body is convex, so the hull of its boundary samples lies inside it
-    vol_hull = ConvexHull(body.boundary_points).volume
-    report = convexity_probe(body, trials=4096, seed=args.seed)
+    with timer("probe"):
+        report = convexity_probe(body, trials=4096, seed=args.seed)
+    with timer("hull"):
+        # the body is convex, so the hull of its boundary samples lies inside it
+        vol_hull = ConvexHull(body.boundary_points).volume
     print(f"directions: {len(body.directions)}")
     print(f"volume: {_g(body.volume)} (polytope {_g(vol_poly)})")
     print(f"volume deficit: {_g(vol_poly - body.volume)}")
@@ -481,6 +486,7 @@ def _cmd_smooth(args: argparse.Namespace, out: Path) -> int:
     steps = body.newton_steps
     print(f"newton steps per direction: max {steps.max()}, mean {_g(steps.mean())}")
     print(f"kernel mass error: {_g(body.mollifier.mass_error)}")
+    timer.report()
     return EXIT_OK
 
 
@@ -730,7 +736,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, required=True, help="slices per direction")
     p.set_defaults(func=_cmd_slice)
 
-    p = _add_command(sub, "smooth", "mollified gauge body", "--polytope", "--seed")
+    p = _add_command(
+        sub, "smooth", "mollified gauge body", "--polytope", "--seed", "--timings"
+    )
     p.add_argument("--eps", type=float, required=True, help="mollification radius")
     p.add_argument(
         "--dirs", type=int, default=192, help="approximate boundary direction count"

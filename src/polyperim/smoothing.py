@@ -8,7 +8,8 @@ gauge
 a convex, positively homogeneous function of x - o.  Convolving F with a
 smooth bump supported on the epsilon-ball gives a smooth convex function
 whose unit body Q_eps approximates K from inside.  The convolution is
-discretized once and for all by a fixed product quadrature on the unit ball:
+discretized once and for all by a fixed product quadrature on the unit ball
+(nodes z_q = r_i u_j, weights p_q = rho_i alpha_j):
 
     F_eps(x) = sum_q p_q F(x - eps * z_q),     sum_q p_q = 1,  p_q > 0.
 
@@ -34,21 +35,36 @@ c_f = b_f - a_f . o, a subgradient at r is
 s = sum_q p_q (u . a_f*(q)) / c_f*(q), with f*(q) the facet that wins at
 node q.  Convexity puts the root at or below r - (g(r) - 1) / s, so
 ``smoothed_body`` runs Newton's method from rho(u): each step lowers r
-without crossing the root, and no bracket or fallback is needed.
+without crossing the root, and no bracket or fallback is needed.  A step
+that lowers r by NEWTON_ULPS * r machine epsilons or less is rounding at
+the root, so the direction stops without it.
 
 Each evaluation screens its points exactly.  With d_f = a_f . (x - o) / c_f
-and e_qf = eps a_f . z_q / c_f, facet g can win at some node only if
-d_g - min_q e_qg >= max_f (d_f - max_q e_qf).  A point with a single
-surviving facet f* has F_eps = d_f* sum_q p_q - sum_q p_q e_qf* in closed
-form; ties keep both facets.  A point with exactly two survivors f < g is
-closed too: g wins node q exactly when s_q = e_qg - e_qf < c = d_g - d_f.
-The s_q do not depend on the point, so they are sorted once per gauge and
-facet pair (the mollifier keeps them, with prefix sums W of p_q and S of
-p_q s_q), and a point finds the j nodes below c by binary search: F_eps is
-f's closed form plus c W_j - S_j, and its radial slope gains c W_j.  The
-comparison is strict, so f keeps the ties, as the dense loop does.  Points
-with three or more survivors take the dense running maximum over all Q
-nodes and their surviving facets.
+and beta_jf = eps a_f . u_j / c_f, facet f is the line
+l_f(r) = d_f - r beta_jf along ray j, and e_qf = r_i beta_jf at node q.
+Antipodal directions put both extremes of e_qf on the largest radius, and
+facet g can win at some node only if d_g - min_q e_qg >= max_f (d_f -
+max_q e_qf).  A point with a single surviving facet f* has
+F_eps = d_f* sum_q p_q - sum_q p_q e_qf* in closed form; ties keep both
+facets.  A point with exactly two survivors f < g is closed too: g wins
+node q exactly when s_q = e_qg - e_qf < c = d_g - d_f.  The s_q do not
+depend on the point, so they are sorted once per gauge and facet pair (the
+mollifier keeps them, with prefix sums W of p_q and S of p_q s_q), and a
+point finds the j nodes below c by binary search: F_eps is f's closed form
+plus c W_j - S_j, and its radial slope gains c W_j.  The comparison is
+strict, so f keeps the ties, as the running maximum does.
+
+Points with three or more survivors are summed ray by ray.  Let lines a
+and z win at the smallest and the largest radius (the lowest index on
+ties, as everywhere).  A line highest at both ends of an interval is
+highest throughout, so if a = z the ray is d_a S0 - beta_ja S1, with
+S0 = sum_i rho_i and S1 = sum_i rho_i r_i.  Otherwise l_a and l_z cross at
+t, and a line above that two-piece envelope anywhere is above it at t (on
+each piece it is below at the outer end).  So if no live line lies above
+l_a(t) by more than a few ulps, the ray splits at t into prefix sums of
+rho_i and rho_i r_i.  The other rays, with a third piece or a crossing on a
+node (where the lowest index among the tied lines wins), take the running
+maximum over their own radii.
 
 The quadrature itself is accurate: with 32 radial Gauss-Legendre nodes the
 raw kernel mass matches the true integral of the bump to ~1e-9 (recorded as
@@ -61,6 +77,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -79,10 +96,11 @@ MASS_TOL = 1e-8
 BUMP_RADIAL_MASS = {2: 0.07424775338796101, 3: 0.0351007383764877}
 RADIAL_NODES = 32
 NEWTON_ITERS = 48
+NEWTON_ULPS = 4
 INSIDE_TOL = 1e-12
-# elements per row block of the dense mollifier loop; larger blocks make its
-# temporaries, not the mesh or the body, the peak memory of a run
-_CHUNK = 1 << 16
+# elements per (points x directions) block of the ray sums; larger blocks
+# make their temporaries, not the mesh or the body, the peak memory of a run
+_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,54 +142,54 @@ class GaugeFunction:
         return vals.max(axis=-1)
 
 
-def _ball_quadrature(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Product nodes/weights for integrals over the unit ball.
-
-    Radial: Gauss-Legendre on [0, 1] with the r^(dim-1) factor folded into
-    the weights.  Angular: ``sphere_quadrature`` with 64 circle directions
-    (dim 2) or 12 x 24 sphere directions (dim 3), so nodes come in exact
-    antipodal pairs.
-    """
-    rx, rw = np.polynomial.legendre.leggauss(RADIAL_NODES)
-    r = 0.5 * (rx + 1.0)
-    rw = 0.5 * rw * r ** (dim - 1)
-    dirs, aw = sphere_quadrature(dim, 32 if dim == 2 else 12)
-    nodes = (r[:, None, None] * dirs[None, :, :]).reshape(-1, dim)
-    weights = (rw[:, None] * aw[None, :]).ravel()
-    return nodes, weights
-
-
 @dataclass(frozen=True)
 class Mollifier:
-    """Bump-kernel quadrature at a fixed smoothing radius.
+    """Bump-kernel quadrature at a fixed smoothing radius, a product rule.
 
-    ``nodes`` live on the unit ball and are scaled by ``epsilon`` at use
-    time; ``weights`` are renormalized to sum to exactly 1; ``mass_error``
-    is the relative error of the raw quadrature mass against the true
-    kernel integral (the recorded ``quad`` values in BUMP_RADIAL_MASS,
-    checked in the tests).  ``nodes`` and ``weights`` are read-only copies.
+    Node r_i u_j has weight rho_i alpha_j: ascending ``radii`` in (0, 1)
+    with ``radial_weights`` (Gauss-Legendre, with r^(d-1) and the bump
+    folded in) and antipodal ``directions`` with ``direction_weights``
+    (``sphere_quadrature``).  ``nodes`` and ``weights`` are their products
+    in radius-major order; nodes live on the unit ball and are scaled by
+    ``epsilon`` at use time, and weights sum to 1.  ``mass_error`` is the
+    relative error of the raw quadrature mass against the true kernel
+    integral (the recorded ``quad`` values in BUMP_RADIAL_MASS, checked in
+    the tests).  All arrays are read-only.
     """
 
     dim: int
     epsilon: float
-    nodes: np.ndarray
-    weights: np.ndarray
+    radii: np.ndarray
+    radial_weights: np.ndarray
+    directions: np.ndarray
+    direction_weights: np.ndarray
     mass_error: float
     #: (gauge, f, g) -> s_q = e_qg - e_qf sorted, and prefix sums of p_q and
     #: p_q s_q in that order, each made by ``mollify`` on first use
     _pair_sums: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        _freeze_fields(self, "nodes", "weights")
+        _freeze_fields(self, "radii", "radial_weights", "directions", "direction_weights")
+
+    @cached_property
+    def nodes(self) -> np.ndarray:
+        return _read_only((self.radii[:, None, None] * self.directions).reshape(-1, self.dim))
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        return _read_only(np.outer(self.radial_weights, self.direction_weights).ravel())
 
     @classmethod
     def build(cls, dim: int, epsilon: float) -> "Mollifier":
         if not epsilon > 0:
             raise ValueError("epsilon must be positive")
-        nodes, base = _ball_quadrature(dim)
-        # the bump exp(-1/(1-r^2)); every node lies in the open unit ball
-        raw = base * np.exp(-1.0 / (1.0 - np.linalg.norm(nodes, axis=1) ** 2))
-        mass = float(raw.sum())
+        dirs, alpha = sphere_quadrature(dim, 32 if dim == 2 else 12)
+        rx, rw = np.polynomial.legendre.leggauss(RADIAL_NODES)
+        r = 0.5 * (rx + 1.0)
+        # the bump exp(-1/(1-r^2)) times r^(d-1); every radius is below 1
+        raw = 0.5 * rw * r ** (dim - 1) * np.exp(-1.0 / (1.0 - r**2))
+        # summed as ``weights`` is, so that the weights sum to 1 to the ulp
+        mass = float(np.outer(raw, alpha).sum())
         true_mass = BUMP_RADIAL_MASS[dim] * sphere_measure(dim - 1)
         err = abs(mass / true_mass - 1.0)
         if err > MASS_TOL:
@@ -181,8 +199,10 @@ class Mollifier:
         return cls(
             dim=dim,
             epsilon=float(epsilon),
-            nodes=nodes,
-            weights=raw / mass,
+            radii=r,
+            radial_weights=raw / mass,
+            directions=dirs,
+            direction_weights=alpha,
             mass_error=err,
         )
 
@@ -195,74 +215,128 @@ def mollify(
     Returns F_eps(x) and grad F_eps(x) . (x - o), the derivative of
     t -> F_eps(o + t (x - o)) at t = 1 (a subgradient where F_eps has a
     kink).  Points with one or two surviving facets take the closed forms;
-    the rest take a running maximum of rank-one sums over the facets that
-    survive the screen for them.
+    the rest are summed ray by ray over the facets that survive the screen
+    for them.
     """
     x = np.atleast_2d(np.asarray(x, float))
     d = ((x - fn.origin) @ fn.normals.T) / fn.offsets
-    e = ((m.epsilon * m.nodes) @ fn.normals.T) / fn.offsets
+    beta = ((m.epsilon * m.directions) @ fn.normals.T) / fn.offsets
     mass = m.weights.sum()
     # facet g can win at some node only if d_g - min_q e_qg reaches the
-    # floor max_f (d_f - max_q e_qf) that every node attains
-    floor = (d - e.max(axis=0)).max(axis=1, keepdims=True)
-    alive = d - e.min(axis=0) >= floor
+    # floor max_f (d_f - max_q e_qf) that every node attains; both extremes
+    # of e_qf = r_i beta_jf lie on the largest radius
+    top = m.radii[-1]
+    floor = (d - top * beta.max(axis=0)).max(axis=1, keepdims=True)
+    alive = d - top * beta.min(axis=0) >= floor
     win = alive.argmax(axis=1)
     d_win = np.take_along_axis(d, win[:, None], axis=1)[:, 0]
-    value = d_win * mass - (m.weights @ e)[win]
+    mean_e = (m.radial_weights @ m.radii) * (m.direction_weights @ beta)
+    value = d_win * mass - mean_e[win]
     radial = d_win * mass
-    # points with several survivors run over those facets only, grouped by
-    # survivor set; the others never win, so the maximum is unchanged
-    many = np.flatnonzero(alive.sum(axis=1) > 1)
-    patterns, group = np.unique(alive[many], axis=0, return_inverse=True)
-    q = len(m.nodes)
-    step = max(1, _CHUNK // q)
+    count = alive.sum(axis=1)
+    two = np.flatnonzero(count == 2)
+    patterns, group = np.unique(alive[two], axis=0, return_inverse=True)
     for k, pattern in enumerate(patterns):
-        facets = np.flatnonzero(pattern)
-        members = many[group == k]
-        if len(facets) == 2:
-            # f = facets[0] already holds the base; g adds c - s_q on the
-            # nodes with s_q < c, a prefix of the sorted s
-            f, g = facets
-            key = (fn, f, g)
-            if key not in m._pair_sums:
-                s = e[:, g] - e[:, f]
-                order = np.argsort(s, kind="stable")
-                s = s[order]
-                w = m.weights[order]
-                m._pair_sums[key] = (
-                    s,
-                    np.concatenate([[0.0], np.cumsum(w)]),
-                    np.concatenate([[0.0], np.cumsum(w * s)]),
-                )
-            s, cum_w, cum_ws = m._pair_sums[key]
-            c = d[members, g] - d[members, f]
-            below = np.searchsorted(s, c, side="left")
-            value[members] += c * cum_w[below] - cum_ws[below]
-            radial[members] += c * cum_w[below]
-            continue
-        for lo in range(0, len(members), step):
-            rows = members[lo : lo + step]
-            dc, ec = d[np.ix_(rows, facets)], e[:, facets]
-            acc = dc[:, None, 0] - ec[None, :, 0]
-            lin = np.repeat(dc[:, :1], q, axis=1)
-            cand, wins = np.empty_like(acc), np.empty(acc.shape, bool)
-            for j in range(1, len(facets)):
-                np.subtract(dc[:, None, j], ec[None, :, j], out=cand)
-                np.greater(cand, acc, out=wins)
-                np.copyto(lin, dc[:, None, j], where=wins)
-                np.maximum(acc, cand, out=acc)
-            value[rows] = acc @ m.weights
-            radial[rows] = lin @ m.weights
+        # f already holds the base; g adds c - s_q on the nodes with s_q < c,
+        # a prefix of the sorted s
+        f, g = np.flatnonzero(pattern)
+        members = two[group == k]
+        key = (fn, f, g)
+        if key not in m._pair_sums:
+            e = np.multiply.outer(m.radii, beta[:, [f, g]]).reshape(-1, 2)
+            s = e[:, 1] - e[:, 0]
+            order = np.argsort(s, kind="stable")
+            s = s[order]
+            w = m.weights[order]
+            m._pair_sums[key] = (
+                s,
+                np.concatenate([[0.0], np.cumsum(w)]),
+                np.concatenate([[0.0], np.cumsum(w * s)]),
+            )
+        s, cum_w, cum_ws = m._pair_sums[key]
+        c = d[members, g] - d[members, f]
+        below = np.searchsorted(s, c, side="left")
+        value[members] += c * cum_w[below] - cum_ws[below]
+        radial[members] += c * cum_w[below]
+    # the other facets never win at these points, so they drop out as -inf
+    many = np.flatnonzero(count > 2)
+    step = max(1, _BLOCK // len(beta))
+    for lo in range(0, len(many), step):
+        rows = many[lo : lo + step]
+        live = np.where(alive[rows], d[rows], -np.inf)
+        ray_value, ray_radial, _ = _ray_sums(live, beta, m.radii, m.radial_weights)
+        value[rows] = ray_value @ m.direction_weights
+        radial[rows] = ray_radial @ m.direction_weights
     return value, radial
 
 
+def _ray_sums(
+    d: np.ndarray, beta: np.ndarray, r: np.ndarray, rho: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sum each point's facet lines d_f - r beta_jf along each direction j.
+
+    ``d`` is points x facets (-inf for a facet that cannot win), ``beta``
+    directions x facets, ``r`` the ascending radii and ``rho`` their
+    weights.  Returns sum_i rho_i max_f l_f(r_i), sum_i rho_i d_f*(i) with
+    f*(i) the lowest-index winner, both points x directions, and the way
+    each ray was summed: 0 one line, 1 two pieces, 2 running maximum.
+    """
+    facets = np.flatnonzero((d > -np.inf).any(axis=0))
+    shape = (len(d), len(beta))
+    _, a = _upper(d, facets, shape, lambda f: r[0] * beta[:, f])
+    _, z = _upper(d, facets, shape, lambda f: r[-1] * beta[:, f])
+    cols = np.arange(len(beta))
+    d_a, d_z = np.take_along_axis(d, a, axis=1), np.take_along_axis(d, z, axis=1)
+    beta_a, beta_z = beta[cols, a], beta[cols, z]
+    # z wins at the top, so l_a - l_z falls and crosses zero at t; a crossing
+    # that rounding puts on or outside the end radii goes to the dense sum
+    one = a == z
+    t = np.full(shape, r[0])
+    np.divide(d_a - d_z, beta_a - beta_z, out=t, where=~one & (beta_a > beta_z))
+    np.clip(t, r[0], r[-1], out=t)
+    high, _ = _upper(d, facets, shape, lambda f: t * beta[:, f])
+    # rounding in t and in the lines' values at t stays within this slack
+    slack = 4.0 * np.spacing(abs(d_a) + abs(d_z) + t * (abs(beta_a) + abs(beta_z)))
+    split = np.searchsorted(r, t)
+    dense = ~one & ((r[split] == t) | (high > d_a - t * beta_a + slack))
+    split[one] = len(r)
+    cum_w, cum_wr = (np.concatenate([[0.0], np.cumsum(w)]) for w in (rho, rho * r))
+    w, wr = cum_w[split], cum_wr[split]
+    radial = d_a * w + d_z * (cum_w[-1] - w)
+    value = radial - beta_a * wr - beta_z * (cum_wr[-1] - wr)
+    p, j = np.nonzero(dense)
+    acc, arg = _upper(d[p], facets, (len(p), len(r)), lambda f: np.outer(beta[j, f], r))
+    value[p, j] = acc @ rho
+    radial[p, j] = np.take_along_axis(d[p], arg, axis=1) @ rho
+    kind = (~one).astype(np.int8)
+    kind[dense] = 2
+    return value, radial, kind
+
+
+def _upper(d, facets, shape, offset) -> tuple[np.ndarray, np.ndarray]:
+    """Running maximum over ``facets`` of d[:, f, None] - offset(f), and the
+    lowest facet index that attains it."""
+    best, arg = np.full(shape, -np.inf), np.zeros(shape, np.intp)
+    cand, wins = np.empty(shape), np.empty(shape, bool)
+    for f in facets:
+        np.subtract(d[:, f, None], offset(f), out=cand)
+        np.greater(cand, best, out=wins)
+        np.copyto(arg, f, where=wins)
+        np.maximum(best, cand, out=best)
+    return best, arg
+
+
+def _read_only(a) -> np.ndarray:
+    """A read-only float copy of a, leaving the caller's array writable."""
+    a = np.array(a, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
 def _freeze_fields(obj, *names: str) -> None:
-    """Replace each array field of a frozen dataclass by a read-only copy,
-    leaving the caller's array writable."""
+    """Replace each array field of a frozen dataclass by a read-only copy."""
     for name in names:
-        a = np.array(getattr(obj, name), dtype=float)
-        a.flags.writeable = False
-        object.__setattr__(obj, name, a)
+        object.__setattr__(obj, name, _read_only(getattr(obj, name)))
 
 
 def sphere_quadrature(dim: int, resolution: int) -> tuple[np.ndarray, np.ndarray]:
@@ -339,10 +413,11 @@ def smoothed_body(
 
     g(r) = F_eps(r u) is convex with g(rho(u)) >= 1, so every step
     r <- r - (g - 1) / g' stays at or above the root while it lowers r.  A
-    direction stops when the step no longer lowers r, which includes every
-    g <= 1; one still moving after NEWTON_ITERS evaluations raises
-    NumericalError.  A polytope of dimension other than 2 or 3 and an
-    epsilon of half the inradius or more are rejected before any of it.
+    direction stops, without taking it, at the first step that lowers r by
+    at most NEWTON_ULPS * r machine epsilons, which includes every g <= 1;
+    one still moving after NEWTON_ITERS evaluations raises NumericalError.
+    A polytope of dimension other than 2 or 3 and an epsilon of half the
+    inradius or more are rejected before any of it.
     """
     if poly.dim not in (2, 3):
         raise UnsupportedDimension(f"smoothing needs d = 2 or 3, got d = {poly.dim}")
@@ -364,7 +439,7 @@ def smoothed_body(
         g, radial = mollify(fn, mollifier, r[:, None] * dirs[active])
         # radial = r g'(r), so the Newton step scales r by 1 - (g - 1) / radial
         nxt = r * (1.0 - (g - 1.0) / radial)
-        moving = nxt < r
+        moving = r - nxt > NEWTON_ULPS * np.finfo(float).eps * r
         active = active[moving]
         radii[active] = nxt[moving]
         steps[active] += 1

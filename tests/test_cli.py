@@ -427,6 +427,10 @@ def test_reruns_are_byte_identical(tmp_path, capsys):
          "--iters", "2000", "--restarts", "2", "--seed", "7"],
         ["build", "subdivide", "cones", "minimize"],
     ),
+    (
+        ["smooth", "--polytope", "square", "--eps", "0.2", "--dirs", "16"],
+        ["body", "probe", "hull"],
+    ),
 ])
 def test_timings_go_to_stderr_and_leave_artifacts_alone(tmp_path, capsys, argv, stages):
     plain, timed = tmp_path / "plain", tmp_path / "timed"
@@ -582,7 +586,7 @@ COMMAND_PATHS = [
     (["slice", "--n", "2", "--N", "3"], ["--out", "--svg", "--n", "--N"],
      "--polytope=cube"),
     (["smooth", "--polytope", "square", "--eps", "0.2", "--dirs", "16"],
-     ["--out", "--polytope", "--seed", "--eps", "--dirs"], "--svg"),
+     ["--out", "--polytope", "--seed", "--timings", "--eps", "--dirs"], "--svg"),
     (["profile", "--model", "euclidean", "--n", "2", "--vmin", "0.1", "--vmax", "1"],
      ["--out", "--svg", "--model", "--n", "--omega", "--vmin", "--vmax", "--points"],
      "--seed=1"),

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,12 +12,15 @@ from polyperim.errors import (
     OriginNotInterior,
     UnsupportedDimension,
 )
+from polyperim.polytope import Polytope
 from polyperim.smoothing import (
     BUMP_RADIAL_MASS,
     INSIDE_TOL,
     MASS_TOL,
+    NEWTON_ULPS,
     GaugeFunction,
     Mollifier,
+    _ray_sums,
     convexity_probe,
     mollify,
     smoothed_body,
@@ -132,14 +136,15 @@ def _survivors_matching_brute(fn, m, x):
 
 
 def _dyadic_mollifier(dim):
-    """Kernel on the grid (Z/8)^dim inside the unit ball with epsilon 1/8, so
-    every node offset, every s_q and every tie below is exact in floating
+    """Product kernel of the radii k/8 (k = 1..7) along the 2 * dim axis
+    directions with epsilon 1/8, so every node offset, every s_q, every
+    crossing of two facet lines and every tie below is exact in floating
     point and no comparison is decided by rounding."""
-    ticks = np.arange(-7, 8) / 8.0
-    grid = np.stack(np.meshgrid(*[ticks] * dim, indexing="ij"), -1).reshape(-1, dim)
-    nodes = grid[(grid**2).sum(axis=1) < 1.0]
-    w = 1.0 - (nodes**2).sum(axis=1)
-    return Mollifier(dim, 0.125, nodes, w / w.sum(), mass_error=0.0)
+    r = np.arange(1, 8) / 8.0
+    rho = 1.0 - r**2
+    dirs = np.vstack([np.eye(dim), -np.eye(dim)])
+    alpha = np.full(2 * dim, 1.0 / (2 * dim))
+    return Mollifier(dim, 0.125, r, rho / rho.sum(), dirs, alpha, mass_error=0.0)
 
 
 def test_mollify_fast_path_matches_generic():
@@ -162,7 +167,7 @@ def test_mollify_fast_path_matches_generic():
     # the square's and the cube's facets with normals +x and +y (f < g by
     # index) have unit normals and offsets: d_f = a and d_g = a + s_q tie
     # node q exactly, and on the diagonal (c = 0) every node with z_x = z_y
-    # ties
+    # ties: the cube's nodes on the z axis
     for poly in (shapes.square(), shapes.cube(side=2.0)):
         fn = GaugeFunction.from_polytope(poly)
         m = _dyadic_mollifier(poly.dim)
@@ -170,10 +175,105 @@ def test_mollify_fast_path_matches_generic():
         axis[:2] = 1.0
         f, g = np.sort(np.argsort(fn.normals @ axis)[-2:])
         e = ((m.epsilon * m.nodes) @ fn.normals.T) / fn.offsets
-        s = np.unique(e[:, g] - e[:, f])
+        s = np.union1d(e[:, g] - e[:, f], [0.0])
         x = 0.75 * fn.normals[f] + (0.75 + s[:, None]) * fn.normals[g]
-        assert (s == 0.0).any()
+        assert (e[:, g] == e[:, f]).any() == (poly.dim == 3)
         assert (_survivors_matching_brute(fn, m, x) == 2).all()
+
+
+def _ray_inputs(fn, m, x):
+    """The arguments ``mollify`` hands ``_ray_sums`` for the points x."""
+    d = ((x - fn.origin) @ fn.normals.T) / fn.offsets
+    beta = ((m.epsilon * m.directions) @ fn.normals.T) / fn.offsets
+    top = m.radii[-1]
+    floor = (d - top * beta.max(axis=0)).max(axis=1, keepdims=True)
+    alive = d - top * beta.min(axis=0) >= floor
+    return np.where(alive, d, -np.inf), beta, m.radii, m.radial_weights
+
+
+def _brute_rays(d, beta, r, rho):
+    """Each ray's weighted maximum of its facet lines and weighted winner
+    value, taken node by node; the lowest facet index wins ties."""
+    lines = d[:, None, None, :] - r[None, None, :, None] * beta[None, :, None, :]
+    win = lines.argmax(axis=-1)
+    return lines.max(axis=-1) @ rho, d[np.arange(len(d))[:, None, None], win] @ rho
+
+
+def test_ray_sums_match_each_node():
+    """One-line, two-piece and dense rays all match the node-by-node
+    maximum, also where three lines meet on a node and the lowest index
+    there is neither end's winner."""
+    rng = np.random.default_rng(11)
+    m = Mollifier.build(3, 0.1)
+    r, rho = m.radii, m.radial_weights
+    d = rng.uniform(0.8, 1.0, size=(60, 6))
+    d[rng.random(d.shape) < 0.2] = -np.inf
+    beta = rng.uniform(-0.3, 0.3, size=(40, 6))
+    value, radial, kind = _ray_sums(d, beta, r, rho)
+    expected_value, expected_radial = _brute_rays(d, beta, r, rho)
+    assert np.abs(value - expected_value).max() <= 1e-13
+    assert np.abs(radial - expected_radial).max() <= 1e-13
+    assert set(np.unique(kind)) == {0, 1, 2}
+
+    # 0.5 - r and r cross at the node 1/4, where the constant 1/4 ties them
+    # with the lowest index
+    r, rho = np.arange(1, 8) / 8.0, np.linspace(1.0, 2.0, 7)
+    d, beta = np.array([[0.25, 0.5, 0.0]]), np.array([[0.0, 1.0, -1.0]])
+    value, radial, kind = _ray_sums(d, beta, r, rho)
+    expected_value, expected_radial = _brute_rays(d, beta, r, rho)
+    assert kind[0, 0] == 2
+    assert value[0, 0] == expected_value[0, 0]
+    assert radial[0, 0] == expected_radial[0, 0]
+    assert radial[0, 0] == 0.5 * rho[0] + 0.25 * rho[1]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_mollify_ray_path_matches_brute_on_sphere_hulls(seed):
+    """Points with three or more survivors on random hulls of 8 to 40 points
+    of the sphere, at epsilon up to 0.45 times the inradius, match direct
+    evaluation, and between them reach all three kinds of ray."""
+    rng = np.random.default_rng(seed)
+    points = rng.normal(size=(8 + 8 * seed, 3))
+    poly = Polytope.from_vertices(points / np.linalg.norm(points, axis=1, keepdims=True))
+    fn = GaugeFunction.from_polytope(poly, origin=poly.vertices.mean(axis=0))
+    kinds = set()
+    for fraction in (0.15, 0.3, 0.45):
+        m = Mollifier.build(3, fraction * fn.inradius)
+        # near the vertices several facets survive
+        near = poly.vertices[rng.integers(len(poly.vertices), size=200)]
+        x = fn.origin + rng.uniform(0.85, 1.1, size=(200, 1)) * (near - fn.origin)
+        x += rng.normal(scale=0.02, size=x.shape)
+        live = _ray_inputs(fn, m, x)[0]
+        x = x[(live > -np.inf).sum(axis=1) >= 3][:12]
+        assert len(x) == 12
+        assert (_survivors_matching_brute(fn, m, x) >= 3).all()
+        kinds.update(np.unique(_ray_sums(*_ray_inputs(fn, m, x))[2]).tolist())
+    assert kinds == {0, 1, 2}
+
+
+def test_mollify_cube_corner_crossings_on_nodes():
+    """Near a corner of the side-2 cube, along the axis direction that
+    points inward on x_i, facet i's line d_i + r/8 meets the two level
+    facets j at r = 8 (d_j - d_i), the node k/8 when d_j - d_i = k/64.  All
+    three tie there, exactly, and the lowest index among them takes the
+    node's slope, whichever of them that is."""
+    poly = shapes.cube(side=2.0)
+    fn = GaugeFunction.from_polytope(poly)
+    m = _dyadic_mollifier(3)
+    rising_lowest = set()
+    # k / 64 puts the crossing on the node k / 8, odd k / 128 between nodes
+    gap = np.r_[np.arange(2, 7) / 64.0, np.arange(3, 14, 2) / 128.0]
+    for corner in np.array(np.meshgrid(*[[-1.0, 1.0]] * 3)).reshape(3, -1).T:
+        facet = [int(np.argmax(fn.normals[:, i] * c)) for i, c in enumerate(corner)]
+        for i in range(3):
+            x = np.tile(0.75 + gap[:, None], 3)
+            x[:, i] = 0.75
+            x *= corner
+            assert (_survivors_matching_brute(fn, m, x) == 3).all()
+            kind = _ray_sums(*_ray_inputs(fn, m, x))[2]
+            assert (kind[:5] == 2).any() and (kind[5:] == 1).any()
+            rising_lowest.add(facet[i] < min(f for j, f in enumerate(facet) if j != i))
+    assert rising_lowest == {True, False}
 
 
 def test_mollifier_keeps_pair_sums_per_gauge():
@@ -269,6 +369,43 @@ def test_newton_converges_in_few_steps(shape, eps, smoothed_bodies):
     # a direction keeps its plain radius exactly when it took no step
     unmoved = body.radii == body.plain_radii()
     assert np.array_equal(unmoved, body.newton_steps == 0)
+
+
+def test_each_counted_newton_step_lowers_its_radius(smoothed_bodies):
+    """Replaying the iteration, every counted step lowers its radius r by
+    more than NEWTON_ULPS * r machine epsilons, and the step each direction
+    stopped at does not."""
+    for shape, eps, resolution in (("octahedron", 0.2, 10), ("square", 0.2, None)):
+        body = smoothed_bodies(shape, eps, resolution)
+        radii = body.plain_radii()
+        active = np.arange(len(radii))
+        for k in range(body.newton_steps.max() + 1):
+            r = radii[active]
+            x = r[:, None] * body.directions[active]
+            g, radial = mollify(body.gauge_fn, body.mollifier, x)
+            nxt = r * (1.0 - (g - 1.0) / radial)
+            counted = body.newton_steps[active] > k
+            progress = r - nxt > NEWTON_ULPS * np.finfo(float).eps * r
+            assert np.array_equal(progress, counted)
+            active = active[counted]
+            radii[active] = nxt[counted]
+        assert not len(active)
+        assert np.array_equal(radii, body.radii)
+
+
+def test_convexity_probe_memory_stays_small():
+    """The ray sums' temporaries come in blocks of 2^13 (point, direction)
+    elements: the probe peaks at 2.0 MiB here, 3.5 MiB with blocks twice
+    that size, and 3.3 MiB with a dense maximum over all nodes in blocks of
+    2^16 (point, node) elements."""
+    body = smoothed_body(shapes.octahedron(), 0.2, resolution=10)
+    tracemalloc.start()
+    try:
+        convexity_probe(body, trials=256, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.6 * 2**20
 
 
 def test_convexity_probe_on_square():
