@@ -77,7 +77,8 @@ class SurfaceMesh:
     ----------
     positions : (P, 3) float array
     triangles : (T, 3) int32 array of position indices
-    facet_of : (T,) int32 index of the source polytope facet per triangle
+    facet_of : (T,) int32 index of the source polytope facet per triangle,
+        ascending, so each facet's triangles are one run
     polytope : the source polytope (positions 0..m-1 are its vertices)
     edge_lengths : (E,) float, edges in lexicographic order of their ends
     tri_edges : (T, 3) int32 edges ``ab``, ``bc``, ``ca`` of each triangle
@@ -135,9 +136,13 @@ class SurfaceMesh:
         # 2E = 3T half-edges and none of them unpaired: two on every edge
         mesh._closed = 2 * len(edge_lengths) == 3 * len(t) and int(across.min()) >= 0
         mesh.areas = np.empty(len(t))
+        # the products and sums of np.cross and np.linalg.norm, in their
+        # order, without their per-call overhead
         for rows in _blocks(len(t)):
-            a, b, c = (p.take(t[rows, k], axis=0) for k in range(3))
-            mesh.areas[rows] = 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
+            a = p.take(t[rows, 0], axis=0)
+            (ux, uy, uz), (vx, vy, vz) = (p.take(t[rows, k], axis=0).T - a.T for k in (1, 2))
+            x, y, z = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
+            mesh.areas[rows] = 0.5 * np.sqrt(x * x + y * y + z * z)
         _freeze(*(v for v in vars(mesh).values() if isinstance(v, np.ndarray)))
         return mesh
 
@@ -165,7 +170,9 @@ class SurfaceMesh:
         computed on the first call for that vertex and kept on the mesh.
 
         The first call also measures every vertex's cone in one
-        ``vertex_cones`` walk and keeps them for the later calls.
+        ``vertex_cones`` walk and keeps them for the later calls.  Each
+        incident facet's triangles are found as one run of the ascending
+        ``facet_of``.
         """
         star = self._stars.get(vertex)
         if star is None:
@@ -174,8 +181,11 @@ class SurfaceMesh:
             if self._cones is None:
                 self._cones = vertex_cones(self.polytope)
             cone = self._cones[vertex]
-            incident = [f for f, _ in cone.facet_contributions]
-            tris = np.flatnonzero(np.isin(self.facet_of, incident)).astype(np.int32)
+            incident = sorted(f for f, _ in cone.facet_contributions)
+            bounds = np.searchsorted(self.facet_of, [incident, np.add(incident, 1)])
+            tris = np.concatenate(
+                [np.arange(lo, hi, dtype=np.int32) for lo, hi in bounds.T]
+            )
             dist = np.empty(len(tris))
             for rows in _blocks(len(tris)):
                 d = self.triangle_centroids(tris[rows]) - self.positions[vertex]
@@ -228,7 +238,9 @@ def _refine(positions, triangles, ends, tri_edges):
     count = len(positions)
     edge_of = tri_edges.ravel()
     # edges in the order of their smaller half-edge
-    visit = edge_of[np.sort(_half_edge_pairs(edge_of, len(ends))[0])]
+    first = np.zeros(len(edge_of), dtype=bool)
+    first[_half_edge_pairs(edge_of, len(ends))[0]] = True
+    visit = edge_of[first]
     mid = np.empty(len(ends), dtype=np.int32)
     mid[visit] = np.arange(count, count + len(visit), dtype=np.int32)
     lo, hi = ends.take(visit, axis=0).T
@@ -294,8 +306,9 @@ def _lexicographic(positions, ends, tri_edges) -> np.ndarray:
     lengths = np.empty(len(ends))
     for rows in _blocks(len(ends)):
         lo, hi = ends.take(order[rows], axis=0).T
-        d = positions.take(lo, axis=0) - positions.take(hi, axis=0)
-        lengths[rows] = np.linalg.norm(d, axis=1)
+        x, y, z = (positions.take(lo, axis=0) - positions.take(hi, axis=0)).T
+        # np.linalg.norm's sum, in its order
+        lengths[rows] = np.sqrt(x * x + y * y + z * z)
     return lengths
 
 

@@ -39,12 +39,20 @@ without crossing the root, and no bracket or fallback is needed.  A step
 that lowers r by NEWTON_ULPS * r machine epsilons or less is rounding at
 the root, so the direction stops without it.
 
-Each evaluation screens its points exactly.  With d_f = a_f . (x - o) / c_f
-and beta_jf = eps a_f . u_j / c_f, facet f is the line
-l_f(r) = d_f - r beta_jf along ray j, and e_qf = r_i beta_jf at node q.
-Antipodal directions put both extremes of e_qf on the largest radius, and
-facet g can win at some node only if d_g - min_q e_qg >= max_f (d_f -
-max_q e_qf).  A point with a single surviving facet f* has
+Each evaluation screens its points, facet against facet.  With
+d_f = a_f . (x - o) / c_f and beta_jf = eps a_f . u_j / c_f, facet f is the
+line l_f(r) = d_f - r beta_jf along ray j, and e_qf = r_i beta_jf at node q.
+Facet g wins node q only if l_g >= l_f there for every f, that is
+d_g - d_f + r_i (beta_jf - beta_jg) >= 0.  Antipodal directions make
+G_fg = max_j (beta_jf - beta_jg) nonnegative, so with r_i <= r_max facet g
+can win some node only if d_g - d_f + r_max G_fg >= 0 for every f; a slack
+of SCREEN_ULPS machine epsilons of |d_g| + |d_f| + r_max (max_j beta_jg +
+max_j beta_jf) keeps a facet that wins by rounding.  As G_fg is at most
+max_j beta_jf - min_j beta_jg, a facet that passes also passes, up to the
+slack, the single-floor test d_g - r_max min_j beta_jg >=
+max_f (d_f - r_max max_j beta_jf); the pairwise test is sharper because it
+takes both facets' offsets along one direction, not each along its own.
+A point with a single surviving facet f* has
 F_eps = d_f* sum_q p_q - sum_q p_q e_qf* in closed form; ties keep both
 facets.  A point with exactly two survivors f < g is closed too: g wins
 node q exactly when s_q = e_qg - e_qf < c = d_g - d_f.  The s_q do not
@@ -97,9 +105,11 @@ BUMP_RADIAL_MASS = {2: 0.07424775338796101, 3: 0.0351007383764877}
 RADIAL_NODES = 32
 NEWTON_ITERS = 48
 NEWTON_ULPS = 4
+SCREEN_ULPS = 4
 INSIDE_TOL = 1e-12
-# elements per (points x directions) block of the ray sums; larger blocks
-# make their temporaries, not the mesh or the body, the peak memory of a run
+# elements per (points x directions) block of the ray sums and per
+# (points x facets x facets) block of the screen; larger blocks make their
+# temporaries, not the mesh or the body, the peak memory of a run
 _BLOCK = 1 << 13
 
 
@@ -142,7 +152,7 @@ class GaugeFunction:
         return vals.max(axis=-1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mollifier:
     """Bump-kernel quadrature at a fixed smoothing radius, a product rule.
 
@@ -154,7 +164,8 @@ class Mollifier:
     ``epsilon`` at use time, and weights sum to 1.  ``mass_error`` is the
     relative error of the raw quadrature mass against the true kernel
     integral (the recorded ``quad`` values in BUMP_RADIAL_MASS, checked in
-    the tests).  All arrays are read-only.
+    the tests).  All arrays are read-only, and mollifiers compare by
+    identity, as gauges do.
     """
 
     dim: int
@@ -166,7 +177,7 @@ class Mollifier:
     mass_error: float
     #: (gauge, f, g) -> s_q = e_qg - e_qf sorted, and prefix sums of p_q and
     #: p_q s_q in that order, each made by ``mollify`` on first use
-    _pair_sums: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _pair_sums: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         _freeze_fields(self, "radii", "radial_weights", "directions", "direction_weights")
@@ -216,18 +227,19 @@ def mollify(
     t -> F_eps(o + t (x - o)) at t = 1 (a subgradient where F_eps has a
     kink).  Points with one or two surviving facets take the closed forms;
     the rest are summed ray by ray over the facets that survive the screen
-    for them.
+    for them.  A point's results do not depend on the other points of the
+    call, so a direction's smoothed radius does not depend on which other
+    directions are still moving.
     """
     x = np.atleast_2d(np.asarray(x, float))
-    d = ((x - fn.origin) @ fn.normals.T) / fn.offsets
-    beta = ((m.epsilon * m.directions) @ fn.normals.T) / fn.offsets
+    d = _facet_values(fn, x - fn.origin)
+    beta = _facet_values(fn, m.epsilon * m.directions)
     mass = m.weights.sum()
-    # facet g can win at some node only if d_g - min_q e_qg reaches the
-    # floor max_f (d_f - max_q e_qf) that every node attains; both extremes
-    # of e_qf = r_i beta_jf lie on the largest radius
-    top = m.radii[-1]
-    floor = (d - top * beta.max(axis=0)).max(axis=1, keepdims=True)
-    alive = d - top * beta.min(axis=0) >= floor
+    # facet g can win some node only if d_g - d_f + r_max G_fg >= 0 (less a
+    # few ulps) for every f, G_fg = max_j (beta_jf - beta_jg); G_fg is at
+    # most max_j beta_jf - min_j beta_jg, so this implies the single floor
+    # d_g - r_max min_j beta_jg >= max_f (d_f - r_max max_j beta_jf)
+    alive = _screen(d, beta, m.radii[-1])
     win = alive.argmax(axis=1)
     d_win = np.take_along_axis(d, win[:, None], axis=1)[:, 0]
     mean_e = (m.radial_weights @ m.radii) * (m.direction_weights @ beta)
@@ -265,9 +277,42 @@ def mollify(
         rows = many[lo : lo + step]
         live = np.where(alive[rows], d[rows], -np.inf)
         ray_value, ray_radial, _ = _ray_sums(live, beta, m.radii, m.radial_weights)
-        value[rows] = ray_value @ m.direction_weights
-        radial[rows] = ray_radial @ m.direction_weights
+        value[rows] = (ray_value * m.direction_weights).sum(axis=1)
+        radial[rows] = (ray_radial * m.direction_weights).sum(axis=1)
     return value, radial
+
+
+def _facet_values(fn: GaugeFunction, y: np.ndarray) -> np.ndarray:
+    """(a_f . y) / c_f for each row y and facet f, summed in a fixed order
+    rather than by BLAS, whose rounding depends on the number of rows: a
+    point's value must not depend on the points that share its call."""
+    return (y[:, None, :] * fn.normals).sum(axis=2) / fn.offsets
+
+
+def _screen(d: np.ndarray, beta: np.ndarray, top: float) -> np.ndarray:
+    """Whether facet g can win at some node r_i u_j (r_i <= ``top``), for
+    each point (row of ``d``) and facet g; see the module docstring.
+
+    g survives only if d_g - d_f + top G_fg >= -slack for every f, with
+    G_fg = max_j (beta_jf - beta_jg) and a slack of SCREEN_ULPS machine
+    epsilons of |d_g| + |d_f| + top (B_g + B_f), B_f = max_j beta_jf.  The
+    slack is a sum of a g part and an f part, so the test reads
+    hi_g + min_f (top G_fg - lo_f) >= 0, over blocks of points that bound
+    the points x facets x facets temporary.
+    """
+    n, facets = d.shape
+    gap = np.empty((facets, facets))
+    for f in range(facets):
+        np.max(beta[:, f, None] - beta, axis=0, out=gap[f])
+    gap *= top
+    slack = SCREEN_ULPS * np.finfo(float).eps * (abs(d) + top * beta.max(axis=0))
+    lo, hi = d - slack, d + slack
+    alive = np.empty(d.shape, bool)
+    step = max(1, _BLOCK // facets**2)
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        alive[rows] = hi[rows] + (gap - lo[rows, :, None]).min(axis=1) >= 0.0
+    return alive
 
 
 def _ray_sums(
@@ -306,8 +351,8 @@ def _ray_sums(
     value = radial - beta_a * wr - beta_z * (cum_wr[-1] - wr)
     p, j = np.nonzero(dense)
     acc, arg = _upper(d[p], facets, (len(p), len(r)), lambda f: np.outer(beta[j, f], r))
-    value[p, j] = acc @ rho
-    radial[p, j] = np.take_along_axis(d[p], arg, axis=1) @ rho
+    value[p, j] = (acc * rho).sum(axis=1)
+    radial[p, j] = (np.take_along_axis(d[p], arg, axis=1) * rho).sum(axis=1)
     kind = (~one).astype(np.int8)
     kind[dense] = 2
     return value, radial, kind

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyperim import shapes
+from polyperim.cones import vertex_cones
 from polyperim.errors import UnsupportedDimension
 from polyperim.mesh import (
     SurfaceMesh,
@@ -187,6 +188,21 @@ def test_subdivide_tables_equal_the_constructors(m, seed, level):
         assert array.tobytes() == expected.tobytes()
     for name in KEPT_ARRAYS:
         assert not getattr(mesh, name).flags.writeable, name
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(m=st.integers(4, 60), seed=st.integers(0, 2**32 - 1), level=st.integers(0, 2))
+def test_facet_of_ascends_and_gives_each_vertex_star(m, seed, level):
+    # vertex_star takes each incident facet's triangles as one run of facet_of
+    x = np.random.default_rng(seed).normal(size=(m, 3))
+    poly = Polytope.from_vertices(x / np.linalg.norm(x, axis=1)[:, None])
+    mesh = subdivide(poly, level)
+    assert (np.diff(mesh.facet_of) >= 0).all()
+    cones = vertex_cones(poly)
+    for vertex in range(len(poly.vertices)):
+        incident = [f for f, _ in cones[vertex].facet_contributions]
+        tris = np.flatnonzero(np.isin(mesh.facet_of, incident))
+        assert sorted(mesh.vertex_star(vertex).triangles.tolist()) == tris.tolist()
 
 
 def test_midpoints_are_numbered_in_first_visit_order():

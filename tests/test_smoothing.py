@@ -20,7 +20,9 @@ from polyperim.smoothing import (
     NEWTON_ULPS,
     GaugeFunction,
     Mollifier,
+    _facet_values,
     _ray_sums,
+    _screen,
     convexity_probe,
     mollify,
     smoothed_body,
@@ -120,19 +122,40 @@ def test_mollify_is_exact_on_linear_functions():
 
 def _survivors_matching_brute(fn, m, x):
     """Check ``mollify`` against direct evaluation, values and radial slopes
-    alike, and return each point's number of facets surviving the screen."""
+    alike, check that every facet winning some node survives the screen,
+    and return each point's number of facets surviving the screen."""
     value, radial = mollify(fn, m, x)
     assert np.abs(value - brute_mollify(fn, m, x)).max() <= 1e-13
     # the slope is the weighted facet value d_f* of each node's winner, the
     # lowest facet index among equal values
-    d = ((x - fn.origin) @ fn.normals.T) / fn.offsets
+    d, beta, alive = _screened(fn, m, x)
     shifted = x[:, None, :] - m.epsilon * m.nodes - fn.origin
     win = ((shifted @ fn.normals.T) / fn.offsets).argmax(axis=-1)
     d_win = np.take_along_axis(d, win, axis=1)
     assert np.abs(radial - d_win @ m.weights).max() <= 1e-13
-    e = ((m.epsilon * m.nodes) @ fn.normals.T) / fn.offsets
-    floor = (d - e.max(axis=0)).max(axis=1, keepdims=True)
-    return (d - e.min(axis=0) >= floor).sum(axis=1)
+    assert not (_node_winners(d, beta, m.radii) & ~alive).any()
+    return alive.sum(axis=1)
+
+
+def _screened(fn, m, x):
+    """The facet values d and slopes beta ``mollify`` takes for the points
+    x, and which facets survive its screen."""
+    d = _facet_values(fn, x - fn.origin)
+    beta = _facet_values(fn, m.epsilon * m.directions)
+    return d, beta, _screen(d, beta, m.radii[-1])
+
+
+def _node_winners(d, beta, r):
+    """Whether each facet wins some node r_i u_j at each point: the lowest
+    index among the highest of the lines d_f - r_i beta_jf, as the ray sums
+    evaluate them."""
+    offsets = r[:, None] * beta[:, None, :]
+    wins = np.zeros(d.shape, bool)
+    for lo in range(0, len(d), 16):
+        rows = np.arange(lo, min(lo + 16, len(d)))
+        win = (d[rows, None, None, :] - offsets).argmax(axis=-1)
+        wins[rows[:, None], win.reshape(len(rows), -1)] = True
+    return wins
 
 
 def _dyadic_mollifier(dim):
@@ -183,11 +206,7 @@ def test_mollify_fast_path_matches_generic():
 
 def _ray_inputs(fn, m, x):
     """The arguments ``mollify`` hands ``_ray_sums`` for the points x."""
-    d = ((x - fn.origin) @ fn.normals.T) / fn.offsets
-    beta = ((m.epsilon * m.directions) @ fn.normals.T) / fn.offsets
-    top = m.radii[-1]
-    floor = (d - top * beta.max(axis=0)).max(axis=1, keepdims=True)
-    alive = d - top * beta.min(axis=0) >= floor
+    d, beta, alive = _screened(fn, m, x)
     return np.where(alive, d, -np.inf), beta, m.radii, m.radial_weights
 
 
@@ -274,6 +293,84 @@ def test_mollify_cube_corner_crossings_on_nodes():
             assert (kind[:5] == 2).any() and (kind[5:] == 1).any()
             rising_lowest.add(facet[i] < min(f for j, f in enumerate(facet) if j != i))
     assert rising_lowest == {True, False}
+
+
+def _probe_points(body, trials, seed):
+    """Every point at which ``convexity_probe`` evaluates F_eps."""
+    points = []
+    level = type(body).level
+
+    def recorded(self, x):
+        points.append(x)
+        return level(self, x)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(type(body), "level", recorded)
+        convexity_probe(body, trials=trials, seed=seed)
+    return np.vstack(points)
+
+
+#: points of the octahedron eps 0.2 probe below with 1, 2 and 3 or more
+#: surviving facets; the single-floor screen sent more of them ray by ray
+OCTAHEDRON_PROBE_PATHS = [53, 407, 586]
+
+
+@pytest.mark.parametrize("shape, resolution", [("octahedron", 10), ("cube2", None), ("square", None)])
+def test_screen_keeps_every_node_winner_of_the_probe_points(shape, resolution, smoothed_bodies):
+    """At every point of a seeded probe, each facet that wins some node
+    survives the screen.  On the octahedron and the square the screen keeps
+    exactly the winners' count, point class by point class."""
+    body = smoothed_bodies(shape, 0.2, resolution)
+    fn, m = body.gauge_fn, body.mollifier
+    d, beta, alive = _screened(fn, m, _probe_points(body, 256, 0))
+    wins = _node_winners(d, beta, m.radii)
+    assert not (wins & ~alive).any()
+    paths = np.bincount(np.minimum(alive.sum(axis=1), 3), minlength=4)[1:]
+    if shape != "cube2":
+        assert paths.tolist() == np.bincount(np.minimum(wins.sum(axis=1), 3))[1:].tolist()
+    if shape == "octahedron":
+        assert paths.tolist() == OCTAHEDRON_PROBE_PATHS
+
+
+def test_screen_keeps_facets_that_win_by_rounding():
+    """Facet 0's line ties facet 1's, up to an ulp either way, at the
+    largest radius of the ray where facet 1 falls fastest against it.  Where
+    rounding lets facet 0 win that node, it survives the screen, which
+    takes its few ulps of slack for this."""
+    rng = np.random.default_rng(0)
+    for poly in (shapes.square(), shapes.octahedron()):
+        fn = GaugeFunction.from_polytope(poly)
+        m = Mollifier.build(poly.dim, 0.2)
+        top = m.radii[-1]
+        beta = _facet_values(fn, m.epsilon * m.directions)
+        j = np.argmax(beta[:, 1] - beta[:, 0])
+        d = np.full((200, len(fn.offsets)), -50.0)
+        d[:, 1] = rng.uniform(-1.0, 1.0, 200) * 10.0 ** rng.uniform(-3.0, 0.0, 200)
+        tie = (d[:, 1] - top * beta[j, 1]) + top * beta[j, 0]
+        d[:, 0] = np.nextafter(tie, rng.choice([-np.inf, np.inf], 200))
+        wins = _node_winners(d, beta, m.radii)
+        assert 50 <= wins[:, 0].sum() <= 150
+        assert not (wins & ~_screen(d, beta, top)).any()
+
+
+@pytest.mark.parametrize("shape, resolution", [("octahedron", 10), ("cube2", None), ("square", None)])
+def test_mollify_does_not_depend_on_batching(shape, resolution, smoothed_bodies):
+    """Values and slopes at a point are bit for bit the same alone, in the
+    whole batch and in uneven parts of it."""
+    body = smoothed_bodies(shape, 0.2, resolution)
+    fn, m = body.gauge_fn, body.mollifier
+    rng = np.random.default_rng(4)
+    x = rng.uniform(-1.1, 1.1, size=(120, fn.origin.size)) * body.polytope.vertices.max()
+    batch = np.array(mollify(fn, m, x))
+    alone = np.hstack([mollify(fn, m, point) for point in x])
+    parts = np.hstack([mollify(fn, m, part) for part in np.split(x, [7, 50, 51])])
+    assert np.array_equal(alone, batch) and np.array_equal(parts, batch)
+
+
+def test_mollifiers_compare_by_identity():
+    m = Mollifier.build(2, 0.1)
+    assert m == m and m != Mollifier.build(2, 0.1)
+    assert len({m, Mollifier.build(2, 0.1)}) == 2
 
 
 def test_mollifier_keeps_pair_sums_per_gauge():
