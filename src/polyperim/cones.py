@@ -53,6 +53,9 @@ LINK_RTOL = 1e-12  # relative; links this close count as equal
 
 # columns of the four 3 x 3 minors of a 3 x 4 matrix
 _MINORS = [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]
+# rows per block of the 4-D corner pass: (cell vertex, face pair) rows, and
+# the face pairs whose shared edge is read off the ridges
+_CELL_ROWS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -154,15 +157,30 @@ def _ring_corners(pts: np.ndarray, rings: list) -> list[dict[int, tuple[float, f
     return corners
 
 
-def _by_cell(inc: csr_matrix, item_cell: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _by_cell(inc: csr_matrix, item_cell: np.ndarray):
     """Pairs (i, j) of each entry i of the cell-vertex incidence ``inc`` with
     each item j of the same cell, items sorted by cell; cell by cell, and
-    entry-major within a cell."""
+    entry-major within a cell.
+
+    Yields them in blocks of whole cells, at most ``_CELL_ROWS`` pairs each
+    unless one cell alone has more, with the entries each block covers.
+    """
     count = np.bincount(item_cell, minlength=inc.shape[0])
+    item_first = np.cumsum(count) - count
     size = np.diff(inc.indptr) * count
-    g = np.repeat(np.arange(len(size)), size)
-    j = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
-    return inc.indptr[g] + j // count[g], np.cumsum(count)[g] - count[g] + j % count[g]
+    end = np.cumsum(size)
+    first = end - size
+    lo = 0
+    while lo < len(size):
+        hi = max(lo + 1, int(np.searchsorted(end, first[lo] + _CELL_ROWS, side="right")))
+        g = np.repeat(np.arange(lo, hi), size[lo:hi])
+        j = np.arange(first[lo], end[hi - 1]) - first[g]
+        yield (
+            slice(inc.indptr[lo], inc.indptr[hi]),
+            inc.indptr[g] + j // count[g],
+            item_first[g] + j % count[g],
+        )
+        lo = hi
 
 
 def _cell_corners(poly: Polytope) -> list[dict[int, tuple[float, float]]]:
@@ -183,16 +201,22 @@ def _cell_corners(poly: Polytope) -> list[dict[int, tuple[float, float]]]:
     pts, normals = poly.vertices, poly.facet_normals
     m = len(pts)
     inc = _incidence(poly.facets, m)
+    # the largest arrays are dropped once used: on large hulls they would
+    # set the peak memory together
     shared = (inc @ inc.T).tocoo()
     keep = (shared.data >= 3) & (shared.row != shared.col)
-    order = np.lexsort((shared.col[keep], shared.row[keep]))
-    cell, other = shared.row[keep][order], shared.col[keep][order]
+    cell, other = shared.row[keep], shared.col[keep]
+    del shared, keep
+    order = np.lexsort((other, cell))
+    cell, other = cell[order], other[order]
     ridge = inc[cell].multiply(inc[other]).tocsr()
     first = pts[ridge.indices[ridge.indptr[:-1, None] + np.arange(3)]]
     rows = np.stack([normals[cell], first[:, 1] - first[:, 0], first[:, 2] - first[:, 0]], 1)
     u = np.linalg.det(rows[:, :, _MINORS].transpose(0, 2, 1, 3)) * [1.0, -1.0, 1.0, -1.0]
+    del rows
     u *= np.sign(_dot(u, normals[other]))[:, None] / np.sqrt(_dot(u, u))[:, None]
     offset = _dot(u, first[:, 0])
+    del first, other
 
     # over columns (cell, vertex), numbered as the entries of inc, the
     # half-ridges h, k of one cell that share two vertices, both ways round;
@@ -202,29 +226,40 @@ def _cell_corners(poly: Polytope) -> list[dict[int, tuple[float, float]]]:
     in_cell = csr_matrix((ridge.data, col, ridge.indptr), shape=(len(cell), inc.nnz))
     meet = (in_cell @ in_cell.T).tocoo()
     edge = meet.data == 2
-    order = np.lexsort((meet.col[edge], meet.row[edge]))
-    h, k = meet.row[edge][order], meet.col[edge][order]
-    ends = ridge[h].multiply(ridge[k]).indices.reshape(-1, 2)
+    h, k = meet.row[edge], meet.col[edge]
+    del meet, edge
+    order = np.lexsort((k, h))
+    h, k = h[order], k[order]
+    ends = np.empty((len(h), 2), dtype=ridge.indices.dtype)
+    for lo in range(0, len(h), _CELL_ROWS):
+        pairs = slice(lo, lo + _CELL_ROWS)
+        ends[pairs] = ridge[h[pairs]].multiply(ridge[k[pairs]]).indices.reshape(-1, 2)
+    del ridge
     cos = _dot(u[h], u[k])
     sin = u[h] - cos[:, None] * u[k]
     turn = np.where(h < k, np.arctan2(np.sqrt(_dot(sin, sin)), cos), 0.0)
+    del sin
 
     # each cell vertex against each face h of its cell and each neighbour k
     # of h, across the edge (a, b); the foot on h is inside k when
-    # depth_h (u_h . u_k) <= depth_k
-    i, e = _by_cell(inc, cell[h])
-    vertex, (a, b), hi, ki = inc.indices[i], ends[e].T, h[e], k[e]
-    touch = (vertex == a) | (vertex == b)
-    angles = 2.0 * math.pi - np.bincount(i, np.where(touch, turn[e], 0.0), inc.nnz)
-    span = _segment_distances(pts[vertex], pts[a], pts[b])
+    # depth_h (u_h . u_k) <= depth_k.  Blocks of whole cells keep each
+    # entry's sums and each (entry, face) run in one block.
+    angles = np.empty(inc.nnz)
     dist = np.full(inc.nnz, math.inf)
-    np.minimum.at(dist, i, np.where(touch, math.inf, span))
-    depth = offset[hi] - _dot(pts[vertex], u[hi])
     tol = TOL * max(1.0, float(np.abs(pts).max()))
-    bad = touch | (depth * cos[e] > offset[ki] - _dot(pts[vertex], u[ki]) + tol)
-    run = np.r_[True, (i[1:] != i[:-1]) | (hi[1:] != hi[:-1])]
-    skip = np.bincount(np.cumsum(run) - 1, bad) > 0
-    np.minimum.at(dist, i[run], np.where(skip, math.inf, depth[run]))
+    for entries, i, e in _by_cell(inc, cell[h]):
+        vertex, (a, b), hi, ki = inc.indices[i], ends[e].T, h[e], k[e]
+        touch = (vertex == a) | (vertex == b)
+        turned = np.bincount(i - entries.start, np.where(touch, turn[e], 0.0),
+                             entries.stop - entries.start)
+        angles[entries] = 2.0 * math.pi - turned
+        span = _segment_distances(pts[vertex], pts[a], pts[b])
+        np.minimum.at(dist, i, np.where(touch, math.inf, span))
+        depth = offset[hi] - _dot(pts[vertex], u[hi])
+        bad = touch | (depth * cos[e] > offset[ki] - _dot(pts[vertex], u[ki]) + tol)
+        run = np.r_[True, (i[1:] != i[:-1]) | (hi[1:] != hi[:-1])]
+        skip = np.bincount(np.cumsum(run) - 1, bad) > 0
+        np.minimum.at(dist, i[run], np.where(skip, math.inf, depth[run]))
     corners = list(zip(angles.tolist(), dist.tolist()))
     return [dict(zip(f, corners[s : s + len(f)])) for f, s in zip(poly.facets, inc.indptr)]
 

@@ -27,16 +27,21 @@ Only the finished mesh relabels its edges lexicographically, by one argsort
 of the int64 keys ``lo * P + hi`` (``_lexicographic``), and measures them.
 
 A mesh keeps only what the solver reads, every index array int32 and every
-float array built in blocks of rows: 72 bytes per triangle (``P = T/2 + 2``
+float array built in blocks of rows: 60 bytes per triangle (``P = T/2 + 2``
 positions, ``E = 3T/2`` edges).  Edge ends and triangle centroids are not
-kept.  A mesh whose ``3T`` half-edge ids would not fit int32 is rejected
-before it is built.  Every array is read-only once built, and each vertex's
-star order (``SurfaceMesh.vertex_star``) is computed on first use and kept.
+kept.  Closure is checked at build time from each edge's smaller and larger
+half-edge (``_half_edge_pairs``), and the triangle across each side
+(``SurfaceMesh.tri_neighbors``, which only the annealer reads) is derived
+from the same pairs on first read and kept, as is each vertex's star order
+(``SurfaceMesh.vertex_star``).  A mesh whose ``3T`` half-edge ids would not
+fit int32 is rejected before it is built.  Every array is read-only once
+built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -82,11 +87,10 @@ class SurfaceMesh:
     polytope : the source polytope (positions 0..m-1 are its vertices)
     edge_lengths : (E,) float, edges in lexicographic order of their ends
     tri_edges : (T, 3) int32 edges ``ab``, ``bc``, ``ca`` of each triangle
-    tri_neighbors : (T, 3) int32 triangle across each of those edges
     areas : (T,) float
 
-    That is 72 bytes per triangle.  Centroids are computed on demand by
-    ``triangle_centroids``.
+    That is 60 bytes per triangle.  Centroids are computed on demand by
+    ``triangle_centroids``, and ``tri_neighbors`` on first read.
     """
 
     positions: np.ndarray
@@ -96,7 +100,6 @@ class SurfaceMesh:
 
     edge_lengths: np.ndarray
     tri_edges: np.ndarray
-    tri_neighbors: np.ndarray
     areas: np.ndarray
     _closed: bool = field(repr=False)
     _stars: dict[int, VertexStar] = field(repr=False)
@@ -120,21 +123,10 @@ class SurfaceMesh:
         mesh.tri_edges = tri_edges
         mesh._stars = {}
         mesh._cones = None
-        # half-edge 3t + j is side j of triangle t; each edge keeps one
-        # half-edge, and its other half-edge pairs with that one both ways
-        edge_of = tri_edges.reshape(-1)
-        kept = np.empty(len(edge_lengths), dtype=np.int32)
-        for rows in _blocks(len(edge_of)):
-            kept[edge_of[rows]] = np.arange(rows.start, rows.stop, dtype=np.int32)
-        mesh.tri_neighbors = np.full_like(t, -1)
-        across = mesh.tri_neighbors.reshape(-1)
-        for rows in _blocks(len(edge_of)):
-            half, other = np.arange(rows.start, rows.stop, dtype=np.int32), kept[edge_of[rows]]
-            rest = half != other
-            across[half[rest]], across[other[rest]] = other[rest] // 3, half[rest] // 3
-        del kept
         # 2E = 3T half-edges and none of them unpaired: two on every edge
-        mesh._closed = 2 * len(edge_lengths) == 3 * len(t) and int(across.min()) >= 0
+        first, last = _half_edge_pairs(tri_edges.reshape(-1), len(edge_lengths))
+        mesh._closed = 2 * len(edge_lengths) == 3 * len(t) and bool((first != last).all())
+        del first, last
         mesh.areas = np.empty(len(t))
         # the products and sums of np.cross and np.linalg.norm, in their
         # order, without their per-call overhead
@@ -145,6 +137,22 @@ class SurfaceMesh:
             mesh.areas[rows] = 0.5 * np.sqrt(x * x + y * y + z * z)
         _freeze(*(v for v in vars(mesh).values() if isinstance(v, np.ndarray)))
         return mesh
+
+    @cached_property
+    def tri_neighbors(self) -> np.ndarray:
+        """(T, 3) int32 triangle across each side ``ab``, ``bc``, ``ca``, or
+        -1 across an open edge; derived from ``tri_edges`` on first read and
+        kept.  Only the annealer reads it."""
+        first, last = _half_edge_pairs(self.tri_edges.reshape(-1), len(self.edge_lengths))
+        across = np.full(self.tri_edges.size, -1, dtype=np.int32)
+        for rows in _blocks(len(first)):
+            lo, hi = first[rows], last[rows]
+            paired = lo != hi
+            lo, hi = lo[paired], hi[paired]
+            across[lo], across[hi] = hi // 3, lo // 3
+        across = across.reshape(self.tri_edges.shape)
+        _freeze(across)
+        return across
 
     @property
     def triangle_count(self) -> int:
@@ -190,9 +198,14 @@ class SurfaceMesh:
             for rows in _blocks(len(tris)):
                 d = self.triangle_centroids(tris[rows]) - self.positions[vertex]
                 dist[rows] = np.linalg.norm(d, axis=1)
+            # each full-size temporary is dropped before the next is made
             order = np.argsort(dist, kind="stable")
+            dist = dist[order]
             tris = tris[order]
-            star = VertexStar(cone, tris, dist[order], np.cumsum(self.areas[tris]))
+            del order
+            prefix = self.areas.take(tris)
+            np.cumsum(prefix, out=prefix)
+            star = VertexStar(cone, tris, dist, prefix)
             _freeze(star.triangles, star.distances, star.prefix_area)
             self._stars[vertex] = star
         return star
@@ -226,27 +239,34 @@ def subdivide(polytope: Polytope, level: int) -> SurfaceMesh:
     ends, tri_edges = _edge_table(triangles, len(positions))
     for _ in range(level):
         positions, triangles, ends, tri_edges = _refine(positions, triangles, ends, tri_edges)
-        facet_of = np.repeat(facet_of, 4)
-    lengths = _lexicographic(positions, ends, tri_edges)
+    keys = _edge_keys(ends, len(positions))
     del ends
+    lengths = _lexicographic(positions, keys, tri_edges)
+    del keys
+    # the children of triangle t are 4t to 4t + 3
+    facet_of = np.repeat(facet_of, 4**level)
     return SurfaceMesh._refined(positions, triangles, facet_of, polytope, lengths, tri_edges)
 
 
 def _refine(positions, triangles, ends, tri_edges):
     """One round of 4-to-1 subdivision, carrying the edge table along (see
-    the module docstring).  Each output is filled in place."""
+    the module docstring).  Each output is filled in place, and temporaries
+    are dropped once used: on fine meshes they would set the peak memory."""
     count = len(positions)
     edge_of = tri_edges.ravel()
     # edges in the order of their smaller half-edge
     first = np.zeros(len(edge_of), dtype=bool)
     first[_half_edge_pairs(edge_of, len(ends))[0]] = True
     visit = edge_of[first]
+    del first
     mid = np.empty(len(ends), dtype=np.int32)
     mid[visit] = np.arange(count, count + len(visit), dtype=np.int32)
     lo, hi = ends.take(visit, axis=0).T
+    del visit
     positions = np.concatenate(
         [positions, 0.5 * (positions.take(lo, axis=0) + positions.take(hi, axis=0))]
     )
+    del lo, hi
 
     sides = mid[tri_edges]
     ab, bc, ca = sides.T
@@ -264,15 +284,16 @@ def _refine(positions, triangles, ends, tri_edges):
         np.add(e, x > y, out=child_edges[:, k])
     for k, j in ((1, 2), (5, 0), (6, 1), (9, 0), (10, 1), (11, 2)):
         np.add(inner, j, out=child_edges[:, k])
+    del e_ab, e_bc, e_ca, inner
     # rows 2e and 2e + 1 are (lo, mid) and (hi, mid); then 3 per triangle
     next_ends = np.empty((2 * len(ends) + 3 * len(a), 2), dtype=np.int32)
     halves = next_ends[: 2 * len(ends)].reshape(-1, 2, 2)
     halves[:, :, 0] = ends
     halves[:, :, 1] = mid[:, None]
-    turned = sides[:, [1, 2, 0]]
     interior = next_ends[2 * len(ends):].reshape(-1, 3, 2)
-    np.minimum(sides, turned, out=interior[:, :, 0])
-    np.maximum(sides, turned, out=interior[:, :, 1])
+    for j, (x, y) in enumerate(((ab, bc), (bc, ca), (ca, ab))):
+        np.minimum(x, y, out=interior[:, j, 0])
+        np.maximum(x, y, out=interior[:, j, 1])
     return positions, children.reshape(-1, 3), next_ends, child_edges.reshape(-1, 3)
 
 
@@ -286,29 +307,35 @@ def _blocks(count: int):
     return (slice(lo, min(lo + _BLOCK, count)) for lo in range(0, count, _BLOCK))
 
 
-def _lexicographic(positions, ends, tri_edges) -> np.ndarray:
-    """Relabel ``tri_edges`` in place so that edges are numbered in the
-    lexicographic order of their ends, and return the edge lengths in that
-    order."""
-    # int64 keys: lo * P overflows int32 from about P = 46341.  Temporaries
-    # are dropped once used: on fine meshes they would set the peak memory.
+def _edge_keys(ends: np.ndarray, count: int) -> np.ndarray:
+    """int64 keys ``lo * count + hi`` of edges with ends ``lo < hi``, which
+    sort like the vertex pairs do (``lo * count`` overflows int32 from about
+    ``count = 46341``)."""
     keys = ends[:, 0].astype(np.int64)
-    keys *= len(positions)
+    keys *= count
     keys += ends[:, 1]
+    return keys
+
+
+def _lexicographic(positions, keys, tri_edges) -> np.ndarray:
+    """Relabel ``tri_edges`` in place so that edges are numbered in the
+    order of their ``_edge_keys``, the lexicographic order of their ends,
+    and return the edge lengths in that order."""
+    # temporaries are dropped once used: on fine meshes they would set the
+    # peak memory
     order = np.argsort(keys)
-    del keys
     rank = np.empty(len(order), dtype=np.int32)
     for rows in _blocks(len(order)):
         rank[order[rows]] = np.arange(rows.start, rows.stop, dtype=np.int32)
+    del order
     for rows in _blocks(len(tri_edges)):
         tri_edges[rows] = rank.take(tri_edges[rows])
-    del rank
-    lengths = np.empty(len(ends))
-    for rows in _blocks(len(ends)):
-        lo, hi = ends.take(order[rows], axis=0).T
+    lengths = np.empty(len(keys))
+    for rows in _blocks(len(keys)):
+        lo, hi = np.divmod(keys[rows], len(positions))
         x, y, z = (positions.take(lo, axis=0) - positions.take(hi, axis=0)).T
         # np.linalg.norm's sum, in its order
-        lengths[rows] = np.sqrt(x * x + y * y + z * z)
+        lengths[rank[rows]] = np.sqrt(x * x + y * y + z * z)
     return lengths
 
 
@@ -335,13 +362,21 @@ def _half_edge_pairs(edge_of: np.ndarray, count: int) -> tuple[np.ndarray, np.nd
     the edge of every half-edge; an open edge gives its one half-edge twice.
 
     One scatter keeps one half-edge per edge; the half-edges it did not keep
-    are the other ends of their edges, so no sort is needed.
+    are the other ends of their edges, so no sort is needed.  Both scatters
+    and the ordering run in blocks of rows, so the two outputs are the only
+    full-size arrays.
     """
-    index = np.arange(len(edge_of), dtype=edge_of.dtype)
     kept = np.empty(count, dtype=edge_of.dtype)
-    kept[edge_of] = index
-    rest = kept[edge_of] != index
-    loose, at = edge_of[rest], index[rest]
+    for rows in _blocks(len(edge_of)):
+        kept[edge_of[rows]] = np.arange(rows.start, rows.stop, dtype=edge_of.dtype)
     other = kept.copy()
-    other[loose] = at
-    return np.minimum(kept, other), np.maximum(kept, other)
+    for rows in _blocks(len(edge_of)):
+        half = np.arange(rows.start, rows.stop, dtype=edge_of.dtype)
+        edge = edge_of[rows]
+        rest = kept[edge] != half
+        other[edge[rest]] = half[rest]
+    for rows in _blocks(count):
+        lo = np.minimum(kept[rows], other[rows])
+        np.maximum(kept[rows], other[rows], out=other[rows])
+        kept[rows] = lo
+    return kept, other

@@ -55,12 +55,15 @@ takes both facets' offsets along one direction, not each along its own.
 A point with a single surviving facet f* has
 F_eps = d_f* sum_q p_q - sum_q p_q e_qf* in closed form; ties keep both
 facets.  A point with exactly two survivors f < g is closed too: g wins
-node q exactly when s_q = e_qg - e_qf < c = d_g - d_f.  The s_q do not
-depend on the point, so they are sorted once per gauge and facet pair (the
-mollifier keeps them, with prefix sums W of p_q and S of p_q s_q), and a
-point finds the j nodes below c by binary search: F_eps is f's closed form
-plus c W_j - S_j, and its radial slope gains c W_j.  The comparison is
-strict, so f keeps the ties, as the running maximum does.
+node r_i u_j exactly when r_i delta_j < c, with delta_j = beta_jg - beta_jf
+and c = d_g - d_f, that is when delta_j < c / r_i.  The delta_j do not
+depend on the point, so each call sorts them once per facet pair present,
+with prefix sums A of alpha_j and B of alpha_j delta_j in that order, and a
+point finds the k_i directions below c / r_i at each radius by binary
+search: F_eps is f's closed form plus sum_i rho_i (c A_k_i - r_i B_k_i),
+and its radial slope gains sum_i rho_i c A_k_i.  Nothing is kept between
+calls.  The comparison is strict, so f keeps the ties, as the running
+maximum does.
 
 Points with three or more survivors are summed ray by ray.  Let lines a
 and z win at the smallest and the largest radius (the lowest index on
@@ -84,7 +87,7 @@ from an adaptive ``scipy.integrate.quad``; the tests recompute it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -117,8 +120,9 @@ _BLOCK = 1 << 13
 class GaugeFunction:
     """Piecewise-linear gauge of a polytope about an interior origin.
 
-    Its arrays are read-only copies, so what a mollifier keeps for this
-    gauge (see ``mollify``) never goes stale; gauges compare by identity.
+    ``from_polytope`` takes the origin at the mean of the vertices unless
+    told otherwise.  The arrays are read-only copies, and gauges compare by
+    identity.
     """
 
     normals: np.ndarray
@@ -133,7 +137,7 @@ class GaugeFunction:
         cls, poly: Polytope, origin: np.ndarray | None = None
     ) -> "GaugeFunction":
         if origin is None:
-            origin = np.zeros(poly.dim)
+            origin = poly.vertices.mean(axis=0)
         origin = np.asarray(origin, float)
         offsets = poly.facet_offsets - poly.facet_normals @ origin
         if np.any(offsets <= TOL):
@@ -165,7 +169,7 @@ class Mollifier:
     relative error of the raw quadrature mass against the true kernel
     integral (the recorded ``quad`` values in BUMP_RADIAL_MASS, checked in
     the tests).  All arrays are read-only, and mollifiers compare by
-    identity, as gauges do.
+    identity, as gauges do.  ``mollify`` keeps nothing on a mollifier.
     """
 
     dim: int
@@ -175,9 +179,6 @@ class Mollifier:
     directions: np.ndarray
     direction_weights: np.ndarray
     mass_error: float
-    #: (gauge, f, g) -> s_q = e_qg - e_qf sorted, and prefix sums of p_q and
-    #: p_q s_q in that order, each made by ``mollify`` on first use
-    _pair_sums: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         _freeze_fields(self, "radii", "radial_weights", "directions", "direction_weights")
@@ -234,7 +235,8 @@ def mollify(
     x = np.atleast_2d(np.asarray(x, float))
     d = _facet_values(fn, x - fn.origin)
     beta = _facet_values(fn, m.epsilon * m.directions)
-    mass = m.weights.sum()
+    # ``weights.sum()``, without making ``weights``
+    mass = np.outer(m.radial_weights, m.direction_weights).sum()
     # facet g can win some node only if d_g - d_f + r_max G_fg >= 0 (less a
     # few ulps) for every f, G_fg = max_j (beta_jf - beta_jg); G_fg is at
     # most max_j beta_jf - min_j beta_jg, so this implies the single floor
@@ -248,28 +250,26 @@ def mollify(
     count = alive.sum(axis=1)
     two = np.flatnonzero(count == 2)
     patterns, group = np.unique(alive[two], axis=0, return_inverse=True)
+    step = max(1, _BLOCK // len(m.radii))
     for k, pattern in enumerate(patterns):
-        # f already holds the base; g adds c - s_q on the nodes with s_q < c,
-        # a prefix of the sorted s
+        # f already holds the base; g adds c - r_i delta_j on the nodes with
+        # delta_j < c / r_i, at each radius a prefix of the sorted delta
         f, g = np.flatnonzero(pattern)
+        delta = beta[:, g] - beta[:, f]
+        order = np.argsort(delta, kind="stable")
+        delta = delta[order]
+        alpha = m.direction_weights[order]
+        cum_a = np.concatenate([[0.0], np.cumsum(alpha)])
+        cum_ad = np.concatenate([[0.0], np.cumsum(alpha * delta)])
         members = two[group == k]
-        key = (fn, f, g)
-        if key not in m._pair_sums:
-            e = np.multiply.outer(m.radii, beta[:, [f, g]]).reshape(-1, 2)
-            s = e[:, 1] - e[:, 0]
-            order = np.argsort(s, kind="stable")
-            s = s[order]
-            w = m.weights[order]
-            m._pair_sums[key] = (
-                s,
-                np.concatenate([[0.0], np.cumsum(w)]),
-                np.concatenate([[0.0], np.cumsum(w * s)]),
-            )
-        s, cum_w, cum_ws = m._pair_sums[key]
-        c = d[members, g] - d[members, f]
-        below = np.searchsorted(s, c, side="left")
-        value[members] += c * cum_w[below] - cum_ws[below]
-        radial[members] += c * cum_w[below]
+        for lo in range(0, len(members), step):
+            rows = members[lo : lo + step]
+            c = (d[rows, g] - d[rows, f])[:, None]
+            below = np.searchsorted(delta, c / m.radii, side="left")
+            gain = c * cum_a[below]
+            radial[rows] += (gain * m.radial_weights).sum(axis=1)
+            gain -= m.radii * cum_ad[below]
+            value[rows] += (gain * m.radial_weights).sum(axis=1)
     # the other facets never win at these points, so they drop out as -inf
     many = np.flatnonzero(count > 2)
     step = max(1, _BLOCK // len(beta))
@@ -453,10 +453,11 @@ class SmoothedBody:
 def smoothed_body(
     poly: Polytope, epsilon: float, resolution: int | None = None
 ) -> SmoothedBody:
-    """Compute { F_eps <= 1 } about the origin by Newton's method along each
-    direction u, started at the plain radius rho(u) = 1 / F(u).
+    """Compute { F_eps <= 1 } about the gauge origin o, the mean of the
+    vertices, by Newton's method along each direction u, started at the
+    plain radius rho(u) = 1 / F(o + u).
 
-    g(r) = F_eps(r u) is convex with g(rho(u)) >= 1, so every step
+    g(r) = F_eps(o + r u) is convex with g(rho(u)) >= 1, so every step
     r <- r - (g - 1) / g' stays at or above the root while it lowers r.  A
     direction stops, without taking it, at the first step that lowers r by
     at most NEWTON_ULPS * r machine epsilons, which includes every g <= 1;
@@ -470,18 +471,18 @@ def smoothed_body(
     if epsilon >= 0.5 * fn.inradius:
         raise EpsilonTooLarge(
             f"epsilon {epsilon} is not below half the inradius "
-            f"{fn.inradius} about the origin"
+            f"{fn.inradius} about the vertex mean"
         )
     mollifier = Mollifier.build(poly.dim, epsilon)
     if resolution is None:
         resolution = 96 if poly.dim == 2 else 24
     dirs, w = sphere_quadrature(poly.dim, resolution)
-    radii = 1.0 / fn(dirs)
+    radii = 1.0 / fn(dirs + fn.origin)
     steps = np.zeros(len(dirs), dtype=int)
     active = np.arange(len(dirs))
     for _ in range(NEWTON_ITERS):
         r = radii[active]
-        g, radial = mollify(fn, mollifier, r[:, None] * dirs[active])
+        g, radial = mollify(fn, mollifier, fn.origin + r[:, None] * dirs[active])
         # radial = r g'(r), so the Newton step scales r by 1 - (g - 1) / radial
         nxt = r * (1.0 - (g - 1.0) / radial)
         moving = r - nxt > NEWTON_ULPS * np.finfo(float).eps * r

@@ -76,15 +76,18 @@ class Region:
         """Length of the edges between the region and the rest of the mesh,
         summed in edge order.
 
-        The cut edges are read off the smaller side's own triangles.
+        The cut edges are read off the smaller side's own triangles: an edge
+        of that side is cut when it occurs once among the side's edges, as
+        every edge lies on two triangles.
         """
         mesh = self.mesh
         side = self.mask if 2 * self.mask.sum() <= len(self.mask) else ~self.mask
-        tris = np.flatnonzero(side)
-        nbrs = mesh.tri_neighbors.take(tris, axis=0)
-        cut = ~side[nbrs]
-        edges = np.sort(mesh.tri_edges.take(tris, axis=0)[cut])
-        return float(mesh.edge_lengths[edges].sum())
+        edges = np.sort(mesh.tri_edges.take(np.flatnonzero(side), axis=0), axis=None)
+        once = np.ones(len(edges), dtype=bool)
+        repeat = edges[1:] == edges[:-1]
+        once[1:] &= ~repeat
+        once[:-1] &= ~repeat
+        return float(mesh.edge_lengths[edges[once]].sum())
 
     @property
     def triangle_count(self) -> int:

@@ -134,6 +134,18 @@ def test_smooth_square(tmp_path, capsys):
     assert deficit > 0.0
 
 
+@pytest.mark.parametrize("shape", ["square-pyramid", "triangular-prism", "triangle"])
+def test_smooth_takes_the_gauge_about_the_vertex_mean(shape, tmp_path, capsys):
+    # the coordinate origin is not inside these shapes
+    code, _, _ = run(
+        capsys, "smooth", "--polytope", shape, "--eps", "0.05", "--dirs", "64",
+        "--out", str(tmp_path),
+    )
+    assert code == 0
+    _, _, rows = read_artifact(tmp_path / "boundary.csv")
+    assert rows and all(float(row[-1]) <= float(row[-2]) for row in rows)
+
+
 def test_profile_table_and_svg(tmp_path, capsys):
     code, out, _ = run(
         capsys,

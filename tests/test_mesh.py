@@ -12,12 +12,15 @@ from polyperim.cones import vertex_cones
 from polyperim.errors import UnsupportedDimension
 from polyperim.mesh import (
     SurfaceMesh,
+    _edge_keys,
     _edge_table,
     _half_edge_pairs,
     _lexicographic,
     subdivide,
 )
 from polyperim.polytope import Polytope
+from polyperim.smoothing import convexity_probe, smoothed_body
+from polyperim.solver import vertex_ball_region
 
 
 @pytest.mark.parametrize("level", [0, 1, 2, 3])
@@ -45,9 +48,10 @@ def test_mesh_is_closed_and_neighbors_consistent():
     # closure is checked once, in the build: a lone triangle reads open
     positions, triangles = np.eye(3), np.array([[0, 1, 2]], dtype=np.int32)
     ends, tri_edges = _edge_table(triangles, 3)
-    lengths = _lexicographic(positions, ends, tri_edges)
+    lengths = _lexicographic(positions, _edge_keys(ends, 3), tri_edges)
     lone = SurfaceMesh._refined(positions, triangles, np.zeros(1, np.int32), None, lengths, tri_edges)
     assert lone.is_closed() is False and mesh.is_closed() is True
+    assert lone.tri_neighbors.tolist() == [[-1, -1, -1]]
 
 
 def test_edge_counts_satisfy_euler_formula():
@@ -134,8 +138,7 @@ MESH_ARRAYS = (
     "edge_triangles", "tri_edges", "tri_neighbors", "areas", "centroids",
 )
 KEPT_ARRAYS = (
-    "positions", "triangles", "facet_of", "edge_lengths", "tri_edges",
-    "tri_neighbors", "areas",
+    "positions", "triangles", "facet_of", "edge_lengths", "tri_edges", "areas",
 )
 
 # Every mesh array at levels 4 and 5, recorded from the mesh built by
@@ -228,7 +231,7 @@ def test_mesh_arrays_are_read_only_and_inputs_stay_writable():
     tet = shapes.tetrahedron()
     mesh = subdivide(tet, 0)
     star = mesh.vertex_star(0)
-    frozen = [getattr(mesh, name) for name in KEPT_ARRAYS]
+    frozen = [getattr(mesh, name) for name in KEPT_ARRAYS + ("tri_neighbors",)]
     for array in frozen + [star.triangles, star.distances, star.prefix_area]:
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
@@ -278,20 +281,55 @@ def test_level6_cube_memory_and_index_dtypes():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # 10.1 MiB keeping only the arrays the solver reads; 15.2 MiB when edge
+    # 8.3 MiB with the neighbours derived on first read, bounded with 0.7
+    # MiB to spare; 9.5 MiB when the build made them, 15.2 MiB when edge
     # ends, edge triangles and centroids were kept too, and 24 MiB with
     # int64 indices and full-size float temporaries
-    assert peak < 12.5 * 2**20
+    assert peak < 9.0 * 2**20
     for name in INDEX_ARRAYS:
         assert getattr(mesh, name).dtype == np.int32, name
     assert mesh.vertex_star(0).triangles.dtype == np.int32
 
 
-def test_a_mesh_keeps_72_bytes_per_triangle():
+def test_a_mesh_keeps_60_bytes_per_triangle():
     mesh = subdivide(shapes.cube(), 6)
     arrays = {name for name, value in vars(mesh).items() if isinstance(value, np.ndarray)}
     assert arrays == set(KEPT_ARRAYS)
-    # 72 bytes per triangle, and 48 for the two positions by which
-    # P = T/2 + 2 (Euler) exceeds T/2
+    # 60 bytes per triangle, and 48 for the two positions by which
+    # P = T/2 + 2 (Euler) exceeds T/2; the neighbours are not kept until
+    # something reads them
     T = mesh.triangle_count
-    assert sum(getattr(mesh, name).nbytes for name in KEPT_ARRAYS) == 72 * T + 48
+    assert sum(getattr(mesh, name).nbytes for name in KEPT_ARRAYS) == 60 * T + 48
+    assert "tri_neighbors" not in vars(mesh)
+
+
+def test_tri_neighbors_are_derived_on_first_read_and_kept():
+    mesh = subdivide(shapes.square_pyramid(), 3)
+    assert "tri_neighbors" not in vars(mesh)
+    nbrs = mesh.tri_neighbors
+    assert vars(mesh)["tri_neighbors"] is nbrs and mesh.tri_neighbors is nbrs
+    assert nbrs.dtype == np.int32 and nbrs.shape == mesh.triangles.shape
+    with pytest.raises(ValueError, match="read-only"):
+        nbrs[0, 0] = 0
+    # the numbering digest reads the derived neighbours
+    assert _numbering_digest(mesh) == NUMBERING_DIGESTS["square_pyramid"][3]
+
+
+def test_a_fine_mesh_its_balls_and_a_smoothed_probe_share_a_small_peak():
+    """The benchmark's geometry pass in small: a level-6 cube mesh, 16 ball
+    cuts about vertex 0 and an octahedron probe at epsilon 0.2, all alive in
+    one window.  The peak is 8.9 MiB; it was 12.6 MiB while the mesh built
+    and kept its neighbour table, the star kept every full-size temporary
+    and the mollifier kept sorted tables per facet pair."""
+    tracemalloc.start()
+    try:
+        mesh = subdivide(shapes.cube(), 6)
+        for volume in np.geomspace(0.01, 0.2, 16):
+            vertex_ball_region(mesh, 0, float(volume)).cut_perimeter
+        body = smoothed_body(shapes.octahedron(), 0.2, resolution=10)
+        convexity_probe(body, trials=256, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "tri_neighbors" not in vars(mesh)
+    assert peak < 9.75 * 2**20

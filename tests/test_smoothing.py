@@ -373,8 +373,8 @@ def test_mollifiers_compare_by_identity():
     assert len({m, Mollifier.build(2, 0.1)}) == 2
 
 
-def test_mollifier_keeps_pair_sums_per_gauge():
-    """Two gauges sharing a mollifier keep their own sorted pair sums, and
+def test_two_gauges_share_a_mollifier():
+    """Two gauges sharing a mollifier each match direct evaluation, and
     neither the gauge's nor the mollifier's arrays can change under them."""
     m = Mollifier.build(2, 0.2)
     centered = GaugeFunction.from_polytope(shapes.square())
@@ -382,16 +382,30 @@ def test_mollifier_keeps_pair_sums_per_gauge():
     shifted = GaugeFunction.from_polytope(shapes.square(), origin=origin)
     x = np.array([[0.9, 0.95], [0.95, 0.9], [-0.92, 0.9]])
     first = mollify(centered, m, x)
-    assert {key[0] for key in m._pair_sums} == {centered}
     for fn in (shifted, centered):
         value, _ = mollify(fn, m, x)
         assert np.abs(value - brute_mollify(fn, m, x)).max() <= 1e-13
-    assert {key[0] for key in m._pair_sums} == {centered, shifted}
     assert np.array_equal(mollify(centered, m, x)[1], first[1])
     for array in (centered.normals, centered.offsets, shifted.origin, m.nodes, m.weights):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.5
     assert origin.flags.writeable
+
+
+@pytest.mark.parametrize("shape", ["cube2", "octahedron"])
+def test_mollify_keeps_nothing_on_the_mollifier(shape, smoothed_bodies):
+    body = smoothed_bodies(shape, 0.2, 10)
+    fn = body.gauge_fn
+    m = Mollifier.build(body.polytope.dim, body.epsilon)
+    before = dict(vars(m))
+    x = body.boundary_points
+    d = _facet_values(fn, x - fn.origin)
+    counts = _screen(d, _facet_values(fn, m.epsilon * m.directions), m.radii[-1]).sum(axis=1)
+    # the one-facet, two-facet and ray-by-ray paths all run
+    assert {1, 2} <= set(counts.tolist()) and counts.max() >= 3
+    mollify(fn, m, x)
+    assert vars(m).keys() == before.keys()
+    assert all(vars(m)[name] is value for name, value in before.items())
 
 
 def test_mollified_gauge_dominates_gauge():
@@ -453,6 +467,28 @@ def test_smoothed_cube_quick():
     assert body.level(np.array([[0.0, 0.0, 0.0]]))[0] < 1.0
 
 
+@pytest.mark.parametrize("name", ["cube", "tetrahedron", "octahedron", "square"])
+def test_gauge_origin_is_zero_on_the_centred_shapes(name):
+    # so their smoothed bodies are the ones taken about the coordinate origin
+    poly = getattr(shapes, name)()
+    assert (poly.vertices.mean(axis=0) == 0.0).all()
+    assert (GaugeFunction.from_polytope(poly).origin == 0.0).all()
+
+
+@pytest.mark.parametrize("name", ["square_pyramid", "triangular_prism", "triangle"])
+def test_shapes_around_an_off_centre_vertex_mean_smooth(name):
+    poly = getattr(shapes, name)()
+    body = smoothed_body(poly, 0.05, resolution=12)
+    origin = poly.vertices.mean(axis=0)
+    assert np.array_equal(body.gauge_fn.origin, origin)
+    assert (body.radii <= body.plain_radii()).all()
+    assert (body.radii < body.plain_radii()).any()
+    assert np.abs(body.level(body.boundary_points) - 1.0).max() <= 1e-12
+    # the plain radii reach the polytope's boundary from the vertex mean
+    plain = origin + body.plain_radii()[:, None] * body.directions
+    assert np.abs(GaugeFunction.from_polytope(poly)(plain) - 1.0).max() <= 1e-12
+
+
 def test_smoothed_body_epsilon_guard():
     with pytest.raises(EpsilonTooLarge):
         smoothed_body(shapes.square(), 0.5)  # half the inradius exactly
@@ -478,7 +514,7 @@ def test_each_counted_newton_step_lowers_its_radius(smoothed_bodies):
         active = np.arange(len(radii))
         for k in range(body.newton_steps.max() + 1):
             r = radii[active]
-            x = r[:, None] * body.directions[active]
+            x = body.gauge_fn.origin + r[:, None] * body.directions[active]
             g, radial = mollify(body.gauge_fn, body.mollifier, x)
             nxt = r * (1.0 - (g - 1.0) / radial)
             counted = body.newton_steps[active] > k

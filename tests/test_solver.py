@@ -55,6 +55,36 @@ def test_cut_perimeter_sums_the_edges_between_the_sides():
         assert Region(mesh, ~mask).cut_perimeter == expected
 
 
+def _cut_by_neighbors(region):
+    """The cut perimeter as it was summed from the neighbour table: the
+    smaller side's edges whose neighbour lies on the other side, in
+    ascending edge order."""
+    mesh, mask = region.mesh, region.mask
+    side = mask if 2 * mask.sum() <= len(mask) else ~mask
+    tris = np.flatnonzero(side)
+    cut = ~side[mesh.tri_neighbors.take(tris, axis=0)]
+    edges = np.sort(mesh.tri_edges.take(tris, axis=0)[cut])
+    return float(mesh.edge_lengths[edges].sum())
+
+
+@pytest.mark.parametrize(
+    "name", ["cube", "octahedron", "square_pyramid", "tetrahedron", "triangular_prism"]
+)
+def test_cut_perimeter_equals_the_neighbour_formula_bit_for_bit(name):
+    rng = np.random.default_rng(11)
+    for level in (2, 3, 4, 5):
+        mesh = subdivide(getattr(shapes, name)(), level)
+        T = mesh.triangle_count
+        one = np.zeros(T, dtype=bool)
+        one[rng.integers(T)] = True
+        masks = [np.zeros(T, dtype=bool), one, ~one]
+        masks += [rng.random(T) < p for p in (0.01, 0.3, 0.5, 0.7, 0.99)]
+        masks.append(vertex_ball_region(mesh, 0, 0.05 * mesh.total_area()).mask)
+        for mask in masks:
+            region = Region(mesh, mask)
+            assert region.cut_perimeter == _cut_by_neighbors(region), (level, mask.sum())
+
+
 def test_anisotropy_bound_cube_is_sqrt2():
     """Fan triangles of a square are right isosceles at every level."""
     for level in (1, 2, 3):
