@@ -208,12 +208,17 @@ def suspension_area(curve: np.ndarray) -> float:
     S^3 is sigma(s, phi) = (cos s, sin s * w(phi)), s in [0, pi].  The area
     is integrated with Gauss-Legendre nodes in s and the polyline's chord
     differences in phi — no use of the analytic factorization, so the test
-    against area = 2 * length is a genuine numerical check.
+    against area = 2 * length is a genuine numerical check.  Raises
+    ``ValueError`` unless the curve is at least three finite, nonzero
+    3-vectors.
     """
     w = np.asarray(curve, float)
     if w.ndim != 2 or w.shape[1] != 3 or len(w) < 3:
         raise ValueError("curve must be a closed polyline of 3-vectors")
-    w = w / np.linalg.norm(w, axis=1)[:, None]
+    norms = np.linalg.norm(w, axis=1)
+    if not ((norms > 0) & (norms < math.inf)).all():
+        raise ValueError("curve points must be finite and nonzero")
+    w = w / norms[:, None]
     nxt = np.roll(w, -1, axis=0)
     mid = 0.5 * (w + nxt)
     dw = nxt - w

@@ -7,24 +7,24 @@ preserved exactly at every level.  Every mesh is closed: each edge lies on
 exactly two triangles.  Mesh positions start with the polytope vertices, so
 polytope vertex ``i`` is mesh position ``i``.
 
-Numbering is part of the contract, because solver results depend on it.  The
-centroid of facet ``f`` follows the vertices in facet order, and its fan
-triangles follow the facet's ring order.  Each refinement round numbers the
-new midpoints in first-visit order: triangle by triangle, edges ``ab``,
-``bc``, ``ca``.  Triangle ``(a, b, c)`` becomes ``(a, ab, ca)``,
-``(ab, b, bc)``, ``(ca, bc, c)``, ``(ab, bc, ca)`` in that order.  Edges are
-numbered in the lexicographic order of their sorted vertex pairs.
+Numbering is what the construction produces.  The centroid of facet ``f``
+follows the vertices in facet order, and its fan triangles follow the
+facet's ring order.  The fan's edges are numbered in the lexicographic order
+of their sorted vertex pairs, from one ``np.unique`` of half-edge keys
+(``_edge_table``).  Each refinement round then derives the next numbering in
+O(T) from the last.  Of ``P`` positions and ``E`` edges, the midpoint of
+edge ``e`` becomes position ``P + e``.  Triangle ``(a, b, c)`` becomes
+``(a, ab, ca)``, ``(ab, b, bc)``, ``(ca, bc, c)``, ``(ab, bc, ca)`` in that
+order, so the children of triangle ``t`` are ``4t`` to ``4t + 3``.  Edge
+``e`` with ends ``lo < hi`` and midpoint ``m`` splits into ``2e = (lo, m)``
+and ``2e + 1 = (hi, m)``; triangle ``t`` adds the interior edges
+``2E + 3t + 0, 1, 2``, which are ``(ab, bc)``, ``(bc, ca)``, ``(ca, ab)``;
+and the children's edges follow from the corner order above.
 
-Edge ids are carried through refinement instead of being found again by
-sorting at every level.  The fan gets its edge table from one ``np.unique``
-of half-edge keys (``_edge_table``); each round then derives the next table
-in O(T).  Of ``E`` edges, edge ``e`` with ends ``lo < hi`` and midpoint
-``m`` splits into ``2e = (lo, m)`` and ``2e + 1 = (hi, m)``; triangle ``t``
-adds the interior edges ``2E + 3t + 0, 1, 2``, which are ``(ab, bc)``,
-``(bc, ca)``, ``(ca, ab)``; and the children's edges follow from the corner
-order above.  An edge is first visited at its smaller half-edge ``3t + j``.
-Only the finished mesh relabels its edges lexicographically, by one argsort
-of the int64 keys ``lo * P + hi`` (``_lexicographic``), and measures them.
+Solver masks depend on the triangle numbering and corner order, as do the
+areas, neighbours and vertex stars.  The position and edge numbering feed
+none of these: only the last bit of ``Region.cut_perimeter``, which sums the
+cut edges in ascending edge order, depends on the edge order.
 
 A mesh keeps only what the solver reads, every index array int32 and every
 float array built in blocks of rows: 60 bytes per triangle (``P = T/2 + 2``
@@ -85,7 +85,7 @@ class SurfaceMesh:
     facet_of : (T,) int32 index of the source polytope facet per triangle,
         ascending, so each facet's triangles are one run
     polytope : the source polytope (positions 0..m-1 are its vertices)
-    edge_lengths : (E,) float, edges in lexicographic order of their ends
+    edge_lengths : (E,) float, edges numbered as refinement splits them
     tri_edges : (T, 3) int32 edges ``ab``, ``bc``, ``ca`` of each triangle
     areas : (T,) float
 
@@ -112,8 +112,7 @@ class SurfaceMesh:
     def _refined(
         cls, positions, triangles, facet_of, polytope, edge_lengths, tri_edges
     ) -> SurfaceMesh:
-        """A mesh that takes ownership of ``subdivide``'s arrays, with edges
-        numbered lexicographically (``_lexicographic``)."""
+        """A mesh that takes ownership of ``subdivide``'s arrays."""
         mesh = cls.__new__(cls)
         mesh.positions = p = positions
         mesh.triangles = t = triangles
@@ -239,10 +238,14 @@ def subdivide(polytope: Polytope, level: int) -> SurfaceMesh:
     ends, tri_edges = _edge_table(triangles, len(positions))
     for _ in range(level):
         positions, triangles, ends, tri_edges = _refine(positions, triangles, ends, tri_edges)
-    keys = _edge_keys(ends, len(positions))
-    del ends
-    lengths = _lexicographic(positions, keys, tri_edges)
-    del keys
+    lengths = np.empty(len(ends))
+    for rows in _blocks(len(ends)):
+        lo, hi = ends[rows].T
+        x, y, z = (positions.take(lo, axis=0) - positions.take(hi, axis=0)).T
+        # np.linalg.norm's sum, in its order
+        lengths[rows] = np.sqrt(x * x + y * y + z * z)
+    # the ends and the last block's temporaries would outlive the build
+    del ends, lo, hi, x, y, z
     # the children of triangle t are 4t to 4t + 3
     facet_of = np.repeat(facet_of, 4**level)
     return SurfaceMesh._refined(positions, triangles, facet_of, polytope, lengths, tri_edges)
@@ -253,22 +256,13 @@ def _refine(positions, triangles, ends, tri_edges):
     the module docstring).  Each output is filled in place, and temporaries
     are dropped once used: on fine meshes they would set the peak memory."""
     count = len(positions)
-    edge_of = tri_edges.ravel()
-    # edges in the order of their smaller half-edge
-    first = np.zeros(len(edge_of), dtype=bool)
-    first[_half_edge_pairs(edge_of, len(ends))[0]] = True
-    visit = edge_of[first]
-    del first
-    mid = np.empty(len(ends), dtype=np.int32)
-    mid[visit] = np.arange(count, count + len(visit), dtype=np.int32)
-    lo, hi = ends.take(visit, axis=0).T
-    del visit
+    lo, hi = ends.T
+    # the midpoint of edge e is position count + e
     positions = np.concatenate(
         [positions, 0.5 * (positions.take(lo, axis=0) + positions.take(hi, axis=0))]
     )
-    del lo, hi
 
-    sides = mid[tri_edges]
+    sides = tri_edges + count
     ab, bc, ca = sides.T
     a, b, c = triangles.T
     children = np.empty((len(a), 12), dtype=np.int32)
@@ -289,7 +283,7 @@ def _refine(positions, triangles, ends, tri_edges):
     next_ends = np.empty((2 * len(ends) + 3 * len(a), 2), dtype=np.int32)
     halves = next_ends[: 2 * len(ends)].reshape(-1, 2, 2)
     halves[:, :, 0] = ends
-    halves[:, :, 1] = mid[:, None]
+    halves[:, :, 1] = np.arange(count, count + len(ends), dtype=np.int32)[:, None]
     interior = next_ends[2 * len(ends):].reshape(-1, 3, 2)
     for j, (x, y) in enumerate(((ab, bc), (bc, ca), (ca, ab))):
         np.minimum(x, y, out=interior[:, j, 0])
@@ -305,38 +299,6 @@ def _freeze(*arrays: np.ndarray) -> None:
 def _blocks(count: int):
     """Slices of at most ``_BLOCK`` rows covering ``range(count)``."""
     return (slice(lo, min(lo + _BLOCK, count)) for lo in range(0, count, _BLOCK))
-
-
-def _edge_keys(ends: np.ndarray, count: int) -> np.ndarray:
-    """int64 keys ``lo * count + hi`` of edges with ends ``lo < hi``, which
-    sort like the vertex pairs do (``lo * count`` overflows int32 from about
-    ``count = 46341``)."""
-    keys = ends[:, 0].astype(np.int64)
-    keys *= count
-    keys += ends[:, 1]
-    return keys
-
-
-def _lexicographic(positions, keys, tri_edges) -> np.ndarray:
-    """Relabel ``tri_edges`` in place so that edges are numbered in the
-    order of their ``_edge_keys``, the lexicographic order of their ends,
-    and return the edge lengths in that order."""
-    # temporaries are dropped once used: on fine meshes they would set the
-    # peak memory
-    order = np.argsort(keys)
-    rank = np.empty(len(order), dtype=np.int32)
-    for rows in _blocks(len(order)):
-        rank[order[rows]] = np.arange(rows.start, rows.stop, dtype=np.int32)
-    del order
-    for rows in _blocks(len(tri_edges)):
-        tri_edges[rows] = rank.take(tri_edges[rows])
-    lengths = np.empty(len(keys))
-    for rows in _blocks(len(keys)):
-        lo, hi = np.divmod(keys[rows], len(positions))
-        x, y, z = (positions.take(lo, axis=0) - positions.take(hi, axis=0)).T
-        # np.linalg.norm's sum, in its order
-        lengths[rank[rows]] = np.sqrt(x * x + y * y + z * z)
-    return lengths
 
 
 def _edge_table(triangles: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:

@@ -275,10 +275,14 @@ class Polytope:
 
     @classmethod
     def from_vertices(cls, vertices, *, name: str | None = None) -> "Polytope":
-        """Build from coordinates, merging vertices within MERGE_TOL."""
+        """Build from coordinates, merging vertices within MERGE_TOL.
+
+        Raises ``InvalidPolytope`` for a NaN or infinite coordinate."""
         verts = np.asarray(vertices, dtype=float)
         if verts.ndim != 2:
             raise NotFullDimensional("vertex array must be 2-dimensional")
+        if not np.isfinite(verts).all():
+            raise InvalidPolytope("vertex coordinates must be finite")
         verts, _ = _dedupe_with_map(verts)
         return cls(verts, name=name)
 

@@ -60,8 +60,8 @@ def euclidean_profile(n: int, volume: float) -> float:
     """Perimeter of the round ball of the given volume in R^n."""
     if n < 1:
         raise ValueError("dimension must be at least 1")
-    if volume <= 0:
-        raise VolumeOutOfRange("volume must be positive")
+    if not 0 < volume < math.inf:
+        raise VolumeOutOfRange(f"volume must be positive and finite, got {volume}")
     if n == 1:
         return 2.0
     wn = unit_ball_volume(n)
@@ -175,7 +175,8 @@ class PowerLawFit:
 def fit_power_law(volumes, areas) -> PowerLawFit:
     """Least-squares fit of ``A = c * V^t`` in log-log coordinates.
 
-    Requires at least 8 samples spanning at least one decade of volume.
+    Requires at least 8 positive, finite samples spanning at least one
+    decade of volume.
     """
     v = np.asarray(volumes, dtype=float)
     a = np.asarray(areas, dtype=float)
@@ -183,8 +184,8 @@ def fit_power_law(volumes, areas) -> PowerLawFit:
         raise InsufficientSamples("need matching 1-d sample arrays")
     if len(v) < 8:
         raise InsufficientSamples(f"need at least 8 samples, got {len(v)}")
-    if (v <= 0).any() or (a <= 0).any():
-        raise InsufficientSamples("samples must be positive")
+    if not ((v > 0) & (v < math.inf) & (a > 0) & (a < math.inf)).all():
+        raise InsufficientSamples("samples must be positive and finite")
     if v.max() / v.min() < 10.0:
         raise InsufficientSamples("samples must span at least a decade")
     lv, la = np.log(v), np.log(a)

@@ -114,12 +114,14 @@ def anisotropy_bound(mesh: SurfaceMesh) -> float:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    seed: int = 0
-    iterations: int = 200_000
-    restarts: int = 8
-    t_initial: float = 1.0
-    cooling: float = 0.99995
-    mu: float = 100.0
+    """Annealing settings; ``default_config`` chooses every value."""
+
+    seed: int
+    iterations: int
+    restarts: int
+    t_initial: float
+    cooling: float
+    mu: float
 
     def __post_init__(self):
         if self.iterations < 1:
@@ -398,7 +400,8 @@ def _anneal(
     flip, then a second drawn from the updated boundary).  On equal-area
     meshes a swap of opposite sides leaves the area unchanged, so swaps
     keep rearranging the cut even after the temperature has dropped far
-    below the area penalty scale.
+    below the area penalty scale.  ``state`` is used up: its mask is left
+    where the walk ended, and its area, perimeter and count are not updated.
     """
     mu = cfg.mu
     temp = cfg.t_initial
@@ -487,7 +490,6 @@ def _anneal(
         else:
             flips_rej += 1
         temp *= cooling
-    state.area, state.perimeter, state.count = area, perimeter, count
     counts = (
         flips, accepted - swaps_acc, flips_rej, swaps, swaps_acc, swaps_rej, snapshots
     )

@@ -12,10 +12,8 @@ from polyperim.cones import vertex_cones
 from polyperim.errors import UnsupportedDimension
 from polyperim.mesh import (
     SurfaceMesh,
-    _edge_keys,
     _edge_table,
     _half_edge_pairs,
-    _lexicographic,
     subdivide,
 )
 from polyperim.polytope import Polytope
@@ -48,7 +46,7 @@ def test_mesh_is_closed_and_neighbors_consistent():
     # closure is checked once, in the build: a lone triangle reads open
     positions, triangles = np.eye(3), np.array([[0, 1, 2]], dtype=np.int32)
     ends, tri_edges = _edge_table(triangles, 3)
-    lengths = _lexicographic(positions, _edge_keys(ends, 3), tri_edges)
+    lengths = np.linalg.norm(np.subtract(*positions[ends.T]), axis=1)
     lone = SurfaceMesh._refined(positions, triangles, np.zeros(1, np.int32), None, lengths, tri_edges)
     assert lone.is_closed() is False and mesh.is_closed() is True
     assert lone.tri_neighbors.tolist() == [[-1, -1, -1]]
@@ -91,12 +89,14 @@ def test_subdivide_rejects_wrong_dimension_and_level():
         subdivide(shapes.cube(), 9)
 
 
-# Recorded from the dict-and-loop implementation this vectorized one
-# replaced; solver results depend on this numbering.
+# Recorded from ``subdivide`` once each midpoint took the id ``P + e`` of
+# its edge and edges kept the ids refinement gives them;
+# ``test_subdivide_matches_a_loop_reference`` checks that numbering
+# independently.  Solver masks depend on the triangle numbering.
 NUMBERING_DIGESTS = {
-    "cube": ("dc91a2cf2ab6a037", "a4d347ff156dd581", "afe969614dce2a0d", "a0470916541a4ae3"),
-    "tetrahedron": ("c5ee81e976ee155f", "44c2825e276b447f", "28c757ad23274cb4", "d58ff15ac0700796"),
-    "square_pyramid": ("960f0a2649212090", "07499ea646710df8", "8ed287edb1e2119f", "a25c9dc67c6e1121"),
+    "cube": ("dc91a2cf2ab6a037", "d87c1cd7af1ecbdc", "74c4ed1a4b123708", "bf03ea6ae8ca5e8d"),
+    "tetrahedron": ("c5ee81e976ee155f", "8edc5f486da893b9", "e7d469e444a602b9", "f26e95218c218b11"),
+    "square_pyramid": ("960f0a2649212090", "864eaa0547ce883c", "89e0aa544791848f", "ad68689af716f0bc"),
 }
 
 
@@ -141,17 +141,15 @@ KEPT_ARRAYS = (
     "positions", "triangles", "facet_of", "edge_lengths", "tri_edges", "areas",
 )
 
-# Every mesh array at levels 4 and 5, recorded from the mesh built by
-# re-sorting half-edges each round, before edge ids were carried through
-# refinement.
+# Every mesh array at levels 4 and 5, recorded with NUMBERING_DIGESTS.
 MESH_DIGESTS = {
-    "cube": ("a16eeb91d2be120f", "975796341a2ab0ea"),
-    "octahedron": ("e939fe7ae74a354b", "bdc76ce64ad417f5"),
-    "square_pyramid": ("d19a51dd16129d30", "23210fcaa0e8cdc4"),
-    "tetrahedron": ("4f47616a831069ed", "52ee4cbc518f9210"),
-    "triangular_prism": ("facb54abe42cf62b", "46f8cab867ca30df"),
+    "cube": ("f4e4843230a88971", "524ce5320050a787"),
+    "octahedron": ("7b969f5665d65cb3", "d86d7f09dee4649d"),
+    "square_pyramid": ("703b87d40408672f", "a53044fe00260008"),
+    "tetrahedron": ("da2c7b892d691a67", "fafd7147247ed8ee"),
+    "triangular_prism": ("51948e97c605d234", "513bd6d1a9cb4e4e"),
 }
-CUBE_LEVEL7_DIGEST = "a798e2f989cecf85"
+CUBE_LEVEL7_DIGEST = "c1a6589c1c8db29d"
 
 
 def _mesh_digest(mesh):
@@ -178,17 +176,24 @@ def test_level7_cube_arrays_are_pinned():
 @settings(max_examples=10, deadline=None, derandomize=True)
 @given(m=st.integers(4, 60), seed=st.integers(0, 2**32 - 1), level=st.integers(0, 3))
 def test_subdivide_tables_equal_the_constructors(m, seed, level):
-    # the carried O(T) edge table against one np.unique of the final triangles
+    # the carried O(T) edge table against one np.unique of the final
+    # triangles, whatever order either numbers the edges in
     x = np.random.default_rng(seed).normal(size=(m, 3))
     poly = Polytope.from_vertices(x / np.linalg.norm(x, axis=1)[:, None])
     mesh = subdivide(poly, level)
-    ends, tri_edges = _edge_table(mesh.triangles, len(mesh.positions))
+    ends, _ = _edge_table(mesh.triangles, len(mesh.positions))
     p = mesh.positions
     lengths = np.linalg.norm(p[ends[:, 0]] - p[ends[:, 1]], axis=1)
-    for array, expected in ((mesh.edge_lengths, lengths), (mesh.tri_edges, tri_edges)):
-        assert array.dtype == expected.dtype
-        assert array.shape == expected.shape
-        assert array.tobytes() == expected.tobytes()
+    # each triangle side names the sorted pair of its corners
+    t = mesh.triangles
+    sides = np.sort(np.stack([t, np.roll(t, -1, axis=1)], axis=2), axis=2).reshape(-1, 2)
+    pairs = np.empty((len(mesh.edge_lengths), 2), dtype=np.int32)
+    pairs[mesh.tri_edges.ravel()] = sides
+    assert np.array_equal(pairs[mesh.tri_edges.ravel()], sides)
+    order = np.lexsort(pairs.T[::-1])
+    assert np.array_equal(pairs[order], ends)
+    assert mesh.tri_edges.dtype == np.int32 and mesh.edge_lengths.dtype == lengths.dtype
+    assert mesh.edge_lengths[order].tobytes() == lengths.tobytes()
     for name in KEPT_ARRAYS:
         assert not getattr(mesh, name).flags.writeable, name
 
@@ -208,23 +213,73 @@ def test_facet_of_ascends_and_gives_each_vertex_star(m, seed, level):
         assert sorted(mesh.vertex_star(vertex).triangles.tolist()) == tris.tolist()
 
 
-def test_midpoints_are_numbered_in_first_visit_order():
-    poly = shapes.tetrahedron()
-    coarse = subdivide(poly, 1)
-    fine = subdivide(poly, 2)
-    seen = {}
-    for a, b, c in coarse.triangles:
-        for u, v in ((a, b), (b, c), (c, a)):
-            seen.setdefault((min(u, v), max(u, v)), len(coarse.positions) + len(seen))
-    for (u, v), idx in seen.items():
-        midpoint = 0.5 * (coarse.positions[u] + coarse.positions[v])
-        assert np.array_equal(fine.positions[idx], midpoint)
-    assert len(fine.positions) == len(coarse.positions) + len(seen)
-    a, b, c = coarse.triangles[0]
-    ab, bc, ca = (seen[(min(u, v), max(u, v))] for u, v in ((a, b), (b, c), (c, a)))
-    assert fine.triangles[:4].tolist() == [
-        [a, ab, ca], [ab, b, bc], [ca, bc, c], [ab, bc, ca]
-    ]
+def _reference_mesh(poly, level):
+    """``subdivide``'s arrays built by plain loops over tuples: fan each
+    facet, number the fan's edges by their sorted ends, then in each round
+    give edge ``e``'s midpoint the id ``P + e``, split it into edges ``2e``
+    and ``2e + 1`` and give triangle ``t`` the interior edges
+    ``2E + 3t + j``."""
+    rings = [poly.facet_ring(f) for f in range(len(poly.facets))]
+    positions = list(poly.vertices) + [poly.vertices[ring].mean(axis=0) for ring in rings]
+    triangles, facet_of = [], []
+    for f, ring in enumerate(rings):
+        for i, v in enumerate(ring):
+            triangles.append((len(poly.vertices) + f, int(v), int(ring[(i + 1) % len(ring)])))
+            facet_of.append(f)
+
+    def sides(tri):
+        a, b, c = tri
+        return [tuple(sorted(pair)) for pair in ((a, b), (b, c), (c, a))]
+
+    edges = sorted({pair for tri in triangles for pair in sides(tri)})
+    for _ in range(level):
+        P, index = len(positions), {pair: e for e, pair in enumerate(edges)}
+        positions += [0.5 * (positions[lo] + positions[hi]) for lo, hi in edges]
+        halves, inner, children = [], [], []
+        for e, (lo, hi) in enumerate(edges):
+            halves += [(lo, P + e), (hi, P + e)]
+        for tri in triangles:
+            a, b, c = tri
+            ab, bc, ca = (P + index[pair] for pair in sides(tri))
+            children += [(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)]
+            inner += sides((ab, bc, ca))
+        edges, triangles = halves + inner, children
+        facet_of = [f for f in facet_of for _ in range(4)]
+    index = {pair: e for e, pair in enumerate(edges)}
+    assert len(index) == len(edges)
+    positions = np.array(positions)
+    lengths = np.linalg.norm(
+        positions[[lo for lo, _ in edges]] - positions[[hi for _, hi in edges]], axis=1
+    )
+    return {
+        "positions": positions,
+        "triangles": np.array(triangles, dtype=np.int32),
+        "facet_of": np.array(facet_of, dtype=np.int32),
+        "tri_edges": np.array([[index[s] for s in sides(t)] for t in triangles], dtype=np.int32),
+        "edge_lengths": lengths,
+    }
+
+
+def _sphere_hull(m, seed):
+    x = np.random.default_rng(seed).normal(size=(m, 3))
+    return Polytope.from_vertices(x / np.linalg.norm(x, axis=1)[:, None])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [pytest.param(getattr(shapes, name), id=name) for name in sorted(MESH_DIGESTS)]
+    + [pytest.param(lambda m=m, seed=seed: _sphere_hull(m, seed), id=f"sphere-{m}-{seed}")
+       for m, seed in ((8, 0), (20, 1), (45, 2))],
+)
+def test_subdivide_matches_a_loop_reference(make):
+    poly = make()
+    for level in range(4):
+        mesh = subdivide(poly, level)
+        for name, expected in _reference_mesh(poly, level).items():
+            array = getattr(mesh, name)
+            assert array.dtype == expected.dtype, (level, name)
+            assert array.shape == expected.shape, (level, name)
+            assert array.tobytes() == expected.tobytes(), (level, name)
 
 
 def test_mesh_arrays_are_read_only_and_inputs_stay_writable():

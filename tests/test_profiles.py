@@ -4,12 +4,16 @@ import sys
 import numpy as np
 import pytest
 
+from polyperim import shapes
 from polyperim.errors import (
     DimensionTooHigh,
     InsufficientSamples,
+    InvalidPolytope,
     ValidationError,
     VolumeOutOfRange,
 )
+from polyperim.gallery import suspension_area
+from polyperim.polytope import Polytope
 from polyperim.profiles import (
     MAX_GRID_POINTS,
     Profile,
@@ -154,6 +158,54 @@ def test_fit_power_law_guards():
         fit_power_law(np.linspace(1.0, 2.0, 12), np.ones(12))  # < one decade
     with pytest.raises(InsufficientSamples):
         fit_power_law(v, -np.ones(12))
+
+
+def _with(array, index, value):
+    array = np.array(array, dtype=float)
+    array[index] = value
+    return array
+
+
+_V = np.geomspace(0.1, 5.0, 12)
+_CUBE = shapes.cube().vertices
+_CURVE = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        pytest.param(lambda: fit_power_law(_V, _with(_V, 3, math.nan)), InsufficientSamples,
+                     id="fit-nan-area"),
+        pytest.param(lambda: fit_power_law(_with(_V, 3, math.nan), _V), InsufficientSamples,
+                     id="fit-nan-volume"),
+        pytest.param(lambda: fit_power_law(_with(_V, 11, math.inf), _V), InsufficientSamples,
+                     id="fit-inf-volume"),
+        pytest.param(lambda: fit_power_law(_V, _with(_V, 11, math.inf)), InsufficientSamples,
+                     id="fit-inf-area"),
+        pytest.param(lambda: euclidean_profile(2, math.nan), VolumeOutOfRange,
+                     id="euclidean-nan"),
+        pytest.param(lambda: euclidean_profile(2, math.inf), VolumeOutOfRange,
+                     id="euclidean-inf"),
+        pytest.param(lambda: euclidean_profile(1, math.nan), VolumeOutOfRange,
+                     id="euclidean-1d-nan"),
+        pytest.param(lambda: Polytope.from_vertices(_with(_CUBE, (2, 1), math.nan)),
+                     InvalidPolytope, id="vertices-nan"),
+        pytest.param(lambda: Polytope.from_vertices(_with(_CUBE, (5, 0), -math.inf)),
+                     InvalidPolytope, id="vertices-inf"),
+        pytest.param(lambda: suspension_area(_with(_CURVE, 1, math.nan)), ValueError,
+                     id="suspension-nan"),
+        pytest.param(lambda: suspension_area(_with(_CURVE, (2, 2), math.inf)), ValueError,
+                     id="suspension-inf"),
+        pytest.param(lambda: suspension_area(_with(_CURVE, 1, 0.0)), ValueError,
+                     id="suspension-zero"),
+    ],
+)
+def test_non_finite_inputs_end_in_a_documented_error(call, error, capfd):
+    """Each of these returned NaN or inf, raised a RuntimeWarning or a bare
+    LAPACK or scipy error, or printed to stderr."""
+    with pytest.raises(error, match="finite"):
+        call()
+    assert capfd.readouterr().err == ""
 
 
 def test_profile_rejects_unsorted_volumes():
