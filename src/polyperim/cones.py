@@ -30,11 +30,11 @@ far end of an edge (d = 2), the ring edges missing v (d = 3), or the cell's
 2-faces missing v (d = 4, in 4-D coordinates), at the plane where the foot
 lies in the face.
 
-Links and star radii are gathered per facet: each facet is measured once at
-all of its vertices, and a vertex's cone collects its facets' contributions
-in increasing facet order and the smallest of their distances.  Polygon
-facets (d = 3) are measured together, one batch per ring length, and the
-cells (d = 4) in one pass over all of their ridges.
+Links and star radii come from one corner table, an entry per (facet,
+vertex) pair of the incidence: a vertex's cone adds its entries'
+contributions in increasing facet order and takes the smallest of their
+distances.  Polygon facets (d = 3) are measured together, one batch per
+ring length, and the cells (d = 4) in one pass over all of their ridges.
 """
 
 from __future__ import annotations
@@ -66,7 +66,6 @@ class VertexCone:
     surface_dim: int
     link_volume: float
     r_max: float
-    facet_contributions: tuple[tuple[int, float], ...]
 
     @property
     def valid_volume_max(self) -> float:
@@ -88,7 +87,7 @@ def tet_solid_angle(a, b, c) -> float:
 
 
 # ---------------------------------------------------------------------------
-# per-facet corner data
+# the corner table
 # ---------------------------------------------------------------------------
 
 def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -105,9 +104,10 @@ def _segment_distances(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarra
     return np.sqrt(_dot(r, r))
 
 
-def _facet_corners(poly: Polytope) -> list[dict[int, tuple[float, float]]]:
-    """Link contribution and star distance of each facet at each of its
-    vertices, in facet order.
+def _facet_corners(poly: Polytope) -> tuple[np.ndarray, np.ndarray]:
+    """Link contribution and star distance of every entry (facet, vertex) of
+    the vertex-facet incidence, in the order of ``_incidence(poly.facets,
+    m)``: facet by facet, each facet's vertices ascending.
 
     The distance runs from the vertex to the part of the facet's boundary
     away from it: the other end of an edge (d = 2), the ring edges not
@@ -118,43 +118,39 @@ def _facet_corners(poly: Polytope) -> list[dict[int, tuple[float, float]]]:
     d = poly.dim
     pts = poly.vertices
     if d == 2:
-        return [
-            {
-                a: (1.0, float(np.linalg.norm(pts[b] - pts[a]))),
-                b: (1.0, float(np.linalg.norm(pts[a] - pts[b]))),
-            }
-            for a, b in poly.facets
-        ]
+        ends = np.array(poly.facets)
+        e = pts[ends[:, 1]] - pts[ends[:, 0]]
+        return np.ones(ends.size), np.repeat(np.sqrt(_dot(e, e)), 2)
     if d == 3:
         rings = [poly.facet_ring(fi) for fi in range(len(poly.facets))]
         return _ring_corners(pts, rings)
     return _cell_corners(poly)
 
 
-def _ring_corners(pts: np.ndarray, rings: list) -> list[dict[int, tuple[float, float]]]:
-    """Corner angles and star distances of polygons, one batch per ring
-    length; every product and dot is taken row by row, as for one corner."""
-    corners: list = [None] * len(rings)
+def _ring_corners(pts: np.ndarray, rings: list) -> tuple[np.ndarray, np.ndarray]:
+    """Corner angles and star distances of polygons, ring by ring and each
+    ring's vertices ascending, measured in one batch per ring length; every
+    product and dot is taken row by row, as for one corner."""
+    first = np.cumsum([0] + [len(ring) for ring in rings])
+    angles = np.empty(first[-1])
+    dist = np.empty(first[-1])
     by_length: dict[int, list[int]] = {}
     for n, ring in enumerate(rings):
         by_length.setdefault(len(ring), []).append(n)
     for k, members in by_length.items():
         ring = np.array([rings[n] for n in members])
+        # each corner's entry: its ring's first entry plus its rank in the ring
+        entry = first[members][:, None] + np.argsort(np.argsort(ring, axis=1), axis=1)
         v = pts[ring]
         u1 = np.roll(v, 1, axis=1) - v
         u2 = np.roll(v, -1, axis=1) - v
         cr = np.cross(u1, u2)
-        wedges = np.sqrt(_dot(cr, cr)).tolist()
-        inners = _dot(u1, u2).tolist()
+        wedges = np.sqrt(_dot(cr, cr)).ravel().tolist()
+        angles[entry.ravel()] = list(map(math.atan2, wedges, _dot(u1, u2).ravel().tolist()))
         # corner i against the ring edges j -> j + 1 that miss it
         j = (np.arange(k)[:, None] + np.arange(1, k - 1)) % k
-        dists = _segment_distances(v[:, :, None], v[:, j], v[:, (j + 1) % k]).min(axis=2)
-        for n, *columns in zip(members, ring.tolist(), wedges, inners, dists.tolist()):
-            corners[n] = {
-                vertex: (math.atan2(wedge, inner), dist)
-                for vertex, wedge, inner, dist in zip(*columns)
-            }
-    return corners
+        dist[entry] = _segment_distances(v[:, :, None], v[:, j], v[:, (j + 1) % k]).min(axis=2)
+    return angles, dist
 
 
 def _by_cell(inc: csr_matrix, item_cell: np.ndarray):
@@ -183,9 +179,10 @@ def _by_cell(inc: csr_matrix, item_cell: np.ndarray):
         lo = hi
 
 
-def _cell_corners(poly: Polytope) -> list[dict[int, tuple[float, float]]]:
+def _cell_corners(poly: Polytope) -> tuple[np.ndarray, np.ndarray]:
     """Solid angle and star distance of each 3-cell at each of its vertices,
-    from the ridges of the 4-polytope, in one pass over all cells.
+    one per entry of the cell-vertex incidence, from the ridges of the
+    4-polytope in one pass over all cells.
 
     A half-ridge (C, G) is the 2-face cell C shares with facet G (three or
     more common vertices).  Its in-cell unit normal u is the generalized
@@ -260,30 +257,7 @@ def _cell_corners(poly: Polytope) -> list[dict[int, tuple[float, float]]]:
         run = np.r_[True, (i[1:] != i[:-1]) | (hi[1:] != hi[:-1])]
         skip = np.bincount(np.cumsum(run) - 1, bad) > 0
         np.minimum.at(dist, i[run], np.where(skip, math.inf, depth[run]))
-    corners = list(zip(angles.tolist(), dist.tolist()))
-    return [dict(zip(f, corners[s : s + len(f)])) for f, s in zip(poly.facets, inc.indptr)]
-
-
-def _cone(
-    poly: Polytope, vertex: int, contributions: list[tuple[int, float]], r_max: float
-) -> VertexCone:
-    n = poly.surface_dim
-    # left to right, as ``sum`` adds floats before Python 3.12 (later
-    # versions compensate, which would move links by an ulp)
-    omega = 0.0
-    for _, c in contributions:
-        omega += c
-    if n >= 2 and not 0.0 < omega < sphere_measure(n - 1) + 1e-9:
-        raise ValueError(
-            f"vertex {vertex}: link measure {omega} outside (0, |S^{n-1}|)"
-        )
-    return VertexCone(
-        vertex_index=vertex,
-        surface_dim=n,
-        link_volume=omega,
-        r_max=r_max,
-        facet_contributions=tuple(contributions),
-    )
+    return angles, dist
 
 
 # ---------------------------------------------------------------------------
@@ -291,14 +265,31 @@ def _cone(
 # ---------------------------------------------------------------------------
 
 def vertex_cones(poly: Polytope) -> list[VertexCone]:
-    """Every vertex's cone, from one walk over the facets in index order."""
-    contributions: list[list[tuple[int, float]]] = [[] for _ in poly.vertices]
-    r_max = [math.inf] * len(poly.vertices)
-    for fi, corners in enumerate(_facet_corners(poly)):
-        for vertex, (contribution, dist) in corners.items():
-            contributions[vertex].append((fi, contribution))
-            r_max[vertex] = min(r_max[vertex], dist)
-    return [_cone(poly, v, contributions[v], r_max[v]) for v in range(len(r_max))]
+    """Every vertex's cone, reduced from the corner table of
+    ``_facet_corners``: a vertex's link adds its facets' contributions in
+    increasing facet order, and its ``r_max`` is their smallest distance."""
+    n = poly.surface_dim
+    link, dist = _facet_corners(poly)
+    vertex = np.concatenate(poly.facets)
+    order = np.argsort(vertex, kind="stable")
+    link, dist = link[order], dist[order]
+    count = np.bincount(vertex, minlength=len(poly.vertices))
+    start = np.cumsum(count) - count
+    r_max = np.minimum.reduceat(dist, start)
+    # left to right, one column of k-th facets at a time (``np.sum`` adds
+    # pairwise and Python 3.12's ``sum`` compensates: either would move
+    # links by an ulp)
+    omega = np.zeros(len(count))
+    for k in range(count.max()):
+        live = count > k
+        omega[live] += link[start[live] + k]
+    if n >= 2:
+        bad = np.flatnonzero(~((omega > 0.0) & (omega < sphere_measure(n - 1) + 1e-9)))
+        if len(bad):
+            raise ValueError(
+                f"vertex {bad[0]}: link measure {float(omega[bad[0]])} outside (0, |S^{n-1}|)"
+            )
+    return [VertexCone(v, n, w, r) for v, (w, r) in enumerate(zip(omega.tolist(), r_max.tolist()))]
 
 
 def rank_by_link(cones: list[VertexCone]) -> list[VertexCone]:

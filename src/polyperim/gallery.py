@@ -149,6 +149,8 @@ def double_pyramid_report(
     if one_sided == 0.0:
         raise VolumeOutOfRange(f"theta * volume = {theta} * {volume} underflows")
     glued = math.sqrt(4.0 * theta * volume)
+    if glued == math.inf:
+        raise VolumeOutOfRange(f"theta * volume = {theta} * {volume} overflows")
     beats = None if base_link is None else theta < base_link
     return DoublePyramidReport(
         theta=theta,
@@ -215,6 +217,10 @@ def suspension_area(curve: np.ndarray) -> float:
     w = np.asarray(curve, float)
     if w.ndim != 2 or w.shape[1] != 3 or len(w) < 3:
         raise ValueError("curve must be a closed polyline of 3-vectors")
+    # each row scaled by the power of two of its largest |component| first,
+    # so the squares in the norm neither overflow nor underflow (and a
+    # scale by 2^k leaves every bit of w / |w| as it was)
+    w = np.ldexp(w, -np.frexp(np.abs(w).max(axis=1))[1][:, None])
     norms = np.linalg.norm(w, axis=1)
     if not ((norms > 0) & (norms < math.inf)).all():
         raise ValueError("curve points must be finite and nonzero")

@@ -177,9 +177,9 @@ class SurfaceMesh:
         computed on the first call for that vertex and kept on the mesh.
 
         The first call also measures every vertex's cone in one
-        ``vertex_cones`` walk and keeps them for the later calls.  Each
-        incident facet's triangles are found as one run of the ascending
-        ``facet_of``.
+        ``vertex_cones`` call and keeps them for the later calls.  Each
+        facet holding the vertex has its triangles as one run of the
+        ascending ``facet_of``.
         """
         star = self._stars.get(vertex)
         if star is None:
@@ -188,7 +188,7 @@ class SurfaceMesh:
             if self._cones is None:
                 self._cones = vertex_cones(self.polytope)
             cone = self._cones[vertex]
-            incident = sorted(f for f, _ in cone.facet_contributions)
+            incident = [f for f, facet in enumerate(self.polytope.facets) if vertex in facet]
             bounds = np.searchsorted(self.facet_of, [incident, np.add(incident, 1)])
             tris = np.concatenate(
                 [np.arange(lo, hi, dtype=np.int32) for lo, hi in bounds.T]

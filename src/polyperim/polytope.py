@@ -44,6 +44,13 @@ MERGE_TOL = 1e-9
 
 MAX_DIM = 4
 
+#: Largest coordinate magnitude accepted on load, one bound for every
+#: dimension below where a scaled shape stops building exactly: the
+#: hypercube builds at 10^51, the cube at 10^76 (past that Qhull rejects
+#: the initial simplex as flat) and the square at 10^153 (past that
+#: scipy's KD-tree overflows).
+MAX_COORD = 1e50
+
 # Qhull planes per block of the vertex-plane residual matrix: its full m x F
 # size is 1.6 GB at 10^4 points on a sphere, one block is m x 256
 _PLANE_BLOCK = 256
@@ -277,12 +284,15 @@ class Polytope:
     def from_vertices(cls, vertices, *, name: str | None = None) -> "Polytope":
         """Build from coordinates, merging vertices within MERGE_TOL.
 
-        Raises ``InvalidPolytope`` for a NaN or infinite coordinate."""
+        Raises ``InvalidPolytope`` for a NaN or infinite coordinate, or one
+        above ``MAX_COORD`` in magnitude."""
         verts = np.asarray(vertices, dtype=float)
         if verts.ndim != 2:
             raise NotFullDimensional("vertex array must be 2-dimensional")
         if not np.isfinite(verts).all():
             raise InvalidPolytope("vertex coordinates must be finite")
+        if np.abs(verts).max(initial=0.0) > MAX_COORD:
+            raise InvalidPolytope(f"vertex coordinates must be at most {MAX_COORD:g} in magnitude")
         verts, _ = _dedupe_with_map(verts)
         return cls(verts, name=name)
 
@@ -306,6 +316,8 @@ class Polytope:
             )
         if not np.isfinite(verts).all():
             raise BadDocument("vertex coordinates must be finite")
+        if np.abs(verts).max(initial=0.0) > MAX_COORD:
+            raise BadDocument(f"vertex coordinates must be at most {MAX_COORD:g} in magnitude")
         name = doc.get("name")
         if name is not None and not isinstance(name, str):
             raise BadDocument("field 'name' must be a string")

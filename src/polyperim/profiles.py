@@ -83,6 +83,8 @@ def cone_profile(omega: float, n: int, volume: float) -> float:
         raise VolumeOutOfRange(f"volume must be positive and finite, got {volume}")
     if n == 1:
         return float(omega)
+    if not math.isfinite(n * float(volume)):
+        raise VolumeOutOfRange(f"n * volume = {n} * {volume} overflows")
     return omega ** (1.0 / n) * (n * volume) ** ((n - 1.0) / n)
 
 

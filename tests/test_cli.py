@@ -1,7 +1,10 @@
 import argparse
+import contextlib
+import io
 import itertools
 import json
 import math
+import re
 import subprocess
 import sys
 import time
@@ -9,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import special_ortho_group
 
@@ -295,6 +298,25 @@ def test_analyze_rejects_facet_list_that_does_not_close_up(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("scale, code", [(2e50, 0), (2e160, 2)])
+def test_analyze_bounds_the_coordinates(tmp_path, capsys, scale, code):
+    # the unit cube's corners at +-scale/2: up to 1e50 it is measured, past
+    # that the document is rejected before scipy's KD-tree or Qhull overflows
+    doc = shapes.cube().serialize()
+    doc["vertices"] = (np.array(doc["vertices"]) * scale).tolist()
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    result, out, err = run(capsys, "analyze", "--polytope", str(path),
+                           "--out", str(tmp_path / "out"))
+    assert result == code
+    if code == 0:
+        _, _, rows = read_artifact(tmp_path / "out" / "analysis.csv")
+        assert [float(row[2]) for row in rows] == [scale] * 8
+    else:
+        assert err == "polyperim: error: BadDocument: vertex coordinates must be at most 1e+50 in magnitude\n"
+        assert out == "" and not (tmp_path / "out").exists()
+
+
 def _rounded_hypercube_document(tmp_path, seed):
     """A unit hypercube rotated by the seed and rounded to 9 decimals."""
     corners = np.array(list(itertools.product([-0.5, 0.5], repeat=4)))
@@ -567,6 +589,12 @@ def test_slice_rejects_oversized_windows_at_once(tmp_path, capsys):
         (["gallery", "spiked-cone", "--half-angle", "30"],
          "ValidationError: --spike-height 3.0 (in cube sides) x tan(--half-angle) "
          "gives a spike base of circumradius 1.73205, outside (0, 1/2)"),
+        (["profile", "--model", "cone", "--n", "2", "--omega", "4.7", "--vmin", "1",
+          "--vmax", "1.7e308"], "VolumeOutOfRange: n * volume = 2 * 1.7e+308 overflows"),
+        (["gallery", "spiked-cone", "--volume", "1.7e308"],
+         "VolumeOutOfRange: n * volume = 3 * 1.7e+308 overflows"),
+        (["gallery", "double-pyramid", "--theta", "6", "--volume", "1.7e308"],
+         "VolumeOutOfRange: theta * volume = 6.0 * 1.7e+308 overflows"),
     ],
     ids=["spike-volume-nan", "volume-nan", "volume-inf",
          "base-link-nan", "competitors-vmin-negative", "competitors-reversed",
@@ -579,7 +607,8 @@ def test_slice_rejects_oversized_windows_at_once(tmp_path, capsys):
          "solve-no-polytope", "profile-points-1e8", "competitors-points-100001",
          "dirs-1e9", "sphere-omega", "euclidean-omega", "slice-n3-svg",
          "smooth-eps-too-large", "smooth-4-polytope", "spike-height-0",
-         "spike-height-negative", "half-angle-90", "spike-base-too-wide"],
+         "spike-height-negative", "half-angle-90", "spike-base-too-wide",
+         "cone-volume-overflow", "spike-volume-overflow", "double-pyramid-overflow"],
 )
 def test_out_of_range_values_are_rejected(tmp_path, capsys, argv, message):
     if "--out" not in argv:
@@ -675,8 +704,11 @@ def test_solve_bound_check_is_na_beyond_the_star_range(tmp_path, capsys):
 
 
 _FLOATS = st.sampled_from(
-    ["nan", "inf", "-inf", "-1", "0", "1e-300", "0.001", "0.05", "0.5", "3", "1e300"]
+    ["nan", "inf", "-inf", "-1", "0", "5e-324", "1e-300", "0.001", "0.05", "0.5", "3",
+     "1e300", "1.7e308"]
 )
+# a nan or inf printed as a number, not part of a word
+_NON_FINITE = re.compile(r"(?<![\w.])[-+]?(?:nan|inf)(?![\w.])", re.IGNORECASE)
 _INTS = st.sampled_from(["-1", "0", "1", "2", "3"])
 _DIMS = st.sampled_from(["-1", "0", "1", "2", "3", "900", "3000"])
 _SHAPES = st.sampled_from(sorted(BUILTIN_SHAPES))
@@ -723,6 +755,22 @@ def _argv(draw):
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(argv=_argv())
+# volumes whose perimeters overflow, which once printed inf or nan and exited 0
+@example(argv=["profile", "--model=cone", "--n=2", "--omega=4.7", "--vmin=1",
+               "--vmax=1.7e308", "--points=3"])
+@example(argv=["gallery", "spiked-cone", "--volume=1.7e308"])
+@example(argv=["gallery", "double-pyramid", "--theta=6", "--volume=1.7e308"])
 def test_fuzzed_flags_end_in_a_documented_exit_code(tmp_path_factory, argv):
+    # a run that succeeds prints no nan or inf, on stdout or in its CSV data
+    # (the manifest lines echo the flags, which may be anything)
     out = tmp_path_factory.mktemp("fuzz")
-    assert dispatch(argv + ["--out", str(out)]) in (0, 2, 3), argv
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = dispatch(argv + ["--out", str(out)])
+    assert code in (0, 2, 3), argv
+    if code == 0:
+        lines = stdout.getvalue().splitlines()
+        for path in sorted(out.glob("*.csv")):
+            lines += [x for x in path.read_text().splitlines() if not x.startswith("#")]
+        bad = [x for x in lines if _NON_FINITE.search(x)]
+        assert not bad, (argv, bad)

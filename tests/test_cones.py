@@ -73,11 +73,25 @@ def test_links_match_trig_oracle():
 
 
 def test_facet_contributions_sum_to_link():
+    # the corner table's entries at vertex 2, one per incident facet, in
+    # increasing facet order, add up to its link
     poly = shapes.triangular_prism()
-    cone = vertex_cones(poly)[2]
-    parts = dict(cone.facet_contributions)
-    assert list(parts) == _incident(poly, 2)
-    assert sum(parts.values()) == pytest.approx(cone.link_volume, abs=LINK_TOL)
+    link, _ = cones_module._facet_corners(poly)
+    entries = [fi for fi, f in enumerate(poly.facets) for v in f if v == 2]
+    assert entries == _incident(poly, 2)
+    parts = link[np.concatenate(poly.facets) == 2]
+    assert len(parts) == len(entries)
+    assert sum(parts.tolist()) == pytest.approx(vertex_cones(poly)[2].link_volume, abs=LINK_TOL)
+
+
+def test_a_link_outside_the_sphere_measure_is_rejected(monkeypatch):
+    # a corner table whose links leave (0, |S^1|) at vertex 3 first
+    poly = shapes.cube()
+    link, dist = cones_module._facet_corners(poly)
+    link[np.concatenate(poly.facets) == 3] = 3.0
+    monkeypatch.setattr(cones_module, "_facet_corners", lambda _: (link, dist))
+    with pytest.raises(ValueError, match=r"vertex 3: link measure 9\.0 outside \(0, \|S\^1\|\)"):
+        vertex_cones(poly)
 
 
 def test_deficit_sums():
@@ -211,18 +225,31 @@ def _pinned_polytope(key):
 
 
 def _cone_record(cone):
-    return {
-        "link_volume": cone.link_volume.hex(),
-        "r_max": cone.r_max.hex(),
-        "facet_contributions": [[fi, c.hex()] for fi, c in cone.facet_contributions],
-    }
+    return {"link_volume": cone.link_volume.hex(), "r_max": cone.r_max.hex()}
+
+
+def _table_contributions(poly):
+    """Each vertex's [facet, contribution] pairs, facets ascending, read off
+    the corner table entry by entry in incidence order."""
+    link, _ = cones_module._facet_corners(poly)
+    pairs = [[] for _ in poly.vertices]
+    entry = 0
+    for fi, facet in enumerate(poly.facets):
+        for v in facet:
+            pairs[v].append([fi, float(link[entry]).hex()])
+            entry += 1
+    assert entry == len(link)
+    return pairs
 
 
 @pytest.mark.parametrize("key", list(PINNED_CONES))
 def test_vertex_cones_are_pinned(key):
     poly = _pinned_polytope(key)
-    cones = vertex_cones(poly)
-    assert [_cone_record(c) for c in cones] == PINNED_CONES[key]
+    pinned = PINNED_CONES[key]
+    assert [_cone_record(c) for c in vertex_cones(poly)] == [
+        {"link_volume": p["link_volume"], "r_max": p["r_max"]} for p in pinned
+    ]
+    assert _table_contributions(poly) == [p["facet_contributions"] for p in pinned]
 
 
 def test_4d_cones_build_no_hull_of_their_own(monkeypatch):
@@ -244,7 +271,9 @@ def test_4d_cones_do_not_depend_on_the_cell_blocks(key, monkeypatch):
     records = []
     for rows in (7, cones_module._CELL_ROWS, 1 << 62):
         monkeypatch.setattr(cones_module, "_CELL_ROWS", rows)
-        records.append([_cone_record(c) for c in vertex_cones(poly)])
+        link, dist = cones_module._facet_corners(poly)
+        records.append((link.tobytes(), dist.tobytes(),
+                        [_cone_record(c) for c in vertex_cones(poly)]))
     assert records[0] == records[1] == records[2]
 
 

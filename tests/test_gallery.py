@@ -204,6 +204,17 @@ def test_suspension_area_nonplanar_curve():
         suspension_area(unit[:2])
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_suspension_area_does_not_depend_on_the_curve_scale(scale):
+    # the curve is normalized row by row; squaring 1e200 overflowed and
+    # squaring 1e-200 underflowed to a zero row
+    phi = 2 * math.pi * np.arange(64) / 64
+    circle = np.stack([np.cos(phi), np.sin(phi), np.zeros(64)], axis=1)
+    area = suspension_area(circle)
+    assert area == pytest.approx(4 * math.pi, abs=0.02)
+    assert suspension_area(scale * circle) == pytest.approx(area, rel=1e-14)
+
+
 def test_spike_link_roundtrip():
     for theta_p in (0.1, 0.45, 1.5):
         alpha = theta_p / 3.0

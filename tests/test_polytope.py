@@ -19,6 +19,7 @@ from polyperim.errors import (
     ValidationError,
 )
 from polyperim.polytope import (
+    MAX_COORD,
     TOL,
     Polytope,
     enumerate_facets,
@@ -168,6 +169,34 @@ def test_document_validation_errors():
         )
     with pytest.raises(BadDocument):
         Polytope.loads("not json")
+
+
+@pytest.mark.parametrize("name", ["square", "cube", "hypercube"])
+def test_coordinates_up_to_the_bound_build_exactly(name):
+    # at the bound each shape has its facets and cones, scaled exactly
+    unit = getattr(shapes, name)()
+    scale = MAX_COORD / np.abs(unit.vertices).max()
+    poly = Polytope.from_vertices(unit.vertices * scale)
+    assert poly.facets == unit.facets
+    for cone, ref in zip(vertex_cones(poly), vertex_cones(unit)):
+        assert cone.link_volume == pytest.approx(ref.link_volume, abs=1e-12)
+        assert cone.r_max == pytest.approx(ref.r_max * scale, rel=1e-15)
+    doc = unit.serialize()
+    doc["vertices"] = poly.vertices.tolist()
+    assert Polytope.from_document(doc).facets == unit.facets
+
+
+@pytest.mark.parametrize("scale", [1.0000001, 1e50, 1e110])
+def test_coordinates_past_the_bound_are_rejected(scale):
+    # 1e160 made scipy's KD-tree raise a bare ValueError, 1e100 read as
+    # NotFullDimensional from Qhull
+    doc = shapes.cube().serialize()
+    vertices = 2 * MAX_COORD * scale * np.array(doc["vertices"])
+    with pytest.raises(InvalidPolytope, match="at most 1e\\+50"):
+        Polytope.from_vertices(vertices)
+    doc["vertices"] = vertices.tolist()
+    with pytest.raises(BadDocument, match="at most 1e\\+50"):
+        Polytope.from_document(doc)
 
 
 @pytest.mark.parametrize(

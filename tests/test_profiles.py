@@ -12,7 +12,7 @@ from polyperim.errors import (
     ValidationError,
     VolumeOutOfRange,
 )
-from polyperim.gallery import suspension_area
+from polyperim.gallery import double_pyramid_report, spiked_cone_report, suspension_area
 from polyperim.polytope import Polytope
 from polyperim.profiles import (
     MAX_GRID_POINTS,
@@ -206,6 +206,32 @@ def test_non_finite_inputs_end_in_a_documented_error(call, error, capfd):
     with pytest.raises(error, match="finite"):
         call()
     assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: cone_profile(4.7, 2, 1.7e308), id="cone"),
+        pytest.param(lambda: cone_profile(4.7, 2, np.float64(1.7e308)), id="cone-numpy"),
+        pytest.param(lambda: cone_profile(1.0, 3, 1e308), id="cone-n3"),
+        pytest.param(lambda: spiked_cone_report(0.45, reference_volume=1.7e308),
+                     id="spiked-cone"),
+        pytest.param(lambda: double_pyramid_report(6.0, 1.7e308), id="double-pyramid"),
+        pytest.param(lambda: double_pyramid_report(1.0, 1e308), id="double-pyramid-glued"),
+    ],
+)
+def test_overflowing_perimeters_end_in_a_documented_error(call, capfd):
+    """Each of these returned inf or nan, with a RuntimeWarning for numpy
+    volumes."""
+    with pytest.raises(VolumeOutOfRange, match="overflows"):
+        call()
+    assert capfd.readouterr().err == ""
+
+
+def test_perimeters_just_below_overflow_are_finite():
+    assert cone_profile(4.7, 2, 8.9e307) == pytest.approx(math.sqrt(4.7) * math.sqrt(1.78e308))
+    report = double_pyramid_report(1.0, 4e307)
+    assert math.isfinite(report.glued_ball_area) and report.ratio == pytest.approx(math.sqrt(2))
 
 
 def test_profile_rejects_unsorted_volumes():

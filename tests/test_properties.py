@@ -42,9 +42,15 @@ def test_random_hull_identities(m, seed):
     assert len(poly.vertices) - len(edges) + facet_count == 2
 
     assert deficit_sum(poly) == pytest.approx(4.0 * math.pi, abs=1e-9)
+    # the corner table runs facet by facet, each facet's vertices ascending
+    link, dist = _facet_corners(poly)
+    entries = [(fi, v) for fi, f in enumerate(poly.facets) for v in f]
+    assert len(link) == len(dist) == len(entries)
+    assert entries == sorted(entries)
+    vertex = np.array([v for _, v in entries])
     for v, cone in enumerate(vertex_cones(poly)):
-        scan = [fi for fi, f in enumerate(poly.facets) if v in f]
-        assert [fi for fi, _ in cone.facet_contributions] == scan
+        assert cone.link_volume == np.cumsum(link[vertex == v])[-1]
+        assert cone.r_max == dist[vertex == v].min()
     measures = np.array([poly.facet_measure(fi) for fi in range(facet_count)])
     assert measures.sum() == pytest.approx(ConvexHull(points).area, rel=1e-12)
 
@@ -152,11 +158,14 @@ def test_vertex_solid_angles_satisfy_brianchon_gram(m, seed):
     pyramid = Polytope.from_vertices(
         np.vstack([np.hstack([poly.vertices, np.zeros((m, 1))]), [0.0, 0.0, 0.0, 1.0]])
     )
-    base = _facet_corners(pyramid)[pyramid.facets.index(tuple(range(m)))]
-    solid = [base[v][0] for v in range(m)]
+    # the base cell's entries of the corner table are its vertices 0..m-1
+    cell = pyramid.facets.index(tuple(range(m)))
+    first = sum(len(f) for f in pyramid.facets[:cell])
+    angles, dist = (a[first : first + m] for a in _facet_corners(pyramid))
+    solid = angles.tolist()
     for v in range(m):
         assert solid[v] == pytest.approx(ray_hull_solid_angle(poly.vertices, v), abs=1e-12)
-        assert base[v][1] == pytest.approx(
+        assert dist[v] == pytest.approx(
             star_distance(poly.vertices, poly.facets, v), abs=1e-12
         )
 
@@ -182,13 +191,16 @@ def test_cell_corners_match_oracles_on_4d_hulls(m, seed):
     x = np.random.default_rng(seed).normal(size=(m, 4))
     poly = Polytope.from_vertices(x / np.linalg.norm(x, axis=1)[:, None])
     facets = [set(f) for f in poly.facets]
-    for cell, corners in zip(facets, _facet_corners(poly)):
+    angles, dists = _facet_corners(poly)
+    entry = 0
+    for cell in facets:
         ridges = [sorted(cell & g) for g in facets if g != cell and len(cell & g) >= 3]
         ordered = sorted(cell)
         points = poly.vertices[ordered]
         local = project_to_span(points, *affine_span(points)[:2])
         for j, v in enumerate(ordered):
-            angle, dist = corners[v]
+            angle, dist = angles[entry], dists[entry]
+            entry += 1
             assert angle == pytest.approx(ray_hull_solid_angle(local, j), abs=1e-12)
             assert dist == pytest.approx(
                 min(hull_distance(poly.vertices[v], poly.vertices[r])
