@@ -34,7 +34,8 @@ Links and star radii come from one corner table, an entry per (facet,
 vertex) pair of the incidence: a vertex's cone adds its entries'
 contributions in increasing facet order and takes the smallest of their
 distances.  Polygon facets (d = 3) are measured together, one batch per
-ring length, and the cells (d = 4) in one pass over all of their ridges.
+ring length with the star distances in blocks of corners, and the cells
+(d = 4) in one pass over all of their ridges.
 """
 
 from __future__ import annotations
@@ -53,8 +54,9 @@ LINK_RTOL = 1e-12  # relative; links this close count as equal
 
 # columns of the four 3 x 3 minors of a 3 x 4 matrix
 _MINORS = [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]
-# rows per block of the 4-D corner pass: (cell vertex, face pair) rows, and
-# the face pairs whose shared edge is read off the ridges
+# rows per block of the corner passes: (polygon corner, ring edge) rows in
+# 3-D; (cell vertex, face pair) rows, and the face pairs whose shared edge is
+# read off the ridges, in 4-D
 _CELL_ROWS = 1 << 14
 
 
@@ -129,8 +131,9 @@ def _facet_corners(poly: Polytope) -> tuple[np.ndarray, np.ndarray]:
 
 def _ring_corners(pts: np.ndarray, rings: list) -> tuple[np.ndarray, np.ndarray]:
     """Corner angles and star distances of polygons, ring by ring and each
-    ring's vertices ascending, measured in one batch per ring length; every
-    product and dot is taken row by row, as for one corner."""
+    ring's vertices ascending, measured in one batch per ring length (the
+    distances, k - 2 edges per corner, in blocks of corners); every product
+    and dot is taken row by row, as for one corner."""
     first = np.cumsum([0] + [len(ring) for ring in rings])
     angles = np.empty(first[-1])
     dist = np.empty(first[-1])
@@ -147,9 +150,18 @@ def _ring_corners(pts: np.ndarray, rings: list) -> tuple[np.ndarray, np.ndarray]
         cr = np.cross(u1, u2)
         wedges = np.sqrt(_dot(cr, cr)).ravel().tolist()
         angles[entry.ravel()] = list(map(math.atan2, wedges, _dot(u1, u2).ravel().tolist()))
-        # corner i against the ring edges j -> j + 1 that miss it
-        j = (np.arange(k)[:, None] + np.arange(1, k - 1)) % k
-        dist[entry] = _segment_distances(v[:, :, None], v[:, j], v[:, (j + 1) % k]).min(axis=2)
+        # corner i against the ring edges j -> j + 1 that miss it, in blocks
+        # of corners of at most _CELL_ROWS (corner, edge) rows: a whole
+        # batch would take k^2 rows per ring
+        near = np.empty(ring.size)
+        step = max(1, _CELL_ROWS // (k - 2))
+        for lo in range(0, ring.size, step):
+            n, i = np.divmod(np.arange(lo, min(lo + step, ring.size)), k)
+            j = (i[:, None] + np.arange(1, k - 1)) % k
+            near[lo:lo + step] = _segment_distances(
+                v[n, i, None], v[n[:, None], j], v[n[:, None], (j + 1) % k]
+            ).min(axis=1)
+        dist[entry.ravel()] = near
     return angles, dist
 
 

@@ -19,11 +19,18 @@ simulated annealing over single-triangle flips:
   an honest upper bound for the target volume, not for a slightly smaller
   one).
 
+The flip loop reads three Python tables, built once per solve by
+``_tables``: each triangle's neighbours and edge lengths as tuple rows and
+its area.  They hold one Python object per distinct value, one int per
+triangle id and one float per distinct length or area (a level-5 cube has
+two lengths and one area), so they take about 200 bytes per triangle (110
+of them the neighbours), and a solve peaks near 240 bytes per triangle.
+
 Restarts use independent RNG streams seeded by (seed, restart index); warm
-starts (typically vertex balls) occupy the first restarts, the rest begin
-from random connected blobs.  Each restart reports its move counts
-(``MoveCounts``): flips and swaps proposed, accepted and rejected, feasible
-snapshots and the flips polishing kept.
+starts (typically vertex balls, regions of the mesh being solved) occupy
+the first restarts, the rest begin from random connected blobs.  Each
+restart reports its move counts (``MoveCounts``): flips and swaps proposed,
+accepted and rejected, feasible snapshots and the flips polishing kept.
 
 ``anisotropy_bound`` returns the mesh constant kappa >= 1 comparing discrete
 cut lengths to Euclidean lengths: a straight segment rendered as a staircase
@@ -49,9 +56,10 @@ from .mesh import SurfaceMesh
 
 FEASIBILITY_FRACTION = 0.02
 POLISH_MOVES = 5000  # cap on steepest-descent flips in one polish
-# iterations per batch of uniform draws: memory stays flat in the iteration
-# count, and a Generator's stream does not depend on how draws are batched
-DRAW_BLOCK = 8192
+# iterations per batch of uniform draws: 4096 floats, about 130 kB with
+# their list, so memory stays flat in the iteration count; a Generator's
+# stream does not depend on how draws are batched
+DRAW_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -128,6 +136,8 @@ class SolverConfig:
             raise ValidationError(f"iterations must be at least 1, got {self.iterations}")
         if self.restarts < 1:
             raise ValidationError(f"restarts must be at least 1, got {self.restarts}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be non-negative, got {self.seed}")
 
 
 def default_config(
@@ -228,12 +238,32 @@ def vertex_ball_region(mesh: SurfaceMesh, vertex: int, volume: float) -> Region:
 
 
 # ---------------------------------------------------------------------------
-# annealing internals (python lists for speed in the flip loop)
+# annealing internals (python lists and tuples for speed in the flip loop;
+# the tables share one object per distinct value)
 # ---------------------------------------------------------------------------
 
 def _running_sum(values: np.ndarray) -> float:
     """Left-to-right float sum, as a Python loop adds (``np.sum`` is pairwise)."""
     return float(np.cumsum(np.append(0.0, values))[-1])
+
+
+def _shared(values: np.ndarray) -> np.ndarray:
+    """``values`` as an object array holding one Python float per distinct
+    value.  Lengths and areas are non-negative and finite, so equal values
+    have equal bits: sharing a float leaves every entry's bits as they were."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    return distinct.astype(object)[inverse]
+
+
+def _tables(mesh: SurfaceMesh) -> tuple[list[tuple], list[tuple], list[float]]:
+    """The annealer's neighbour, edge-length and area tables: a tuple row
+    per triangle, built from one Python object per distinct value (one int
+    per triangle id, one float per distinct length or area).  The rows are
+    zipped from the columns, in half the time ``map(tuple, ...)`` takes."""
+    ids = np.arange(mesh.triangle_count).astype(object)
+    nbrs = list(zip(*ids[mesh.tri_neighbors].T.tolist()))
+    lens = list(zip(*_shared(mesh.edge_lengths)[mesh.tri_edges].T.tolist()))
+    return nbrs, lens, _shared(mesh.areas).tolist()
 
 
 def _toggle(mask, cuts, cand, pos, nbrs, t: int) -> None:
@@ -327,7 +357,7 @@ class _State:
         self.count = int(mask.sum())
         self.area = _running_sum(mesh.areas[mask])
         # every cut edge is seen from both of its triangles
-        self.perimeter = _running_sum(mesh.edge_lengths[mesh.tri_edges][cut]) * 0.5
+        self.perimeter = _running_sum(mesh.edge_lengths[mesh.tri_edges[cut]]) * 0.5
 
     def deltas(self, t: int) -> tuple[float, float]:
         """(perimeter change, signed area change) of flipping triangle t."""
@@ -567,10 +597,10 @@ def minimize_perimeter(
         )
     cfg = config if config is not None else default_config(mesh)
     feas = FEASIBILITY_FRACTION * volume
-    nbrs = mesh.tri_neighbors.tolist()
-    lens = mesh.edge_lengths[mesh.tri_edges].tolist()
-    areas = mesh.areas.tolist()
     warm = list(warm_starts) if warm_starts else []
+    if any(region.mesh is not mesh for region in warm):
+        raise ValidationError("every warm start must be a region of the mesh being solved")
+    nbrs, lens, areas = _tables(mesh)
 
     outcomes: list[tuple[float, int, np.ndarray]] = []
     per_restart: list[float] = []
@@ -585,8 +615,12 @@ def minimize_perimeter(
             finalists.append(init)
         else:
             init = _random_blob(rng, nbrs, areas, volume)
+        # each flip state is dropped once used: the walk's and the polishes'
+        # would otherwise be alive together
         state = _State(mesh, nbrs, lens, areas, init, volume)
+        del init
         best_mask, counts = _anneal(state, cfg, rng, feas)
+        del state
         if best_mask is not None:
             finalists.append(best_mask)
         best_here: tuple[float, np.ndarray] | None = None
@@ -594,10 +628,11 @@ def minimize_perimeter(
         for mask in finalists:
             st = _State(mesh, nbrs, lens, areas, mask, volume)
             polished += _polish(st, cfg)
-            if abs(st.area - volume) > feas or st.count == 0:
-                continue
-            if best_here is None or st.perimeter < best_here[0]:
+            if abs(st.area - volume) <= feas and st.count > 0 and (
+                best_here is None or st.perimeter < best_here[0]
+            ):
                 best_here = (st.perimeter, np.array(st.mask, dtype=bool))
+            del st
         per_restart.append(math.inf if best_here is None else best_here[0])
         moves.append(MoveCounts(*counts, polished))
         if best_here is not None:

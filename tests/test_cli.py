@@ -619,6 +619,14 @@ def test_out_of_range_values_are_rejected(tmp_path, capsys, argv, message):
     assert out == "" and not list(tmp_path.iterdir())
 
 
+def test_solve_names_a_negative_seed(tmp_path, capsys):
+    code, out, err = run(capsys, "solve", "--polytope", "cube", "--level", "1",
+                         "--volume", "0.1", "--seed", "-1", "--out", str(tmp_path))
+    assert code == 2
+    assert "ValidationError: seed must be non-negative, got -1" in err
+    assert out == "" and not list(tmp_path.iterdir())
+
+
 # a cheap run of each command path, the flags that path accepts, and a flag
 # another path takes that this one must reject
 COMMAND_PATHS = [

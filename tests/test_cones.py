@@ -277,6 +277,41 @@ def test_4d_cones_do_not_depend_on_the_cell_blocks(key, monkeypatch):
     assert records[0] == records[1] == records[2]
 
 
+def _prism(k):
+    """A right prism over the regular k-gon: two k-gon facets and k squares."""
+    a = 2 * np.pi * np.arange(k) / k
+    ring = np.c_[np.cos(a), np.sin(a)]
+    return Polytope.from_vertices(np.r_[np.c_[ring, np.zeros(k)], np.c_[ring, np.ones(k)]])
+
+
+@pytest.mark.parametrize("key", ["octahedron", "sphere-d3-n200-s1", "prism-60"])
+def test_3d_cones_do_not_depend_on_the_corner_blocks(key, monkeypatch):
+    # one corner per block, the default and one block per ring length
+    poly = _prism(60) if key == "prism-60" else _pinned_polytope(key)
+    records = []
+    for rows in (7, cones_module._CELL_ROWS, 1 << 62):
+        monkeypatch.setattr(cones_module, "_CELL_ROWS", rows)
+        link, dist = cones_module._facet_corners(poly)
+        records.append((link.tobytes(), dist.tobytes(),
+                        [_cone_record(c) for c in vertex_cones(poly)]))
+    assert records[0] == records[1] == records[2]
+
+
+def test_3d_cones_memory_stays_small_on_long_rings():
+    """On the 500-gon prism (facet rings warm) the cones peak at 2.3 MiB,
+    and at 63.0 MiB with each ring length's (corner, edge) rows in one
+    batch, which grows as k^2."""
+    poly = _prism(500)
+    vertex_cones(poly)
+    tracemalloc.start()
+    try:
+        vertex_cones(poly)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
 def test_4d_cones_memory_stays_small():
     """On a 600-point 4-D sphere hull (3,854 cells) the cones peak at 8.6
     MiB, and at 56.3 MiB with every (cell vertex, face pair) row in one

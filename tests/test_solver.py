@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -212,6 +213,53 @@ def test_default_config_rejects_empty_runs(iterations, restarts):
         default_config(mesh, iterations=iterations, restarts=restarts)
 
 
+def test_default_config_rejects_a_negative_seed():
+    mesh = subdivide(shapes.cube(), 1)
+    with pytest.raises(ValidationError, match="seed"):
+        default_config(mesh, seed=-1)
+
+
+@pytest.mark.parametrize("other", ["cube-4", "octahedron-5"])
+def test_warm_starts_must_be_regions_of_the_solved_mesh(other):
+    # the level-5 octahedron has as many triangles as the level-5 cube
+    name, level = other.split("-")
+    foreign = vertex_ball_region(subdivide(getattr(shapes, name)(), int(level)), 0, 0.05)
+    mesh = subdivide(shapes.cube(), 5)
+    cfg = default_config(mesh, iterations=100, restarts=1)
+    with pytest.raises(ValidationError, match="warm start"):
+        minimize_perimeter(mesh, 0.05, cfg, [foreign])
+
+
+def test_annealer_tables_share_one_object_per_value():
+    mesh = subdivide(shapes.tetrahedron(), 3)
+    nbrs, lens, areas = solver._tables(mesh)
+    assert nbrs == [tuple(row) for row in mesh.tri_neighbors.tolist()]
+    assert lens == [tuple(row) for row in mesh.edge_lengths[mesh.tri_edges].tolist()]
+    assert areas == mesh.areas.tolist()
+    assert len({id(t) for row in nbrs for t in row}) == mesh.triangle_count
+    assert len({id(x) for row in lens for x in row}) == len(np.unique(mesh.edge_lengths))
+    assert len({id(x) for x in areas}) == len(np.unique(mesh.areas))
+
+
+def test_minimize_perimeter_memory_per_triangle():
+    """On the level-5 cube with a warm start the solve peaks at 241 bytes
+    per triangle: the tables take about 200 (one Python int per triangle id, one
+    float per distinct length or area, tuple rows), a flip state 24.  With
+    list rows of fresh numbers, an 8192-iteration draw buffer and every
+    flip state alive to the end it peaked at 503."""
+    mesh = subdivide(shapes.cube(), 5)
+    ball = vertex_ball_region(mesh, 0, 0.05)
+    mesh.tri_neighbors
+    cfg = default_config(mesh, seed=0, iterations=10_000, restarts=1)
+    tracemalloc.start()
+    try:
+        minimize_perimeter(mesh, 0.05, cfg, [ball])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 300 * mesh.triangle_count
+
+
 def test_minimize_perimeter_quick_run_is_deterministic():
     mesh = subdivide(shapes.cube(), 2)
     volume = 0.375  # exactly 24 level-2 triangles of area 1/64
@@ -284,6 +332,15 @@ def test_annealing_draws_are_bounded_and_batching_leaves_the_run_alone(monkeypat
     small_sizes, small_result = anneal()
     assert max(small_sizes) == 28
     assert small_result == result
+
+
+def test_draws_do_not_depend_on_the_block_size(monkeypatch):
+    draws = []
+    for block in (1, 7, solver.DRAW_BLOCK, 1 << 20):
+        monkeypatch.setattr(solver, "DRAW_BLOCK", block)
+        draws.append(list(solver._draws(np.random.default_rng(11), 3000)))
+    assert len(draws[0]) == 3000 and len(set(draws[0])) == 3000
+    assert draws[0] == draws[1] == draws[2] == draws[3]
 
 
 def test_minimize_perimeter_warm_start_quality():
