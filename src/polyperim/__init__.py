@@ -36,7 +36,6 @@ from .smoothing import (
     smoothed_body,
 )
 from .profiles import (
-    Profile,
     cone_profile,
     euclidean_profile,
     fit_power_law,
@@ -89,7 +88,6 @@ __all__ = [
     "mollify",
     "smoothed_body",
     "convexity_probe",
-    "Profile",
     "euclidean_profile",
     "cone_profile",
     "sphere_profile",

@@ -36,6 +36,7 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -54,7 +55,7 @@ from .gallery import (
 )
 from .mesh import subdivide
 from .polytope import Polytope, polytope_measure
-from .profiles import Profile, cone_profile, volume_grid
+from .profiles import cone_profile, euclidean_profile, sphere_profile, volume_grid
 from .slicing import classify_pieces, enumerate_pieces
 from .smoothing import convexity_probe, smoothed_body
 from .solver import (
@@ -499,19 +500,20 @@ def _cmd_profile(args: argparse.Namespace, out: Path) -> int:
     if args.model == "cone":
         if args.omega is None:
             raise ValidationError("--model cone requires --omega")
-        prof = Profile.cone(args.omega, args.n, args.vmin, args.vmax, args.points)
+        label = f"cone-{args.n}-w{args.omega:.6g}"
+        fn = partial(cone_profile, args.omega, args.n)
     elif args.model == "sphere":
-        prof = Profile.sphere(args.n, args.vmin, args.vmax, args.points)
+        label, fn = f"sphere-{args.n}", partial(sphere_profile, args.n)
     else:
-        prof = Profile.euclidean(args.n, args.vmin, args.vmax, args.points)
-    rows = [[_fmt(v), _fmt(a)] for v, a in zip(prof.volumes, prof.areas)]
+        label, fn = f"euclidean-{args.n}", partial(euclidean_profile, args.n)
+    volumes = volume_grid(args.vmin, args.vmax, args.points)
+    areas = np.array([fn(v) for v in volumes])
+    rows = [[_fmt(v), _fmt(a)] for v, a in zip(volumes, areas)]
     _emit_csv(out, "profile.csv", manifest, ["V", "A"], rows)
-    print(f"model: {prof.label}")
+    print(f"model: {label}")
     print(f"rows: {len(rows)}")
     if args.svg:
-        _emit_svg_loglog(
-            out, "profile.svg", manifest, [(prof.label, prof.volumes, prof.areas)]
-        )
+        _emit_svg_loglog(out, "profile.svg", manifest, [(label, volumes, areas)])
     return EXIT_OK
 
 

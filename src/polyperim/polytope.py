@@ -217,8 +217,10 @@ def polytope_measure(points: np.ndarray) -> float:
 class Polytope:
     """Boundary surface of a compact convex body, with validated incidences.
 
-    Facets and their planes come from :func:`enumerate_facets`, so Qhull's
-    planes are kept as they are, and the facets are checked not to overlap
+    Coordinates must be finite and at most ``MAX_COORD`` in magnitude, with no
+    two vertices within ``MERGE_TOL`` (``from_*`` merge those first).  Facets
+    and their planes come from :func:`enumerate_facets`, so Qhull's planes are
+    kept as they are, and the facets are checked not to overlap
     (``InvalidPolytope``).  Validation then checks that each vertex lies on
     at least ``d`` facets (``InvalidPolytope``), which fails for a point
     inside the hull or on a face.
@@ -241,6 +243,11 @@ class Polytope:
 
     def __post_init__(self) -> None:
         self.vertices = np.asarray(self.vertices, dtype=float)
+        _check_coordinates(self.vertices, InvalidPolytope)
+        pairs = cKDTree(self.vertices).query_pairs(MERGE_TOL, output_type="ndarray")
+        if len(pairs):
+            i, j = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))[0]]
+            raise InvalidPolytope(f"vertices {i} and {j} lie within {MERGE_TOL:g} of each other")
         facets, self.facet_normals, self.facet_offsets = enumerate_facets(self.vertices)
         self.facets = tuple(facets)
         counts = np.bincount(np.concatenate(facets), minlength=len(self.vertices))
@@ -262,9 +269,6 @@ class Polytope:
     def surface_dim(self) -> int:
         return self.dim - 1
 
-    def facet_points(self, facet_index: int) -> np.ndarray:
-        return self.vertices[list(self.facets[facet_index])]
-
     def facet_ring(self, facet_index: int) -> np.ndarray:
         """Facet vertex indices in cyclic polygon order (d = 3 facets only)."""
         cached = self._ordered_cache.get(facet_index)
@@ -275,24 +279,14 @@ class Polytope:
             self._ordered_cache[facet_index] = cached
         return cached
 
-    def facet_measure(self, facet_index: int) -> float:
-        return polytope_measure(self.facet_points(facet_index))
-
     # -- document I/O -----------------------------------------------------
 
     @classmethod
     def from_vertices(cls, vertices, *, name: str | None = None) -> "Polytope":
-        """Build from coordinates, merging vertices within MERGE_TOL.
-
-        Raises ``InvalidPolytope`` for a NaN or infinite coordinate, or one
-        above ``MAX_COORD`` in magnitude."""
+        """Build from coordinates, checked as the constructor checks them,
+        merging vertices within MERGE_TOL first."""
         verts = np.asarray(vertices, dtype=float)
-        if verts.ndim != 2:
-            raise NotFullDimensional("vertex array must be 2-dimensional")
-        if not np.isfinite(verts).all():
-            raise InvalidPolytope("vertex coordinates must be finite")
-        if np.abs(verts).max(initial=0.0) > MAX_COORD:
-            raise InvalidPolytope(f"vertex coordinates must be at most {MAX_COORD:g} in magnitude")
+        _check_coordinates(verts, InvalidPolytope)
         verts, _ = _dedupe_with_map(verts)
         return cls(verts, name=name)
 
@@ -314,10 +308,7 @@ class Polytope:
             raise BadDocument(
                 f"vertices must be rows of {dim} coordinates"
             )
-        if not np.isfinite(verts).all():
-            raise BadDocument("vertex coordinates must be finite")
-        if np.abs(verts).max(initial=0.0) > MAX_COORD:
-            raise BadDocument(f"vertex coordinates must be at most {MAX_COORD:g} in magnitude")
+        _check_coordinates(verts, BadDocument)
         name = doc.get("name")
         if name is not None and not isinstance(name, str):
             raise BadDocument("field 'name' must be a string")
@@ -365,6 +356,16 @@ class Polytope:
         if self.name is not None:
             doc["name"] = self.name
         return doc
+
+
+def _check_coordinates(verts: np.ndarray, error: type[Exception]) -> None:
+    """Raise ``error`` unless verts are rows of finite coordinates, |x| <= MAX_COORD."""
+    if verts.ndim != 2:
+        raise error("vertex array must be 2-dimensional")
+    if not np.isfinite(verts).all():
+        raise error("vertex coordinates must be finite")
+    if np.abs(verts).max(initial=0.0) > MAX_COORD:
+        raise error(f"vertex coordinates must be at most {MAX_COORD:g} in magnitude")
 
 
 def _dedupe_with_map(verts: np.ndarray):

@@ -27,7 +27,6 @@ from .errors import (
     VolumeOutOfRange,
 )
 
-DEFAULT_GRID_POINTS = 256
 #: most volumes a grid may hold; each costs one Python call per profile
 MAX_GRID_POINTS = 100_000
 
@@ -110,61 +109,24 @@ def sphere_profile(n: int, volume: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# sampled profiles
+# volume grids
 # ---------------------------------------------------------------------------
 
 def volume_grid(vmin: float, vmax: float, points: int) -> np.ndarray:
-    """``points`` volumes from ``vmin`` to ``vmax``, evenly spaced in log."""
+    """``points`` strictly increasing volumes from ``vmin`` to ``vmax``,
+    evenly spaced in log."""
     if not 0 < vmin < vmax < math.inf:
         raise VolumeOutOfRange("need 0 < vmin < vmax < inf")
     if not 1 <= points <= MAX_GRID_POINTS:
         raise ValidationError(
             f"--points must be at least 1 and at most {MAX_GRID_POINTS}, got {points}"
         )
-    return np.geomspace(vmin, vmax, points)
-
-
-@dataclass(eq=False)
-class Profile:
-    """An isoperimetric profile sampled on a volume grid."""
-
-    dimension: int
-    volumes: np.ndarray
-    areas: np.ndarray
-    label: str = ""
-
-    def __post_init__(self) -> None:
-        self.volumes = np.asarray(self.volumes, dtype=float)
-        self.areas = np.asarray(self.areas, dtype=float)
-        if self.volumes.shape != self.areas.shape or self.volumes.ndim != 1:
-            raise ValueError("volumes/areas must be matching 1-d arrays")
-        if len(self.volumes) and (np.diff(self.volumes) <= 0).any():
-            raise ValueError("volume samples must be strictly increasing")
-
-    @classmethod
-    def _sampled(cls, n, fn, vmin, vmax, points, label) -> "Profile":
-        grid = volume_grid(vmin, vmax, points)
-        areas = np.array([fn(v) for v in grid])
-        return cls(n, grid, areas, label=label)
-
-    @classmethod
-    def euclidean(cls, n, vmin, vmax, points=DEFAULT_GRID_POINTS) -> "Profile":
-        return cls._sampled(
-            n, lambda v: euclidean_profile(n, v), vmin, vmax, points, f"euclidean-{n}"
+    grid = np.geomspace(vmin, vmax, points)
+    if (np.diff(grid) <= 0).any():
+        raise ValidationError(
+            f"--vmin {vmin!r} and --vmax {vmax!r} are too close for --points {points}"
         )
-
-    @classmethod
-    def sphere(cls, n, vmin, vmax, points=DEFAULT_GRID_POINTS) -> "Profile":
-        return cls._sampled(
-            n, lambda v: sphere_profile(n, v), vmin, vmax, points, f"sphere-{n}"
-        )
-
-    @classmethod
-    def cone(cls, omega, n, vmin, vmax, points=DEFAULT_GRID_POINTS) -> "Profile":
-        return cls._sampled(
-            n, lambda v: cone_profile(omega, n, v), vmin, vmax, points,
-            f"cone-{n}-w{omega:.6g}",
-        )
+    return grid
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ Pieces are therefore built one level at a time.  :func:`enumerate_pieces`
 lists the nonempty indices of its window k_i in [1, N] (i <= n),
 k_{n+1} in [1 - N, 0] as one integer array, builds the level-s template
 z_s once, maps every index of that level with one matrix product, and gives
-all of them the Qhull volume of the level's first piece.
+all of them the volume of the level's first piece (``polytope_measure``).
 :func:`classify_pieces` checks each level against its first piece in blocks.
 Two closed forms describe the window:
 
@@ -49,7 +49,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull
 
 from .errors import (
     DimensionTooHigh,
@@ -57,6 +56,7 @@ from .errors import (
     UnsupportedDimension,
     ValidationError,
 )
+from .polytope import polytope_measure
 
 MATCH_TOL = 1e-9
 MAX_N = 4
@@ -156,12 +156,6 @@ def _piece_vertices(frame: RegularSimplexFrame, k) -> np.ndarray:
     return (z - k[..., None, :]) @ frame.vectors / (n + 1)
 
 
-def _volume(vertices: np.ndarray) -> float:
-    if vertices.shape[1] == 1:
-        return float(vertices.max() - vertices.min())
-    return float(ConvexHull(vertices).volume)
-
-
 def _nonempty_indices(n: int, slices: int) -> np.ndarray:
     """The nonempty indices of the window as rows, in lexicographic order.
 
@@ -206,7 +200,7 @@ def enumerate_pieces(n: int, slices: int) -> list[SlicePiece]:
         if not len(at):
             continue
         verts = _piece_vertices(frame, index[at])
-        vol = _volume(verts[0])
+        vol = polytope_measure(verts[0])
         for j, v in zip(at.tolist(), verts):
             pieces[j] = SlicePiece(index=tuple(rows[j]), vertices=v, volume=vol)
     return pieces

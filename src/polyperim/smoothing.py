@@ -88,7 +88,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -120,9 +119,9 @@ _BLOCK = 1 << 13
 class GaugeFunction:
     """Piecewise-linear gauge of a polytope about an interior origin.
 
-    ``from_polytope`` takes the origin at the mean of the vertices unless
-    told otherwise.  The arrays are read-only copies, and gauges compare by
-    identity.
+    ``from_polytope`` takes the origin at the mean of the vertices.  Values
+    are summed in a fixed order (``_facet_values``), so they do not depend
+    on the batch.  The arrays are read-only copies; gauges compare by identity.
     """
 
     normals: np.ndarray
@@ -133,12 +132,8 @@ class GaugeFunction:
         _freeze_fields(self, "normals", "offsets", "origin")
 
     @classmethod
-    def from_polytope(
-        cls, poly: Polytope, origin: np.ndarray | None = None
-    ) -> "GaugeFunction":
-        if origin is None:
-            origin = poly.vertices.mean(axis=0)
-        origin = np.asarray(origin, float)
+    def from_polytope(cls, poly: Polytope) -> "GaugeFunction":
+        origin = poly.vertices.mean(axis=0)
         offsets = poly.facet_offsets - poly.facet_normals @ origin
         if np.any(offsets <= TOL):
             raise OriginNotInterior(
@@ -151,9 +146,7 @@ class GaugeFunction:
         return float(self.offsets.min())
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, float) - self.origin
-        vals = (x @ self.normals.T) / self.offsets
-        return vals.max(axis=-1)
+        return _facet_values(self, np.asarray(x, float) - self.origin).max(axis=-1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,9 +156,8 @@ class Mollifier:
     Node r_i u_j has weight rho_i alpha_j: ascending ``radii`` in (0, 1)
     with ``radial_weights`` (Gauss-Legendre, with r^(d-1) and the bump
     folded in) and antipodal ``directions`` with ``direction_weights``
-    (``sphere_quadrature``).  ``nodes`` and ``weights`` are their products
-    in radius-major order; nodes live on the unit ball and are scaled by
-    ``epsilon`` at use time, and weights sum to 1.  ``mass_error`` is the
+    (``sphere_quadrature``).  Nodes live on the unit ball and are scaled by
+    ``epsilon`` at use time, and the weights sum to 1.  ``mass_error`` is the
     relative error of the raw quadrature mass against the true kernel
     integral (the recorded ``quad`` values in BUMP_RADIAL_MASS, checked in
     the tests).  All arrays are read-only, and mollifiers compare by
@@ -183,14 +175,6 @@ class Mollifier:
     def __post_init__(self) -> None:
         _freeze_fields(self, "radii", "radial_weights", "directions", "direction_weights")
 
-    @cached_property
-    def nodes(self) -> np.ndarray:
-        return _read_only((self.radii[:, None, None] * self.directions).reshape(-1, self.dim))
-
-    @cached_property
-    def weights(self) -> np.ndarray:
-        return _read_only(np.outer(self.radial_weights, self.direction_weights).ravel())
-
     @classmethod
     def build(cls, dim: int, epsilon: float) -> "Mollifier":
         if not epsilon > 0:
@@ -200,7 +184,7 @@ class Mollifier:
         r = 0.5 * (rx + 1.0)
         # the bump exp(-1/(1-r^2)) times r^(d-1); every radius is below 1
         raw = 0.5 * rw * r ** (dim - 1) * np.exp(-1.0 / (1.0 - r**2))
-        # summed as ``weights`` is, so that the weights sum to 1 to the ulp
+        # summed whole, as ``mollify`` sums the weights, so they sum to 1 to the ulp
         mass = float(np.outer(raw, alpha).sum())
         true_mass = BUMP_RADIAL_MASS[dim] * sphere_measure(dim - 1)
         err = abs(mass / true_mass - 1.0)
@@ -235,7 +219,7 @@ def mollify(
     x = np.atleast_2d(np.asarray(x, float))
     d = _facet_values(fn, x - fn.origin)
     beta = _facet_values(fn, m.epsilon * m.directions)
-    # ``weights.sum()``, without making ``weights``
+    # the total node weight, summed as ``build`` sums the raw mass
     mass = np.outer(m.radial_weights, m.direction_weights).sum()
     # facet g can win some node only if d_g - d_f + r_max G_fg >= 0 (less a
     # few ulps) for every f, G_fg = max_j (beta_jf - beta_jg); G_fg is at
@@ -283,10 +267,10 @@ def mollify(
 
 
 def _facet_values(fn: GaugeFunction, y: np.ndarray) -> np.ndarray:
-    """(a_f . y) / c_f for each row y and facet f, summed in a fixed order
-    rather than by BLAS, whose rounding depends on the number of rows: a
-    point's value must not depend on the points that share its call."""
-    return (y[:, None, :] * fn.normals).sum(axis=2) / fn.offsets
+    """(a_f . y) / c_f for each point y (last axis) and facet f, summed in a
+    fixed order rather than by BLAS, whose rounding depends on the number of
+    rows: a point's value must not depend on the points that share its call."""
+    return (y[..., None, :] * fn.normals).sum(axis=-1) / fn.offsets
 
 
 def _screen(d: np.ndarray, beta: np.ndarray, top: float) -> np.ndarray:
@@ -371,17 +355,13 @@ def _upper(d, facets, shape, offset) -> tuple[np.ndarray, np.ndarray]:
     return best, arg
 
 
-def _read_only(a) -> np.ndarray:
-    """A read-only float copy of a, leaving the caller's array writable."""
-    a = np.array(a, dtype=float)
-    a.flags.writeable = False
-    return a
-
-
 def _freeze_fields(obj, *names: str) -> None:
-    """Replace each array field of a frozen dataclass by a read-only copy."""
+    """Replace each array field of a frozen dataclass by a read-only float
+    copy, leaving the caller's arrays writable."""
     for name in names:
-        object.__setattr__(obj, name, _read_only(getattr(obj, name)))
+        a = np.array(getattr(obj, name), dtype=float)
+        a.flags.writeable = False
+        object.__setattr__(obj, name, a)
 
 
 def sphere_quadrature(dim: int, resolution: int) -> tuple[np.ndarray, np.ndarray]:

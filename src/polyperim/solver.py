@@ -29,8 +29,8 @@ of them the neighbours), and a solve peaks near 240 bytes per triangle.
 Restarts use independent RNG streams seeded by (seed, restart index); warm
 starts (typically vertex balls, regions of the mesh being solved) occupy
 the first restarts, the rest begin from random connected blobs.  Each
-restart reports its move counts (``MoveCounts``): flips and swaps proposed,
-accepted and rejected, feasible snapshots and the flips polishing kept.
+restart reports its move counts (``MoveCounts``): flips and swaps proposed
+and accepted, feasible snapshots and the flips polishing kept.
 
 ``anisotropy_bound`` returns the mesh constant kappa >= 1 comparing discrete
 cut lengths to Euclidean lengths: a straight segment rendered as a staircase
@@ -170,16 +170,14 @@ def default_config(
 
 @dataclass(frozen=True)
 class MoveCounts:
-    """What one restart did: annealing moves by kind and outcome, feasible
-    snapshots taken (a feasible start counts as one), and the flips that
-    polishing kept.  Deterministic for a given mesh, volume and config."""
+    """What one restart did: annealing moves proposed and accepted by kind,
+    feasible snapshots taken (a feasible start counts as one), and the flips
+    that polishing kept.  Deterministic for a given mesh, volume and config."""
 
     flips_proposed: int
     flips_accepted: int
-    flips_rejected: int
     swaps_proposed: int
     swaps_accepted: int
-    swaps_rejected: int
     snapshots: int
     polish_flips: int
 
@@ -423,8 +421,8 @@ def _anneal(
     state: _State, cfg: SolverConfig, rng, feas: float
 ) -> tuple[list[bool] | None, tuple[int, ...]]:
     """Run one annealing pass; return the best feasible mask and the move
-    counts (flips proposed, accepted, rejected; swaps proposed, accepted,
-    rejected; snapshots).
+    counts (flips proposed and accepted, swaps proposed and accepted,
+    snapshots).
 
     Each iteration proposes either a single boundary flip or a swap (one
     flip, then a second drawn from the updated boundary).  On equal-area
@@ -432,6 +430,9 @@ def _anneal(
     keep rearranging the cut even after the temperature has dropped far
     below the area penalty scale.  ``state`` is used up: its mask is left
     where the walk ended, and its area, perimeter and count are not updated.
+
+    A feasible state, |area - V| <= feas = 0.02 V with V > 0, has area at
+    least 0.98 V > 0, so it is never empty: the walk keeps no triangle count.
     """
     mu = cfg.mu
     temp = cfg.t_initial
@@ -441,12 +442,12 @@ def _anneal(
         state.mask, state.cuts, state.cand, state.pos, state.nbrs, state.lens,
         state.areas,
     )
-    area, perimeter, count = state.area, state.perimeter, state.count
-    flips = flips_rej = swaps = swaps_rej = accepted = swaps_acc = snapshots = 0
+    area, perimeter = state.area, state.perimeter
+    flips = swaps = accepted = swaps_acc = snapshots = 0
     best_cost = math.inf
     best_mask: list[bool] | None = None
     gap0 = abs(area - volume)
-    if gap0 <= feas and count > 0:
+    if gap0 <= feas:
         # a feasible starting region (e.g. a vertex ball) is already a
         # snapshot; annealing can then only improve on it
         best_cost = perimeter + mu * gap0
@@ -475,13 +476,10 @@ def _anneal(
             _toggle(mask, cuts, cand, pos, nbrs, t1)
             area += da1
             perimeter += dp1
-            count += 1 if da1 > 0 else -1
             if not cand:
                 _toggle(mask, cuts, cand, pos, nbrs, t1)
                 area -= da1
                 perimeter -= dp1
-                count -= 1 if da1 > 0 else -1
-                swaps_rej += 1
                 temp *= cooling
                 continue
             t = cand[int(r2 * len(cand))]
@@ -504,8 +502,7 @@ def _anneal(
             _toggle(mask, cuts, cand, pos, nbrs, t)
             area += da
             perimeter += dp
-            count += 1 if da > 0 else -1
-            if new_gap <= feas and count > 0:
+            if new_gap <= feas:
                 cost = perimeter + mu * new_gap
                 if cost < best_cost:
                     best_cost = cost
@@ -515,14 +512,8 @@ def _anneal(
             _toggle(mask, cuts, cand, pos, nbrs, t1)
             area -= da1
             perimeter -= dp1
-            count -= 1 if da1 > 0 else -1
-            swaps_rej += 1
-        else:
-            flips_rej += 1
         temp *= cooling
-    counts = (
-        flips, accepted - swaps_acc, flips_rej, swaps, swaps_acc, swaps_rej, snapshots
-    )
+    counts = (flips, accepted - swaps_acc, swaps, swaps_acc, snapshots)
     return best_mask, counts
 
 
@@ -628,7 +619,8 @@ def minimize_perimeter(
         for mask in finalists:
             st = _State(mesh, nbrs, lens, areas, mask, volume)
             polished += _polish(st, cfg)
-            if abs(st.area - volume) <= feas and st.count > 0 and (
+            # feasible, so not empty (see ``_anneal``)
+            if abs(st.area - volume) <= feas and (
                 best_here is None or st.perimeter < best_here[0]
             ):
                 best_here = (st.perimeter, np.array(st.mask, dtype=bool))

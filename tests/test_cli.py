@@ -595,6 +595,14 @@ def test_slice_rejects_oversized_windows_at_once(tmp_path, capsys):
          "VolumeOutOfRange: n * volume = 3 * 1.7e+308 overflows"),
         (["gallery", "double-pyramid", "--theta", "6", "--volume", "1.7e308"],
          "VolumeOutOfRange: theta * volume = 6.0 * 1.7e+308 overflows"),
+        (["gallery", "cube-competitors", "--vmin", "1", "--vmax", "1.0000000000000002",
+          "--points", "3"],
+         "ValidationError: --vmin 1.0 and --vmax 1.0000000000000002 are too close for "
+         "--points 3"),
+        (["profile", "--model", "euclidean", "--n", "2", "--vmin", "1", "--vmax",
+          "1.0000000000000002", "--points", "3"],
+         "ValidationError: --vmin 1.0 and --vmax 1.0000000000000002 are too close for "
+         "--points 3"),
     ],
     ids=["spike-volume-nan", "volume-nan", "volume-inf",
          "base-link-nan", "competitors-vmin-negative", "competitors-reversed",
@@ -608,7 +616,8 @@ def test_slice_rejects_oversized_windows_at_once(tmp_path, capsys):
          "dirs-1e9", "sphere-omega", "euclidean-omega", "slice-n3-svg",
          "smooth-eps-too-large", "smooth-4-polytope", "spike-height-0",
          "spike-height-negative", "half-angle-90", "spike-base-too-wide",
-         "cone-volume-overflow", "spike-volume-overflow", "double-pyramid-overflow"],
+         "cone-volume-overflow", "spike-volume-overflow", "double-pyramid-overflow",
+         "competitors-repeated-volumes", "profile-repeated-volumes"],
 )
 def test_out_of_range_values_are_rejected(tmp_path, capsys, argv, message):
     if "--out" not in argv:

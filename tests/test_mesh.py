@@ -15,7 +15,7 @@ from polyperim.mesh import (
     _half_edge_pairs,
     subdivide,
 )
-from polyperim.polytope import Polytope
+from polyperim.polytope import Polytope, polytope_measure
 from polyperim.smoothing import convexity_probe, smoothed_body
 from polyperim.solver import vertex_ball_region
 
@@ -68,9 +68,9 @@ def test_leading_positions_are_polytope_vertices():
 def test_facet_of_partitions_area():
     poly = shapes.triangular_prism()
     mesh = subdivide(poly, 1)
-    for fi in range(len(poly.facets)):
+    for fi, f in enumerate(poly.facets):
         piece = mesh.areas[mesh.facet_of == fi].sum()
-        assert piece == pytest.approx(poly.facet_measure(fi), abs=1e-12)
+        assert piece == pytest.approx(polytope_measure(poly.vertices[list(f)]), abs=1e-12)
 
 
 def test_max_edge_length_halves_per_level():

@@ -31,14 +31,14 @@ from conftest import assert_facet_planes_hold
 
 
 def _surface_area(poly):
-    return sum(poly.facet_measure(fi) for fi in range(len(poly.facets)))
+    return sum(polytope_measure(poly.vertices[list(f)]) for f in poly.facets)
 
 
 def test_cube_facets_and_areas():
     cube = shapes.cube()
     assert len(cube.facets) == 6
-    for fi in range(6):
-        assert cube.facet_measure(fi) == pytest.approx(1.0, abs=1e-12)
+    for f in cube.facets:
+        assert polytope_measure(cube.vertices[list(f)]) == pytest.approx(1.0, abs=1e-12)
     assert _surface_area(cube) == pytest.approx(6.0, abs=1e-12)
 
 
@@ -197,6 +197,25 @@ def test_coordinates_past_the_bound_are_rejected(scale):
     doc["vertices"] = vertices.tolist()
     with pytest.raises(BadDocument, match="at most 1e\\+50"):
         Polytope.from_document(doc)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Polytope(np.array([[np.nan, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])),
+         "must be finite"),
+        (lambda: shapes.triangle(((0, 0), (1, 0), (0, 1), (0, 0))), "vertices 0 and 3"),
+        (lambda: Polytope(np.vstack([np.zeros(3), np.eye(3), np.zeros(3)])),
+         "vertices 0 and 4"),
+        (lambda: shapes.cube(side=1e60), "at most 1e\\+50"),
+    ],
+    ids=["nan", "repeated-triangle-vertex", "repeated-tetrahedron-vertex", "huge-cube"],
+)
+def test_the_constructor_checks_coordinates_as_loads_do(build, message):
+    # before, NaN raised numpy's LinAlgError, the repeated vertices loaded
+    # with merged facets and the cube loaded past MAX_COORD
+    with pytest.raises(InvalidPolytope, match=message):
+        build()
 
 
 @pytest.mark.parametrize(

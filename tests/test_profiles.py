@@ -16,7 +16,6 @@ from polyperim.gallery import double_pyramid_report, spiked_cone_report, suspens
 from polyperim.polytope import Polytope
 from polyperim.profiles import (
     MAX_GRID_POINTS,
-    Profile,
     cone_profile,
     euclidean_profile,
     fit_power_law,
@@ -117,14 +116,14 @@ def test_sphere_caps_match_closed_forms():
 
 
 def test_profile_sampling_and_interpolation():
-    prof = Profile.euclidean(2, 0.01, 10.0)
-    assert prof.volumes[0] == 0.01 and prof.volumes[-1] == pytest.approx(10.0)
-    assert len(prof.volumes) == 256
-    assert np.allclose(prof.areas, 2 * np.sqrt(math.pi * prof.volumes), atol=1e-10)
-    cap = Profile.sphere(2, 0.1, 4 * math.pi - 0.1, points=9)
-    assert np.allclose(
-        cap.areas, np.sqrt(cap.volumes * (4 * math.pi - cap.volumes)), rtol=1e-13
-    )
+    volumes = volume_grid(0.01, 10.0, 256)
+    assert volumes[0] == 0.01 and volumes[-1] == pytest.approx(10.0)
+    assert len(volumes) == 256
+    areas = np.array([euclidean_profile(2, v) for v in volumes])
+    assert np.allclose(areas, 2 * np.sqrt(math.pi * volumes), atol=1e-10)
+    caps = volume_grid(0.1, 4 * math.pi - 0.1, 9)
+    areas = np.array([sphere_profile(2, v) for v in caps])
+    assert np.allclose(areas, np.sqrt(caps * (4 * math.pi - caps)), rtol=1e-13)
 
 
 def test_volume_grid_holds_at_most_max_grid_points():
@@ -235,5 +234,6 @@ def test_perimeters_just_below_overflow_are_finite():
 
 
 def test_profile_rejects_unsorted_volumes():
-    with pytest.raises(ValueError):
-        Profile(2, np.array([1.0, 1.0, 2.0]), np.array([1.0, 1.0, 2.0]))
+    # geomspace repeats 1.0 between two adjacent floats
+    with pytest.raises(ValidationError, match="--vmin 1.0 and --vmax 1.0000000000000002 .* --points 3"):
+        volume_grid(1.0, 1.0000000000000002, 3)

@@ -13,7 +13,13 @@ from polyperim import shapes
 from polyperim.cones import _facet_corners, deficit_sum, vertex_cones
 from polyperim.errors import InvalidPolytope
 from polyperim.mesh import _edge_table, _half_edge_pairs, subdivide
-from polyperim.polytope import MERGE_TOL, Polytope, affine_span, project_to_span
+from polyperim.polytope import (
+    MERGE_TOL,
+    Polytope,
+    affine_span,
+    polytope_measure,
+    project_to_span,
+)
 from polyperim.smoothing import GaugeFunction, convexity_probe, smoothed_body
 from polyperim.solver import anisotropy_bound, vertex_ball_region
 
@@ -51,7 +57,7 @@ def test_random_hull_identities(m, seed):
     for v, cone in enumerate(vertex_cones(poly)):
         assert cone.link_volume == np.cumsum(link[vertex == v])[-1]
         assert cone.r_max == dist[vertex == v].min()
-    measures = np.array([poly.facet_measure(fi) for fi in range(facet_count)])
+    measures = np.array([polytope_measure(poly.vertices[list(f)]) for f in poly.facets])
     assert measures.sum() == pytest.approx(ConvexHull(points).area, rel=1e-12)
 
     mesh = subdivide(poly, 2)
@@ -60,7 +66,7 @@ def test_random_hull_identities(m, seed):
     assert np.allclose(pieces, measures, rtol=1e-12, atol=0.0)
 
     # a point in the middle of a face lies on one facet only
-    face_center = poly.facet_points(seed % facet_count).mean(axis=0)
+    face_center = poly.vertices[list(poly.facets[seed % facet_count])].mean(axis=0)
     with pytest.raises(InvalidPolytope):
         Polytope.from_vertices(np.vstack([points, face_center]))
 

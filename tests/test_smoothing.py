@@ -46,12 +46,23 @@ def test_gauge_positive_homogeneity():
         assert np.allclose(fn(t * x), t * fn(x), atol=1e-12)
 
 
+def _shifted_gauge(poly, origin):
+    """The gauge of poly about origin rather than the vertex mean."""
+    offsets = poly.facet_offsets - poly.facet_normals @ origin
+    return GaugeFunction(poly.facet_normals, offsets, origin)
+
+
+def _nodes_and_weights(m):
+    """The quadrature nodes r_i u_j and weights rho_i alpha_j, radius-major."""
+    nodes = (m.radii[:, None, None] * m.directions).reshape(-1, m.dim)
+    return nodes, np.outer(m.radial_weights, m.direction_weights).ravel()
+
+
 def test_gauge_origin_must_be_interior():
+    # the vertex mean of a thin triangle lies within TOL of its long side
     with pytest.raises(OriginNotInterior):
-        GaugeFunction.from_polytope(shapes.square(), origin=[1.0, 0.0])
-    with pytest.raises(OriginNotInterior):
-        GaugeFunction.from_polytope(shapes.square(), origin=[2.0, 0.5])
-    shifted = GaugeFunction.from_polytope(shapes.square(), origin=[0.5, 0.0])
+        GaugeFunction.from_polytope(shapes.triangle(((0, 0), (1, 0), (0.5, 3e-9))))
+    shifted = _shifted_gauge(shapes.square(), np.array([0.5, 0.0]))
     assert shifted.inradius == pytest.approx(0.5, abs=1e-12)
     assert shifted(np.array([[1.0, 0.0]])) == pytest.approx(1.0, abs=1e-12)
 
@@ -59,11 +70,12 @@ def test_gauge_origin_must_be_interior():
 @pytest.mark.parametrize("dim", [2, 3])
 def test_mollifier_kernel_quadrature(dim):
     m = Mollifier.build(dim, 0.1)
+    nodes, weights = _nodes_and_weights(m)
     assert m.mass_error < MASS_TOL
-    assert m.weights.sum() == pytest.approx(1.0, abs=1e-14)
+    assert weights.sum() == pytest.approx(1.0, abs=1e-14)
     # antipodally paired nodes with equal weights: first moment vanishes
-    assert np.allclose(m.weights @ m.nodes, 0.0, atol=1e-15)
-    assert np.linalg.norm(m.nodes, axis=1).max() < 1.0
+    assert np.allclose(weights @ nodes, 0.0, atol=1e-15)
+    assert np.linalg.norm(nodes, axis=1).max() < 1.0
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -106,8 +118,9 @@ def test_nan_epsilon_is_rejected_as_not_positive():
 
 def brute_mollify(fn, m, x):
     """F_eps by direct evaluation on every shifted node, the reference that
-    ``mollify`` is checked against."""
-    return fn(x[:, None, :] - m.epsilon * m.nodes) @ m.weights
+    ``mollify`` is checked against, one point at a time to bound memory."""
+    nodes, weights = _nodes_and_weights(m)
+    return np.array([fn(p - m.epsilon * nodes) @ weights for p in x])
 
 
 def test_mollify_is_exact_on_linear_functions():
@@ -129,10 +142,11 @@ def _survivors_matching_brute(fn, m, x):
     # the slope is the weighted facet value d_f* of each node's winner, the
     # lowest facet index among equal values
     d, beta, alive = _screened(fn, m, x)
-    shifted = x[:, None, :] - m.epsilon * m.nodes - fn.origin
+    nodes, weights = _nodes_and_weights(m)
+    shifted = x[:, None, :] - m.epsilon * nodes - fn.origin
     win = ((shifted @ fn.normals.T) / fn.offsets).argmax(axis=-1)
     d_win = np.take_along_axis(d, win, axis=1)
-    assert np.abs(radial - d_win @ m.weights).max() <= 1e-13
+    assert np.abs(radial - d_win @ weights).max() <= 1e-13
     assert not (_node_winners(d, beta, m.radii) & ~alive).any()
     return alive.sum(axis=1)
 
@@ -197,7 +211,7 @@ def test_mollify_fast_path_matches_generic():
         axis = np.zeros(poly.dim)
         axis[:2] = 1.0
         f, g = np.sort(np.argsort(fn.normals @ axis)[-2:])
-        e = ((m.epsilon * m.nodes) @ fn.normals.T) / fn.offsets
+        e = ((m.epsilon * _nodes_and_weights(m)[0]) @ fn.normals.T) / fn.offsets
         s = np.union1d(e[:, g] - e[:, f], [0.0])
         x = 0.75 * fn.normals[f] + (0.75 + s[:, None]) * fn.normals[g]
         assert (e[:, g] == e[:, f]).any() == (poly.dim == 3)
@@ -254,7 +268,7 @@ def test_mollify_ray_path_matches_brute_on_sphere_hulls(seed):
     rng = np.random.default_rng(seed)
     points = rng.normal(size=(8 + 8 * seed, 3))
     poly = Polytope.from_vertices(points / np.linalg.norm(points, axis=1, keepdims=True))
-    fn = GaugeFunction.from_polytope(poly, origin=poly.vertices.mean(axis=0))
+    fn = GaugeFunction.from_polytope(poly)
     kinds = set()
     for fraction in (0.15, 0.3, 0.45):
         m = Mollifier.build(3, fraction * fn.inradius)
@@ -367,6 +381,17 @@ def test_mollify_does_not_depend_on_batching(shape, resolution, smoothed_bodies)
     assert np.array_equal(alone, batch) and np.array_equal(parts, batch)
 
 
+def test_gauge_does_not_depend_on_batching():
+    """A gauge value is bit for bit the same alone and in a batch."""
+    rng = np.random.default_rng(5)
+    points = rng.normal(size=(40, 3))
+    sphere = Polytope.from_vertices(points / np.linalg.norm(points, axis=1, keepdims=True))
+    for poly in (shapes.square(), shapes.cube(side=2.0), shapes.octahedron(), sphere):
+        fn = GaugeFunction.from_polytope(poly)
+        x = rng.uniform(-1.5, 1.5, size=(300, poly.dim))
+        assert np.array_equal(np.array([fn(p) for p in x]), fn(x))
+
+
 def test_mollifiers_compare_by_identity():
     m = Mollifier.build(2, 0.1)
     assert m == m and m != Mollifier.build(2, 0.1)
@@ -379,14 +404,17 @@ def test_two_gauges_share_a_mollifier():
     m = Mollifier.build(2, 0.2)
     centered = GaugeFunction.from_polytope(shapes.square())
     origin = np.array([0.25, 0.0])
-    shifted = GaugeFunction.from_polytope(shapes.square(), origin=origin)
+    shifted = _shifted_gauge(shapes.square(), origin)
     x = np.array([[0.9, 0.95], [0.95, 0.9], [-0.92, 0.9]])
     first = mollify(centered, m, x)
     for fn in (shifted, centered):
         value, _ = mollify(fn, m, x)
         assert np.abs(value - brute_mollify(fn, m, x)).max() <= 1e-13
     assert np.array_equal(mollify(centered, m, x)[1], first[1])
-    for array in (centered.normals, centered.offsets, shifted.origin, m.nodes, m.weights):
+    for array in (
+        centered.normals, centered.offsets, shifted.origin,
+        m.radii, m.radial_weights, m.directions, m.direction_weights,
+    ):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.5
     assert origin.flags.writeable
