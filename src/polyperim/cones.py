@@ -33,9 +33,10 @@ lies in the face.
 Links and star radii come from one corner table, an entry per (facet,
 vertex) pair of the incidence: a vertex's cone adds its entries'
 contributions in increasing facet order and takes the smallest of their
-distances.  Polygon facets (d = 3) are measured together, one batch per
-ring length with the star distances in blocks of corners, and the cells
-(d = 4) in one pass over all of their ridges.
+distances.  Polygons (d = 3) and cells (d = 4) go through one pass that
+pairs each entry with its facet's edges, in blocks of whole entries: a
+polygon's ring edges (``Polytope.ring_edges``), a cell's edges read off
+the ridges of the 4-polytope.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .errors import UnsupportedDimension
+from .errors import NumericalError, UnsupportedDimension
 from .polytope import TOL, Polytope, _incidence
 from .profiles import sphere_measure
 
@@ -54,9 +55,8 @@ LINK_RTOL = 1e-12  # relative; links this close count as equal
 
 # columns of the four 3 x 3 minors of a 3 x 4 matrix
 _MINORS = [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]
-# rows per block of the corner passes: (polygon corner, ring edge) rows in
-# 3-D; (cell vertex, face pair) rows, and the face pairs whose shared edge is
-# read off the ridges, in 4-D
+# rows per block of the corner pass, (entry, facet edge) rows, and of the
+# face pairs whose shared edge is read off the ridges in 4-D
 _CELL_ROWS = 1 << 14
 
 
@@ -115,7 +115,8 @@ def _facet_corners(poly: Polytope) -> tuple[np.ndarray, np.ndarray]:
     away from it: the other end of an edge (d = 2), the ring edges not
     touching the vertex (d = 3), the cell's 2-faces not containing it
     (d = 4), which are its ridges with other facets: no cell gets a hull of
-    its own.  This is the only place that branches on the dimension.
+    its own.  For d >= 3 one pass pairs each entry with its facet's edges:
+    those missing the vertex give its distance, those touching it its angle.
     """
     d = poly.dim
     pts = poly.vertices
@@ -123,93 +124,89 @@ def _facet_corners(poly: Polytope) -> tuple[np.ndarray, np.ndarray]:
         ends = np.array(poly.facets)
         e = pts[ends[:, 1]] - pts[ends[:, 0]]
         return np.ones(ends.size), np.repeat(np.sqrt(_dot(e, e)), 2)
+    inc = _incidence(poly.facets, len(pts))
     if d == 3:
-        rings = [poly.facet_ring(fi) for fi in range(len(poly.facets))]
-        return _ring_corners(pts, rings)
-    return _cell_corners(poly)
-
-
-def _ring_corners(pts: np.ndarray, rings: list) -> tuple[np.ndarray, np.ndarray]:
-    """Corner angles and star distances of polygons, ring by ring and each
-    ring's vertices ascending, measured in one batch per ring length (the
-    distances, k - 2 edges per corner, in blocks of corners); every product
-    and dot is taken row by row, as for one corner."""
-    first = np.cumsum([0] + [len(ring) for ring in rings])
-    angles = np.empty(first[-1])
-    dist = np.empty(first[-1])
-    by_length: dict[int, list[int]] = {}
-    for n, ring in enumerate(rings):
-        by_length.setdefault(len(ring), []).append(n)
-    for k, members in by_length.items():
-        ring = np.array([rings[n] for n in members])
-        # each corner's entry: its ring's first entry plus its rank in the ring
-        entry = first[members][:, None] + np.argsort(np.argsort(ring, axis=1), axis=1)
-        v = pts[ring]
-        u1 = np.roll(v, 1, axis=1) - v
-        u2 = np.roll(v, -1, axis=1) - v
-        cr = np.cross(u1, u2)
-        wedges = np.sqrt(_dot(cr, cr)).ravel().tolist()
-        angles[entry.ravel()] = list(map(math.atan2, wedges, _dot(u1, u2).ravel().tolist()))
-        # corner i against the ring edges j -> j + 1 that miss it, in blocks
-        # of corners of at most _CELL_ROWS (corner, edge) rows: a whole
-        # batch would take k^2 rows per ring
-        near = np.empty(ring.size)
-        step = max(1, _CELL_ROWS // (k - 2))
-        for lo in range(0, ring.size, step):
-            n, i = np.divmod(np.arange(lo, min(lo + step, ring.size)), k)
-            j = (i[:, None] + np.arange(1, k - 1)) % k
-            near[lo:lo + step] = _segment_distances(
-                v[n, i, None], v[n[:, None], j], v[n[:, None], (j + 1) % k]
-            ).min(axis=1)
-        dist[entry.ravel()] = near
+        ends, count = poly.ring_edges, np.diff(inc.indptr)
+    else:
+        ends, count, h, k, u, offset, cos, turn = _cell_edges(poly, inc)
+        tol = TOL * max(1.0, float(np.abs(pts).max()))
+    angles = np.empty(inc.nnz)
+    dist = np.full(inc.nnz, math.inf)
+    for entries, i, e in _corner_pairs(inc, count):
+        # ``take`` gathers rows faster than fancy indexing
+        vertex, (a, b) = inc.indices[i], ends.take(e, axis=0).T
+        at, pa, pb = (pts.take(x, axis=0) for x in (vertex, a, b))
+        touch = (vertex == a) | (vertex == b)
+        np.minimum.at(dist, i, np.where(touch, math.inf, _segment_distances(at, pa, pb)))
+        if d == 3:
+            # the ring edges into and out of each corner, one of each:
+            # the angle between them is atan2(|u1 x u2|, u1 . u2)
+            into, out = b == vertex, a == vertex
+            u1, u2 = pa[into] - at[into], pb[out] - at[out]
+            cr = np.cross(u1, u2)
+            wedges = np.sqrt(_dot(cr, cr)).tolist()
+            angles[entries] = list(map(math.atan2, wedges, _dot(u1, u2).tolist()))
+            continue
+        # face h and its neighbour k across the edge (a, b); the foot on h
+        # is inside k when depth_h (u_h . u_k) <= depth_k
+        hi, ki = h[e], k[e]
+        turned = np.bincount(i - entries.start, np.where(touch, turn[e], 0.0),
+                             entries.stop - entries.start)
+        angles[entries] = 2.0 * math.pi - turned
+        depth = offset[hi] - _dot(at, u[hi])
+        bad = touch | (depth * cos[e] > offset[ki] - _dot(at, u[ki]) + tol)
+        run = np.r_[True, (i[1:] != i[:-1]) | (hi[1:] != hi[:-1])]
+        skip = np.bincount(np.cumsum(run) - 1, bad) > 0
+        np.minimum.at(dist, i[run], np.where(skip, math.inf, depth[run]))
     return angles, dist
 
 
-def _by_cell(inc: csr_matrix, item_cell: np.ndarray):
-    """Pairs (i, j) of each entry i of the cell-vertex incidence ``inc`` with
-    each item j of the same cell, items sorted by cell; cell by cell, and
-    entry-major within a cell.
+def _corner_pairs(inc: csr_matrix, count: np.ndarray):
+    """Pairs (i, e) of each entry i of the facet-vertex incidence ``inc``
+    with each edge e of the same facet, where facet f has ``count[f]``
+    edges, numbered facet by facet; entry-major.
 
-    Yields them in blocks of whole cells, at most ``_CELL_ROWS`` pairs each
-    unless one cell alone has more, with the entries each block covers.
+    Yields them in blocks of whole entries, at most ``_CELL_ROWS`` pairs
+    each unless one entry alone has more, with the entries each block
+    covers: every sum over an entry's pairs, and every run of them, lies in
+    one block.
     """
-    count = np.bincount(item_cell, minlength=inc.shape[0])
-    item_first = np.cumsum(count) - count
-    size = np.diff(inc.indptr) * count
-    end = np.cumsum(size)
-    first = end - size
+    facet_size = np.diff(inc.indptr)
+    rows = np.repeat(count, facet_size)
+    end = np.cumsum(rows)
+    start = end - rows
+    # pair r belongs to entry i and to edge r - shift[i]
+    shift = start - np.repeat(np.cumsum(count) - count, facet_size)
     lo = 0
-    while lo < len(size):
-        hi = max(lo + 1, int(np.searchsorted(end, first[lo] + _CELL_ROWS, side="right")))
-        g = np.repeat(np.arange(lo, hi), size[lo:hi])
-        j = np.arange(first[lo], end[hi - 1]) - first[g]
-        yield (
-            slice(inc.indptr[lo], inc.indptr[hi]),
-            inc.indptr[g] + j // count[g],
-            item_first[g] + j % count[g],
-        )
+    while lo < inc.nnz:
+        hi = max(lo + 1, int(np.searchsorted(end, start[lo] + _CELL_ROWS, side="right")))
+        i = np.repeat(np.arange(lo, hi), rows[lo:hi])
+        yield slice(lo, hi), i, np.arange(start[lo], end[hi - 1]) - shift[i]
         lo = hi
 
 
-def _cell_corners(poly: Polytope) -> tuple[np.ndarray, np.ndarray]:
-    """Solid angle and star distance of each 3-cell at each of its vertices,
-    one per entry of the cell-vertex incidence, from the ridges of the
-    4-polytope in one pass over all cells.
+def _cell_edges(poly: Polytope, inc: csr_matrix):
+    """The cell edges of a 4-polytope as pairs of faces, read off its ridges.
 
     A half-ridge (C, G) is the 2-face cell C shares with facet G (three or
     more common vertices).  Its in-cell unit normal u is the generalized
     cross product of n_C and two edges of the face, turned so u . n_G > 0
     (projecting n_G off n_C cancels on near-flat ridges).  Two half-ridges
-    of a cell sharing two vertices meet in a cell edge, where the cell turns
-    by the angle between their normals.  A point of a face's plane lies in
-    the face when it is within ``TOL`` (scaled) of the inner side of each
-    face across an edge of it.  The two faces on an edge missing the vertex
-    meet only in that edge, so one misses the vertex too: the edges missing
-    it are those of the faces missing it.
+    h, k of a cell sharing two vertices meet in a cell edge, where the cell
+    turns by the angle between their normals: Gauss-Bonnet on the vertex
+    figure gives a corner's solid angle as 2*pi less the turning angles
+    (each edge counted once, at h < k) of the edges through it.  A point of
+    a face's plane lies in the face when it is within ``TOL`` (scaled) of
+    the inner side of each face across an edge of it.  The two faces on an
+    edge missing the vertex meet only in that edge, so one misses the
+    vertex too: the edges missing it are those of the faces missing it.
+
+    Returns the pairs (h, k) of one cell, both ways round and sorted, with
+    each pair's edge ``ends``, the number of pairs in each cell, the faces'
+    normals ``u`` and offsets, and each pair's ``cos`` and ``turn``.
     """
     pts, normals = poly.vertices, poly.facet_normals
     m = len(pts)
-    inc = _incidence(poly.facets, m)
     # the largest arrays are dropped once used: on large hulls they would
     # set the peak memory together
     shared = (inc @ inc.T).tocoo()
@@ -228,8 +225,7 @@ def _cell_corners(poly: Polytope) -> tuple[np.ndarray, np.ndarray]:
     del first, other
 
     # over columns (cell, vertex), numbered as the entries of inc, the
-    # half-ridges h, k of one cell that share two vertices, both ways round;
-    # they meet in the edge ``ends``
+    # half-ridges h, k of one cell that share two vertices
     key = np.repeat(np.arange(inc.shape[0]), np.diff(inc.indptr)) * m + inc.indices
     col = np.searchsorted(key, np.repeat(cell, np.diff(ridge.indptr)) * m + ridge.indices)
     in_cell = csr_matrix((ridge.data, col, ridge.indptr), shape=(len(cell), inc.nnz))
@@ -247,29 +243,7 @@ def _cell_corners(poly: Polytope) -> tuple[np.ndarray, np.ndarray]:
     cos = _dot(u[h], u[k])
     sin = u[h] - cos[:, None] * u[k]
     turn = np.where(h < k, np.arctan2(np.sqrt(_dot(sin, sin)), cos), 0.0)
-    del sin
-
-    # each cell vertex against each face h of its cell and each neighbour k
-    # of h, across the edge (a, b); the foot on h is inside k when
-    # depth_h (u_h . u_k) <= depth_k.  Blocks of whole cells keep each
-    # entry's sums and each (entry, face) run in one block.
-    angles = np.empty(inc.nnz)
-    dist = np.full(inc.nnz, math.inf)
-    tol = TOL * max(1.0, float(np.abs(pts).max()))
-    for entries, i, e in _by_cell(inc, cell[h]):
-        vertex, (a, b), hi, ki = inc.indices[i], ends[e].T, h[e], k[e]
-        touch = (vertex == a) | (vertex == b)
-        turned = np.bincount(i - entries.start, np.where(touch, turn[e], 0.0),
-                             entries.stop - entries.start)
-        angles[entries] = 2.0 * math.pi - turned
-        span = _segment_distances(pts[vertex], pts[a], pts[b])
-        np.minimum.at(dist, i, np.where(touch, math.inf, span))
-        depth = offset[hi] - _dot(pts[vertex], u[hi])
-        bad = touch | (depth * cos[e] > offset[ki] - _dot(pts[vertex], u[ki]) + tol)
-        run = np.r_[True, (i[1:] != i[:-1]) | (hi[1:] != hi[:-1])]
-        skip = np.bincount(np.cumsum(run) - 1, bad) > 0
-        np.minimum.at(dist, i[run], np.where(skip, math.inf, depth[run]))
-    return angles, dist
+    return ends, np.bincount(cell[h], minlength=inc.shape[0]), h, k, u, offset, cos, turn
 
 
 # ---------------------------------------------------------------------------
@@ -282,23 +256,19 @@ def vertex_cones(poly: Polytope) -> list[VertexCone]:
     increasing facet order, and its ``r_max`` is their smallest distance."""
     n = poly.surface_dim
     link, dist = _facet_corners(poly)
-    vertex = np.concatenate(poly.facets)
-    order = np.argsort(vertex, kind="stable")
-    link, dist = link[order], dist[order]
-    count = np.bincount(vertex, minlength=len(poly.vertices))
-    start = np.cumsum(count) - count
-    r_max = np.minimum.reduceat(dist, start)
-    # left to right, one column of k-th facets at a time (``np.sum`` adds
-    # pairwise and Python 3.12's ``sum`` compensates: either would move
-    # links by an ulp)
-    omega = np.zeros(len(count))
-    for k in range(count.max()):
-        live = count > k
-        omega[live] += link[start[live] + k]
+    m = len(poly.vertices)
+    vertex = _incidence(poly.facets, m).indices
+    # np.bincount adds each vertex's entries left to right in facet order;
+    # np.sum (pairwise) or Python 3.12's sum (compensated) could move an ulp
+    omega = np.bincount(vertex, link, m)
+    r_max = np.full(m, math.inf)
+    np.minimum.at(r_max, vertex, dist)
+    # a convex polytope has 0 < omega < |S^{n-1}| at every vertex, so a link
+    # outside that range is a computation that failed
     if n >= 2:
         bad = np.flatnonzero(~((omega > 0.0) & (omega < sphere_measure(n - 1) + 1e-9)))
         if len(bad):
-            raise ValueError(
+            raise NumericalError(
                 f"vertex {bad[0]}: link measure {float(omega[bad[0]])} outside (0, |S^{n-1}|)"
             )
     return [VertexCone(v, n, w, r) for v, (w, r) in enumerate(zip(omega.tolist(), r_max.tolist()))]

@@ -225,15 +225,13 @@ def subdivide(polytope: Polytope, level: int) -> SurfaceMesh:
             f"int32 ids allow at most {3 * _MAX_TRIANGLES}"
         )
 
-    rings = [polytope.facet_ring(fi) for fi in range(len(polytope.facets))]
-    first_center = len(polytope.vertices)
+    edges = polytope.ring_edges
+    sizes = [len(f) for f in polytope.facets]
+    rings = np.split(edges[:, 0], np.cumsum(sizes)[:-1])
     centers = np.array([polytope.vertices[ring].mean(axis=0) for ring in rings])
     positions = np.concatenate([polytope.vertices, centers])
-    triangles = np.concatenate([
-        np.column_stack([np.full(len(ring), first_center + fi), ring, np.roll(ring, -1)])
-        for fi, ring in enumerate(rings)
-    ]).astype(np.int32)
-    facet_of = np.repeat(np.arange(len(rings), dtype=np.int32), [len(r) for r in rings])
+    facet_of = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
+    triangles = np.column_stack([len(polytope.vertices) + facet_of, edges]).astype(np.int32)
 
     ends, tri_edges = _edge_table(triangles, len(positions))
     for _ in range(level):

@@ -23,6 +23,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -34,6 +36,7 @@ from .errors import (
     DimensionTooHigh,
     InvalidPolytope,
     NotFullDimensional,
+    UnsupportedDimension,
 )
 
 #: Vertex-plane tolerance, in coordinate units.
@@ -156,7 +159,7 @@ def _shared_measure(verts, simplices, facets) -> float:
     if len(big) < 2:
         return 0.0
     # (simplex, facet) entries count shared vertices; d means the facet holds it
-    shared = (_incidence(simplices, m) @ _incidence(big, m).T).tocoo()
+    shared = (_incidence(simplices.tolist(), m) @ _incidence(big, m).T).tocoo()
     holders = np.bincount(shared.row[shared.data == d], minlength=len(simplices))
     edges = verts[simplices[:, 1:]] - verts[simplices[:, :1]]
     gram = np.abs(np.linalg.det(edges @ edges.transpose(0, 2, 1)))
@@ -166,8 +169,9 @@ def _shared_measure(verts, simplices, facets) -> float:
 def _incidence(index_lists, width: int) -> csr_matrix:
     """0/1 matrix whose row i has its ones at the indices in index_lists[i]."""
     indptr = np.cumsum([0] + [len(row) for row in index_lists])
+    indices = np.fromiter(chain.from_iterable(index_lists), np.intp, indptr[-1])
     return csr_matrix(
-        (np.ones(indptr[-1]), np.concatenate(index_lists), indptr),
+        (np.ones(indptr[-1]), indices, indptr),
         shape=(len(index_lists), width),
     )
 
@@ -233,6 +237,8 @@ class Polytope:
         the facets of the vertices' convex hull
     facet_normals : (F, d) outward unit normals of Qhull's facet planes
     facet_offsets : (F,) plane offsets, so a facet plane is {a . x = b}
+    ring_edges : (E, 2) each facet's ring edges in cyclic order (d = 3),
+        built on first read
     """
 
     vertices: np.ndarray
@@ -257,7 +263,6 @@ class Polytope:
                 f"vertex {short[0]} lies on {counts[short[0]]} facets, "
                 f"expected at least {self.dim} (not in convex position?)"
             )
-        self._ordered_cache: dict[int, np.ndarray] = {}
 
     # -- basic queries ----------------------------------------------------
 
@@ -269,15 +274,22 @@ class Polytope:
     def surface_dim(self) -> int:
         return self.dim - 1
 
-    def facet_ring(self, facet_index: int) -> np.ndarray:
-        """Facet vertex indices in cyclic polygon order (d = 3 facets only)."""
-        cached = self._ordered_cache.get(facet_index)
-        if cached is None:
-            f = np.array(self.facets[facet_index], dtype=int)
-            order = order_polygon(self.vertices[f])
-            cached = f[order]
-            self._ordered_cache[facet_index] = cached
-        return cached
+    @cached_property
+    def ring_edges(self) -> np.ndarray:
+        """(E, 2) ring edges r_j -> r_j+1 of each facet polygon in
+        cyclic order (d = 3 only), facet by facet in the slots of ``facets``;
+        the first column is each facet's ring, in ``order_polygon``'s order."""
+        if self.dim != 3:
+            raise UnsupportedDimension(f"facet rings are defined for d = 3, got d = {self.dim}")
+        ring = np.concatenate(
+            [np.array(f)[order_polygon(self.vertices[list(f)])] for f in self.facets]
+        )
+        sizes = [len(f) for f in self.facets]
+        end = np.cumsum(sizes)
+        # each slot's successor in its facet's ring, wrapping at the facet's end
+        after = np.arange(1, end[-1] + 1)
+        after[end - 1] = end - sizes
+        return np.column_stack([ring, ring[after]])
 
     # -- document I/O -----------------------------------------------------
 

@@ -18,6 +18,12 @@ def assert_facet_planes_hold(poly):
         assert np.abs(side[list(f), fi]).max() <= limit
 
 
+def facet_rings(poly):
+    """Each facet's ring, in cyclic order, read off ``poly.ring_edges``."""
+    sizes = [len(f) for f in poly.facets]
+    return np.split(poly.ring_edges[:, 0], np.cumsum(sizes)[:-1])
+
+
 SMOOTHED_SHAPES = {
     "square": shapes.square,
     "cube2": lambda: shapes.cube(side=2.0),

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import special_ortho_group
 
-from polyperim import shapes, smoothing
+from polyperim import cones, shapes, smoothing
 from polyperim.cli import BUILTIN_SHAPES, build_parser, dispatch, main
 
 
@@ -283,6 +283,20 @@ def test_validation_exit_code(tmp_path, capsys):
     assert "error" in err
     code, _, _ = run(capsys, "analyze", "--out", str(tmp_path))
     assert code == 2
+
+
+def test_analyze_reports_a_link_outside_the_sphere_measure_as_numerical(
+    tmp_path, capsys, monkeypatch
+):
+    # a corner table whose links leave (0, |S^1|) at vertex 3: a failed
+    # computation, not rejected input
+    poly = shapes.cube()
+    link, dist = cones._facet_corners(poly)
+    link[np.concatenate(poly.facets) == 3] = 3.0
+    monkeypatch.setattr(cones, "_facet_corners", lambda _: (link, dist))
+    code, _, err = run(capsys, "analyze", "--polytope", "cube", "--out", str(tmp_path))
+    assert code == 3
+    assert "NumericalError" in err and "vertex 3: link measure 9.0" in err
 
 
 def test_analyze_rejects_facet_list_that_does_not_close_up(tmp_path, capsys):

@@ -16,7 +16,9 @@ from polyperim.cones import (
     tet_solid_angle,
     vertex_cones,
 )
-from polyperim.errors import UnsupportedDimension
+from polyperim.errors import NumericalError, UnsupportedDimension
+
+from conftest import facet_rings
 
 LINK_TOL = 1e-9
 
@@ -30,8 +32,9 @@ def _corner_angle_oracle(poly, vertex):
     """Sum of facet-interior angles at a vertex of a 3-polytope, by plain trig."""
     total = 0.0
     apex = poly.vertices[vertex]
+    rings = facet_rings(poly)
     for fi in _incident(poly, vertex):
-        ring = list(poly.facet_ring(fi))
+        ring = rings[fi].tolist()
         k = ring.index(vertex)
         u = poly.vertices[ring[(k + 1) % len(ring)]] - apex
         w = poly.vertices[ring[k - 1]] - apex
@@ -90,7 +93,9 @@ def test_a_link_outside_the_sphere_measure_is_rejected(monkeypatch):
     link, dist = cones_module._facet_corners(poly)
     link[np.concatenate(poly.facets) == 3] = 3.0
     monkeypatch.setattr(cones_module, "_facet_corners", lambda _: (link, dist))
-    with pytest.raises(ValueError, match=r"vertex 3: link measure 9\.0 outside \(0, \|S\^1\|\)"):
+    with pytest.raises(
+        NumericalError, match=r"vertex 3: link measure 9\.0 outside \(0, \|S\^1\|\)"
+    ):
         vertex_cones(poly)
 
 
@@ -266,7 +271,7 @@ def test_4d_cones_build_no_hull_of_their_own(monkeypatch):
 
 @pytest.mark.parametrize("key", ["hypercube", "simplex4", "sphere-d4-n40-s8", "sphere-d4-n120-s3"])
 def test_4d_cones_do_not_depend_on_the_cell_blocks(key, monkeypatch):
-    # blocks of whole cells: tiny ones, the default and one block for all
+    # blocks of whole entries: tiny ones, the default and one block for all
     poly = _pinned_polytope(key)
     records = []
     for rows in (7, cones_module._CELL_ROWS, 1 << 62):
@@ -286,7 +291,7 @@ def _prism(k):
 
 @pytest.mark.parametrize("key", ["octahedron", "sphere-d3-n200-s1", "prism-60"])
 def test_3d_cones_do_not_depend_on_the_corner_blocks(key, monkeypatch):
-    # one corner per block, the default and one block per ring length
+    # one entry per block, the default and one block for all
     poly = _prism(60) if key == "prism-60" else _pinned_polytope(key)
     records = []
     for rows in (7, cones_module._CELL_ROWS, 1 << 62):
@@ -298,9 +303,9 @@ def test_3d_cones_do_not_depend_on_the_corner_blocks(key, monkeypatch):
 
 
 def test_3d_cones_memory_stays_small_on_long_rings():
-    """On the 500-gon prism (facet rings warm) the cones peak at 2.3 MiB,
-    and at 63.0 MiB with each ring length's (corner, edge) rows in one
-    batch, which grows as k^2."""
+    """On the 500-gon prism (ring table warm) the cones peak at 3.5 MiB,
+    and at 95.6 MiB with every (corner, ring edge) row in one block, which
+    grows as k^2."""
     poly = _prism(500)
     vertex_cones(poly)
     tracemalloc.start()
@@ -314,8 +319,8 @@ def test_3d_cones_memory_stays_small_on_long_rings():
 
 def test_4d_cones_memory_stays_small():
     """On a 600-point 4-D sphere hull (3,854 cells) the cones peak at 8.6
-    MiB, and at 56.3 MiB with every (cell vertex, face pair) row in one
-    block and no temporary dropped early."""
+    MiB, and at 45.0 MiB with every (cell vertex, face pair) row in one
+    block."""
     poly = _pinned_polytope("sphere-d4-n600-s0")
     tracemalloc.start()
     try:

@@ -19,6 +19,8 @@ from polyperim.polytope import Polytope, polytope_measure
 from polyperim.smoothing import convexity_probe, smoothed_body
 from polyperim.solver import vertex_ball_region
 
+from conftest import facet_rings
+
 
 @pytest.mark.parametrize("level", [0, 1, 2, 3])
 def test_cube_triangle_counts_and_equal_areas(level):
@@ -217,7 +219,7 @@ def _reference_mesh(poly, level):
     give edge ``e``'s midpoint the id ``P + e``, split it into edges ``2e``
     and ``2e + 1`` and give triangle ``t`` the interior edges
     ``2E + 3t + j``."""
-    rings = [poly.facet_ring(f) for f in range(len(poly.facets))]
+    rings = facet_rings(poly)
     positions = list(poly.vertices) + [poly.vertices[ring].mean(axis=0) for ring in rings]
     triangles, facet_of = [], []
     for f, ring in enumerate(rings):

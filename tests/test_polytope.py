@@ -16,6 +16,7 @@ from polyperim.errors import (
     DimensionTooHigh,
     InvalidPolytope,
     NotFullDimensional,
+    UnsupportedDimension,
     ValidationError,
 )
 from polyperim.polytope import (
@@ -157,18 +158,24 @@ def test_load_polytope_from_dict_and_string():
 
 
 def test_document_validation_errors():
-    with pytest.raises(BadDocument):
-        Polytope.from_document({"vertices": [[0, 0], [1, 0], [0, 1]]})
-    with pytest.raises(BadDocument):
-        Polytope.from_document({"dim": "2", "vertices": [[0, 0]]})
-    with pytest.raises(BadDocument):
-        Polytope.from_document({"dim": 2, "vertices": [[0, 0, 0]]})
-    with pytest.raises(BadDocument):
-        Polytope.from_document(
-            {"dim": 2, "vertices": [[0, 0], [1, math.inf], [0, 1]]}
-        )
-    with pytest.raises(BadDocument):
+    tri = [[0, 0], [1, 0], [0, 1]]
+    for doc, message in [
+        ([], "must be a JSON object"),
+        ({"vertices": tri}, "missing field 'dim'"),
+        ({"dim": "2", "vertices": [[0, 0]]}, "'dim' must be an integer"),
+        ({"dim": 2, "vertices": [["a", 0, 0]]}, "bad vertex coordinates"),
+        ({"dim": 2, "vertices": [[0, 0], [1]]}, "bad vertex coordinates"),
+        ({"dim": 2, "vertices": [[0, 0, 0]]}, "rows of 2 coordinates"),
+        ({"dim": 2, "vertices": [[0, 0], [1, math.inf], [0, 1]]}, "must be finite"),
+        ({"dim": 2, "vertices": tri, "name": 5}, "'name' must be a string"),
+        ({"dim": 2, "vertices": tri, "facets": {}}, "'facets' must be a list"),
+    ]:
+        with pytest.raises(BadDocument, match=message):
+            Polytope.from_document(doc)
+    with pytest.raises(BadDocument, match="not valid JSON"):
         Polytope.loads("not json")
+    with pytest.raises(InvalidPolytope, match="2-dimensional"):
+        Polytope.from_vertices(np.zeros(3))
 
 
 @pytest.mark.parametrize("name", ["square", "cube", "hypercube"])
@@ -321,6 +328,30 @@ def test_vertex_on_facet_consistency():
         side = poly.vertices @ poly.facet_normals[fi] - poly.facet_offsets[fi]
         on = set(np.flatnonzero(np.abs(side) <= TOL))
         assert on == set(f)
+
+
+def test_ring_edges_walk_each_facet_once_in_polygon_order():
+    a = 2 * np.pi * np.arange(60) / 60
+    ring = np.c_[np.cos(a), np.sin(a)]
+    prism = Polytope.from_vertices(np.r_[np.c_[ring, np.zeros(60)], np.c_[ring, np.ones(60)]])
+    hulls = [_unit_sphere_hull(m, 3, seed) for seed, m in enumerate((8, 20, 60, 200))]
+    for poly in [b() for b in _BUILTINS if b().dim == 3] + hulls + [prism]:
+        sizes = [len(f) for f in poly.facets]
+        assert poly.ring_edges.shape == (sum(sizes), 2)
+        for f, edges in zip(poly.facets, np.split(poly.ring_edges, np.cumsum(sizes)[:-1])):
+            # facet f's slots hold exactly its vertices, in order_polygon's order
+            order = np.array(f)[order_polygon(poly.vertices[list(f)])]
+            assert edges[:, 0].tolist() == order.tolist()
+            # one cycle: each vertex starts one edge and ends one
+            after = dict(edges.tolist())
+            assert sorted(after) == sorted(after.values()) == list(f)
+            walked = [f[0]]
+            for _ in f[1:]:
+                walked.append(after[walked[-1]])
+            assert sorted(walked) == list(f) and after[walked[-1]] == f[0]
+    for poly in (shapes.square(), shapes.hypercube()):
+        with pytest.raises(UnsupportedDimension):
+            poly.ring_edges
 
 
 _BUILTINS = (

@@ -41,10 +41,7 @@ def test_random_hull_identities(m, seed):
     assert_facet_planes_hold(poly)
     facet_count = len(poly.facets)
 
-    edges = set()
-    for fi in range(facet_count):
-        ring = poly.facet_ring(fi).tolist()
-        edges.update(frozenset(e) for e in zip(ring, ring[1:] + ring[:1]))
+    edges = {frozenset(e) for e in poly.ring_edges.tolist()}
     assert len(poly.vertices) - len(edges) + facet_count == 2
 
     assert deficit_sum(poly) == pytest.approx(4.0 * math.pi, abs=1e-9)
@@ -178,10 +175,9 @@ def test_vertex_solid_angles_satisfy_brianchon_gram(m, seed):
     # sum_v Omega_v = 2 sum_e theta_e - 2 pi F + 4 pi, with interior solid
     # angles Omega_v and interior dihedral angles theta_e
     facets_of_edge = {}
-    for fi in range(len(poly.facets)):
-        ring = poly.facet_ring(fi).tolist()
-        for e in zip(ring, ring[1:] + ring[:1]):
-            facets_of_edge.setdefault(frozenset(e), []).append(fi)
+    facet = np.repeat(np.arange(len(poly.facets)), [len(f) for f in poly.facets])
+    for fi, e in zip(facet.tolist(), poly.ring_edges.tolist()):
+        facets_of_edge.setdefault(frozenset(e), []).append(fi)
     normals = poly.facet_normals
     dihedral = [
         math.pi - math.acos(np.clip(normals[f] @ normals[g], -1.0, 1.0))
