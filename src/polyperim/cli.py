@@ -23,7 +23,7 @@ The flag is left out of the manifest, so artifacts are the same with and
 without it.
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure, 64 unknown
-command.
+command.  A run that exits 2 or 3 names the error's class on stderr.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from scipy.spatial import ConvexHull
 
 from . import __version__, shapes
 from .cones import rank_by_link, vertex_cones
-from .errors import BadDocument, NumericalError, ValidationError
+from .errors import BadDocument, NumericalError, PolyperimError, ValidationError
 from .gallery import (
     SPIKE_MAX_HALF_ANGLE,
     cube_competitors,
@@ -792,15 +792,9 @@ def dispatch(argv: list[str]) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args, Path(args.out))
-    except ValidationError as exc:
+    except PolyperimError as exc:
         print(f"polyperim: error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except ValueError as exc:
-        print(f"polyperim: error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except NumericalError as exc:
-        print(f"polyperim: error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        return EXIT_NUMERICAL if isinstance(exc, NumericalError) else EXIT_VALIDATION
 
 
 def main(argv: list[str] | None = None) -> int:

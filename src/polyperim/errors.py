@@ -2,7 +2,9 @@
 
 Two families matter to callers: :class:`ValidationError` for rejected input
 (CLI exit code 2) and :class:`NumericalError` for computations that could not
-be completed (CLI exit code 3).
+be completed (CLI exit code 3).  Every rejection the library raises is a
+:class:`ValidationError`, which is also a :class:`ValueError`, so callers
+that catch ``ValueError`` keep working.
 """
 
 
@@ -10,7 +12,7 @@ class PolyperimError(Exception):
     """Base class for all library errors."""
 
 
-class ValidationError(PolyperimError):
+class ValidationError(PolyperimError, ValueError):
     """Input rejected before any computation was attempted."""
 
 

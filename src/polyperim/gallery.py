@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cones import tet_solid_angle
-from .errors import ProjectionDegenerate, VolumeOutOfRange
+from .errors import ProjectionDegenerate, ValidationError, VolumeOutOfRange
 from .profiles import cone_profile
 
 CUBE_SURFACE_AREA = 6.0
@@ -140,9 +140,9 @@ def double_pyramid_report(
     of link ``base_link``.
     """
     if not 0.0 < theta < 2.0 * math.pi - 1e-9:
-        raise ValueError(f"apex link {theta} outside (0, 2*pi)")
+        raise ValidationError(f"apex link {theta} outside (0, 2*pi)")
     if base_link is not None and not 0.0 < base_link < 2.0 * math.pi:
-        raise ValueError(f"base link {base_link} outside (0, 2*pi)")
+        raise ValidationError(f"base link {base_link} outside (0, 2*pi)")
     if not 0.0 < volume < math.inf:
         raise VolumeOutOfRange(f"volume must be positive and finite, got {volume}")
     one_sided = math.sqrt(2.0 * theta * volume)
@@ -211,19 +211,19 @@ def suspension_area(curve: np.ndarray) -> float:
     is integrated with Gauss-Legendre nodes in s and the polyline's chord
     differences in phi — no use of the analytic factorization, so the test
     against area = 2 * length is a genuine numerical check.  Raises
-    ``ValueError`` unless the curve is at least three finite, nonzero
+    ``ValidationError`` unless the curve is at least three finite, nonzero
     3-vectors.
     """
     w = np.asarray(curve, float)
     if w.ndim != 2 or w.shape[1] != 3 or len(w) < 3:
-        raise ValueError("curve must be a closed polyline of 3-vectors")
+        raise ValidationError("curve must be a closed polyline of 3-vectors")
     # each row scaled by the power of two of its largest |component| first,
     # so the squares in the norm neither overflow nor underflow (and a
     # scale by 2^k leaves every bit of w / |w| as it was)
     w = np.ldexp(w, -np.frexp(np.abs(w).max(axis=1))[1][:, None])
     norms = np.linalg.norm(w, axis=1)
     if not ((norms > 0) & (norms < math.inf)).all():
-        raise ValueError("curve points must be finite and nonzero")
+        raise ValidationError("curve points must be finite and nonzero")
     w = w / norms[:, None]
     nxt = np.roll(w, -1, axis=0)
     mid = 0.5 * (w + nxt)
@@ -259,7 +259,7 @@ def spike_link_from_half_angle(gamma: float) -> float:
         # rounding lifts the link to pi within a few ulps of the bound
         if link < math.pi:
             return link
-    raise ValueError(
+    raise ValidationError(
         f"half-angle must be in (0, {SPIKE_MAX_HALF_ANGLE:.8g}) radians, got {gamma}"
     )
 
@@ -276,7 +276,7 @@ def modified_cube_faces(
     subtracted spike base, as 4D triangles (rows are vertices).
     """
     if not 0.0 < rho < 0.5:
-        raise ValueError("spike base must fit inside the top face")
+        raise ValidationError("spike base must fit inside the top face")
     h = 0.5
     squares = [
         [(-h, -h, -h), (h, -h, -h), (h, h, -h), (-h, h, -h)],
@@ -331,7 +331,7 @@ def spiked_cone_report(
     two perimeters at a reference volume.
     """
     if not 0.0 < theta_p < math.pi:
-        raise ValueError(f"spike apex link {theta_p} outside (0, pi)")
+        raise ValidationError(f"spike apex link {theta_p} outside (0, pi)")
     if not 0.0 < reference_volume < math.inf:
         raise VolumeOutOfRange(
             f"volume must be positive and finite, got {reference_volume}"
@@ -340,7 +340,7 @@ def spiked_cone_report(
     # apex (0, 0, 1/2 + spike_height, CUBE_LIFT) overflows first
     top = 0.5 + spike_height
     if not math.isfinite(top * top + CUBE_LIFT * CUBE_LIFT):
-        raise ValueError(
+        raise ValidationError(
             f"spike height {spike_height} out of range: the squared norm "
             "of the spike apex must be finite"
         )

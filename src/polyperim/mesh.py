@@ -46,7 +46,7 @@ from functools import cached_property
 import numpy as np
 
 from .cones import VertexCone, vertex_cones
-from .errors import UnsupportedDimension
+from .errors import UnsupportedDimension, ValidationError
 from .polytope import Polytope
 
 MAX_LEVEL = 8
@@ -184,7 +184,7 @@ class SurfaceMesh:
         star = self._stars.get(vertex)
         if star is None:
             if not 0 <= vertex < len(self.polytope.vertices):
-                raise ValueError(f"vertex index {vertex} out of range")
+                raise ValidationError(f"vertex index {vertex} out of range")
             if self._cones is None:
                 self._cones = vertex_cones(self.polytope)
             cone = self._cones[vertex]
@@ -217,10 +217,10 @@ def subdivide(polytope: Polytope, level: int) -> SurfaceMesh:
             f"surface meshing is defined for d = 3, got d = {polytope.dim}"
         )
     if not 0 <= level <= MAX_LEVEL:
-        raise ValueError(f"subdivision level must be in [0, {MAX_LEVEL}]")
+        raise ValidationError(f"subdivision level must be in [0, {MAX_LEVEL}]")
     count = sum(len(f) for f in polytope.facets) * 4**level
     if count > _MAX_TRIANGLES:
-        raise ValueError(
+        raise ValidationError(
             f"a mesh of {count} triangles has {3 * count} half-edges; "
             f"int32 ids allow at most {3 * _MAX_TRIANGLES}"
         )

@@ -256,7 +256,8 @@ class Polytope:
             raise InvalidPolytope(f"vertices {i} and {j} lie within {MERGE_TOL:g} of each other")
         facets, self.facet_normals, self.facet_offsets = enumerate_facets(self.vertices)
         self.facets = tuple(facets)
-        counts = np.bincount(np.concatenate(facets), minlength=len(self.vertices))
+        flat = np.fromiter(chain.from_iterable(facets), np.intp)
+        counts = np.bincount(flat, minlength=len(self.vertices))
         short = np.flatnonzero(counts < self.dim)
         if len(short):
             raise InvalidPolytope(

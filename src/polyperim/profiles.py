@@ -23,6 +23,7 @@ from scipy import special
 from .errors import (
     DimensionTooHigh,
     InsufficientSamples,
+    UnsupportedDimension,
     ValidationError,
     VolumeOutOfRange,
 )
@@ -38,7 +39,7 @@ def unit_ball_volume(n: int) -> float:
     dimensions are rejected rather than returned as (nearly) zero.
     """
     if n < 0:
-        raise ValueError("dimension must be nonnegative")
+        raise UnsupportedDimension("dimension must be nonnegative")
     v = 1.0 if n % 2 == 0 else 2.0
     for k in range(2 + n % 2, n + 1, 2):
         v = v * 2.0 * math.pi / k
@@ -51,14 +52,14 @@ def unit_ball_volume(n: int) -> float:
 def sphere_measure(k: int) -> float:
     """Total k-dimensional measure of the unit sphere S^k in R^(k+1)."""
     if k < 0:
-        raise ValueError("sphere dimension must be nonnegative")
+        raise UnsupportedDimension("sphere dimension must be nonnegative")
     return (k + 1) * unit_ball_volume(k + 1)
 
 
 def euclidean_profile(n: int, volume: float) -> float:
     """Perimeter of the round ball of the given volume in R^n."""
     if n < 1:
-        raise ValueError("dimension must be at least 1")
+        raise UnsupportedDimension("dimension must be at least 1")
     if not 0 < volume < math.inf:
         raise VolumeOutOfRange(f"volume must be positive and finite, got {volume}")
     if n == 1:
@@ -75,9 +76,9 @@ def cone_profile(omega: float, n: int, volume: float) -> float:
     ``omega * r^(n-1)``, so ``A = omega^(1/n) * (n V)^((n-1)/n)``.
     """
     if n < 1:
-        raise ValueError("dimension must be at least 1")
+        raise UnsupportedDimension("dimension must be at least 1")
     if not 0 < omega <= sphere_measure(n - 1) + 1e-12:
-        raise ValueError(f"link measure {omega} outside (0, |S^{n-1}|]")
+        raise ValidationError(f"link measure {omega} outside (0, |S^{n-1}|]")
     if not 0 < volume < math.inf:
         raise VolumeOutOfRange(f"volume must be positive and finite, got {volume}")
     if n == 1:
@@ -98,7 +99,7 @@ def sphere_profile(n: int, volume: float) -> float:
     constantly 2.
     """
     if n < 1:
-        raise ValueError("dimension must be at least 1")
+        raise UnsupportedDimension("dimension must be at least 1")
     total = sphere_measure(n)
     if not 0 < volume < total:
         raise VolumeOutOfRange(

@@ -148,7 +148,7 @@ def _piece_vertices(frame: RegularSimplexFrame, k) -> np.ndarray:
     sums = k.sum(axis=-1)
     level = sums.flat[0]
     if np.any(sums != level):
-        raise ValueError("a stack of indices must share one level")
+        raise ValidationError("a stack of indices must share one level")
     tail = np.array(list(itertools.product((0.0, 1.0), repeat=n)))
     head = level - tail.sum(axis=1)
     keep = (head >= 0.0) & (head <= 1.0)
@@ -183,7 +183,7 @@ def enumerate_pieces(n: int, slices: int) -> list[SlicePiece]:
     ``MAX_PIECES`` pieces are rejected before anything is built.
     """
     if slices < 2:
-        raise ValueError("need at least 2 slices per direction")
+        raise ValidationError("need at least 2 slices per direction")
     frame = build_frame(n)
     count = piece_count(n, slices)
     if count > MAX_PIECES:

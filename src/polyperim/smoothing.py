@@ -93,9 +93,11 @@ import numpy as np
 
 from .errors import (
     EpsilonTooLarge,
+    InsufficientSamples,
     NumericalError,
     OriginNotInterior,
     UnsupportedDimension,
+    ValidationError,
 )
 from .polytope import TOL, Polytope
 from .profiles import sphere_measure
@@ -178,7 +180,7 @@ class Mollifier:
     @classmethod
     def build(cls, dim: int, epsilon: float) -> "Mollifier":
         if not epsilon > 0:
-            raise ValueError("epsilon must be positive")
+            raise ValidationError("epsilon must be positive")
         dirs, alpha = sphere_quadrature(dim, 32 if dim == 2 else 12)
         rx, rw = np.polynomial.legendre.leggauss(RADIAL_NODES)
         r = 0.5 * (rx + 1.0)
@@ -371,7 +373,7 @@ def sphere_quadrature(dim: int, resolution: int) -> tuple[np.ndarray, np.ndarray
     angular factor, keeping the set antipodally symmetric.
     """
     if resolution < 4:
-        raise ValueError("resolution must be >= 4")
+        raise ValidationError("resolution must be >= 4")
     if dim == 2:
         m = 2 * resolution
         theta = 2.0 * math.pi * (np.arange(m) + 0.5) / m
@@ -508,7 +510,7 @@ def convexity_probe(body: SmoothedBody, trials: int = 10_000, seed: int = 0) -> 
     bounded by roundoff; violations are reported, not raised.
     """
     if trials < 1:
-        raise ValueError("need at least one trial")
+        raise InsufficientSamples("need at least one trial")
     rng = np.random.default_rng(seed)
     d = body.polytope.dim
     lo = body.polytope.vertices.min(axis=0)

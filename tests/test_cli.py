@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import special_ortho_group
 
-from polyperim import cones, shapes, smoothing
+from polyperim import cones, errors, shapes, smoothing
 from polyperim.cli import BUILTIN_SHAPES, build_parser, dispatch, main
 
 
@@ -793,12 +793,20 @@ def _argv(draw):
 @example(argv=["gallery", "double-pyramid", "--theta=6", "--volume=1.7e308"])
 def test_fuzzed_flags_end_in_a_documented_exit_code(tmp_path_factory, argv):
     # a run that succeeds prints no nan or inf, on stdout or in its CSV data
-    # (the manifest lines echo the flags, which may be anything)
+    # (the manifest lines echo the flags, which may be anything); a run that
+    # fails names the error class of its exit code on its last stderr line
     out = tmp_path_factory.mktemp("fuzz")
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = dispatch(argv + ["--out", str(out)])
     assert code in (0, 2, 3), argv
+    if code in (2, 3):
+        last = stderr.getvalue().splitlines()[-1]
+        named = re.match(r"polyperim: error: (\w+): ", last)
+        assert named, (argv, last)
+        cls = getattr(errors, named[1], None)
+        assert isinstance(cls, type) and issubclass(cls, errors.PolyperimError), (argv, last)
+        assert issubclass(cls, errors.NumericalError) == (code == 3), (argv, last)
     if code == 0:
         lines = stdout.getvalue().splitlines()
         for path in sorted(out.glob("*.csv")):

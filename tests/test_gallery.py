@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from polyperim.errors import ProjectionDegenerate, VolumeOutOfRange
+from polyperim.errors import ProjectionDegenerate, ValidationError, VolumeOutOfRange
 from polyperim.gallery import (
     SPIKE_MAX_HALF_ANGLE,
     cube_competitors,
@@ -97,9 +97,9 @@ def test_double_pyramid_base_comparison():
     assert double_pyramid_report(0.5, 0.1, base_link=0.7).one_sided_beats_base
     assert not double_pyramid_report(0.9, 0.1, base_link=0.7).one_sided_beats_base
     assert double_pyramid_report(0.9, 0.1).one_sided_beats_base is None
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         double_pyramid_report(0.0, 0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         double_pyramid_report(2 * math.pi, 0.1)
     with pytest.raises(VolumeOutOfRange):
         double_pyramid_report(1.0, -0.5)
@@ -200,7 +200,7 @@ def test_suspension_area_nonplanar_curve():
         np.linalg.norm(np.roll(unit, -1, axis=0) - unit, axis=1).sum()
     )
     assert suspension_area(unit) == pytest.approx(2 * chord_length, abs=1e-3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         suspension_area(unit[:2])
 
 
@@ -222,14 +222,14 @@ def test_spike_link_roundtrip():
         assert spike_link_from_half_angle(gamma) == pytest.approx(
             theta_p, abs=1e-12
         )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         spike_link_from_half_angle(0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         spike_link_from_half_angle(math.pi / 2)
     # from asin(1/sqrt(3)) on the link reaches pi, which spiked_cone_report
     # rejects: 40 degrees would give a link of about 3.54
     for gamma in (SPIKE_MAX_HALF_ANGLE, math.radians(40.0)):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             spike_link_from_half_angle(gamma)
     # a few ulps below the bound rounding lifts the link to pi; those
     # half-angles are rejected too, so every accepted link is below pi
@@ -238,7 +238,7 @@ def test_spike_link_roundtrip():
         gamma = math.nextafter(gamma, 0.0)
         try:
             links.append(spike_link_from_half_angle(gamma))
-        except ValueError:
+        except ValidationError:
             pass
     assert links and max(links) < math.pi
 
@@ -263,7 +263,7 @@ def test_modified_cube_faces_area_budget():
         + 3.0 * 0.5 * side * slant
     )
     assert total == pytest.approx(expected, abs=1e-12)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         modified_cube_faces(0.5, 1.0)
 
 
@@ -276,9 +276,9 @@ def test_spiked_cone_report_small_half_angle():
     assert rep.apex_link > 4.0  # nearly the full cube link survives
     assert rep.hypercube_link == pytest.approx(2 * math.pi, abs=1e-12)
     assert rep.q_perimeter < rep.apex_perimeter
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         spiked_cone_report(0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         spiked_cone_report(math.pi)
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyperim import shapes
-from polyperim.errors import UnsupportedDimension
+from polyperim.errors import UnsupportedDimension, ValidationError
 from polyperim.mesh import (
     SurfaceMesh,
     _edge_table,
@@ -84,9 +84,9 @@ def test_max_edge_length_halves_per_level():
 def test_subdivide_rejects_wrong_dimension_and_level():
     with pytest.raises(UnsupportedDimension):
         subdivide(shapes.square(), 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         subdivide(shapes.cube(), -1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         subdivide(shapes.cube(), 9)
 
 
@@ -306,7 +306,7 @@ def test_subdivide_is_the_only_builder():
 def test_vertex_star_rejects_a_vertex_outside_the_polytope():
     mesh = subdivide(shapes.tetrahedron(), 1)
     for vertex in (-1, 4):
-        with pytest.raises(ValueError, match=f"vertex index {vertex} out of range"):
+        with pytest.raises(ValidationError, match=f"vertex index {vertex} out of range"):
             mesh.vertex_star(vertex)
     assert mesh._stars == {}
 
@@ -317,7 +317,7 @@ def test_meshes_beyond_int32_half_edge_ids_are_rejected_before_building():
     poly = Polytope.from_vertices(x / np.linalg.norm(x, axis=1)[:, None])
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="a mesh of 785645568 triangles"):
+        with pytest.raises(ValidationError, match="a mesh of 785645568 triangles"):
             subdivide(poly, 8)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

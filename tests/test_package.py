@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import polyperim
+from polyperim.errors import PolyperimError, ValidationError
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -15,6 +16,21 @@ def test_every_export_resolves_once():
     assert len(set(names)) == len(names), [n for n in names if names.count(n) > 1]
     missing = [n for n in names if not hasattr(polyperim, n)]
     assert missing == []
+
+
+def test_every_library_rejection_is_a_validation_error():
+    # ValidationError is a ValueError too, so no check needs a bare one; the
+    # CLI names the class of each rejection and exits 2
+    assert issubclass(ValidationError, PolyperimError)
+    assert issubclass(ValidationError, ValueError)
+    bare = []
+    for path in sorted(Path(polyperim.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id == "ValueError":
+                    bare.append(f"{path.name}:{node.lineno}")
+    assert bare == []
 
 
 def _dotted(node: ast.expr) -> list[str] | None:

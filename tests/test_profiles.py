@@ -9,6 +9,7 @@ from polyperim.errors import (
     DimensionTooHigh,
     InsufficientSamples,
     InvalidPolytope,
+    UnsupportedDimension,
     ValidationError,
     VolumeOutOfRange,
 )
@@ -66,14 +67,30 @@ def test_cone_profile_with_full_link_is_flat():
             )
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: unit_ball_volume(-1),
+        lambda: sphere_measure(-1),
+        lambda: euclidean_profile(0, 1.0),
+        lambda: cone_profile(1.0, 0, 1.0),
+        lambda: sphere_profile(0, 1.0),
+    ],
+    ids=["unit-ball", "sphere-measure", "euclidean", "cone", "sphere"],
+)
+def test_a_dimension_below_the_range_is_unsupported(call):
+    with pytest.raises(UnsupportedDimension):
+        call()
+
+
 def test_cone_profile_values_and_guards():
     # cube-corner link: A = sqrt(3 pi V)
     assert cone_profile(1.5 * math.pi, 2, 0.04) == pytest.approx(
         math.sqrt(3 * math.pi * 0.04), abs=1e-12
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         cone_profile(7.0, 2, 1.0)  # exceeds |S^1|
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         cone_profile(-1.0, 2, 1.0)
     with pytest.raises(VolumeOutOfRange):
         cone_profile(math.pi, 2, 0.0)
@@ -191,11 +208,11 @@ _CURVE = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, -1.
                      InvalidPolytope, id="vertices-nan"),
         pytest.param(lambda: Polytope.from_vertices(_with(_CUBE, (5, 0), -math.inf)),
                      InvalidPolytope, id="vertices-inf"),
-        pytest.param(lambda: suspension_area(_with(_CURVE, 1, math.nan)), ValueError,
+        pytest.param(lambda: suspension_area(_with(_CURVE, 1, math.nan)), ValidationError,
                      id="suspension-nan"),
-        pytest.param(lambda: suspension_area(_with(_CURVE, (2, 2), math.inf)), ValueError,
+        pytest.param(lambda: suspension_area(_with(_CURVE, (2, 2), math.inf)), ValidationError,
                      id="suspension-inf"),
-        pytest.param(lambda: suspension_area(_with(_CURVE, 1, 0.0)), ValueError,
+        pytest.param(lambda: suspension_area(_with(_CURVE, 1, 0.0)), ValidationError,
                      id="suspension-zero"),
     ],
 )

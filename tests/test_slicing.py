@@ -137,7 +137,7 @@ def test_congruence_rejects_rotation():
 
 
 def test_empty_piece_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         enumerate_pieces(2, 1)
     for n in (2, 3):
         assert {p.level for p in enumerate_pieces(n, 3)} == set(range(1, n + 1))
@@ -240,7 +240,7 @@ def test_batched_vertices_equal_single_piece_vertices(n):
 
 
 def test_piece_vertices_stack_must_share_a_level():
-    with pytest.raises(ValueError, match="one level"):
+    with pytest.raises(ValidationError, match="one level"):
         _piece_vertices(build_frame(2), [(1, 1, -1), (1, 1, 0)])
 
 

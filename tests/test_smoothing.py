@@ -9,8 +9,10 @@ import pytest
 from polyperim import shapes
 from polyperim.errors import (
     EpsilonTooLarge,
+    InsufficientSamples,
     OriginNotInterior,
     UnsupportedDimension,
+    ValidationError,
 )
 from polyperim.polytope import Polytope
 from polyperim.smoothing import (
@@ -102,7 +104,7 @@ def test_recorded_planar_bump_mass_matches_its_closed_form():
 
 
 def test_mollifier_rejects_bad_input():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         Mollifier.build(2, 0.0)
     for dim in (1, 4):
         with pytest.raises(UnsupportedDimension):
@@ -110,9 +112,9 @@ def test_mollifier_rejects_bad_input():
 
 
 def test_nan_epsilon_is_rejected_as_not_positive():
-    with pytest.raises(ValueError, match="epsilon must be positive"):
+    with pytest.raises(ValidationError, match="epsilon must be positive"):
         Mollifier.build(2, math.nan)
-    with pytest.raises(ValueError, match="epsilon must be positive"):
+    with pytest.raises(ValidationError, match="epsilon must be positive"):
         smoothed_body(shapes.square(), math.nan)
 
 
@@ -465,7 +467,7 @@ def test_sphere_quadrature_total_measure(dim, expected):
 
 
 def test_sphere_quadrature_limits():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         sphere_quadrature(2, 3)
     with pytest.raises(UnsupportedDimension):
         sphere_quadrature(4, 8)
@@ -576,7 +578,7 @@ def test_convexity_probe_on_square():
     assert report.max_violation <= 1e-9
     assert report.max_midpoint_violation <= 1e-9
     assert report.max_gauge_gap <= 1e-9
-    with pytest.raises(ValueError):
+    with pytest.raises(InsufficientSamples):
         convexity_probe(body, trials=0)
 
 

@@ -29,14 +29,14 @@ from polyperim.solver import (
 
 def test_region_rejects_bad_mask():
     mesh = subdivide(shapes.cube(), 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         Region(mesh=mesh, mask=np.ones(5, dtype=bool))
 
 
 def test_region_centroid_and_the_empty_region():
     mesh = subdivide(shapes.cube(), 1)
     mask = np.zeros(mesh.triangle_count, dtype=bool)
-    with pytest.raises(ValueError, match="an empty region has no centroid"):
+    with pytest.raises(ValidationError, match="an empty region has no centroid"):
         Region(mesh, mask).centroid
     mask[5] = True
     corners = mesh.positions[mesh.triangles[5]]
@@ -137,7 +137,7 @@ def test_vertex_ball_region_guards():
         vertex_ball_region(mesh, 0, 0.0)
     with pytest.raises(VolumeOutOfRange, match="volume must be positive"):
         vertex_ball_region(mesh, 0, math.nan)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError, match="vertex index 99 out of range"):
         vertex_ball_region(mesh, 99, 0.1)
 
 
