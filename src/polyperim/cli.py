@@ -44,7 +44,7 @@ from scipy.spatial import ConvexHull
 
 from . import __version__, shapes
 from .cones import rank_by_link, vertex_cones
-from .errors import BadDocument, NumericalError, PolyperimError, ValidationError
+from .errors import BadDocument, NumericalError, PolyperimError, ValidationError, checked_int
 from .gallery import (
     SPIKE_MAX_HALF_ANGLE,
     cube_competitors,
@@ -449,10 +449,7 @@ def _cmd_slice(args: argparse.Namespace, out: Path) -> int:
 
 
 def _cmd_smooth(args: argparse.Namespace, out: Path) -> int:
-    if not 1 <= args.dirs <= MAX_DIRS:
-        raise ValidationError(
-            f"--dirs must be at least 1 and at most {MAX_DIRS}, got {args.dirs}"
-        )
+    checked_int(args.dirs, "--dirs", 1, MAX_DIRS)
     poly, digest = _load_polytope_arg(args)
     manifest = _manifest(args, digest)
     d = poly.dim
@@ -468,11 +465,12 @@ def _cmd_smooth(args: argparse.Namespace, out: Path) -> int:
         [_fmt(c) for c in u] + [_fmt(r0), _fmt(re)]
         for u, r0, re in zip(body.directions, rho0, body.radii)
     ]
+    with timer("probe"):
+        report = convexity_probe(body, trials=4096, seed=args.seed)
+    # after the probe, so a rejected --seed writes nothing
     header = [f"u{i + 1}" for i in range(d)] + ["rho_plain", "rho_smooth"]
     _emit_csv(out, "boundary.csv", manifest, header, rows)
     vol_poly = polytope_measure(poly.vertices)
-    with timer("probe"):
-        report = convexity_probe(body, trials=4096, seed=args.seed)
     with timer("hull"):
         # the body is convex, so the hull of its boundary samples lies inside it
         vol_hull = ConvexHull(body.boundary_points).volume

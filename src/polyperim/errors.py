@@ -5,7 +5,12 @@ Two families matter to callers: :class:`ValidationError` for rejected input
 be completed (CLI exit code 3).  Every rejection the library raises is a
 :class:`ValidationError`, which is also a :class:`ValueError`, so callers
 that catch ``ValueError`` keep working.
+
+Integer arguments (counts, indices, levels, dimensions and seeds) follow one
+rule, held by :func:`checked_int` alone.
 """
+
+import numbers
 
 
 class PolyperimError(Exception):
@@ -78,3 +83,15 @@ class NoFeasibleRegion(NumericalError):
 
 class ProjectionDegenerate(NumericalError):
     """A face touches the projection center; spherical image is singular."""
+
+
+def checked_int(value, name: str, lo: int, hi: int | None = None, error=ValidationError) -> int:
+    """``int(value)`` for an integer in [lo, hi] (no upper bound if ``hi`` is
+    None), else raise ``error`` naming ``name``.  A bool, 2.0 or
+    ``np.float64(2)`` is rejected; numpy integers pass."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if value < lo or (hi is not None and value > hi):
+        upper = "" if hi is None else f" and at most {hi}"
+        raise error(f"{name} must be at least {lo}{upper}, got {value}")
+    return int(value)

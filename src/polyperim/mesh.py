@@ -46,7 +46,7 @@ from functools import cached_property
 import numpy as np
 
 from .cones import VertexCone, vertex_cones
-from .errors import UnsupportedDimension, ValidationError
+from .errors import UnsupportedDimension, ValidationError, checked_int
 from .polytope import Polytope
 
 MAX_LEVEL = 8
@@ -181,10 +181,9 @@ class SurfaceMesh:
         facet holding the vertex has its triangles as one run of the
         ascending ``facet_of``.
         """
+        vertex = checked_int(vertex, "vertex", 0, len(self.polytope.vertices) - 1)
         star = self._stars.get(vertex)
         if star is None:
-            if not 0 <= vertex < len(self.polytope.vertices):
-                raise ValidationError(f"vertex index {vertex} out of range")
             if self._cones is None:
                 self._cones = vertex_cones(self.polytope)
             cone = self._cones[vertex]
@@ -216,8 +215,7 @@ def subdivide(polytope: Polytope, level: int) -> SurfaceMesh:
         raise UnsupportedDimension(
             f"surface meshing is defined for d = 3, got d = {polytope.dim}"
         )
-    if not 0 <= level <= MAX_LEVEL:
-        raise ValidationError(f"subdivision level must be in [0, {MAX_LEVEL}]")
+    level = checked_int(level, "level", 0, MAX_LEVEL)
     count = sum(len(f) for f in polytope.facets) * 4**level
     if count > _MAX_TRIANGLES:
         raise ValidationError(

@@ -37,6 +37,7 @@ from .errors import (
     InvalidPolytope,
     NotFullDimensional,
     UnsupportedDimension,
+    checked_int,
 )
 
 #: Vertex-plane tolerance, in coordinate units.
@@ -310,9 +311,7 @@ class Polytope:
         for key in ("dim", "vertices"):
             if key not in doc:
                 raise BadDocument(f"document missing field {key!r}")
-        dim = doc["dim"]
-        if not isinstance(dim, int) or isinstance(dim, bool):
-            raise BadDocument("field 'dim' must be an integer")
+        dim = checked_int(doc["dim"], "field 'dim'", 1, error=BadDocument)
         try:
             verts = np.asarray(doc["vertices"], dtype=float)
         except (TypeError, ValueError) as exc:
@@ -331,13 +330,10 @@ class Polytope:
             if not isinstance(raw_facets, list):
                 raise BadDocument("field 'facets' must be a list of index lists")
             for fi, f in enumerate(raw_facets):
-                if not isinstance(f, list) or not all(
-                    isinstance(i, int) and not isinstance(i, bool) and 0 <= i < m
-                    for i in f
-                ):
-                    raise BadDocument(
-                        f"facet {fi} must list vertex indices in [0, {m})"
-                    )
+                if not isinstance(f, list):
+                    raise BadDocument(f"facet {fi} must be a list of vertex indices")
+                for i in f:
+                    checked_int(i, f"facet {fi} vertex index", 0, m - 1, BadDocument)
         verts, remap = _dedupe_with_map(verts)
         poly = cls(verts, name=name)
         if raw_facets is not None:

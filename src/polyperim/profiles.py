@@ -26,6 +26,7 @@ from .errors import (
     UnsupportedDimension,
     ValidationError,
     VolumeOutOfRange,
+    checked_int,
 )
 
 #: most volumes a grid may hold; each costs one Python call per profile
@@ -38,8 +39,7 @@ def unit_ball_volume(n: int) -> float:
     Past n = 435 the volume is below the smallest normal float, so those
     dimensions are rejected rather than returned as (nearly) zero.
     """
-    if n < 0:
-        raise UnsupportedDimension("dimension must be nonnegative")
+    n = checked_int(n, "n", 0, error=UnsupportedDimension)
     v = 1.0 if n % 2 == 0 else 2.0
     for k in range(2 + n % 2, n + 1, 2):
         v = v * 2.0 * math.pi / k
@@ -51,15 +51,13 @@ def unit_ball_volume(n: int) -> float:
 
 def sphere_measure(k: int) -> float:
     """Total k-dimensional measure of the unit sphere S^k in R^(k+1)."""
-    if k < 0:
-        raise UnsupportedDimension("sphere dimension must be nonnegative")
+    k = checked_int(k, "k", 0, error=UnsupportedDimension)
     return (k + 1) * unit_ball_volume(k + 1)
 
 
 def euclidean_profile(n: int, volume: float) -> float:
     """Perimeter of the round ball of the given volume in R^n."""
-    if n < 1:
-        raise UnsupportedDimension("dimension must be at least 1")
+    n = checked_int(n, "n", 1, error=UnsupportedDimension)
     if not 0 < volume < math.inf:
         raise VolumeOutOfRange(f"volume must be positive and finite, got {volume}")
     if n == 1:
@@ -75,8 +73,7 @@ def cone_profile(omega: float, n: int, volume: float) -> float:
     The ball of radius r has volume ``omega * r^n / n`` and boundary area
     ``omega * r^(n-1)``, so ``A = omega^(1/n) * (n V)^((n-1)/n)``.
     """
-    if n < 1:
-        raise UnsupportedDimension("dimension must be at least 1")
+    n = checked_int(n, "n", 1, error=UnsupportedDimension)
     if not 0 < omega <= sphere_measure(n - 1) + 1e-12:
         raise ValidationError(f"link measure {omega} outside (0, |S^{n-1}|]")
     if not 0 < volume < math.inf:
@@ -98,8 +95,7 @@ def sphere_profile(n: int, volume: float) -> float:
     boundary.  For n = 1 the boundary is two points, so the profile is
     constantly 2.
     """
-    if n < 1:
-        raise UnsupportedDimension("dimension must be at least 1")
+    n = checked_int(n, "n", 1, error=UnsupportedDimension)
     total = sphere_measure(n)
     if not 0 < volume < total:
         raise VolumeOutOfRange(
@@ -118,10 +114,7 @@ def volume_grid(vmin: float, vmax: float, points: int) -> np.ndarray:
     evenly spaced in log."""
     if not 0 < vmin < vmax < math.inf:
         raise VolumeOutOfRange("need 0 < vmin < vmax < inf")
-    if not 1 <= points <= MAX_GRID_POINTS:
-        raise ValidationError(
-            f"--points must be at least 1 and at most {MAX_GRID_POINTS}, got {points}"
-        )
+    points = checked_int(points, "--points", 1, MAX_GRID_POINTS)
     grid = np.geomspace(vmin, vmax, points)
     if (np.diff(grid) <= 0).any():
         raise ValidationError(

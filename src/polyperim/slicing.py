@@ -55,6 +55,7 @@ from .errors import (
     NumericalError,
     UnsupportedDimension,
     ValidationError,
+    checked_int,
 )
 from .polytope import polytope_measure
 
@@ -74,8 +75,7 @@ def _frame_vectors(n: int) -> np.ndarray:
     hyperplane of R^{n+1}) — their Gram matrix is (n+1) I - J by symmetry.
     The basis sign is fixed so that n = 1 gives exactly (+1), (-1).
     """
-    if n < 1:
-        raise UnsupportedDimension("frame needs n >= 1")
+    n = checked_int(n, "n", 1, error=UnsupportedDimension)
     if n > MAX_N:
         raise DimensionTooHigh(f"frame limited to n <= {MAX_N}, got {n}")
     # Orthonormal basis of { y in R^{n+1} : sum(y) = 0 }.
@@ -105,7 +105,7 @@ class RegularSimplexFrame:
     def generator(self, i: int) -> np.ndarray:
         """Index shift caused by translating x by frame vector a_i."""
         g = np.ones(self.n + 1, dtype=int)
-        g[i] = -self.n
+        g[checked_int(i, "i", 0, self.n)] = -self.n
         return g
 
 
@@ -182,8 +182,7 @@ def enumerate_pieces(n: int, slices: int) -> list[SlicePiece]:
     its pieces share the volume of its first piece.  Windows of more than
     ``MAX_PIECES`` pieces are rejected before anything is built.
     """
-    if slices < 2:
-        raise ValidationError("need at least 2 slices per direction")
+    slices = checked_int(slices, "slices", 2)
     frame = build_frame(n)
     count = piece_count(n, slices)
     if count > MAX_PIECES:

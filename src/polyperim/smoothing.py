@@ -98,6 +98,7 @@ from .errors import (
     OriginNotInterior,
     UnsupportedDimension,
     ValidationError,
+    checked_int,
 )
 from .polytope import TOL, Polytope
 from .profiles import sphere_measure
@@ -372,8 +373,7 @@ def sphere_quadrature(dim: int, resolution: int) -> tuple[np.ndarray, np.ndarray
     Weights sum to the full sphere measure.  Point counts are even in every
     angular factor, keeping the set antipodally symmetric.
     """
-    if resolution < 4:
-        raise ValidationError("resolution must be >= 4")
+    resolution = checked_int(resolution, "resolution", 4)
     if dim == 2:
         m = 2 * resolution
         theta = 2.0 * math.pi * (np.arange(m) + 0.5) / m
@@ -509,8 +509,8 @@ def convexity_probe(body: SmoothedBody, trials: int = 10_000, seed: int = 0) -> 
     of F(x) - F_eps(x) (the containment direction).  All three should be
     bounded by roundoff; violations are reported, not raised.
     """
-    if trials < 1:
-        raise InsufficientSamples("need at least one trial")
+    trials = checked_int(trials, "trials", 1, error=InsufficientSamples)
+    seed = checked_int(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     d = body.polytope.dim
     lo = body.polytope.vertices.min(axis=0)

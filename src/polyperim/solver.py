@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoFeasibleRegion, ValidationError, VolumeOutOfRange, VolumeTooLarge
+from .errors import NoFeasibleRegion, ValidationError, VolumeOutOfRange, VolumeTooLarge, checked_int
 from .mesh import SurfaceMesh
 
 FEASIBILITY_FRACTION = 0.02
@@ -133,12 +133,8 @@ class SolverConfig:
     mu: float
 
     def __post_init__(self):
-        if self.iterations < 1:
-            raise ValidationError(f"iterations must be at least 1, got {self.iterations}")
-        if self.restarts < 1:
-            raise ValidationError(f"restarts must be at least 1, got {self.restarts}")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be non-negative, got {self.seed}")
+        for name, lo in (("iterations", 1), ("restarts", 1), ("seed", 0)):
+            object.__setattr__(self, name, checked_int(getattr(self, name), name, lo))
 
 
 def default_config(

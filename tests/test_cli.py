@@ -617,6 +617,8 @@ def test_slice_rejects_oversized_windows_at_once(tmp_path, capsys):
           "1.0000000000000002", "--points", "3"],
          "ValidationError: --vmin 1.0 and --vmax 1.0000000000000002 are too close for "
          "--points 3"),
+        (["smooth", "--polytope", "square", "--eps", "0.2", "--seed", "-1"],
+         "ValidationError: seed must be at least 0, got -1"),
     ],
     ids=["spike-volume-nan", "volume-nan", "volume-inf",
          "base-link-nan", "competitors-vmin-negative", "competitors-reversed",
@@ -631,7 +633,7 @@ def test_slice_rejects_oversized_windows_at_once(tmp_path, capsys):
          "smooth-eps-too-large", "smooth-4-polytope", "spike-height-0",
          "spike-height-negative", "half-angle-90", "spike-base-too-wide",
          "cone-volume-overflow", "spike-volume-overflow", "double-pyramid-overflow",
-         "competitors-repeated-volumes", "profile-repeated-volumes"],
+         "competitors-repeated-volumes", "profile-repeated-volumes", "smooth-seed-negative"],
 )
 def test_out_of_range_values_are_rejected(tmp_path, capsys, argv, message):
     if "--out" not in argv:
@@ -646,7 +648,7 @@ def test_solve_names_a_negative_seed(tmp_path, capsys):
     code, out, err = run(capsys, "solve", "--polytope", "cube", "--level", "1",
                          "--volume", "0.1", "--seed", "-1", "--out", str(tmp_path))
     assert code == 2
-    assert "ValidationError: seed must be non-negative, got -1" in err
+    assert "ValidationError: seed must be at least 0, got -1" in err
     assert out == "" and not list(tmp_path.iterdir())
 
 
@@ -744,6 +746,7 @@ _INTS = st.sampled_from(["-1", "0", "1", "2", "3"])
 _DIMS = st.sampled_from(["-1", "0", "1", "2", "3", "900", "3000"])
 _SHAPES = st.sampled_from(sorted(BUILTIN_SHAPES))
 _TIMINGS = st.sampled_from([[], ["--timings"]])
+_SEEDS = st.sampled_from(["-1", "0", "7", str(2**64)])
 
 
 @st.composite
@@ -760,7 +763,8 @@ def _argv(draw):
         # cheap shapes keep the 4096-trial convexity probe fast
         shape = draw(st.sampled_from(["square", "triangle", "cube"]))
         dirs = draw(st.sampled_from(["-1", "0", "8"]))
-        return [command, f"--polytope={shape}", f"--eps={draw(_FLOATS)}", f"--dirs={dirs}"]
+        return [command, f"--polytope={shape}", f"--eps={draw(_FLOATS)}", f"--dirs={dirs}",
+                f"--seed={draw(_SEEDS)}"]
     if command == "profile":
         model = draw(st.sampled_from(["euclidean", "sphere", "cone"]))
         # --omega only on the cone model, where it is read (elsewhere it exits 2)
@@ -773,7 +777,7 @@ def _argv(draw):
         iters = draw(st.sampled_from(["-5", "0", "1", "300"]))
         return [command, f"--polytope={draw(_SHAPES)}", f"--volume={draw(_FLOATS)}",
                 f"--level={level}", f"--iters={iters}", f"--restarts={draw(_INTS)}",
-                *draw(_TIMINGS)]
+                f"--seed={draw(_SEEDS)}", *draw(_TIMINGS)]
     if command == "double-pyramid":
         return ["gallery", command, f"--theta={draw(_FLOATS)}",
                 f"--volume={draw(_FLOATS)}", f"--base-link={draw(_FLOATS)}"]
@@ -791,6 +795,8 @@ def _argv(draw):
                "--vmax=1.7e308", "--points=3"])
 @example(argv=["gallery", "spiked-cone", "--volume=1.7e308"])
 @example(argv=["gallery", "double-pyramid", "--theta=6", "--volume=1.7e308"])
+# a negative seed, which once reached numpy and exited 1
+@example(argv=["smooth", "--polytope=square", "--eps=0.2", "--seed=-1"])
 def test_fuzzed_flags_end_in_a_documented_exit_code(tmp_path_factory, argv):
     # a run that succeeds prints no nan or inf, on stdout or in its CSV data
     # (the manifest lines echo the flags, which may be anything); a run that

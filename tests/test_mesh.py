@@ -306,7 +306,8 @@ def test_subdivide_is_the_only_builder():
 def test_vertex_star_rejects_a_vertex_outside_the_polytope():
     mesh = subdivide(shapes.tetrahedron(), 1)
     for vertex in (-1, 4):
-        with pytest.raises(ValidationError, match=f"vertex index {vertex} out of range"):
+        message = f"vertex must be at least 0 and at most 3, got {vertex}"
+        with pytest.raises(ValidationError, match=message):
             mesh.vertex_star(vertex)
     assert mesh._stars == {}
 

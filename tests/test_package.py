@@ -1,12 +1,38 @@
+import argparse
 import ast
+import functools
 import importlib
+import inspect
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import polyperim
-from polyperim.errors import PolyperimError, ValidationError
+from polyperim import cli, shapes
+from polyperim.errors import (
+    BadDocument,
+    InsufficientSamples,
+    PolyperimError,
+    UnsupportedDimension,
+    ValidationError,
+)
+from polyperim.mesh import SurfaceMesh, subdivide
+from polyperim.polytope import Polytope
+from polyperim.profiles import (
+    cone_profile,
+    euclidean_profile,
+    sphere_measure,
+    sphere_profile,
+    unit_ball_volume,
+    volume_grid,
+)
+from polyperim.slicing import RegularSimplexFrame, build_frame, enumerate_pieces
+from polyperim.smoothing import convexity_probe, smoothed_body, sphere_quadrature
+from polyperim.solver import SolverConfig, default_config, vertex_ball_region
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -88,3 +114,111 @@ def test_the_benchmark_uses_only_names_that_resolve():
                         break
                     obj = getattr(obj, name)
     assert missing == []
+
+
+@functools.cache
+def _mesh():
+    return subdivide(shapes.cube(), 1)
+
+
+@functools.cache
+def _body():
+    return smoothed_body(shapes.square(), 0.1, resolution=4)
+
+
+def _config(**given):
+    return SolverConfig(**{"seed": 0, "iterations": 1, "restarts": 1, "t_initial": 1.0,
+                           "cooling": 0.5, "mu": 1.0, **given})
+
+
+_TRIANGLE = [[0, 0], [1, 0], [0, 1]]
+
+# (entry point, argument, call with the value, class raised, name the message
+# starts with, values out of range); a row per integer argument
+INTEGER_ARGUMENTS = [
+    ("subdivide", "level", lambda v: subdivide(shapes.cube(), v), ValidationError,
+     "level", (-1, 9)),
+    ("SurfaceMesh.vertex_star", "vertex", lambda v: _mesh().vertex_star(v),
+     ValidationError, "vertex", (-1, 8)),
+    ("vertex_ball_region", "vertex", lambda v: vertex_ball_region(_mesh(), v, 0.05),
+     ValidationError, "vertex", (-1, 8)),
+    ("SolverConfig", "seed", lambda v: _config(seed=v), ValidationError, "seed", (-1,)),
+    ("SolverConfig", "iterations", lambda v: _config(iterations=v), ValidationError,
+     "iterations", (0,)),
+    ("SolverConfig", "restarts", lambda v: _config(restarts=v), ValidationError,
+     "restarts", (0,)),
+    ("default_config", "seed", lambda v: default_config(_mesh(), seed=v),
+     ValidationError, "seed", (-1,)),
+    ("default_config", "iterations", lambda v: default_config(_mesh(), iterations=v),
+     ValidationError, "iterations", (0,)),
+    ("default_config", "restarts", lambda v: default_config(_mesh(), restarts=v),
+     ValidationError, "restarts", (0,)),
+    ("sphere_quadrature", "resolution", lambda v: sphere_quadrature(3, v),
+     ValidationError, "resolution", (3,)),
+    ("smoothed_body", "resolution",
+     lambda v: smoothed_body(shapes.square(), 0.1, resolution=v), ValidationError,
+     "resolution", (3,)),
+    ("convexity_probe", "trials", lambda v: convexity_probe(_body(), trials=v),
+     InsufficientSamples, "trials", (0,)),
+    ("convexity_probe", "seed", lambda v: convexity_probe(_body(), trials=1, seed=v),
+     ValidationError, "seed", (-1,)),
+    ("build_frame", "n", build_frame, UnsupportedDimension, "n", (0,)),
+    ("RegularSimplexFrame.generator", "i", lambda v: build_frame(2).generator(v),
+     ValidationError, "i", (-1, 3)),
+    ("enumerate_pieces", "n", lambda v: enumerate_pieces(v, 2), UnsupportedDimension,
+     "n", (0,)),
+    ("enumerate_pieces", "slices", lambda v: enumerate_pieces(2, v), ValidationError,
+     "slices", (1,)),
+    ("unit_ball_volume", "n", unit_ball_volume, UnsupportedDimension, "n", (-1,)),
+    ("sphere_measure", "k", sphere_measure, UnsupportedDimension, "k", (-1,)),
+    ("euclidean_profile", "n", lambda v: euclidean_profile(v, 1.0),
+     UnsupportedDimension, "n", (0,)),
+    ("cone_profile", "n", lambda v: cone_profile(1.0, v, 1.0), UnsupportedDimension,
+     "n", (0,)),
+    ("sphere_profile", "n", lambda v: sphere_profile(v, 1.0), UnsupportedDimension,
+     "n", (0,)),
+    ("volume_grid", "points", lambda v: volume_grid(1.0, 2.0, v), ValidationError,
+     "--points", (0, 100_001)),
+    ("smooth", "--dirs", lambda v: cli._cmd_smooth(argparse.Namespace(dirs=v), Path()),
+     ValidationError, "--dirs", (0, 100_001)),
+    ("Polytope.from_document", "dim",
+     lambda v: Polytope.from_document({"dim": v, "vertices": _TRIANGLE}), BadDocument,
+     "field 'dim'", (0,)),
+    ("Polytope.from_document", "facets",
+     lambda v: Polytope.from_document(
+         {"dim": 2, "vertices": _TRIANGLE, "facets": [[0, 1], [1, 2], [2, v]]}
+     ), BadDocument, "facet 2 vertex index", (-1, 3)),
+]
+
+
+@pytest.mark.parametrize(
+    "call, error, name, value",
+    [
+        pytest.param(call, error, name, value, id=f"{entry}-{argument}-{value!r}")
+        for entry, argument, call, error, name, outside in INTEGER_ARGUMENTS
+        for value in (2.5, True, np.float64(2), *outside)
+    ],
+)
+def test_integer_arguments_follow_one_rule(call, error, name, value):
+    # a float, a bool or a value out of range raises the site's class and
+    # names the argument; bool passed range checks as 0 or 1 and a float
+    # reached numpy or list indexing
+    with pytest.raises(error) as exc:
+        call(value)
+    assert type(exc.value) is error
+    assert str(exc.value).startswith(f"{name} must be "), str(exc.value)
+
+
+def test_every_integer_parameter_has_a_row():
+    targets = [getattr(polyperim, n) for n in polyperim.__all__]
+    targets = [t for t in targets if inspect.isfunction(t)]
+    targets += [SurfaceMesh.vertex_star, SolverConfig, RegularSimplexFrame.generator]
+    annotated = {
+        (t.__qualname__, p.name)
+        for t in targets
+        for p in inspect.signature(t).parameters.values()
+        if p.annotation in ("int", "int | None")
+    }
+    rows = {(entry, argument) for entry, argument, *_ in INTEGER_ARGUMENTS}
+    assert ("RegularSimplexFrame.generator", "i") in annotated
+    assert annotated - rows == set()

@@ -137,7 +137,7 @@ def test_vertex_ball_region_guards():
         vertex_ball_region(mesh, 0, 0.0)
     with pytest.raises(VolumeOutOfRange, match="volume must be positive"):
         vertex_ball_region(mesh, 0, math.nan)
-    with pytest.raises(ValidationError, match="vertex index 99 out of range"):
+    with pytest.raises(ValidationError, match="vertex must be at least 0 and at most 7, got 99"):
         vertex_ball_region(mesh, 99, 0.1)
 
 
