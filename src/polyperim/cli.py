@@ -36,7 +36,7 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -783,11 +783,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser ``dispatch`` reads with, built on first use."""
+    return build_parser()
+
+
 def dispatch(argv: list[str]) -> int:
     if argv and not argv[0].startswith("-") and argv[0] not in COMMANDS:
         print(f"polyperim: unknown command '{argv[0]}'", file=sys.stderr)
         return EXIT_UNKNOWN_COMMAND
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args, Path(args.out))
     except PolyperimError as exc:

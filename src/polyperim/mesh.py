@@ -26,16 +26,31 @@ areas, neighbours and vertex stars.  The position and edge numbering feed
 none of these: only the last bit of ``Region.cut_perimeter``, which sums the
 cut edges in ascending edge order, depends on the edge order.
 
-A mesh keeps only what the solver reads, every index array int32 and every
-float array built in blocks of rows: 60 bytes per triangle (``P = T/2 + 2``
-positions, ``E = 3T/2`` edges).  Edge ends and triangle centroids are not
-kept.  Closure is checked at build time from each edge's smaller and larger
-half-edge (``_half_edge_pairs``), and the triangle across each side
+Edge lengths and triangle areas are measured once, on the fan, and carried
+down the levels.  Each child is a half-scale copy of a quarter of its
+parent, so a triangle at level ``L`` has ``0.25**L`` times the area of its
+fan triangle.  The halves ``2e`` and ``2e + 1`` get half the length of
+``e``, and the interior edges ``(ab, bc)``, ``(bc, ca)``, ``(ca, ab)`` get
+half the length of the sides they are parallel to, ``ca``, ``ab`` and ``bc``
+(the midsegment theorem).  Scaling by a power of two is exact for normal
+floats, and ``MERGE_TOL`` and ``MAX_COORD`` keep accepted meshes far from
+subnormals and overflow, so congruent triangles get bitwise equal values.
+On dyadic positions, such as the cube's, they equal what the rounded final
+positions give.  Closure is checked once, on the fan, from each edge's
+smaller and larger half-edge (``_half_edge_pairs``).  It holds at every
+level because each half of an edge lies on one child of each of the edge's
+two triangles, and each interior edge on two children of one triangle.
+
+A mesh keeps only what the solver reads, every index array int32: 60 bytes
+per triangle (``P = T/2 + 2`` positions, ``E = 3T/2`` edges).  Edge ends and
+triangle centroids are not kept.  Each round drops its inputs as it uses
+them and the last builds no edge ends, so a build peaks at the size of the
+mesh it returns.  The triangle across each side
 (``SurfaceMesh.tri_neighbors``, which only the annealer reads) is derived
-from the same pairs on first read and kept, as is each vertex's star order
-(``SurfaceMesh.vertex_star``).  A mesh whose ``3T`` half-edge ids would not
-fit int32 is rejected before it is built.  Every array is read-only once
-built.
+from the half-edge pairs on first read and kept, as is each vertex's star
+order (``SurfaceMesh.vertex_star``).  A mesh whose ``3T`` half-edge ids
+would not fit int32 is rejected before it is built.  Every array is
+read-only once built.
 """
 
 from __future__ import annotations
@@ -53,7 +68,7 @@ MAX_LEVEL = 8
 
 # int32 holds the 3T half-edge ids of a mesh of at most this many triangles
 _MAX_TRIANGLES = (np.iinfo(np.int32).max + 1) // 3
-# rows per block of the temporaries of a mesh build or a vertex star
+# rows per block of the temporaries of a half-edge scan or a vertex star
 _BLOCK = 1 << 14
 
 
@@ -110,30 +125,20 @@ class SurfaceMesh:
 
     @classmethod
     def _refined(
-        cls, positions, triangles, facet_of, polytope, edge_lengths, tri_edges
+        cls, positions, triangles, facet_of, polytope, edge_lengths, tri_edges, areas, closed
     ) -> SurfaceMesh:
         """A mesh that takes ownership of ``subdivide``'s arrays."""
         mesh = cls.__new__(cls)
-        mesh.positions = p = positions
-        mesh.triangles = t = triangles
+        mesh.positions = positions
+        mesh.triangles = triangles
         mesh.facet_of = facet_of
         mesh.polytope = polytope
         mesh.edge_lengths = edge_lengths
         mesh.tri_edges = tri_edges
+        mesh.areas = areas
+        mesh._closed = closed
         mesh._stars = {}
         mesh._cones = None
-        # 2E = 3T half-edges and none of them unpaired: two on every edge
-        first, last = _half_edge_pairs(tri_edges.reshape(-1), len(edge_lengths))
-        mesh._closed = 2 * len(edge_lengths) == 3 * len(t) and bool((first != last).all())
-        del first, last
-        mesh.areas = np.empty(len(t))
-        # the products and sums of np.cross and np.linalg.norm, in their
-        # order, without their per-call overhead
-        for rows in _blocks(len(t)):
-            a = p.take(t[rows, 0], axis=0)
-            (ux, uy, uz), (vx, vy, vz) = (p.take(t[rows, k], axis=0).T - a.T for k in (1, 2))
-            x, y, z = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
-            mesh.areas[rows] = 0.5 * np.sqrt(x * x + y * y + z * z)
         _freeze(*(v for v in vars(mesh).values() if isinstance(v, np.ndarray)))
         return mesh
 
@@ -161,7 +166,8 @@ class SurfaceMesh:
         return float(self.areas.sum())
 
     def is_closed(self) -> bool:
-        """Whether every edge lies on exactly two triangles, checked at build."""
+        """Whether every edge lies on exactly two triangles, checked on the
+        fan at build (refinement keeps it)."""
         return self._closed
 
     def max_edge_length(self) -> float:
@@ -232,59 +238,75 @@ def subdivide(polytope: Polytope, level: int) -> SurfaceMesh:
     triangles = np.column_stack([len(polytope.vertices) + facet_of, edges]).astype(np.int32)
 
     ends, tri_edges = _edge_table(triangles, len(positions))
-    for _ in range(level):
-        positions, triangles, ends, tri_edges = _refine(positions, triangles, ends, tri_edges)
-    lengths = np.empty(len(ends))
-    for rows in _blocks(len(ends)):
-        lo, hi = ends[rows].T
-        x, y, z = (positions.take(lo, axis=0) - positions.take(hi, axis=0)).T
-        # np.linalg.norm's sum, in its order
-        lengths[rows] = np.sqrt(x * x + y * y + z * z)
-    # the ends and the last block's temporaries would outlive the build
-    del ends, lo, hi, x, y, z
-    # the children of triangle t are 4t to 4t + 3
+    closed = _closes(tri_edges, len(ends))
+    lengths = np.linalg.norm(positions[ends[:, 0]] - positions[ends[:, 1]], axis=1)
+    a, b, c = (positions[triangles[:, k]] for k in range(3))
+    areas = 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
+    arrays = [positions, triangles, ends, tri_edges, lengths]
+    for k in range(level):
+        _refine(arrays, last=k == level - 1)
+    positions, triangles, _, tri_edges, lengths = arrays
+    # the children of triangle t are 4t to 4t + 3, each a quarter of its area
     facet_of = np.repeat(facet_of, 4**level)
-    return SurfaceMesh._refined(positions, triangles, facet_of, polytope, lengths, tri_edges)
-
-
-def _refine(positions, triangles, ends, tri_edges):
-    """One round of 4-to-1 subdivision, carrying the edge table along (see
-    the module docstring).  Each output is filled in place, and temporaries
-    are dropped once used: on fine meshes they would set the peak memory."""
-    count = len(positions)
-    lo, hi = ends.T
-    # the midpoint of edge e is position count + e
-    positions = np.concatenate(
-        [positions, 0.5 * (positions.take(lo, axis=0) + positions.take(hi, axis=0))]
+    areas = np.repeat(0.25**level * areas, 4**level)
+    return SurfaceMesh._refined(
+        positions, triangles, facet_of, polytope, lengths, tri_edges, areas, closed
     )
+
+
+def _refine(arrays: list, last: bool) -> None:
+    """One round of 4-to-1 subdivision of ``arrays`` = [positions, triangles,
+    ends, tri_edges, lengths], in place (see the module docstring).
+
+    The list is the arrays' only owner, so each input is dropped once the
+    outputs that read it are built: on fine meshes the inputs would
+    otherwise set the peak memory.  The last round builds no edge ends,
+    which nothing reads.
+    """
+    positions, triangles, ends, tri_edges, lengths = arrays
+    arrays.clear()
+    count, edges, tris = len(positions), len(ends), len(triangles)
+    # edge e splits into halves 2e and 2e + 1, and the interior edges
+    # (ab, bc), (bc, ca), (ca, ab) are midsegments, parallel to ca, ab and bc
+    parallel = lengths[tri_edges[:, [2, 0, 1]]].reshape(-1)
+    next_lengths = 0.5 * np.concatenate([np.repeat(lengths, 2), parallel])
+    del lengths, parallel
+    # the midpoint of edge e is position count + e
+    lo, hi = ends.T
+    next_positions = np.concatenate([positions, 0.5 * (positions[lo] + positions[hi])])
+    del positions
 
     sides = tri_edges + count
     ab, bc, ca = sides.T
+    next_ends = None
+    if not last:
+        # rows 2e and 2e + 1 are (lo, mid) and (hi, mid); then 3 per triangle
+        next_ends = np.empty((2 * edges + 3 * tris, 2), dtype=np.int32)
+        halves = next_ends[: 2 * edges].reshape(-1, 2, 2)
+        halves[:, :, 0] = ends
+        halves[:, :, 1] = np.arange(count, count + edges, dtype=np.int32)[:, None]
+        interior = next_ends[2 * edges:].reshape(-1, 3, 2)
+        for j, (x, y) in enumerate(((ab, bc), (bc, ca), (ca, ab))):
+            np.minimum(x, y, out=interior[:, j, 0])
+            np.maximum(x, y, out=interior[:, j, 1])
+        del halves, interior, x, y
+    del ends, lo, hi
     a, b, c = triangles.T
-    children = np.empty((len(a), 12), dtype=np.int32)
+    children = np.empty((tris, 12), dtype=np.int32)
     for k, corner in enumerate((a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca)):
         children[:, k] = corner
+    del sides, ab, bc, ca, corner
 
-    e_ab, e_bc, e_ca = 2 * tri_edges.T
-    inner = 2 * len(ends) + 3 * np.arange(len(a), dtype=np.int32)
-    child_edges = np.empty((len(a), 12), dtype=np.int32)
+    inner = 2 * edges + 3 * np.arange(tris, dtype=np.int32)
+    child_edges = np.empty((tris, 12), dtype=np.int32)
     # a child's side on edge xy is the half 2e + (x > y) at its corner x
-    for k, e, x, y in ((0, e_ab, a, b), (2, e_ca, a, c), (3, e_ab, b, a),
-                       (4, e_bc, b, c), (7, e_bc, c, b), (8, e_ca, c, a)):
-        np.add(e, x > y, out=child_edges[:, k])
+    for k, side, x, y in ((0, 0, a, b), (2, 2, a, c), (3, 0, b, a),
+                          (4, 1, b, c), (7, 1, c, b), (8, 2, c, a)):
+        np.add(2 * tri_edges[:, side], x > y, out=child_edges[:, k])
     for k, j in ((1, 2), (5, 0), (6, 1), (9, 0), (10, 1), (11, 2)):
         np.add(inner, j, out=child_edges[:, k])
-    del e_ab, e_bc, e_ca, inner
-    # rows 2e and 2e + 1 are (lo, mid) and (hi, mid); then 3 per triangle
-    next_ends = np.empty((2 * len(ends) + 3 * len(a), 2), dtype=np.int32)
-    halves = next_ends[: 2 * len(ends)].reshape(-1, 2, 2)
-    halves[:, :, 0] = ends
-    halves[:, :, 1] = np.arange(count, count + len(ends), dtype=np.int32)[:, None]
-    interior = next_ends[2 * len(ends):].reshape(-1, 3, 2)
-    for j, (x, y) in enumerate(((ab, bc), (bc, ca), (ca, ab))):
-        np.minimum(x, y, out=interior[:, j, 0])
-        np.maximum(x, y, out=interior[:, j, 1])
-    return positions, children.reshape(-1, 3), next_ends, child_edges.reshape(-1, 3)
+    arrays[:] = (next_positions, children.reshape(-1, 3), next_ends,
+                 child_edges.reshape(-1, 3), next_lengths)
 
 
 def _freeze(*arrays: np.ndarray) -> None:
@@ -313,6 +335,13 @@ def _edge_table(triangles: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarr
     )
     ends = np.stack([keys // count, keys % count], axis=1).astype(np.int32)
     return ends, inverse.reshape(3, -1).T.astype(np.int32, order="C")
+
+
+def _closes(tri_edges: np.ndarray, count: int) -> bool:
+    """Whether each of ``count`` edges lies on exactly two triangles: the
+    ``3T`` half-edges are ``2 * count``, and none of them is unpaired."""
+    first, last = _half_edge_pairs(tri_edges.reshape(-1), count)
+    return 2 * count == tri_edges.size and bool((first != last).all())
 
 
 def _half_edge_pairs(edge_of: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:

@@ -368,9 +368,12 @@ class Polytope:
 
 
 def _check_coordinates(verts: np.ndarray, error: type[Exception]) -> None:
-    """Raise ``error`` unless verts are rows of finite coordinates, |x| <= MAX_COORD."""
+    """Raise ``error`` unless verts are one or more rows of one or more
+    finite coordinates, |x| <= MAX_COORD."""
     if verts.ndim != 2:
         raise error("vertex array must be 2-dimensional")
+    if 0 in verts.shape:
+        raise error(f"vertex array must have rows and columns, got shape {verts.shape}")
     if not np.isfinite(verts).all():
         raise error("vertex coordinates must be finite")
     if np.abs(verts).max(initial=0.0) > MAX_COORD:

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import special_ortho_group
 
-from polyperim import cones, errors, shapes, smoothing
+from polyperim import cli, cones, errors, shapes, smoothing
 from polyperim.cli import BUILTIN_SHAPES, build_parser, dispatch, main
 
 
@@ -701,6 +701,19 @@ def test_each_command_path_accepts_only_the_flags_it_reads(
     assert exc.value.code == 2
     assert f"unrecognized arguments: {foreign}" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+def test_dispatch_reuses_one_parser(tmp_path, capsys, monkeypatch):
+    argv = ["profile", "--model", "euclidean", "--n", "2", "--vmin", "0.1",
+            "--vmax", "1", "--points", "4", "--out", str(tmp_path)]
+    assert run(capsys, *argv)[0] == 0
+    first = (tmp_path / "profile.csv").read_bytes()
+    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser rebuilt"))
+    assert run(capsys, *argv)[0] == 0
+    assert (tmp_path / "profile.csv").read_bytes() == first
+    with pytest.raises(SystemExit) as exc:
+        dispatch(["profile", "--bogus"])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("argv, flags, foreign", COMMAND_PATHS, ids=_PATH_IDS)

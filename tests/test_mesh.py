@@ -11,6 +11,7 @@ from polyperim import shapes
 from polyperim.errors import UnsupportedDimension, ValidationError
 from polyperim.mesh import (
     SurfaceMesh,
+    _closes,
     _edge_table,
     _half_edge_pairs,
     subdivide,
@@ -44,12 +45,16 @@ def test_mesh_is_closed_and_neighbors_consistent():
         for nb in mesh.tri_neighbors[ti]:
             assert nb >= 0
             assert ti in mesh.tri_neighbors[nb]
-    # closure is checked once, in the build: a lone triangle reads open
+    # closure is decided once, on the fan: a lone triangle reads open
     positions, triangles = np.eye(3), np.array([[0, 1, 2]], dtype=np.int32)
     ends, tri_edges = _edge_table(triangles, 3)
     lengths = np.linalg.norm(np.subtract(*positions[ends.T]), axis=1)
-    lone = SurfaceMesh._refined(positions, triangles, np.zeros(1, np.int32), None, lengths, tri_edges)
-    assert lone.is_closed() is False and mesh.is_closed() is True
+    closed = _closes(tri_edges, len(ends))
+    lone = SurfaceMesh._refined(
+        positions, triangles, np.zeros(1, np.int32), None, lengths, tri_edges,
+        np.array([math.sqrt(3.0) / 2]), closed,
+    )
+    assert closed is False and lone.is_closed() is False and mesh.is_closed() is True
     assert lone.tri_neighbors.tolist() == [[-1, -1, -1]]
 
 
@@ -145,10 +150,10 @@ KEPT_ARRAYS = (
 # Every mesh array at levels 4 and 5, recorded with NUMBERING_DIGESTS.
 MESH_DIGESTS = {
     "cube": ("f4e4843230a88971", "524ce5320050a787"),
-    "octahedron": ("7b969f5665d65cb3", "d86d7f09dee4649d"),
-    "square_pyramid": ("703b87d40408672f", "a53044fe00260008"),
-    "tetrahedron": ("da2c7b892d691a67", "fafd7147247ed8ee"),
-    "triangular_prism": ("51948e97c605d234", "513bd6d1a9cb4e4e"),
+    "octahedron": ("356b35ae772ee945", "1acb916bb286d95c"),
+    "square_pyramid": ("67eb02e3cfa10db0", "5d41b5df597f5f6a"),
+    "tetrahedron": ("8b6693a97b07b194", "98a043cc8afa20bc"),
+    "triangular_prism": ("4eb08a681475fec5", "bc5062b69d926a8d"),
 }
 CUBE_LEVEL7_DIGEST = "c1a6589c1c8db29d"
 
@@ -194,9 +199,39 @@ def test_subdivide_tables_equal_the_constructors(m, seed, level):
     order = np.lexsort(pairs.T[::-1])
     assert np.array_equal(pairs[order], ends)
     assert mesh.tri_edges.dtype == np.int32 and mesh.edge_lengths.dtype == lengths.dtype
-    assert mesh.edge_lengths[order].tobytes() == lengths.tobytes()
+    # lengths and areas are carried down from the fan, so they differ from
+    # the values measured on the rounded final positions in the last bits
+    np.testing.assert_allclose(mesh.edge_lengths[order], lengths, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(mesh.areas, _measured_areas(mesh), rtol=1e-12, atol=0)
     for name in KEPT_ARRAYS:
         assert not getattr(mesh, name).flags.writeable, name
+
+
+def _measured_areas(mesh):
+    a, b, c = (mesh.positions[mesh.triangles[:, k]] for k in range(3))
+    return 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(m=st.integers(4, 60), seed=st.integers(0, 2**32 - 1), level=st.integers(0, 3))
+def test_refinement_halves_lengths_and_quarters_areas_exactly(m, seed, level):
+    # each child is a half-scale copy of a quarter of its parent, and
+    # scaling by 0.5 or 0.25 is exact for normal floats
+    poly = _sphere_hull(m, seed)
+    parent, child = subdivide(poly, level), subdivide(poly, level + 1)
+    assert child.areas.tobytes() == np.repeat(0.25 * parent.areas, 4).tobytes()
+    E = len(parent.edge_lengths)
+    halves, inner = child.edge_lengths[: 2 * E], child.edge_lengths[2 * E:]
+    assert halves.tobytes() == np.repeat(0.5 * parent.edge_lengths, 2).tobytes()
+    # the interior edges (ab, bc), (bc, ca), (ca, ab) are parallel to ca, ab, bc
+    parallel = parent.edge_lengths[parent.tri_edges[:, [2, 0, 1]]]
+    assert inner.tobytes() == (0.5 * parallel).tobytes()
+    # closure, decided on the fan, against a scan of the final half-edges
+    edge_of = child.tri_edges.ravel()
+    first, last = _half_edge_pairs(edge_of, len(child.edge_lengths))
+    scanned = 2 * len(first) == len(edge_of) and bool((first != last).all())
+    assert child.is_closed() is scanned is True
+    assert (np.bincount(edge_of, minlength=len(child.edge_lengths)) == 2).all()
 
 
 @settings(max_examples=10, deadline=None, derandomize=True)
@@ -251,12 +286,14 @@ def _reference_mesh(poly, level):
     lengths = np.linalg.norm(
         positions[[lo for lo, _ in edges]] - positions[[hi for _, hi in edges]], axis=1
     )
+    a, b, c = (positions[[tri[k] for tri in triangles]] for k in range(3))
     return {
         "positions": positions,
         "triangles": np.array(triangles, dtype=np.int32),
         "facet_of": np.array(facet_of, dtype=np.int32),
         "tri_edges": np.array([[index[s] for s in sides(t)] for t in triangles], dtype=np.int32),
         "edge_lengths": lengths,
+        "areas": 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1),
     }
 
 
@@ -279,7 +316,13 @@ def test_subdivide_matches_a_loop_reference(make):
             array = getattr(mesh, name)
             assert array.dtype == expected.dtype, (level, name)
             assert array.shape == expected.shape, (level, name)
-            assert array.tobytes() == expected.tobytes(), (level, name)
+            if name in ("edge_lengths", "areas") and make is not shapes.cube:
+                # measured once on the fan and carried down, where the
+                # reference measures the rounded final positions; the
+                # cube's positions are dyadic, so its values agree bitwise
+                np.testing.assert_allclose(array, expected, rtol=1e-12, atol=0)
+            else:
+                assert array.tobytes() == expected.tobytes(), (level, name)
 
 
 def test_mesh_arrays_are_read_only_and_inputs_stay_writable():
@@ -337,14 +380,29 @@ def test_level6_cube_memory_and_index_dtypes():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # 8.3 MiB with the neighbours derived on first read, bounded with 0.7
-    # MiB to spare; 9.5 MiB when the build made them, 15.2 MiB when edge
-    # ends, edge triangles and centroids were kept too, and 24 MiB with
-    # int64 indices and full-size float temporaries
+    # 5.6 MiB, the mesh's own size; 8.3 MiB while the last level's lengths
+    # and areas were measured from positions, 9.5 MiB when the build made
+    # the neighbours, 15.2 MiB when edge ends, edge triangles and centroids
+    # were kept too, and 24 MiB with int64 indices and full-size float
+    # temporaries
     assert peak < 9.0 * 2**20
     for name in INDEX_ARRAYS:
         assert getattr(mesh, name).dtype == np.int32, name
     assert mesh.vertex_star(0).triangles.dtype == np.int32
+
+
+def test_level7_cube_build_peak():
+    cube = shapes.cube()
+    tracemalloc.start()
+    try:
+        mesh = subdivide(cube, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the build peaks at the 22.5 MiB the mesh keeps; it was 25.3 MiB when
+    # the final level's lengths and areas were measured from the positions
+    assert peak < 23.0 * 2**20
+    assert mesh.triangle_count == 24 * 4**7
 
 
 def test_a_mesh_keeps_60_bytes_per_triangle():

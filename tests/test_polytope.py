@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -176,6 +177,15 @@ def test_document_validation_errors():
         Polytope.loads("not json")
     with pytest.raises(InvalidPolytope, match="2-dimensional"):
         Polytope.from_vertices(np.zeros(3))
+
+
+@pytest.mark.parametrize("shape", [(3, 0), (0, 0), (0, 3)])
+@pytest.mark.parametrize("build", [Polytope, Polytope.from_vertices], ids=["init", "from_vertices"])
+def test_vertex_arrays_without_rows_or_columns_are_rejected(build, shape):
+    # (m, 0) arrays raised a bare IndexError from cKDTree, and (0, 3) ones
+    # two numpy RuntimeWarnings before NotFullDimensional
+    with pytest.raises(InvalidPolytope, match=re.escape(f"got shape {shape}")):
+        build(np.zeros(shape))
 
 
 @pytest.mark.parametrize("name", ["square", "cube", "hypercube"])

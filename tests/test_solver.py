@@ -446,7 +446,8 @@ def test_flip_state_matches_a_loop_reference():
 
 
 #: Results recorded before the annealing state was built from the mesh
-#: arrays; keys read shape-level-volume-iterations-restarts-start, and warm
+#: arrays, and re-recorded where the mesh's carried lengths and areas moved
+#: them; keys read shape-level-volume-iterations-restarts-start, and warm
 #: starts are vertex balls in smallest-link order, as ``solve`` builds them.
 PINNED_RESULTS = json.loads(
     (Path(__file__).parent / "data" / "solver_results.json").read_text()
