@@ -15,10 +15,12 @@ simulated annealing over single-triangle flips:
   accepted by the Metropolis rule under a geometric cooling schedule;
 * whenever the state is volume-feasible (area within 2% of V) the best
   penalized cost and its mask are snapshotted;
-* the best snapshot is polished by steepest-descent flips, then topped up
-  so the final area is >= V (never below: the reported perimeter must stay
-  an honest upper bound for the target volume, not for a slightly smaller
-  one).
+* the best snapshot is polished by steepest-descent flips that price area
+  only by its distance outside the band [V, 1.02 V], so a region in the
+  band descends on perimeter alone (no flip takes it out of the band or
+  over its top), then topped up so the final area is >= V (never below:
+  the reported perimeter must stay an honest upper bound for the target
+  volume, not for a slightly smaller one).
 
 The flip loop reads three Python tables, built once per solve by
 ``_tables``: each triangle's neighbours and edge lengths as tuple rows and
@@ -146,8 +148,10 @@ def default_config(
     """Scale the penalty weight and temperatures to the mesh.
 
     mu makes one triangle of area error cost far more than any single-move
-    perimeter change; the initial temperature lets area fluctuate by a few
-    triangles, and cooling reaches 1e-3 of it by the final iteration.
+    perimeter change: the annealer charges it on |area - V|, the polish on
+    the area's distance outside [V, (1 + FEASIBILITY_FRACTION) V].  The
+    initial temperature lets area fluctuate by a few triangles, and cooling
+    reaches 1e-3 of it by the final iteration.
     """
     a_min = float(mesh.areas.min())
     a_mean = float(mesh.areas.mean())
@@ -481,6 +485,7 @@ def _anneal(
             area += da
             perimeter += dp
             if new_gap <= feas:
+                # |area - V|: _polish's band cost here took pins 0.9205 -> 0.9723, 0.9796 -> 1.2111
                 cost = perimeter + mu * new_gap
                 if cost < best_cost:
                     best_cost = cost
@@ -496,24 +501,43 @@ def _anneal(
 
 
 def _polish(state: _State, cfg: SolverConfig) -> int:
-    """Steepest-descent flips to a local minimum of the penalized cost,
+    """Steepest-descent flips to a local minimum of the band cost,
     then try boundary slides (cheapest addition plus cheapest removal),
     then top up the area to at least the target volume.  Return the
-    number of flips kept (a slide is two)."""
+    number of flips kept (a slide is two).
+
+    The band cost is perimeter + mu * (distance of the area outside
+    [V, (1 + FEASIBILITY_FRACTION) V]): a region in the band descends on
+    perimeter alone, and one outside it is driven in.  No move takes a
+    region in the band out of it, or one at or below the top over it: mu
+    charges an overshoot past the top only by its size, which can be less
+    than the perimeter a flip saves."""
     mu = cfg.mu
     volume = state.volume
+    top = (1.0 + FEASIBILITY_FRACTION) * volume
+
+    def outside(area: float) -> float:
+        return max(volume - area, area - top, 0.0)
+
     moves = 0
     kept = 0
     while moves < POLISH_MOVES:
         moves += 1
         best_t, best_dp, best_da = -1, 0.0, 0.0
         best_d = -1e-12
-        gap = abs(state.area - volume)
+        area = state.area
+        gap = outside(area)
+        # where a move may take the area: a region in the band stays in it,
+        # and none is pushed over the top, from where the top-up (which
+        # only adds area) could not bring it back
+        lo = volume if gap == 0.0 else -math.inf
+        hi = top if area <= top else math.inf
         for t in state.cand:
             dp, da = state.deltas(t)
-            if state.count == 1 and da < 0:
+            new = area + da
+            if state.count == 1 and da < 0 or not lo <= new <= hi:
                 continue
-            d = dp + mu * (abs(state.area + da - volume) - gap)
+            d = dp + mu * (outside(new) - gap)
             if d < best_d:
                 best_d, best_t, best_dp, best_da = d, t, dp, da
         if best_t >= 0:
@@ -528,10 +552,9 @@ def _polish(state: _State, cfg: SolverConfig) -> int:
         # below never empties the region
         state.flip(add_t, add_dp, add_da)
         rem_t, rem_dp, rem_da = state.cheapest_flip(True)
-        net = add_dp + rem_dp + mu * (
-            abs(state.area + rem_da - volume) - gap
-        )
-        if rem_t >= 0 and net < -1e-12:
+        new = state.area + rem_da
+        net = add_dp + rem_dp + mu * (outside(new) - gap)
+        if rem_t >= 0 and net < -1e-12 and lo <= new <= hi:
             state.flip(rem_t, rem_dp, rem_da)
             kept += 2
         else:
@@ -569,6 +592,11 @@ def minimize_perimeter(
     warm = list(warm_starts) if warm_starts else []
     if any(region.mesh is not mesh for region in warm):
         raise ValidationError("every warm start must be a region of the mesh being solved")
+    if len(warm) > cfg.restarts:
+        raise ValidationError(
+            f"{len(warm)} warm starts for {cfg.restarts} restarts: each warm "
+            "start takes one restart, so the extra ones would never run"
+        )
     nbrs, lens, areas = _tables(mesh)
 
     outcomes: list[tuple[float, int, np.ndarray]] = []

@@ -88,16 +88,22 @@ def test_rounded_rotated_hypercubes_keep_their_eight_cells(decimals):
 
 
 @pytest.mark.parametrize(
-    "decimals, overlapping",
-    [(8, []), (9, [0, 1, 2, 3, 4, 5, 10, 12, 15, 19, 21, 23, 28, 37, 39])],
+    "decimals, overlapping, splitting",
+    [
+        (8, [], list(range(40))),
+        (9, [0, 1, 2, 3, 4, 5, 10, 12, 15, 19, 21, 23, 28, 37, 39], [14, 26]),
+    ],
     ids=["8", "9"],
 )
-def test_rounded_rotated_hypercubes_load_correctly_or_are_rejected(decimals, overlapping):
+def test_rounded_rotated_hypercubes_load_correctly_or_are_rejected(
+    decimals, overlapping, splitting
+):
     # at 8 decimals rounding splits every cell into several facets that meet
-    # along flat simplices; at 9, some cells' eight vertices are near no
-    # single Qhull plane, and overlapping subsets of them would each count
-    # as a facet, so parts of the cell and its corners would count twice
-    rejected = []
+    # along flat simplices, and at 9 it splits two seeds' hulls; at 9, some
+    # cells' eight vertices are near no single Qhull plane, and overlapping
+    # subsets of them would each count as a facet, so parts of the cell and
+    # its corners would count twice
+    rejected, split = [], []
     for seed in range(40):
         try:
             poly = Polytope.from_vertices(_rounded_hypercube(seed, decimals))
@@ -109,13 +115,21 @@ def test_rounded_rotated_hypercubes_load_correctly_or_are_rejected(decimals, ove
         cones = vertex_cones(poly)
         links = [c.link_volume for c in cones]
         assert np.allclose(links, 2.0 * math.pi, rtol=0.0, atol=1e-6)
+        r_max = np.array([c.r_max for c in cones])
         if [len(f) for f in poly.facets] == [8] * 8:
             # a bent square face is one 2-face of its cell, not two triangles
-            assert np.allclose([c.r_max for c in cones], 1.0, rtol=0.0, atol=1e-6)
+            assert np.allclose(r_max, 1.0, rtol=0.0, atol=1e-6)
+        else:
+            # a split cell's stars end at the ridges inside it: a conservative
+            # radius for the literal input (seed 0 reads 1/sqrt(3)), never a
+            # longer one than the intended cube's
+            assert np.all((r_max > 0) & (r_max <= 1 + 1e-6))
+            split.append(seed)
         assert _surface_area(poly) == pytest.approx(
             ConvexHull(poly.vertices).area, rel=0.0, abs=1e-6
         )
     assert rejected == overlapping
+    assert split == splitting
 
 
 def test_facet_enumeration_matches_known_counts():

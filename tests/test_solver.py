@@ -230,6 +230,75 @@ def test_warm_starts_must_be_regions_of_the_solved_mesh(other):
         minimize_perimeter(mesh, 0.05, cfg, [foreign])
 
 
+def test_warm_starts_beyond_the_restarts_are_rejected():
+    mesh = subdivide(shapes.cube(), 3)
+    balls = [vertex_ball_region(mesh, v, 0.05) for v in (0, 1)]
+    cfg = default_config(mesh, iterations=100, restarts=1)
+    with pytest.raises(ValidationError, match="2 warm starts for 1 restarts"):
+        minimize_perimeter(mesh, 0.05, cfg, balls)
+    # as many warm starts as restarts all run
+    cfg = default_config(mesh, iterations=100, restarts=2)
+    assert len(minimize_perimeter(mesh, 0.05, cfg, balls).restart_perimeters) == 2
+
+
+def _polish_balls_in_band(mesh, volume, cuts, vertices):
+    """Polish the vertex balls cut at each ``cut * volume`` whose area lands
+    in [V, 1.02 V]; their cut perimeter must never rise and their area must
+    stay in the band.  Return how many balls were polished."""
+    nbrs, lens, areas = solver._tables(mesh)
+    cfg = default_config(mesh)
+    cases = 0
+    for cut in cuts:
+        for v in vertices:
+            try:
+                ball = vertex_ball_region(mesh, v, cut * volume)
+            except VolumeTooLarge:
+                continue
+            if not volume <= ball.area <= 1.02 * volume:
+                continue
+            cases += 1
+            state = _State(mesh, nbrs, lens, areas, ball.mask, volume)
+            solver._polish(state, cfg)
+            out = Region(mesh, state.mask)
+            case = (mesh.polytope.name, len(mesh.areas), volume, cut, v)
+            assert out.cut_perimeter <= ball.cut_perimeter, case
+            assert volume <= out.area <= 1.02 * volume, case
+    return cases
+
+
+def test_polish_never_lengthens_a_region_in_the_band():
+    """A region with area in [V, 1.02 V] is polished on perimeter alone: its
+    cut perimeter never rises and its area stays in the band."""
+    cases = 0
+    for name in ("cube", "tetrahedron", "octahedron"):
+        poly = getattr(shapes, name)()
+        for level in (3, 4, 5):
+            mesh = subdivide(poly, level)
+            for volume in np.geomspace(0.01, 0.2, 12).tolist():
+                cases += _polish_balls_in_band(
+                    mesh, volume, (1.012,), range(len(poly.vertices))
+                )
+    assert cases == 330
+
+
+def test_polish_never_pushes_a_region_over_the_band():
+    """On an equal-area mesh with 1.02 V just under k triangles, a region of
+    k - 1 triangles is in the band and one more takes it just over the top,
+    where the top-up cannot bring it back: such a flip must not be taken,
+    however little it overshoots.  Balls are cut in the band and near its
+    top."""
+    cases = 0
+    for name in ("cube", "tetrahedron", "octahedron"):
+        mesh = subdivide(getattr(shapes, name)(), 3)
+        a = float(mesh.areas[0])
+        assert np.all(mesh.areas == a)
+        k_max = int(0.2 * mesh.total_area() * 1.02 / a)
+        for k in range(51, k_max + 1):
+            volume = k * a / 1.02 * (1 - 1e-12)
+            cases += _polish_balls_in_band(mesh, volume, (1.012, 1.019), [0])
+    assert cases == 401
+
+
 def test_annealer_tables_share_one_object_per_value():
     mesh = subdivide(shapes.tetrahedron(), 3)
     nbrs, lens, areas = solver._tables(mesh)
@@ -446,9 +515,10 @@ def test_flip_state_matches_a_loop_reference():
 
 
 #: Results recorded before the annealing state was built from the mesh
-#: arrays, and re-recorded where the mesh's carried lengths and areas moved
-#: them; keys read shape-level-volume-iterations-restarts-start, and warm
-#: starts are vertex balls in smallest-link order, as ``solve`` builds them.
+#: arrays, and re-recorded where the mesh's carried lengths and areas, and
+#: then polishing on perimeter alone inside the band, moved them; keys read
+#: shape-level-volume-iterations-restarts-start, and warm starts are vertex
+#: balls in smallest-link order, as ``solve`` builds them.
 PINNED_RESULTS = json.loads(
     (Path(__file__).parent / "data" / "solver_results.json").read_text()
 )
