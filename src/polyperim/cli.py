@@ -6,7 +6,7 @@ Subcommands map one-to-one onto the library modules:
 * ``slice``    — simplex slab slicing and congruence classification
 * ``smooth``   — mollified gauge body of a convex polytope
 * ``profile``  — closed-form isoperimetric profile tables
-* ``solve``    — discrete perimeter minimization on a cube surface mesh
+* ``solve``    — discrete perimeter minimization on a 3-polytope's surface mesh
 * ``gallery``  — analytic competitor exhibits
 
 Every CSV artifact begins with two comment lines carrying the run manifest
@@ -35,7 +35,6 @@ import math
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
 from functools import cache, partial
 from pathlib import Path
 
@@ -109,33 +108,8 @@ def _fmt(value) -> str:
     return str(value)
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    command: str
-    flags: dict
-    version: str
-    input_digest: str
-
-    def to_json(self) -> str:
-        doc = {
-            "command": self.command,
-            "flags": self.flags,
-            "input_digest": self.input_digest,
-            "version": self.version,
-        }
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-    def digest(self) -> str:
-        return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()
-
-    def header_lines(self) -> list[str]:
-        return [
-            f"# manifest {self.to_json()}",
-            f"# manifest-digest sha256:{self.digest()}",
-        ]
-
-
-def _manifest(args: argparse.Namespace, input_digest: str = "-") -> RunManifest:
+def _manifest(args: argparse.Namespace, input_digest: str = "-") -> str:
+    """The run manifest as canonical JSON."""
     # --out is a pure artifact sink and --timings only writes to stderr:
     # excluding them keeps outputs byte-identical with or without them.
     flags = {
@@ -143,12 +117,17 @@ def _manifest(args: argparse.Namespace, input_digest: str = "-") -> RunManifest:
         for k, v in vars(args).items()
         if k not in ("command", "out", "func", "timings")
     }
-    return RunManifest(
-        command=args.command,
-        flags=flags,
-        version=__version__,
-        input_digest=input_digest,
-    )
+    doc = {
+        "command": args.command,
+        "flags": flags,
+        "input_digest": input_digest,
+        "version": __version__,
+    }
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def _digest(manifest: str) -> str:
+    return hashlib.sha256(manifest.encode("utf-8")).hexdigest()
 
 
 def _write(out: Path, name: str, lines: list[str]) -> Path:
@@ -163,9 +142,12 @@ def _write(out: Path, name: str, lines: list[str]) -> Path:
     return path
 
 
-def _emit_csv(out: Path, name: str, manifest: RunManifest, header, rows) -> Path:
-    lines = manifest.header_lines()
-    lines.append(",".join(header))
+def _emit_csv(out: Path, name: str, manifest: str, header, rows) -> Path:
+    lines = [
+        f"# manifest {manifest}",
+        f"# manifest-digest sha256:{_digest(manifest)}",
+        ",".join(header),
+    ]
     lines.extend(",".join(row) for row in rows)
     return _write(out, name, lines)
 
@@ -232,12 +214,12 @@ _SVG_W, _SVG_H = 720, 540
 _SVG_ML, _SVG_MR, _SVG_MT, _SVG_MB = 80, 24, 24, 56
 
 
-def _svg_open(manifest: RunManifest) -> list[str]:
+def _svg_open(manifest: str) -> list[str]:
     return [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" '
         f'height="{_SVG_H}" viewBox="0 0 {_SVG_W} {_SVG_H}">',
-        f"<!-- manifest-digest sha256:{manifest.digest()} -->",
+        f"<!-- manifest-digest sha256:{_digest(manifest)} -->",
         f'<rect width="{_SVG_W}" height="{_SVG_H}" fill="white"/>',
     ]
 
@@ -245,9 +227,8 @@ def _svg_open(manifest: RunManifest) -> list[str]:
 def _emit_svg_loglog(
     out: Path,
     name: str,
-    manifest: RunManifest,
+    manifest: str,
     curves,
-    x_label: str = "V",
     y_label: str = "A",
 ) -> Path:
     """Log-log polyline plot of (label, volumes, areas) curves."""
@@ -307,7 +288,7 @@ def _emit_svg_loglog(
     lines.append(
         f'<text x="{(_SVG_ML + _SVG_W - _SVG_MR) // 2}" y="{_SVG_H - 14}" '
         f'font-size="13" text-anchor="middle" font-family="monospace">'
-        f"log {x_label}</text>"
+        "log V</text>"
     )
     lines.append(
         f'<text x="18" y="{(_SVG_MT + _SVG_H - _SVG_MB) // 2}" font-size="13" '
@@ -336,7 +317,7 @@ def _emit_svg_loglog(
     return _write(out, name, lines)
 
 
-def _emit_svg_pieces(out: Path, name: str, manifest: RunManifest, pieces) -> Path:
+def _emit_svg_pieces(out: Path, name: str, manifest: str, pieces) -> Path:
     """Filled outline plot of 2-d slice pieces, colored by level."""
     allv = np.vstack([p.vertices for p in pieces])
     lo = allv.min(axis=0)
@@ -576,7 +557,7 @@ def _cmd_solve(args: argparse.Namespace, out: Path) -> int:
     )
     # past the star-contained range the bound is not the apex-ball profile
     if args.volume > ranked[0].valid_volume_max:
-        print(f"bound check: n/a (volume exceeds {_g(ranked[0].valid_volume_max)})")
+        print(f"bound check: n/a (volume exceeds {float(ranked[0].valid_volume_max)!r})")
     else:
         print(f"bound check: {'PASS' if ok else 'FAIL'}")
     print(
@@ -689,9 +670,7 @@ def _cmd_gallery(args: argparse.Namespace, out: Path) -> int:
                 ]
                 if vs:
                     curves.append((name, np.array(vs), np.array(ps)))
-            _emit_svg_loglog(
-                out, "competitors.svg", manifest, curves, x_label="V", y_label="P"
-            )
+            _emit_svg_loglog(out, "competitors.svg", manifest, curves, y_label="P")
     return EXIT_OK
 
 

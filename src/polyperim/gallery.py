@@ -6,10 +6,12 @@ Three exhibits:
   surface (total area 6): vertex balls, flat discs (interior or across an
   edge, which unfolds flat), bands around four faces, one face plus a
   collar on its four neighbours, and the complements of the first three
-  (the face-collar family is its own complement).  Winners over a volume
-  grid locate the crossovers from vertex balls to face collars at
-  V = 16/(3 pi) and from face collars to vertex-ball complements at
-  V = 6 - 16/(3 pi).
+  (the face-collar family is its own complement).  Among these families,
+  winners over a volume grid locate the crossovers from vertex balls to
+  face collars at V = 16/(3 pi) and from face collars to vertex-ball
+  complements at V = 6 - 16/(3 pi).  The list leaves out the regions about
+  one edge (L^2 = 2 pi (V + 1/2)), which beat the vertex ball from V = 1
+  on, so V = 16/(3 pi) is not the cube's first crossover (ROADMAP item 17).
 
 * ``double_pyramid_report`` — two skinny cones glued at their apices.  A
   metric ball about the glued point (link 2*theta) costs sqrt(2) times the
@@ -199,10 +201,6 @@ def projection_area_of_triangle(a, b, c) -> float:
     return tet_solid_angle(*coords.T)
 
 
-def radial_projection_area(triangles) -> float:
-    return sum(projection_area_of_triangle(*t) for t in triangles)
-
-
 def suspension_area(curve: np.ndarray) -> float:
     """Area of the spherical suspension of a closed curve on S^2.
 
@@ -348,7 +346,8 @@ def spiked_cone_report(
     gamma = math.asin(2.0 * math.sin(alpha / 2.0) / math.sqrt(3.0))
     rho = spike_height * math.tan(gamma)
     added, base = modified_cube_faces(rho, spike_height)
-    apex_link = radial_projection_area(added) - projection_area_of_triangle(*base)
+    apex_link = sum(projection_area_of_triangle(*t) for t in added)
+    apex_link -= projection_area_of_triangle(*base)
     q_link = 2.0 * theta_p
     return SpikedConeReport(
         theta_p=theta_p,

@@ -68,17 +68,10 @@ def affine_span(points: np.ndarray):
     """Origin, orthonormal basis and rank of the affine span of ``points``."""
     pts = np.asarray(points, dtype=float)
     origin = pts.mean(axis=0)
-    centered = pts - origin
-    if len(pts) == 1:
-        return origin, np.zeros((0, pts.shape[1])), 0
-    _, sv, vt = np.linalg.svd(centered, full_matrices=False)
+    _, sv, vt = np.linalg.svd(pts - origin, full_matrices=False)
     cutoff = TOL * max(1.0, sv[0] if len(sv) else 1.0)
     rank = int((sv > cutoff).sum())
     return origin, vt[:rank], rank
-
-
-def project_to_span(points: np.ndarray, origin: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    return (np.asarray(points, dtype=float) - origin) @ basis.T
 
 
 def _hull(points: np.ndarray) -> ConvexHull:
@@ -193,7 +186,7 @@ def order_polygon(points: np.ndarray) -> np.ndarray:
     origin, basis, rank = affine_span(points)
     if rank != 2:
         raise DegenerateFacet("polygon vertices do not span a plane")
-    flat = project_to_span(points, origin, basis)
+    flat = (np.asarray(points, dtype=float) - origin) @ basis.T
     angles = np.arctan2(flat[:, 1], flat[:, 0])
     return np.argsort(angles, kind="stable")
 
@@ -208,7 +201,7 @@ def polytope_measure(points: np.ndarray) -> float:
     origin, basis, rank = affine_span(pts)
     if rank == 0:
         return 0.0
-    local = project_to_span(pts, origin, basis)
+    local = (pts - origin) @ basis.T
     if rank == 1:
         return float(local.max() - local.min())
     return float(_hull(local).volume)
@@ -296,13 +289,13 @@ class Polytope:
     # -- document I/O -----------------------------------------------------
 
     @classmethod
-    def from_vertices(cls, vertices, *, name: str | None = None) -> "Polytope":
+    def from_vertices(cls, vertices) -> "Polytope":
         """Build from coordinates, checked as the constructor checks them,
         merging vertices within MERGE_TOL first."""
         verts = np.asarray(vertices, dtype=float)
         _check_coordinates(verts, InvalidPolytope)
         verts, _ = _dedupe_with_map(verts)
-        return cls(verts, name=name)
+        return cls(verts)
 
     @classmethod
     def from_document(cls, doc: dict) -> "Polytope":

@@ -60,8 +60,6 @@ def euclidean_profile(n: int, volume: float) -> float:
     n = checked_int(n, "n", 1, error=UnsupportedDimension)
     if not 0 < volume < math.inf:
         raise VolumeOutOfRange(f"volume must be positive and finite, got {volume}")
-    if n == 1:
-        return 2.0
     wn = unit_ball_volume(n)
     return n * wn ** (1.0 / n) * volume ** ((n - 1.0) / n)
 
@@ -78,8 +76,6 @@ def cone_profile(omega: float, n: int, volume: float) -> float:
         raise ValidationError(f"link measure {omega} outside (0, |S^{n-1}|]")
     if not 0 < volume < math.inf:
         raise VolumeOutOfRange(f"volume must be positive and finite, got {volume}")
-    if n == 1:
-        return float(omega)
     if not math.isfinite(n * float(volume)):
         raise VolumeOutOfRange(f"n * volume = {n} * {volume} overflows")
     return omega ** (1.0 / n) * (n * volume) ** ((n - 1.0) / n)

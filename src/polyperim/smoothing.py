@@ -412,10 +412,6 @@ class SmoothedBody:
     newton_steps: np.ndarray
 
     @property
-    def epsilon(self) -> float:
-        return self.mollifier.epsilon
-
-    @property
     def volume(self) -> float:
         d = self.polytope.dim
         return float(self.direction_weights @ self.radii**d) / d

@@ -218,7 +218,7 @@ def vertex_ball_region(mesh: SurfaceMesh, vertex: int, volume: float) -> Region:
         raise VolumeOutOfRange("volume must be positive")
     star = mesh.vertex_star(vertex)
     cone = star.cone
-    if volume > cone.valid_volume_max * (1 + 1e-12):
+    if volume > cone.valid_volume_max:
         raise VolumeTooLarge(
             f"volume {volume} exceeds the star-contained bound "
             f"{cone.valid_volume_max} at vertex {vertex}"

@@ -170,6 +170,25 @@ def test_profile_table_and_svg(tmp_path, capsys):
     assert (tmp_path / "profile.svg").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--model", "euclidean", "--n", "2", "--points", "1"],
+        ["--model", "euclidean", "--n", "1"],
+    ],
+    ids=["one-volume", "constant-area"],
+)
+def test_profile_svg_pads_a_range_of_one_value(tmp_path, capsys, argv):
+    # one volume gives each axis a single value, and the 1-d profile A = 2
+    # gives the area axis one
+    code, _, _ = run(capsys, "profile", *argv, "--vmin", "0.01", "--vmax", "1.0",
+                     "--svg", "--out", str(tmp_path))
+    assert code == 0
+    svg = (tmp_path / "profile.svg").read_text()
+    assert svg.rstrip().endswith("</svg>") and "<polyline" in svg
+    assert not re.search(r"nan|inf", svg)
+
+
 def test_profile_cone_requires_omega(tmp_path, capsys):
     code, _, err = run(
         capsys,
@@ -372,6 +391,26 @@ def test_analyze_rejects_facet_index_out_of_range(tmp_path, capsys):
     assert code == 2
     assert "BadDocument" in err and "facet 3" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"dim": 1, "vertices": [[0.0], [1.0]]},
+         "NotFullDimensional: ambient dimension must be at least 2"),
+        ({"dim": 2, "vertices": [[0, 0], [1, 0], [0, 1]], "facets": [5, [1, 2], [0, 2]]},
+         "BadDocument: facet 0 must be a list of vertex indices"),
+    ],
+    ids=["dim-1", "facet-not-a-list"],
+)
+def test_analyze_rejects_a_malformed_document(tmp_path, capsys, doc, message):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, "analyze", "--polytope", str(path), "--out", str(out_dir))
+    assert code == 2
+    assert message in err
+    assert out == "" and not out_dir.exists()
 
 
 def test_analyze_rejects_a_document_that_is_not_utf8(tmp_path, capsys):
@@ -747,6 +786,23 @@ def test_solve_bound_check_is_na_beyond_the_star_range(tmp_path, capsys):
     )
     assert code == 0
     assert "bound check: n/a" in out
+
+
+def test_solve_bound_check_prints_the_star_bound_in_full(tmp_path, capsys):
+    # 3.14159265359 passes the octahedron's bound pi = 3.1415926535897922 in
+    # the twelfth digit, so at twelve digits the two would read the same
+    code, out, _ = run(
+        capsys,
+        "solve",
+        "--polytope", "octahedron",
+        "--volume", "3.14159265359",
+        "--level", "2",
+        "--iters", "2000",
+        "--restarts", "2",
+        "--out", str(tmp_path),
+    )
+    assert code == 0
+    assert "bound check: n/a (volume exceeds 3.1415926535897922)\n" in out
 
 
 _FLOATS = st.sampled_from(

@@ -68,7 +68,8 @@ def test_links_match_trig_oracle():
     for poly in (
         shapes.square_pyramid(),
         shapes.triangular_prism(),
-        shapes.square_pyramid(height=0.7, base=2.0),
+        # a squat pyramid: height 0.7 over [-1, 1]^2
+        Polytope([[-1, -1, 0], [1, -1, 0], [1, 1, 0], [-1, 1, 0], [0, 0, 0.7]]),
     ):
         for v, cone in enumerate(vertex_cones(poly)):
             oracle = _corner_angle_oracle(poly, v)

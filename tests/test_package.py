@@ -88,7 +88,9 @@ def test_import_loads_no_scipy_integrate_or_optimize():
 
 
 def test_the_benchmark_uses_only_names_that_resolve():
-    # the benchmark harness is frozen, so an API it calls must not go away
+    # the benchmark harness is frozen, so an API it calls must not go away,
+    # nor a parameter it passes by position or keyword; a call through
+    # Context.call(task, name, fn, *args, **kwargs) passes its arguments to fn
     missing = []
     for script in sorted(PERFBENCH.glob("*.py")):
         tree = ast.parse(script.read_text(encoding="utf-8"))
@@ -104,15 +106,36 @@ def test_the_benchmark_uses_only_names_that_resolve():
                     if not hasattr(module, alias.name):
                         importlib.import_module(f"{node.module}.{alias.name}")
                     roots[alias.asname or alias.name] = getattr(module, alias.name)
+
+        def resolve(node):
+            """The library object ``node`` names, else None."""
+            chain = _dotted(node)
+            if not chain or chain[0] not in roots:
+                return None
+            obj = roots[chain[0]]
+            for name in chain[1:]:
+                if not hasattr(obj, name):
+                    missing.append(f"{script.name}: {'.'.join(chain)}")
+                    return None
+                obj = getattr(obj, name)
+            return obj
+
         for node in ast.walk(tree):
-            chain = _dotted(node) if isinstance(node, ast.Attribute) else None
-            if chain and chain[0] in roots:
-                obj = roots[chain[0]]
-                for name in chain[1:]:
-                    if not hasattr(obj, name):
-                        missing.append(f"{script.name}: {'.'.join(chain)}")
-                        break
-                    obj = getattr(obj, name)
+            if isinstance(node, ast.Attribute):
+                resolve(node)
+            if not isinstance(node, ast.Call):
+                continue
+            fn, args = resolve(node.func), node.args
+            through_call = isinstance(node.func, ast.Attribute) and node.func.attr == "call"
+            if fn is None and through_call and len(args) > 2:
+                fn, args = resolve(args[2]), args[3:]
+            kwargs = {k.arg: k.value for k in node.keywords}
+            if fn is None or None in kwargs or any(isinstance(a, ast.Starred) for a in args):
+                continue
+            try:
+                inspect.signature(fn).bind(*args, **kwargs)
+            except TypeError as exc:
+                missing.append(f"{script.name}:{node.lineno}: {exc}")
     assert missing == []
 
 

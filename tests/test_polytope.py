@@ -235,7 +235,7 @@ def test_coordinates_past_the_bound_are_rejected(scale):
     [
         (lambda: Polytope(np.array([[np.nan, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])),
          "must be finite"),
-        (lambda: shapes.triangle(((0, 0), (1, 0), (0, 1), (0, 0))), "vertices 0 and 3"),
+        (lambda: Polytope([[0, 0], [1, 0], [0, 1], [0, 0]]), "vertices 0 and 3"),
         (lambda: Polytope(np.vstack([np.zeros(3), np.eye(3), np.zeros(3)])),
          "vertices 0 and 4"),
         (lambda: shapes.cube(side=1e60), "at most 1e\\+50"),
@@ -269,6 +269,8 @@ def test_construction_errors():
 
     with pytest.raises(NotFullDimensional):
         Polytope.from_vertices([[0, 0], [1, 0], [2, 0]])
+    with pytest.raises(NotFullDimensional, match="1 vertices span 0 dimensions"):
+        Polytope([[0.0, 0.0]])
     with pytest.raises(DimensionTooHigh):
         Polytope(np.eye(5))
     with pytest.raises(TypeError):

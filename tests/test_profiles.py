@@ -57,6 +57,15 @@ def test_euclidean_closed_forms():
         euclidean_profile(3, 0.0)
 
 
+@pytest.mark.parametrize("volume", [1e-300, 1e-3, 0.5, 1.0, 7.3, 1e300])
+def test_one_dimensional_profiles_are_exact_constants(volume):
+    # a 1-ball has two boundary points, and an apex ball on a 1-cone as
+    # many as the link measures
+    assert euclidean_profile(1, volume) == 2.0
+    for omega in (0.25, 1.0, 1.7, 2.0):
+        assert cone_profile(omega, 1, volume) == omega
+
+
 def test_cone_profile_with_full_link_is_flat():
     """omega = |S^(n-1)| must reproduce round balls exactly."""
     for n in (2, 3, 4):
@@ -174,6 +183,8 @@ def test_fit_power_law_guards():
         fit_power_law(np.linspace(1.0, 2.0, 12), np.ones(12))  # < one decade
     with pytest.raises(InsufficientSamples):
         fit_power_law(v, -np.ones(12))
+    with pytest.raises(InsufficientSamples, match="matching 1-d"):
+        fit_power_law(v, v[:-1])
 
 
 def _with(array, index, value):

@@ -18,7 +18,6 @@ from polyperim.polytope import (
     Polytope,
     affine_span,
     polytope_measure,
-    project_to_span,
 )
 from polyperim.smoothing import GaugeFunction, convexity_probe, smoothed_body
 from polyperim.solver import anisotropy_bound, vertex_ball_region
@@ -199,7 +198,8 @@ def test_cell_corners_match_oracles_on_4d_hulls(m, seed):
         ridges = [sorted(cell & g) for g in facets if g != cell and len(cell & g) >= 3]
         ordered = sorted(cell)
         points = poly.vertices[ordered]
-        local = project_to_span(points, *affine_span(points)[:2])
+        origin, basis, _ = affine_span(points)
+        local = (points - origin) @ basis.T
         for j, v in enumerate(ordered):
             angle, dist = angles[entry], dists[entry]
             entry += 1

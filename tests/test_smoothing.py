@@ -63,7 +63,7 @@ def _nodes_and_weights(m):
 def test_gauge_origin_must_be_interior():
     # the vertex mean of a thin triangle lies within TOL of its long side
     with pytest.raises(OriginNotInterior):
-        GaugeFunction.from_polytope(shapes.triangle(((0, 0), (1, 0), (0.5, 3e-9))))
+        GaugeFunction.from_polytope(Polytope([[0, 0], [1, 0], [0.5, 3e-9]]))
     shifted = _shifted_gauge(shapes.square(), np.array([0.5, 0.0]))
     assert shifted.inradius == pytest.approx(0.5, abs=1e-12)
     assert shifted(np.array([[1.0, 0.0]])) == pytest.approx(1.0, abs=1e-12)
@@ -426,7 +426,7 @@ def test_two_gauges_share_a_mollifier():
 def test_mollify_keeps_nothing_on_the_mollifier(shape, smoothed_bodies):
     body = smoothed_bodies(shape, 0.2, 10)
     fn = body.gauge_fn
-    m = Mollifier.build(body.polytope.dim, body.epsilon)
+    m = Mollifier.build(body.polytope.dim, body.mollifier.epsilon)
     before = dict(vars(m))
     x = body.boundary_points
     d = _facet_values(fn, x - fn.origin)
@@ -493,7 +493,7 @@ def test_smoothed_cube_quick():
     body = smoothed_body(shapes.cube(side=2.0), 0.25, resolution=8)
     assert 0 < body.volume < 8.0
     assert np.all(body.radii <= body.plain_radii() + 1e-9)
-    assert body.epsilon == 0.25
+    assert body.mollifier.epsilon == 0.25
     assert body.level(np.array([[0.0, 0.0, 0.0]]))[0] < 1.0
 
 

@@ -141,6 +141,16 @@ def test_vertex_ball_region_guards():
         vertex_ball_region(mesh, 99, 0.1)
 
 
+def test_vertex_ball_region_allows_no_volume_past_the_star_bound():
+    # the octahedron's bound is pi = 3.1415926535897922, and the CLI warm
+    # starts and checks the bound up to that volume and no further
+    mesh = subdivide(shapes.octahedron(), 2)
+    cone = mesh.vertex_star(0).cone
+    assert vertex_ball_region(mesh, 0, cone.valid_volume_max).area > 0
+    with pytest.raises(VolumeTooLarge, match="3.1415926535897922 at vertex 0"):
+        vertex_ball_region(mesh, 0, 3.14159265359)
+
+
 # Recorded from the earlier implementation, which grew or trimmed the raw
 # radius cut one triangle at a time; one digest per mesh level 3, 4, 5.
 BALL_MASK_DIGESTS = {
