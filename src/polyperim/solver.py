@@ -7,10 +7,12 @@ simulated annealing over single-triangle flips:
 
 * the candidate set holds every triangle touching the current boundary
   (indexed list, O(1) uniform sampling and updates); each triangle keeps
-  the count of its cut edges, and one ``_toggle`` flips a triangle, moves
-  its own count and then, in one loop over its neighbour row, each
-  neighbour's, adding or removing exactly those whose count left or
-  reached zero;
+  the count of its cut edges, and a flip moves a triangle, its own count
+  and then, in one loop over its neighbour row, each neighbour's, adding
+  or removing exactly those whose count left or reached zero.  The
+  annealer writes this update out inline at its two flip sites (a swap's
+  first flip and each move's final flip); ``_toggle`` is the same update
+  as a function, for the polish and as the annealer's test reference;
 * moves are scored by the penalized cost  perimeter + mu * |area - V|  and
   accepted by the Metropolis rule under a geometric cooling schedule;
 * whenever the state is volume-feasible (area within 2% of V) the best
@@ -273,7 +275,12 @@ def _toggle(mask, cuts, cand, pos, nbrs, t: int) -> None:
     Replaying one flip sequence on level-5 meshes, this loop over t's row
     took 0.89-0.96 times as long as the four updates written out; in the
     annealer a loop over a fresh tuple of t and its row took 1.10 times as
-    long."""
+    long.
+
+    ``_anneal`` writes this update out at its two flip sites: a call per
+    flip made level-5 solves 5-9% slower (perfbench ``solve``, 2-core
+    x86-64, Python 3.11).  ``_State.flip`` calls this copy, and the replay
+    test holds the annealer's to it."""
     s = not mask[t]
     mask[t] = s
     c = cuts[t] = 3 - cuts[t]
@@ -415,6 +422,12 @@ def _anneal(
 
     A feasible state, |area - V| <= feas = 0.02 V with V > 0, has area at
     least 0.98 V > 0, so it is never empty: the walk keeps no triangle count.
+
+    The flip update of ``_toggle`` is written out at two places, the swap's
+    first flip and the move's final flip (the accepted triangle, or the
+    swap's first triangle flipped back), in ``_toggle``'s order of list
+    operations.  The mask holds only the two bool singletons, so sides are
+    compared with ``is``, which is cheaper than ``==`` on bools.
     """
     mu = cfg.mu
     temp = cfg.t_initial
@@ -425,7 +438,7 @@ def _anneal(
         state.areas,
     )
     area, perimeter = state.area, state.perimeter
-    flips = swaps = accepted = swaps_acc = snapshots = 0
+    flips = swaps = flips_acc = swaps_acc = snapshots = 0
     best_cost = math.inf
     best_mask: list[bool] | None = None
     gap0 = abs(area - volume)
@@ -436,67 +449,130 @@ def _anneal(
         best_mask = list(mask)
         snapshots += 1
     exp = math.exp
+    inf = math.inf
     for r_swap, r_pick, r2, r_acc in _draws(rng, cfg.iterations):
         if not cand:
             break
-        swap = r_swap >= 0.5
         t = cand[int(r_pick * len(cand))]
         # the perimeter and area change of flipping t, summed as deltas() does
         s = mask[t]
         u0, u1, u2 = nbrs[t]
         l0, l1, l2 = lens[t]
         dp = 0.0
-        dp += l0 if mask[u0] == s else -l0
-        dp += l1 if mask[u1] == s else -l1
-        dp += l2 if mask[u2] == s else -l2
+        dp += l0 if mask[u0] is s else -l0
+        dp += l1 if mask[u1] is s else -l1
+        dp += l2 if mask[u2] is s else -l2
         da = -areas[t] if s else areas[t]
-        move_dp = dp
         base_gap = abs(area - volume)
-        if swap:
+        if r_swap >= 0.5:
             swaps += 1
             t1, dp1, da1 = t, dp, da
-            _toggle(mask, cuts, cand, pos, nbrs, t1)
+            # the swap's first flip: _toggle(mask, cuts, cand, pos, nbrs, t1)
+            # written out
+            s = not s
+            mask[t1] = s
+            c = cuts[t1] = 3 - cuts[t1]
+            if c == 3:
+                pos[t1] = len(cand)
+                cand.append(t1)
+            elif not c:
+                p = pos[t1]
+                last = cand[-1]
+                cand[p] = last
+                pos[last] = p
+                cand.pop()
+                pos[t1] = -1
+            for u in nbrs[t1]:
+                if mask[u] is s:
+                    c = cuts[u] - 1
+                    cuts[u] = c
+                    if not c:
+                        p = pos[u]
+                        last = cand[-1]
+                        cand[p] = last
+                        pos[last] = p
+                        cand.pop()
+                        pos[u] = -1
+                else:
+                    c = cuts[u] + 1
+                    cuts[u] = c
+                    if c == 1:
+                        pos[u] = len(cand)
+                        cand.append(u)
             area += da1
             perimeter += dp1
-            if not cand:
-                _toggle(mask, cuts, cand, pos, nbrs, t1)
-                area -= da1
-                perimeter -= dp1
-                temp *= cooling
-                continue
-            t = cand[int(r2 * len(cand))]
-            s = mask[t]
-            u0, u1, u2 = nbrs[t]
-            l0, l1, l2 = lens[t]
-            dp = 0.0
-            dp += l0 if mask[u0] == s else -l0
-            dp += l1 if mask[u1] == s else -l1
-            dp += l2 if mask[u2] == s else -l2
-            da = -areas[t] if s else areas[t]
-            move_dp = dp1 + dp
+            # a rejected swap, or one whose first flip emptied the boundary,
+            # flips t1 back below: area + (-da1) is area - da1 to the bit,
+            # and an infinite gap takes no snapshot
+            if cand:
+                t = cand[int(r2 * len(cand))]
+                s = mask[t]
+                u0, u1, u2 = nbrs[t]
+                l0, l1, l2 = lens[t]
+                dp = 0.0
+                dp += l0 if mask[u0] is s else -l0
+                dp += l1 if mask[u1] is s else -l1
+                dp += l2 if mask[u2] is s else -l2
+                da = -areas[t] if s else areas[t]
+                new_gap = abs(area + da - volume)
+                dcost = dp1 + dp + mu * (new_gap - base_gap)
+                if dcost <= 0.0 or (temp > 1e-300 and r_acc < exp(-dcost / temp)):
+                    swaps_acc += 1
+                else:
+                    t, dp, da, new_gap = t1, -dp1, -da1, inf
+            else:
+                t, dp, da, new_gap = t1, -dp1, -da1, inf
         else:
             flips += 1
-        new_gap = abs(area + da - volume)
-        dcost = move_dp + mu * (new_gap - base_gap)
-        if dcost <= 0.0 or (temp > 1e-300 and r_acc < exp(-dcost / temp)):
-            accepted += 1
-            swaps_acc += swap
-            _toggle(mask, cuts, cand, pos, nbrs, t)
-            area += da
-            perimeter += dp
-            if new_gap <= feas:
-                # |area - V|: _polish's band cost here took pins 0.9205 -> 0.9723, 0.9796 -> 1.2111
-                cost = perimeter + mu * new_gap
-                if cost < best_cost:
-                    best_cost = cost
-                    best_mask = list(mask)
-                    snapshots += 1
-        elif swap:
-            _toggle(mask, cuts, cand, pos, nbrs, t1)
-            area -= da1
-            perimeter -= dp1
+            new_gap = abs(area + da - volume)
+            dcost = dp + mu * (new_gap - base_gap)
+            if not (dcost <= 0.0 or (temp > 1e-300 and r_acc < exp(-dcost / temp))):
+                temp *= cooling
+                continue
+            flips_acc += 1
+        # the move's final flip, of the accepted triangle or of t1 back:
+        # _toggle(mask, cuts, cand, pos, nbrs, t) written out
+        s = not mask[t]
+        mask[t] = s
+        c = cuts[t] = 3 - cuts[t]
+        if c == 3:
+            pos[t] = len(cand)
+            cand.append(t)
+        elif not c:
+            p = pos[t]
+            last = cand[-1]
+            cand[p] = last
+            pos[last] = p
+            cand.pop()
+            pos[t] = -1
+        for u in nbrs[t]:
+            if mask[u] is s:
+                c = cuts[u] - 1
+                cuts[u] = c
+                if not c:
+                    p = pos[u]
+                    last = cand[-1]
+                    cand[p] = last
+                    pos[last] = p
+                    cand.pop()
+                    pos[u] = -1
+            else:
+                c = cuts[u] + 1
+                cuts[u] = c
+                if c == 1:
+                    pos[u] = len(cand)
+                    cand.append(u)
+        area += da
+        perimeter += dp
+        if new_gap <= feas:
+            # |area - V|: _polish's band cost here took pins 0.9205 -> 0.9723, 0.9796 -> 1.2111
+            cost = perimeter + mu * new_gap
+            if cost < best_cost:
+                best_cost = cost
+                best_mask = list(mask)
+                snapshots += 1
         temp *= cooling
-    counts = (flips, accepted - swaps_acc, swaps, swaps_acc, snapshots)
+    counts = (flips, flips_acc, swaps, swaps_acc, snapshots)
     return best_mask, counts
 
 

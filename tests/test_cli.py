@@ -527,10 +527,16 @@ def test_timings_go_to_stderr_and_leave_artifacts_alone(tmp_path, capsys, argv, 
     assert code == 0
     assert out_timed == out_plain
     lines = err.splitlines()
+    solve = argv[0] == "solve"
     assert [line.split(":")[0] for line in lines] == [
         f"timing {s}" for s in stages
-    ] + ["peak memory"]
+    ] + ["annealing throughput"] * solve + ["peak memory"]
     assert all(float(line.split()[-2]) >= 0.0 for line in lines[:-1])
+    if solve:
+        # 2000 iterations times 2 restarts over the minimize stage
+        minimize = float(lines[len(stages) - 1].split()[-2])
+        assert lines[-2].endswith(" iterations/s")
+        assert float(lines[-2].split()[-2]) == pytest.approx(4000 / minimize, rel=1e-3)
     assert lines[-1].endswith(" MiB") and float(lines[-1].split()[-2]) > 0.0
     names = sorted(path.name for path in plain.iterdir())
     assert names == sorted(path.name for path in timed.iterdir()) and names

@@ -524,6 +524,119 @@ def test_flip_state_matches_a_loop_reference():
         assert state.perimeter == pytest.approx(fresh.perimeter, rel=1e-12, abs=0), step
 
 
+def _anneal_with_toggle(state, cfg, rng, feas):
+    """``solver._anneal`` as it was when every flip called ``_toggle``:
+    the reference the inline updates must replay exactly.  Also returns how
+    many swaps emptied the boundary and were undone at once."""
+    toggle = solver._toggle
+    mu, temp, cooling, volume = cfg.mu, cfg.t_initial, cfg.cooling, state.volume
+    mask, cuts, cand, pos, nbrs, lens, areas = (
+        state.mask, state.cuts, state.cand, state.pos, state.nbrs, state.lens,
+        state.areas,
+    )
+    area, perimeter = state.area, state.perimeter
+    flips = swaps = accepted = swaps_acc = snapshots = empty_undos = 0
+    best_cost, best_mask = math.inf, None
+    gap0 = abs(area - volume)
+    if gap0 <= feas:
+        best_cost, best_mask = perimeter + mu * gap0, list(mask)
+        snapshots += 1
+
+    def deltas(t):
+        s = mask[t]
+        u0, u1, u2 = nbrs[t]
+        l0, l1, l2 = lens[t]
+        dp = 0.0
+        dp += l0 if mask[u0] == s else -l0
+        dp += l1 if mask[u1] == s else -l1
+        dp += l2 if mask[u2] == s else -l2
+        return dp, -areas[t] if s else areas[t]
+
+    for r_swap, r_pick, r2, r_acc in solver._draws(rng, cfg.iterations):
+        if not cand:
+            break
+        swap = r_swap >= 0.5
+        t = cand[int(r_pick * len(cand))]
+        dp, da = deltas(t)
+        move_dp = dp
+        base_gap = abs(area - volume)
+        if swap:
+            swaps += 1
+            t1, dp1, da1 = t, dp, da
+            toggle(mask, cuts, cand, pos, nbrs, t1)
+            area += da1
+            perimeter += dp1
+            if not cand:
+                empty_undos += 1
+                toggle(mask, cuts, cand, pos, nbrs, t1)
+                area -= da1
+                perimeter -= dp1
+                temp *= cooling
+                continue
+            t = cand[int(r2 * len(cand))]
+            dp, da = deltas(t)
+            move_dp = dp1 + dp
+        else:
+            flips += 1
+        new_gap = abs(area + da - volume)
+        dcost = move_dp + mu * (new_gap - base_gap)
+        if dcost <= 0.0 or (temp > 1e-300 and r_acc < math.exp(-dcost / temp)):
+            accepted += 1
+            swaps_acc += swap
+            toggle(mask, cuts, cand, pos, nbrs, t)
+            area += da
+            perimeter += dp
+            if new_gap <= feas:
+                cost = perimeter + mu * new_gap
+                if cost < best_cost:
+                    best_cost, best_mask = cost, list(mask)
+                    snapshots += 1
+        elif swap:
+            toggle(mask, cuts, cand, pos, nbrs, t1)
+            area -= da1
+            perimeter -= dp1
+        temp *= cooling
+    counts = (flips, accepted - swaps_acc, swaps, swaps_acc, snapshots)
+    return best_mask, counts, empty_undos
+
+
+@pytest.mark.parametrize("block", [solver.DRAW_BLOCK, 7])
+def test_anneal_replays_the_toggle_reference(monkeypatch, block):
+    """The annealer writes the flip update out inline; on warm balls, cold
+    blobs and one-triangle starts it must return the reference's snapshot
+    and move counts and leave the same mask, cut counts and candidate list
+    (whose order decides every later pick)."""
+    monkeypatch.setattr(solver, "DRAW_BLOCK", block)
+    runs = empty_undos = 0
+    for name in ("cube", "tetrahedron", "square_pyramid", "octahedron", "triangular_prism"):
+        poly = getattr(shapes, name)()
+        vertex = rank_by_link(vertex_cones(poly))[0].vertex_index
+        for level in (2, 3, 4):
+            mesh = subdivide(poly, level)
+            nbrs, lens, areas = solver._tables(mesh)
+            volume = 0.02 * mesh.total_area()
+            one = np.zeros(mesh.triangle_count, dtype=bool)
+            one[mesh.triangle_count // 2] = True
+            for seed in (0, 1):
+                cfg = default_config(mesh, seed=seed, iterations=400)
+                blob = solver._random_blob(np.random.default_rng(seed), nbrs, areas, volume)
+                for init in (vertex_ball_region(mesh, vertex, volume).mask, blob, one):
+                    ref = _State(mesh, nbrs, lens, areas, init, volume)
+                    new = _State(mesh, nbrs, lens, areas, init, volume)
+                    feas = 0.02 * volume
+                    *want, undos = _anneal_with_toggle(ref, cfg, np.random.default_rng(seed), feas)
+                    got = solver._anneal(new, cfg, np.random.default_rng(seed), feas)
+                    case = (name, level, seed, runs)
+                    assert list(got) == want, case
+                    assert new.mask == ref.mask and new.cuts == ref.cuts, case
+                    assert new.cand == ref.cand and new.pos == ref.pos, case
+                    runs += 1
+                    empty_undos += undos if init is one else 0
+    assert runs == 90
+    # the one-triangle starts reach the swap's empty-boundary undo
+    assert empty_undos > 0
+
+
 #: Results recorded before the annealing state was built from the mesh
 #: arrays, and re-recorded where the mesh's carried lengths and areas, and
 #: then polishing on perimeter alone inside the band, moved them; keys read
