@@ -18,9 +18,9 @@ plots; all floats are printed with ``%.12g`` and negative zero is normalized.
 
 ``analyze``, ``smooth`` and ``solve`` take ``--timings``, which prints the
 seconds of each stage (build, subdivide, cones, minimize; body, probe, hull
-for ``smooth``), for ``solve`` the annealing throughput (iterations times
-restarts per second of the minimize stage), and then the peak resident
-memory of the process to stderr.
+for ``smooth``), for ``solve`` the minimize throughput (iterations times
+restarts per second of the whole minimize stage: tables, walks and polish),
+and then the peak resident memory of the process to stderr.
 The flag is left out of the manifest, so artifacts are the same with and
 without it.
 
@@ -181,9 +181,9 @@ def _load_polytope_arg(args: argparse.Namespace) -> tuple[Polytope, str]:
 
 class _Stages:
     """Wall seconds per named stage and the peak resident memory, printed
-    to stderr under --timings.  ``solve`` also reports its annealing
-    throughput: iterations times restarts over the minimize stage's
-    seconds."""
+    to stderr under --timings.  ``solve`` also reports its minimize
+    throughput: iterations times restarts over the seconds of the whole
+    minimize stage (tables, walks and polish)."""
 
     def __init__(self, enabled: bool):
         self.enabled = enabled
@@ -203,7 +203,8 @@ class _Stages:
                 print(f"timing {name}: {seconds:.6f} s", file=sys.stderr)
             if iterations is not None:
                 rate = iterations / self.seconds["minimize"]
-                print(f"annealing throughput: {rate:.0f} iterations/s", file=sys.stderr)
+                note = "(tables, walks and polish)"
+                print(f"minimize throughput: {rate:.0f} iterations/s {note}", file=sys.stderr)
             # resource is Unix-only, so only --timings needs it; ru_maxrss
             # counts KiB on Linux and bytes on macOS
             import resource

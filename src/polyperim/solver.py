@@ -7,12 +7,12 @@ simulated annealing over single-triangle flips:
 
 * the candidate set holds every triangle touching the current boundary
   (indexed list, O(1) uniform sampling and updates); each triangle keeps
-  the count of its cut edges, and a flip moves a triangle, its own count
-  and then, in one loop over its neighbour row, each neighbour's, adding
-  or removing exactly those whose count left or reached zero.  The
-  annealer writes this update out inline at its two flip sites (a swap's
-  first flip and each move's final flip); ``_toggle`` is the same update
-  as a function, for the polish and as the annealer's test reference;
+  the 3-bit pattern of its cut sides (bit j set when side j is cut), and a
+  flip moves a triangle, XORs its own pattern with 7 and then each
+  neighbour's with the bit of the shared side, adding or removing exactly
+  those whose pattern left or reached zero.  The annealer writes this
+  update out once, inline, and loops back through it for a swap's second
+  flip; ``_toggle`` is the same update as a function, for the polish;
 * moves are scored by the penalized cost  perimeter + mu * |area - V|  and
   accepted by the Metropolis rule under a geometric cooling schedule;
 * whenever the state is volume-feasible (area within 2% of V) the best
@@ -24,12 +24,12 @@ simulated annealing over single-triangle flips:
   the reported perimeter must stay an honest upper bound for the target
   volume, not for a slightly smaller one).
 
-The flip loop reads three Python tables, built once per solve by
-``_tables``: each triangle's neighbours and edge lengths as tuple rows and
-its area.  They hold one Python object per distinct value, one int per
-triangle id and one float per distinct length or area (a level-5 cube has
-two lengths and one area), so they take about 200 bytes per triangle (110
-of them the neighbours), and a solve peaks near 240 bytes per triangle.
+The flip loop reads four Python tables built once per solve by ``_tables``:
+each triangle's neighbours, back bits (the bit of the shared side in each
+neighbour's pattern), perimeter change under each of its 8 patterns (so a
+proposal's is one lookup) and area.  All but the neighbour rows, which hold
+one int per triangle id, are shared objects; the tables take about 123 bytes
+per triangle (99 of them the neighbours), and a solve peaks near 185.
 
 Restarts use independent RNG streams seeded by (seed, restart index); warm
 starts (typically vertex balls, regions of the mesh being solved) occupy
@@ -246,45 +246,77 @@ def _running_sum(values: np.ndarray) -> float:
     return float(np.cumsum(np.append(0.0, values))[-1])
 
 
-def _shared(values: np.ndarray) -> np.ndarray:
-    """``values`` as an object array holding one Python float per distinct
-    value.  Lengths and areas are non-negative and finite, so equal values
-    have equal bits: sharing a float leaves every entry's bits as they were."""
-    distinct, inverse = np.unique(values, return_inverse=True)
-    return distinct.astype(object)[inverse]
+def _shared_rows(table: np.ndarray, key: np.ndarray, row) -> list:
+    """``row(table[t])`` for every t, made once per distinct ``key[t]`` and
+    shared.  The key is 1-D: ``np.unique(..., axis=0)`` on the rows took
+    four times as long.  Lengths and areas are non-negative and finite, so
+    equal values have equal bits: sharing leaves every entry's bits as they
+    were."""
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    rows = [row(r) for r in table[first].tolist()]
+    return np.fromiter(rows, dtype=object, count=len(rows))[inverse].tolist()
 
 
-def _tables(mesh: SurfaceMesh) -> tuple[list[tuple], list[tuple], list[float]]:
-    """The annealer's neighbour, edge-length and area tables: a tuple row
-    per triangle, built from one Python object per distinct value (one int
-    per triangle id, one float per distinct length or area).  The rows are
-    zipped from the columns, in half the time ``map(tuple, ...)`` takes."""
+def _flip_changes(lengths: list[float]) -> tuple[float, ...]:
+    """Perimeter change of flipping a triangle with these side lengths
+    under each cut pattern k: summed side by side from 0.0, +l for a side
+    uncut under k and -l for a cut one (bit j of k is side j)."""
+    changes = []
+    for k in range(8):
+        dp = 0.0
+        for j, length in enumerate(lengths):
+            dp += -length if k >> j & 1 else length
+        changes.append(dp)
+    return tuple(changes)
+
+
+def _tables(mesh: SurfaceMesh) -> tuple[list[tuple], list[tuple], list[tuple], list[float]]:
+    """The annealer's tables, one entry per triangle t: its neighbour row,
+    its back-bit row (the bit of the shared side in each neighbour's cut
+    pattern), its perimeter-change row (``_flip_changes`` of its side
+    lengths) and its area.
+
+    Neighbour rows hold one Python int per triangle id and are zipped from
+    the columns, in half the time ``map(tuple, ...)`` takes.  The other
+    entries are shared: one back-bit row per slot triple (at most 27), one
+    perimeter-change row per triple of distinct lengths and one float per
+    distinct area."""
+    across = mesh.tri_neighbors
+    # side j of t is the side of neighbour across[t, j] holding edge tri_edges[t, j]
+    slots = (mesh.tri_edges[across] == mesh.tri_edges[:, :, None]).argmax(axis=2)
+    back = _shared_rows(
+        slots, slots @ np.array([9, 3, 1]), lambda row: tuple(1 << j for j in row)
+    )
+    # distinct-length indices i0, i1, i2 < n: (i0 n + i1) < n**2 fits in an
+    # int64, and numbering those pairs first keeps the triple's key below T n
+    index = np.unique(mesh.edge_lengths, return_inverse=True)[1][mesh.tri_edges]
+    n = int(index.max()) + 1
+    pairs = np.unique(index[:, 0] * n + index[:, 1], return_inverse=True)[1]
+    dps = _shared_rows(mesh.edge_lengths[mesh.tri_edges], pairs * n + index[:, 2], _flip_changes)
+    del slots, index, pairs
+    # the neighbour rows last, so the temporaries above are freed first
     ids = np.arange(mesh.triangle_count).astype(object)
-    nbrs = list(zip(*ids[mesh.tri_neighbors].T.tolist()))
-    lens = list(zip(*_shared(mesh.edge_lengths)[mesh.tri_edges].T.tolist()))
-    return nbrs, lens, _shared(mesh.areas).tolist()
+    nbrs = list(zip(*ids[across].T.tolist()))
+    return nbrs, back, dps, _shared_rows(mesh.areas, mesh.areas, float)
 
 
-def _toggle(mask, cuts, cand, pos, nbrs, t: int) -> None:
-    """Move triangle t to the other side, then update the cut count and
+def _toggle(mask, cuts, cand, pos, nbrs, back, t: int) -> None:
+    """Move triangle t to the other side, then update the cut pattern and
     candidacy of t and of each neighbour in row order.
 
-    A triangle is a candidate exactly when it has a cut edge, so t joins
-    when its count becomes 3 and leaves when it becomes 0, and a neighbour
-    joins when its count rises to 1 and leaves when it falls to 0.
-    Replaying one flip sequence on level-5 meshes, this loop over t's row
-    took 0.89-0.96 times as long as the four updates written out; in the
-    annealer a loop over a fresh tuple of t and its row took 1.10 times as
-    long.
+    A triangle is a candidate exactly when its pattern is non-zero.  Every
+    side of t changes, so its pattern is XORed with 7: t joins when it
+    becomes 7 and leaves when it becomes 0.  A neighbour's pattern is XORed
+    with the bit b of the shared side: it joins when the pattern becomes b
+    (it was 0) and leaves when it becomes 0.
 
-    ``_anneal`` writes this update out at its two flip sites: a call per
-    flip made level-5 solves 5-9% slower (perfbench ``solve``, 2-core
-    x86-64, Python 3.11).  ``_State.flip`` calls this copy, and the replay
-    test holds the annealer's to it."""
-    s = not mask[t]
-    mask[t] = s
-    c = cuts[t] = 3 - cuts[t]
-    if c == 3:
+    ``_anneal`` writes this update out inline: a call per flip of the
+    earlier count-based update made level-5 solves 5-9% slower (perfbench
+    ``solve``, 2-core x86-64, Python 3.11).
+    ``_State.flip`` (the polish) calls this copy."""
+    mask[t] = not mask[t]
+    c = cuts[t] = cuts[t] ^ 7
+    if c == 7:
         pos[t] = len(cand)
         cand.append(t)
     elif not c:
@@ -294,48 +326,43 @@ def _toggle(mask, cuts, cand, pos, nbrs, t: int) -> None:
         pos[last] = p
         cand.pop()
         pos[t] = -1
-    for u in nbrs[t]:
-        # the edge to a neighbour on t's new side is no longer cut
-        if mask[u] == s:
-            cuts[u] -= 1
-            if not cuts[u]:
-                p = pos[u]
-                last = cand[-1]
-                cand[p] = last
-                pos[last] = p
-                cand.pop()
-                pos[u] = -1
-        else:
-            cuts[u] += 1
-            if cuts[u] == 1:
-                pos[u] = len(cand)
-                cand.append(u)
+    for u, b in zip(nbrs[t], back[t]):
+        c = cuts[u] = cuts[u] ^ b
+        if not c:
+            p = pos[u]
+            last = cand[-1]
+            cand[p] = last
+            pos[last] = p
+            cand.pop()
+            pos[u] = -1
+        elif c == b:
+            pos[u] = len(cand)
+            cand.append(u)
 
 
 class _State:
     """Mutable flip-state shared by the annealing and polish phases.
 
-    ``cuts[t]`` counts the cut edges of triangle t; t is in the candidate
-    list ``cand``, at index ``pos[t]``, exactly when ``cuts[t] > 0``
-    (``pos[t] = -1`` otherwise).
+    Bit j of ``cuts[t]`` is set when side j of triangle t, the side towards
+    ``nbrs[t][j]``, is cut; t is in the candidate list ``cand``, at index
+    ``pos[t]``, exactly when ``cuts[t]`` is non-zero (``pos[t] = -1``
+    otherwise).
     """
 
     __slots__ = (
-        "nbrs", "lens", "areas", "mask", "cuts", "area", "perimeter", "count",
-        "cand", "pos", "volume",
+        "nbrs", "back", "dps", "areas", "mask", "cuts", "area", "perimeter",
+        "count", "cand", "pos", "volume",
     )
 
-    def __init__(self, mesh, nbrs, lens, areas, init_mask, volume):
+    def __init__(self, mesh, tables, init_mask, volume):
         mask = np.asarray(init_mask, dtype=bool)
         cut = mask[mesh.tri_neighbors] != mask[:, None]
-        cuts = cut.sum(axis=1)
+        cuts = cut @ np.array([1, 2, 4])
         # boundary triangles in increasing order: moves are drawn by position
         cand = np.flatnonzero(cuts)
         pos = np.full(len(mask), -1)
         pos[cand] = np.arange(len(cand))
-        self.nbrs = nbrs
-        self.lens = lens
-        self.areas = areas
+        self.nbrs, self.back, self.dps, self.areas = tables
         self.mask = mask.tolist()
         self.cuts = cuts.tolist()
         self.volume = volume
@@ -348,19 +375,15 @@ class _State:
 
     def deltas(self, t: int) -> tuple[float, float]:
         """(perimeter change, signed area change) of flipping triangle t."""
-        s = self.mask[t]
-        m = self.mask
-        dp = 0.0
-        for u, l in zip(self.nbrs[t], self.lens[t]):
-            dp += l if m[u] == s else -l
-        da = -self.areas[t] if s else self.areas[t]
+        dp = self.dps[t][self.cuts[t]]
+        da = -self.areas[t] if self.mask[t] else self.areas[t]
         return dp, da
 
     def flip(self, t: int, dp: float, da: float) -> None:
         self.count += 1 if da > 0 else -1
         self.area += da
         self.perimeter += dp
-        _toggle(self.mask, self.cuts, self.cand, self.pos, self.nbrs, t)
+        _toggle(self.mask, self.cuts, self.cand, self.pos, self.nbrs, self.back, t)
 
     def cheapest_flip(self, inside: bool) -> tuple[int, float, float]:
         """(t, dp, da) of the boundary triangle on the given side whose flip
@@ -423,29 +446,29 @@ def _anneal(
     A feasible state, |area - V| <= feas = 0.02 V with V > 0, has area at
     least 0.98 V > 0, so it is never empty: the walk keeps no triangle count.
 
-    The flip update of ``_toggle`` is written out at two places, the swap's
-    first flip and the move's final flip (the accepted triangle, or the
-    swap's first triangle flipped back), in ``_toggle``'s order of list
-    operations.  The mask holds only the two bool singletons, so sides are
-    compared with ``is``, which is cheaper than ``==`` on bools.
+    A proposal's perimeter change is one lookup, ``dps[t][cuts[t]]``.  The
+    flip update of ``_toggle`` is written out once, its neighbour row
+    unrolled; a swap's first flip loops back through it for the second flip
+    or the undo.  |area - V| is taken after each move's flips, not per
+    proposal.
     """
     mu = cfg.mu
     temp = cfg.t_initial
     cooling = cfg.cooling
     volume = state.volume
-    mask, cuts, cand, pos, nbrs, lens, areas = (
-        state.mask, state.cuts, state.cand, state.pos, state.nbrs, state.lens,
-        state.areas,
+    mask, cuts, cand, pos, nbrs, back, dps, areas = (
+        state.mask, state.cuts, state.cand, state.pos, state.nbrs, state.back,
+        state.dps, state.areas,
     )
     area, perimeter = state.area, state.perimeter
     flips = swaps = flips_acc = swaps_acc = snapshots = 0
     best_cost = math.inf
     best_mask: list[bool] | None = None
-    gap0 = abs(area - volume)
-    if gap0 <= feas:
+    gap = abs(area - volume)
+    if gap <= feas:
         # a feasible starting region (e.g. a vertex ball) is already a
         # snapshot; annealing can then only improve on it
-        best_cost = perimeter + mu * gap0
+        best_cost = perimeter + mu * gap
         best_mask = list(mask)
         snapshots += 1
     exp = math.exp
@@ -454,116 +477,89 @@ def _anneal(
         if not cand:
             break
         t = cand[int(r_pick * len(cand))]
-        # the perimeter and area change of flipping t, summed as deltas() does
-        s = mask[t]
-        u0, u1, u2 = nbrs[t]
-        l0, l1, l2 = lens[t]
-        dp = 0.0
-        dp += l0 if mask[u0] is s else -l0
-        dp += l1 if mask[u1] is s else -l1
-        dp += l2 if mask[u2] is s else -l2
-        da = -areas[t] if s else areas[t]
-        base_gap = abs(area - volume)
-        if r_swap >= 0.5:
+        dp = dps[t][cuts[t]]
+        da = -areas[t] if mask[t] else areas[t]
+        second = r_swap >= 0.5
+        if second:
             swaps += 1
             t1, dp1, da1 = t, dp, da
-            # the swap's first flip: _toggle(mask, cuts, cand, pos, nbrs, t1)
-            # written out
-            s = not s
-            mask[t1] = s
-            c = cuts[t1] = 3 - cuts[t1]
-            if c == 3:
-                pos[t1] = len(cand)
-                cand.append(t1)
-            elif not c:
-                p = pos[t1]
-                last = cand[-1]
-                cand[p] = last
-                pos[last] = p
-                cand.pop()
-                pos[t1] = -1
-            for u in nbrs[t1]:
-                if mask[u] is s:
-                    c = cuts[u] - 1
-                    cuts[u] = c
-                    if not c:
-                        p = pos[u]
-                        last = cand[-1]
-                        cand[p] = last
-                        pos[last] = p
-                        cand.pop()
-                        pos[u] = -1
-                else:
-                    c = cuts[u] + 1
-                    cuts[u] = c
-                    if c == 1:
-                        pos[u] = len(cand)
-                        cand.append(u)
-            area += da1
-            perimeter += dp1
-            # a rejected swap, or one whose first flip emptied the boundary,
-            # flips t1 back below: area + (-da1) is area - da1 to the bit,
-            # and an infinite gap takes no snapshot
-            if cand:
-                t = cand[int(r2 * len(cand))]
-                s = mask[t]
-                u0, u1, u2 = nbrs[t]
-                l0, l1, l2 = lens[t]
-                dp = 0.0
-                dp += l0 if mask[u0] is s else -l0
-                dp += l1 if mask[u1] is s else -l1
-                dp += l2 if mask[u2] is s else -l2
-                da = -areas[t] if s else areas[t]
-                new_gap = abs(area + da - volume)
-                dcost = dp1 + dp + mu * (new_gap - base_gap)
-                if dcost <= 0.0 or (temp > 1e-300 and r_acc < exp(-dcost / temp)):
-                    swaps_acc += 1
-                else:
-                    t, dp, da, new_gap = t1, -dp1, -da1, inf
-            else:
-                t, dp, da, new_gap = t1, -dp1, -da1, inf
         else:
             flips += 1
             new_gap = abs(area + da - volume)
-            dcost = dp + mu * (new_gap - base_gap)
+            dcost = dp + mu * (new_gap - gap)
             if not (dcost <= 0.0 or (temp > 1e-300 and r_acc < exp(-dcost / temp))):
                 temp *= cooling
                 continue
             flips_acc += 1
-        # the move's final flip, of the accepted triangle or of t1 back:
-        # _toggle(mask, cuts, cand, pos, nbrs, t) written out
-        s = not mask[t]
-        mask[t] = s
-        c = cuts[t] = 3 - cuts[t]
-        if c == 3:
-            pos[t] = len(cand)
-            cand.append(t)
-        elif not c:
-            p = pos[t]
-            last = cand[-1]
-            cand[p] = last
-            pos[last] = p
-            cand.pop()
-            pos[t] = -1
-        for u in nbrs[t]:
-            if mask[u] is s:
-                c = cuts[u] - 1
-                cuts[u] = c
-                if not c:
-                    p = pos[u]
-                    last = cand[-1]
-                    cand[p] = last
-                    pos[last] = p
-                    cand.pop()
-                    pos[u] = -1
-            else:
-                c = cuts[u] + 1
-                cuts[u] = c
-                if c == 1:
-                    pos[u] = len(cand)
-                    cand.append(u)
-        area += da
-        perimeter += dp
+        while True:
+            # _toggle(mask, cuts, cand, pos, nbrs, back, t) written out
+            mask[t] = not mask[t]
+            c = cuts[t] = cuts[t] ^ 7
+            if c == 7:
+                pos[t] = len(cand)
+                cand.append(t)
+            elif not c:
+                p = pos[t]
+                last = cand[-1]
+                cand[p] = last
+                pos[last] = p
+                cand.pop()
+                pos[t] = -1
+            u0, u1, u2 = nbrs[t]
+            b0, b1, b2 = back[t]
+            c = cuts[u0] = cuts[u0] ^ b0
+            if not c:
+                p = pos[u0]
+                last = cand[-1]
+                cand[p] = last
+                pos[last] = p
+                cand.pop()
+                pos[u0] = -1
+            elif c == b0:
+                pos[u0] = len(cand)
+                cand.append(u0)
+            c = cuts[u1] = cuts[u1] ^ b1
+            if not c:
+                p = pos[u1]
+                last = cand[-1]
+                cand[p] = last
+                pos[last] = p
+                cand.pop()
+                pos[u1] = -1
+            elif c == b1:
+                pos[u1] = len(cand)
+                cand.append(u1)
+            c = cuts[u2] = cuts[u2] ^ b2
+            if not c:
+                p = pos[u2]
+                last = cand[-1]
+                cand[p] = last
+                pos[last] = p
+                cand.pop()
+                pos[u2] = -1
+            elif c == b2:
+                pos[u2] = len(cand)
+                cand.append(u2)
+            area += da
+            perimeter += dp
+            if not second:
+                break
+            second = False
+            # the swap's second flip, drawn from the updated boundary
+            if cand:
+                t = cand[int(r2 * len(cand))]
+                dp = dps[t][cuts[t]]
+                da = -areas[t] if mask[t] else areas[t]
+                new_gap = abs(area + da - volume)
+                dcost = dp1 + dp + mu * (new_gap - gap)
+                if dcost <= 0.0 or (temp > 1e-300 and r_acc < exp(-dcost / temp)):
+                    swaps_acc += 1
+                    continue
+            # a rejected swap, or one whose first flip emptied the boundary,
+            # flips t1 back: area + (-da1) is area - da1 to the bit, and an
+            # infinite gap takes no snapshot
+            t, dp, da, new_gap = t1, -dp1, -da1, inf
+        gap = abs(area - volume)
         if new_gap <= feas:
             # |area - V|: _polish's band cost here took pins 0.9205 -> 0.9723, 0.9796 -> 1.2111
             cost = perimeter + mu * new_gap
@@ -673,7 +669,8 @@ def minimize_perimeter(
             f"{len(warm)} warm starts for {cfg.restarts} restarts: each warm "
             "start takes one restart, so the extra ones would never run"
         )
-    nbrs, lens, areas = _tables(mesh)
+    tables = _tables(mesh)
+    nbrs, _, _, areas = tables
 
     outcomes: list[tuple[float, int, np.ndarray]] = []
     per_restart: list[float] = []
@@ -690,7 +687,7 @@ def minimize_perimeter(
             init = _random_blob(rng, nbrs, areas, volume)
         # each flip state is dropped once used: the walk's and the polishes'
         # would otherwise be alive together
-        state = _State(mesh, nbrs, lens, areas, init, volume)
+        state = _State(mesh, tables, init, volume)
         del init
         best_mask, counts = _anneal(state, cfg, rng, feas)
         del state
@@ -699,7 +696,7 @@ def minimize_perimeter(
         best_here: tuple[float, np.ndarray] | None = None
         polished = 0
         for mask in finalists:
-            st = _State(mesh, nbrs, lens, areas, mask, volume)
+            st = _State(mesh, tables, mask, volume)
             polished += _polish(st, cfg)
             # feasible, so not empty (see ``_anneal``)
             if abs(st.area - volume) <= feas and (

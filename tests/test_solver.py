@@ -17,6 +17,7 @@ from polyperim.errors import (
     VolumeTooLarge,
 )
 from polyperim.mesh import _edge_table, _half_edge_pairs, subdivide
+from polyperim.polytope import Polytope
 from polyperim.solver import (
     Region,
     _State,
@@ -255,7 +256,7 @@ def _polish_balls_in_band(mesh, volume, cuts, vertices):
     """Polish the vertex balls cut at each ``cut * volume`` whose area lands
     in [V, 1.02 V]; their cut perimeter must never rise and their area must
     stay in the band.  Return how many balls were polished."""
-    nbrs, lens, areas = solver._tables(mesh)
+    tables = solver._tables(mesh)
     cfg = default_config(mesh)
     cases = 0
     for cut in cuts:
@@ -267,7 +268,7 @@ def _polish_balls_in_band(mesh, volume, cuts, vertices):
             if not volume <= ball.area <= 1.02 * volume:
                 continue
             cases += 1
-            state = _State(mesh, nbrs, lens, areas, ball.mask, volume)
+            state = _State(mesh, tables, ball.mask, volume)
             solver._polish(state, cfg)
             out = Region(mesh, state.mask)
             case = (mesh.polytope.name, len(mesh.areas), volume, cut, v)
@@ -309,23 +310,87 @@ def test_polish_never_pushes_a_region_over_the_band():
     assert cases == 401
 
 
-def test_annealer_tables_share_one_object_per_value():
-    mesh = subdivide(shapes.tetrahedron(), 3)
-    nbrs, lens, areas = solver._tables(mesh)
+def _slot_triples(mesh):
+    """For each triangle t and side j, the side of neighbour
+    ``tri_neighbors[t, j]`` that holds edge ``tri_edges[t, j]``."""
+    edges = mesh.tri_edges.tolist()
+    return [
+        tuple(edges[u].index(e) for u, e in zip(row, edges[t]))
+        for t, row in enumerate(mesh.tri_neighbors.tolist())
+    ]
+
+
+def _assert_tables_hold(mesh):
+    """Each perimeter-change entry is, bit for bit, the side-by-side sum of
+    +l for an uncut side and -l for a cut one, and each back bit names the
+    neighbour's side that holds the shared edge."""
+    nbrs, back, dps, areas = solver._tables(mesh)
     assert nbrs == [tuple(row) for row in mesh.tri_neighbors.tolist()]
-    assert lens == [tuple(row) for row in mesh.edge_lengths[mesh.tri_edges].tolist()]
     assert areas == mesh.areas.tolist()
-    assert len({id(t) for row in nbrs for t in row}) == mesh.triangle_count
-    assert len({id(x) for row in lens for x in row}) == len(np.unique(mesh.edge_lengths))
-    assert len({id(x) for x in areas}) == len(np.unique(mesh.areas))
+    assert back == [tuple(1 << j for j in row) for row in _slot_triples(mesh)]
+    for t, lens in enumerate(mesh.edge_lengths[mesh.tri_edges].tolist()):
+        assert len(dps[t]) == 8
+        for k, change in enumerate(dps[t]):
+            dp = 0.0
+            for j, length in enumerate(lens):
+                dp += -length if k >> j & 1 else length
+            assert change.hex() == dp.hex(), (t, k)
+
+
+@pytest.mark.parametrize(
+    "name", ["cube", "octahedron", "square_pyramid", "tetrahedron", "triangular_prism"]
+)
+def test_annealer_tables_match_the_mesh(name):
+    for level in range(5):
+        _assert_tables_hold(subdivide(getattr(shapes, name)(), level))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_annealer_tables_match_random_hull_meshes(seed):
+    rng = np.random.default_rng(seed)
+    points = rng.normal(size=(int(rng.integers(8, 60)), 3))
+    poly = Polytope.from_vertices(points / np.linalg.norm(points, axis=1)[:, None])
+    for level in range(3):
+        _assert_tables_hold(subdivide(poly, level))
+
+
+def test_annealer_tables_share_one_object_per_value():
+    """One shared row per distinct length triple and per slot triple, one
+    int per triangle id and one float per distinct area.  At level 5 the
+    cube, tetrahedron and octahedron have three length triples, the square
+    pyramid and the prism (two kinds of facet) twelve."""
+    for name in ("tetrahedron", "cube"):
+        for level in (3, 5):
+            mesh = subdivide(getattr(shapes, name)(), level)
+            nbrs, back, dps, areas = solver._tables(mesh)
+            for rows, keys in (
+                (dps, [tuple(row) for row in mesh.edge_lengths[mesh.tri_edges].tolist()]),
+                (back, _slot_triples(mesh)),
+            ):
+                by_key = {}
+                for row, key in zip(rows, keys):
+                    by_key.setdefault(key, set()).add(id(row))
+                assert all(len(ids) == 1 for ids in by_key.values())
+                assert len({id(row) for row in rows}) == len(by_key)
+            assert len(set(back)) <= 27
+            assert len({id(t) for row in nbrs for t in row}) == mesh.triangle_count
+            assert len({id(x) for x in areas}) == len(np.unique(mesh.areas))
+    for name, triples in (
+        ("cube", 3), ("tetrahedron", 3), ("octahedron", 3), ("square_pyramid", 12),
+        ("triangular_prism", 12),
+    ):
+        dps = solver._tables(subdivide(getattr(shapes, name)(), 5))[2]
+        assert len({id(row) for row in dps}) == triples, name
 
 
 def test_minimize_perimeter_memory_per_triangle():
-    """On the level-5 cube with a warm start the solve peaks at 241 bytes
-    per triangle: the tables take about 200 (one Python int per triangle id, one
-    float per distinct length or area, tuple rows), a flip state 24.  With
-    list rows of fresh numbers, an 8192-iteration draw buffer and every
-    flip state alive to the end it peaked at 503."""
+    """On the level-5 cube with a warm start the solve peaks at 184 bytes
+    per triangle: the tables take about 123 (99 of them the neighbour rows,
+    one Python int per triangle id; the back-bit and perimeter-change rows
+    and the areas are shared objects), a flip state 24.  With per-triangle
+    edge-length rows it peaked at 241, and with list rows of fresh numbers,
+    an 8192-iteration draw buffer and every flip state alive to the end at
+    503."""
     mesh = subdivide(shapes.cube(), 5)
     ball = vertex_ball_region(mesh, 0, 0.05)
     mesh.tri_neighbors
@@ -390,16 +455,14 @@ class _RecordingRng:
 
 def test_annealing_draws_are_bounded_and_batching_leaves_the_run_alone(monkeypatch):
     mesh = subdivide(shapes.cube(), 3)
-    nbrs = mesh.tri_neighbors.tolist()
-    lens = mesh.edge_lengths[mesh.tri_edges].tolist()
-    areas = mesh.areas.tolist()
+    tables = solver._tables(mesh)
     volume = 0.1
     init = vertex_ball_region(mesh, 0, volume).mask
     cfg = default_config(mesh, seed=0, iterations=2 * solver.DRAW_BLOCK + 5)
 
     def anneal():
         rng = _RecordingRng(5)
-        state = _State(mesh, nbrs, lens, areas, init, volume)
+        state = _State(mesh, tables, init, volume)
         return rng.sizes, solver._anneal(state, cfg, rng, 0.02 * volume)
 
     sizes, result = anneal()
@@ -451,6 +514,7 @@ def test_minimize_perimeter_domain_checks():
 
 def test_flip_state_matches_a_loop_reference():
     mesh = subdivide(shapes.tetrahedron(), 3)
+    tables = solver._tables(mesh)
     nbrs = mesh.tri_neighbors.tolist()
     lens = mesh.edge_lengths[mesh.tri_edges].tolist()
     areas = mesh.areas.tolist()
@@ -458,7 +522,7 @@ def test_flip_state_matches_a_loop_reference():
     masks = [rng.random(len(areas)) < p for p in (0.0, 0.05, 0.5, 1.0)]
     centroids = mesh.triangle_centroids(np.arange(len(areas)))
     for mask in masks + [centroids[:, 2] > 0.2]:
-        state = _State(mesh, nbrs, lens, areas, mask, 0.1)
+        state = _State(mesh, tables, mask, 0.1)
         flags = mask.tolist()
         area = perimeter = 0.0
         for t, inside in enumerate(flags):
@@ -473,15 +537,18 @@ def test_flip_state_matches_a_loop_reference():
         assert state.cand == cand
         assert [state.pos[t] for t in cand] == list(range(len(cand)))
         assert state.pos.count(-1) == len(flags) - len(cand)
-        assert state.cuts == [sum(flags[u] != inside for u in nbrs[t])
-                              for t, inside in enumerate(flags)]
+        # bit j of a triangle's pattern is set when side j is cut
+        assert state.cuts == [
+            sum((flags[u] != inside) << j for j, u in enumerate(nbrs[t]))
+            for t, inside in enumerate(flags)
+        ]
 
     # 10k seeded flips and undos, each checked against a freshly built state
     # and against a candidate list kept by the loop rule: after flipping t,
     # refresh t and then each neighbour, appending a triangle that gained a
     # cut edge and swap-removing one that lost its last
     flags = masks[2].tolist()
-    state = _State(mesh, nbrs, lens, areas, flags, 0.1)
+    state = _State(mesh, tables, flags, 0.1)
     ref_cand = list(state.cand)
     ref_pos = {t: i for i, t in enumerate(ref_cand)}
 
@@ -513,7 +580,7 @@ def test_flip_state_matches_a_loop_reference():
         flags[t] = not flags[t]
         for x in (t, *nbrs[t]):
             refresh(x)
-        fresh = _State(mesh, nbrs, lens, areas, flags, 0.1)
+        fresh = _State(mesh, tables, flags, 0.1)
         assert state.mask == flags and state.count == fresh.count, step
         assert state.cuts == fresh.cuts, step
         assert state.cand == ref_cand, step
@@ -524,11 +591,66 @@ def test_flip_state_matches_a_loop_reference():
         assert state.perimeter == pytest.approx(fresh.perimeter, rel=1e-12, abs=0), step
 
 
+def _count_toggle(mask, cuts, cand, pos, nbrs, t):
+    """The flip update on cut counts: ``cuts[t]`` is the number of cut
+    sides of t, and t is a candidate exactly when it is non-zero."""
+    s = not mask[t]
+    mask[t] = s
+    c = cuts[t] = 3 - cuts[t]
+    if c == 3:
+        pos[t] = len(cand)
+        cand.append(t)
+    elif not c:
+        p = pos[t]
+        last = cand[-1]
+        cand[p] = last
+        pos[last] = p
+        cand.pop()
+        pos[t] = -1
+    for u in nbrs[t]:
+        # the edge to a neighbour on t's new side is no longer cut
+        if mask[u] == s:
+            cuts[u] -= 1
+            if not cuts[u]:
+                p = pos[u]
+                last = cand[-1]
+                cand[p] = last
+                pos[last] = p
+                cand.pop()
+                pos[u] = -1
+        else:
+            cuts[u] += 1
+            if cuts[u] == 1:
+                pos[u] = len(cand)
+                cand.append(u)
+
+
+def _count_state(mesh, init, volume):
+    """A flip state with cut counts and edge-length rows, for the reference."""
+    mask = np.asarray(init, dtype=bool)
+    cut = mask[mesh.tri_neighbors] != mask[:, None]
+    cand = np.flatnonzero(cut.any(axis=1))
+    pos = np.full(len(mask), -1)
+    pos[cand] = np.arange(len(cand))
+    return SimpleNamespace(
+        mask=mask.tolist(),
+        cuts=cut.sum(axis=1).tolist(),
+        cand=cand.tolist(),
+        pos=pos.tolist(),
+        nbrs=mesh.tri_neighbors.tolist(),
+        lens=mesh.edge_lengths[mesh.tri_edges].tolist(),
+        areas=mesh.areas.tolist(),
+        volume=volume,
+        area=solver._running_sum(mesh.areas[mask]),
+        perimeter=solver._running_sum(mesh.edge_lengths[mesh.tri_edges[cut]]) * 0.5,
+    )
+
+
 def _anneal_with_toggle(state, cfg, rng, feas):
-    """``solver._anneal`` as it was when every flip called ``_toggle``:
-    the reference the inline updates must replay exactly.  Also returns how
-    many swaps emptied the boundary and were undone at once."""
-    toggle = solver._toggle
+    """The annealer as it was when every flip called a toggle on cut counts
+    and each proposal summed its neighbour terms: the reference the
+    cut-pattern annealer must replay exactly.  Also returns how many swaps
+    emptied the boundary and were undone at once."""
     mu, temp, cooling, volume = cfg.mu, cfg.t_initial, cfg.cooling, state.volume
     mask, cuts, cand, pos, nbrs, lens, areas = (
         state.mask, state.cuts, state.cand, state.pos, state.nbrs, state.lens,
@@ -552,6 +674,9 @@ def _anneal_with_toggle(state, cfg, rng, feas):
         dp += l2 if mask[u2] == s else -l2
         return dp, -areas[t] if s else areas[t]
 
+    def toggle(t):
+        _count_toggle(mask, cuts, cand, pos, nbrs, t)
+
     for r_swap, r_pick, r2, r_acc in solver._draws(rng, cfg.iterations):
         if not cand:
             break
@@ -563,12 +688,12 @@ def _anneal_with_toggle(state, cfg, rng, feas):
         if swap:
             swaps += 1
             t1, dp1, da1 = t, dp, da
-            toggle(mask, cuts, cand, pos, nbrs, t1)
+            toggle(t1)
             area += da1
             perimeter += dp1
             if not cand:
                 empty_undos += 1
-                toggle(mask, cuts, cand, pos, nbrs, t1)
+                toggle(t1)
                 area -= da1
                 perimeter -= dp1
                 temp *= cooling
@@ -583,7 +708,7 @@ def _anneal_with_toggle(state, cfg, rng, feas):
         if dcost <= 0.0 or (temp > 1e-300 and r_acc < math.exp(-dcost / temp)):
             accepted += 1
             swaps_acc += swap
-            toggle(mask, cuts, cand, pos, nbrs, t)
+            toggle(t)
             area += da
             perimeter += dp
             if new_gap <= feas:
@@ -592,7 +717,7 @@ def _anneal_with_toggle(state, cfg, rng, feas):
                     best_cost, best_mask = cost, list(mask)
                     snapshots += 1
         elif swap:
-            toggle(mask, cuts, cand, pos, nbrs, t1)
+            toggle(t1)
             area -= da1
             perimeter -= dp1
         temp *= cooling
@@ -602,10 +727,12 @@ def _anneal_with_toggle(state, cfg, rng, feas):
 
 @pytest.mark.parametrize("block", [solver.DRAW_BLOCK, 7])
 def test_anneal_replays_the_toggle_reference(monkeypatch, block):
-    """The annealer writes the flip update out inline; on warm balls, cold
-    blobs and one-triangle starts it must return the reference's snapshot
-    and move counts and leave the same mask, cut counts and candidate list
-    (whose order decides every later pick)."""
+    """The annealer keeps cut patterns and looks its perimeter changes up;
+    on warm balls, cold blobs and one-triangle starts it must return the
+    count-based reference's snapshot and move counts and leave the same
+    mask and candidate list (whose order decides every later pick), with
+    each pattern's popcount the reference's count and each bit set exactly
+    on a side between the two sides of the mask."""
     monkeypatch.setattr(solver, "DRAW_BLOCK", block)
     runs = empty_undos = 0
     for name in ("cube", "tetrahedron", "square_pyramid", "octahedron", "triangular_prism"):
@@ -613,7 +740,8 @@ def test_anneal_replays_the_toggle_reference(monkeypatch, block):
         vertex = rank_by_link(vertex_cones(poly))[0].vertex_index
         for level in (2, 3, 4):
             mesh = subdivide(poly, level)
-            nbrs, lens, areas = solver._tables(mesh)
+            tables = solver._tables(mesh)
+            nbrs, _, _, areas = tables
             volume = 0.02 * mesh.total_area()
             one = np.zeros(mesh.triangle_count, dtype=bool)
             one[mesh.triangle_count // 2] = True
@@ -621,15 +749,21 @@ def test_anneal_replays_the_toggle_reference(monkeypatch, block):
                 cfg = default_config(mesh, seed=seed, iterations=400)
                 blob = solver._random_blob(np.random.default_rng(seed), nbrs, areas, volume)
                 for init in (vertex_ball_region(mesh, vertex, volume).mask, blob, one):
-                    ref = _State(mesh, nbrs, lens, areas, init, volume)
-                    new = _State(mesh, nbrs, lens, areas, init, volume)
+                    ref = _count_state(mesh, init, volume)
+                    new = _State(mesh, tables, init, volume)
+                    assert (new.area, new.perimeter) == (ref.area, ref.perimeter)
                     feas = 0.02 * volume
                     *want, undos = _anneal_with_toggle(ref, cfg, np.random.default_rng(seed), feas)
                     got = solver._anneal(new, cfg, np.random.default_rng(seed), feas)
                     case = (name, level, seed, runs)
                     assert list(got) == want, case
-                    assert new.mask == ref.mask and new.cuts == ref.cuts, case
+                    assert new.mask == ref.mask, case
                     assert new.cand == ref.cand and new.pos == ref.pos, case
+                    assert [bin(c).count("1") for c in new.cuts] == ref.cuts, case
+                    assert new.cuts == [
+                        sum((new.mask[u] != inside) << j for j, u in enumerate(nbrs[t]))
+                        for t, inside in enumerate(new.mask)
+                    ], case
                     runs += 1
                     empty_undos += undos if init is one else 0
     assert runs == 90
