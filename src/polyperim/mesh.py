@@ -36,21 +36,21 @@ half the length of the sides they are parallel to, ``ca``, ``ab`` and ``bc``
 floats, and ``MERGE_TOL`` and ``MAX_COORD`` keep accepted meshes far from
 subnormals and overflow, so congruent triangles get bitwise equal values.
 On dyadic positions, such as the cube's, they equal what the rounded final
-positions give.  Closure is checked once, on the fan, from each edge's
-smaller and larger half-edge (``_half_edge_pairs``).  It holds at every
-level because each half of an edge lies on one child of each of the edge's
-two triangles, and each interior edge on two children of one triangle.
+positions give.  Closure is checked once, on the fan, by counting each
+edge's half-edges with ``np.bincount``.  It holds at every level because
+each half of an edge lies on one child of each of the edge's two triangles,
+and each interior edge on two children of one triangle.
 
 A mesh keeps only what the solver reads, every index array int32: 60 bytes
 per triangle (``P = T/2 + 2`` positions, ``E = 3T/2`` edges).  Edge ends and
 triangle centroids are not kept.  Each round drops its inputs as it uses
 them and the last builds no edge ends, so a build peaks at the size of the
-mesh it returns.  The triangle across each side
-(``SurfaceMesh.tri_neighbors``, which only the annealer reads) is derived
-from the half-edge pairs on first read and kept, as is each vertex's star
-order (``SurfaceMesh.vertex_star``).  A mesh whose ``3T`` half-edge ids
-would not fit int32 is rejected before it is built.  Every array is
-read-only once built.
+mesh it returns.  Each half-edge's twin, the other half-edge of
+its edge (``SurfaceMesh.tri_twins``, which only the annealer reads), comes
+from one stable ``np.argsort`` on first read and is kept, as is each
+vertex's star order (``SurfaceMesh.vertex_star``).  A mesh whose ``3T``
+half-edge ids would not fit int32 is rejected before it is built.  Every
+array is read-only once built.
 """
 
 from __future__ import annotations
@@ -61,14 +61,14 @@ from functools import cached_property
 import numpy as np
 
 from .cones import VertexCone, vertex_cones
-from .errors import UnsupportedDimension, ValidationError, checked_int
+from .errors import NumericalError, UnsupportedDimension, ValidationError, checked_int
 from .polytope import Polytope
 
 MAX_LEVEL = 8
 
 # int32 holds the 3T half-edge ids of a mesh of at most this many triangles
 _MAX_TRIANGLES = (np.iinfo(np.int32).max + 1) // 3
-# rows per block of the temporaries of a half-edge scan or a vertex star
+# rows per block of a vertex star's centroid-distance temporaries
 _BLOCK = 1 << 14
 
 
@@ -105,7 +105,7 @@ class SurfaceMesh:
     areas : (T,) float
 
     That is 60 bytes per triangle.  Centroids are computed on demand by
-    ``triangle_centroids``, and ``tri_neighbors`` on first read.
+    ``triangle_centroids``; ``tri_twins`` is derived on first read.
     """
 
     positions: np.ndarray
@@ -143,20 +143,21 @@ class SurfaceMesh:
         return mesh
 
     @cached_property
-    def tri_neighbors(self) -> np.ndarray:
-        """(T, 3) int32 triangle across each side ``ab``, ``bc``, ``ca``, or
-        -1 across an open edge; derived from ``tri_edges`` on first read and
-        kept.  Only the annealer reads it."""
-        first, last = _half_edge_pairs(self.tri_edges.reshape(-1), len(self.edge_lengths))
-        across = np.full(self.tri_edges.size, -1, dtype=np.int32)
-        for rows in _blocks(len(first)):
-            lo, hi = first[rows], last[rows]
-            paired = lo != hi
-            lo, hi = lo[paired], hi[paired]
-            across[lo], across[hi] = hi // 3, lo // 3
-        across = across.reshape(self.tri_edges.shape)
-        _freeze(across)
-        return across
+    def tri_twins(self) -> np.ndarray:
+        """(T, 3) int32 half-edge ``3u + k`` across side j (``ab``, ``bc``,
+        ``ca``) of each triangle t: the neighbour ``twin // 3`` holds the
+        shared edge on its side ``twin % 3``.  Derived on first read and
+        kept; only the annealer reads it.  On a closed mesh rows 2e and
+        2e + 1 of the stable order of the half-edges' edges are edge e's two
+        half-edges; an open mesh raises ``NumericalError``."""
+        if not self._closed:
+            raise NumericalError("an open mesh has half-edges without a twin")
+        first, last = np.argsort(self.tri_edges.ravel(), kind="stable").reshape(-1, 2).T
+        twins = np.empty(self.tri_edges.size, dtype=np.int32)
+        twins[first], twins[last] = last, first
+        twins = twins.reshape(self.tri_edges.shape)
+        _freeze(twins)
+        return twins
 
     @property
     def triangle_count(self) -> int:
@@ -199,7 +200,8 @@ class SurfaceMesh:
                 [np.arange(lo, hi, dtype=np.int32) for lo, hi in bounds.T]
             )
             dist = np.empty(len(tris))
-            for rows in _blocks(len(tris)):
+            for lo in range(0, len(tris), _BLOCK):
+                rows = slice(lo, lo + _BLOCK)
                 d = self.triangle_centroids(tris[rows]) - self.positions[vertex]
                 dist[rows] = np.linalg.norm(d, axis=1)
             # each full-size temporary is dropped before the next is made
@@ -314,11 +316,6 @@ def _freeze(*arrays: np.ndarray) -> None:
         a.flags.writeable = False
 
 
-def _blocks(count: int):
-    """Slices of at most ``_BLOCK`` rows covering ``range(count)``."""
-    return (slice(lo, min(lo + _BLOCK, count)) for lo in range(0, count, _BLOCK))
-
-
 def _edge_table(triangles: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
     """Sorted vertex pairs of the edges, lexicographic, and each triangle's
     edges ``ab``, ``bc``, ``ca``, from one ``np.unique`` of the half-edges;
@@ -338,32 +335,5 @@ def _edge_table(triangles: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarr
 
 
 def _closes(tri_edges: np.ndarray, count: int) -> bool:
-    """Whether each of ``count`` edges lies on exactly two triangles: the
-    ``3T`` half-edges are ``2 * count``, and none of them is unpaired."""
-    first, last = _half_edge_pairs(tri_edges.reshape(-1), count)
-    return 2 * count == tri_edges.size and bool((first != last).all())
-
-
-def _half_edge_pairs(edge_of: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Smaller and larger half-edge index of each of ``count`` edges, given
-    the edge of every half-edge; an open edge gives its one half-edge twice.
-
-    One scatter keeps one half-edge per edge; the half-edges it did not keep
-    are the other ends of their edges, so no sort is needed.  Both scatters
-    and the ordering run in blocks of rows, so the two outputs are the only
-    full-size arrays.
-    """
-    kept = np.empty(count, dtype=edge_of.dtype)
-    for rows in _blocks(len(edge_of)):
-        kept[edge_of[rows]] = np.arange(rows.start, rows.stop, dtype=edge_of.dtype)
-    other = kept.copy()
-    for rows in _blocks(len(edge_of)):
-        half = np.arange(rows.start, rows.stop, dtype=edge_of.dtype)
-        edge = edge_of[rows]
-        rest = kept[edge] != half
-        other[edge[rest]] = half[rest]
-    for rows in _blocks(count):
-        lo = np.minimum(kept[rows], other[rows])
-        np.maximum(kept[rows], other[rows], out=other[rows])
-        kept[rows] = lo
-    return kept, other
+    """Whether each of ``count`` edges lies on exactly two triangles."""
+    return bool((np.bincount(tri_edges.ravel(), minlength=count) == 2).all())

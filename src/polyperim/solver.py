@@ -27,9 +27,12 @@ simulated annealing over single-triangle flips:
 The flip loop reads four Python tables built once per solve by ``_tables``:
 each triangle's neighbours, back bits (the bit of the shared side in each
 neighbour's pattern), perimeter change under each of its 8 patterns (so a
-proposal's is one lookup) and area.  All but the neighbour rows, which hold
-one int per triangle id, are shared objects; the tables take about 123 bytes
-per triangle (99 of them the neighbours), and a solve peaks near 185.
+proposal's is one lookup) and area.  Neighbour and shared side are the
+quotient and remainder by 3 of the mesh's half-edge twins
+(``SurfaceMesh.tri_twins``), so no side is matched again here.  All but
+the neighbour rows, which hold one int per triangle id, are shared objects;
+the tables take about 123 bytes per triangle (99 of them the neighbours),
+and a solve peaks near 185.
 
 Restarts use independent RNG streams seeded by (seed, restart index); warm
 starts (typically vertex balls, regions of the mesh being solved) occupy
@@ -91,16 +94,15 @@ class Region:
 
         The cut edges are read off the smaller side's own triangles: an edge
         of that side is cut when it occurs once among the side's edges, as
-        every edge lies on two triangles.
+        every edge lies on two triangles.  ``np.unique`` gives them in
+        ascending order.
         """
         mesh = self.mesh
         side = self.mask if 2 * self.mask.sum() <= len(self.mask) else ~self.mask
-        edges = np.sort(mesh.tri_edges.take(np.flatnonzero(side), axis=0), axis=None)
-        once = np.ones(len(edges), dtype=bool)
-        repeat = edges[1:] == edges[:-1]
-        once[1:] &= ~repeat
-        once[:-1] &= ~repeat
-        return float(mesh.edge_lengths[edges[once]].sum())
+        edges, counts = np.unique(
+            mesh.tri_edges.take(np.flatnonzero(side), axis=0), return_counts=True
+        )
+        return float(mesh.edge_lengths[edges[counts == 1]].sum())
 
     @property
     def triangle_count(self) -> int:
@@ -160,7 +162,8 @@ def default_config(
     l_max = mesh.max_edge_length()
     mu = 30.0 * l_max / a_min
     t_initial = mu * a_mean
-    cooling = (1e-3) ** (1.0 / max(1, iterations))
+    iterations = checked_int(iterations, "iterations", 1)
+    cooling = (1e-3) ** (1.0 / iterations)
     return SolverConfig(
         seed=seed,
         iterations=iterations,
@@ -280,10 +283,9 @@ def _tables(mesh: SurfaceMesh) -> tuple[list[tuple], list[tuple], list[tuple], l
     the columns, in half the time ``map(tuple, ...)`` takes.  The other
     entries are shared: one back-bit row per slot triple (at most 27), one
     perimeter-change row per triple of distinct lengths and one float per
-    distinct area."""
-    across = mesh.tri_neighbors
-    # side j of t is the side of neighbour across[t, j] holding edge tri_edges[t, j]
-    slots = (mesh.tri_edges[across] == mesh.tri_edges[:, :, None]).argmax(axis=2)
+    distinct area.  Neighbour and slot are the quotient and remainder of
+    each half-edge twin by 3 (``SurfaceMesh.tri_twins``)."""
+    across, slots = np.divmod(mesh.tri_twins, 3)
     back = _shared_rows(
         slots, slots @ np.array([9, 3, 1]), lambda row: tuple(1 << j for j in row)
     )
@@ -294,9 +296,11 @@ def _tables(mesh: SurfaceMesh) -> tuple[list[tuple], list[tuple], list[tuple], l
     pairs = np.unique(index[:, 0] * n + index[:, 1], return_inverse=True)[1]
     dps = _shared_rows(mesh.edge_lengths[mesh.tri_edges], pairs * n + index[:, 2], _flip_changes)
     del slots, index, pairs
-    # the neighbour rows last, so the temporaries above are freed first
-    ids = np.arange(mesh.triangle_count).astype(object)
-    nbrs = list(zip(*ids[across].T.tolist()))
+    # the neighbour rows last, each temporary freed before the next is made
+    columns = np.arange(mesh.triangle_count).astype(object)[across].T.tolist()
+    del across
+    nbrs = list(zip(*columns))
+    del columns
     return nbrs, back, dps, _shared_rows(mesh.areas, mesh.areas, float)
 
 
@@ -344,9 +348,9 @@ class _State:
     """Mutable flip-state shared by the annealing and polish phases.
 
     Bit j of ``cuts[t]`` is set when side j of triangle t, the side towards
-    ``nbrs[t][j]``, is cut; t is in the candidate list ``cand``, at index
-    ``pos[t]``, exactly when ``cuts[t]`` is non-zero (``pos[t] = -1``
-    otherwise).
+    ``nbrs[t][j]`` (``mesh.tri_twins[t, j] // 3``), is cut; t is in the
+    candidate list ``cand``, at index ``pos[t]``, exactly when ``cuts[t]``
+    is non-zero (``pos[t] = -1`` otherwise).
     """
 
     __slots__ = (
@@ -356,7 +360,7 @@ class _State:
 
     def __init__(self, mesh, tables, init_mask, volume):
         mask = np.asarray(init_mask, dtype=bool)
-        cut = mask[mesh.tri_neighbors] != mask[:, None]
+        cut = mask[mesh.tri_twins // 3] != mask[:, None]
         cuts = cut @ np.array([1, 2, 4])
         # boundary triangles in increasing order: moves are drawn by position
         cand = np.flatnonzero(cuts)

@@ -24,6 +24,13 @@ def facet_rings(poly):
     return np.split(poly.ring_edges[:, 0], np.cumsum(sizes)[:-1])
 
 
+def half_edge_pairs(edge_of):
+    """Smaller and larger half-edge of each edge of a closed mesh, given the
+    edge of every half-edge: rows 2e and 2e + 1 of their stable order."""
+    first, last = np.argsort(edge_of, kind="stable").reshape(-1, 2).T
+    return first, last
+
+
 SMOOTHED_SHAPES = {
     "square": shapes.square,
     "cube2": lambda: shapes.cube(side=2.0),

@@ -8,19 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyperim import shapes
-from polyperim.errors import UnsupportedDimension, ValidationError
-from polyperim.mesh import (
-    SurfaceMesh,
-    _closes,
-    _edge_table,
-    _half_edge_pairs,
-    subdivide,
-)
+from polyperim.errors import NumericalError, UnsupportedDimension, ValidationError
+from polyperim.mesh import SurfaceMesh, _closes, _edge_table, subdivide
 from polyperim.polytope import Polytope, polytope_measure
 from polyperim.smoothing import convexity_probe, smoothed_body
 from polyperim.solver import vertex_ball_region
 
-from conftest import facet_rings
+from conftest import facet_rings, half_edge_pairs
 
 
 @pytest.mark.parametrize("level", [0, 1, 2, 3])
@@ -41,10 +35,10 @@ def test_tetrahedron_counts():
 def test_mesh_is_closed_and_neighbors_consistent():
     mesh = subdivide(shapes.octahedron(), 1)
     assert mesh.is_closed()
+    nbrs = mesh.tri_twins // 3
     for ti in range(mesh.triangle_count):
-        for nb in mesh.tri_neighbors[ti]:
-            assert nb >= 0
-            assert ti in mesh.tri_neighbors[nb]
+        for nb in nbrs[ti]:
+            assert ti in nbrs[nb]
     # closure is decided once, on the fan: a lone triangle reads open
     positions, triangles = np.eye(3), np.array([[0, 1, 2]], dtype=np.int32)
     ends, tri_edges = _edge_table(triangles, 3)
@@ -55,7 +49,8 @@ def test_mesh_is_closed_and_neighbors_consistent():
         np.array([math.sqrt(3.0) / 2]), closed,
     )
     assert closed is False and lone.is_closed() is False and mesh.is_closed() is True
-    assert lone.tri_neighbors.tolist() == [[-1, -1, -1]]
+    with pytest.raises(NumericalError, match="without a twin"):
+        lone.tri_twins
 
 
 def test_edge_counts_satisfy_euler_formula():
@@ -107,14 +102,17 @@ NUMBERING_DIGESTS = {
 
 
 def _derived(mesh, name):
-    """A mesh array by name; ``edges``, ``edge_triangles`` and ``centroids``,
-    which a mesh no longer keeps, are derived from the kept ones."""
+    """A mesh array by name; ``edges``, ``edge_triangles``, ``tri_neighbors``
+    and ``centroids``, which a mesh does not keep, are derived from the kept
+    ones and the half-edge twins."""
     if name == "edges":
         return _edge_table(mesh.triangles, len(mesh.positions))[0]
     if name == "edge_triangles":
         T = mesh.triangle_count
-        first, last = _half_edge_pairs(mesh.tri_edges.T.ravel(), len(mesh.edge_lengths))
+        first, last = half_edge_pairs(mesh.tri_edges.T.ravel())
         return np.stack([first % T, last % T], axis=1)
+    if name == "tri_neighbors":
+        return mesh.tri_twins // 3
     if name == "centroids":
         return mesh.triangle_centroids(np.arange(mesh.triangle_count))
     return getattr(mesh, name)
@@ -226,11 +224,12 @@ def test_refinement_halves_lengths_and_quarters_areas_exactly(m, seed, level):
     # the interior edges (ab, bc), (bc, ca), (ca, ab) are parallel to ca, ab, bc
     parallel = parent.edge_lengths[parent.tri_edges[:, [2, 0, 1]]]
     assert inner.tobytes() == (0.5 * parallel).tobytes()
-    # closure, decided on the fan, against a scan of the final half-edges
+    # closure, decided on the fan, against the final half-edges: each edge's
+    # two half-edges lie on two triangles
     edge_of = child.tri_edges.ravel()
-    first, last = _half_edge_pairs(edge_of, len(child.edge_lengths))
-    scanned = 2 * len(first) == len(edge_of) and bool((first != last).all())
-    assert child.is_closed() is scanned is True
+    first, last = half_edge_pairs(edge_of)
+    assert child.is_closed() is True
+    assert (edge_of[first] == edge_of[last]).all() and (first // 3 != last // 3).all()
     assert (np.bincount(edge_of, minlength=len(child.edge_lengths)) == 2).all()
 
 
@@ -329,7 +328,7 @@ def test_mesh_arrays_are_read_only_and_inputs_stay_writable():
     tet = shapes.tetrahedron()
     mesh = subdivide(tet, 0)
     star = mesh.vertex_star(0)
-    frozen = [getattr(mesh, name) for name in KEPT_ARRAYS + ("tri_neighbors",)]
+    frozen = [getattr(mesh, name) for name in KEPT_ARRAYS + ("tri_twins",)]
     for array in frozen + [star.triangles, star.distances, star.prefix_area]:
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
@@ -369,7 +368,7 @@ def test_meshes_beyond_int32_half_edge_ids_are_rejected_before_building():
     assert peak < 2**20
 
 
-INDEX_ARRAYS = ("triangles", "facet_of", "tri_edges", "tri_neighbors")
+INDEX_ARRAYS = ("triangles", "facet_of", "tri_edges", "tri_twins")
 
 
 def test_level6_cube_memory_and_index_dtypes():
@@ -410,22 +409,22 @@ def test_a_mesh_keeps_60_bytes_per_triangle():
     arrays = {name for name, value in vars(mesh).items() if isinstance(value, np.ndarray)}
     assert arrays == set(KEPT_ARRAYS)
     # 60 bytes per triangle, and 48 for the two positions by which
-    # P = T/2 + 2 (Euler) exceeds T/2; the neighbours are not kept until
-    # something reads them
+    # P = T/2 + 2 (Euler) exceeds T/2; the half-edge twins are not kept
+    # until something reads them
     T = mesh.triangle_count
     assert sum(getattr(mesh, name).nbytes for name in KEPT_ARRAYS) == 60 * T + 48
-    assert "tri_neighbors" not in vars(mesh)
+    assert "tri_twins" not in vars(mesh)
 
 
-def test_tri_neighbors_are_derived_on_first_read_and_kept():
+def test_tri_twins_are_derived_on_first_read_and_kept():
     mesh = subdivide(shapes.square_pyramid(), 3)
-    assert "tri_neighbors" not in vars(mesh)
-    nbrs = mesh.tri_neighbors
-    assert vars(mesh)["tri_neighbors"] is nbrs and mesh.tri_neighbors is nbrs
-    assert nbrs.dtype == np.int32 and nbrs.shape == mesh.triangles.shape
+    assert "tri_twins" not in vars(mesh)
+    twins = mesh.tri_twins
+    assert vars(mesh)["tri_twins"] is twins and mesh.tri_twins is twins
+    assert twins.dtype == np.int32 and twins.shape == mesh.triangles.shape
     with pytest.raises(ValueError, match="read-only"):
-        nbrs[0, 0] = 0
-    # the numbering digest reads the derived neighbours
+        twins[0, 0] = 0
+    # the numbering digest reads the neighbours derived from the twins
     assert _numbering_digest(mesh) == NUMBERING_DIGESTS["square_pyramid"][3]
 
 
@@ -445,5 +444,5 @@ def test_a_fine_mesh_its_balls_and_a_smoothed_probe_share_a_small_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert "tri_neighbors" not in vars(mesh)
+    assert "tri_twins" not in vars(mesh)
     assert peak < 9.75 * 2**20

@@ -219,13 +219,13 @@ INTEGER_ARGUMENTS = [
     [
         pytest.param(call, error, name, value, id=f"{entry}-{argument}-{value!r}")
         for entry, argument, call, error, name, outside in INTEGER_ARGUMENTS
-        for value in (2.5, True, np.float64(2), *outside)
+        for value in (2.5, True, np.float64(2), "2", *outside)
     ],
 )
 def test_integer_arguments_follow_one_rule(call, error, name, value):
-    # a float, a bool or a value out of range raises the site's class and
-    # names the argument; bool passed range checks as 0 or 1 and a float
-    # reached numpy or list indexing
+    # a float, a bool, a string or a value out of range raises the site's
+    # class and names the argument; bool passed range checks as 0 or 1, a
+    # float reached numpy or list indexing and a string reached arithmetic
     with pytest.raises(error) as exc:
         call(value)
     assert type(exc.value) is error

@@ -12,7 +12,7 @@ from scipy.spatial import ConvexHull
 from polyperim import shapes
 from polyperim.cones import _facet_corners, deficit_sum, vertex_cones
 from polyperim.errors import InvalidPolytope
-from polyperim.mesh import _edge_table, _half_edge_pairs, subdivide
+from polyperim.mesh import _edge_table, subdivide
 from polyperim.polytope import (
     MERGE_TOL,
     Polytope,
@@ -75,21 +75,26 @@ def test_random_hull_identities(m, seed):
 
 
 def assert_closed_2_manifold(mesh):
-    """No unpaired half-edge, every edge on exactly two triangles, each
-    triangle its neighbour's neighbour across the same edge, and
-    V - E + T = 2."""
-    tri_edges, nbrs = mesh.tri_edges, mesh.tri_neighbors
+    """Every edge on exactly two triangles, each half-edge's twin a different
+    half-edge of the same edge whose twin it is, each triangle its
+    neighbour's neighbour across the same edge, and V - E + T = 2."""
+    tri_edges, twins = mesh.tri_edges, mesh.tri_twins
+    nbrs = twins // 3
     edges = _edge_table(mesh.triangles, len(mesh.positions))[0]
     assert mesh.is_closed()
     assert len(edges) == len(mesh.edge_lengths)
-    first, last = _half_edge_pairs(tri_edges.T.ravel(), len(edges))
-    assert (first != last).all() and (nbrs >= 0).all()
     assert (np.bincount(tri_edges.ravel(), minlength=len(edges)) == 2).all()
+    flat, half = twins.ravel(), np.arange(tri_edges.size)
+    assert (flat[flat] == half).all()
+    assert (flat != half).all()
+    assert (tri_edges.ravel()[flat] == tri_edges.ravel()).all()
     own = np.arange(mesh.triangle_count)[:, None]
     assert (nbrs != own).all()
-    # side k of neighbour nbrs[t, j] is edge tri_edges[t, j] for exactly one k
+    # side k of neighbour nbrs[t, j] is edge tri_edges[t, j] for exactly one
+    # k, the twin's side
     across = tri_edges[nbrs] == tri_edges[:, :, None]
     assert (across.sum(axis=2) == 1).all()
+    assert (across.argmax(axis=2) == twins % 3).all()
     assert (nbrs[nbrs][across].reshape(-1, 3) == own).all()
     assert len(mesh.positions) - len(edges) + mesh.triangle_count == 2
 

@@ -16,7 +16,7 @@ from polyperim.errors import (
     VolumeOutOfRange,
     VolumeTooLarge,
 )
-from polyperim.mesh import _edge_table, _half_edge_pairs, subdivide
+from polyperim.mesh import _edge_table, subdivide
 from polyperim.polytope import Polytope
 from polyperim.solver import (
     Region,
@@ -26,6 +26,8 @@ from polyperim.solver import (
     minimize_perimeter,
     vertex_ball_region,
 )
+
+from conftest import half_edge_pairs
 
 
 def test_region_rejects_bad_mask():
@@ -47,7 +49,7 @@ def test_region_centroid_and_the_empty_region():
 def test_cut_perimeter_sums_the_edges_between_the_sides():
     mesh = subdivide(shapes.tetrahedron(), 3)
     T = mesh.triangle_count
-    first, last = _half_edge_pairs(mesh.tri_edges.T.ravel(), len(mesh.edge_lengths))
+    first, last = half_edge_pairs(mesh.tri_edges.T.ravel())
     rng = np.random.default_rng(3)
     for p in (0.0, 0.1, 0.5, 0.9, 1.0):
         mask = rng.random(T) < p
@@ -64,7 +66,7 @@ def _cut_by_neighbors(region):
     mesh, mask = region.mesh, region.mask
     side = mask if 2 * mask.sum() <= len(mask) else ~mask
     tris = np.flatnonzero(side)
-    cut = ~side[mesh.tri_neighbors.take(tris, axis=0)]
+    cut = ~side[(mesh.tri_twins // 3).take(tris, axis=0)]
     edges = np.sort(mesh.tri_edges.take(tris, axis=0)[cut])
     return float(mesh.edge_lengths[edges].sum())
 
@@ -312,11 +314,12 @@ def test_polish_never_pushes_a_region_over_the_band():
 
 def _slot_triples(mesh):
     """For each triangle t and side j, the side of neighbour
-    ``tri_neighbors[t, j]`` that holds edge ``tri_edges[t, j]``."""
+    ``tri_twins[t, j] // 3`` that holds edge ``tri_edges[t, j]``, found by
+    matching edges."""
     edges = mesh.tri_edges.tolist()
     return [
         tuple(edges[u].index(e) for u, e in zip(row, edges[t]))
-        for t, row in enumerate(mesh.tri_neighbors.tolist())
+        for t, row in enumerate((mesh.tri_twins // 3).tolist())
     ]
 
 
@@ -325,7 +328,7 @@ def _assert_tables_hold(mesh):
     +l for an uncut side and -l for a cut one, and each back bit names the
     neighbour's side that holds the shared edge."""
     nbrs, back, dps, areas = solver._tables(mesh)
-    assert nbrs == [tuple(row) for row in mesh.tri_neighbors.tolist()]
+    assert nbrs == [tuple(row) for row in (mesh.tri_twins // 3).tolist()]
     assert areas == mesh.areas.tolist()
     assert back == [tuple(1 << j for j in row) for row in _slot_triples(mesh)]
     for t, lens in enumerate(mesh.edge_lengths[mesh.tri_edges].tolist()):
@@ -393,7 +396,7 @@ def test_minimize_perimeter_memory_per_triangle():
     503."""
     mesh = subdivide(shapes.cube(), 5)
     ball = vertex_ball_region(mesh, 0, 0.05)
-    mesh.tri_neighbors
+    mesh.tri_twins
     cfg = default_config(mesh, seed=0, iterations=10_000, restarts=1)
     tracemalloc.start()
     try:
@@ -515,7 +518,7 @@ def test_minimize_perimeter_domain_checks():
 def test_flip_state_matches_a_loop_reference():
     mesh = subdivide(shapes.tetrahedron(), 3)
     tables = solver._tables(mesh)
-    nbrs = mesh.tri_neighbors.tolist()
+    nbrs = (mesh.tri_twins // 3).tolist()
     lens = mesh.edge_lengths[mesh.tri_edges].tolist()
     areas = mesh.areas.tolist()
     rng = np.random.default_rng(7)
@@ -628,7 +631,7 @@ def _count_toggle(mask, cuts, cand, pos, nbrs, t):
 def _count_state(mesh, init, volume):
     """A flip state with cut counts and edge-length rows, for the reference."""
     mask = np.asarray(init, dtype=bool)
-    cut = mask[mesh.tri_neighbors] != mask[:, None]
+    cut = mask[mesh.tri_twins // 3] != mask[:, None]
     cand = np.flatnonzero(cut.any(axis=1))
     pos = np.full(len(mask), -1)
     pos[cand] = np.arange(len(cand))
@@ -637,7 +640,7 @@ def _count_state(mesh, init, volume):
         cuts=cut.sum(axis=1).tolist(),
         cand=cand.tolist(),
         pos=pos.tolist(),
-        nbrs=mesh.tri_neighbors.tolist(),
+        nbrs=(mesh.tri_twins // 3).tolist(),
         lens=mesh.edge_lengths[mesh.tri_edges].tolist(),
         areas=mesh.areas.tolist(),
         volume=volume,
