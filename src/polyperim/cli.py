@@ -16,6 +16,10 @@ reads, so the manifest's flags are those that shape the output.  Identical
 invocations produce byte-identical artifacts, including the optional SVG
 plots; all floats are printed with ``%.12g`` and negative zero is normalized.
 
+``solve`` also writes ``restarts.csv``, one row per restart: its start (a
+vertex ball, ``warm:<vertex index>``, or ``cold``), its polished perimeter
+(empty when no finalist was feasible) and its move counts.
+
 ``analyze``, ``smooth`` and ``solve`` take ``--timings``, which prints the
 seconds of each stage (build, subdivide, cones, minimize; body, probe, hull
 for ``smooth``), for ``solve`` the minimize throughput (iterations times
@@ -37,6 +41,7 @@ import math
 import sys
 import time
 from contextlib import contextmanager
+from dataclasses import astuple, fields
 from functools import cache, partial
 from pathlib import Path
 
@@ -60,6 +65,7 @@ from .profiles import cone_profile, euclidean_profile, sphere_profile, volume_gr
 from .slicing import classify_pieces, enumerate_pieces
 from .smoothing import convexity_probe, smoothed_body
 from .solver import (
+    MoveCounts,
     anisotropy_bound,
     default_config,
     minimize_perimeter,
@@ -519,12 +525,13 @@ def _cmd_solve(args: argparse.Namespace, out: Path) -> int:
         mesh, seed=args.seed, iterations=args.iters, restarts=args.restarts
     )
     with timer("minimize"):
-        warm = []
+        warm, starts = [], []
         for cone in ranked:
             if len(warm) >= args.restarts:
                 break
             if args.volume <= cone.valid_volume_max:
                 warm.append(vertex_ball_region(mesh, cone.vertex_index, args.volume))
+                starts.append(f"warm:{cone.vertex_index}")
         result = minimize_perimeter(mesh, args.volume, config, warm_starts=warm)
     _emit_csv(
         out,
@@ -555,6 +562,19 @@ def _cmd_solve(args: argparse.Namespace, out: Path) -> int:
             _fmt(kappa * bound),
             _fmt(result.best_restart),
         ]],
+    )
+    starts += ["cold"] * (args.restarts - len(warm))
+    _emit_csv(
+        out,
+        "restarts.csv",
+        manifest,
+        ["restart", "start", "perimeter", *(f.name for f in fields(MoveCounts))],
+        [
+            [_fmt(r), start, _fmt(p) if math.isfinite(p) else "", *map(_fmt, astuple(m))]
+            for r, (start, p, m) in enumerate(
+                zip(starts, result.restart_perimeters, result.moves)
+            )
+        ],
     )
     ok = bound - 1e-9 <= result.perimeter <= kappa * bound
     print(f"triangles: {result.region.triangle_count} of {len(mesh.triangles)}")

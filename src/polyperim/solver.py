@@ -7,12 +7,17 @@ simulated annealing over single-triangle flips:
 
 * the candidate set holds every triangle touching the current boundary
   (indexed list, O(1) uniform sampling and updates); each triangle keeps
-  the 3-bit pattern of its cut sides (bit j set when side j is cut), and a
-  flip moves a triangle, XORs its own pattern with 7 and then each
-  neighbour's with the bit of the shared side, adding or removing exactly
-  those whose pattern left or reached zero.  The annealer writes this
-  update out once, inline, and loops back through it for a swap's second
-  flip; ``_toggle`` is the same update as a function, for the polish;
+  its side as its signed area (+area outside, -area inside, which is also
+  the area change of flipping it) and the 3-bit pattern of its cut sides
+  (bit j set when side j is cut).  A flip negates the signed area, XORs
+  the triangle's own pattern with 7 and then each neighbour's with the bit
+  of the shared side, adding or removing exactly those whose pattern left
+  or reached zero; a removal pops the last candidate first and moves it
+  into the leaving one's slot unless it is the leaving one.  The annealer
+  writes this update out once, inline, and loops back through it for a
+  swap's second flip; ``_toggle`` is the same update as a function, for
+  the polish.  Masks are read off the sign bits only when a region leaves
+  the flip state;
 * moves are scored by the penalized cost  perimeter + mu * |area - V|  and
   accepted by the Metropolis rule under a geometric cooling schedule;
 * whenever the state is volume-feasible (area within 2% of V) the best
@@ -24,8 +29,8 @@ simulated annealing over single-triangle flips:
   the reported perimeter must stay an honest upper bound for the target
   volume, not for a slightly smaller one).
 
-The flip loop reads four Python tables built once per solve by ``_tables``:
-each triangle's neighbours, back bits (the bit of the shared side in each
+The flip loop reads four Python tables built by ``_tables`` on a mesh's
+first solve and kept until the mesh is dropped: each triangle's neighbours, back bits (the bit of the shared side in each
 neighbour's pattern), perimeter change under each of its 8 patterns (so a
 proposal's is one lookup) and area.  Neighbour and shared side are the
 quotient and remainder by 3 of the mesh's half-edge twins
@@ -55,7 +60,9 @@ equilateral ones 2/sqrt(3).
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -94,15 +101,19 @@ class Region:
 
         The cut edges are read off the smaller side's own triangles: an edge
         of that side is cut when it occurs once among the side's edges, as
-        every edge lies on two triangles.  ``np.unique`` gives them in
-        ascending order.
+        every edge lies on two triangles.  Sorting the edges puts the two
+        copies of an uncut edge next to each other, and a run mask keeps
+        the others in ascending order (``np.unique`` with counts took 27%
+        longer on level-7 cube vertex balls).
         """
         mesh = self.mesh
         side = self.mask if 2 * self.mask.sum() <= len(self.mask) else ~self.mask
-        edges, counts = np.unique(
-            mesh.tri_edges.take(np.flatnonzero(side), axis=0), return_counts=True
-        )
-        return float(mesh.edge_lengths[edges[counts == 1]].sum())
+        edges = np.sort(mesh.tri_edges.take(np.flatnonzero(side), axis=0), axis=None)
+        once = np.ones(len(edges), dtype=bool)
+        repeat = edges[1:] == edges[:-1]
+        once[1:] &= ~repeat
+        once[:-1] &= ~repeat
+        return float(mesh.edge_lengths[edges[once]].sum())
 
     @property
     def triangle_count(self) -> int:
@@ -304,40 +315,50 @@ def _tables(mesh: SurfaceMesh) -> tuple[list[tuple], list[tuple], list[tuple], l
     return nbrs, back, dps, _shared_rows(mesh.areas, mesh.areas, float)
 
 
-def _toggle(mask, cuts, cand, pos, nbrs, back, t: int) -> None:
+#: the annealer tables of each mesh solved, keyed by identity
+#: (``SurfaceMesh`` compares by identity), each dropped with its mesh; the
+#: solver only reads them
+_MESH_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _toggle(sa, cuts, cand, pos, nbrs, back, t: int) -> None:
     """Move triangle t to the other side, then update the cut pattern and
     candidacy of t and of each neighbour in row order.
 
-    A triangle is a candidate exactly when its pattern is non-zero.  Every
-    side of t changes, so its pattern is XORed with 7: t joins when it
-    becomes 7 and leaves when it becomes 0.  A neighbour's pattern is XORed
-    with the bit b of the shared side: it joins when the pattern becomes b
-    (it was 0) and leaves when it becomes 0.
+    The side record ``sa[t]`` is the signed area (see ``_State``), so the
+    move negates it.  A triangle is a candidate exactly when its pattern is
+    non-zero.  Every side of t changes, so its pattern is XORed with 7: t
+    joins when it becomes 7 and leaves when it becomes 0.  A neighbour's
+    pattern is XORed with the bit b of the shared side: it joins when the
+    pattern becomes b (it was 0) and leaves when it becomes 0.  A leaving
+    triangle x is removed pop-first: the last candidate is popped and, if
+    it is not x, moved into x's slot, which leaves ``cand`` and ``pos`` as
+    swapping x to the end and popping would.
 
     ``_anneal`` writes this update out inline: a call per flip of the
     earlier count-based update made level-5 solves 5-9% slower (perfbench
     ``solve``, 2-core x86-64, Python 3.11).
     ``_State.flip`` (the polish) calls this copy."""
-    mask[t] = not mask[t]
+    sa[t] = -sa[t]
     c = cuts[t] = cuts[t] ^ 7
     if c == 7:
         pos[t] = len(cand)
         cand.append(t)
     elif not c:
-        p = pos[t]
-        last = cand[-1]
-        cand[p] = last
-        pos[last] = p
-        cand.pop()
+        last = cand.pop()
+        if last != t:
+            p = pos[t]
+            cand[p] = last
+            pos[last] = p
         pos[t] = -1
     for u, b in zip(nbrs[t], back[t]):
         c = cuts[u] = cuts[u] ^ b
         if not c:
-            p = pos[u]
-            last = cand[-1]
-            cand[p] = last
-            pos[last] = p
-            cand.pop()
+            last = cand.pop()
+            if last != u:
+                p = pos[u]
+                cand[p] = last
+                pos[last] = p
             pos[u] = -1
         elif c == b:
             pos[u] = len(cand)
@@ -347,6 +368,14 @@ def _toggle(mask, cuts, cand, pos, nbrs, back, t: int) -> None:
 class _State:
     """Mutable flip-state shared by the annealing and polish phases.
 
+    The side record ``sa[t]`` is the signed area of triangle t: ``areas[t]``
+    when t is outside, ``-areas[t]`` when it is inside, so it is also the
+    area change of flipping t, and a flip negates it (exactly).  The side
+    is the sign bit (``np.signbit``, ``math.copysign``), not ``< 0``, so a
+    zero-area triangle keeps its side; masks are read off it only when a
+    region leaves the state.  Outside entries are the shared floats of the
+    areas table, so only inside triangles add a float of their own.
+
     Bit j of ``cuts[t]`` is set when side j of triangle t, the side towards
     ``nbrs[t][j]`` (``mesh.tri_twins[t, j] // 3``), is cut; t is in the
     candidate list ``cand``, at index ``pos[t]``, exactly when ``cuts[t]``
@@ -354,8 +383,8 @@ class _State:
     """
 
     __slots__ = (
-        "nbrs", "back", "dps", "areas", "mask", "cuts", "area", "perimeter",
-        "count", "cand", "pos", "volume",
+        "nbrs", "back", "dps", "sa", "cuts", "area", "perimeter", "count",
+        "cand", "pos", "volume",
     )
 
     def __init__(self, mesh, tables, init_mask, volume):
@@ -366,8 +395,11 @@ class _State:
         cand = np.flatnonzero(cuts)
         pos = np.full(len(mask), -1)
         pos[cand] = np.arange(len(cand))
-        self.nbrs, self.back, self.dps, self.areas = tables
-        self.mask = mask.tolist()
+        self.nbrs, self.back, self.dps, areas = tables
+        sa = list(areas)
+        for t in np.flatnonzero(mask).tolist():
+            sa[t] = -sa[t]
+        self.sa = sa
         self.cuts = cuts.tolist()
         self.volume = volume
         self.cand = cand.tolist()
@@ -379,23 +411,22 @@ class _State:
 
     def deltas(self, t: int) -> tuple[float, float]:
         """(perimeter change, signed area change) of flipping triangle t."""
-        dp = self.dps[t][self.cuts[t]]
-        da = -self.areas[t] if self.mask[t] else self.areas[t]
-        return dp, da
+        return self.dps[t][self.cuts[t]], self.sa[t]
 
     def flip(self, t: int, dp: float, da: float) -> None:
         self.count += 1 if da > 0 else -1
         self.area += da
         self.perimeter += dp
-        _toggle(self.mask, self.cuts, self.cand, self.pos, self.nbrs, self.back, t)
+        _toggle(self.sa, self.cuts, self.cand, self.pos, self.nbrs, self.back, t)
 
     def cheapest_flip(self, inside: bool) -> tuple[int, float, float]:
         """(t, dp, da) of the boundary triangle on the given side whose flip
         adds the least perimeter, the first one on ties; t = -1 if none."""
         best_t, best_dp, best_da = -1, math.inf, 0.0
-        m = self.mask
+        sa = self.sa
         for t in self.cand:
-            if m[t] != inside:
+            # the sign bit is the side (see ``_State``)
+            if (math.copysign(1.0, sa[t]) < 0.0) != inside:
                 continue
             dp, da = self.deltas(t)
             if dp < best_dp:
@@ -427,10 +458,14 @@ def _random_blob(rng, nbrs, areas, volume: float) -> list[bool]:
 
 def _draws(rng, iterations: int):
     """Four uniforms per annealing iteration, drawn DRAW_BLOCK iterations at
-    a time."""
-    for start in range(0, iterations, DRAW_BLOCK):
-        block = rng.random(4 * min(DRAW_BLOCK, iterations - start)).tolist()
-        yield from zip(block[0::4], block[1::4], block[2::4], block[3::4])
+    a time.  The blocks are drawn lazily and chained in C, so no Python
+    frame is resumed per iteration."""
+
+    def block(start):
+        u = rng.random(4 * min(DRAW_BLOCK, iterations - start)).tolist()
+        return zip(u[0::4], u[1::4], u[2::4], u[3::4])
+
+    return chain.from_iterable(map(block, range(0, iterations, DRAW_BLOCK)))
 
 
 def _anneal(
@@ -444,36 +479,38 @@ def _anneal(
     flip, then a second drawn from the updated boundary).  On equal-area
     meshes a swap of opposite sides leaves the area unchanged, so swaps
     keep rearranging the cut even after the temperature has dropped far
-    below the area penalty scale.  ``state`` is used up: its mask is left
-    where the walk ended, and its area, perimeter and count are not updated.
+    below the area penalty scale.  ``state`` is used up: its side record is
+    left where the walk ended, and its area, perimeter and count are not
+    updated.
 
     A feasible state, |area - V| <= feas = 0.02 V with V > 0, has area at
     least 0.98 V > 0, so it is never empty: the walk keeps no triangle count.
 
-    A proposal's perimeter change is one lookup, ``dps[t][cuts[t]]``.  The
-    flip update of ``_toggle`` is written out once, its neighbour row
-    unrolled; a swap's first flip loops back through it for the second flip
-    or the undo.  |area - V| is taken after each move's flips, not per
-    proposal.
+    A proposal's perimeter change is one lookup, ``dps[t][cuts[t]]``, and
+    its area change is the side record ``sa[t]``, which the flip negates.
+    The flip update of ``_toggle`` is written out once, its neighbour row
+    unrolled and each removal pop-first; a swap's first flip loops back
+    through it for the second flip or the undo.  |area - V| is taken after
+    each move's flips, not per proposal.  Snapshots copy the side record;
+    the mask is read off its sign bits once, on return.
     """
     mu = cfg.mu
     temp = cfg.t_initial
     cooling = cfg.cooling
     volume = state.volume
-    mask, cuts, cand, pos, nbrs, back, dps, areas = (
-        state.mask, state.cuts, state.cand, state.pos, state.nbrs, state.back,
-        state.dps, state.areas,
+    sa, cuts, cand, pos, nbrs, back, dps = (
+        state.sa, state.cuts, state.cand, state.pos, state.nbrs, state.back, state.dps,
     )
     area, perimeter = state.area, state.perimeter
     flips = swaps = flips_acc = swaps_acc = snapshots = 0
     best_cost = math.inf
-    best_mask: list[bool] | None = None
+    best_sa: list[float] | None = None
     gap = abs(area - volume)
     if gap <= feas:
         # a feasible starting region (e.g. a vertex ball) is already a
         # snapshot; annealing can then only improve on it
         best_cost = perimeter + mu * gap
-        best_mask = list(mask)
+        best_sa = list(sa)
         snapshots += 1
     exp = math.exp
     inf = math.inf
@@ -482,7 +519,7 @@ def _anneal(
             break
         t = cand[int(r_pick * len(cand))]
         dp = dps[t][cuts[t]]
-        da = -areas[t] if mask[t] else areas[t]
+        da = sa[t]
         second = r_swap >= 0.5
         if second:
             swaps += 1
@@ -496,50 +533,50 @@ def _anneal(
                 continue
             flips_acc += 1
         while True:
-            # _toggle(mask, cuts, cand, pos, nbrs, back, t) written out
-            mask[t] = not mask[t]
+            # _toggle(sa, cuts, cand, pos, nbrs, back, t) written out; da is sa[t]
+            sa[t] = -da
             c = cuts[t] = cuts[t] ^ 7
             if c == 7:
                 pos[t] = len(cand)
                 cand.append(t)
             elif not c:
-                p = pos[t]
-                last = cand[-1]
-                cand[p] = last
-                pos[last] = p
-                cand.pop()
+                last = cand.pop()
+                if last != t:
+                    p = pos[t]
+                    cand[p] = last
+                    pos[last] = p
                 pos[t] = -1
             u0, u1, u2 = nbrs[t]
             b0, b1, b2 = back[t]
             c = cuts[u0] = cuts[u0] ^ b0
             if not c:
-                p = pos[u0]
-                last = cand[-1]
-                cand[p] = last
-                pos[last] = p
-                cand.pop()
+                last = cand.pop()
+                if last != u0:
+                    p = pos[u0]
+                    cand[p] = last
+                    pos[last] = p
                 pos[u0] = -1
             elif c == b0:
                 pos[u0] = len(cand)
                 cand.append(u0)
             c = cuts[u1] = cuts[u1] ^ b1
             if not c:
-                p = pos[u1]
-                last = cand[-1]
-                cand[p] = last
-                pos[last] = p
-                cand.pop()
+                last = cand.pop()
+                if last != u1:
+                    p = pos[u1]
+                    cand[p] = last
+                    pos[last] = p
                 pos[u1] = -1
             elif c == b1:
                 pos[u1] = len(cand)
                 cand.append(u1)
             c = cuts[u2] = cuts[u2] ^ b2
             if not c:
-                p = pos[u2]
-                last = cand[-1]
-                cand[p] = last
-                pos[last] = p
-                cand.pop()
+                last = cand.pop()
+                if last != u2:
+                    p = pos[u2]
+                    cand[p] = last
+                    pos[last] = p
                 pos[u2] = -1
             elif c == b2:
                 pos[u2] = len(cand)
@@ -553,15 +590,15 @@ def _anneal(
             if cand:
                 t = cand[int(r2 * len(cand))]
                 dp = dps[t][cuts[t]]
-                da = -areas[t] if mask[t] else areas[t]
+                da = sa[t]
                 new_gap = abs(area + da - volume)
                 dcost = dp1 + dp + mu * (new_gap - gap)
                 if dcost <= 0.0 or (temp > 1e-300 and r_acc < exp(-dcost / temp)):
                     swaps_acc += 1
                     continue
             # a rejected swap, or one whose first flip emptied the boundary,
-            # flips t1 back: area + (-da1) is area - da1 to the bit, and an
-            # infinite gap takes no snapshot
+            # flips t1 back: -da1 is sa[t1] now, area + (-da1) is area - da1
+            # to the bit, and an infinite gap takes no snapshot
             t, dp, da, new_gap = t1, -dp1, -da1, inf
         gap = abs(area - volume)
         if new_gap <= feas:
@@ -569,11 +606,11 @@ def _anneal(
             cost = perimeter + mu * new_gap
             if cost < best_cost:
                 best_cost = cost
-                best_mask = list(mask)
+                best_sa = list(sa)
                 snapshots += 1
         temp *= cooling
     counts = (flips, flips_acc, swaps, swaps_acc, snapshots)
-    return best_mask, counts
+    return (None if best_sa is None else np.signbit(best_sa).tolist()), counts
 
 
 def _polish(state: _State, cfg: SolverConfig) -> int:
@@ -651,7 +688,13 @@ def minimize_perimeter(
     config: SolverConfig | None = None,
     warm_starts: list[Region] | None = None,
 ) -> SolverResult:
-    """Search for a region of the given area with minimal cut perimeter."""
+    """Search for a region of the given area with minimal cut perimeter.
+
+    The annealer's tables are built on a mesh's first solve and kept, in
+    ``_MESH_TABLES``, until the mesh is dropped: a later solve on the same
+    mesh (another volume, config or set of warm starts) reuses them.  A
+    single solve, as the ``solve`` command makes, gains nothing from this.
+    """
     total = mesh.total_area()
     if not 0.0 < volume < total:
         raise VolumeOutOfRange(
@@ -673,7 +716,9 @@ def minimize_perimeter(
             f"{len(warm)} warm starts for {cfg.restarts} restarts: each warm "
             "start takes one restart, so the extra ones would never run"
         )
-    tables = _tables(mesh)
+    tables = _MESH_TABLES.get(mesh)
+    if tables is None:
+        tables = _MESH_TABLES[mesh] = _tables(mesh)
     nbrs, _, _, areas = tables
 
     outcomes: list[tuple[float, int, np.ndarray]] = []
@@ -706,7 +751,7 @@ def minimize_perimeter(
             if abs(st.area - volume) <= feas and (
                 best_here is None or st.perimeter < best_here[0]
             ):
-                best_here = (st.perimeter, np.array(st.mask, dtype=bool))
+                best_here = (st.perimeter, np.signbit(st.sa))
             del st
         per_restart.append(math.inf if best_here is None else best_here[0])
         moves.append(MoveCounts(*counts, polished))

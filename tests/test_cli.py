@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import time
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +17,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import special_ortho_group
 
-from polyperim import cli, cones, errors, shapes, smoothing
+from polyperim import cli, cones, errors, shapes, smoothing, solver
 from polyperim.cli import BUILTIN_SHAPES, build_parser, dispatch, main
+from polyperim.mesh import subdivide
 
 
 def run(capsys, *argv):
@@ -230,6 +232,40 @@ def test_solve_quick(tmp_path, capsys):
     assert out.count("snapshots ") == 2  # one move-count entry per restart
     _, _, region_rows = read_artifact(tmp_path / "region.csv")
     assert len(region_rows) >= 1
+
+
+def test_solve_writes_one_row_per_restart(tmp_path, capsys):
+    """``restarts.csv`` holds each restart's start, perimeter and move
+    counts, as ``minimize_perimeter`` reports them, and reruns write it
+    byte for byte.  On the level-3 prism the six vertex balls take the
+    first restarts and both cold ones end with no feasible finalist."""
+    argv = [
+        "solve", "--polytope", "triangular-prism", "--volume", "0.02",
+        "--level", "3", "--iters", "100", "--restarts", "8",
+    ]
+    for name in ("a", "b"):
+        code, _, _ = run(capsys, *argv, "--out", str(tmp_path / name))
+        assert code == 0
+    assert (tmp_path / "a" / "restarts.csv").read_bytes() == (
+        tmp_path / "b" / "restarts.csv"
+    ).read_bytes()
+    _, header, rows = read_artifact(tmp_path / "a" / "restarts.csv")
+    assert header == [
+        "restart", "start", "perimeter", "flips_proposed", "flips_accepted",
+        "swaps_proposed", "swaps_accepted", "snapshots", "polish_flips",
+    ]
+    poly = shapes.triangular_prism()
+    mesh = subdivide(poly, 3)
+    ranked = cones.rank_by_link(cones.vertex_cones(poly))
+    warm = [solver.vertex_ball_region(mesh, c.vertex_index, 0.02) for c in ranked]
+    config = solver.default_config(mesh, iterations=100, restarts=8)
+    result = solver.minimize_perimeter(mesh, 0.02, config, warm_starts=warm)
+    starts = [f"warm:{c.vertex_index}" for c in ranked] + ["cold", "cold"]
+    assert rows == [
+        [str(r), start, "" if math.isinf(p) else cli._g(p)] + [str(n) for n in astuple(m)]
+        for r, (start, p, m) in enumerate(zip(starts, result.restart_perimeters, result.moves))
+    ]
+    assert [row[2] for row in rows[6:]] == ["", ""] and all(row[2] for row in rows[:6])
 
 
 def test_gallery_double_pyramid(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import math
@@ -272,7 +273,7 @@ def _polish_balls_in_band(mesh, volume, cuts, vertices):
             cases += 1
             state = _State(mesh, tables, ball.mask, volume)
             solver._polish(state, cfg)
-            out = Region(mesh, state.mask)
+            out = Region(mesh, np.signbit(state.sa))
             case = (mesh.polytope.name, len(mesh.areas), volume, cut, v)
             assert out.cut_perimeter <= ball.cut_perimeter, case
             assert volume <= out.area <= 1.02 * volume, case
@@ -407,6 +408,30 @@ def test_minimize_perimeter_memory_per_triangle():
     assert peak <= 300 * mesh.triangle_count
 
 
+def test_minimize_perimeter_builds_the_tables_once_per_mesh(monkeypatch):
+    """A second solve on one mesh reuses the first one's tables, and the
+    cache's entry dies with the mesh."""
+    built, tables = [], solver._tables
+
+    def counted(mesh):
+        built.append(tables(mesh))
+        return built[-1]
+
+    monkeypatch.setattr(solver, "_tables", counted)
+    gc.collect()
+    before = len(solver._MESH_TABLES)
+    mesh = subdivide(shapes.cube(), 2)
+    cfg = default_config(mesh, seed=0, iterations=200, restarts=1)
+    results = [minimize_perimeter(mesh, 0.375, cfg) for _ in range(2)]
+    assert len(built) == 1 and solver._MESH_TABLES[mesh] is built[0]
+    assert results[0].moves == results[1].moves
+    assert results[0].perimeter == results[1].perimeter
+    assert len(solver._MESH_TABLES) == before + 1
+    del mesh, results
+    gc.collect()
+    assert len(solver._MESH_TABLES) == before
+
+
 def test_minimize_perimeter_quick_run_is_deterministic():
     mesh = subdivide(shapes.cube(), 2)
     volume = 0.375  # exactly 24 level-2 triangles of area 1/64
@@ -535,7 +560,8 @@ def test_flip_state_matches_a_loop_reference():
                 if flags[u] != inside:
                     perimeter += length
         cand = [t for t in range(len(flags)) if any(flags[u] != flags[t] for u in nbrs[t])]
-        assert state.mask == flags and state.count == sum(flags)
+        assert np.signbit(state.sa).tolist() == flags and state.count == sum(flags)
+        assert state.sa == [-a if inside else a for a, inside in zip(areas, flags)]
         assert state.area == area and state.perimeter == perimeter * 0.5
         assert state.cand == cand
         assert [state.pos[t] for t in cand] == list(range(len(cand)))
@@ -584,7 +610,8 @@ def test_flip_state_matches_a_loop_reference():
         for x in (t, *nbrs[t]):
             refresh(x)
         fresh = _State(mesh, tables, flags, 0.1)
-        assert state.mask == flags and state.count == fresh.count, step
+        assert np.signbit(state.sa).tolist() == flags and state.count == fresh.count, step
+        assert state.sa == fresh.sa, step
         assert state.cuts == fresh.cuts, step
         assert state.cand == ref_cand, step
         assert sorted(state.cand) == fresh.cand, step
@@ -596,15 +623,20 @@ def test_flip_state_matches_a_loop_reference():
 
 def _count_toggle(mask, cuts, cand, pos, nbrs, t):
     """The flip update on cut counts: ``cuts[t]`` is the number of cut
-    sides of t, and t is a candidate exactly when it is non-zero."""
+    sides of t, and t is a candidate exactly when it is non-zero.  Return
+    how many leaving triangles were the last candidate, as (t, neighbours):
+    the case the annealer's pop-first removal takes without filling a
+    slot."""
     s = not mask[t]
     mask[t] = s
+    tails = [0, 0]
     c = cuts[t] = 3 - cuts[t]
     if c == 3:
         pos[t] = len(cand)
         cand.append(t)
     elif not c:
         p = pos[t]
+        tails[0] += p == len(cand) - 1
         last = cand[-1]
         cand[p] = last
         pos[last] = p
@@ -616,6 +648,7 @@ def _count_toggle(mask, cuts, cand, pos, nbrs, t):
             cuts[u] -= 1
             if not cuts[u]:
                 p = pos[u]
+                tails[1] += p == len(cand) - 1
                 last = cand[-1]
                 cand[p] = last
                 pos[last] = p
@@ -626,6 +659,41 @@ def _count_toggle(mask, cuts, cand, pos, nbrs, t):
             if cuts[u] == 1:
                 pos[u] = len(cand)
                 cand.append(u)
+    return tails
+
+
+def test_toggle_removes_the_last_candidate_as_the_count_reference_does():
+    """A leaving triangle that is the candidate list's last entry, t itself
+    or a neighbour, is popped with no slot to fill: ``_toggle`` must leave
+    the count reference's candidate list and positions.  Each flipped id is
+    above 256 and passed as a fresh int, so it is not the object that the
+    candidate list (built by ``tolist``) holds for it: a removal that
+    compared by identity would fill a slot past the end."""
+    mesh = subdivide(shapes.tetrahedron(), 3)
+    tables = solver._tables(mesh)
+    offset = 257
+    ids = range(offset, mesh.triangle_count)
+    rng = np.random.default_rng(3)
+    tails = [0, 0]
+    starts = []
+    for t in ids:
+        # a one-triangle region: flipping t out removes t and its neighbours
+        one = np.zeros(mesh.triangle_count, dtype=bool)
+        one[t] = True
+        starts.append((one, [t]))
+    for p in (0.1, 0.5, 0.9):
+        mask = rng.random(mesh.triangle_count) < p
+        starts.append((mask, rng.choice(ids, 200).tolist()))
+    for init, flips in starts:
+        new = _State(mesh, tables, init, 0.1)
+        ref = _count_state(mesh, init, 0.1)
+        for t in flips:
+            solver._toggle(new.sa, new.cuts, new.cand, new.pos, new.nbrs, new.back, int(str(t)))
+            for k, n in enumerate(_count_toggle(ref.mask, ref.cuts, ref.cand, ref.pos, ref.nbrs, t)):
+                tails[k] += n
+            assert new.cand == ref.cand and new.pos == ref.pos, t
+            assert np.signbit(new.sa).tolist() == ref.mask, t
+    assert tails[0] > 0 and tails[1] > 0, tails
 
 
 def _count_state(mesh, init, volume):
@@ -653,7 +721,8 @@ def _anneal_with_toggle(state, cfg, rng, feas):
     """The annealer as it was when every flip called a toggle on cut counts
     and each proposal summed its neighbour terms: the reference the
     cut-pattern annealer must replay exactly.  Also returns how many swaps
-    emptied the boundary and were undone at once."""
+    emptied the boundary and were undone at once, and the counts of
+    ``_count_toggle``'s last-candidate removals."""
     mu, temp, cooling, volume = cfg.mu, cfg.t_initial, cfg.cooling, state.volume
     mask, cuts, cand, pos, nbrs, lens, areas = (
         state.mask, state.cuts, state.cand, state.pos, state.nbrs, state.lens,
@@ -661,6 +730,7 @@ def _anneal_with_toggle(state, cfg, rng, feas):
     )
     area, perimeter = state.area, state.perimeter
     flips = swaps = accepted = swaps_acc = snapshots = empty_undos = 0
+    tails = [0, 0]
     best_cost, best_mask = math.inf, None
     gap0 = abs(area - volume)
     if gap0 <= feas:
@@ -678,7 +748,8 @@ def _anneal_with_toggle(state, cfg, rng, feas):
         return dp, -areas[t] if s else areas[t]
 
     def toggle(t):
-        _count_toggle(mask, cuts, cand, pos, nbrs, t)
+        for k, n in enumerate(_count_toggle(mask, cuts, cand, pos, nbrs, t)):
+            tails[k] += n
 
     for r_swap, r_pick, r2, r_acc in solver._draws(rng, cfg.iterations):
         if not cand:
@@ -725,7 +796,7 @@ def _anneal_with_toggle(state, cfg, rng, feas):
             perimeter -= dp1
         temp *= cooling
     counts = (flips, accepted - swaps_acc, swaps, swaps_acc, snapshots)
-    return best_mask, counts, empty_undos
+    return best_mask, counts, empty_undos, tails
 
 
 @pytest.mark.parametrize("block", [solver.DRAW_BLOCK, 7])
@@ -738,6 +809,7 @@ def test_anneal_replays_the_toggle_reference(monkeypatch, block):
     on a side between the two sides of the mask."""
     monkeypatch.setattr(solver, "DRAW_BLOCK", block)
     runs = empty_undos = 0
+    tail_runs = [0, 0]
     for name in ("cube", "tetrahedron", "square_pyramid", "octahedron", "triangular_prism"):
         poly = getattr(shapes, name)()
         vertex = rank_by_link(vertex_cones(poly))[0].vertex_index
@@ -756,22 +828,30 @@ def test_anneal_replays_the_toggle_reference(monkeypatch, block):
                     new = _State(mesh, tables, init, volume)
                     assert (new.area, new.perimeter) == (ref.area, ref.perimeter)
                     feas = 0.02 * volume
-                    *want, undos = _anneal_with_toggle(ref, cfg, np.random.default_rng(seed), feas)
+                    *want, undos, tails = _anneal_with_toggle(
+                        ref, cfg, np.random.default_rng(seed), feas
+                    )
                     got = solver._anneal(new, cfg, np.random.default_rng(seed), feas)
                     case = (name, level, seed, runs)
                     assert list(got) == want, case
-                    assert new.mask == ref.mask, case
+                    mask = np.signbit(new.sa).tolist()
+                    assert mask == ref.mask, case
                     assert new.cand == ref.cand and new.pos == ref.pos, case
                     assert [bin(c).count("1") for c in new.cuts] == ref.cuts, case
                     assert new.cuts == [
-                        sum((new.mask[u] != inside) << j for j, u in enumerate(nbrs[t]))
-                        for t, inside in enumerate(new.mask)
+                        sum((mask[u] != inside) << j for j, u in enumerate(nbrs[t]))
+                        for t, inside in enumerate(mask)
                     ], case
                     runs += 1
                     empty_undos += undos if init is one else 0
+                    tail_runs[0] += tails[0] > 0
+                    tail_runs[1] += tails[1] > 0
     assert runs == 90
     # the one-triangle starts reach the swap's empty-boundary undo
     assert empty_undos > 0
+    # runs in which a leaving t, or a leaving neighbour, was the last
+    # candidate: the pop-first removal then fills no slot
+    assert tail_runs == [2, 90]
 
 
 #: Results recorded before the annealing state was built from the mesh
