@@ -36,10 +36,10 @@ half the length of the sides they are parallel to, ``ca``, ``ab`` and ``bc``
 floats, and ``MERGE_TOL`` and ``MAX_COORD`` keep accepted meshes far from
 subnormals and overflow, so congruent triangles get bitwise equal values.
 On dyadic positions, such as the cube's, they equal what the rounded final
-positions give.  Closure is checked once, on the fan, by counting each
-edge's half-edges with ``np.bincount``.  It holds at every level because
-each half of an edge lies on one child of each of the edge's two triangles,
-and each interior edge on two children of one triangle.
+positions give.  The fan is closed: each spoke lies on two triangles of its
+facet, and ``Polytope.ring_edges`` checks each ring edge lies on two facets.
+Refinement keeps closure, as each half of an edge lies on one child of each
+of the edge's two triangles, and each interior edge on two of one triangle.
 
 A mesh keeps only what the solver reads, every index array int32: 60 bytes
 per triangle (``P = T/2 + 2`` positions, ``E = 3T/2`` edges).  Edge ends and
@@ -61,7 +61,7 @@ from functools import cached_property
 import numpy as np
 
 from .cones import VertexCone, vertex_cones
-from .errors import NumericalError, UnsupportedDimension, ValidationError, checked_int
+from .errors import UnsupportedDimension, ValidationError, checked_int
 from .polytope import Polytope
 
 MAX_LEVEL = 8
@@ -116,7 +116,6 @@ class SurfaceMesh:
     edge_lengths: np.ndarray
     tri_edges: np.ndarray
     areas: np.ndarray
-    _closed: bool = field(repr=False)
     _stars: dict[int, VertexStar] = field(repr=False)
     _cones: list[VertexCone] | None = field(repr=False)
 
@@ -125,7 +124,7 @@ class SurfaceMesh:
 
     @classmethod
     def _refined(
-        cls, positions, triangles, facet_of, polytope, edge_lengths, tri_edges, areas, closed
+        cls, positions, triangles, facet_of, polytope, edge_lengths, tri_edges, areas
     ) -> SurfaceMesh:
         """A mesh that takes ownership of ``subdivide``'s arrays."""
         mesh = cls.__new__(cls)
@@ -136,7 +135,6 @@ class SurfaceMesh:
         mesh.edge_lengths = edge_lengths
         mesh.tri_edges = tri_edges
         mesh.areas = areas
-        mesh._closed = closed
         mesh._stars = {}
         mesh._cones = None
         _freeze(*(v for v in vars(mesh).values() if isinstance(v, np.ndarray)))
@@ -146,12 +144,9 @@ class SurfaceMesh:
     def tri_twins(self) -> np.ndarray:
         """(T, 3) int32 half-edge ``3u + k`` across side j (``ab``, ``bc``,
         ``ca``) of each triangle t: the neighbour ``twin // 3`` holds the
-        shared edge on its side ``twin % 3``.  Derived on first read and
-        kept; only the annealer reads it.  On a closed mesh rows 2e and
-        2e + 1 of the stable order of the half-edges' edges are edge e's two
-        half-edges; an open mesh raises ``NumericalError``."""
-        if not self._closed:
-            raise NumericalError("an open mesh has half-edges without a twin")
+        shared edge on its side ``twin % 3``.  Only the annealer reads it,
+        derived on first read and kept: edge e's two half-edges are rows 2e
+        and 2e + 1 of the stable order of the half-edges' edges."""
         first, last = np.argsort(self.tri_edges.ravel(), kind="stable").reshape(-1, 2).T
         twins = np.empty(self.tri_edges.size, dtype=np.int32)
         twins[first], twins[last] = last, first
@@ -167,9 +162,9 @@ class SurfaceMesh:
         return float(self.areas.sum())
 
     def is_closed(self) -> bool:
-        """Whether every edge lies on exactly two triangles, checked on the
-        fan at build (refinement keeps it)."""
-        return self._closed
+        """Whether every edge lies on exactly two triangles: always, as
+        ``Polytope.ring_edges`` checks it on the fan and refinement keeps it."""
+        return True
 
     def max_edge_length(self) -> float:
         return float(self.edge_lengths.max())
@@ -240,7 +235,6 @@ def subdivide(polytope: Polytope, level: int) -> SurfaceMesh:
     triangles = np.column_stack([len(polytope.vertices) + facet_of, edges]).astype(np.int32)
 
     ends, tri_edges = _edge_table(triangles, len(positions))
-    closed = _closes(tri_edges, len(ends))
     lengths = np.linalg.norm(positions[ends[:, 0]] - positions[ends[:, 1]], axis=1)
     a, b, c = (positions[triangles[:, k]] for k in range(3))
     areas = 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
@@ -252,7 +246,7 @@ def subdivide(polytope: Polytope, level: int) -> SurfaceMesh:
     facet_of = np.repeat(facet_of, 4**level)
     areas = np.repeat(0.25**level * areas, 4**level)
     return SurfaceMesh._refined(
-        positions, triangles, facet_of, polytope, lengths, tri_edges, areas, closed
+        positions, triangles, facet_of, polytope, lengths, tri_edges, areas
     )
 
 
@@ -332,8 +326,3 @@ def _edge_table(triangles: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarr
     )
     ends = np.stack([keys // count, keys % count], axis=1).astype(np.int32)
     return ends, inverse.reshape(3, -1).T.astype(np.int32, order="C")
-
-
-def _closes(tri_edges: np.ndarray, count: int) -> bool:
-    """Whether each of ``count`` edges lies on exactly two triangles."""
-    return bool((np.bincount(tri_edges.ravel(), minlength=count) == 2).all())

@@ -14,8 +14,9 @@ leave a bent face near no single plane), and each vertex must lie on at least
 ``d`` facets, which a point on a face, or inside the hull, fails.  A
 document's facet list, when given, must list the hull's facets in any order,
 so a list with a facet missing is rejected instead of leaving the surface
-open.  Measures (facet areas, cell volumes) are hull volumes in the
-affine span of the points.
+open.  In d = 3 the facet rings must close the surface too (``ring_edges``).
+Measures (facet areas, cell volumes) are hull volumes in the affine span of
+the points.
 """
 
 from __future__ import annotations
@@ -232,7 +233,7 @@ class Polytope:
     facet_normals : (F, d) outward unit normals of Qhull's facet planes
     facet_offsets : (F,) plane offsets, so a facet plane is {a . x = b}
     ring_edges : (E, 2) each facet's ring edges in cyclic order (d = 3),
-        built on first read
+        built and checked to close the surface on first read
     """
 
     vertices: np.ndarray
@@ -273,7 +274,9 @@ class Polytope:
     def ring_edges(self) -> np.ndarray:
         """(E, 2) ring edges r_j -> r_j+1 of each facet polygon in
         cyclic order (d = 3 only), facet by facet in the slots of ``facets``;
-        the first column is each facet's ring, in ``order_polygon``'s order."""
+        the first column is each facet's ring, in ``order_polygon``'s order.
+        ``InvalidPolytope`` names the least ring edge not on two facets (a
+        vertex a hair off a hull edge), so the rings close the surface."""
         if self.dim != 3:
             raise UnsupportedDimension(f"facet rings are defined for d = 3, got d = {self.dim}")
         ring = np.concatenate(
@@ -284,7 +287,14 @@ class Polytope:
         # each slot's successor in its facet's ring, wrapping at the facet's end
         after = np.arange(1, end[-1] + 1)
         after[end - 1] = end - sizes
-        return np.column_stack([ring, ring[after]])
+        edges = np.column_stack([ring, ring[after]])
+        m = len(self.vertices)
+        keys, counts = np.unique(edges.min(axis=1) * m + edges.max(axis=1), return_counts=True)
+        if (counts != 2).any():
+            k = np.argmax(counts != 2)
+            raise InvalidPolytope(f"ring edge {divmod(int(keys[k]), m)} lies on {counts[k]} "
+                                  "facets, expected 2 (vertex not in convex position?)")
+        return edges
 
     # -- document I/O -----------------------------------------------------
 

@@ -21,6 +21,8 @@ from polyperim import cli, cones, errors, shapes, smoothing, solver
 from polyperim.cli import BUILTIN_SHAPES, build_parser, dispatch, main
 from polyperim.mesh import subdivide
 
+from conftest import OFF_EDGE_CUBE
+
 
 def run(capsys, *argv):
     code = dispatch(list(argv))
@@ -364,6 +366,18 @@ def test_analyze_rejects_facet_list_that_does_not_close_up(tmp_path, capsys):
     )
     assert code == 2
     assert "InvalidPolytope" in err and "close up" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [["analyze"], ["solve", "--volume", "0.05", "--level", "1"]])
+def test_rings_that_do_not_close_the_surface_are_rejected_input(tmp_path, capsys, argv):
+    # the document builds, but its facet rings put edge (0, 8) on three
+    # facets: rejected when the rings are built, not failed on a link later
+    path = tmp_path / "off-edge.json"
+    path.write_text(json.dumps({"dim": 3, "vertices": OFF_EDGE_CUBE}))
+    code, _, err = run(capsys, *argv, "--polytope", str(path), "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert "InvalidPolytope: ring edge (0, 8) lies on 3 facets" in err
     assert not (tmp_path / "out").exists()
 
 

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyperim import shapes
-from polyperim.errors import NumericalError, UnsupportedDimension, ValidationError
-from polyperim.mesh import SurfaceMesh, _closes, _edge_table, subdivide
+from polyperim.errors import UnsupportedDimension, ValidationError
+from polyperim.mesh import SurfaceMesh, _edge_table, subdivide
 from polyperim.polytope import Polytope, polytope_measure
 from polyperim.smoothing import convexity_probe, smoothed_body
 from polyperim.solver import vertex_ball_region
@@ -39,18 +39,6 @@ def test_mesh_is_closed_and_neighbors_consistent():
     for ti in range(mesh.triangle_count):
         for nb in nbrs[ti]:
             assert ti in nbrs[nb]
-    # closure is decided once, on the fan: a lone triangle reads open
-    positions, triangles = np.eye(3), np.array([[0, 1, 2]], dtype=np.int32)
-    ends, tri_edges = _edge_table(triangles, 3)
-    lengths = np.linalg.norm(np.subtract(*positions[ends.T]), axis=1)
-    closed = _closes(tri_edges, len(ends))
-    lone = SurfaceMesh._refined(
-        positions, triangles, np.zeros(1, np.int32), None, lengths, tri_edges,
-        np.array([math.sqrt(3.0) / 2]), closed,
-    )
-    assert closed is False and lone.is_closed() is False and mesh.is_closed() is True
-    with pytest.raises(NumericalError, match="without a twin"):
-        lone.tri_twins
 
 
 def test_edge_counts_satisfy_euler_formula():
@@ -224,8 +212,8 @@ def test_refinement_halves_lengths_and_quarters_areas_exactly(m, seed, level):
     # the interior edges (ab, bc), (bc, ca), (ca, ab) are parallel to ca, ab, bc
     parallel = parent.edge_lengths[parent.tri_edges[:, [2, 0, 1]]]
     assert inner.tobytes() == (0.5 * parallel).tobytes()
-    # closure, decided on the fan, against the final half-edges: each edge's
-    # two half-edges lie on two triangles
+    # closure, which the facet rings decide, against the final half-edges:
+    # each edge's two half-edges lie on two triangles
     edge_of = child.tri_edges.ravel()
     first, last = half_edge_pairs(edge_of)
     assert child.is_closed() is True

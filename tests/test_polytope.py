@@ -14,12 +14,14 @@ from polyperim import polytope, shapes
 from polyperim.cones import vertex_cones
 from polyperim.errors import (
     BadDocument,
+    DegenerateFacet,
     DimensionTooHigh,
     InvalidPolytope,
     NotFullDimensional,
     UnsupportedDimension,
     ValidationError,
 )
+from polyperim.mesh import subdivide
 from polyperim.polytope import (
     MAX_COORD,
     TOL,
@@ -29,7 +31,7 @@ from polyperim.polytope import (
     polytope_measure,
 )
 
-from conftest import assert_facet_planes_hold
+from conftest import OFF_EDGE_CUBE, assert_facet_planes_hold
 
 
 def _surface_area(poly):
@@ -325,6 +327,9 @@ def test_fit_plane_and_measures():
     )
     tri3d = np.array([[0.0, 0, 1], [1, 0, 1], [0, 1, 1]])
     assert polytope_measure(tri3d) == pytest.approx(0.5, abs=1e-12)
+    # one point, or one point repeated, spans rank 0 and measures 0
+    assert polytope_measure(tri3d[:1]) == 0.0
+    assert polytope_measure(np.repeat(tri3d[:1], 4, axis=0)) == 0.0
 
 
 def test_order_polygon_walks_cyclically():
@@ -340,6 +345,8 @@ def test_order_polygon_walks_cyclically():
         if rolled[1] > rolled[-1]:
             rolled = np.roll(rolled[::-1], 1)
         assert rolled.tolist() == list(range(7))
+    with pytest.raises(DegenerateFacet, match="do not span a plane"):
+        order_polygon(np.array([[0.0, 0, 0], [1, 1, 0], [2, 2, 0], [3, 3, 0]]))
 
 
 def test_incident_facets_of_cube_vertex():
@@ -378,6 +385,52 @@ def test_ring_edges_walk_each_facet_once_in_polygon_order():
     for poly in (shapes.square(), shapes.hypercube()):
         with pytest.raises(UnsupportedDimension):
             poly.ring_edges
+
+
+def test_ring_edges_reject_an_edge_on_three_facets():
+    poly = Polytope(np.array(OFF_EDGE_CUBE))
+    assert len(poly.facets) == 9
+    message = r"ring edge \(0, 8\) lies on 3 facets, expected 2"
+    with pytest.raises(InvalidPolytope, match=message):
+        poly.ring_edges
+    with pytest.raises(InvalidPolytope, match=message):
+        subdivide(poly, 0)
+
+
+def test_near_degenerate_cubes_build_closed_meshes_or_are_rejected():
+    # the unit cube plus 1-3 points on its edges or faces, each moved
+    # 10^U(-11, -7) in a random direction: some build, and of those some
+    # leave a ring edge off two facets
+    cube = np.array([[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)], float)
+    rng = np.random.default_rng(0)
+    built = rejected = 0
+    for _ in range(400):
+        extra = []
+        for _ in range(rng.integers(1, 4)):
+            # two coordinates in {0, 1} put the point on an edge, one on a face
+            p = rng.random(3)
+            fixed = rng.choice(3, 2 if rng.random() < 0.5 else 1, replace=False)
+            p[fixed] = rng.integers(0, 2, len(fixed))
+            extra.append(p)
+        for p in extra:
+            d = rng.normal(size=3)
+            p += 10 ** rng.uniform(-11, -7) * d / np.linalg.norm(d)
+        try:
+            poly = Polytope(np.vstack([cube, *extra]))
+        except ValidationError:
+            continue
+        built += 1
+        try:
+            poly.ring_edges
+        except InvalidPolytope as exc:
+            assert re.match(r"ring edge \(\d+, \d+\) lies on \d+ facets, expected 2", str(exc))
+            rejected += 1
+            continue
+        mesh = subdivide(poly, 0)
+        counts = np.bincount(mesh.tri_edges.ravel(), minlength=len(mesh.edge_lengths))
+        assert (counts == 2).all()
+    # 51 build here, and the rings reject 5 of them
+    assert built > 40 and rejected >= 3
 
 
 _BUILTINS = (
