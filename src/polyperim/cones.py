@@ -48,7 +48,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from .errors import NumericalError, UnsupportedDimension
-from .polytope import TOL, Polytope, _incidence
+from .polytope import TOL, Polytope
 from .profiles import sphere_measure
 
 LINK_RTOL = 1e-12  # relative; links this close count as equal
@@ -108,8 +108,8 @@ def _segment_distances(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarra
 
 def _facet_corners(poly: Polytope) -> tuple[np.ndarray, np.ndarray]:
     """Link contribution and star distance of every entry (facet, vertex) of
-    the vertex-facet incidence, in the order of ``_incidence(poly.facets,
-    m)``: facet by facet, each facet's vertices ascending.
+    the vertex-facet incidence, in the order of ``poly.incidence``'s
+    entries: facet by facet, each facet's vertices ascending.
 
     The distance runs from the vertex to the part of the facet's boundary
     away from it: the other end of an edge (d = 2), the ring edges not
@@ -124,11 +124,11 @@ def _facet_corners(poly: Polytope) -> tuple[np.ndarray, np.ndarray]:
         ends = np.array(poly.facets)
         e = pts[ends[:, 1]] - pts[ends[:, 0]]
         return np.ones(ends.size), np.repeat(np.sqrt(_dot(e, e)), 2)
-    inc = _incidence(poly.facets, len(pts))
+    inc = poly.incidence
     if d == 3:
         ends, count = poly.ring_edges, np.diff(inc.indptr)
     else:
-        ends, count, h, k, u, offset, cos, turn = _cell_edges(poly, inc)
+        ends, count, h, k, u, offset, cos, turn = _cell_edges(poly)
         tol = TOL * max(1.0, float(np.abs(pts).max()))
     angles = np.empty(inc.nnz)
     dist = np.full(inc.nnz, math.inf)
@@ -185,7 +185,7 @@ def _corner_pairs(inc: csr_matrix, count: np.ndarray):
         lo = hi
 
 
-def _cell_edges(poly: Polytope, inc: csr_matrix):
+def _cell_edges(poly: Polytope):
     """The cell edges of a 4-polytope as pairs of faces, read off its ridges.
 
     A half-ridge (C, G) is the 2-face cell C shares with facet G (three or
@@ -205,7 +205,7 @@ def _cell_edges(poly: Polytope, inc: csr_matrix):
     each pair's edge ``ends``, the number of pairs in each cell, the faces'
     normals ``u`` and offsets, and each pair's ``cos`` and ``turn``.
     """
-    pts, normals = poly.vertices, poly.facet_normals
+    pts, normals, inc = poly.vertices, poly.facet_normals, poly.incidence
     m = len(pts)
     # the largest arrays are dropped once used: on large hulls they would
     # set the peak memory together
@@ -257,7 +257,7 @@ def vertex_cones(poly: Polytope) -> list[VertexCone]:
     n = poly.surface_dim
     link, dist = _facet_corners(poly)
     m = len(poly.vertices)
-    vertex = _incidence(poly.facets, m).indices
+    vertex = poly.incidence.indices
     # np.bincount adds each vertex's entries left to right in facet order;
     # np.sum (pairwise) or Python 3.12's sum (compensated) could move an ulp
     omega = np.bincount(vertex, link, m)

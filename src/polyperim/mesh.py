@@ -37,7 +37,7 @@ floats, and ``MERGE_TOL`` and ``MAX_COORD`` keep accepted meshes far from
 subnormals and overflow, so congruent triangles get bitwise equal values.
 On dyadic positions, such as the cube's, they equal what the rounded final
 positions give.  The fan is closed: each spoke lies on two triangles of its
-facet, and ``Polytope.ring_edges`` checks each ring edge lies on two facets.
+facet, and no ``Polytope`` is built unless each ring edge lies on two facets.
 Refinement keeps closure, as each half of an edge lies on one child of each
 of the edge's two triangles, and each interior edge on two of one triangle.
 
@@ -162,8 +162,8 @@ class SurfaceMesh:
         return float(self.areas.sum())
 
     def is_closed(self) -> bool:
-        """Whether every edge lies on exactly two triangles: always, as
-        ``Polytope.ring_edges`` checks it on the fan and refinement keeps it."""
+        """Whether every edge lies on exactly two triangles: always, as no
+        ``Polytope`` is built with open facet rings and refinement keeps it."""
         return True
 
     def max_edge_length(self) -> float:
@@ -179,9 +179,8 @@ class SurfaceMesh:
         computed on the first call for that vertex and kept on the mesh.
 
         The first call also measures every vertex's cone in one
-        ``vertex_cones`` call and keeps them for the later calls.  Each
-        facet holding the vertex has its triangles as one run of the
-        ascending ``facet_of``.
+        ``vertex_cones`` call and keeps them for the later calls.  Each facet
+        of the vertex's incidence column is one run of ``facet_of``.
         """
         vertex = checked_int(vertex, "vertex", 0, len(self.polytope.vertices) - 1)
         star = self._stars.get(vertex)
@@ -189,11 +188,9 @@ class SurfaceMesh:
             if self._cones is None:
                 self._cones = vertex_cones(self.polytope)
             cone = self._cones[vertex]
-            incident = [f for f, facet in enumerate(self.polytope.facets) if vertex in facet]
-            bounds = np.searchsorted(self.facet_of, [incident, np.add(incident, 1)])
-            tris = np.concatenate(
-                [np.arange(lo, hi, dtype=np.int32) for lo, hi in bounds.T]
-            )
+            incident = self.polytope.incidence[:, vertex].nonzero()[0]
+            bounds = np.searchsorted(self.facet_of, [incident, incident + 1])
+            tris = np.concatenate([np.arange(lo, hi, dtype=np.int32) for lo, hi in bounds.T])
             dist = np.empty(len(tris))
             for lo in range(0, len(tris), _BLOCK):
                 rows = slice(lo, lo + _BLOCK)

@@ -14,9 +14,9 @@ leave a bent face near no single plane), and each vertex must lie on at least
 ``d`` facets, which a point on a face, or inside the hull, fails.  A
 document's facet list, when given, must list the hull's facets in any order,
 so a list with a facet missing is rejected instead of leaving the surface
-open.  In d = 3 the facet rings must close the surface too (``ring_edges``).
-Measures (facet areas, cell volumes) are hull volumes in the affine span of
-the points.
+open.  In d = 3 each facet ring edge must lie on two facets, so the rings
+close the surface.  Every check runs at construction.  Measures (facet
+areas, cell volumes) are hull volumes in the affine span of the points.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -37,7 +36,6 @@ from .errors import (
     DimensionTooHigh,
     InvalidPolytope,
     NotFullDimensional,
-    UnsupportedDimension,
     checked_int,
 )
 
@@ -208,6 +206,28 @@ def polytope_measure(points: np.ndarray) -> float:
     return float(_hull(local).volume)
 
 
+def _ring_edges(vertices: np.ndarray, facets) -> np.ndarray:
+    """(E, 2) ring edges r_j -> r_j+1 of each facet polygon of a 3-polytope
+    in cyclic order, facet by facet in the order of ``facets``; the first
+    column is each facet's ring, in ``order_polygon``'s order.
+    ``InvalidPolytope`` names the least ring edge not on two facets (a
+    vertex a hair off a hull edge), so the rings close the surface."""
+    ring = np.concatenate([np.array(f)[order_polygon(vertices[list(f)])] for f in facets])
+    sizes = [len(f) for f in facets]
+    end = np.cumsum(sizes)
+    # each slot's successor in its facet's ring, wrapping at the facet's end
+    after = np.arange(1, end[-1] + 1)
+    after[end - 1] = end - sizes
+    edges = np.column_stack([ring, ring[after]])
+    m = len(vertices)
+    keys, counts = np.unique(edges.min(axis=1) * m + edges.max(axis=1), return_counts=True)
+    if (counts != 2).any():
+        k = np.argmax(counts != 2)
+        raise InvalidPolytope(f"ring edge {divmod(int(keys[k]), m)} lies on {counts[k]} "
+                              "facets, expected 2 (vertex not in convex position?)")
+    return edges
+
+
 # ---------------------------------------------------------------------------
 # the polytope type
 # ---------------------------------------------------------------------------
@@ -221,8 +241,8 @@ class Polytope:
     and their planes come from :func:`enumerate_facets`, so Qhull's planes are
     kept as they are, and the facets are checked not to overlap
     (``InvalidPolytope``).  Validation then checks that each vertex lies on
-    at least ``d`` facets (``InvalidPolytope``), which fails for a point
-    inside the hull or on a face.
+    at least ``d`` facets, which fails for a point inside the hull or on a
+    face, and in d = 3 that the rings close the surface (``InvalidPolytope``).
 
     Attributes
     ----------
@@ -232,8 +252,9 @@ class Polytope:
         the facets of the vertices' convex hull
     facet_normals : (F, d) outward unit normals of Qhull's facet planes
     facet_offsets : (F,) plane offsets, so a facet plane is {a . x = b}
+    incidence : (F, m) 0/1 CSR vertex-facet matrix, a row per facet
     ring_edges : (E, 2) each facet's ring edges in cyclic order (d = 3),
-        built and checked to close the surface on first read
+        or None (d != 3)
     """
 
     vertices: np.ndarray
@@ -241,6 +262,8 @@ class Polytope:
     facets: tuple[tuple[int, ...], ...] = field(init=False)
     facet_normals: np.ndarray = field(init=False)
     facet_offsets: np.ndarray = field(init=False)
+    incidence: csr_matrix = field(init=False)
+    ring_edges: np.ndarray | None = field(init=False)
 
     def __post_init__(self) -> None:
         self.vertices = np.asarray(self.vertices, dtype=float)
@@ -251,14 +274,15 @@ class Polytope:
             raise InvalidPolytope(f"vertices {i} and {j} lie within {MERGE_TOL:g} of each other")
         facets, self.facet_normals, self.facet_offsets = enumerate_facets(self.vertices)
         self.facets = tuple(facets)
-        flat = np.fromiter(chain.from_iterable(facets), np.intp)
-        counts = np.bincount(flat, minlength=len(self.vertices))
+        self.incidence = _incidence(facets, len(self.vertices))
+        counts = np.bincount(self.incidence.indices, minlength=len(self.vertices))
         short = np.flatnonzero(counts < self.dim)
         if len(short):
             raise InvalidPolytope(
                 f"vertex {short[0]} lies on {counts[short[0]]} facets, "
                 f"expected at least {self.dim} (not in convex position?)"
             )
+        self.ring_edges = _ring_edges(self.vertices, facets) if self.dim == 3 else None
 
     # -- basic queries ----------------------------------------------------
 
@@ -269,32 +293,6 @@ class Polytope:
     @property
     def surface_dim(self) -> int:
         return self.dim - 1
-
-    @cached_property
-    def ring_edges(self) -> np.ndarray:
-        """(E, 2) ring edges r_j -> r_j+1 of each facet polygon in
-        cyclic order (d = 3 only), facet by facet in the slots of ``facets``;
-        the first column is each facet's ring, in ``order_polygon``'s order.
-        ``InvalidPolytope`` names the least ring edge not on two facets (a
-        vertex a hair off a hull edge), so the rings close the surface."""
-        if self.dim != 3:
-            raise UnsupportedDimension(f"facet rings are defined for d = 3, got d = {self.dim}")
-        ring = np.concatenate(
-            [np.array(f)[order_polygon(self.vertices[list(f)])] for f in self.facets]
-        )
-        sizes = [len(f) for f in self.facets]
-        end = np.cumsum(sizes)
-        # each slot's successor in its facet's ring, wrapping at the facet's end
-        after = np.arange(1, end[-1] + 1)
-        after[end - 1] = end - sizes
-        edges = np.column_stack([ring, ring[after]])
-        m = len(self.vertices)
-        keys, counts = np.unique(edges.min(axis=1) * m + edges.max(axis=1), return_counts=True)
-        if (counts != 2).any():
-            k = np.argmax(counts != 2)
-            raise InvalidPolytope(f"ring edge {divmod(int(keys[k]), m)} lies on {counts[k]} "
-                                  "facets, expected 2 (vertex not in convex position?)")
-        return edges
 
     # -- document I/O -----------------------------------------------------
 

@@ -711,6 +711,9 @@ def minimize_perimeter(
     warm = list(warm_starts) if warm_starts else []
     if any(region.mesh is not mesh for region in warm):
         raise ValidationError("every warm start must be a region of the mesh being solved")
+    if any(not region.mask.any() or region.mask.all() for region in warm):
+        raise ValidationError("a warm start must be neither empty nor the whole mesh: "
+                              "it has no boundary, so its restart could make no move")
     if len(warm) > cfg.restarts:
         raise ValidationError(
             f"{len(warm)} warm starts for {cfg.restarts} restarts: each warm "

@@ -32,8 +32,9 @@ def half_edge_pairs(edge_of):
 
 
 # the unit cube plus one vertex 2e-11 off its edge x = y = 0 and one 1.1e-9
-# outside its face x = 0: it builds with 9 facets, but ring edge (0, 8)
-# lies on three of them, so its rings do not close the surface
+# outside its face x = 0: its hull has 9 facets, but ring edge (0, 8) lies
+# on three of them, so its rings do not close the surface and ``Polytope``
+# rejects it
 OFF_EDGE_CUBE = [[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)] + [
     [2.1547114720948046e-11, 2.9815278652504703e-11, 0.18266865137399282],
     [-1.0876140319940513e-09, 0.81739013574259134, 0.84796942605031489],

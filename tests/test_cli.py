@@ -369,10 +369,12 @@ def test_analyze_rejects_facet_list_that_does_not_close_up(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("argv", [["analyze"], ["solve", "--volume", "0.05", "--level", "1"]])
+@pytest.mark.parametrize("argv", [["analyze"], ["solve", "--volume", "0.05", "--level", "1"],
+                                  ["smooth", "--eps", "0.1"]])
 def test_rings_that_do_not_close_the_surface_are_rejected_input(tmp_path, capsys, argv):
-    # the document builds, but its facet rings put edge (0, 8) on three
-    # facets: rejected when the rings are built, not failed on a link later
+    # the hull's facet rings put edge (0, 8) on three facets: the document
+    # is rejected when the polytope is built, whichever command reads it,
+    # not failed on a link later
     path = tmp_path / "off-edge.json"
     path.write_text(json.dumps({"dim": 3, "vertices": OFF_EDGE_CUBE}))
     code, _, err = run(capsys, *argv, "--polytope", str(path), "--out", str(tmp_path / "out"))

@@ -18,7 +18,6 @@ from polyperim.errors import (
     DimensionTooHigh,
     InvalidPolytope,
     NotFullDimensional,
-    UnsupportedDimension,
     ValidationError,
 )
 from polyperim.mesh import subdivide
@@ -361,6 +360,8 @@ def test_vertex_on_facet_consistency():
         side = poly.vertices @ poly.facet_normals[fi] - poly.facet_offsets[fi]
         on = set(np.flatnonzero(np.abs(side) <= TOL))
         assert on == set(f)
+        # row fi of the incidence holds the facet's vertices, ascending
+        assert poly.incidence[fi].indices.tolist() == list(f)
 
 
 def test_ring_edges_walk_each_facet_once_in_polygon_order():
@@ -382,25 +383,26 @@ def test_ring_edges_walk_each_facet_once_in_polygon_order():
             for _ in f[1:]:
                 walked.append(after[walked[-1]])
             assert sorted(walked) == list(f) and after[walked[-1]] == f[0]
-    for poly in (shapes.square(), shapes.hypercube()):
-        with pytest.raises(UnsupportedDimension):
-            poly.ring_edges
+    for poly in (shapes.square(), shapes.triangle(), shapes.hypercube(), shapes.simplex4()):
+        assert poly.ring_edges is None
 
 
 def test_ring_edges_reject_an_edge_on_three_facets():
-    poly = Polytope(np.array(OFF_EDGE_CUBE))
-    assert len(poly.facets) == 9
+    # the hull has 9 facets, but their rings put edge (0, 8) on three
+    assert len(enumerate_facets(np.array(OFF_EDGE_CUBE))[0]) == 9
     message = r"ring edge \(0, 8\) lies on 3 facets, expected 2"
     with pytest.raises(InvalidPolytope, match=message):
-        poly.ring_edges
+        Polytope(np.array(OFF_EDGE_CUBE))
     with pytest.raises(InvalidPolytope, match=message):
-        subdivide(poly, 0)
+        Polytope.from_vertices(OFF_EDGE_CUBE)
+    with pytest.raises(InvalidPolytope, match=message):
+        Polytope.loads(json.dumps({"dim": 3, "vertices": OFF_EDGE_CUBE}))
 
 
 def test_near_degenerate_cubes_build_closed_meshes_or_are_rejected():
     # the unit cube plus 1-3 points on its edges or faces, each moved
-    # 10^U(-11, -7) in a random direction: some build, and of those some
-    # leave a ring edge off two facets
+    # 10^U(-11, -7) in a random direction: some build, and some hulls are
+    # rejected at construction because a ring edge is off two facets
     cube = np.array([[x, y, z] for x in (0, 1) for y in (0, 1) for z in (0, 1)], float)
     rng = np.random.default_rng(0)
     built = rejected = 0
@@ -417,19 +419,15 @@ def test_near_degenerate_cubes_build_closed_meshes_or_are_rejected():
             p += 10 ** rng.uniform(-11, -7) * d / np.linalg.norm(d)
         try:
             poly = Polytope(np.vstack([cube, *extra]))
-        except ValidationError:
+        except ValidationError as exc:
+            rejected += bool(re.match(r"ring edge \(\d+, \d+\) lies on \d+ facets, expected 2",
+                                      str(exc)))
             continue
         built += 1
-        try:
-            poly.ring_edges
-        except InvalidPolytope as exc:
-            assert re.match(r"ring edge \(\d+, \d+\) lies on \d+ facets, expected 2", str(exc))
-            rejected += 1
-            continue
         mesh = subdivide(poly, 0)
         counts = np.bincount(mesh.tri_edges.ravel(), minlength=len(mesh.edge_lengths))
         assert (counts == 2).all()
-    # 51 build here, and the rings reject 5 of them
+    # 46 build here, and the rings reject 5 more
     assert built > 40 and rejected >= 3
 
 

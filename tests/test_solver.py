@@ -255,6 +255,19 @@ def test_warm_starts_beyond_the_restarts_are_rejected():
     assert len(minimize_perimeter(mesh, 0.05, cfg, balls).restart_perimeters) == 2
 
 
+@pytest.mark.parametrize("fill", [False, True])
+@pytest.mark.parametrize("restarts", [1, 2])
+def test_warm_starts_without_a_boundary_are_rejected(fill, restarts):
+    # an empty or whole-mesh region has no cut edge, so its restart makes no
+    # move: with one restart the solve found nothing, with two it recorded
+    # that restart as inf with every move count 0
+    mesh = subdivide(shapes.cube(), 2)
+    cfg = default_config(mesh, iterations=2000, restarts=restarts)
+    warm = Region(mesh, np.full(mesh.triangle_count, fill))
+    with pytest.raises(ValidationError, match="neither empty nor the whole mesh"):
+        minimize_perimeter(mesh, 0.5, cfg, [warm])
+
+
 def _polish_balls_in_band(mesh, volume, cuts, vertices):
     """Polish the vertex balls cut at each ``cut * volume`` whose area lands
     in [V, 1.02 V]; their cut perimeter must never rise and their area must
