@@ -50,7 +50,8 @@ from scipy.spatial import ConvexHull
 
 from . import __version__, shapes
 from .cones import rank_by_link, vertex_cones
-from .errors import BadDocument, NumericalError, PolyperimError, ValidationError, checked_int
+from .errors import (BadDocument, NumericalError, PolyperimError, ValidationError, checked_int,
+                     checked_real)
 from .gallery import (
     SPIKE_MAX_HALF_ANGLE,
     cube_competitors,
@@ -629,17 +630,14 @@ def _cmd_gallery(args: argparse.Namespace, out: Path) -> int:
             )
     elif args.exhibit == "spiked-cone":
         widest = math.degrees(SPIKE_MAX_HALF_ANGLE)
-        if not 0.0 < args.half_angle < widest:
-            raise ValidationError(
-                f"--half-angle must be in (0, {widest:.8g}) degrees, got {args.half_angle}"
-            )
-        base = args.spike_height * math.tan(math.radians(args.half_angle))
+        half_angle = checked_real(args.half_angle, "--half-angle", 0.0, widest)
+        base = args.spike_height * math.tan(math.radians(half_angle))
         if not 0.0 < base < 0.5:
             raise ValidationError(
                 f"--spike-height {args.spike_height} (in cube sides) x tan(--half-angle) "
                 f"gives a spike base of circumradius {base:.6g}, outside (0, 1/2)"
             )
-        theta_p = spike_link_from_half_angle(math.radians(args.half_angle))
+        theta_p = spike_link_from_half_angle(math.radians(half_angle))
         rep = spiked_cone_report(
             theta_p,
             spike_height=args.spike_height,

@@ -7,9 +7,12 @@ be completed (CLI exit code 3).  Every rejection the library raises is a
 that catch ``ValueError`` keep working.
 
 Integer arguments (counts, indices, levels, dimensions and seeds) follow one
-rule, held by :func:`checked_int` alone.
+rule, held by :func:`checked_int` alone; real arguments (volumes, link
+measures, angles, lengths, epsilons and the annealer's temperatures) follow
+another, held by :func:`checked_real` alone.
 """
 
+import math
 import numbers
 
 
@@ -95,3 +98,18 @@ def checked_int(value, name: str, lo: int, hi: int | None = None, error=Validati
         upper = "" if hi is None else f" and at most {hi}"
         raise error(f"{name} must be at least {lo}{upper}, got {value}")
     return int(value)
+
+
+def checked_real(value, name: str, lo: float, hi: float = math.inf, error=ValidationError) -> float:
+    """``float(value)`` for a real number in the open interval (lo, hi), else
+    raise ``error`` naming ``name``.  A bool, NaN or inf is rejected; ints and
+    numpy floats pass.  For (lo, hi], pass ``math.nextafter(hi, math.inf)``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"{name} must be a real number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:  # an int or fraction past the float range
+        x = math.inf
+    if not lo < x < hi:  # NaN fails too
+        raise error(f"{name} must be in ({lo}, {hi}), got {value}")
+    return x

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cones import tet_solid_angle
-from .errors import ProjectionDegenerate, ValidationError, VolumeOutOfRange
+from .errors import ProjectionDegenerate, ValidationError, VolumeOutOfRange, checked_real
 from .profiles import cone_profile
 
 CUBE_SURFACE_AREA = 6.0
@@ -85,23 +85,15 @@ _FAMILIES = (
 
 def cube_competitors(volume: float) -> CompetitorReport:
     """Evaluate the analytic families at one volume on the unit cube."""
-    if not 0.0 < volume < CUBE_SURFACE_AREA:
-        raise VolumeOutOfRange(
-            f"volume {volume} outside (0, {CUBE_SURFACE_AREA})"
-        )
-    entries: list[CompetitorEntry] = []
-    for name, area, valid, _ in _FAMILIES:
-        entries.append(CompetitorEntry(name, area(volume), valid(volume)))
+    volume = checked_real(volume, "volume", 0.0, CUBE_SURFACE_AREA, VolumeOutOfRange)
     co_volume = CUBE_SURFACE_AREA - volume
-    for name, area, valid, own_complement in _FAMILIES:
-        if not own_complement:
-            entries.append(
-                CompetitorEntry(name + "-complement", area(co_volume), valid(co_volume))
-            )
-    winner = min(
-        (e for e in entries if e.valid),
-        key=lambda e: e.perimeter,
-    )
+    entries = [CompetitorEntry(name, area(volume), valid(volume))
+               for name, area, valid, _ in _FAMILIES]
+    entries += [
+        CompetitorEntry(name + "-complement", area(co_volume), valid(co_volume))
+        for name, area, valid, own_complement in _FAMILIES if not own_complement
+    ]
+    winner = min((e for e in entries if e.valid), key=lambda e: e.perimeter)
     return CompetitorReport(volume=volume, entries=tuple(entries), winner=winner)
 
 
@@ -141,12 +133,10 @@ def double_pyramid_report(
     minimizing.  Optionally also compares against a ball at a base vertex
     of link ``base_link``.
     """
-    if not 0.0 < theta < 2.0 * math.pi - 1e-9:
-        raise ValidationError(f"apex link {theta} outside (0, 2*pi)")
-    if base_link is not None and not 0.0 < base_link < 2.0 * math.pi:
-        raise ValidationError(f"base link {base_link} outside (0, 2*pi)")
-    if not 0.0 < volume < math.inf:
-        raise VolumeOutOfRange(f"volume must be positive and finite, got {volume}")
+    theta = checked_real(theta, "theta", 0.0, 2.0 * math.pi - 1e-9)
+    if base_link is not None:
+        base_link = checked_real(base_link, "base_link", 0.0, 2.0 * math.pi)
+    volume = checked_real(volume, "volume", 0.0, error=VolumeOutOfRange)
     one_sided = math.sqrt(2.0 * theta * volume)
     if one_sided == 0.0:
         raise VolumeOutOfRange(f"theta * volume = {theta} * {volume} underflows")
@@ -252,14 +242,15 @@ SPIKE_MAX_HALF_ANGLE = math.asin(1.0 / math.sqrt(3.0))
 def spike_link_from_half_angle(gamma: float) -> float:
     """Apex link of a 3-sided spike whose lateral edges make angle gamma
     with the axis: three face angles of 2*asin(sqrt(3)/2 * sin(gamma))."""
-    if 0.0 < gamma < SPIKE_MAX_HALF_ANGLE:
-        link = 3.0 * 2.0 * math.asin(math.sqrt(3.0) / 2.0 * math.sin(gamma))
-        # rounding lifts the link to pi within a few ulps of the bound
-        if link < math.pi:
-            return link
-    raise ValidationError(
-        f"half-angle must be in (0, {SPIKE_MAX_HALF_ANGLE:.8g}) radians, got {gamma}"
-    )
+    gamma = checked_real(gamma, "gamma", 0.0, SPIKE_MAX_HALF_ANGLE)
+    link = 3.0 * 2.0 * math.asin(math.sqrt(3.0) / 2.0 * math.sin(gamma))
+    # rounding lifts the link to pi within a few ulps of the bound
+    if not link < math.pi:
+        raise ValidationError(
+            f"gamma must be below {SPIKE_MAX_HALF_ANGLE!r} by more than "
+            f"rounding, got {gamma}: its link rounds to pi"
+        )
+    return link
 
 
 def modified_cube_faces(
@@ -273,8 +264,8 @@ def modified_cube_faces(
     the added faces (the cube's 12 triangles and the 3 spike faces) and the
     subtracted spike base, as 4D triangles (rows are vertices).
     """
-    if not 0.0 < rho < 0.5:
-        raise ValidationError("spike base must fit inside the top face")
+    rho = checked_real(rho, "rho", 0.0, 0.5)
+    spike_height = checked_real(spike_height, "spike_height", 0.0)
     h = 0.5
     squares = [
         [(-h, -h, -h), (h, -h, -h), (h, h, -h), (-h, h, -h)],
@@ -328,12 +319,10 @@ def spiked_cone_report(
     to the decisive inequality 2*theta_p < |K-hat|, reported alongside the
     two perimeters at a reference volume.
     """
-    if not 0.0 < theta_p < math.pi:
-        raise ValidationError(f"spike apex link {theta_p} outside (0, pi)")
-    if not 0.0 < reference_volume < math.inf:
-        raise VolumeOutOfRange(
-            f"volume must be positive and finite, got {reference_volume}"
-        )
+    theta_p = checked_real(theta_p, "theta_p", 0.0, math.pi)
+    spike_height = checked_real(spike_height, "spike_height", 0.0)
+    reference_volume = checked_real(reference_volume, "reference_volume", 0.0,
+                                    error=VolumeOutOfRange)
     # the projection normalizes every face vertex, and the norm of the spike
     # apex (0, 0, 1/2 + spike_height, CUBE_LIFT) overflows first
     top = 0.5 + spike_height

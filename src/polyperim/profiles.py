@@ -27,6 +27,7 @@ from .errors import (
     ValidationError,
     VolumeOutOfRange,
     checked_int,
+    checked_real,
 )
 
 #: most volumes a grid may hold; each costs one Python call per profile
@@ -58,8 +59,7 @@ def sphere_measure(k: int) -> float:
 def euclidean_profile(n: int, volume: float) -> float:
     """Perimeter of the round ball of the given volume in R^n."""
     n = checked_int(n, "n", 1, error=UnsupportedDimension)
-    if not 0 < volume < math.inf:
-        raise VolumeOutOfRange(f"volume must be positive and finite, got {volume}")
+    volume = checked_real(volume, "volume", 0.0, error=VolumeOutOfRange)
     wn = unit_ball_volume(n)
     return n * wn ** (1.0 / n) * volume ** ((n - 1.0) / n)
 
@@ -72,11 +72,11 @@ def cone_profile(omega: float, n: int, volume: float) -> float:
     ``omega * r^(n-1)``, so ``A = omega^(1/n) * (n V)^((n-1)/n)``.
     """
     n = checked_int(n, "n", 1, error=UnsupportedDimension)
-    if not 0 < omega <= sphere_measure(n - 1) + 1e-12:
-        raise ValidationError(f"link measure {omega} outside (0, |S^{n-1}|]")
-    if not 0 < volume < math.inf:
-        raise VolumeOutOfRange(f"volume must be positive and finite, got {volume}")
-    if not math.isfinite(n * float(volume)):
+    # the link may reach |S^(n-1)|, plus rounding
+    widest = math.nextafter(sphere_measure(n - 1) + 1e-12, math.inf)
+    omega = checked_real(omega, "omega", 0.0, widest)
+    volume = checked_real(volume, "volume", 0.0, error=VolumeOutOfRange)
+    if not math.isfinite(n * volume):
         raise VolumeOutOfRange(f"n * volume = {n} * {volume} overflows")
     return omega ** (1.0 / n) * (n * volume) ** ((n - 1.0) / n)
 
@@ -93,10 +93,7 @@ def sphere_profile(n: int, volume: float) -> float:
     """
     n = checked_int(n, "n", 1, error=UnsupportedDimension)
     total = sphere_measure(n)
-    if not 0 < volume < total:
-        raise VolumeOutOfRange(
-            f"cap volume must lie in (0, {total:.12g}), got {volume}"
-        )
+    volume = checked_real(volume, "volume", 0.0, total, VolumeOutOfRange)
     sin2 = special.betaincinv(n / 2.0, 0.5, 2.0 * min(volume, total - volume) / total)
     return float(sphere_measure(n - 1) * sin2 ** ((n - 1) / 2.0))
 
@@ -108,8 +105,8 @@ def sphere_profile(n: int, volume: float) -> float:
 def volume_grid(vmin: float, vmax: float, points: int) -> np.ndarray:
     """``points`` strictly increasing volumes from ``vmin`` to ``vmax``,
     evenly spaced in log."""
-    if not 0 < vmin < vmax < math.inf:
-        raise VolumeOutOfRange("need 0 < vmin < vmax < inf")
+    vmin = checked_real(vmin, "--vmin", 0.0, error=VolumeOutOfRange)
+    vmax = checked_real(vmax, "--vmax", vmin, error=VolumeOutOfRange)
     points = checked_int(points, "--points", 1, MAX_GRID_POINTS)
     grid = np.geomspace(vmin, vmax, points)
     if (np.diff(grid) <= 0).any():

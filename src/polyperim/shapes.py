@@ -6,12 +6,13 @@ import itertools
 
 import numpy as np
 
+from .errors import checked_real
 from .polytope import Polytope
 
 
 def cube(side: float = 1.0) -> Polytope:
     """Axis-aligned cube centered at the origin."""
-    h = side / 2.0
+    h = checked_real(side, "side", 0.0) / 2.0
     verts = np.array(list(itertools.product((-h, h), repeat=3)))
     return Polytope(verts, name="cube")
 

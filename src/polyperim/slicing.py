@@ -116,6 +116,8 @@ def build_frame(n: int) -> RegularSimplexFrame:
 def piece_count(n: int, slices: int) -> int:
     """Number of nonempty pieces in the window of :func:`enumerate_pieces`:
     sum over levels s = 1..n of C(slices + s - 1, n)."""
+    n = checked_int(n, "n", 1, error=UnsupportedDimension)
+    slices = checked_int(slices, "slices", 2)
     return sum(math.comb(slices + s - 1, n) for s in range(1, n + 1))
 
 

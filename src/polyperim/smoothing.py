@@ -97,8 +97,8 @@ from .errors import (
     NumericalError,
     OriginNotInterior,
     UnsupportedDimension,
-    ValidationError,
     checked_int,
+    checked_real,
 )
 from .polytope import TOL, Polytope
 from .profiles import sphere_measure
@@ -180,9 +180,8 @@ class Mollifier:
 
     @classmethod
     def build(cls, dim: int, epsilon: float) -> "Mollifier":
-        if not epsilon > 0:
-            raise ValidationError("epsilon must be positive")
         dirs, alpha = sphere_quadrature(dim, 32 if dim == 2 else 12)
+        epsilon = checked_real(epsilon, "epsilon", 0.0)
         rx, rw = np.polynomial.legendre.leggauss(RADIAL_NODES)
         r = 0.5 * (rx + 1.0)
         # the bump exp(-1/(1-r^2)) times r^(d-1); every radius is below 1
@@ -197,7 +196,7 @@ class Mollifier:
             )
         return cls(
             dim=dim,
-            epsilon=float(epsilon),
+            epsilon=epsilon,
             radii=r,
             radial_weights=raw / mass,
             directions=dirs,
@@ -373,29 +372,24 @@ def sphere_quadrature(dim: int, resolution: int) -> tuple[np.ndarray, np.ndarray
     Weights sum to the full sphere measure.  Point counts are even in every
     angular factor, keeping the set antipodally symmetric.
     """
+    dim = checked_int(dim, "dim", 2, 3, UnsupportedDimension)
     resolution = checked_int(resolution, "resolution", 4)
     if dim == 2:
         m = 2 * resolution
         theta = 2.0 * math.pi * (np.arange(m) + 0.5) / m
         dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
         return dirs, np.full(m, 2.0 * math.pi / m)
-    if dim == 3:
-        n_theta = resolution
-        n_phi = 2 * resolution
-        cx, cw = np.polynomial.legendre.leggauss(n_theta)
-        phi = 2.0 * math.pi * (np.arange(n_phi) + 0.5) / n_phi
-        sin_t = np.sqrt(1.0 - cx**2)
-        dirs = np.stack(
-            [
-                np.outer(sin_t, np.cos(phi)).ravel(),
-                np.outer(sin_t, np.sin(phi)).ravel(),
-                np.outer(cx, np.ones(n_phi)).ravel(),
-            ],
-            axis=1,
-        )
-        w = np.outer(cw, np.full(n_phi, 2.0 * math.pi / n_phi)).ravel()
-        return dirs, w
-    raise UnsupportedDimension(f"no sphere quadrature for dimension {dim}")
+    n_phi = 2 * resolution
+    cx, cw = np.polynomial.legendre.leggauss(resolution)
+    phi = 2.0 * math.pi * (np.arange(n_phi) + 0.5) / n_phi
+    sin_t = np.sqrt(1.0 - cx**2)
+    dirs = np.column_stack([
+        np.outer(sin_t, np.cos(phi)).ravel(),
+        np.outer(sin_t, np.sin(phi)).ravel(),
+        np.repeat(cx, n_phi),
+    ])
+    w = np.outer(cw, np.full(n_phi, 2.0 * math.pi / n_phi)).ravel()
+    return dirs, w
 
 
 @dataclass(frozen=True)
@@ -446,6 +440,7 @@ def smoothed_body(
     if poly.dim not in (2, 3):
         raise UnsupportedDimension(f"smoothing needs d = 2 or 3, got d = {poly.dim}")
     fn = GaugeFunction.from_polytope(poly)
+    epsilon = checked_real(epsilon, "epsilon", 0.0)
     if epsilon >= 0.5 * fn.inradius:
         raise EpsilonTooLarge(
             f"epsilon {epsilon} is not below half the inradius "

@@ -66,7 +66,8 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import NoFeasibleRegion, ValidationError, VolumeOutOfRange, VolumeTooLarge, checked_int
+from .errors import (NoFeasibleRegion, ValidationError, VolumeOutOfRange, VolumeTooLarge,
+                     checked_int, checked_real)
 from .mesh import SurfaceMesh
 
 FEASIBILITY_FRACTION = 0.02
@@ -152,6 +153,10 @@ class SolverConfig:
     def __post_init__(self):
         for name, lo in (("iterations", 1), ("restarts", 1), ("seed", 0)):
             object.__setattr__(self, name, checked_int(getattr(self, name), name, lo))
+        # cooling may be 1: a constant temperature
+        for name, hi in (("t_initial", math.inf), ("cooling", math.nextafter(1.0, math.inf)),
+                         ("mu", math.inf)):
+            object.__setattr__(self, name, checked_real(getattr(self, name), name, 0.0, hi))
 
 
 def default_config(
@@ -230,8 +235,7 @@ def vertex_ball_region(mesh: SurfaceMesh, vertex: int, volume: float) -> Region:
     on the mesh (rejecting a vertex index out of range); a later query about
     that vertex takes binary searches in it and one mask write.
     """
-    if not volume > 0:
-        raise VolumeOutOfRange("volume must be positive")
+    volume = checked_real(volume, "volume", 0.0, error=VolumeOutOfRange)
     star = mesh.vertex_star(vertex)
     cone = star.cone
     if volume > cone.valid_volume_max:
@@ -695,11 +699,7 @@ def minimize_perimeter(
     mesh (another volume, config or set of warm starts) reuses them.  A
     single solve, as the ``solve`` command makes, gains nothing from this.
     """
-    total = mesh.total_area()
-    if not 0.0 < volume < total:
-        raise VolumeOutOfRange(
-            f"volume {volume} outside (0, {total}) for this mesh"
-        )
+    volume = checked_real(volume, "volume", 0.0, mesh.total_area(), VolumeOutOfRange)
     smallest = float(mesh.areas.min())
     if (1.0 + FEASIBILITY_FRACTION) * volume < smallest:
         raise VolumeOutOfRange(

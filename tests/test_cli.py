@@ -526,7 +526,7 @@ def test_nan_epsilon_is_a_validation_error(tmp_path, capsys):
         "--out", str(tmp_path),
     )
     assert code == 2
-    assert "epsilon must be positive" in err
+    assert "ValidationError: epsilon must be in (0.0, inf), got nan" in err
 
 
 def test_analyze_hypercube_marks_vertex_zero(tmp_path, capsys):
@@ -630,12 +630,12 @@ def test_slice_rejects_oversized_windows_at_once(tmp_path, capsys):
         (["gallery", "spiked-cone", "--volume", "nan"], "VolumeOutOfRange"),
         (["gallery", "double-pyramid", "--volume", "nan"], "VolumeOutOfRange"),
         (["gallery", "double-pyramid", "--volume", "inf"], "VolumeOutOfRange"),
-        (["gallery", "double-pyramid", "--base-link", "nan"], "base link"),
+        (["gallery", "double-pyramid", "--base-link", "nan"], "base_link must be in"),
         (["gallery", "cube-competitors", "--vmin=-1"], "VolumeOutOfRange"),
         (["gallery", "cube-competitors", "--vmin", "5", "--vmax", "1"],
-         "need 0 < vmin < vmax < inf"),
+         "VolumeOutOfRange: --vmax must be in (5.0, inf), got 1.0"),
         (["gallery", "cube-competitors", "--vmin", "1", "--vmax", "1", "--points", "5"],
-         "need 0 < vmin < vmax < inf"),
+         "VolumeOutOfRange: --vmax must be in (1.0, inf), got 1.0"),
         (["profile", "--model", "euclidean", "--n", "2", "--vmin", "0.1",
           "--vmax", "inf"], "VolumeOutOfRange"),
         (["gallery", "double-pyramid", "--theta", "1e-300", "--volume", "1e-300"],
@@ -697,7 +697,7 @@ def test_slice_rejects_oversized_windows_at_once(tmp_path, capsys):
          "ValidationError: --spike-height -0.4 (in cube sides) x tan(--half-angle) "
          "gives a spike base of circumradius -0.0349955, outside (0, 1/2)"),
         (["gallery", "spiked-cone", "--half-angle", "90"],
-         "ValidationError: --half-angle must be in (0, 35.26439) degrees, got 90.0"),
+         "ValidationError: --half-angle must be in (0.0, 35.26438968275466), got 90.0"),
         (["gallery", "spiked-cone", "--half-angle", "30"],
          "ValidationError: --spike-height 3.0 (in cube sides) x tan(--half-angle) "
          "gives a spike base of circumradius 1.73205, outside (0, 1/2)"),

@@ -3,7 +3,9 @@ import ast
 import functools
 import importlib
 import inspect
+import math
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -12,15 +14,24 @@ import numpy as np
 import pytest
 
 import polyperim
-from polyperim import cli, shapes
+from polyperim import cli, errors, shapes
 from polyperim.errors import (
     BadDocument,
     InsufficientSamples,
     PolyperimError,
     UnsupportedDimension,
     ValidationError,
+    VolumeOutOfRange,
 )
-from polyperim.mesh import SurfaceMesh, subdivide
+from polyperim.gallery import (
+    SPIKE_MAX_HALF_ANGLE,
+    cube_competitors,
+    double_pyramid_report,
+    modified_cube_faces,
+    spike_link_from_half_angle,
+    spiked_cone_report,
+)
+from polyperim.mesh import subdivide
 from polyperim.polytope import Polytope
 from polyperim.profiles import (
     cone_profile,
@@ -30,9 +41,9 @@ from polyperim.profiles import (
     unit_ball_volume,
     volume_grid,
 )
-from polyperim.slicing import RegularSimplexFrame, build_frame, enumerate_pieces
-from polyperim.smoothing import convexity_probe, smoothed_body, sphere_quadrature
-from polyperim.solver import SolverConfig, default_config, vertex_ball_region
+from polyperim.slicing import build_frame, enumerate_pieces, piece_count
+from polyperim.smoothing import Mollifier, convexity_probe, smoothed_body, sphere_quadrature
+from polyperim.solver import SolverConfig, default_config, minimize_perimeter, vertex_ball_region
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -176,8 +187,12 @@ INTEGER_ARGUMENTS = [
      ValidationError, "iterations", (0,)),
     ("default_config", "restarts", lambda v: default_config(_mesh(), restarts=v),
      ValidationError, "restarts", (0,)),
+    ("sphere_quadrature", "dim", lambda v: sphere_quadrature(v, 8), UnsupportedDimension,
+     "dim", (1, 4)),
     ("sphere_quadrature", "resolution", lambda v: sphere_quadrature(3, v),
      ValidationError, "resolution", (3,)),
+    ("Mollifier.build", "dim", lambda v: Mollifier.build(v, 0.1), UnsupportedDimension,
+     "dim", (1, 4)),
     ("smoothed_body", "resolution",
      lambda v: smoothed_body(shapes.square(), 0.1, resolution=v), ValidationError,
      "resolution", (3,)),
@@ -192,6 +207,8 @@ INTEGER_ARGUMENTS = [
      "n", (0,)),
     ("enumerate_pieces", "slices", lambda v: enumerate_pieces(2, v), ValidationError,
      "slices", (1,)),
+    ("piece_count", "n", lambda v: piece_count(v, 2), UnsupportedDimension, "n", (0,)),
+    ("piece_count", "slices", lambda v: piece_count(2, v), ValidationError, "slices", (1,)),
     ("unit_ball_volume", "n", unit_ball_volume, UnsupportedDimension, "n", (-1,)),
     ("sphere_measure", "k", sphere_measure, UnsupportedDimension, "k", (-1,)),
     ("euclidean_profile", "n", lambda v: euclidean_profile(v, 1.0),
@@ -232,16 +249,152 @@ def test_integer_arguments_follow_one_rule(call, error, name, value):
     assert str(exc.value).startswith(f"{name} must be "), str(exc.value)
 
 
-def test_every_integer_parameter_has_a_row():
-    targets = [getattr(polyperim, n) for n in polyperim.__all__]
-    targets = [t for t in targets if inspect.isfunction(t)]
-    targets += [SurfaceMesh.vertex_star, SolverConfig, RegularSimplexFrame.generator]
-    annotated = {
+# the output dataclasses: their fields are results, not arguments
+OUTPUT_CLASSES = {
+    "VertexCone", "MoveCounts", "SolverResult", "CompetitorEntry", "CompetitorReport",
+    "DoublePyramidReport", "SpikedConeReport", "ConvexityReport", "PowerLawFit",
+    "SlicePiece", "ShapeClassSummary",
+}
+
+
+def _annotated(*annotations: str) -> set[tuple[str, str]]:
+    """(qualified name, parameter) for every parameter with one of these
+    annotations in every public function of every module, every public
+    method or classmethod of a public class, and SolverConfig's fields.  The
+    errors module is left out: its helpers are the rules themselves."""
+    targets = [SolverConfig]
+    for info in pkgutil.iter_modules(polyperim.__path__):
+        module = importlib.import_module(f"polyperim.{info.name}")
+        if module is errors:
+            continue
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                targets.append(obj)
+            elif inspect.isclass(obj) and name not in OUTPUT_CLASSES:
+                methods = (getattr(m, "__func__", m) for a, m in vars(obj).items()
+                           if not a.startswith("_"))
+                targets += [m for m in methods if inspect.isfunction(m)]
+    return {
         (t.__qualname__, p.name)
         for t in targets
         for p in inspect.signature(t).parameters.values()
-        if p.annotation in ("int", "int | None")
+        if p.annotation in annotations
     }
+
+
+def test_every_integer_parameter_has_a_row():
+    annotated = _annotated("int", "int | None")
     rows = {(entry, argument) for entry, argument, *_ in INTEGER_ARGUMENTS}
-    assert ("RegularSimplexFrame.generator", "i") in annotated
+    assert {("RegularSimplexFrame.generator", "i"), ("Mollifier.build", "dim"),
+            ("SolverConfig", "seed")} <= annotated
+    assert annotated - rows == set()
+
+
+def _spiked_cone_cli(half_angle):
+    args = argparse.Namespace(command="gallery", exhibit="spiked-cone", half_angle=half_angle,
+                              spike_height=3.0, volume=1e-3)
+    return cli._cmd_gallery(args, Path("out"))
+
+
+# (entry point, argument, call with the value, class raised, name the message
+# starts with, values out of range, a value in range: an int where the range
+# holds one); a row per real argument
+REAL_ARGUMENTS = [
+    ("euclidean_profile", "volume", lambda v: euclidean_profile(3, v), VolumeOutOfRange,
+     "volume", (0, -1.0, math.inf), 1),
+    ("cone_profile", "omega", lambda v: cone_profile(v, 3, 1.0), ValidationError, "omega",
+     (0, 4.0 * math.pi + 1e-9, math.inf), 1),
+    ("cone_profile", "volume", lambda v: cone_profile(1.0, 3, v), VolumeOutOfRange,
+     "volume", (0, -1.0, math.inf), 1),
+    ("sphere_profile", "volume", lambda v: sphere_profile(2, v), VolumeOutOfRange,
+     "volume", (0, 4.0 * math.pi, math.inf), 1),
+    ("volume_grid", "vmin", lambda v: volume_grid(v, 2.0, 4), VolumeOutOfRange, "--vmin",
+     (0, -1.0, math.inf), 1),
+    ("volume_grid", "vmax", lambda v: volume_grid(1.0, v, 4), VolumeOutOfRange, "--vmax",
+     (1.0, 0.5, math.inf), 2),
+    ("cube_competitors", "volume", cube_competitors, VolumeOutOfRange, "volume",
+     (0, 6.0, -1.0), 1),
+    ("double_pyramid_report", "theta", lambda v: double_pyramid_report(v, 1e-3),
+     ValidationError, "theta", (0, 2.0 * math.pi, -1.0), 1),
+    ("double_pyramid_report", "volume", lambda v: double_pyramid_report(0.5, v),
+     VolumeOutOfRange, "volume", (0, -1.0, math.inf), 1),
+    ("double_pyramid_report", "base_link", lambda v: double_pyramid_report(0.5, 1e-3, v),
+     ValidationError, "base_link", (0, 2.0 * math.pi, -1.0), 1),
+    ("spike_link_from_half_angle", "gamma", spike_link_from_half_angle, ValidationError,
+     "gamma", (0, SPIKE_MAX_HALF_ANGLE, -1.0), 0.1),
+    ("modified_cube_faces", "rho", lambda v: modified_cube_faces(v, 3.0), ValidationError,
+     "rho", (0, 0.5, -1.0), 0.25),
+    ("modified_cube_faces", "spike_height", lambda v: modified_cube_faces(0.1, v),
+     ValidationError, "spike_height", (0, -1.0, math.inf), 3),
+    ("spiked_cone_report", "theta_p", lambda v: spiked_cone_report(v, spike_height=1.0),
+     ValidationError, "theta_p", (0, math.pi, -1.0), 1),
+    ("spiked_cone_report", "spike_height", lambda v: spiked_cone_report(0.5, v),
+     ValidationError, "spike_height", (0, -1.0, math.inf), 3),
+    ("spiked_cone_report", "reference_volume",
+     lambda v: spiked_cone_report(0.5, reference_volume=v), VolumeOutOfRange,
+     "reference_volume", (0, -1.0, math.inf), 1),
+    ("cube", "side", shapes.cube, ValidationError, "side", (0, -1.0, math.inf), 2),
+    ("Mollifier.build", "epsilon", lambda v: Mollifier.build(2, v), ValidationError,
+     "epsilon", (0, -1.0, math.inf), 1),
+    ("smoothed_body", "epsilon", lambda v: smoothed_body(shapes.square(), v, resolution=4),
+     ValidationError, "epsilon", (0, -1.0, math.inf), 0.25),
+    ("vertex_ball_region", "volume", lambda v: vertex_ball_region(_mesh(), 0, v),
+     VolumeOutOfRange, "volume", (0, -1.0, math.inf), 0.1),
+    ("minimize_perimeter", "volume", lambda v: minimize_perimeter(_mesh(), v, _config()),
+     VolumeOutOfRange, "volume", (0, 6.0, -1.0), 1),
+    ("SolverConfig", "t_initial", lambda v: _config(t_initial=v), ValidationError,
+     "t_initial", (0, -5.0, math.inf), 1),
+    ("SolverConfig", "cooling", lambda v: _config(cooling=v), ValidationError, "cooling",
+     (0, 2.0, math.nextafter(1.0, 2.0)), 1),
+    ("SolverConfig", "mu", lambda v: _config(mu=v), ValidationError, "mu",
+     (0, -1.0, math.inf), 1),
+    ("gallery spiked-cone", "--half-angle", _spiked_cone_cli, ValidationError,
+     "--half-angle", (0, 90.0, math.degrees(SPIKE_MAX_HALF_ANGLE)), 5),
+]
+
+
+#: an int that float() cannot convert
+PAST_FLOAT = 10**400
+
+
+@pytest.mark.parametrize(
+    "call, error, name, value",
+    [
+        pytest.param(call, error, name, value,
+                     id=f"{entry}-{argument}-{'10**400' if value is PAST_FLOAT else repr(value)}")
+        for entry, argument, call, error, name, outside, _ in REAL_ARGUMENTS
+        # base_link=None means no base vertex
+        for value in ("0.1", *[None] * (argument != "base_link"), True, math.nan, PAST_FLOAT,
+                      *outside)
+    ],
+)
+def test_real_arguments_follow_one_rule(call, error, name, value):
+    # a string, None, a bool, NaN, an int past the float range or a value out
+    # of range raises the site's class and names the argument; a string or
+    # None reached a comparison as a bare TypeError, and a bool passed as 0 or 1
+    with pytest.raises(error) as exc:
+        call(value)
+    assert type(exc.value) is error
+    assert str(exc.value).startswith(f"{name} must "), str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "call, value",
+    [
+        pytest.param(call, value, id=f"{entry}-{argument}-{value!r}")
+        for entry, argument, call, *_, inside in REAL_ARGUMENTS
+        for value in (inside, np.float64(inside))
+    ],
+)
+def test_real_arguments_in_range_pass(call, value, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the CLI row writes its artifacts
+    call(value)
+
+
+def test_every_real_parameter_has_a_row():
+    annotated = _annotated("float", "float | None")
+    rows = {(entry, argument) for entry, argument, *_ in REAL_ARGUMENTS}
+    assert {("Mollifier.build", "epsilon"), ("SolverConfig", "cooling")} <= annotated
     assert annotated - rows == set()

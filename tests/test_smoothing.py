@@ -112,9 +112,9 @@ def test_mollifier_rejects_bad_input():
 
 
 def test_nan_epsilon_is_rejected_as_not_positive():
-    with pytest.raises(ValidationError, match="epsilon must be positive"):
+    with pytest.raises(ValidationError, match=r"epsilon must be in \(0\.0, inf\), got nan"):
         Mollifier.build(2, math.nan)
-    with pytest.raises(ValidationError, match="epsilon must be positive"):
+    with pytest.raises(ValidationError, match=r"epsilon must be in \(0\.0, inf\), got nan"):
         smoothed_body(shapes.square(), math.nan)
 
 

@@ -139,8 +139,11 @@ def test_vertex_ball_region_guards():
         vertex_ball_region(mesh, 0, 0.75 * math.pi * 1.01)
     with pytest.raises(VolumeOutOfRange):
         vertex_ball_region(mesh, 0, 0.0)
-    with pytest.raises(VolumeOutOfRange, match="volume must be positive"):
+    with pytest.raises(VolumeOutOfRange, match=r"volume must be in \(0\.0, inf\), got nan"):
         vertex_ball_region(mesh, 0, math.nan)
+    # infinity is out of range before it is past the star bound
+    with pytest.raises(VolumeOutOfRange, match=r"volume must be in \(0\.0, inf\), got inf"):
+        vertex_ball_region(mesh, 0, math.inf)
     with pytest.raises(ValidationError, match="vertex must be at least 0 and at most 7, got 99"):
         vertex_ball_region(mesh, 99, 0.1)
 
