@@ -124,12 +124,10 @@ def enumerate_facets(
         near = np.abs(resid, out=resid) <= TOL * scale
         vertex, plane = np.divmod(np.flatnonzero(near), len(block))
         # each plane's vertices, ascending, one run per plane
-        runs = np.split(
-            vertex[np.argsort(plane, kind="stable")],
-            np.cumsum(np.bincount(plane, minlength=len(block)))[:-1],
-        )
-        for p, run in enumerate(runs):
-            first.setdefault(tuple(run.tolist()), lo + p)
+        vertex = vertex[np.argsort(plane, kind="stable")].tolist()
+        ends = np.cumsum(np.bincount(plane, minlength=len(block))).tolist()
+        for p, (start, end) in enumerate(zip([0] + ends, ends)):
+            first.setdefault(tuple(vertex[start:end]), lo + p)
     facets = _maximal(sorted(first))
     overlap = _shared_measure(verts, hull.simplices, facets)
     if overlap > math.sqrt(TOL) * scale ** (d - 1):
@@ -145,15 +143,23 @@ def _shared_measure(verts, simplices, facets) -> float:
     """Total (d-1)-measure of the simplices that lie in more than one facet.
 
     Only facets of more than d vertices can share a simplex: a facet of d
-    vertices is the simplex itself, and facets do not nest.
+    vertices is the simplex itself, and facets do not nest.  A simplex lies
+    in a facet when the facet holds all its vertices, read from a boolean
+    (vertex, facet) table of ``_PLANE_BLOCK`` facets at a time, for the
+    simplices whose vertices all lie on the block's facets.
     """
     m, d = verts.shape
     big = [f for f in facets if len(f) > d]
     if len(big) < 2:
         return 0.0
-    # (simplex, facet) entries count shared vertices; d means the facet holds it
-    shared = (_incidence(simplices.tolist(), m) @ _incidence(big, m).T).tocoo()
-    holders = np.bincount(shared.row[shared.data == d], minlength=len(simplices))
+    holders = np.zeros(len(simplices), np.intp)
+    for lo in range(0, len(big), _PLANE_BLOCK):
+        block = big[lo : lo + _PLANE_BLOCK]
+        member = np.zeros((m, len(block)), bool)
+        member[list(chain.from_iterable(block)),
+               np.repeat(np.arange(len(block)), [len(f) for f in block])] = True
+        near = np.flatnonzero(member.any(axis=1)[simplices].all(axis=1))
+        holders[near] += member[simplices[near]].all(axis=1).sum(axis=1)
     edges = verts[simplices[:, 1:]] - verts[simplices[:, :1]]
     gram = np.abs(np.linalg.det(edges @ edges.transpose(0, 2, 1)))
     return float(np.sqrt(gram[holders > 1]).sum()) / math.factorial(d - 1)
@@ -172,22 +178,15 @@ def _incidence(index_lists, width: int) -> csr_matrix:
 def _maximal(sets: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """The index sets no other one contains: distinct facets of a convex body
     never nest, so a set inside another is a flat Qhull simplex within a real
-    facet (seen on rounded coordinates)."""
+    facet (seen on rounded coordinates).  Only a set larger than the
+    smallest can contain another, so a hull of equal-size sets (every
+    triangulated hull) needs no comparison."""
+    smallest = min(map(len, sets))
     holding: dict[int, list[set[int]]] = {}
-    for s in map(set, sets):
-        for v in s:
-            holding.setdefault(v, []).append(s)
-    return [s for s in sets if not any(set(s) < t for t in holding[s[0]])]
-
-
-def order_polygon(points: np.ndarray) -> np.ndarray:
-    """Indices of convex-polygon vertices in cyclic order around the centroid."""
-    origin, basis, rank = affine_span(points)
-    if rank != 2:
-        raise DegenerateFacet("polygon vertices do not span a plane")
-    flat = (np.asarray(points, dtype=float) - origin) @ basis.T
-    angles = np.arctan2(flat[:, 1], flat[:, 0])
-    return np.argsort(angles, kind="stable")
+    for t in (set(t) for t in sets if len(t) > smallest):
+        for v in t:
+            holding.setdefault(v, []).append(t)
+    return [s for s in sets if not any(map(set(s).__lt__, holding.get(s[0], ())))]
 
 
 def polytope_measure(points: np.ndarray) -> float:
@@ -208,13 +207,31 @@ def polytope_measure(points: np.ndarray) -> float:
 
 def _ring_edges(vertices: np.ndarray, facets) -> np.ndarray:
     """(E, 2) ring edges r_j -> r_j+1 of each facet polygon of a 3-polytope
-    in cyclic order, facet by facet in the order of ``facets``; the first
-    column is each facet's ring, in ``order_polygon``'s order.
-    ``InvalidPolytope`` names the least ring edge not on two facets (a
+    in cyclic order, facet by facet in the order of ``facets``.
+
+    The first column is each facet's ring: its vertices sorted, stably, by
+    their angle about the facet's centroid in the plane of the first two
+    right singular vectors of the centred points, as ``affine_span`` finds
+    them.  The facets of each size are ordered in one stacked pass.
+    ``DegenerateFacet`` is raised when a facet's points do not span a plane,
+    and ``InvalidPolytope`` names the least ring edge not on two facets (a
     vertex a hair off a hull edge), so the rings close the surface."""
-    ring = np.concatenate([np.array(f)[order_polygon(vertices[list(f)])] for f in facets])
-    sizes = [len(f) for f in facets]
+    sizes = np.array([len(f) for f in facets])
     end = np.cumsum(sizes)
+    ring = np.empty(end[-1], np.intp)
+    for k in np.unique(sizes):
+        rows = np.flatnonzero(sizes == k)
+        index = np.array([facets[i] for i in rows])
+        pts = vertices[index]
+        centred = pts - pts.mean(axis=1, keepdims=True)
+        _, sv, vt = np.linalg.svd(centred, full_matrices=False)
+        cutoff = TOL * np.maximum(1.0, sv[:, 0])
+        if ((sv > cutoff[:, None]).sum(axis=1) != 2).any():
+            raise DegenerateFacet("polygon vertices do not span a plane")
+        flat = centred @ vt[:, :2].transpose(0, 2, 1)
+        order = np.argsort(np.arctan2(flat[..., 1], flat[..., 0]), axis=1, kind="stable")
+        slots = (end[rows] - k)[:, None] + np.arange(k)
+        ring[slots] = np.take_along_axis(index, order, axis=1)
     # each slot's successor in its facet's ring, wrapping at the facet's end
     after = np.arange(1, end[-1] + 1)
     after[end - 1] = end - sizes

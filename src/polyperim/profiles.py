@@ -73,8 +73,7 @@ def cone_profile(omega: float, n: int, volume: float) -> float:
     """
     n = checked_int(n, "n", 1, error=UnsupportedDimension)
     # the link may reach |S^(n-1)|, plus rounding
-    widest = math.nextafter(sphere_measure(n - 1) + 1e-12, math.inf)
-    omega = checked_real(omega, "omega", 0.0, widest)
+    omega = checked_real(omega, "omega", 0.0, sphere_measure(n - 1) + 1e-12, hi_closed=True)
     volume = checked_real(volume, "volume", 0.0, error=VolumeOutOfRange)
     if not math.isfinite(n * volume):
         raise VolumeOutOfRange(f"n * volume = {n} * {volume} overflows")

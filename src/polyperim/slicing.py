@@ -97,10 +97,21 @@ def _frame_vectors(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RegularSimplexFrame:
-    """Frame vectors plus the derived slicing helpers."""
+    """Frame vectors plus the derived slicing helpers: ``vectors`` holds the
+    n + 1 frame vectors of R^n as rows, kept as a float array."""
 
     n: int
     vectors: np.ndarray
+
+    def __post_init__(self) -> None:
+        n = checked_int(self.n, "n", 1, error=UnsupportedDimension)
+        vectors = np.asarray(self.vectors, dtype=float)
+        if vectors.shape != (n + 1, n):
+            raise ValidationError(
+                f"vectors must be {n + 1} rows of {n} coordinates, got shape {vectors.shape}"
+            )
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "vectors", vectors)
 
     def generator(self, i: int) -> np.ndarray:
         """Index shift caused by translating x by frame vector a_i."""

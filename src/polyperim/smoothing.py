@@ -57,13 +57,20 @@ F_eps = d_f* sum_q p_q - sum_q p_q e_qf* in closed form; ties keep both
 facets.  A point with exactly two survivors f < g is closed too: g wins
 node r_i u_j exactly when r_i delta_j < c, with delta_j = beta_jg - beta_jf
 and c = d_g - d_f, that is when delta_j < c / r_i.  The delta_j do not
-depend on the point, so each call sorts them once per facet pair present,
-with prefix sums A of alpha_j and B of alpha_j delta_j in that order, and a
-point finds the k_i directions below c / r_i at each radius by binary
-search: F_eps is f's closed form plus sum_i rho_i (c A_k_i - r_i B_k_i),
-and its radial slope gains sum_i rho_i c A_k_i.  Nothing is kept between
-calls.  The comparison is strict, so f keeps the ties, as the running
-maximum does.
+depend on the point, so they are sorted once per facet pair, the first time
+a point has that pair as its survivors, with prefix sums A of alpha_j and B
+of alpha_j delta_j in that order, and a point finds the k_i directions
+below c / r_i at each radius by binary search: F_eps is f's closed form
+plus sum_i rho_i (c A_k_i - r_i B_k_i), and its radial slope gains
+sum_i rho_i c A_k_i.  The comparison is strict, so f keeps the ties, as the
+running maximum does.
+
+Everything above that does not depend on the points (beta, the node mass,
+the mean node offsets, the screen's gap matrix and slack column and the
+pair tables) is built once per gauge and mollifier, in a kernel.
+``smoothed_body`` builds one before Newton's method and keeps it on the
+body, so the body's ``level`` and ``convexity_probe`` reuse it; the public
+``mollify`` builds a fresh one for each call.
 
 Points with three or more survivors are summed ray by ray.  Let lines a
 and z win at the smallest and the largest radius (the lowest index on
@@ -87,7 +94,7 @@ from an adaptive ``scipy.integrate.quad``; the tests recompute it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -97,6 +104,7 @@ from .errors import (
     NumericalError,
     OriginNotInterior,
     UnsupportedDimension,
+    ValidationError,
     checked_int,
     checked_real,
 )
@@ -164,7 +172,12 @@ class Mollifier:
     relative error of the raw quadrature mass against the true kernel
     integral (the recorded ``quad`` values in BUMP_RADIAL_MASS, checked in
     the tests).  All arrays are read-only, and mollifiers compare by
-    identity, as gauges do.  ``mollify`` keeps nothing on a mollifier.
+    identity, as gauges do.  Construction checks every field, as the
+    evaluation trusts them: d = 2 or 3, epsilon > 0, a mass error in
+    [0, MASS_TOL], ascending radii in (0, 1), d-dimensional directions and
+    positive finite weights, one per radius and one per direction.  The
+    tables evaluation builds for a gauge live on a kernel
+    (``smoothed_body`` keeps one per body), never on the mollifier.
     """
 
     dim: int
@@ -176,12 +189,25 @@ class Mollifier:
     mass_error: float
 
     def __post_init__(self) -> None:
+        dim = checked_int(self.dim, "dim", 2, 3, UnsupportedDimension)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "epsilon", checked_real(self.epsilon, "epsilon", 0.0))
+        object.__setattr__(self, "mass_error", checked_real(
+            self.mass_error, "mass_error", 0.0, MASS_TOL, lo_closed=True, hi_closed=True))
         _freeze_fields(self, "radii", "radial_weights", "directions", "direction_weights")
+        r = self.radii
+        if r.ndim != 1 or not len(r) or not (0.0 < r[0] and r[-1] < 1.0 and (np.diff(r) > 0).all()):
+            raise ValidationError("radii must be a nonempty ascending array in (0, 1)")
+        if self.directions.ndim != 2 or self.directions.shape[1] != dim:
+            raise ValidationError(f"directions must be rows of {dim} coordinates")
+        for name, count in (("radial_weights", len(r)), ("direction_weights", len(self.directions))):
+            w = getattr(self, name)
+            if w.shape != (count,) or not (np.isfinite(w) & (w > 0.0)).all():
+                raise ValidationError(f"{name} must be {count} positive finite weights")
 
     @classmethod
     def build(cls, dim: int, epsilon: float) -> "Mollifier":
         dirs, alpha = sphere_quadrature(dim, 32 if dim == 2 else 12)
-        epsilon = checked_real(epsilon, "epsilon", 0.0)
         rx, rw = np.polynomial.legendre.leggauss(RADIAL_NODES)
         r = 0.5 * (rx + 1.0)
         # the bump exp(-1/(1-r^2)) times r^(d-1); every radius is below 1
@@ -205,6 +231,80 @@ class Mollifier:
         )
 
 
+class _Kernel:
+    """The mollified gauge of one gauge and one mollifier, with the tables
+    its evaluation reads that do not depend on the points (see the module
+    docstring).  A facet pair's tables are built the first time a point has
+    that pair as its two survivors, so a body with many facets builds only
+    the pairs its points meet."""
+
+    def __init__(self, fn: GaugeFunction, m: Mollifier) -> None:
+        self.fn, self.m = fn, m
+        self.beta = _facet_values(fn, m.epsilon * m.directions)
+        # the total node weight, summed as ``build`` sums the raw mass
+        self.mass = np.outer(m.radial_weights, m.direction_weights).sum()
+        self.mean_e = (m.radial_weights @ m.radii) * (m.direction_weights @ self.beta)
+        self.gap, self.spread = _screen_tables(self.beta, m.radii[-1])
+        self.pairs: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+    def pair(self, f: int, g: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Sorted delta_j = beta_jg - beta_jf and the prefix sums, each from
+        0, of alpha_j and alpha_j delta_j in that order."""
+        tables = self.pairs.get((f, g))
+        if tables is None:
+            delta = self.beta[:, g] - self.beta[:, f]
+            order = np.argsort(delta, kind="stable")
+            delta = delta[order]
+            alpha = self.m.direction_weights[order]
+            cum_a = np.concatenate([[0.0], np.cumsum(alpha)])
+            cum_ad = np.concatenate([[0.0], np.cumsum(alpha * delta)])
+            tables = self.pairs[f, g] = delta, cum_a, cum_ad
+        return tables
+
+    def __call__(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """F_eps(x) and its radial slope at a batch of points, as ``mollify``."""
+        fn, m, beta = self.fn, self.m, self.beta
+        x = np.atleast_2d(np.asarray(x, float))
+        d = _facet_values(fn, x - fn.origin)
+        # facet g can win some node only if d_g - d_f + r_max G_fg >= 0 (less a
+        # few ulps) for every f, G_fg = max_j (beta_jf - beta_jg); G_fg is at
+        # most max_j beta_jf - min_j beta_jg, so this implies the single floor
+        # d_g - r_max min_j beta_jg >= max_f (d_f - r_max max_j beta_jf)
+        alive = _screen(d, self.gap, self.spread)
+        win = alive.argmax(axis=1)
+        d_win = np.take_along_axis(d, win[:, None], axis=1)[:, 0]
+        value = d_win * self.mass - self.mean_e[win]
+        radial = d_win * self.mass
+        count = alive.sum(axis=1)
+        two = np.flatnonzero(count == 2)
+        patterns, group = np.unique(alive[two], axis=0, return_inverse=True)
+        step = max(1, _BLOCK // len(m.radii))
+        for k, pattern in enumerate(patterns):
+            # f already holds the base; g adds c - r_i delta_j on the nodes with
+            # delta_j < c / r_i, at each radius a prefix of the sorted delta
+            f, g = np.flatnonzero(pattern)
+            delta, cum_a, cum_ad = self.pair(int(f), int(g))
+            members = two[group == k]
+            for lo in range(0, len(members), step):
+                rows = members[lo : lo + step]
+                c = (d[rows, g] - d[rows, f])[:, None]
+                below = np.searchsorted(delta, c / m.radii, side="left")
+                gain = c * cum_a[below]
+                radial[rows] += (gain * m.radial_weights).sum(axis=1)
+                gain -= m.radii * cum_ad[below]
+                value[rows] += (gain * m.radial_weights).sum(axis=1)
+        # the other facets never win at these points, so they drop out as -inf
+        many = np.flatnonzero(count > 2)
+        step = max(1, _BLOCK // len(beta))
+        for lo in range(0, len(many), step):
+            rows = many[lo : lo + step]
+            live = np.where(alive[rows], d[rows], -np.inf)
+            ray_value, ray_radial, _ = _ray_sums(live, beta, m.radii, m.radial_weights)
+            value[rows] = (ray_value * m.direction_weights).sum(axis=1)
+            radial[rows] = (ray_radial * m.direction_weights).sum(axis=1)
+        return value, radial
+
+
 def mollify(
     fn: GaugeFunction, m: Mollifier, x: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -216,56 +316,10 @@ def mollify(
     the rest are summed ray by ray over the facets that survive the screen
     for them.  A point's results do not depend on the other points of the
     call, so a direction's smoothed radius does not depend on which other
-    directions are still moving.
+    directions are still moving.  Each call builds the gauge's tables
+    afresh; ``SmoothedBody.level`` evaluates with the body's own.
     """
-    x = np.atleast_2d(np.asarray(x, float))
-    d = _facet_values(fn, x - fn.origin)
-    beta = _facet_values(fn, m.epsilon * m.directions)
-    # the total node weight, summed as ``build`` sums the raw mass
-    mass = np.outer(m.radial_weights, m.direction_weights).sum()
-    # facet g can win some node only if d_g - d_f + r_max G_fg >= 0 (less a
-    # few ulps) for every f, G_fg = max_j (beta_jf - beta_jg); G_fg is at
-    # most max_j beta_jf - min_j beta_jg, so this implies the single floor
-    # d_g - r_max min_j beta_jg >= max_f (d_f - r_max max_j beta_jf)
-    alive = _screen(d, beta, m.radii[-1])
-    win = alive.argmax(axis=1)
-    d_win = np.take_along_axis(d, win[:, None], axis=1)[:, 0]
-    mean_e = (m.radial_weights @ m.radii) * (m.direction_weights @ beta)
-    value = d_win * mass - mean_e[win]
-    radial = d_win * mass
-    count = alive.sum(axis=1)
-    two = np.flatnonzero(count == 2)
-    patterns, group = np.unique(alive[two], axis=0, return_inverse=True)
-    step = max(1, _BLOCK // len(m.radii))
-    for k, pattern in enumerate(patterns):
-        # f already holds the base; g adds c - r_i delta_j on the nodes with
-        # delta_j < c / r_i, at each radius a prefix of the sorted delta
-        f, g = np.flatnonzero(pattern)
-        delta = beta[:, g] - beta[:, f]
-        order = np.argsort(delta, kind="stable")
-        delta = delta[order]
-        alpha = m.direction_weights[order]
-        cum_a = np.concatenate([[0.0], np.cumsum(alpha)])
-        cum_ad = np.concatenate([[0.0], np.cumsum(alpha * delta)])
-        members = two[group == k]
-        for lo in range(0, len(members), step):
-            rows = members[lo : lo + step]
-            c = (d[rows, g] - d[rows, f])[:, None]
-            below = np.searchsorted(delta, c / m.radii, side="left")
-            gain = c * cum_a[below]
-            radial[rows] += (gain * m.radial_weights).sum(axis=1)
-            gain -= m.radii * cum_ad[below]
-            value[rows] += (gain * m.radial_weights).sum(axis=1)
-    # the other facets never win at these points, so they drop out as -inf
-    many = np.flatnonzero(count > 2)
-    step = max(1, _BLOCK // len(beta))
-    for lo in range(0, len(many), step):
-        rows = many[lo : lo + step]
-        live = np.where(alive[rows], d[rows], -np.inf)
-        ray_value, ray_radial, _ = _ray_sums(live, beta, m.radii, m.radial_weights)
-        value[rows] = (ray_value * m.direction_weights).sum(axis=1)
-        radial[rows] = (ray_radial * m.direction_weights).sum(axis=1)
-    return value, radial
+    return _Kernel(fn, m)(x)
 
 
 def _facet_values(fn: GaugeFunction, y: np.ndarray) -> np.ndarray:
@@ -275,23 +329,32 @@ def _facet_values(fn: GaugeFunction, y: np.ndarray) -> np.ndarray:
     return (y[..., None, :] * fn.normals).sum(axis=-1) / fn.offsets
 
 
-def _screen(d: np.ndarray, beta: np.ndarray, top: float) -> np.ndarray:
-    """Whether facet g can win at some node r_i u_j (r_i <= ``top``), for
-    each point (row of ``d``) and facet g; see the module docstring.
-
-    g survives only if d_g - d_f + top G_fg >= -slack for every f, with
-    G_fg = max_j (beta_jf - beta_jg) and a slack of SCREEN_ULPS machine
-    epsilons of |d_g| + |d_f| + top (B_g + B_f), B_f = max_j beta_jf.  The
-    slack is a sum of a g part and an f part, so the test reads
-    hi_g + min_f (top G_fg - lo_f) >= 0, over blocks of points that bound
-    the points x facets x facets temporary.
-    """
-    n, facets = d.shape
+def _screen_tables(beta: np.ndarray, top: float) -> tuple[np.ndarray, np.ndarray]:
+    """The point-free parts of ``_screen`` for slopes ``beta`` (directions x
+    facets) and largest radius ``top``: the gap matrix top G_fg, with
+    G_fg = max_j (beta_jf - beta_jg), and the slack column top B_f,
+    B_f = max_j beta_jf."""
+    facets = beta.shape[1]
     gap = np.empty((facets, facets))
     for f in range(facets):
         np.max(beta[:, f, None] - beta, axis=0, out=gap[f])
     gap *= top
-    slack = SCREEN_ULPS * np.finfo(float).eps * (abs(d) + top * beta.max(axis=0))
+    return gap, top * beta.max(axis=0)
+
+
+def _screen(d: np.ndarray, gap: np.ndarray, spread: np.ndarray) -> np.ndarray:
+    """Whether facet g can win at some node r_i u_j (r_i <= top), for each
+    point (row of ``d``) and facet g, given ``_screen_tables``' gap matrix
+    and slack column; see the module docstring.
+
+    g survives only if d_g - d_f + top G_fg >= -slack for every f, with a
+    slack of SCREEN_ULPS machine epsilons of |d_g| + |d_f| + top (B_g + B_f).
+    The slack is a sum of a g part and an f part, so the test reads
+    hi_g + min_f (top G_fg - lo_f) >= 0, over blocks of points that bound
+    the points x facets x facets temporary.
+    """
+    n, facets = d.shape
+    slack = SCREEN_ULPS * np.finfo(float).eps * (abs(d) + spread)
     lo, hi = d - slack, d + slack
     alive = np.empty(d.shape, bool)
     step = max(1, _BLOCK // facets**2)
@@ -394,16 +457,27 @@ def sphere_quadrature(dim: int, resolution: int) -> tuple[np.ndarray, np.ndarray
 
 @dataclass(frozen=True)
 class SmoothedBody:
-    """Star-body description of { F_eps <= 1 } via radial samples."""
+    """Star-body description of { F_eps <= 1 } via radial samples.
+
+    ``kernel`` holds the gauge, the mollifier and the tables evaluation
+    builds from them; ``smoothed_body`` builds it once and ``level`` reuses it.
+    """
 
     polytope: Polytope
-    gauge_fn: GaugeFunction
-    mollifier: Mollifier
+    kernel: _Kernel = field(repr=False)
     directions: np.ndarray
     direction_weights: np.ndarray
     radii: np.ndarray
     #: Newton steps each direction took from its plain radius.
     newton_steps: np.ndarray
+
+    @property
+    def gauge_fn(self) -> GaugeFunction:
+        return self.kernel.fn
+
+    @property
+    def mollifier(self) -> Mollifier:
+        return self.kernel.m
 
     @property
     def volume(self) -> float:
@@ -419,7 +493,7 @@ class SmoothedBody:
         return 1.0 / self.gauge_fn(self.directions + self.gauge_fn.origin)
 
     def level(self, x: np.ndarray) -> np.ndarray:
-        return mollify(self.gauge_fn, self.mollifier, x)[0]
+        return self.kernel(x)[0]
 
 
 def smoothed_body(
@@ -446,7 +520,7 @@ def smoothed_body(
             f"epsilon {epsilon} is not below half the inradius "
             f"{fn.inradius} about the vertex mean"
         )
-    mollifier = Mollifier.build(poly.dim, epsilon)
+    kernel = _Kernel(fn, Mollifier.build(poly.dim, epsilon))
     if resolution is None:
         resolution = 96 if poly.dim == 2 else 24
     dirs, w = sphere_quadrature(poly.dim, resolution)
@@ -455,7 +529,7 @@ def smoothed_body(
     active = np.arange(len(dirs))
     for _ in range(NEWTON_ITERS):
         r = radii[active]
-        g, radial = mollify(fn, mollifier, fn.origin + r[:, None] * dirs[active])
+        g, radial = kernel(fn.origin + r[:, None] * dirs[active])
         # radial = r g'(r), so the Newton step scales r by 1 - (g - 1) / radial
         nxt = r * (1.0 - (g - 1.0) / radial)
         moving = r - nxt > NEWTON_ULPS * np.finfo(float).eps * r
@@ -471,8 +545,7 @@ def smoothed_body(
         )
     return SmoothedBody(
         polytope=poly,
-        gauge_fn=fn,
-        mollifier=mollifier,
+        kernel=kernel,
         directions=dirs,
         direction_weights=w,
         radii=radii,

@@ -153,10 +153,11 @@ class SolverConfig:
     def __post_init__(self):
         for name, lo in (("iterations", 1), ("restarts", 1), ("seed", 0)):
             object.__setattr__(self, name, checked_int(getattr(self, name), name, lo))
+        for name in ("t_initial", "mu"):
+            object.__setattr__(self, name, checked_real(getattr(self, name), name, 0.0))
         # cooling may be 1: a constant temperature
-        for name, hi in (("t_initial", math.inf), ("cooling", math.nextafter(1.0, math.inf)),
-                         ("mu", math.inf)):
-            object.__setattr__(self, name, checked_real(getattr(self, name), name, 0.0, hi))
+        object.__setattr__(self, "cooling",
+                           checked_real(self.cooling, "cooling", 0.0, 1.0, hi_closed=True))
 
 
 def default_config(

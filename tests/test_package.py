@@ -1,5 +1,6 @@
 import argparse
 import ast
+import dataclasses
 import functools
 import importlib
 import inspect
@@ -41,8 +42,14 @@ from polyperim.profiles import (
     unit_ball_volume,
     volume_grid,
 )
-from polyperim.slicing import build_frame, enumerate_pieces, piece_count
-from polyperim.smoothing import Mollifier, convexity_probe, smoothed_body, sphere_quadrature
+from polyperim.slicing import RegularSimplexFrame, build_frame, enumerate_pieces, piece_count
+from polyperim.smoothing import (
+    MASS_TOL,
+    Mollifier,
+    convexity_probe,
+    smoothed_body,
+    sphere_quadrature,
+)
 from polyperim.solver import SolverConfig, default_config, minimize_perimeter, vertex_ball_region
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -156,6 +163,11 @@ def _mesh():
 
 
 @functools.cache
+def _mollifier():
+    return Mollifier.build(2, 0.1)
+
+
+@functools.cache
 def _body():
     return smoothed_body(shapes.square(), 0.1, resolution=4)
 
@@ -200,7 +212,11 @@ INTEGER_ARGUMENTS = [
      InsufficientSamples, "trials", (0,)),
     ("convexity_probe", "seed", lambda v: convexity_probe(_body(), trials=1, seed=v),
      ValidationError, "seed", (-1,)),
+    ("Mollifier", "dim", lambda v: dataclasses.replace(_mollifier(), dim=v),
+     UnsupportedDimension, "dim", (1, 4)),
     ("build_frame", "n", build_frame, UnsupportedDimension, "n", (0,)),
+    ("RegularSimplexFrame", "n", lambda v: RegularSimplexFrame(n=v, vectors=np.zeros((3, 2))),
+     UnsupportedDimension, "n", (0,)),
     ("RegularSimplexFrame.generator", "i", lambda v: build_frame(2).generator(v),
      ValidationError, "i", (-1, 3)),
     ("enumerate_pieces", "n", lambda v: enumerate_pieces(v, 2), UnsupportedDimension,
@@ -260,9 +276,10 @@ OUTPUT_CLASSES = {
 def _annotated(*annotations: str) -> set[tuple[str, str]]:
     """(qualified name, parameter) for every parameter with one of these
     annotations in every public function of every module, every public
-    method or classmethod of a public class, and SolverConfig's fields.  The
-    errors module is left out: its helpers are the rules themselves."""
-    targets = [SolverConfig]
+    method or classmethod of a public class, and the constructor of every
+    public dataclass, named by the class.  The errors module is left out:
+    its helpers are the rules themselves."""
+    targets = []
     for info in pkgutil.iter_modules(polyperim.__path__):
         module = importlib.import_module(f"polyperim.{info.name}")
         if module is errors:
@@ -276,6 +293,8 @@ def _annotated(*annotations: str) -> set[tuple[str, str]]:
                 methods = (getattr(m, "__func__", m) for a, m in vars(obj).items()
                            if not a.startswith("_"))
                 targets += [m for m in methods if inspect.isfunction(m)]
+                if dataclasses.is_dataclass(obj):
+                    targets.append(obj)
     return {
         (t.__qualname__, p.name)
         for t in targets
@@ -288,7 +307,7 @@ def test_every_integer_parameter_has_a_row():
     annotated = _annotated("int", "int | None")
     rows = {(entry, argument) for entry, argument, *_ in INTEGER_ARGUMENTS}
     assert {("RegularSimplexFrame.generator", "i"), ("Mollifier.build", "dim"),
-            ("SolverConfig", "seed")} <= annotated
+            ("SolverConfig", "seed"), ("Mollifier", "dim"), ("RegularSimplexFrame", "n")} <= annotated
     assert annotated - rows == set()
 
 
@@ -338,6 +357,10 @@ REAL_ARGUMENTS = [
     ("cube", "side", shapes.cube, ValidationError, "side", (0, -1.0, math.inf), 2),
     ("Mollifier.build", "epsilon", lambda v: Mollifier.build(2, v), ValidationError,
      "epsilon", (0, -1.0, math.inf), 1),
+    ("Mollifier", "epsilon", lambda v: dataclasses.replace(_mollifier(), epsilon=v),
+     ValidationError, "epsilon", (0, -1.0, math.inf), 1),
+    ("Mollifier", "mass_error", lambda v: dataclasses.replace(_mollifier(), mass_error=v),
+     ValidationError, "mass_error", (-1e-300, 2 * MASS_TOL, math.inf), 0),
     ("smoothed_body", "epsilon", lambda v: smoothed_body(shapes.square(), v, resolution=4),
      ValidationError, "epsilon", (0, -1.0, math.inf), 0.25),
     ("vertex_ball_region", "volume", lambda v: vertex_ball_region(_mesh(), 0, v),
@@ -393,8 +416,21 @@ def test_real_arguments_in_range_pass(call, value, tmp_path, monkeypatch):
     call(value)
 
 
+def test_closed_upper_ends_print_a_bracket():
+    # the link may reach |S^1| + 1e-12 and the cooling 1, both included
+    assert cone_profile(sphere_measure(1) + 1e-12, 2, 1.0) > 0.0
+    assert _config(cooling=1).cooling == 1.0
+    with pytest.raises(ValidationError, match=r"^omega must be in \(0\.0, 6\.28318530718\d*\], got 7\.0$"):
+        cone_profile(7.0, 2, 1.0)
+    with pytest.raises(ValidationError, match=r"^cooling must be in \(0\.0, 1\.0\], got 1\.5$"):
+        _config(cooling=1.5)
+    with pytest.raises(ValidationError, match=r"^mass_error must be in \[0\.0, 1e-08\], got -1\.0$"):
+        dataclasses.replace(_mollifier(), mass_error=-1.0)
+
+
 def test_every_real_parameter_has_a_row():
     annotated = _annotated("float", "float | None")
     rows = {(entry, argument) for entry, argument, *_ in REAL_ARGUMENTS}
-    assert {("Mollifier.build", "epsilon"), ("SolverConfig", "cooling")} <= annotated
+    assert {("Mollifier.build", "epsilon"), ("SolverConfig", "cooling"),
+            ("Mollifier", "epsilon")} <= annotated
     assert annotated - rows == set()

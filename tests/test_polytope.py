@@ -25,8 +25,9 @@ from polyperim.polytope import (
     MAX_COORD,
     TOL,
     Polytope,
+    _ring_edges,
+    affine_span,
     enumerate_facets,
-    order_polygon,
     polytope_measure,
 )
 
@@ -331,13 +332,25 @@ def test_fit_plane_and_measures():
     assert polytope_measure(np.repeat(tri3d[:1], 4, axis=0)) == 0.0
 
 
+def _order_polygon(points):
+    """The per-facet ring order ``_ring_edges`` computes for all facets at
+    once: indices of convex-polygon vertices in cyclic order around the
+    centroid, one SVD and one sort per call."""
+    origin, basis, rank = affine_span(points)
+    if rank != 2:
+        raise DegenerateFacet("polygon vertices do not span a plane")
+    flat = (np.asarray(points, dtype=float) - origin) @ basis.T
+    angles = np.arctan2(flat[:, 1], flat[:, 0])
+    return np.argsort(angles, kind="stable")
+
+
 def test_order_polygon_walks_cyclically():
     rng = np.random.default_rng(3)
     for _ in range(20):
         angles = np.sort(rng.uniform(0, 2 * math.pi, 7))
         pts = np.stack([np.cos(angles), np.sin(angles)], axis=1)
         perm = rng.permutation(7)
-        order = order_polygon(pts[perm])
+        order = _order_polygon(pts[perm])
         walked = perm[order]
         start = int(np.argmin(walked))
         rolled = np.roll(walked, -start)
@@ -345,7 +358,7 @@ def test_order_polygon_walks_cyclically():
             rolled = np.roll(rolled[::-1], 1)
         assert rolled.tolist() == list(range(7))
     with pytest.raises(DegenerateFacet, match="do not span a plane"):
-        order_polygon(np.array([[0.0, 0, 0], [1, 1, 0], [2, 2, 0], [3, 3, 0]]))
+        _ring_edges(np.array([[0.0, 0, 0], [1, 1, 0], [2, 2, 0], [3, 3, 0]]), [(0, 1, 2, 3)])
 
 
 def test_incident_facets_of_cube_vertex():
@@ -368,13 +381,16 @@ def test_ring_edges_walk_each_facet_once_in_polygon_order():
     a = 2 * np.pi * np.arange(60) / 60
     ring = np.c_[np.cos(a), np.sin(a)]
     prism = Polytope.from_vertices(np.r_[np.c_[ring, np.zeros(60)], np.c_[ring, np.ones(60)]])
-    hulls = [_unit_sphere_hull(m, 3, seed) for seed, m in enumerate((8, 20, 60, 200))]
+    sizes = np.linspace(8, 500, 50).astype(int)
+    hulls = [_unit_sphere_hull(m, 3, seed) for seed, m in enumerate(sizes)]
+    # the prisms and the pyramid mix facet sizes, so several stacked passes
+    # fill one ring
     for poly in [b() for b in _BUILTINS if b().dim == 3] + hulls + [prism]:
         sizes = [len(f) for f in poly.facets]
         assert poly.ring_edges.shape == (sum(sizes), 2)
         for f, edges in zip(poly.facets, np.split(poly.ring_edges, np.cumsum(sizes)[:-1])):
-            # facet f's slots hold exactly its vertices, in order_polygon's order
-            order = np.array(f)[order_polygon(poly.vertices[list(f)])]
+            # facet f's slots hold exactly its vertices, in the per-facet order
+            order = np.array(f)[_order_polygon(poly.vertices[list(f)])]
             assert edges[:, 0].tolist() == order.tolist()
             # one cycle: each vertex starts one edge and ends one
             after = dict(edges.tolist())

@@ -15,6 +15,7 @@ from polyperim.errors import (
 )
 from polyperim.slicing import (
     MAX_PIECES,
+    RegularSimplexFrame,
     SlicePiece,
     _piece_vertices,
     build_frame,
@@ -40,6 +41,10 @@ def test_frame_dimension_limits():
         build_frame(5)
     with pytest.raises(UnsupportedDimension):
         build_frame(0)
+    with pytest.raises(UnsupportedDimension, match="n must be an integer, got True"):
+        RegularSimplexFrame(n=True, vectors=np.zeros((2, 1)))
+    with pytest.raises(ValidationError, match=r"vectors must be 3 rows of 2 coordinates"):
+        RegularSimplexFrame(n=2, vectors=np.zeros((2, 1)))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

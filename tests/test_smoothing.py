@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -6,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polyperim import shapes
+from polyperim import shapes, smoothing
 from polyperim.errors import (
     EpsilonTooLarge,
     InsufficientSamples,
@@ -23,13 +24,17 @@ from polyperim.smoothing import (
     GaugeFunction,
     Mollifier,
     _facet_values,
+    _Kernel,
     _ray_sums,
     _screen,
+    _screen_tables,
     convexity_probe,
     mollify,
     smoothed_body,
     sphere_quadrature,
 )
+
+from conftest import SMOOTHED_SHAPES
 
 
 def test_gauge_values_on_square():
@@ -109,6 +114,24 @@ def test_mollifier_rejects_bad_input():
     for dim in (1, 4):
         with pytest.raises(UnsupportedDimension):
             Mollifier.build(dim, 0.1)
+    # hand-built mollifiers are checked as well: the evaluation trusts them
+    m = Mollifier.build(2, 0.1)
+    r, dirs = m.radii, m.directions
+    for change, message in [
+        ({"epsilon": math.nan}, r"epsilon must be in \(0\.0, inf\), got nan"),
+        ({"radii": r[::-1]}, "radii must be"),
+        ({"radii": np.append(r[:-1], 1.0)}, "radii must be"),
+        ({"radii": r[:0], "radial_weights": r[:0]}, "radii must be"),
+        ({"radial_weights": m.radial_weights[1:]}, "radial_weights must be 32 positive"),
+        ({"radial_weights": -m.radial_weights}, "radial_weights must be 32 positive"),
+        ({"directions": np.c_[dirs, dirs[:, :1]]}, "directions must be rows of 2"),
+        ({"direction_weights": np.append(m.direction_weights, 1.0)},
+         "direction_weights must be 64 positive"),
+        ({"direction_weights": np.where(dirs[:, 0] > 0, math.inf, 1.0)},
+         "direction_weights must be 64 positive"),
+    ]:
+        with pytest.raises(ValidationError, match=message):
+            dataclasses.replace(m, **change)
 
 
 def test_nan_epsilon_is_rejected_as_not_positive():
@@ -156,9 +179,9 @@ def _survivors_matching_brute(fn, m, x):
 def _screened(fn, m, x):
     """The facet values d and slopes beta ``mollify`` takes for the points
     x, and which facets survive its screen."""
+    kernel = _Kernel(fn, m)
     d = _facet_values(fn, x - fn.origin)
-    beta = _facet_values(fn, m.epsilon * m.directions)
-    return d, beta, _screen(d, beta, m.radii[-1])
+    return d, kernel.beta, _screen(d, kernel.gap, kernel.spread)
 
 
 def _node_winners(d, beta, r):
@@ -366,7 +389,7 @@ def test_screen_keeps_facets_that_win_by_rounding():
         d[:, 0] = np.nextafter(tie, rng.choice([-np.inf, np.inf], 200))
         wins = _node_winners(d, beta, m.radii)
         assert 50 <= wins[:, 0].sum() <= 150
-        assert not (wins & ~_screen(d, beta, top)).any()
+        assert not (wins & ~_screen(d, *_screen_tables(beta, top))).any()
 
 
 @pytest.mark.parametrize("shape, resolution", [("octahedron", 10), ("cube2", None), ("square", None)])
@@ -429,13 +452,35 @@ def test_mollify_keeps_nothing_on_the_mollifier(shape, smoothed_bodies):
     m = Mollifier.build(body.polytope.dim, body.mollifier.epsilon)
     before = dict(vars(m))
     x = body.boundary_points
-    d = _facet_values(fn, x - fn.origin)
-    counts = _screen(d, _facet_values(fn, m.epsilon * m.directions), m.radii[-1]).sum(axis=1)
+    counts = _screened(fn, m, x)[2].sum(axis=1)
     # the one-facet, two-facet and ray-by-ray paths all run
     assert {1, 2} <= set(counts.tolist()) and counts.max() >= 3
     mollify(fn, m, x)
     assert vars(m).keys() == before.keys()
     assert all(vars(m)[name] is value for name, value in before.items())
+
+
+@pytest.mark.parametrize("shape", ["cube2", "octahedron"])
+def test_a_body_builds_its_kernel_once(shape, monkeypatch):
+    """``smoothed_body`` builds one kernel, which its Newton steps, ``level``
+    and the convexity probe all reuse, and the public ``mollify``, which
+    builds its own, agrees with the body's bit for bit."""
+    built, kernel = [], smoothing._Kernel
+
+    def counted(fn, m):
+        built.append(kernel(fn, m))
+        return built[-1]
+
+    monkeypatch.setattr(smoothing, "_Kernel", counted)
+    body = smoothed_body(SMOOTHED_SHAPES[shape](), 0.2, resolution=10)
+    x = _probe_points(body, 256, 0)
+    assert len(built) == 1 and body.kernel is built[0]
+    # the probe met two-facet points, whose pair tables the kernel keeps
+    assert body.kernel.pairs
+    value, radial = mollify(body.gauge_fn, body.mollifier, x)
+    assert len(built) == 2 and not built[1].pairs.keys() - body.kernel.pairs.keys()
+    assert np.array_equal(value, body.level(x))
+    assert np.array_equal(radial, body.kernel(x)[1])
 
 
 def test_mollified_gauge_dominates_gauge():
