@@ -21,9 +21,7 @@ from .cones import (
     vertex_cones,
 )
 from .slicing import (
-    RegularSimplexFrame,
     SlicePiece,
-    build_frame,
     classify_pieces,
     enumerate_pieces,
 )
@@ -32,7 +30,6 @@ from .smoothing import (
     Mollifier,
     SmoothedBody,
     convexity_probe,
-    mollify,
     smoothed_body,
 )
 from .profiles import (
@@ -77,15 +74,12 @@ __all__ = [
     "VertexCone",
     "vertex_cones",
     "deficit_sum",
-    "RegularSimplexFrame",
     "SlicePiece",
-    "build_frame",
     "enumerate_pieces",
     "classify_pieces",
     "GaugeFunction",
     "Mollifier",
     "SmoothedBody",
-    "mollify",
     "smoothed_body",
     "convexity_probe",
     "euclidean_profile",

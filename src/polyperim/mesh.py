@@ -117,7 +117,6 @@ class SurfaceMesh:
     tri_edges: np.ndarray
     areas: np.ndarray
     _stars: dict[int, VertexStar] = field(repr=False)
-    _cones: list[VertexCone] | None = field(repr=False)
 
     def __init__(self, *args, **kwargs) -> None:
         raise TypeError("SurfaceMesh has no public constructor; use subdivide")
@@ -136,7 +135,6 @@ class SurfaceMesh:
         mesh.tri_edges = tri_edges
         mesh.areas = areas
         mesh._stars = {}
-        mesh._cones = None
         _freeze(*(v for v in vars(mesh).values() if isinstance(v, np.ndarray)))
         return mesh
 
@@ -153,6 +151,11 @@ class SurfaceMesh:
         twins = twins.reshape(self.tri_edges.shape)
         _freeze(twins)
         return twins
+
+    @cached_property
+    def _cones(self) -> list[VertexCone]:
+        """Every vertex's cone, from one ``vertex_cones`` call on first read."""
+        return vertex_cones(self.polytope)
 
     @property
     def triangle_count(self) -> int:
@@ -185,8 +188,6 @@ class SurfaceMesh:
         vertex = checked_int(vertex, "vertex", 0, len(self.polytope.vertices) - 1)
         star = self._stars.get(vertex)
         if star is None:
-            if self._cones is None:
-                self._cones = vertex_cones(self.polytope)
             cone = self._cones[vertex]
             incident = self.polytope.incidence[:, vertex].nonzero()[0]
             bounds = np.searchsorted(self.facet_of, [incident, incident + 1])

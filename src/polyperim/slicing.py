@@ -95,35 +95,6 @@ def _frame_vectors(n: int) -> np.ndarray:
     return frame
 
 
-@dataclass(frozen=True)
-class RegularSimplexFrame:
-    """Frame vectors plus the derived slicing helpers: ``vectors`` holds the
-    n + 1 frame vectors of R^n as rows, kept as a float array."""
-
-    n: int
-    vectors: np.ndarray
-
-    def __post_init__(self) -> None:
-        n = checked_int(self.n, "n", 1, error=UnsupportedDimension)
-        vectors = np.asarray(self.vectors, dtype=float)
-        if vectors.shape != (n + 1, n):
-            raise ValidationError(
-                f"vectors must be {n + 1} rows of {n} coordinates, got shape {vectors.shape}"
-            )
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "vectors", vectors)
-
-    def generator(self, i: int) -> np.ndarray:
-        """Index shift caused by translating x by frame vector a_i."""
-        g = np.ones(self.n + 1, dtype=int)
-        g[checked_int(i, "i", 0, self.n)] = -self.n
-        return g
-
-
-def build_frame(n: int) -> RegularSimplexFrame:
-    return RegularSimplexFrame(n=n, vectors=_frame_vectors(n))
-
-
 def piece_count(n: int, slices: int) -> int:
     """Number of nonempty pieces in the window of :func:`enumerate_pieces`:
     sum over levels s = 1..n of C(slices + s - 1, n)."""
@@ -149,14 +120,15 @@ class SlicePiece:
         return len(self.vertices)
 
 
-def _piece_vertices(frame: RegularSimplexFrame, k) -> np.ndarray:
-    """Vertices of S_k for one index k (shape (n+1,), giving (v, n)) or for a
-    stack of indices of one level (shape (m, n+1), giving (m, v, n)).
+def _piece_vertices(vectors: np.ndarray, k) -> np.ndarray:
+    """Vertices of S_k for the frame ``vectors`` (the (n+1) x n array of
+    :func:`_frame_vectors`) and one index k (shape (n+1,), giving (v, n)) or
+    a stack of indices of one level (shape (m, n+1), giving (m, v, n)).
 
     The level-s template z_s lists z = (s - sum(c), c) for c in {0,1}^n whose
     first entry is 0 or 1; each piece is z_s - k mapped back to x-space.
     """
-    n = frame.n
+    n = vectors.shape[1]
     k = np.asarray(k, dtype=float)
     sums = k.sum(axis=-1)
     level = sums.flat[0]
@@ -166,7 +138,7 @@ def _piece_vertices(frame: RegularSimplexFrame, k) -> np.ndarray:
     head = level - tail.sum(axis=1)
     keep = (head >= 0.0) & (head <= 1.0)
     z = np.column_stack([head[keep], tail[keep]])
-    return (z - k[..., None, :]) @ frame.vectors / (n + 1)
+    return (z - k[..., None, :]) @ vectors / (n + 1)
 
 
 def _nonempty_indices(n: int, slices: int) -> np.ndarray:
@@ -196,7 +168,8 @@ def enumerate_pieces(n: int, slices: int) -> list[SlicePiece]:
     ``MAX_PIECES`` pieces are rejected before anything is built.
     """
     slices = checked_int(slices, "slices", 2)
-    frame = build_frame(n)
+    vectors = _frame_vectors(n)
+    n = vectors.shape[1]
     count = piece_count(n, slices)
     if count > MAX_PIECES:
         raise ValidationError(
@@ -211,7 +184,7 @@ def enumerate_pieces(n: int, slices: int) -> list[SlicePiece]:
         at = np.flatnonzero(level == s)
         if not len(at):
             continue
-        verts = _piece_vertices(frame, index[at])
+        verts = _piece_vertices(vectors, index[at])
         vol = polytope_measure(verts[0])
         for j, v in zip(at.tolist(), verts):
             pieces[j] = SlicePiece(index=tuple(rows[j]), vertices=v, volume=vol)

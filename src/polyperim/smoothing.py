@@ -67,10 +67,10 @@ running maximum does.
 
 Everything above that does not depend on the points (beta, the node mass,
 the mean node offsets, the screen's gap matrix and slack column and the
-pair tables) is built once per gauge and mollifier, in a kernel.
-``smoothed_body`` builds one before Newton's method and keeps it on the
-body, so the body's ``level`` and ``convexity_probe`` reuse it; the public
-``mollify`` builds a fresh one for each call.
+pair tables) is built once per gauge and mollifier, in a kernel, which is
+the evaluation itself.  ``smoothed_body`` builds one before Newton's method
+and keeps it on the body, so the body's ``level`` and ``convexity_probe``
+reuse it.
 
 Points with three or more survivors are summed ray by ray.  Let lines a
 and z win at the smallest and the largest radius (the lowest index on
@@ -130,9 +130,13 @@ _BLOCK = 1 << 13
 class GaugeFunction:
     """Piecewise-linear gauge of a polytope about an interior origin.
 
-    ``from_polytope`` takes the origin at the mean of the vertices.  Values
-    are summed in a fixed order (``_facet_values``), so they do not depend
-    on the batch.  The arrays are read-only copies; gauges compare by identity.
+    ``offsets`` are the facets' distances c_f = b_f - a_f . o from the
+    origin.  ``from_polytope`` takes the origin at the mean of the vertices.
+    Values are summed in a fixed order (``_facet_values``), so they do not
+    depend on the batch.  The arrays are read-only copies; gauges compare by
+    identity.  Construction checks every field, as the kernel trusts them:
+    (F, d) normals, (F,) offsets and a (d,) origin, all finite, with every
+    offset above TOL (``OriginNotInterior`` otherwise).
     """
 
     normals: np.ndarray
@@ -141,15 +145,21 @@ class GaugeFunction:
 
     def __post_init__(self) -> None:
         _freeze_fields(self, "normals", "offsets", "origin")
+        a, c, o = self.normals, self.offsets, self.origin
+        if a.ndim != 2 or not a.size or c.shape != a.shape[:1] or o.shape != a.shape[1:]:
+            raise ValidationError(
+                "normals, offsets and origin must have shapes (F, d), (F,) and (d,), "
+                f"got {a.shape}, {c.shape} and {o.shape}"
+            )
+        if not all(np.isfinite(v).all() for v in (a, c, o)):
+            raise ValidationError("normals, offsets and origin must be finite")
+        if (c <= TOL).any():
+            raise OriginNotInterior("gauge origin must lie strictly inside the polytope")
 
     @classmethod
     def from_polytope(cls, poly: Polytope) -> "GaugeFunction":
         origin = poly.vertices.mean(axis=0)
         offsets = poly.facet_offsets - poly.facet_normals @ origin
-        if np.any(offsets <= TOL):
-            raise OriginNotInterior(
-                "gauge origin must lie strictly inside the polytope"
-            )
         return cls(normals=poly.facet_normals, offsets=offsets, origin=origin)
 
     @property
@@ -212,7 +222,7 @@ class Mollifier:
         r = 0.5 * (rx + 1.0)
         # the bump exp(-1/(1-r^2)) times r^(d-1); every radius is below 1
         raw = 0.5 * rw * r ** (dim - 1) * np.exp(-1.0 / (1.0 - r**2))
-        # summed whole, as ``mollify`` sums the weights, so they sum to 1 to the ulp
+        # summed whole, as the kernel sums the weights, so they sum to 1 to the ulp
         mass = float(np.outer(raw, alpha).sum())
         true_mass = BUMP_RADIAL_MASS[dim] * sphere_measure(dim - 1)
         err = abs(mass / true_mass - 1.0)
@@ -262,7 +272,16 @@ class _Kernel:
         return tables
 
     def __call__(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """F_eps(x) and its radial slope at a batch of points, as ``mollify``."""
+        """Evaluate the mollified gauge and its radial slope at a batch of points.
+
+        Returns F_eps(x) and grad F_eps(x) . (x - o), the derivative of
+        t -> F_eps(o + t (x - o)) at t = 1 (a subgradient where F_eps has a
+        kink).  Points with one or two surviving facets take the closed
+        forms; the rest are summed ray by ray over the facets that survive
+        the screen for them.  A point's results do not depend on the other
+        points of the call, so a direction's smoothed radius does not depend
+        on which other directions are still moving.
+        """
         fn, m, beta = self.fn, self.m, self.beta
         x = np.atleast_2d(np.asarray(x, float))
         d = _facet_values(fn, x - fn.origin)
@@ -303,23 +322,6 @@ class _Kernel:
             value[rows] = (ray_value * m.direction_weights).sum(axis=1)
             radial[rows] = (ray_radial * m.direction_weights).sum(axis=1)
         return value, radial
-
-
-def mollify(
-    fn: GaugeFunction, m: Mollifier, x: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate the mollified gauge and its radial slope at a batch of points.
-
-    Returns F_eps(x) and grad F_eps(x) . (x - o), the derivative of
-    t -> F_eps(o + t (x - o)) at t = 1 (a subgradient where F_eps has a
-    kink).  Points with one or two surviving facets take the closed forms;
-    the rest are summed ray by ray over the facets that survive the screen
-    for them.  A point's results do not depend on the other points of the
-    call, so a direction's smoothed radius does not depend on which other
-    directions are still moving.  Each call builds the gauge's tables
-    afresh; ``SmoothedBody.level`` evaluates with the body's own.
-    """
-    return _Kernel(fn, m)(x)
 
 
 def _facet_values(fn: GaugeFunction, y: np.ndarray) -> np.ndarray:
@@ -422,9 +424,13 @@ def _upper(d, facets, shape, offset) -> tuple[np.ndarray, np.ndarray]:
 
 def _freeze_fields(obj, *names: str) -> None:
     """Replace each array field of a frozen dataclass by a read-only float
-    copy, leaving the caller's arrays writable."""
+    copy, leaving the caller's arrays writable; a value that is not an
+    array of reals (a ragged list, a string) raises ``ValidationError``."""
     for name in names:
-        a = np.array(getattr(obj, name), dtype=float)
+        try:
+            a = np.array(getattr(obj, name), dtype=float)
+        except (TypeError, ValueError):
+            raise ValidationError(f"{name} must be an array of real numbers") from None
         a.flags.writeable = False
         object.__setattr__(obj, name, a)
 

@@ -32,7 +32,8 @@ from polyperim.profiles import (
     sphere_profile,
 )
 from polyperim.slicing import (
-    build_frame,
+    _frame_vectors,
+    _piece_vertices,
     classify_pieces,
     congruent_shape,
     enumerate_pieces,
@@ -54,16 +55,20 @@ def _report(capsys, num: int, ok: bool, detail: str) -> None:
     assert ok, detail
 
 
+def _same_points(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
+    """Whether the rows of a and b are the same point sets within tol."""
+    gap = np.abs(a[:, None, :] - b[None, :, :]).max(axis=2)
+    return len(a) == len(b) and gap.min(axis=1).max() <= tol and gap.min(axis=0).max() <= tol
+
+
 def test_criterion_01_shape_bound(capsys):
-    """<= n congruence classes, classes are the levels, generators (-n,1,...,1)."""
+    """<= n congruence classes, classes are the levels, and translating S_k
+    by a_i gives S_{k+g_i} with g_i = (1,..,-n,..,1)."""
     start = time.perf_counter()
     ok = True
     worst = 0
     for n in (2, 3, 4):
-        frame = build_frame(n)
-        for i in range(n + 1):
-            g = frame.generator(i)
-            ok &= g[i] == -n and sorted(g)[1:] == [1] * n
+        vectors = _frame_vectors(n)
         for N in range(2, 11):
             summary = classify_pieces(enumerate_pieces(n, N))
             ok &= len(summary) <= n
@@ -74,13 +79,19 @@ def test_criterion_01_shape_bound(capsys):
             for a in range(len(reps)):
                 for b in range(a + 1, len(reps)):
                     ok &= not congruent_shape(reps[a], reps[b])
+            for rep in reps:
+                for i in range(n + 1):
+                    g = np.ones(n + 1, dtype=int)
+                    g[i] = -n
+                    moved = _piece_vertices(vectors, np.add(rep.index, g))
+                    ok &= _same_points(rep.vertices + vectors[i], moved)
     elapsed = time.perf_counter() - start
     ok &= elapsed < 60.0
     _report(
         capsys, 1, ok,
         f"slab pieces for n in 2..4, N in 2..10 fall into <= n translation "
-        f"classes (max seen {worst}), distinct per level, generators "
-        f"(-n,1,...,1); {elapsed:.1f}s < 60s",
+        f"classes (max seen {worst}), distinct per level, S_k + a_i = "
+        f"S_(k+g_i) for g_i = (1,..,-n,..,1); {elapsed:.1f}s < 60s",
     )
 
 

@@ -42,7 +42,7 @@ from polyperim.profiles import (
     unit_ball_volume,
     volume_grid,
 )
-from polyperim.slicing import RegularSimplexFrame, build_frame, enumerate_pieces, piece_count
+from polyperim.slicing import enumerate_pieces, piece_count
 from polyperim.smoothing import (
     MASS_TOL,
     Mollifier,
@@ -214,11 +214,6 @@ INTEGER_ARGUMENTS = [
      ValidationError, "seed", (-1,)),
     ("Mollifier", "dim", lambda v: dataclasses.replace(_mollifier(), dim=v),
      UnsupportedDimension, "dim", (1, 4)),
-    ("build_frame", "n", build_frame, UnsupportedDimension, "n", (0,)),
-    ("RegularSimplexFrame", "n", lambda v: RegularSimplexFrame(n=v, vectors=np.zeros((3, 2))),
-     UnsupportedDimension, "n", (0,)),
-    ("RegularSimplexFrame.generator", "i", lambda v: build_frame(2).generator(v),
-     ValidationError, "i", (-1, 3)),
     ("enumerate_pieces", "n", lambda v: enumerate_pieces(v, 2), UnsupportedDimension,
      "n", (0,)),
     ("enumerate_pieces", "slices", lambda v: enumerate_pieces(2, v), ValidationError,
@@ -306,8 +301,8 @@ def _annotated(*annotations: str) -> set[tuple[str, str]]:
 def test_every_integer_parameter_has_a_row():
     annotated = _annotated("int", "int | None")
     rows = {(entry, argument) for entry, argument, *_ in INTEGER_ARGUMENTS}
-    assert {("RegularSimplexFrame.generator", "i"), ("Mollifier.build", "dim"),
-            ("SolverConfig", "seed"), ("Mollifier", "dim"), ("RegularSimplexFrame", "n")} <= annotated
+    assert {("SurfaceMesh.vertex_star", "vertex"), ("Mollifier.build", "dim"),
+            ("SolverConfig", "seed"), ("Mollifier", "dim"), ("enumerate_pieces", "n")} <= annotated
     assert annotated - rows == set()
 
 

@@ -15,10 +15,9 @@ from polyperim.errors import (
 )
 from polyperim.slicing import (
     MAX_PIECES,
-    RegularSimplexFrame,
     SlicePiece,
+    _frame_vectors,
     _piece_vertices,
-    build_frame,
     classify_pieces,
     congruent_shape,
     enumerate_pieces,
@@ -29,38 +28,37 @@ from polyperim.slicing import (
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_frame_gram_identity(n):
     """Frame vectors must satisfy a_i . a_j = (n+1) delta_ij - 1."""
-    frame = build_frame(n)
-    gram = frame.vectors @ frame.vectors.T
+    vectors = _frame_vectors(n)
+    gram = vectors @ vectors.T
     target = (n + 1) * np.eye(n + 1) - np.ones((n + 1, n + 1))
     assert np.allclose(gram, target, atol=1e-12)
-    assert np.allclose(frame.vectors.sum(axis=0), 0.0, atol=1e-12)
+    assert np.allclose(vectors.sum(axis=0), 0.0, atol=1e-12)
 
 
 def test_frame_dimension_limits():
     with pytest.raises(DimensionTooHigh):
-        build_frame(5)
+        _frame_vectors(5)
     with pytest.raises(UnsupportedDimension):
-        build_frame(0)
-    with pytest.raises(UnsupportedDimension, match="n must be an integer, got True"):
-        RegularSimplexFrame(n=True, vectors=np.zeros((2, 1)))
-    with pytest.raises(ValidationError, match=r"vectors must be 3 rows of 2 coordinates"):
-        RegularSimplexFrame(n=2, vectors=np.zeros((2, 1)))
+        _frame_vectors(0)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_translation_shifts_index_by_generator(n):
     rng = np.random.default_rng(100 + n)
-    frame = build_frame(n)
+    vectors = _frame_vectors(n)
     done = 0
     while done < 40:
         x = rng.uniform(-2, 2, size=n)
         i = int(rng.integers(0, n + 1))
-        y = np.stack([x, x + frame.vectors[i]]) @ frame.vectors.T
+        y = np.stack([x, x + vectors[i]]) @ vectors.T
         if np.any(np.abs(y - np.round(y)) < 1e-9):
             continue  # a point fell on a wall; draw again
         # S_k holds x exactly when -k_i < y_i < -k_i + 1
         before, after = np.floor(-y).astype(int) + 1
-        assert np.array_equal(after, before + frame.generator(i))
+        # g_i = (1, .., -n, .., 1) with -n in slot i
+        g = np.ones(n + 1, dtype=int)
+        g[i] = -n
+        assert np.array_equal(after, before + g)
         done += 1
 
 
@@ -110,14 +108,12 @@ def test_all_levels_appear_for_three_slices():
 
 @pytest.mark.parametrize("n, slices", [(2, 2), (2, 4), (3, 2), (3, 3), (4, 2)])
 def test_volumes_fill_the_enlarged_simplex(n, slices):
-    frame = build_frame(n)
-    unit = ConvexHull(_piece_vertices(frame, (1,) * n + (0,))).volume
+    unit = ConvexHull(_piece_vertices(_frame_vectors(n), (1,) * n + (0,))).volume
     total = sum(p.volume for p in enumerate_pieces(n, slices))
     assert total == pytest.approx(slices**n * unit, rel=1e-9)
 
 
 def test_translates_within_level_3d():
-    frame = build_frame(3)
     pieces = enumerate_pieces(3, 3)
     rng = np.random.default_rng(5)
     by_level = {}
@@ -146,16 +142,6 @@ def test_empty_piece_errors():
         enumerate_pieces(2, 1)
     for n in (2, 3):
         assert {p.level for p in enumerate_pieces(n, 3)} == set(range(1, n + 1))
-
-
-def test_generators_have_expected_pattern():
-    for n in (2, 3, 4):
-        frame = build_frame(n)
-        for i in range(n + 1):
-            g = frame.generator(i)
-            assert g[i] == -n
-            assert sum(g) == 0
-            assert sorted(g)[1:] == [1] * n
 
 
 def test_piece_vertex_counts_match_hull_structure():
@@ -188,10 +174,10 @@ PIECE_VERTEX_DIGESTS = {
 
 @pytest.mark.parametrize("n", sorted(PIECE_VERTEX_DIGESTS))
 def test_piece_vertices_are_pinned(n):
-    frame = build_frame(n)
+    vectors = _frame_vectors(n)
     h = hashlib.sha256()
     for piece in enumerate_pieces(n, 3):
-        verts = _piece_vertices(frame, piece.index)
+        verts = _piece_vertices(vectors, piece.index)
         h.update(np.int64(len(verts)).tobytes())
         h.update(np.ascontiguousarray(verts, "<f8").tobytes())
     assert h.hexdigest()[:16] == PIECE_VERTEX_DIGESTS[n]
@@ -199,11 +185,11 @@ def test_piece_vertices_are_pinned(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_piece_vertices_are_the_shifted_hypersimplex(n):
-    frame = build_frame(n)
+    vectors = _frame_vectors(n)
     for k in itertools.product(range(-1, 3), repeat=n + 1):
         if not 0 < sum(k) < n + 1:
             continue
-        z = _piece_vertices(frame, k) @ frame.vectors.T + np.asarray(k)
+        z = _piece_vertices(vectors, k) @ vectors.T + np.asarray(k)
         corners = [c for c in itertools.product((0, 1), repeat=n + 1) if sum(c) == sum(k)]
         assert sorted(map(tuple, np.round(z).astype(int))) == corners
         assert np.allclose(z, np.round(z), atol=1e-12)
@@ -233,20 +219,20 @@ def test_level_counts_and_volumes_follow_the_closed_forms(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_batched_vertices_equal_single_piece_vertices(n):
-    frame = build_frame(n)
+    vectors = _frame_vectors(n)
     for slices in (2, 5):
         pieces = enumerate_pieces(n, slices)
         indices = [p.index for p in pieces]
         assert indices == sorted(set(indices))
         for p in pieces:
-            single = _piece_vertices(frame, p.index)
+            single = _piece_vertices(vectors, p.index)
             assert single.dtype == p.vertices.dtype and single.shape == p.vertices.shape
             assert single.tobytes() == p.vertices.tobytes()
 
 
 def test_piece_vertices_stack_must_share_a_level():
     with pytest.raises(ValidationError, match="one level"):
-        _piece_vertices(build_frame(2), [(1, 1, -1), (1, 1, 0)])
+        _piece_vertices(_frame_vectors(2), [(1, 1, -1), (1, 1, 0)])
 
 
 def test_oversized_windows_are_rejected_before_building():

@@ -29,7 +29,6 @@ from polyperim.smoothing import (
     _screen,
     _screen_tables,
     convexity_probe,
-    mollify,
     smoothed_body,
     sphere_quadrature,
 )
@@ -72,6 +71,32 @@ def test_gauge_origin_must_be_interior():
     shifted = _shifted_gauge(shapes.square(), np.array([0.5, 0.0]))
     assert shifted.inradius == pytest.approx(0.5, abs=1e-12)
     assert shifted(np.array([[1.0, 0.0]])) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_gauge_checks_its_fields():
+    """A gauge about an origin outside the body, or with fields that do not
+    fit together or are not finite, is rejected when it is built."""
+    square = shapes.square()
+    origin = np.array([3.0, 0.0])
+    offsets = square.facet_offsets - square.facet_normals @ origin
+    assert sorted(offsets.tolist()) == [-2.0, 1.0, 1.0, 4.0]
+    with pytest.raises(OriginNotInterior, match="strictly inside"):
+        GaugeFunction(square.facet_normals, offsets, origin)
+    fields = GaugeFunction.from_polytope(square)
+    a, c, o = fields.normals, fields.offsets, fields.origin
+    for bad in ((a[:, :1], c, o), (a, c[:3], o), (a, c, np.zeros(3)), (a[0], c, o),
+                (a, c[:, None], o), (a[:0], c[:0], o)):
+        with pytest.raises(ValidationError, match=r"must have shapes \(F, d\), \(F,\) and \(d,\)"):
+            GaugeFunction(*bad)
+    for k in range(3):
+        bad = [np.array(v) for v in (a, c, o)]
+        bad[k].flat[0] = np.nan if k else np.inf
+        with pytest.raises(ValidationError, match="must be finite"):
+            GaugeFunction(*bad)
+    with pytest.raises(ValidationError, match="normals must be an array of real numbers"):
+        GaugeFunction([[1.0, 0.0], [1.0]], c[:2], o)
+    with pytest.raises(ValidationError, match="origin must be an array of real numbers"):
+        GaugeFunction(a, c, "origin")
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -143,7 +168,7 @@ def test_nan_epsilon_is_rejected_as_not_positive():
 
 def brute_mollify(fn, m, x):
     """F_eps by direct evaluation on every shifted node, the reference that
-    ``mollify`` is checked against, one point at a time to bound memory."""
+    the kernel is checked against, one point at a time to bound memory."""
     nodes, weights = _nodes_and_weights(m)
     return np.array([fn(p - m.epsilon * nodes) @ weights for p in x])
 
@@ -159,10 +184,10 @@ def test_mollify_is_exact_on_linear_functions():
 
 
 def _survivors_matching_brute(fn, m, x):
-    """Check ``mollify`` against direct evaluation, values and radial slopes
+    """Check the kernel against direct evaluation, values and radial slopes
     alike, check that every facet winning some node survives the screen,
     and return each point's number of facets surviving the screen."""
-    value, radial = mollify(fn, m, x)
+    value, radial = _Kernel(fn, m)(x)
     assert np.abs(value - brute_mollify(fn, m, x)).max() <= 1e-13
     # the slope is the weighted facet value d_f* of each node's winner, the
     # lowest facet index among equal values
@@ -177,7 +202,7 @@ def _survivors_matching_brute(fn, m, x):
 
 
 def _screened(fn, m, x):
-    """The facet values d and slopes beta ``mollify`` takes for the points
+    """The facet values d and slopes beta the kernel takes for the points
     x, and which facets survive its screen."""
     kernel = _Kernel(fn, m)
     d = _facet_values(fn, x - fn.origin)
@@ -244,7 +269,7 @@ def test_mollify_fast_path_matches_generic():
 
 
 def _ray_inputs(fn, m, x):
-    """The arguments ``mollify`` hands ``_ray_sums`` for the points x."""
+    """The arguments the kernel hands ``_ray_sums`` for the points x."""
     d, beta, alive = _screened(fn, m, x)
     return np.where(alive, d, -np.inf), beta, m.radii, m.radial_weights
 
@@ -400,9 +425,10 @@ def test_mollify_does_not_depend_on_batching(shape, resolution, smoothed_bodies)
     fn, m = body.gauge_fn, body.mollifier
     rng = np.random.default_rng(4)
     x = rng.uniform(-1.1, 1.1, size=(120, fn.origin.size)) * body.polytope.vertices.max()
-    batch = np.array(mollify(fn, m, x))
-    alone = np.hstack([mollify(fn, m, point) for point in x])
-    parts = np.hstack([mollify(fn, m, part) for part in np.split(x, [7, 50, 51])])
+    kernel = _Kernel(fn, m)
+    batch = np.array(kernel(x))
+    alone = np.hstack([kernel(point) for point in x])
+    parts = np.hstack([kernel(part) for part in np.split(x, [7, 50, 51])])
     assert np.array_equal(alone, batch) and np.array_equal(parts, batch)
 
 
@@ -431,11 +457,11 @@ def test_two_gauges_share_a_mollifier():
     origin = np.array([0.25, 0.0])
     shifted = _shifted_gauge(shapes.square(), origin)
     x = np.array([[0.9, 0.95], [0.95, 0.9], [-0.92, 0.9]])
-    first = mollify(centered, m, x)
+    first = _Kernel(centered, m)(x)
     for fn in (shifted, centered):
-        value, _ = mollify(fn, m, x)
+        value, _ = _Kernel(fn, m)(x)
         assert np.abs(value - brute_mollify(fn, m, x)).max() <= 1e-13
-    assert np.array_equal(mollify(centered, m, x)[1], first[1])
+    assert np.array_equal(_Kernel(centered, m)(x)[1], first[1])
     for array in (
         centered.normals, centered.offsets, shifted.origin,
         m.radii, m.radial_weights, m.directions, m.direction_weights,
@@ -455,7 +481,7 @@ def test_mollify_keeps_nothing_on_the_mollifier(shape, smoothed_bodies):
     counts = _screened(fn, m, x)[2].sum(axis=1)
     # the one-facet, two-facet and ray-by-ray paths all run
     assert {1, 2} <= set(counts.tolist()) and counts.max() >= 3
-    mollify(fn, m, x)
+    _Kernel(fn, m)(x)
     assert vars(m).keys() == before.keys()
     assert all(vars(m)[name] is value for name, value in before.items())
 
@@ -463,8 +489,8 @@ def test_mollify_keeps_nothing_on_the_mollifier(shape, smoothed_bodies):
 @pytest.mark.parametrize("shape", ["cube2", "octahedron"])
 def test_a_body_builds_its_kernel_once(shape, monkeypatch):
     """``smoothed_body`` builds one kernel, which its Newton steps, ``level``
-    and the convexity probe all reuse, and the public ``mollify``, which
-    builds its own, agrees with the body's bit for bit."""
+    and the convexity probe all reuse, and a fresh kernel agrees with the
+    body's bit for bit."""
     built, kernel = [], smoothing._Kernel
 
     def counted(fn, m):
@@ -477,7 +503,7 @@ def test_a_body_builds_its_kernel_once(shape, monkeypatch):
     assert len(built) == 1 and body.kernel is built[0]
     # the probe met two-facet points, whose pair tables the kernel keeps
     assert body.kernel.pairs
-    value, radial = mollify(body.gauge_fn, body.mollifier, x)
+    value, radial = smoothing._Kernel(body.gauge_fn, body.mollifier)(x)
     assert len(built) == 2 and not built[1].pairs.keys() - body.kernel.pairs.keys()
     assert np.array_equal(value, body.level(x))
     assert np.array_equal(radial, body.kernel(x)[1])
@@ -488,7 +514,7 @@ def test_mollified_gauge_dominates_gauge():
     fn = GaugeFunction.from_polytope(shapes.square())
     m = Mollifier.build(2, 0.2)
     x = rng.uniform(-1.5, 1.5, size=(200, 2))
-    assert np.all(mollify(fn, m, x)[0] >= fn(x) - 1e-12)
+    assert np.all(_Kernel(fn, m)(x)[0] >= fn(x) - 1e-12)
 
 
 def test_mollified_gauge_untouched_away_from_corners():
@@ -497,7 +523,7 @@ def test_mollified_gauge_untouched_away_from_corners():
     fn = GaugeFunction.from_polytope(shapes.square())
     m = Mollifier.build(2, 0.2)
     x = np.array([[0.9, 0.0], [0.0, -0.6], [1.1, 0.0]])
-    assert np.allclose(mollify(fn, m, x)[0], [0.9, 0.6, 1.1], atol=1e-13)
+    assert np.allclose(_Kernel(fn, m)(x)[0], [0.9, 0.6, 1.1], atol=1e-13)
 
 
 @pytest.mark.parametrize("dim, expected", [(2, 2 * math.pi), (3, 4 * math.pi)])
@@ -590,7 +616,7 @@ def test_each_counted_newton_step_lowers_its_radius(smoothed_bodies):
         for k in range(body.newton_steps.max() + 1):
             r = radii[active]
             x = body.gauge_fn.origin + r[:, None] * body.directions[active]
-            g, radial = mollify(body.gauge_fn, body.mollifier, x)
+            g, radial = body.kernel(x)
             nxt = r * (1.0 - (g - 1.0) / radial)
             counted = body.newton_steps[active] > k
             progress = r - nxt > NEWTON_ULPS * np.finfo(float).eps * r
