@@ -26,8 +26,6 @@ from .slicing import (
     enumerate_pieces,
 )
 from .smoothing import (
-    GaugeFunction,
-    Mollifier,
     SmoothedBody,
     convexity_probe,
     smoothed_body,
@@ -77,8 +75,6 @@ __all__ = [
     "SlicePiece",
     "enumerate_pieces",
     "classify_pieces",
-    "GaugeFunction",
-    "Mollifier",
     "SmoothedBody",
     "smoothed_body",
     "convexity_probe",

@@ -480,7 +480,7 @@ def _cmd_smooth(args: argparse.Namespace, out: Path) -> int:
     print(f"max convexity violation: {_g(report.max_violation)}")
     steps = body.newton_steps
     print(f"newton steps per direction: max {steps.max()}, mean {_g(steps.mean())}")
-    print(f"kernel mass error: {_g(body.mollifier.mass_error)}")
+    print(f"kernel mass error: {_g(body.kernel.mass_error)}")
     timer.report()
     return EXIT_OK
 

@@ -75,19 +75,6 @@ class VertexCone:
         return self.link_volume * self.r_max**n / n
 
 
-def tet_solid_angle(a, b, c) -> float:
-    """Solid angle of the trihedral cone spanned by three rays.
-
-    Arctangent form: with unit rays, ``tan(omega/2) = |det[a b c]| /
-    (1 + a.b + a.c + b.c)``, evaluated with atan2 so flat and wide cones are
-    handled without branching.
-    """
-    a, b, c = (np.asarray(x, float) / np.linalg.norm(x) for x in (a, b, c))
-    num = abs(float(np.linalg.det(np.stack([a, b, c]))))
-    den = 1.0 + float(a @ b) + float(a @ c) + float(b @ c)
-    return 2.0 * math.atan2(num, den)
-
-
 # ---------------------------------------------------------------------------
 # the corner table
 # ---------------------------------------------------------------------------

@@ -101,20 +101,19 @@ def checked_int(value, name: str, lo: int, hi: int | None = None, error=Validati
 
 
 def checked_real(value, name: str, lo: float, hi: float = math.inf, error=ValidationError,
-                 *, lo_closed: bool = False, hi_closed: bool = False) -> float:
+                 *, hi_closed: bool = False) -> float:
     """``float(value)`` for a real number in the interval from lo to hi, else
     raise ``error`` naming ``name`` and the interval.  The interval is open
-    at each end unless ``lo_closed`` or ``hi_closed`` closes it there.  A
-    bool, NaN or inf is rejected; ints and numpy floats pass."""
+    at each end unless ``hi_closed`` closes it at hi.  A bool, NaN or inf is
+    rejected; ints and numpy floats pass."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise error(f"{name} must be a real number, got {value!r}")
     try:
         x = float(value)
     except OverflowError:  # an int or fraction past the float range
         x = math.inf
-    above = lo <= x if lo_closed else lo < x
     below = x <= hi if hi_closed else x < hi
-    if not (above and below):  # NaN fails both
-        interval = f"{'[' if lo_closed else '('}{lo}, {hi}{']' if hi_closed else ')'}"
+    if not (lo < x and below):  # NaN fails both
+        interval = f"({lo}, {hi}{']' if hi_closed else ')'}"
         raise error(f"{name} must be in {interval}, got {value}")
     return x

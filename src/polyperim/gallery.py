@@ -42,7 +42,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import tet_solid_angle
 from .errors import ProjectionDegenerate, ValidationError, VolumeOutOfRange, checked_real
 from .profiles import cone_profile
 
@@ -166,6 +165,19 @@ def _wedge_norm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     bb = np.einsum("...i,...i->...", b, b)
     ab = np.einsum("...i,...i->...", a, b)
     return np.sqrt(np.maximum(aa * bb - ab * ab, 0.0))
+
+
+def tet_solid_angle(a, b, c) -> float:
+    """Solid angle of the trihedral cone spanned by three rays.
+
+    Arctangent form: with unit rays, ``tan(omega/2) = |det[a b c]| /
+    (1 + a.b + a.c + b.c)``, evaluated with atan2 so flat and wide cones are
+    handled without branching.
+    """
+    a, b, c = (np.asarray(x, float) / np.linalg.norm(x) for x in (a, b, c))
+    num = abs(float(np.linalg.det(np.stack([a, b, c]))))
+    den = 1.0 + float(a @ b) + float(a @ c) + float(b @ c)
+    return 2.0 * math.atan2(num, den)
 
 
 def projection_area_of_triangle(a, b, c) -> float:

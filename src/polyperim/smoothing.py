@@ -67,7 +67,7 @@ running maximum does.
 
 Everything above that does not depend on the points (beta, the node mass,
 the mean node offsets, the screen's gap matrix and slack column and the
-pair tables) is built once per gauge and mollifier, in a kernel, which is
+pair tables) is built once per polytope and epsilon, in a kernel, which is
 the evaluation itself.  ``smoothed_body`` builds one before Newton's method
 and keeps it on the body, so the body's ``level`` and ``convexity_probe``
 reuse it.
@@ -86,9 +86,10 @@ maximum over their own radii.
 
 The quadrature itself is accurate: with 32 radial Gauss-Legendre nodes the
 raw kernel mass matches the true integral of the bump to ~1e-9 (recorded as
-``Mollifier.mass_error`` and required below MASS_TOL).  The true integral
-uses the bump's radial mass for d = 2 and 3, recorded in BUMP_RADIAL_MASS
-from an adaptive ``scipy.integrate.quad``; the tests recompute it.
+the kernel's ``mass_error``, which ``smooth`` prints, and required below
+MASS_TOL).  The true integral uses the bump's radial mass for d = 2 and 3,
+recorded in BUMP_RADIAL_MASS from an adaptive ``scipy.integrate.quad``; the
+tests recompute it.
 """
 
 from __future__ import annotations
@@ -104,7 +105,6 @@ from .errors import (
     NumericalError,
     OriginNotInterior,
     UnsupportedDimension,
-    ValidationError,
     checked_int,
     checked_real,
 )
@@ -126,136 +126,52 @@ INSIDE_TOL = 1e-12
 _BLOCK = 1 << 13
 
 
-@dataclass(frozen=True, eq=False)
-class GaugeFunction:
-    """Piecewise-linear gauge of a polytope about an interior origin.
-
-    ``offsets`` are the facets' distances c_f = b_f - a_f . o from the
-    origin.  ``from_polytope`` takes the origin at the mean of the vertices.
-    Values are summed in a fixed order (``_facet_values``), so they do not
-    depend on the batch.  The arrays are read-only copies; gauges compare by
-    identity.  Construction checks every field, as the kernel trusts them:
-    (F, d) normals, (F,) offsets and a (d,) origin, all finite, with every
-    offset above TOL (``OriginNotInterior`` otherwise).
-    """
-
-    normals: np.ndarray
-    offsets: np.ndarray
-    origin: np.ndarray
-
-    def __post_init__(self) -> None:
-        _freeze_fields(self, "normals", "offsets", "origin")
-        a, c, o = self.normals, self.offsets, self.origin
-        if a.ndim != 2 or not a.size or c.shape != a.shape[:1] or o.shape != a.shape[1:]:
-            raise ValidationError(
-                "normals, offsets and origin must have shapes (F, d), (F,) and (d,), "
-                f"got {a.shape}, {c.shape} and {o.shape}"
-            )
-        if not all(np.isfinite(v).all() for v in (a, c, o)):
-            raise ValidationError("normals, offsets and origin must be finite")
-        if (c <= TOL).any():
-            raise OriginNotInterior("gauge origin must lie strictly inside the polytope")
-
-    @classmethod
-    def from_polytope(cls, poly: Polytope) -> "GaugeFunction":
-        origin = poly.vertices.mean(axis=0)
-        offsets = poly.facet_offsets - poly.facet_normals @ origin
-        return cls(normals=poly.facet_normals, offsets=offsets, origin=origin)
-
-    @property
-    def inradius(self) -> float:
-        return float(self.offsets.min())
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return _facet_values(self, np.asarray(x, float) - self.origin).max(axis=-1)
-
-
-@dataclass(frozen=True, eq=False)
-class Mollifier:
-    """Bump-kernel quadrature at a fixed smoothing radius, a product rule.
-
-    Node r_i u_j has weight rho_i alpha_j: ascending ``radii`` in (0, 1)
-    with ``radial_weights`` (Gauss-Legendre, with r^(d-1) and the bump
-    folded in) and antipodal ``directions`` with ``direction_weights``
-    (``sphere_quadrature``).  Nodes live on the unit ball and are scaled by
-    ``epsilon`` at use time, and the weights sum to 1.  ``mass_error`` is the
-    relative error of the raw quadrature mass against the true kernel
-    integral (the recorded ``quad`` values in BUMP_RADIAL_MASS, checked in
-    the tests).  All arrays are read-only, and mollifiers compare by
-    identity, as gauges do.  Construction checks every field, as the
-    evaluation trusts them: d = 2 or 3, epsilon > 0, a mass error in
-    [0, MASS_TOL], ascending radii in (0, 1), d-dimensional directions and
-    positive finite weights, one per radius and one per direction.  The
-    tables evaluation builds for a gauge live on a kernel
-    (``smoothed_body`` keeps one per body), never on the mollifier.
-    """
-
-    dim: int
-    epsilon: float
-    radii: np.ndarray
-    radial_weights: np.ndarray
-    directions: np.ndarray
-    direction_weights: np.ndarray
-    mass_error: float
-
-    def __post_init__(self) -> None:
-        dim = checked_int(self.dim, "dim", 2, 3, UnsupportedDimension)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "epsilon", checked_real(self.epsilon, "epsilon", 0.0))
-        object.__setattr__(self, "mass_error", checked_real(
-            self.mass_error, "mass_error", 0.0, MASS_TOL, lo_closed=True, hi_closed=True))
-        _freeze_fields(self, "radii", "radial_weights", "directions", "direction_weights")
-        r = self.radii
-        if r.ndim != 1 or not len(r) or not (0.0 < r[0] and r[-1] < 1.0 and (np.diff(r) > 0).all()):
-            raise ValidationError("radii must be a nonempty ascending array in (0, 1)")
-        if self.directions.ndim != 2 or self.directions.shape[1] != dim:
-            raise ValidationError(f"directions must be rows of {dim} coordinates")
-        for name, count in (("radial_weights", len(r)), ("direction_weights", len(self.directions))):
-            w = getattr(self, name)
-            if w.shape != (count,) or not (np.isfinite(w) & (w > 0.0)).all():
-                raise ValidationError(f"{name} must be {count} positive finite weights")
-
-    @classmethod
-    def build(cls, dim: int, epsilon: float) -> "Mollifier":
-        dirs, alpha = sphere_quadrature(dim, 32 if dim == 2 else 12)
-        rx, rw = np.polynomial.legendre.leggauss(RADIAL_NODES)
-        r = 0.5 * (rx + 1.0)
-        # the bump exp(-1/(1-r^2)) times r^(d-1); every radius is below 1
-        raw = 0.5 * rw * r ** (dim - 1) * np.exp(-1.0 / (1.0 - r**2))
-        # summed whole, as the kernel sums the weights, so they sum to 1 to the ulp
-        mass = float(np.outer(raw, alpha).sum())
-        true_mass = BUMP_RADIAL_MASS[dim] * sphere_measure(dim - 1)
-        err = abs(mass / true_mass - 1.0)
-        if err > MASS_TOL:
-            raise NumericalError(
-                f"kernel quadrature mass error {err:.3e} exceeds {MASS_TOL}"
-            )
-        return cls(
-            dim=dim,
-            epsilon=epsilon,
-            radii=r,
-            radial_weights=raw / mass,
-            directions=dirs,
-            direction_weights=alpha,
-            mass_error=err,
-        )
-
-
 class _Kernel:
-    """The mollified gauge of one gauge and one mollifier, with the tables
-    its evaluation reads that do not depend on the points (see the module
-    docstring).  A facet pair's tables are built the first time a point has
-    that pair as its two survivors, so a body with many facets builds only
-    the pairs its points meet."""
+    """The mollified gauge of a polytope at one epsilon, with the tables its
+    evaluation reads that do not depend on the points (see the module
+    docstring).
 
-    def __init__(self, fn: GaugeFunction, m: Mollifier) -> None:
-        self.fn, self.m = fn, m
-        self.beta = _facet_values(fn, m.epsilon * m.directions)
-        # the total node weight, summed as ``build`` sums the raw mass
-        self.mass = np.outer(m.radial_weights, m.direction_weights).sum()
-        self.mean_e = (m.radial_weights @ m.radii) * (m.direction_weights @ self.beta)
-        self.gap, self.spread = _screen_tables(self.beta, m.radii[-1])
+    The gauge is taken about the vertex mean ``origin``, with the facets'
+    ``offsets`` c_f = b_f - a_f . o from it, and ``_quadrature`` gives the
+    product rule.  Construction rejects, in this order, an origin within
+    TOL of a facet (``OriginNotInterior``), an epsilon that is not a
+    positive real (``ValidationError``) and one of half the inradius
+    min_f c_f or more (``EpsilonTooLarge``).  A facet pair's tables are
+    built the first time a point has that pair as its two survivors, so a
+    body with many facets builds only the pairs its points meet."""
+
+    def __init__(self, poly: Polytope, epsilon: float) -> None:
+        self.origin = poly.vertices.mean(axis=0)
+        self.normals = poly.facet_normals
+        self.offsets = poly.facet_offsets - self.normals @ self.origin
+        if (self.offsets <= TOL).any():
+            raise OriginNotInterior("gauge origin must lie strictly inside the polytope")
+        self.epsilon = checked_real(epsilon, "epsilon", 0.0)
+        inradius = float(self.offsets.min())
+        if self.epsilon >= 0.5 * inradius:
+            raise EpsilonTooLarge(
+                f"epsilon {self.epsilon} is not below half the inradius "
+                f"{inradius} about the vertex mean"
+            )
+        (self.radii, self.radial_weights, self.directions, self.direction_weights,
+         self.mass_error) = _quadrature(poly.dim)
+        self.beta = self.facet_values(self.epsilon * self.directions)
+        # the total node weight, summed as ``_quadrature`` sums the raw mass
+        self.mass = np.outer(self.radial_weights, self.direction_weights).sum()
+        self.mean_e = (self.radial_weights @ self.radii) * (self.direction_weights @ self.beta)
+        self.gap, self.spread = _screen_tables(self.beta, self.radii[-1])
         self.pairs: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+    def facet_values(self, y: np.ndarray) -> np.ndarray:
+        """(a_f . y) / c_f for each point y (last axis) and facet f, summed in
+        a fixed order rather than by BLAS, whose rounding depends on the
+        number of rows: a point's value must not depend on the points that
+        share its call."""
+        return (y[..., None, :] * self.normals).sum(axis=-1) / self.offsets
+
+    def gauge(self, x: np.ndarray) -> np.ndarray:
+        """The plain gauge F at a batch of points."""
+        return self.facet_values(np.asarray(x, float) - self.origin).max(axis=-1)
 
     def pair(self, f: int, g: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Sorted delta_j = beta_jg - beta_jf and the prefix sums, each from
@@ -265,7 +181,7 @@ class _Kernel:
             delta = self.beta[:, g] - self.beta[:, f]
             order = np.argsort(delta, kind="stable")
             delta = delta[order]
-            alpha = self.m.direction_weights[order]
+            alpha = self.direction_weights[order]
             cum_a = np.concatenate([[0.0], np.cumsum(alpha)])
             cum_ad = np.concatenate([[0.0], np.cumsum(alpha * delta)])
             tables = self.pairs[f, g] = delta, cum_a, cum_ad
@@ -282,9 +198,9 @@ class _Kernel:
         points of the call, so a direction's smoothed radius does not depend
         on which other directions are still moving.
         """
-        fn, m, beta = self.fn, self.m, self.beta
+        beta, radii, rho = self.beta, self.radii, self.radial_weights
         x = np.atleast_2d(np.asarray(x, float))
-        d = _facet_values(fn, x - fn.origin)
+        d = self.facet_values(x - self.origin)
         # facet g can win some node only if d_g - d_f + r_max G_fg >= 0 (less a
         # few ulps) for every f, G_fg = max_j (beta_jf - beta_jg); G_fg is at
         # most max_j beta_jf - min_j beta_jg, so this implies the single floor
@@ -297,7 +213,7 @@ class _Kernel:
         count = alive.sum(axis=1)
         two = np.flatnonzero(count == 2)
         patterns, group = np.unique(alive[two], axis=0, return_inverse=True)
-        step = max(1, _BLOCK // len(m.radii))
+        step = max(1, _BLOCK // len(radii))
         for k, pattern in enumerate(patterns):
             # f already holds the base; g adds c - r_i delta_j on the nodes with
             # delta_j < c / r_i, at each radius a prefix of the sorted delta
@@ -307,28 +223,21 @@ class _Kernel:
             for lo in range(0, len(members), step):
                 rows = members[lo : lo + step]
                 c = (d[rows, g] - d[rows, f])[:, None]
-                below = np.searchsorted(delta, c / m.radii, side="left")
+                below = np.searchsorted(delta, c / radii, side="left")
                 gain = c * cum_a[below]
-                radial[rows] += (gain * m.radial_weights).sum(axis=1)
-                gain -= m.radii * cum_ad[below]
-                value[rows] += (gain * m.radial_weights).sum(axis=1)
+                radial[rows] += (gain * rho).sum(axis=1)
+                gain -= radii * cum_ad[below]
+                value[rows] += (gain * rho).sum(axis=1)
         # the other facets never win at these points, so they drop out as -inf
         many = np.flatnonzero(count > 2)
         step = max(1, _BLOCK // len(beta))
         for lo in range(0, len(many), step):
             rows = many[lo : lo + step]
             live = np.where(alive[rows], d[rows], -np.inf)
-            ray_value, ray_radial, _ = _ray_sums(live, beta, m.radii, m.radial_weights)
-            value[rows] = (ray_value * m.direction_weights).sum(axis=1)
-            radial[rows] = (ray_radial * m.direction_weights).sum(axis=1)
+            ray_value, ray_radial, _ = _ray_sums(live, beta, radii, rho)
+            value[rows] = (ray_value * self.direction_weights).sum(axis=1)
+            radial[rows] = (ray_radial * self.direction_weights).sum(axis=1)
         return value, radial
-
-
-def _facet_values(fn: GaugeFunction, y: np.ndarray) -> np.ndarray:
-    """(a_f . y) / c_f for each point y (last axis) and facet f, summed in a
-    fixed order rather than by BLAS, whose rounding depends on the number of
-    rows: a point's value must not depend on the points that share its call."""
-    return (y[..., None, :] * fn.normals).sum(axis=-1) / fn.offsets
 
 
 def _screen_tables(beta: np.ndarray, top: float) -> tuple[np.ndarray, np.ndarray]:
@@ -422,19 +331,6 @@ def _upper(d, facets, shape, offset) -> tuple[np.ndarray, np.ndarray]:
     return best, arg
 
 
-def _freeze_fields(obj, *names: str) -> None:
-    """Replace each array field of a frozen dataclass by a read-only float
-    copy, leaving the caller's arrays writable; a value that is not an
-    array of reals (a ragged list, a string) raises ``ValidationError``."""
-    for name in names:
-        try:
-            a = np.array(getattr(obj, name), dtype=float)
-        except (TypeError, ValueError):
-            raise ValidationError(f"{name} must be an array of real numbers") from None
-        a.flags.writeable = False
-        object.__setattr__(obj, name, a)
-
-
 def sphere_quadrature(dim: int, resolution: int) -> tuple[np.ndarray, np.ndarray]:
     """Directions and weights integrating over the unit sphere S^(dim-1).
 
@@ -461,11 +357,33 @@ def sphere_quadrature(dim: int, resolution: int) -> tuple[np.ndarray, np.ndarray
     return dirs, w
 
 
+def _quadrature(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]:
+    """The bump kernel's product rule on the unit ball, node r_i u_j with
+    weight rho_i alpha_j: ascending radii in (0, 1) with their weights
+    (Gauss-Legendre, with r^(d-1) and the bump folded in), antipodal
+    directions with theirs (``sphere_quadrature``), the weights scaled to
+    sum to 1, and the relative error of the raw mass against the true
+    kernel integral (the recorded ``quad`` values in BUMP_RADIAL_MASS,
+    checked in the tests), which must not exceed MASS_TOL."""
+    dirs, alpha = sphere_quadrature(dim, 32 if dim == 2 else 12)
+    rx, rw = np.polynomial.legendre.leggauss(RADIAL_NODES)
+    r = 0.5 * (rx + 1.0)
+    # the bump exp(-1/(1-r^2)) times r^(d-1); every radius is below 1
+    raw = 0.5 * rw * r ** (dim - 1) * np.exp(-1.0 / (1.0 - r**2))
+    # summed whole, as the kernel sums the weights, so they sum to 1 to the ulp
+    mass = float(np.outer(raw, alpha).sum())
+    true_mass = BUMP_RADIAL_MASS[dim] * sphere_measure(dim - 1)
+    err = abs(mass / true_mass - 1.0)
+    if err > MASS_TOL:
+        raise NumericalError(f"kernel quadrature mass error {err:.3e} exceeds {MASS_TOL}")
+    return r, raw / mass, dirs, alpha, err
+
+
 @dataclass(frozen=True)
 class SmoothedBody:
     """Star-body description of { F_eps <= 1 } via radial samples.
 
-    ``kernel`` holds the gauge, the mollifier and the tables evaluation
+    ``kernel`` holds the gauge, the quadrature and the tables evaluation
     builds from them; ``smoothed_body`` builds it once and ``level`` reuses it.
     """
 
@@ -478,25 +396,17 @@ class SmoothedBody:
     newton_steps: np.ndarray
 
     @property
-    def gauge_fn(self) -> GaugeFunction:
-        return self.kernel.fn
-
-    @property
-    def mollifier(self) -> Mollifier:
-        return self.kernel.m
-
-    @property
     def volume(self) -> float:
         d = self.polytope.dim
         return float(self.direction_weights @ self.radii**d) / d
 
     @property
     def boundary_points(self) -> np.ndarray:
-        return self.radii[:, None] * self.directions + self.gauge_fn.origin
+        return self.radii[:, None] * self.directions + self.kernel.origin
 
     def plain_radii(self) -> np.ndarray:
         """Radial function of the unsmoothed polytope, same directions."""
-        return 1.0 / self.gauge_fn(self.directions + self.gauge_fn.origin)
+        return 1.0 / self.kernel.gauge(self.directions + self.kernel.origin)
 
     def level(self, x: np.ndarray) -> np.ndarray:
         return self.kernel(x)[0]
@@ -514,28 +424,22 @@ def smoothed_body(
     direction stops, without taking it, at the first step that lowers r by
     at most NEWTON_ULPS * r machine epsilons, which includes every g <= 1;
     one still moving after NEWTON_ITERS evaluations raises NumericalError.
-    A polytope of dimension other than 2 or 3 and an epsilon of half the
-    inradius or more are rejected before any of it.
+    A polytope of dimension other than 2 or 3, and then what ``_Kernel``
+    rejects (a vertex mean on the boundary, an epsilon that is not positive
+    or not below half the inradius), are rejected before any of it.
     """
     if poly.dim not in (2, 3):
         raise UnsupportedDimension(f"smoothing needs d = 2 or 3, got d = {poly.dim}")
-    fn = GaugeFunction.from_polytope(poly)
-    epsilon = checked_real(epsilon, "epsilon", 0.0)
-    if epsilon >= 0.5 * fn.inradius:
-        raise EpsilonTooLarge(
-            f"epsilon {epsilon} is not below half the inradius "
-            f"{fn.inradius} about the vertex mean"
-        )
-    kernel = _Kernel(fn, Mollifier.build(poly.dim, epsilon))
+    kernel = _Kernel(poly, epsilon)
     if resolution is None:
         resolution = 96 if poly.dim == 2 else 24
     dirs, w = sphere_quadrature(poly.dim, resolution)
-    radii = 1.0 / fn(dirs + fn.origin)
+    radii = 1.0 / kernel.gauge(dirs + kernel.origin)
     steps = np.zeros(len(dirs), dtype=int)
     active = np.arange(len(dirs))
     for _ in range(NEWTON_ITERS):
         r = radii[active]
-        g, radial = kernel(fn.origin + r[:, None] * dirs[active])
+        g, radial = kernel(kernel.origin + r[:, None] * dirs[active])
         # radial = r g'(r), so the Newton step scales r by 1 - (g - 1) / radial
         nxt = r * (1.0 - (g - 1.0) / radial)
         moving = r - nxt > NEWTON_ULPS * np.finfo(float).eps * r
@@ -590,7 +494,7 @@ def convexity_probe(body: SmoothedBody, trials: int = 10_000, seed: int = 0) -> 
     while len(pts) < need:
         cand = rng.uniform(lo, hi, size=(2 * need, d))
         # F_eps >= F, so the exact gauge discards points outside K cheaply
-        cand = cand[body.gauge_fn(cand) <= 1.0 + INSIDE_TOL][: need - len(pts)]
+        cand = cand[body.kernel.gauge(cand) <= 1.0 + INSIDE_TOL][: need - len(pts)]
         level = body.level(cand)
         keep = level <= 1.0 + INSIDE_TOL
         pts, f = np.vstack([pts, cand[keep]]), np.concatenate([f, level[keep]])
@@ -601,7 +505,7 @@ def convexity_probe(body: SmoothedBody, trials: int = 10_000, seed: int = 0) -> 
     mid = body.level(0.5 * (x + y))
     violation = float(np.max(mix - (lam * fx + (1.0 - lam) * fy)))
     mid_violation = float(np.max(mid - 0.5 * (fx + fy)))
-    gap = float(np.max(body.gauge_fn(pts) - f))
+    gap = float(np.max(body.kernel.gauge(pts) - f))
     return ConvexityReport(
         trials=trials,
         max_violation=violation,

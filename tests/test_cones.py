@@ -13,10 +13,10 @@ from polyperim.cones import (
     LINK_RTOL,
     deficit_sum,
     rank_by_link,
-    tet_solid_angle,
     vertex_cones,
 )
 from polyperim.errors import NumericalError, UnsupportedDimension
+from polyperim.gallery import tet_solid_angle
 
 from conftest import facet_rings
 

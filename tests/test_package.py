@@ -43,13 +43,7 @@ from polyperim.profiles import (
     volume_grid,
 )
 from polyperim.slicing import enumerate_pieces, piece_count
-from polyperim.smoothing import (
-    MASS_TOL,
-    Mollifier,
-    convexity_probe,
-    smoothed_body,
-    sphere_quadrature,
-)
+from polyperim.smoothing import convexity_probe, smoothed_body, sphere_quadrature
 from polyperim.solver import SolverConfig, default_config, minimize_perimeter, vertex_ball_region
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -163,11 +157,6 @@ def _mesh():
 
 
 @functools.cache
-def _mollifier():
-    return Mollifier.build(2, 0.1)
-
-
-@functools.cache
 def _body():
     return smoothed_body(shapes.square(), 0.1, resolution=4)
 
@@ -203,8 +192,6 @@ INTEGER_ARGUMENTS = [
      "dim", (1, 4)),
     ("sphere_quadrature", "resolution", lambda v: sphere_quadrature(3, v),
      ValidationError, "resolution", (3,)),
-    ("Mollifier.build", "dim", lambda v: Mollifier.build(v, 0.1), UnsupportedDimension,
-     "dim", (1, 4)),
     ("smoothed_body", "resolution",
      lambda v: smoothed_body(shapes.square(), 0.1, resolution=v), ValidationError,
      "resolution", (3,)),
@@ -212,8 +199,6 @@ INTEGER_ARGUMENTS = [
      InsufficientSamples, "trials", (0,)),
     ("convexity_probe", "seed", lambda v: convexity_probe(_body(), trials=1, seed=v),
      ValidationError, "seed", (-1,)),
-    ("Mollifier", "dim", lambda v: dataclasses.replace(_mollifier(), dim=v),
-     UnsupportedDimension, "dim", (1, 4)),
     ("enumerate_pieces", "n", lambda v: enumerate_pieces(v, 2), UnsupportedDimension,
      "n", (0,)),
     ("enumerate_pieces", "slices", lambda v: enumerate_pieces(2, v), ValidationError,
@@ -301,8 +286,9 @@ def _annotated(*annotations: str) -> set[tuple[str, str]]:
 def test_every_integer_parameter_has_a_row():
     annotated = _annotated("int", "int | None")
     rows = {(entry, argument) for entry, argument, *_ in INTEGER_ARGUMENTS}
-    assert {("SurfaceMesh.vertex_star", "vertex"), ("Mollifier.build", "dim"),
-            ("SolverConfig", "seed"), ("Mollifier", "dim"), ("enumerate_pieces", "n")} <= annotated
+    assert {("SurfaceMesh.vertex_star", "vertex"), ("sphere_quadrature", "dim"),
+            ("SolverConfig", "seed"), ("smoothed_body", "resolution"),
+            ("enumerate_pieces", "n")} <= annotated
     assert annotated - rows == set()
 
 
@@ -350,12 +336,6 @@ REAL_ARGUMENTS = [
      lambda v: spiked_cone_report(0.5, reference_volume=v), VolumeOutOfRange,
      "reference_volume", (0, -1.0, math.inf), 1),
     ("cube", "side", shapes.cube, ValidationError, "side", (0, -1.0, math.inf), 2),
-    ("Mollifier.build", "epsilon", lambda v: Mollifier.build(2, v), ValidationError,
-     "epsilon", (0, -1.0, math.inf), 1),
-    ("Mollifier", "epsilon", lambda v: dataclasses.replace(_mollifier(), epsilon=v),
-     ValidationError, "epsilon", (0, -1.0, math.inf), 1),
-    ("Mollifier", "mass_error", lambda v: dataclasses.replace(_mollifier(), mass_error=v),
-     ValidationError, "mass_error", (-1e-300, 2 * MASS_TOL, math.inf), 0),
     ("smoothed_body", "epsilon", lambda v: smoothed_body(shapes.square(), v, resolution=4),
      ValidationError, "epsilon", (0, -1.0, math.inf), 0.25),
     ("vertex_ball_region", "volume", lambda v: vertex_ball_region(_mesh(), 0, v),
@@ -419,13 +399,11 @@ def test_closed_upper_ends_print_a_bracket():
         cone_profile(7.0, 2, 1.0)
     with pytest.raises(ValidationError, match=r"^cooling must be in \(0\.0, 1\.0\], got 1\.5$"):
         _config(cooling=1.5)
-    with pytest.raises(ValidationError, match=r"^mass_error must be in \[0\.0, 1e-08\], got -1\.0$"):
-        dataclasses.replace(_mollifier(), mass_error=-1.0)
 
 
 def test_every_real_parameter_has_a_row():
     annotated = _annotated("float", "float | None")
     rows = {(entry, argument) for entry, argument, *_ in REAL_ARGUMENTS}
-    assert {("Mollifier.build", "epsilon"), ("SolverConfig", "cooling"),
-            ("Mollifier", "epsilon")} <= annotated
+    assert {("smoothed_body", "epsilon"), ("SolverConfig", "cooling"),
+            ("cube", "side")} <= annotated
     assert annotated - rows == set()

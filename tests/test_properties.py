@@ -19,7 +19,7 @@ from polyperim.polytope import (
     affine_span,
     polytope_measure,
 )
-from polyperim.smoothing import GaugeFunction, convexity_probe, smoothed_body
+from polyperim.smoothing import convexity_probe, smoothed_body
 from polyperim.solver import anisotropy_bound, vertex_ball_region
 
 from conftest import assert_facet_planes_hold
@@ -227,11 +227,41 @@ def test_vertex_ball_area_is_within_one_triangle(m, seed, level, fraction):
     poly = Polytope.from_vertices(sphere_points(m, seed))
     mesh = subdivide(poly, level)
     vertex = seed % len(poly.vertices)
-    volume = fraction * vertex_cones(poly)[vertex].valid_volume_max
+    cone = vertex_cones(poly)[vertex]
+    volume = fraction * cone.valid_volume_max
     region = vertex_ball_region(mesh, vertex, volume)
     assert abs(region.area - volume) <= mesh.areas.max() + 1e-12
     incident = [fi for fi, f in enumerate(poly.facets) if vertex in f]
     assert np.isin(mesh.facet_of[region.mask], incident).all()
+    # the region lies in v's star, a flat cone of angle omega <= 2 pi, where
+    # no region of area A has a shorter boundary than the apex ball's
+    assert region.cut_perimeter >= math.sqrt(2.0 * cone.link_volume * region.area) - 1e-9
+
+
+def disphenoid(a: float, b: float, c: float) -> np.ndarray:
+    """The tetrahedron whose four faces are the acute triangle of sides
+    a, b and c, with its opposite edges equal."""
+    x, y, z = (math.sqrt(s / 8.0) for s in (b * b + c * c - a * a,
+                                             a * a + c * c - b * b,
+                                             a * a + b * b - c * c))
+    return np.array([[x, y, z], [x, -y, -z], [-x, y, -z], [-x, -y, z]])
+
+
+def test_disphenoid_links_are_pi():
+    """Each vertex of a disphenoid meets the three angles of one triangle,
+    so every link is pi and the deficits sum to 4 pi (Gauss-Bonnet)."""
+    rng = np.random.default_rng(23)
+    built = 0
+    while built < 50:
+        a, b, c = np.sort(rng.uniform(0.5, 2.0, size=3))
+        if c * c >= a * a + b * b:  # not acute
+            continue
+        poly = Polytope.from_vertices(disphenoid(a, b, c))
+        links = [cone.link_volume for cone in vertex_cones(poly)]
+        assert len(links) == 4
+        assert np.abs(np.array(links) - math.pi).max() <= 1e-12
+        assert deficit_sum(poly) == pytest.approx(4.0 * math.pi, abs=1e-9)
+        built += 1
 
 
 def kappa_by_edge_directions(mesh) -> float:
@@ -269,12 +299,13 @@ def test_smoothed_body_lies_in_its_proven_bracket(dim, m, seed, fraction):
     x /= np.linalg.norm(x, axis=1)[:, None]
     verts = x[ConvexHull(x).vertices]
     poly = Polytope.from_vertices(verts - verts.mean(axis=0))
-    fn = GaugeFunction.from_polytope(poly)
-    eps = fraction * 0.5 * fn.inradius
+    # the inradius about the vertex mean, where the gauge is taken
+    inradius = (poly.facet_offsets - poly.facet_normals @ poly.vertices.mean(axis=0)).min()
+    eps = fraction * 0.5 * inradius
     body = smoothed_body(poly, eps, resolution=16 if dim == 2 else 4)
 
     rho = body.plain_radii()
-    assert np.all((1.0 - eps / fn.inradius) * rho <= body.radii)
+    assert np.all((1.0 - eps / inradius) * rho <= body.radii)
     assert np.all(body.radii <= rho)
     assert np.abs(body.level(body.boundary_points) - 1.0).max() <= 1e-9
     assert np.abs(body.level(body.boundary_points) - 1.0).max() <= 1e-12
@@ -282,9 +313,9 @@ def test_smoothed_body_lies_in_its_proven_bracket(dim, m, seed, fraction):
 
     # F <= F_eps < F + eps / r_in, the two bounds behind the bracket
     pts = rng.uniform(-1.5, 1.5, size=(100, dim))
-    plain, smooth = fn(pts), body.level(pts)
+    plain, smooth = body.kernel.gauge(pts), body.level(pts)
     assert np.all(smooth >= plain - 1e-12)
-    assert np.all(smooth <= plain + eps / fn.inradius + 1e-12)
+    assert np.all(smooth <= plain + eps / inradius + 1e-12)
 
     probe = convexity_probe(body, trials=32, seed=seed % 1000)
     assert probe.max_violation <= 1e-9

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import tracemalloc
@@ -21,10 +20,8 @@ from polyperim.smoothing import (
     INSIDE_TOL,
     MASS_TOL,
     NEWTON_ULPS,
-    GaugeFunction,
-    Mollifier,
-    _facet_values,
     _Kernel,
+    _quadrature,
     _ray_sums,
     _screen,
     _screen_tables,
@@ -37,73 +34,45 @@ from conftest import SMOOTHED_SHAPES
 
 
 def test_gauge_values_on_square():
-    fn = GaugeFunction.from_polytope(shapes.square())
+    kernel = _Kernel(shapes.square(), 0.1)
     pts = np.array([[0.5, 0.0], [1.0, 1.0], [2.0, 0.0], [-0.25, 0.1], [0, 0]])
     expected = [0.5, 1.0, 2.0, 0.25, 0.0]
-    assert np.allclose(fn(pts), expected, atol=1e-12)
-    assert fn.inradius == pytest.approx(1.0, abs=1e-12)
+    assert np.allclose(kernel.gauge(pts), expected, atol=1e-12)
+    assert kernel.offsets.min() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_gauge_positive_homogeneity():
     rng = np.random.default_rng(2)
-    fn = GaugeFunction.from_polytope(shapes.cube(side=2.0))
+    gauge = _Kernel(shapes.cube(side=2.0), 0.1).gauge
     x = rng.normal(size=(30, 3))
     for t in (0.5, 2.0, 7.5):
-        assert np.allclose(fn(t * x), t * fn(x), atol=1e-12)
+        assert np.allclose(gauge(t * x), t * gauge(x), atol=1e-12)
 
 
-def _shifted_gauge(poly, origin):
-    """The gauge of poly about origin rather than the vertex mean."""
-    offsets = poly.facet_offsets - poly.facet_normals @ origin
-    return GaugeFunction(poly.facet_normals, offsets, origin)
-
-
-def _nodes_and_weights(m):
+def _nodes_and_weights(kernel):
     """The quadrature nodes r_i u_j and weights rho_i alpha_j, radius-major."""
-    nodes = (m.radii[:, None, None] * m.directions).reshape(-1, m.dim)
-    return nodes, np.outer(m.radial_weights, m.direction_weights).ravel()
+    dim = kernel.directions.shape[1]
+    nodes = (kernel.radii[:, None, None] * kernel.directions).reshape(-1, dim)
+    return nodes, np.outer(kernel.radial_weights, kernel.direction_weights).ravel()
 
 
 def test_gauge_origin_must_be_interior():
-    # the vertex mean of a thin triangle lies within TOL of its long side
-    with pytest.raises(OriginNotInterior):
-        GaugeFunction.from_polytope(Polytope([[0, 0], [1, 0], [0.5, 3e-9]]))
-    shifted = _shifted_gauge(shapes.square(), np.array([0.5, 0.0]))
-    assert shifted.inradius == pytest.approx(0.5, abs=1e-12)
-    assert shifted(np.array([[1.0, 0.0]])) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_gauge_checks_its_fields():
-    """A gauge about an origin outside the body, or with fields that do not
-    fit together or are not finite, is rejected when it is built."""
-    square = shapes.square()
-    origin = np.array([3.0, 0.0])
-    offsets = square.facet_offsets - square.facet_normals @ origin
-    assert sorted(offsets.tolist()) == [-2.0, 1.0, 1.0, 4.0]
-    with pytest.raises(OriginNotInterior, match="strictly inside"):
-        GaugeFunction(square.facet_normals, offsets, origin)
-    fields = GaugeFunction.from_polytope(square)
-    a, c, o = fields.normals, fields.offsets, fields.origin
-    for bad in ((a[:, :1], c, o), (a, c[:3], o), (a, c, np.zeros(3)), (a[0], c, o),
-                (a, c[:, None], o), (a[:0], c[:0], o)):
-        with pytest.raises(ValidationError, match=r"must have shapes \(F, d\), \(F,\) and \(d,\)"):
-            GaugeFunction(*bad)
-    for k in range(3):
-        bad = [np.array(v) for v in (a, c, o)]
-        bad[k].flat[0] = np.nan if k else np.inf
-        with pytest.raises(ValidationError, match="must be finite"):
-            GaugeFunction(*bad)
-    with pytest.raises(ValidationError, match="normals must be an array of real numbers"):
-        GaugeFunction([[1.0, 0.0], [1.0]], c[:2], o)
-    with pytest.raises(ValidationError, match="origin must be an array of real numbers"):
-        GaugeFunction(a, c, "origin")
+    # the vertex mean of a thin triangle lies within TOL of its long side,
+    # which is found before any epsilon, in range or not, is looked at
+    thin = Polytope([[0, 0], [1, 0], [0.5, 3e-9]])
+    message = "^gauge origin must lie strictly inside the polytope$"
+    with pytest.raises(OriginNotInterior, match=message):
+        _Kernel(thin, 0.1)
+    for eps in (0.1, -1.0):
+        with pytest.raises(OriginNotInterior, match=message):
+            smoothed_body(thin, eps)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_mollifier_kernel_quadrature(dim):
-    m = Mollifier.build(dim, 0.1)
-    nodes, weights = _nodes_and_weights(m)
-    assert m.mass_error < MASS_TOL
+    kernel = _Kernel(shapes.square() if dim == 2 else shapes.cube(), 0.1)
+    nodes, weights = _nodes_and_weights(kernel)
+    assert kernel.mass_error < MASS_TOL
     assert weights.sum() == pytest.approx(1.0, abs=1e-14)
     # antipodally paired nodes with equal weights: first moment vanishes
     assert np.allclose(weights @ nodes, 0.0, atol=1e-15)
@@ -134,78 +103,62 @@ def test_recorded_planar_bump_mass_matches_its_closed_form():
 
 
 def test_mollifier_rejects_bad_input():
-    with pytest.raises(ValidationError):
-        Mollifier.build(2, 0.0)
-    for dim in (1, 4):
-        with pytest.raises(UnsupportedDimension):
-            Mollifier.build(dim, 0.1)
-    # hand-built mollifiers are checked as well: the evaluation trusts them
-    m = Mollifier.build(2, 0.1)
-    r, dirs = m.radii, m.directions
-    for change, message in [
-        ({"epsilon": math.nan}, r"epsilon must be in \(0\.0, inf\), got nan"),
-        ({"radii": r[::-1]}, "radii must be"),
-        ({"radii": np.append(r[:-1], 1.0)}, "radii must be"),
-        ({"radii": r[:0], "radial_weights": r[:0]}, "radii must be"),
-        ({"radial_weights": m.radial_weights[1:]}, "radial_weights must be 32 positive"),
-        ({"radial_weights": -m.radial_weights}, "radial_weights must be 32 positive"),
-        ({"directions": np.c_[dirs, dirs[:, :1]]}, "directions must be rows of 2"),
-        ({"direction_weights": np.append(m.direction_weights, 1.0)},
-         "direction_weights must be 64 positive"),
-        ({"direction_weights": np.where(dirs[:, 0] > 0, math.inf, 1.0)},
-         "direction_weights must be 64 positive"),
-    ]:
-        with pytest.raises(ValidationError, match=message):
-            dataclasses.replace(m, **change)
+    # the dimension is checked first, before any epsilon
+    for eps in (0.1, math.nan):
+        with pytest.raises(UnsupportedDimension, match="^smoothing needs d = 2 or 3, got d = 4$"):
+            smoothed_body(shapes.hypercube(), eps)
+    for eps in (0.0, -1.0):
+        with pytest.raises(ValidationError, match=r"^epsilon must be in \(0\.0, inf\), got "):
+            smoothed_body(shapes.square(), eps)
 
 
 def test_nan_epsilon_is_rejected_as_not_positive():
     with pytest.raises(ValidationError, match=r"epsilon must be in \(0\.0, inf\), got nan"):
-        Mollifier.build(2, math.nan)
+        _Kernel(shapes.square(), math.nan)
     with pytest.raises(ValidationError, match=r"epsilon must be in \(0\.0, inf\), got nan"):
         smoothed_body(shapes.square(), math.nan)
 
 
-def brute_mollify(fn, m, x):
-    """F_eps by direct evaluation on every shifted node, the reference that
-    the kernel is checked against, one point at a time to bound memory."""
-    nodes, weights = _nodes_and_weights(m)
-    return np.array([fn(p - m.epsilon * nodes) @ weights for p in x])
+def brute_mollify(fn, kernel, x):
+    """F_eps of fn by direct evaluation on every node of the kernel, shifted,
+    the reference that the kernel is checked against, one point at a time to
+    bound memory."""
+    nodes, weights = _nodes_and_weights(kernel)
+    return np.array([fn(p - kernel.epsilon * nodes) @ weights for p in x])
 
 
 def test_mollify_is_exact_on_linear_functions():
     """A symmetric kernel reproduces affine functions exactly."""
     rng = np.random.default_rng(8)
-    m = Mollifier.build(2, 0.15)
+    kernel = _Kernel(shapes.square(), 0.15)
     a = np.array([0.7, -1.3])
     fn = lambda pts: pts @ a + 0.25  # noqa: E731
     x = rng.normal(size=(40, 2))
-    assert np.allclose(brute_mollify(fn, m, x), fn(x), atol=1e-13)
+    assert np.allclose(brute_mollify(fn, kernel, x), fn(x), atol=1e-13)
 
 
-def _survivors_matching_brute(fn, m, x):
+def _survivors_matching_brute(kernel, x):
     """Check the kernel against direct evaluation, values and radial slopes
     alike, check that every facet winning some node survives the screen,
     and return each point's number of facets surviving the screen."""
-    value, radial = _Kernel(fn, m)(x)
-    assert np.abs(value - brute_mollify(fn, m, x)).max() <= 1e-13
+    value, radial = kernel(x)
+    assert np.abs(value - brute_mollify(kernel.gauge, kernel, x)).max() <= 1e-13
     # the slope is the weighted facet value d_f* of each node's winner, the
     # lowest facet index among equal values
-    d, beta, alive = _screened(fn, m, x)
-    nodes, weights = _nodes_and_weights(m)
-    shifted = x[:, None, :] - m.epsilon * nodes - fn.origin
-    win = ((shifted @ fn.normals.T) / fn.offsets).argmax(axis=-1)
+    d, beta, alive = _screened(kernel, x)
+    nodes, weights = _nodes_and_weights(kernel)
+    shifted = x[:, None, :] - kernel.epsilon * nodes - kernel.origin
+    win = ((shifted @ kernel.normals.T) / kernel.offsets).argmax(axis=-1)
     d_win = np.take_along_axis(d, win, axis=1)
     assert np.abs(radial - d_win @ weights).max() <= 1e-13
-    assert not (_node_winners(d, beta, m.radii) & ~alive).any()
+    assert not (_node_winners(d, beta, kernel.radii) & ~alive).any()
     return alive.sum(axis=1)
 
 
-def _screened(fn, m, x):
+def _screened(kernel, x):
     """The facet values d and slopes beta the kernel takes for the points
     x, and which facets survive its screen."""
-    kernel = _Kernel(fn, m)
-    d = _facet_values(fn, x - fn.origin)
+    d = kernel.facet_values(x - kernel.origin)
     return d, kernel.beta, _screen(d, kernel.gap, kernel.spread)
 
 
@@ -222,32 +175,35 @@ def _node_winners(d, beta, r):
     return wins
 
 
-def _dyadic_mollifier(dim):
-    """Product kernel of the radii k/8 (k = 1..7) along the 2 * dim axis
-    directions with epsilon 1/8, so every node offset, every s_q, every
-    crossing of two facet lines and every tie below is exact in floating
-    point and no comparison is decided by rounding."""
+#: the epsilon that the dyadic rule is taken at
+DYADIC_EPSILON = 0.125
+
+
+def _dyadic_quadrature(dim):
+    """Product rule of the radii k/8 (k = 1..7) along the 2 * dim axis
+    directions, in ``_quadrature``'s form; at DYADIC_EPSILON every node
+    offset, every s_q, every crossing of two facet lines and every tie below
+    is exact in floating point and no comparison is decided by rounding."""
     r = np.arange(1, 8) / 8.0
     rho = 1.0 - r**2
     dirs = np.vstack([np.eye(dim), -np.eye(dim)])
     alpha = np.full(2 * dim, 1.0 / (2 * dim))
-    return Mollifier(dim, 0.125, r, rho / rho.sum(), dirs, alpha, mass_error=0.0)
+    return r, rho / rho.sum(), dirs, alpha, 0.0
 
 
-def test_mollify_fast_path_matches_generic():
+def test_mollify_fast_path_matches_generic(monkeypatch):
     """Points with one, two and three or more surviving facets all match
     direct evaluation, also where c = d_g - d_f equals some s_q = e_qg - e_qf
     exactly: there the lower facet f keeps node q."""
     rng = np.random.default_rng(9)
     for poly in (shapes.square(), shapes.cube(side=2.0), shapes.octahedron()):
-        fn = GaugeFunction.from_polytope(poly)
-        m = Mollifier.build(poly.dim, 0.12)
+        kernel = _Kernel(poly, 0.12)
         x = rng.uniform(-1.4, 1.4, size=(200, poly.dim))
         # on a symmetry axis two facets share d exactly (c = 0)
         axis = np.zeros(poly.dim)
         axis[:2] = 1.0
         x = np.vstack([x, np.outer([0.3, 0.7, 0.8, 0.9], axis)])
-        survivors = _survivors_matching_brute(fn, m, x)
+        survivors = _survivors_matching_brute(kernel, x)
         assert (survivors == 1).any() and (survivors == 2).any()
         assert (survivors >= 3).any()
 
@@ -255,23 +211,24 @@ def test_mollify_fast_path_matches_generic():
     # index) have unit normals and offsets: d_f = a and d_g = a + s_q tie
     # node q exactly, and on the diagonal (c = 0) every node with z_x = z_y
     # ties: the cube's nodes on the z axis
+    monkeypatch.setattr(smoothing, "_quadrature", _dyadic_quadrature)
     for poly in (shapes.square(), shapes.cube(side=2.0)):
-        fn = GaugeFunction.from_polytope(poly)
-        m = _dyadic_mollifier(poly.dim)
+        kernel = _Kernel(poly, DYADIC_EPSILON)
+        a, c = kernel.normals, kernel.offsets
         axis = np.zeros(poly.dim)
         axis[:2] = 1.0
-        f, g = np.sort(np.argsort(fn.normals @ axis)[-2:])
-        e = ((m.epsilon * _nodes_and_weights(m)[0]) @ fn.normals.T) / fn.offsets
+        f, g = np.sort(np.argsort(a @ axis)[-2:])
+        e = ((kernel.epsilon * _nodes_and_weights(kernel)[0]) @ a.T) / c
         s = np.union1d(e[:, g] - e[:, f], [0.0])
-        x = 0.75 * fn.normals[f] + (0.75 + s[:, None]) * fn.normals[g]
+        x = 0.75 * a[f] + (0.75 + s[:, None]) * a[g]
         assert (e[:, g] == e[:, f]).any() == (poly.dim == 3)
-        assert (_survivors_matching_brute(fn, m, x) == 2).all()
+        assert (_survivors_matching_brute(kernel, x) == 2).all()
 
 
-def _ray_inputs(fn, m, x):
+def _ray_inputs(kernel, x):
     """The arguments the kernel hands ``_ray_sums`` for the points x."""
-    d, beta, alive = _screened(fn, m, x)
-    return np.where(alive, d, -np.inf), beta, m.radii, m.radial_weights
+    d, beta, alive = _screened(kernel, x)
+    return np.where(alive, d, -np.inf), beta, kernel.radii, kernel.radial_weights
 
 
 def _brute_rays(d, beta, r, rho):
@@ -287,8 +244,7 @@ def test_ray_sums_match_each_node():
     maximum, also where three lines meet on a node and the lowest index
     there is neither end's winner."""
     rng = np.random.default_rng(11)
-    m = Mollifier.build(3, 0.1)
-    r, rho = m.radii, m.radial_weights
+    r, rho = _quadrature(3)[:2]
     d = rng.uniform(0.8, 1.0, size=(60, 6))
     d[rng.random(d.shape) < 0.2] = -np.inf
     beta = rng.uniform(-0.3, 0.3, size=(40, 6))
@@ -318,42 +274,42 @@ def test_mollify_ray_path_matches_brute_on_sphere_hulls(seed):
     rng = np.random.default_rng(seed)
     points = rng.normal(size=(8 + 8 * seed, 3))
     poly = Polytope.from_vertices(points / np.linalg.norm(points, axis=1, keepdims=True))
-    fn = GaugeFunction.from_polytope(poly)
+    origin = poly.vertices.mean(axis=0)
+    inradius = (poly.facet_offsets - poly.facet_normals @ origin).min()
     kinds = set()
     for fraction in (0.15, 0.3, 0.45):
-        m = Mollifier.build(3, fraction * fn.inradius)
+        kernel = _Kernel(poly, fraction * inradius)
         # near the vertices several facets survive
         near = poly.vertices[rng.integers(len(poly.vertices), size=200)]
-        x = fn.origin + rng.uniform(0.85, 1.1, size=(200, 1)) * (near - fn.origin)
+        x = origin + rng.uniform(0.85, 1.1, size=(200, 1)) * (near - origin)
         x += rng.normal(scale=0.02, size=x.shape)
-        live = _ray_inputs(fn, m, x)[0]
+        live = _ray_inputs(kernel, x)[0]
         x = x[(live > -np.inf).sum(axis=1) >= 3][:12]
         assert len(x) == 12
-        assert (_survivors_matching_brute(fn, m, x) >= 3).all()
-        kinds.update(np.unique(_ray_sums(*_ray_inputs(fn, m, x))[2]).tolist())
+        assert (_survivors_matching_brute(kernel, x) >= 3).all()
+        kinds.update(np.unique(_ray_sums(*_ray_inputs(kernel, x))[2]).tolist())
     assert kinds == {0, 1, 2}
 
 
-def test_mollify_cube_corner_crossings_on_nodes():
+def test_mollify_cube_corner_crossings_on_nodes(monkeypatch):
     """Near a corner of the side-2 cube, along the axis direction that
     points inward on x_i, facet i's line d_i + r/8 meets the two level
     facets j at r = 8 (d_j - d_i), the node k/8 when d_j - d_i = k/64.  All
     three tie there, exactly, and the lowest index among them takes the
     node's slope, whichever of them that is."""
-    poly = shapes.cube(side=2.0)
-    fn = GaugeFunction.from_polytope(poly)
-    m = _dyadic_mollifier(3)
+    monkeypatch.setattr(smoothing, "_quadrature", _dyadic_quadrature)
+    kernel = _Kernel(shapes.cube(side=2.0), DYADIC_EPSILON)
     rising_lowest = set()
     # k / 64 puts the crossing on the node k / 8, odd k / 128 between nodes
     gap = np.r_[np.arange(2, 7) / 64.0, np.arange(3, 14, 2) / 128.0]
     for corner in np.array(np.meshgrid(*[[-1.0, 1.0]] * 3)).reshape(3, -1).T:
-        facet = [int(np.argmax(fn.normals[:, i] * c)) for i, c in enumerate(corner)]
+        facet = [int(np.argmax(kernel.normals[:, i] * c)) for i, c in enumerate(corner)]
         for i in range(3):
             x = np.tile(0.75 + gap[:, None], 3)
             x[:, i] = 0.75
             x *= corner
-            assert (_survivors_matching_brute(fn, m, x) == 3).all()
-            kind = _ray_sums(*_ray_inputs(fn, m, x))[2]
+            assert (_survivors_matching_brute(kernel, x) == 3).all()
+            kind = _ray_sums(*_ray_inputs(kernel, x))[2]
             assert (kind[:5] == 2).any() and (kind[5:] == 1).any()
             rising_lowest.add(facet[i] < min(f for j, f in enumerate(facet) if j != i))
     assert rising_lowest == {True, False}
@@ -385,9 +341,8 @@ def test_screen_keeps_every_node_winner_of_the_probe_points(shape, resolution, s
     survives the screen.  On the octahedron and the square the screen keeps
     exactly the winners' count, point class by point class."""
     body = smoothed_bodies(shape, 0.2, resolution)
-    fn, m = body.gauge_fn, body.mollifier
-    d, beta, alive = _screened(fn, m, _probe_points(body, 256, 0))
-    wins = _node_winners(d, beta, m.radii)
+    d, beta, alive = _screened(body.kernel, _probe_points(body, 256, 0))
+    wins = _node_winners(d, beta, body.kernel.radii)
     assert not (wins & ~alive).any()
     paths = np.bincount(np.minimum(alive.sum(axis=1), 3), minlength=4)[1:]
     if shape != "cube2":
@@ -403,16 +358,14 @@ def test_screen_keeps_facets_that_win_by_rounding():
     takes its few ulps of slack for this."""
     rng = np.random.default_rng(0)
     for poly in (shapes.square(), shapes.octahedron()):
-        fn = GaugeFunction.from_polytope(poly)
-        m = Mollifier.build(poly.dim, 0.2)
-        top = m.radii[-1]
-        beta = _facet_values(fn, m.epsilon * m.directions)
+        kernel = _Kernel(poly, 0.2)
+        top, beta = kernel.radii[-1], kernel.beta
         j = np.argmax(beta[:, 1] - beta[:, 0])
-        d = np.full((200, len(fn.offsets)), -50.0)
+        d = np.full((200, len(kernel.offsets)), -50.0)
         d[:, 1] = rng.uniform(-1.0, 1.0, 200) * 10.0 ** rng.uniform(-3.0, 0.0, 200)
         tie = (d[:, 1] - top * beta[j, 1]) + top * beta[j, 0]
         d[:, 0] = np.nextafter(tie, rng.choice([-np.inf, np.inf], 200))
-        wins = _node_winners(d, beta, m.radii)
+        wins = _node_winners(d, beta, kernel.radii)
         assert 50 <= wins[:, 0].sum() <= 150
         assert not (wins & ~_screen(d, *_screen_tables(beta, top))).any()
 
@@ -422,10 +375,9 @@ def test_mollify_does_not_depend_on_batching(shape, resolution, smoothed_bodies)
     """Values and slopes at a point are bit for bit the same alone, in the
     whole batch and in uneven parts of it."""
     body = smoothed_bodies(shape, 0.2, resolution)
-    fn, m = body.gauge_fn, body.mollifier
     rng = np.random.default_rng(4)
-    x = rng.uniform(-1.1, 1.1, size=(120, fn.origin.size)) * body.polytope.vertices.max()
-    kernel = _Kernel(fn, m)
+    x = rng.uniform(-1.1, 1.1, size=(120, body.polytope.dim)) * body.polytope.vertices.max()
+    kernel = _Kernel(body.polytope, body.kernel.epsilon)
     batch = np.array(kernel(x))
     alone = np.hstack([kernel(point) for point in x])
     parts = np.hstack([kernel(part) for part in np.split(x, [7, 50, 51])])
@@ -438,63 +390,21 @@ def test_gauge_does_not_depend_on_batching():
     points = rng.normal(size=(40, 3))
     sphere = Polytope.from_vertices(points / np.linalg.norm(points, axis=1, keepdims=True))
     for poly in (shapes.square(), shapes.cube(side=2.0), shapes.octahedron(), sphere):
-        fn = GaugeFunction.from_polytope(poly)
+        gauge = _Kernel(poly, 0.01).gauge
         x = rng.uniform(-1.5, 1.5, size=(300, poly.dim))
-        assert np.array_equal(np.array([fn(p) for p in x]), fn(x))
-
-
-def test_mollifiers_compare_by_identity():
-    m = Mollifier.build(2, 0.1)
-    assert m == m and m != Mollifier.build(2, 0.1)
-    assert len({m, Mollifier.build(2, 0.1)}) == 2
-
-
-def test_two_gauges_share_a_mollifier():
-    """Two gauges sharing a mollifier each match direct evaluation, and
-    neither the gauge's nor the mollifier's arrays can change under them."""
-    m = Mollifier.build(2, 0.2)
-    centered = GaugeFunction.from_polytope(shapes.square())
-    origin = np.array([0.25, 0.0])
-    shifted = _shifted_gauge(shapes.square(), origin)
-    x = np.array([[0.9, 0.95], [0.95, 0.9], [-0.92, 0.9]])
-    first = _Kernel(centered, m)(x)
-    for fn in (shifted, centered):
-        value, _ = _Kernel(fn, m)(x)
-        assert np.abs(value - brute_mollify(fn, m, x)).max() <= 1e-13
-    assert np.array_equal(_Kernel(centered, m)(x)[1], first[1])
-    for array in (
-        centered.normals, centered.offsets, shifted.origin,
-        m.radii, m.radial_weights, m.directions, m.direction_weights,
-    ):
-        with pytest.raises(ValueError, match="read-only"):
-            array[0] = 0.5
-    assert origin.flags.writeable
-
-
-@pytest.mark.parametrize("shape", ["cube2", "octahedron"])
-def test_mollify_keeps_nothing_on_the_mollifier(shape, smoothed_bodies):
-    body = smoothed_bodies(shape, 0.2, 10)
-    fn = body.gauge_fn
-    m = Mollifier.build(body.polytope.dim, body.mollifier.epsilon)
-    before = dict(vars(m))
-    x = body.boundary_points
-    counts = _screened(fn, m, x)[2].sum(axis=1)
-    # the one-facet, two-facet and ray-by-ray paths all run
-    assert {1, 2} <= set(counts.tolist()) and counts.max() >= 3
-    _Kernel(fn, m)(x)
-    assert vars(m).keys() == before.keys()
-    assert all(vars(m)[name] is value for name, value in before.items())
+        assert np.array_equal(np.array([gauge(p) for p in x]), gauge(x))
 
 
 @pytest.mark.parametrize("shape", ["cube2", "octahedron"])
 def test_a_body_builds_its_kernel_once(shape, monkeypatch):
     """``smoothed_body`` builds one kernel, which its Newton steps, ``level``
     and the convexity probe all reuse, and a fresh kernel agrees with the
-    body's bit for bit."""
+    body's bit for bit.  On the body's boundary points the one-facet,
+    two-facet and ray-by-ray paths all run."""
     built, kernel = [], smoothing._Kernel
 
-    def counted(fn, m):
-        built.append(kernel(fn, m))
+    def counted(poly, epsilon):
+        built.append(kernel(poly, epsilon))
         return built[-1]
 
     monkeypatch.setattr(smoothing, "_Kernel", counted)
@@ -503,27 +413,27 @@ def test_a_body_builds_its_kernel_once(shape, monkeypatch):
     assert len(built) == 1 and body.kernel is built[0]
     # the probe met two-facet points, whose pair tables the kernel keeps
     assert body.kernel.pairs
-    value, radial = smoothing._Kernel(body.gauge_fn, body.mollifier)(x)
+    value, radial = smoothing._Kernel(body.polytope, body.kernel.epsilon)(x)
     assert len(built) == 2 and not built[1].pairs.keys() - body.kernel.pairs.keys()
     assert np.array_equal(value, body.level(x))
     assert np.array_equal(radial, body.kernel(x)[1])
+    counts = _screened(body.kernel, body.boundary_points)[2].sum(axis=1)
+    assert {1, 2} <= set(counts.tolist()) and counts.max() >= 3
 
 
 def test_mollified_gauge_dominates_gauge():
     rng = np.random.default_rng(10)
-    fn = GaugeFunction.from_polytope(shapes.square())
-    m = Mollifier.build(2, 0.2)
+    kernel = _Kernel(shapes.square(), 0.2)
     x = rng.uniform(-1.5, 1.5, size=(200, 2))
-    assert np.all(_Kernel(fn, m)(x)[0] >= fn(x) - 1e-12)
+    assert np.all(kernel(x)[0] >= kernel.gauge(x) - 1e-12)
 
 
 def test_mollified_gauge_untouched_away_from_corners():
     # only one facet is active within the kernel ball there, so the
     # smoothed value collapses to the plain linear gauge
-    fn = GaugeFunction.from_polytope(shapes.square())
-    m = Mollifier.build(2, 0.2)
+    kernel = _Kernel(shapes.square(), 0.2)
     x = np.array([[0.9, 0.0], [0.0, -0.6], [1.1, 0.0]])
-    assert np.allclose(_Kernel(fn, m)(x)[0], [0.9, 0.6, 1.1], atol=1e-13)
+    assert np.allclose(kernel(x)[0], [0.9, 0.6, 1.1], atol=1e-13)
 
 
 @pytest.mark.parametrize("dim, expected", [(2, 2 * math.pi), (3, 4 * math.pi)])
@@ -564,7 +474,7 @@ def test_smoothed_cube_quick():
     body = smoothed_body(shapes.cube(side=2.0), 0.25, resolution=8)
     assert 0 < body.volume < 8.0
     assert np.all(body.radii <= body.plain_radii() + 1e-9)
-    assert body.mollifier.epsilon == 0.25
+    assert body.kernel.epsilon == 0.25
     assert body.level(np.array([[0.0, 0.0, 0.0]]))[0] < 1.0
 
 
@@ -573,7 +483,7 @@ def test_gauge_origin_is_zero_on_the_centred_shapes(name):
     # so their smoothed bodies are the ones taken about the coordinate origin
     poly = getattr(shapes, name)()
     assert (poly.vertices.mean(axis=0) == 0.0).all()
-    assert (GaugeFunction.from_polytope(poly).origin == 0.0).all()
+    assert (_Kernel(poly, 0.01).origin == 0.0).all()
 
 
 @pytest.mark.parametrize("name", ["square_pyramid", "triangular_prism", "triangle"])
@@ -581,13 +491,13 @@ def test_shapes_around_an_off_centre_vertex_mean_smooth(name):
     poly = getattr(shapes, name)()
     body = smoothed_body(poly, 0.05, resolution=12)
     origin = poly.vertices.mean(axis=0)
-    assert np.array_equal(body.gauge_fn.origin, origin)
+    assert np.array_equal(body.kernel.origin, origin)
     assert (body.radii <= body.plain_radii()).all()
     assert (body.radii < body.plain_radii()).any()
     assert np.abs(body.level(body.boundary_points) - 1.0).max() <= 1e-12
     # the plain radii reach the polytope's boundary from the vertex mean
     plain = origin + body.plain_radii()[:, None] * body.directions
-    assert np.abs(GaugeFunction.from_polytope(poly)(plain) - 1.0).max() <= 1e-12
+    assert np.abs(body.kernel.gauge(plain) - 1.0).max() <= 1e-12
 
 
 def test_smoothed_body_epsilon_guard():
@@ -615,7 +525,7 @@ def test_each_counted_newton_step_lowers_its_radius(smoothed_bodies):
         active = np.arange(len(radii))
         for k in range(body.newton_steps.max() + 1):
             r = radii[active]
-            x = body.gauge_fn.origin + r[:, None] * body.directions[active]
+            x = body.kernel.origin + r[:, None] * body.directions[active]
             g, radial = body.kernel(x)
             nxt = r * (1.0 - (g - 1.0) / radial)
             counted = body.newton_steps[active] > k
