@@ -11,10 +11,12 @@ Subcommands map one-to-one onto the library modules:
 
 Every CSV artifact begins with two comment lines carrying the run manifest
 (command, flags, version, input digest) and its sha256, so a consumer can
-check which invocation produced a file.  A command accepts only the flags it
-reads, so the manifest's flags are those that shape the output.  Identical
-invocations produce byte-identical artifacts, including the optional SVG
-plots; all floats are printed with ``%.12g`` and negative zero is normalized.
+check which invocation produced a file.  Each command builds one record (a
+dict) per row; the header line is the records' keys, so a column's name and
+its place are written once.  A command accepts only the flags it reads, so
+the manifest's flags are those that shape the output.  Identical invocations
+produce byte-identical artifacts, including the optional SVG plots; all
+floats are printed with ``%.12g`` and negative zero is normalized.
 
 ``solve`` also writes ``restarts.csv``, one row per restart: its start (a
 vertex ball, ``warm:<vertex index>``, or ``cold``), its polished perimeter
@@ -41,7 +43,7 @@ import math
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import astuple, fields
+from dataclasses import asdict
 from functools import cache, partial
 from pathlib import Path
 
@@ -65,13 +67,7 @@ from .polytope import Polytope, polytope_measure
 from .profiles import cone_profile, euclidean_profile, sphere_profile, volume_grid
 from .slicing import classify_pieces, enumerate_pieces
 from .smoothing import convexity_probe, smoothed_body
-from .solver import (
-    MoveCounts,
-    anisotropy_bound,
-    default_config,
-    minimize_perimeter,
-    vertex_ball_region,
-)
+from .solver import anisotropy_bound, default_config, minimize_perimeter, vertex_ball_region
 
 COMMANDS = ("analyze", "slice", "smooth", "profile", "solve", "gallery")
 EXIT_OK = 0
@@ -151,13 +147,16 @@ def _write(out: Path, name: str, lines: list[str]) -> Path:
     return path
 
 
-def _emit_csv(out: Path, name: str, manifest: str, header, rows) -> Path:
+def _emit_csv(out: Path, name: str, manifest: str, records: list[dict]) -> Path:
+    """Write one row per record under the manifest lines.  The records share
+    their keys, in one order: the first record's keys are the header, and
+    every cell goes through ``_fmt``."""
     lines = [
         f"# manifest {manifest}",
         f"# manifest-digest sha256:{_digest(manifest)}",
-        ",".join(header),
+        ",".join(records[0]),
     ]
-    lines.extend(",".join(row) for row in rows)
+    lines.extend(",".join(map(_fmt, record.values())) for record in records)
     return _write(out, name, lines)
 
 
@@ -374,24 +373,19 @@ def _cmd_analyze(args: argparse.Namespace, out: Path) -> int:
         best_index = rank_by_link(cones)[0].vertex_index
     # apex balls: A(V) = c * V^t with c the unit-volume perimeter
     n = poly.surface_dim
-    rows = []
-    for cone in cones:
-        rows.append([
-            _fmt(cone.vertex_index),
-            _fmt(cone.link_volume),
-            _fmt(cone.r_max),
-            _fmt(cone_profile(cone.link_volume, n, 1.0)),
-            _fmt((n - 1.0) / n),
-            _fmt(cone.valid_volume_max),
-            _fmt(cone.vertex_index == best_index),
-        ])
-    _emit_csv(
-        out,
-        "analysis.csv",
-        manifest,
-        ["vertex_index", "omega", "r_max", "c", "t", "valid_volume_max", "is_optimal"],
-        rows,
-    )
+    records = [
+        {
+            "vertex_index": cone.vertex_index,
+            "omega": cone.link_volume,
+            "r_max": cone.r_max,
+            "c": cone_profile(cone.link_volume, n, 1.0),
+            "t": (n - 1.0) / n,
+            "valid_volume_max": cone.valid_volume_max,
+            "is_optimal": cone.vertex_index == best_index,
+        }
+        for cone in cones
+    ]
+    _emit_csv(out, "analysis.csv", manifest, records)
     print(f"vertices: {len(cones)}")
     print(
         f"optimal vertex: {best_index} "
@@ -420,21 +414,16 @@ def _cmd_slice(args: argparse.Namespace, out: Path) -> int:
     pieces = enumerate_pieces(args.n, args.N)
     classes = classify_pieces(pieces)
     rep_by_level = {c.level: c.representative for c in classes}
-    rows = []
-    for p in pieces:
-        rows.append([
-            "|".join(str(k) for k in p.index),
-            _fmt(p.level),
-            _fmt(p.volume),
-            "|".join(str(k) for k in rep_by_level[p.level].index),
-        ])
-    _emit_csv(
-        out,
-        "pieces.csv",
-        manifest,
-        ["k", "shape_class", "volume", "class_representative"],
-        rows,
-    )
+    records = [
+        {
+            "k": "|".join(str(k) for k in p.index),
+            "shape_class": p.level,
+            "volume": p.volume,
+            "class_representative": "|".join(str(k) for k in rep_by_level[p.level].index),
+        }
+        for p in pieces
+    ]
+    _emit_csv(out, "pieces.csv", manifest, records)
     print(f"pieces: {len(pieces)}")
     print(f"classes: {len(classes)}")
     verdict = "PASS" if len(classes) <= args.n else "FAIL"
@@ -456,16 +445,16 @@ def _cmd_smooth(args: argparse.Namespace, out: Path) -> int:
     timer = _Stages(args.timings)
     with timer("body"):
         body = smoothed_body(poly, args.eps, resolution=resolution)
-    rho0 = body.plain_radii()
-    rows = [
-        [_fmt(c) for c in u] + [_fmt(r0), _fmt(re)]
-        for u, r0, re in zip(body.directions, rho0, body.radii)
+    # up to MAX_DIRS rows: name the columns once and zip them onto each row
+    columns = [f"u{i + 1}" for i in range(d)] + ["rho_plain", "rho_smooth"]
+    records = [
+        dict(zip(columns, (*u, r0, re)))
+        for u, r0, re in zip(body.directions, body.plain_radii(), body.radii)
     ]
     with timer("probe"):
         report = convexity_probe(body, trials=4096, seed=args.seed)
     # after the probe, so a rejected --seed writes nothing
-    header = [f"u{i + 1}" for i in range(d)] + ["rho_plain", "rho_smooth"]
-    _emit_csv(out, "boundary.csv", manifest, header, rows)
+    _emit_csv(out, "boundary.csv", manifest, records)
     vol_poly = polytope_measure(poly.vertices)
     with timer("hull"):
         # the body is convex, so the hull of its boundary samples lies inside it
@@ -502,10 +491,10 @@ def _cmd_profile(args: argparse.Namespace, out: Path) -> int:
         label, fn = f"euclidean-{args.n}", partial(euclidean_profile, args.n)
     volumes = volume_grid(args.vmin, args.vmax, args.points)
     areas = np.array([fn(v) for v in volumes])
-    rows = [[_fmt(v), _fmt(a)] for v, a in zip(volumes, areas)]
-    _emit_csv(out, "profile.csv", manifest, ["V", "A"], rows)
+    records = [{"V": v, "A": a} for v, a in zip(volumes, areas)]
+    _emit_csv(out, "profile.csv", manifest, records)
     print(f"model: {label}")
-    print(f"rows: {len(rows)}")
+    print(f"rows: {len(records)}")
     if args.svg:
         _emit_svg_loglog(out, "profile.svg", manifest, [(label, volumes, areas)])
     return EXIT_OK
@@ -538,45 +527,24 @@ def _cmd_solve(args: argparse.Namespace, out: Path) -> int:
         out,
         "region.csv",
         manifest,
-        ["triangle_index"],
-        [[_fmt(int(t))] for t in np.flatnonzero(result.region.mask)],
+        [{"triangle_index": t} for t in np.flatnonzero(result.region.mask)],
     )
-    _emit_csv(
-        out,
-        "summary.csv",
-        manifest,
-        [
-            "target_volume",
-            "area",
-            "perimeter",
-            "bound",
-            "kappa",
-            "ceiling",
-            "best_restart",
-        ],
-        [[
-            _fmt(args.volume),
-            _fmt(result.area),
-            _fmt(result.perimeter),
-            _fmt(bound),
-            _fmt(kappa),
-            _fmt(kappa * bound),
-            _fmt(result.best_restart),
-        ]],
-    )
+    summary = {
+        "target_volume": args.volume,
+        "area": result.area,
+        "perimeter": result.perimeter,
+        "bound": bound,
+        "kappa": kappa,
+        "ceiling": kappa * bound,
+        "best_restart": result.best_restart,
+    }
+    _emit_csv(out, "summary.csv", manifest, [summary])
     starts += ["cold"] * (args.restarts - len(warm))
-    _emit_csv(
-        out,
-        "restarts.csv",
-        manifest,
-        ["restart", "start", "perimeter", *(f.name for f in fields(MoveCounts))],
-        [
-            [_fmt(r), start, _fmt(p) if math.isfinite(p) else "", *map(_fmt, astuple(m))]
-            for r, (start, p, m) in enumerate(
-                zip(starts, result.restart_perimeters, result.moves)
-            )
-        ],
-    )
+    restarts = [
+        {"restart": r, "start": start, "perimeter": p if math.isfinite(p) else "", **asdict(m)}
+        for r, (start, p, m) in enumerate(zip(starts, result.restart_perimeters, result.moves))
+    ]
+    _emit_csv(out, "restarts.csv", manifest, restarts)
     ok = bound - 1e-9 <= result.perimeter <= kappa * bound
     print(f"triangles: {result.region.triangle_count} of {len(mesh.triangles)}")
     print(f"area: {_g(result.area)} (target {_g(args.volume)})")
@@ -606,21 +574,10 @@ def _cmd_gallery(args: argparse.Namespace, out: Path) -> int:
     manifest = _manifest(args)
     if args.exhibit == "double-pyramid":
         rep = double_pyramid_report(args.theta, args.volume, args.base_link)
-        columns = (
-            "theta",
-            "volume",
-            "one_sided_area",
-            "glued_ball_area",
-            "ratio",
-            "metric_ball_minimizing",
-        )
-        _emit_csv(
-            out,
-            "double_pyramid.csv",
-            manifest,
-            columns,
-            [[_fmt(getattr(rep, c)) for c in columns]],
-        )
+        # the optional base-vertex comparison is only printed
+        record = asdict(rep)
+        del record["base_link"], record["one_sided_beats_base"]
+        _emit_csv(out, "double_pyramid.csv", manifest, [record])
         print(f"ratio: {_g(rep.ratio)} (sqrt(2) = {_g(math.sqrt(2.0))})")
         print("metric ball minimizing: false")
         if rep.one_sided_beats_base is not None:
@@ -643,23 +600,7 @@ def _cmd_gallery(args: argparse.Namespace, out: Path) -> int:
             spike_height=args.spike_height,
             reference_volume=args.volume,
         )
-        columns = (
-            "theta_p",
-            "q_link",
-            "apex_link",
-            "hypercube_link",
-            "q_wins",
-            "reference_volume",
-            "q_perimeter",
-            "apex_perimeter",
-        )
-        _emit_csv(
-            out,
-            "spiked_cone.csv",
-            manifest,
-            columns,
-            [[_fmt(getattr(rep, c)) for c in columns]],
-        )
+        _emit_csv(out, "spiked_cone.csv", manifest, [asdict(rep)])
         print(f"spike apex link: {_g(rep.theta_p)}")
         print(f"q link 2*theta_p: {_g(rep.q_link)}")
         print(f"cone point link |K-hat|: {_g(rep.apex_link)}")
@@ -668,28 +609,21 @@ def _cmd_gallery(args: argparse.Namespace, out: Path) -> int:
     else:  # cube-competitors
         grid = volume_grid(args.vmin, args.vmax, args.points)
         reports = [cube_competitors(float(v)) for v in grid]
-        names = [e.name for e in reports[0].entries]
-        rows = []
-        for rep in reports:
-            row = [_fmt(rep.volume)]
-            row.extend(
-                _fmt(e.perimeter) if e.valid else "" for e in rep.entries
-            )
-            row.append(rep.winner.name)
-            rows.append(row)
-        _emit_csv(
-            out,
-            "competitors.csv",
-            manifest,
-            ["volume"] + [n.replace("-", "_") for n in names] + ["winner"],
-            rows,
-        )
-        print(f"rows: {len(rows)}")
+        records = [
+            {
+                "volume": rep.volume,
+                **{e.name.replace("-", "_"): e.perimeter if e.valid else "" for e in rep.entries},
+                "winner": rep.winner.name,
+            }
+            for rep in reports
+        ]
+        _emit_csv(out, "competitors.csv", manifest, records)
+        print(f"rows: {len(records)}")
         for lo, hi, was, now in winner_crossovers(reports):
             print(f"winner changes in ({_g(lo)}, {_g(hi)}): {was} -> {now}")
         if args.svg:
             curves = []
-            for i, name in enumerate(names):
+            for i, name in enumerate(e.name for e in reports[0].entries):
                 vs = [r.volume for r in reports if r.entries[i].valid]
                 ps = [
                     r.entries[i].perimeter for r in reports if r.entries[i].valid

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -22,6 +23,7 @@ from polyperim.cli import BUILTIN_SHAPES, build_parser, dispatch, main
 from polyperim.mesh import subdivide
 
 from conftest import OFF_EDGE_CUBE
+from test_acceptance import CLI_CASES
 
 
 def run(capsys, *argv):
@@ -557,6 +559,35 @@ def test_reruns_are_byte_identical(tmp_path, capsys):
     capsys.readouterr()
     assert (a / "profile.csv").read_bytes() == (b / "profile.csv").read_bytes()
     assert (a / "profile.svg").read_bytes() == (b / "profile.svg").read_bytes()
+
+
+#: sha256 of every artifact of criterion 10's invocations, keyed by the
+#: space-joined argv and then the artifact name
+PINNED_ARTIFACTS = json.loads(
+    (Path(__file__).parent / "data" / "cli_artifacts.json").read_text()
+)
+
+
+def artifact_digests(argv, out):
+    """Run one invocation in-process into ``out`` and hash its artifacts."""
+    assert dispatch([*argv, "--out", str(out)]) == 0
+    return {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out.iterdir())
+    }
+
+
+def test_artifacts_are_pinned_across_commits(tmp_path, capsys):
+    """Criterion 10 compares two runs of one build; these digests, recorded
+    before the CSV writer took records, also catch a change that rewrites
+    every run's artifacts alike.  Like the hex pins they assume numpy 2.4.6
+    and scipy 1.17.1."""
+    digests = {
+        " ".join(argv): artifact_digests(argv, tmp_path / str(i))
+        for i, argv in enumerate(CLI_CASES)
+    }
+    capsys.readouterr()
+    assert digests == PINNED_ARTIFACTS
 
 
 @pytest.mark.parametrize("argv, stages", [
