@@ -635,7 +635,7 @@ def _cmd_gallery(args: argparse.Namespace, out: Path) -> int:
 
 
 # ---------------------------------------------------------------------------
-# parser and dispatch
+# parser and entry point
 # ---------------------------------------------------------------------------
 
 #: flags that several commands share; every command takes --out and only the
@@ -724,11 +724,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 @cache
 def _parser() -> argparse.ArgumentParser:
-    """The one parser ``dispatch`` reads with, built on first use."""
+    """The one parser ``main`` reads with, built on first use."""
     return build_parser()
 
 
-def dispatch(argv: list[str]) -> int:
+def main(argv: list[str] | None = None) -> int:
+    """Run one command line (``sys.argv[1:]`` when argv is None) and return
+    its exit code; the console script and ``python -m polyperim`` call this."""
+    argv = sys.argv[1:] if argv is None else argv
     if argv and not argv[0].startswith("-") and argv[0] not in COMMANDS:
         print(f"polyperim: unknown command '{argv[0]}'", file=sys.stderr)
         return EXIT_UNKNOWN_COMMAND
@@ -738,11 +741,3 @@ def dispatch(argv: list[str]) -> int:
     except PolyperimError as exc:
         print(f"polyperim: error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL if isinstance(exc, NumericalError) else EXIT_VALIDATION
-
-
-def main(argv: list[str] | None = None) -> int:
-    return dispatch(sys.argv[1:] if argv is None else argv)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -283,8 +283,7 @@ class Polytope:
     ring_edges: np.ndarray | None = field(init=False)
 
     def __post_init__(self) -> None:
-        self.vertices = np.asarray(self.vertices, dtype=float)
-        _check_coordinates(self.vertices, InvalidPolytope)
+        self.vertices = _coordinates(self.vertices, InvalidPolytope)
         pairs = cKDTree(self.vertices).query_pairs(MERGE_TOL, output_type="ndarray")
         if len(pairs):
             i, j = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))[0]]
@@ -317,9 +316,7 @@ class Polytope:
     def from_vertices(cls, vertices) -> "Polytope":
         """Build from coordinates, checked as the constructor checks them,
         merging vertices within MERGE_TOL first."""
-        verts = np.asarray(vertices, dtype=float)
-        _check_coordinates(verts, InvalidPolytope)
-        verts, _ = _dedupe_with_map(verts)
+        verts, _ = _dedupe_with_map(_coordinates(vertices, InvalidPolytope))
         return cls(verts)
 
     @classmethod
@@ -330,15 +327,7 @@ class Polytope:
             if key not in doc:
                 raise BadDocument(f"document missing field {key!r}")
         dim = checked_int(doc["dim"], "field 'dim'", 1, error=BadDocument)
-        try:
-            verts = np.asarray(doc["vertices"], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise BadDocument(f"bad vertex coordinates: {exc}") from None
-        if verts.ndim != 2 or verts.shape[1] != dim:
-            raise BadDocument(
-                f"vertices must be rows of {dim} coordinates"
-            )
-        _check_coordinates(verts, BadDocument)
+        verts = _coordinates(doc["vertices"], BadDocument, dim)
         name = doc.get("name")
         if name is not None and not isinstance(name, str):
             raise BadDocument("field 'name' must be a string")
@@ -385,9 +374,16 @@ class Polytope:
         return doc
 
 
-def _check_coordinates(verts: np.ndarray, error: type[Exception]) -> None:
-    """Raise ``error`` unless verts are one or more rows of one or more
-    finite coordinates, |x| <= MAX_COORD."""
+def _coordinates(vertices, error: type[Exception], dim: int | None = None) -> np.ndarray:
+    """``vertices`` as a float array; raise ``error`` unless they are one or
+    more rows of one or more (``dim``, when given) real, finite coordinates,
+    |x| <= MAX_COORD."""
+    try:
+        verts = np.asarray(vertices, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise error(f"bad vertex coordinates: {exc}") from None
+    if dim is not None and (verts.ndim != 2 or verts.shape[1] != dim):
+        raise error(f"vertices must be rows of {dim} coordinates")
     if verts.ndim != 2:
         raise error("vertex array must be 2-dimensional")
     if 0 in verts.shape:
@@ -396,6 +392,7 @@ def _check_coordinates(verts: np.ndarray, error: type[Exception]) -> None:
         raise error("vertex coordinates must be finite")
     if np.abs(verts).max(initial=0.0) > MAX_COORD:
         raise error(f"vertex coordinates must be at most {MAX_COORD:g} in magnitude")
+    return verts
 
 
 def _dedupe_with_map(verts: np.ndarray):

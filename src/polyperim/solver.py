@@ -147,7 +147,6 @@ class SolverConfig:
     iterations: int
     restarts: int
     t_initial: float
-    cooling: float
     mu: float
 
     def __post_init__(self):
@@ -155,9 +154,12 @@ class SolverConfig:
             object.__setattr__(self, name, checked_int(getattr(self, name), name, lo))
         for name in ("t_initial", "mu"):
             object.__setattr__(self, name, checked_real(getattr(self, name), name, 0.0))
-        # cooling may be 1: a constant temperature
-        object.__setattr__(self, "cooling",
-                           checked_real(self.cooling, "cooling", 0.0, 1.0, hi_closed=True))
+
+    @property
+    def cooling(self) -> float:
+        """Per-iteration temperature factor: 1e-3 of ``t_initial`` is reached
+        by the final iteration."""
+        return (1e-3) ** (1.0 / self.iterations)
 
 
 def default_config(
@@ -179,14 +181,11 @@ def default_config(
     l_max = mesh.max_edge_length()
     mu = 30.0 * l_max / a_min
     t_initial = mu * a_mean
-    iterations = checked_int(iterations, "iterations", 1)
-    cooling = (1e-3) ** (1.0 / iterations)
     return SolverConfig(
         seed=seed,
         iterations=iterations,
         restarts=restarts,
         t_initial=t_initial,
-        cooling=cooling,
         mu=mu,
     )
 

@@ -7,6 +7,7 @@ their wall-clock budget.
 """
 
 import math
+import os
 import subprocess
 import sys
 import time
@@ -14,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from polyperim import shapes
+from polyperim import cli, shapes
 from polyperim.cones import vertex_cones
 from polyperim.gallery import (
     double_pyramid_report,
@@ -325,25 +326,35 @@ CLI_CASES = [
 
 
 def test_criterion_10_cli_determinism(tmp_path, capsys):
+    # each case runs once as ``python -m polyperim`` in a fresh process, under
+    # a hash seed other than this process's, and meanwhile once through
+    # ``cli.main`` here: both must exit 0, print the same lines and write the
+    # same artifacts, byte for byte
+    env = {**os.environ,
+           "PYTHONHASHSEED": "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"}
     ok = True
     artifacts = 0
     for idx, case in enumerate(CLI_CASES):
-        dirs = [tmp_path / f"{idx}-{run}" for run in "ab"]
-        for d in dirs:
-            proc = subprocess.run(
-                [sys.executable, "-m", "polyperim.cli", *case, "--out", str(d)],
-                capture_output=True,
-                text=True,
-            )
-            ok &= proc.returncode == 0
-        names = sorted(p.name for p in dirs[0].iterdir())
-        ok &= names == sorted(p.name for p in dirs[1].iterdir())
-        ok &= len(names) > 0
+        fresh, here = tmp_path / f"{idx}-fresh", tmp_path / f"{idx}-here"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "polyperim", *case, "--out", str(fresh)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        )
+        try:
+            code = cli.main([*case, "--out", str(here)])
+            printed = capsys.readouterr()
+            out, err = proc.communicate(timeout=120)
+        finally:
+            proc.kill()
+        ok &= code == 0 and (proc.returncode, out, err) == (code, printed.out, printed.err)
+        names = sorted(p.name for p in here.iterdir())
+        ok &= names == sorted(p.name for p in fresh.iterdir()) and len(names) > 0
         for name in names:
             artifacts += 1
-            ok &= (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
+            ok &= (here / name).read_bytes() == (fresh / name).read_bytes()
     _report(
         capsys, 10, ok,
         f"all {len(CLI_CASES)} CLI invocations (every command, SVG included) "
-        f"rerun byte-identical across {artifacts} artifacts",
+        f"print and write the same bytes in a fresh process as in-process, across "
+        f"{artifacts} artifacts",
     )

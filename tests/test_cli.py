@@ -6,8 +6,6 @@ import itertools
 import json
 import math
 import re
-import subprocess
-import sys
 import time
 from dataclasses import astuple
 from pathlib import Path
@@ -19,7 +17,7 @@ from hypothesis import strategies as st
 from scipy.stats import special_ortho_group
 
 from polyperim import cli, cones, errors, shapes, smoothing, solver
-from polyperim.cli import BUILTIN_SHAPES, build_parser, dispatch, main
+from polyperim.cli import BUILTIN_SHAPES, build_parser, main
 from polyperim.mesh import subdivide
 
 from conftest import OFF_EDGE_CUBE
@@ -27,7 +25,7 @@ from test_acceptance import CLI_CASES
 
 
 def run(capsys, *argv):
-    code = dispatch(list(argv))
+    code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -542,25 +540,6 @@ def test_analyze_hypercube_marks_vertex_zero(tmp_path, capsys):
     assert "optimal vertex: 0 " in out
 
 
-def test_reruns_are_byte_identical(tmp_path, capsys):
-    argv = [
-        "profile",
-        "--model", "cone",
-        "--omega", "4.71238898038469",
-        "--n", "2",
-        "--vmin", "0.01",
-        "--vmax", "0.75",
-        "--points", "24",
-        "--svg",
-    ]
-    a, b = tmp_path / "a", tmp_path / "b"
-    assert dispatch(argv + ["--out", str(a)]) == 0
-    assert dispatch(argv + ["--out", str(b)]) == 0
-    capsys.readouterr()
-    assert (a / "profile.csv").read_bytes() == (b / "profile.csv").read_bytes()
-    assert (a / "profile.svg").read_bytes() == (b / "profile.svg").read_bytes()
-
-
 #: sha256 of every artifact of criterion 10's invocations, keyed by the
 #: space-joined argv and then the artifact name
 PINNED_ARTIFACTS = json.loads(
@@ -570,7 +549,7 @@ PINNED_ARTIFACTS = json.loads(
 
 def artifact_digests(argv, out):
     """Run one invocation in-process into ``out`` and hash its artifacts."""
-    assert dispatch([*argv, "--out", str(out)]) == 0
+    assert main([*argv, "--out", str(out)]) == 0
     return {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(out.iterdir())
@@ -626,24 +605,6 @@ def test_timings_go_to_stderr_and_leave_artifacts_alone(tmp_path, capsys, argv, 
     assert names == sorted(path.name for path in timed.iterdir()) and names
     for name in names:
         assert (plain / name).read_bytes() == (timed / name).read_bytes(), name
-
-
-def test_main_entry_point(tmp_path, capsys):
-    assert main(["analyze", "--polytope", "square", "--out", str(tmp_path)]) == 0
-    capsys.readouterr()
-
-
-def test_python_dash_m_runs_the_cli(tmp_path):
-    proc = subprocess.run(
-        [sys.executable, "-m", "polyperim", "slice", "--n", "2", "--N", "3",
-         "--out", str(tmp_path)],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert "pieces: 9" in proc.stdout
-    _, _, rows = read_artifact(tmp_path / "pieces.csv")
-    assert len(rows) == 9
 
 
 def test_slice_rejects_oversized_windows_at_once(tmp_path, capsys):
@@ -826,7 +787,7 @@ def test_each_command_path_accepts_only_the_flags_it_reads(
     accepted = [s for a in parser._actions for s in a.option_strings]
     assert accepted == ["-h", "--help"] + flags
     with pytest.raises(SystemExit) as exc:
-        dispatch([*argv, foreign, "--out", str(tmp_path)])
+        main([*argv, foreign, "--out", str(tmp_path)])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {foreign}" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
@@ -841,7 +802,7 @@ def test_dispatch_reuses_one_parser(tmp_path, capsys, monkeypatch):
     assert run(capsys, *argv)[0] == 0
     assert (tmp_path / "profile.csv").read_bytes() == first
     with pytest.raises(SystemExit) as exc:
-        dispatch(["profile", "--bogus"])
+        main(["profile", "--bogus"])
     assert exc.value.code == 2
 
 
@@ -963,7 +924,7 @@ def test_fuzzed_flags_end_in_a_documented_exit_code(tmp_path_factory, argv):
     out = tmp_path_factory.mktemp("fuzz")
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = dispatch(argv + ["--out", str(out)])
+        code = main(argv + ["--out", str(out)])
     assert code in (0, 2, 3), argv
     if code in (2, 3):
         last = stderr.getvalue().splitlines()[-1]

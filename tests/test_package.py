@@ -163,7 +163,7 @@ def _body():
 
 def _config(**given):
     return SolverConfig(**{"seed": 0, "iterations": 1, "restarts": 1, "t_initial": 1.0,
-                           "cooling": 0.5, "mu": 1.0, **given})
+                           "mu": 1.0, **given})
 
 
 _TRIANGLE = [[0, 0], [1, 0], [0, 1]]
@@ -344,8 +344,6 @@ REAL_ARGUMENTS = [
      VolumeOutOfRange, "volume", (0, 6.0, -1.0), 1),
     ("SolverConfig", "t_initial", lambda v: _config(t_initial=v), ValidationError,
      "t_initial", (0, -5.0, math.inf), 1),
-    ("SolverConfig", "cooling", lambda v: _config(cooling=v), ValidationError, "cooling",
-     (0, 2.0, math.nextafter(1.0, 2.0)), 1),
     ("SolverConfig", "mu", lambda v: _config(mu=v), ValidationError, "mu",
      (0, -1.0, math.inf), 1),
     ("gallery spiked-cone", "--half-angle", _spiked_cone_cli, ValidationError,
@@ -392,18 +390,15 @@ def test_real_arguments_in_range_pass(call, value, tmp_path, monkeypatch):
 
 
 def test_closed_upper_ends_print_a_bracket():
-    # the link may reach |S^1| + 1e-12 and the cooling 1, both included
+    # the link may reach |S^1| + 1e-12, included
     assert cone_profile(sphere_measure(1) + 1e-12, 2, 1.0) > 0.0
-    assert _config(cooling=1).cooling == 1.0
     with pytest.raises(ValidationError, match=r"^omega must be in \(0\.0, 6\.28318530718\d*\], got 7\.0$"):
         cone_profile(7.0, 2, 1.0)
-    with pytest.raises(ValidationError, match=r"^cooling must be in \(0\.0, 1\.0\], got 1\.5$"):
-        _config(cooling=1.5)
 
 
 def test_every_real_parameter_has_a_row():
     annotated = _annotated("float", "float | None")
     rows = {(entry, argument) for entry, argument, *_ in REAL_ARGUMENTS}
-    assert {("smoothed_body", "epsilon"), ("SolverConfig", "cooling"),
+    assert {("smoothed_body", "epsilon"), ("SolverConfig", "mu"),
             ("cube", "side")} <= annotated
     assert annotated - rows == set()

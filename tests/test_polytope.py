@@ -204,6 +204,18 @@ def test_vertex_arrays_without_rows_or_columns_are_rejected(build, shape):
         build(np.zeros(shape))
 
 
+@pytest.mark.parametrize(
+    "vertices",
+    [[["a", "b"], [1, 0], [0, 1]], [[0, 0], [1], [0, 1]], [[1 + 2j, 0], [1, 0], [0, 1]]],
+    ids=["string", "ragged", "complex"],
+)
+@pytest.mark.parametrize("build", [Polytope, Polytope.from_vertices], ids=["init", "from_vertices"])
+def test_coordinates_that_are_not_real_numbers_are_rejected(build, vertices):
+    # numpy's bare ValueError or TypeError escaped here, past ValidationError
+    with pytest.raises(InvalidPolytope, match="^bad vertex coordinates: "):
+        build(vertices)
+
+
 @pytest.mark.parametrize("name", ["square", "cube", "hypercube"])
 def test_coordinates_up_to_the_bound_build_exactly(name):
     # at the bound each shape has its facets and cones, scaled exactly
